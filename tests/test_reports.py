@@ -1,0 +1,94 @@
+"""Machine reports pinned byte for byte.
+
+Every ``--format machine`` report below must match its fixture under
+``fixtures/reports/`` exactly, exit code included. A change that means to
+alter report bytes regenerates the fixtures and says so:
+
+    PYTHONPATH=src python tests/test_reports.py --regenerate
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from telesim.cli import SCALE_ENV_VAR, main
+from telesim.protocols import protocol_text
+
+HERE = Path(__file__).resolve().parent
+GOLDEN_DIR = HERE.parents[0] / "src" / "telesim" / "golden"
+FIXTURES = HERE / "fixtures" / "reports"
+GOLDENS = sorted(path.stem for path in GOLDEN_DIR.glob("*.tls"))
+NBIN = 8
+
+# (fixture name, command, source, limit scale or None, exit code); a source
+# "nmode_delayed_telefilter_n8" is generated, every other one is a golden
+CASES = [
+    (f"{command}_{name}", command, name, None, 0)
+    for name in GOLDENS
+    for command in ("run", "verify")
+] + [
+    (f"verify_nmode_delayed_telefilter_n{NBIN}", "verify",
+     f"nmode_delayed_telefilter_n{NBIN}", None, 0),
+    # precision runs out at scale 60 and the declared-limit check fails
+    ("verify_delayed_telemirror_scale60", "verify", "delayed_telemirror", "60", 1),
+]
+
+
+def _source(name: str, workdir: Path) -> Path:
+    if name == f"nmode_delayed_telefilter_n{NBIN}":
+        path = workdir / f"{name}.tls"
+        path.write_text(protocol_text("nmode_delayed_telefilter", n=NBIN), encoding="utf-8")
+        return path
+    return GOLDEN_DIR / f"{name}.tls"
+
+
+def _report(command: str, path: Path, scale: str | None) -> tuple[int, str]:
+    saved = os.environ.pop(SCALE_ENV_VAR, None)
+    if scale is not None:
+        os.environ[SCALE_ENV_VAR] = scale
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main([command, str(path), "--format", "machine"])
+    finally:
+        os.environ.pop(SCALE_ENV_VAR, None)
+        if saved is not None:
+            os.environ[SCALE_ENV_VAR] = saved
+    return code, out.getvalue()
+
+
+def test_every_golden_has_a_case():
+    assert len(GOLDENS) == 9
+    for name, *_ in CASES:
+        assert (FIXTURES / f"{name}.json").is_file(), name
+
+
+@pytest.mark.parametrize(
+    "fixture,command,source,scale,code", CASES, ids=[case[0] for case in CASES]
+)
+def test_machine_report_bytes_are_pinned(tmp_path, fixture, command, source, scale, code):
+    got_code, text = _report(command, _source(source, tmp_path), scale)
+    assert got_code == code
+    assert text.encode("utf-8") == (FIXTURES / f"{fixture}.json").read_bytes()
+
+
+def _regenerate(workdir: Path) -> None:
+    FIXTURES.mkdir(parents=True, exist_ok=True)
+    for fixture, command, source, scale, code in CASES:
+        got_code, text = _report(command, _source(source, workdir), scale)
+        if got_code != code:
+            raise SystemExit(f"{fixture}: exit code {got_code}, expected {code}")
+        (FIXTURES / f"{fixture}.json").write_bytes(text.encode("utf-8"))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        raise SystemExit(__doc__)
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        _regenerate(Path(scratch))
