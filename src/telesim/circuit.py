@@ -27,7 +27,7 @@ from .elements import (
     dual_homodyne,
     split_modes,
 )
-from .opalg import ModeExpr, ModeId, ModeKind, input_mode
+from .opalg import ModeEvaluator, ModeExpr, ModeId, ModeKind, input_mode
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,8 @@ class ProtocolOutput:
     per-bin intermediate views that overlap the canonical ports and are
     therefore excluded from unitarity sweeps. port_bins records, for
     every port, which temporal slot it occupies and when the device can
-    actually emit it.
+    actually emit it. evaluator() is the numeric session every analysis of
+    this protocol draws its coefficient tables from.
     """
 
     transmitted: dict[str, ModeExpr] = field(default_factory=dict)
@@ -205,6 +206,22 @@ class ProtocolOutput:
     target: ModeExpr | None = None
     name: str | None = None
     protocol_args: dict[str, object] = field(default_factory=dict)
+    _session: ModeEvaluator | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def evaluator(self) -> ModeEvaluator:
+        """Root session under env; bind() on it reaches derived bindings.
+
+        Every session of the family tables all ports and classical records
+        when it is created. A new session replaces the family when env is
+        reassigned.
+        """
+        if self._session is None or self._session.env is not self.env:
+            roots = [*self.all_ports().values()]
+            roots += [signal.expr for signal in self.classical.values()]
+            self._session = ModeEvaluator(self.env, tuple(roots))
+        return self._session
 
     def quantum_ports(self) -> dict[str, ModeExpr]:
         ports = dict(self.transmitted)

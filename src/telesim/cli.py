@@ -7,9 +7,10 @@ in two formats: text tables for reading and a machine form whose bytes are
 deterministic, with sorted keys, 12 significant digits and no negative
 zero, so golden files stay stable.
 
-Exit codes: 0 success, 1 failed verification check, 2 usage or parse
-errors. TELESIM_LIMIT_SCALE overrides the stand-in value used for
-parameters declared infinite.
+Exit codes: 0 success, 1 failed verification check, 2 usage, parse or
+evaluation errors, including circuits nested too deep to evaluate.
+TELESIM_LIMIT_SCALE overrides the stand-in value used for parameters
+declared infinite.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from dataclasses import dataclass, field
 from .circuit import CircuitError, ProtocolOutput
 from .coeff import CoefficientError, ParamEnv
 from .dsl import ParseError, parse_circuit, serialize_circuit
-from .opalg import ModeEvaluator, prune_for_display, quadrature_variance, to_complex
+from .opalg import (
+    DISPLAY_THRESHOLD,
+    ModeEvaluator,
+    prune_for_display,
+    quadrature_variance,
+    to_complex,
+)
 from .protocols import PROTOCOLS, build
 from .verify import (
     BogoliubovReport,
@@ -62,16 +69,15 @@ def _num(value: float) -> float:
 
 
 def _component(x: float) -> float:
-    # same display threshold the coefficient pruner uses
-    return 0.0 if abs(x) <= 1e-14 else _num(x)
+    return 0.0 if abs(x) <= DISPLAY_THRESHOLD else _num(x)
 
 
 def _quad(c: complex, d: complex) -> list[float]:
     return [_component(c.real), _component(c.imag), _component(d.real), _component(d.imag)]
 
 
-def _coefficient_map(expr, env: ParamEnv) -> dict[str, list[float]]:
-    table = prune_for_display(expr, env)
+def _coefficient_map(expr, session: ModeEvaluator) -> dict[str, list[float]]:
+    table = prune_for_display(expr, session)
     return {
         mode.name: _quad(c, d)
         for mode, (c, d) in sorted(table.items(), key=lambda kv: kv[0].sort_key())
@@ -115,6 +121,7 @@ class ReportDocument:
 
 def _base_payload(protocol: ProtocolOutput) -> dict:
     env = protocol.env
+    session = protocol.evaluator()
     payload: dict = {
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
         "protocol": protocol.name,
@@ -146,20 +153,20 @@ def _base_payload(protocol: ProtocolOutput) -> dict:
                 "role": role,
                 "slot_bin": timing.slot_bin,
                 "emission_bin": timing.emission_bin,
-                "coefficients": _coefficient_map(expr, env),
+                "coefficients": _coefficient_map(expr, session),
             }
     payload["outputs"] = outputs
     payload["classical"] = {
         name: {
             "emission_bin": protocol.port_bins[name].emission_bin,
-            "coefficients": _coefficient_map(signal.expr, env),
+            "coefficients": _coefficient_map(signal.expr, session),
         }
         for name, signal in protocol.classical.items()
     }
     payload["variances"] = {
         name: {
-            "x": _num(quadrature_variance(expr, 0.0, env)),
-            "p": _num(quadrature_variance(expr, math.pi / 2, env)),
+            "x": _num(quadrature_variance(expr, 0.0, session)),
+            "p": _num(quadrature_variance(expr, math.pi / 2, session)),
         }
         for name, expr in protocol.all_ports().items()
     }
@@ -478,10 +485,9 @@ def _declared_limit_gap(protocol: ProtocolOutput) -> float:
     convergence; ports the protocol declares no form for (those that
     legitimately diverge) are skipped.
     """
-    doubled = protocol.env.bind(
+    evaluator = protocol.evaluator().bind(
         **{p: 2 * protocol.env.limit_scale for p in protocol.limit_params}
     )
-    evaluator = ModeEvaluator(doubled)
     ports = protocol.all_ports()
     worst = 0.0
     for name, want in protocol.expected_limit.items():
@@ -512,11 +518,12 @@ def _run_command(args) -> int:
     if protocol.target is not None:
         analyses.append(selectivity_report(protocol))
     if protocol.limit_params:
+        session = protocol.evaluator()
         analyses.append(
             LimitSuite(
                 tuple(protocol.limit_params),
                 {
-                    name: limit_coefficients(expr, protocol.limit_params, protocol.env)
+                    name: limit_coefficients(expr, protocol.limit_params, session)
                     for name, expr in protocol.quantum_ports().items()
                 },
             )
@@ -531,7 +538,8 @@ def _verify_command(args) -> int:
     protocol = _load_protocol(args.file, env)
     checks = CheckSuite()
 
-    bog = check_bogoliubov(protocol.quantum_ports(), protocol.env, tol=1e-10)
+    session = protocol.evaluator()
+    bog = check_bogoliubov(protocol.quantum_ports(), session, tol=1e-10)
     checks.add(
         "bogoliubov canonical output set",
         bog.passed,
@@ -552,14 +560,14 @@ def _verify_command(args) -> int:
     # pipeline equivalence is checked at a well-conditioned working point:
     # recovery chains cancel terms of order e^{2(r+s)}, which float64 cannot
     # resolve at the limit stand-in, and any finite value probes the same code
-    probe = protocol.env.bind(
+    probe = session.bind(
         **{
             p: min(protocol.env.values[p], 2.0)
             for p in protocol.limit_params
             if p in protocol.env.values
         }
     )
-    cov = covariance_oracle(protocol.circuit, probe)
+    cov = covariance_oracle(protocol.circuit, probe.env)
     worst = 0.0
     for name, expr in protocol.all_ports().items():
         for phase in (0.0, math.pi / 2):
@@ -576,7 +584,7 @@ def _verify_command(args) -> int:
     limit_suite = None
     if protocol.limit_params:
         results = {
-            name: limit_coefficients(expr, protocol.limit_params, protocol.env)
+            name: limit_coefficients(expr, protocol.limit_params, session)
             for name, expr in protocol.quantum_ports().items()
         }
         limit_suite = LimitSuite(tuple(protocol.limit_params), results)
@@ -608,10 +616,11 @@ def _limits_command(args) -> int:
     for param in params:
         if param not in declared:
             raise _UsageError(f"circuit declares no parameter {param!r}")
+    session = protocol.evaluator()
     suite = LimitSuite(
         tuple(params),
         {
-            name: limit_coefficients(expr, list(params), protocol.env)
+            name: limit_coefficients(expr, list(params), session)
             for name, expr in protocol.quantum_ports().items()
         },
     )
@@ -752,6 +761,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (CircuitError, CoefficientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the scalar evaluator recurses once per level of coefficient nesting
+        print(
+            "error: circuit too deep to evaluate:"
+            " coefficient nesting exceeds the interpreter's recursion limit",
+            file=sys.stderr,
+        )
         return 2
 
 

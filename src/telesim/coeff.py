@@ -373,7 +373,11 @@ class Evaluator:
 
 
 def evaluate_mp(expr: CoefExpr, env: ParamEnv) -> mpmath.mpc:
-    """High-precision evaluation; prefer an Evaluator for batches."""
+    """One-off high-precision evaluation through a throwaway Evaluator.
+
+    Batches share an Evaluator; analyses of an evaluated circuit read the
+    tables of its per-binding sessions (``ProtocolOutput.evaluator()``).
+    """
     return Evaluator(env).eval(expr)
 
 

@@ -130,24 +130,62 @@ def lin_comb(weighted: list[tuple[object, ModeExpr]]) -> ModeExpr:
 
 NumericTerms = dict[ModeId, tuple]
 
+# coefficients at or below this magnitude are dropped from displayed tables
+DISPLAY_THRESHOLD = 1e-14
+
+
+def _binding_key(env: ParamEnv) -> tuple:
+    # evaluation reads the values only; the limit scale never enters it
+    return tuple(sorted(env.values.items()))
+
 
 class ModeEvaluator:
-    """Numeric view of mode expressions under one parameter binding.
+    """Numeric session: mode expressions evaluated under one binding.
 
-    Coefficient tables are cached per expression object, so repeated
-    commutators against the same outputs stay cheap.
+    Coefficient tables are cached per expression object, so every analysis
+    that draws from the same session reuses them. :meth:`bind` returns the
+    session of a derived binding from the same family, one session per
+    distinct set of values. A session given ``roots`` (an evaluated
+    protocol's ports and records), like every session bound from it, tables
+    them all on creation in one pass through a single scalar
+    :class:`Evaluator`, then drops that evaluator's per-node memo: analyses
+    read the tables, and the memo would only hold memory. A session without
+    roots tables lazily and keeps its memo.
     """
 
-    def __init__(self, env: ParamEnv):
+    def __init__(self, env: ParamEnv, roots: tuple[ModeExpr, ...] = ()):
         self.env = env
-        self._coef = Evaluator(env)
+        self._coef: Evaluator | None = Evaluator(env)
         # identity cache; holds the expression so its id cannot be recycled
         self._tables: dict[int, tuple[ModeExpr, NumericTerms]] = {}
+        self._roots = tuple(roots)
+        # made on the first bind(): the family refers back to this session,
+        # and a session that never binds should be freed without the cyclic GC
+        self._family: dict[tuple, ModeEvaluator] | None = None
+        if self._roots:
+            for expr in self._roots:
+                self.table(expr)
+            self._coef = None
+
+    def bind(self, **overrides: float) -> "ModeEvaluator":
+        """The family's session for this binding with overrides applied."""
+        if self._family is None:
+            self._family = {_binding_key(self.env): self}
+        env = self.env.bind(**overrides)
+        key = _binding_key(env)
+        session = self._family.get(key)
+        if session is None:
+            session = ModeEvaluator(env, self._roots)
+            session._family = self._family
+            self._family[key] = session
+        return session
 
     def table(self, expr: ModeExpr) -> NumericTerms:
         cached = self._tables.get(id(expr))
         if cached is not None and cached[0] is expr:
             return cached[1]
+        if self._coef is None:
+            self._coef = Evaluator(self.env)
         ev = self._coef.eval
         result = {m: (ev(c), ev(d)) for m, (c, d) in expr.terms.items()}
         self._tables[id(expr)] = (expr, result)
@@ -165,6 +203,23 @@ class ModeEvaluator:
             total += c * f - d * e
         return total
 
+    def cross_commutator(self, left: ModeExpr, right: ModeExpr):
+        """[left, right^dagger], read off both tables without building a dagger.
+
+        Exactly ``commutator(left, dagger(right))``: conjugation and negation
+        are exact, and the sum runs in the same order.
+        """
+        lt = self.table(left)
+        rt = self.table(right)
+        total = MP.mpc(0)
+        for mode, (c, d) in lt.items():
+            other = rt.get(mode)
+            if other is None:
+                continue
+            e, f = other
+            total += c * MP.conj(e) - d * MP.conj(f)
+        return total
+
     def variance(self, expr: ModeExpr, phase: float):
         fwd = MP.exp(MP.mpc(0, -phase))
         bwd = MP.exp(MP.mpc(0, phase))
@@ -175,48 +230,59 @@ class ModeEvaluator:
         return total
 
 
-def commutator(left: ModeExpr, right: ModeExpr, env: ParamEnv) -> complex:
+# what the env-taking functions accept: a bare binding or a session
+Binding = ParamEnv | ModeEvaluator
+
+
+def session_for(binding: Binding) -> ModeEvaluator:
+    """The session to evaluate in: binding itself, or a new one for a bare env."""
+    if isinstance(binding, ModeEvaluator):
+        return binding
+    return ModeEvaluator(binding)
+
+
+def commutator(left: ModeExpr, right: ModeExpr, env: Binding) -> complex:
     """[left, right] as a number; bilinear and antisymmetric."""
-    return to_complex(ModeEvaluator(env).commutator(left, right))
+    return to_complex(session_for(env).commutator(left, right))
 
 
-def quadrature_variance(expr: ModeExpr, phase: float, env: ParamEnv) -> float:
+def quadrature_variance(expr: ModeExpr, phase: float, env: Binding) -> float:
     """Vacuum variance of X(phase) = e^{-i phase} A + e^{i phase} A^dagger.
 
     Every constituent mode is treated as an independent vacuum input, so a
     single proper passive mode gives exactly 1.
     """
-    return float(ModeEvaluator(env).variance(expr, phase))
+    return float(session_for(env).variance(expr, phase))
 
 
-def is_proper_mode(expr: ModeExpr, env: ParamEnv, tol: float = 1e-9) -> bool:
+def is_proper_mode(expr: ModeExpr, env: Binding, tol: float = 1e-9) -> bool:
     """True when [A, A^dagger] = 1 within tol."""
-    norm = ModeEvaluator(env).commutator(expr, dagger(expr))
+    norm = session_for(env).cross_commutator(expr, expr)
     return abs(norm - 1) <= tol
 
 
-def overlap_with(expr: ModeExpr, target: ModeExpr, env: ParamEnv) -> complex:
+def overlap_with(expr: ModeExpr, target: ModeExpr, env: Binding) -> complex:
     """Amplitude of target inside expr, i.e. [expr, target^dagger].
 
     The target must be canonically normalized, otherwise the number has no
     interpretation as an amplitude.
     """
-    evaluator = ModeEvaluator(env)
-    norm = evaluator.commutator(target, dagger(target))
+    evaluator = session_for(env)
+    norm = evaluator.cross_commutator(target, target)
     if abs(norm - 1) > 1e-9:
         raise ValueError(
             f"target is not a proper mode: [T, T^dagger] = {to_complex(norm)}"
         )
-    return to_complex(evaluator.commutator(expr, dagger(target)))
+    return to_complex(evaluator.cross_commutator(expr, target))
 
 
-def prune_for_display(expr: ModeExpr, env: ParamEnv, threshold: float = 1e-14):
+def prune_for_display(expr: ModeExpr, env: Binding, threshold: float = DISPLAY_THRESHOLD):
     """Numeric coefficient table with negligible entries dropped.
 
     Display convenience only; expression semantics never depend on it.
     """
     table = {}
-    for mode, (c, d) in ModeEvaluator(env).table(expr).items():
+    for mode, (c, d) in session_for(env).table(expr).items():
         cc, dc = to_complex(c), to_complex(d)
         if abs(cc) <= threshold and abs(dc) <= threshold:
             continue

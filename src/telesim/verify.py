@@ -1,13 +1,15 @@
 """Independent checks on evaluated circuits.
 
-Nothing in here feeds back into simulation. Each analysis recomputes what
-it needs from first principles: unitarity from pairwise commutators, limits
-by pushing scale parameters twice as far, variances through a float64
-quadrature pipeline that never touches the operator tables, causality from
-the time-bin registry, and selectivity from overlaps against the declared
-target. Agreement between the two variance pipelines is the strongest
-cross-check the package has, because they share no code past the scalar
-evaluator.
+Nothing in here feeds back into simulation. The operator-side analyses
+read coefficient tables from the protocol's per-binding sessions
+(:meth:`ProtocolOutput.evaluator`), so each coefficient is evaluated once
+per binding however many analyses use it: unitarity from pairwise
+commutators, limits by pushing scale parameters twice as far, causality
+from the time-bin registry, and selectivity from overlaps against the
+declared target. Variances are also computed by a float64 quadrature
+pipeline that never touches the operator tables or the sessions.
+Agreement between the two variance pipelines is the strongest cross-check
+the package has, because they share no code past the scalar evaluator.
 """
 
 from __future__ import annotations
@@ -33,11 +35,19 @@ from .circuit import (
     merge_env,
 )
 from .coeff import ParamEnv, evaluate
-from .opalg import ModeEvaluator, ModeExpr, ModeId, ModeKind, dagger, to_complex
+from .opalg import (
+    DISPLAY_THRESHOLD,
+    Binding,
+    ModeEvaluator,
+    ModeExpr,
+    ModeId,
+    ModeKind,
+    session_for,
+    to_complex,
+)
 
 LIMIT_TOL = 1e-8
 DIVERGENCE_BOUND = 1e8
-PRUNE_THRESHOLD = 1e-14
 LEAKAGE_TOL = 1e-6
 NOISE_THRESHOLD = 0.5
 
@@ -65,18 +75,19 @@ class BogoliubovReport:
         return not self.failures
 
 
-def check_bogoliubov(outputs, env: ParamEnv, tol: float = 1e-10) -> BogoliubovReport:
+def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovReport:
     """Verify that outputs form a canonical mode set under env.
 
     outputs may be a name -> ModeExpr mapping or a plain sequence; sequences
     get positional names. Both commutator families are checked for every
-    unordered pair, plus self-normalization [A, A^dagger] = 1.
+    unordered pair, plus self-normalization [A, A^dagger] = 1. env may be a
+    session, whose tables are then reused.
     """
     if isinstance(outputs, dict):
         items = list(outputs.items())
     else:
         items = [(f"output{i}", expr) for i, expr in enumerate(outputs)]
-    evaluator = ModeEvaluator(env)
+    evaluator = session_for(env)
     failures = []
     worst = 0.0
     for i, (name_i, expr_i) in enumerate(items):
@@ -87,7 +98,7 @@ def check_bogoliubov(outputs, env: ParamEnv, tol: float = 1e-10) -> BogoliubovRe
                 failures.append((name_i, name_j, "commutator", plain))
             expected = 1.0 if name_i == name_j else 0.0
             cross = abs(
-                to_complex(evaluator.commutator(expr_i, dagger(expr_j))) - expected
+                to_complex(evaluator.cross_commutator(expr_i, expr_j)) - expected
             )
             worst = max(worst, cross)
             if cross > tol:
@@ -125,24 +136,29 @@ class LimitResult:
     limit: dict
 
 
-def _complex_table(expr: ModeExpr, env: ParamEnv) -> dict:
+def _complex_table(expr: ModeExpr, evaluator: ModeEvaluator) -> dict:
     return {
         mode: (to_complex(c), to_complex(d))
-        for mode, (c, d) in ModeEvaluator(env).table(expr).items()
+        for mode, (c, d) in evaluator.table(expr).items()
     }
 
 
 def limit_coefficients(
     expr: ModeExpr,
     params_to_infinity: list[str],
-    env: ParamEnv,
+    env: Binding,
     tol: float = LIMIT_TOL,
 ) -> LimitResult:
-    """Numeric limit of a mode expression as the named parameters grow."""
-    scale = env.limit_scale
-    low = _complex_table(expr, env.bind(**{p: scale for p in params_to_infinity}))
+    """Numeric limit of a mode expression as the named parameters grow.
+
+    Given a session, the scale and double-scale bindings come from its
+    family, so every port of a protocol shares them.
+    """
+    session = session_for(env)
+    scale = session.env.limit_scale
+    low = _complex_table(expr, session.bind(**{p: scale for p in params_to_infinity}))
     high = _complex_table(
-        expr, env.bind(**{p: 2 * scale for p in params_to_infinity})
+        expr, session.bind(**{p: 2 * scale for p in params_to_infinity})
     )
     worst = 0.0
     divergent = False
@@ -154,8 +170,8 @@ def limit_coefficients(
             divergent = True
     limit = {}
     for mode, (c, d) in high.items():
-        c = c if abs(c) > PRUNE_THRESHOLD else 0j
-        d = d if abs(d) > PRUNE_THRESHOLD else 0j
+        c = c if abs(c) > DISPLAY_THRESHOLD else 0j
+        d = d if abs(d) > DISPLAY_THRESHOLD else 0j
         if c != 0 or d != 0:
             limit[mode] = (c, d)
     return LimitResult(
@@ -412,7 +428,7 @@ def _dependency_scan(expr: ModeExpr, evaluator: ModeEvaluator) -> frozenset:
 
 def causality_report(protocol: ProtocolOutput) -> DependencyReport:
     """Timing audit of an evaluated protocol."""
-    evaluator = ModeEvaluator(protocol.env)
+    evaluator = protocol.evaluator()
     scanned: dict[str, frozenset] = {}
     for name, expr in protocol.all_ports().items():
         scanned[name] = _dependency_scan(expr, evaluator)
@@ -445,7 +461,7 @@ def signaling_test(protocol: ProtocolOutput, prepared_bin: int) -> float:
     outputs all emit at the final bin have nothing to test and return 0;
     for those the cost shows up as delay in the causality report instead.
     """
-    evaluator = ModeEvaluator(protocol.env)
+    evaluator = protocol.evaluator()
     worst = 0.0
     for name, expr in protocol.all_ports().items():
         if protocol.port_bins[name].emission_bin >= prepared_bin:
@@ -507,7 +523,7 @@ def _orthogonal_basis(target: list[complex]) -> list[list[complex]]:
 def selectivity_report(
     protocol: ProtocolOutput,
     target: ModeExpr | None = None,
-    env: ParamEnv | None = None,
+    env: Binding | None = None,
 ) -> SelectivityReport:
     """Classify transmitted ports against the declared target mode.
 
@@ -518,9 +534,8 @@ def selectivity_report(
     target = target if target is not None else protocol.target
     if target is None:
         raise ValueError("protocol declares no target mode")
-    base = env if env is not None else protocol.env
-    at_limit = base.bind(**{p: base.limit_scale for p in protocol.limit_params})
-    evaluator = ModeEvaluator(at_limit)
+    base = session_for(env) if env is not None else protocol.evaluator()
+    evaluator = base.bind(**{p: base.env.limit_scale for p in protocol.limit_params})
 
     signal_ids = sorted(
         (m for m in protocol.input_registry if m.kind is ModeKind.SIGNAL),

@@ -154,3 +154,17 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "nodelay_telemirror" in proc.stdout
+
+
+def test_too_deep_circuit_exits_2_with_a_message(capsys, monkeypatch):
+    import telesim.cli as cli
+
+    def too_deep(path, env):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_load_protocol", too_deep)
+    code, out, err = run_cli(capsys, "verify", str(GOLDEN))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: circuit too deep to evaluate")
+    assert "Traceback" not in err
