@@ -8,7 +8,8 @@ deterministic, with sorted keys, 12 significant digits and no negative
 zero, so golden files stay stable.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage, parse or
-evaluation errors, including circuits nested too deep to evaluate.
+evaluation errors, including circuits nested too deep to evaluate, bindings
+too large to evaluate and memory running out.
 TELESIM_LIMIT_SCALE overrides the stand-in value used for parameters
 declared infinite.
 """
@@ -451,9 +452,17 @@ def _load_protocol(path: str, env: ParamEnv) -> ProtocolOutput:
     from .circuit import evaluate_circuit
 
     ast = parse_circuit(text)
+    _require_declared(ast, env.values)
     protocol = evaluate_circuit(ast, env)
     _attach_target(protocol)
     return protocol
+
+
+def _require_declared(ast, names) -> None:
+    declared = {p.name for p in ast.params}
+    for name in names:
+        if name not in declared:
+            raise _UsageError(f"circuit declares no parameter {name!r}")
 
 
 def _attach_target(protocol: ProtocolOutput) -> None:
@@ -612,10 +621,7 @@ def _limits_command(args) -> int:
     params = args.name or protocol.limit_params
     if not params:
         raise _UsageError("no scale parameters given and none declared infinite")
-    declared = {p.name for p in protocol.circuit.params}
-    for param in params:
-        if param not in declared:
-            raise _UsageError(f"circuit declares no parameter {param!r}")
+    _require_declared(protocol.circuit, params)
     session = protocol.evaluator()
     suite = LimitSuite(
         tuple(params),
@@ -769,6 +775,13 @@ def main(argv: list[str] | None = None) -> int:
             " coefficient nesting exceeds the interpreter's recursion limit",
             file=sys.stderr,
         )
+        return 2
+    except OverflowError as exc:
+        # a binding or limit scale too large for the numbers to represent
+        print(f"error: number out of range while evaluating: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory while evaluating the circuit", file=sys.stderr)
         return 2
 
 

@@ -150,7 +150,10 @@ class ModeEvaluator:
     them all on creation in one pass through a single scalar
     :class:`Evaluator`, then drops that evaluator's per-node memo: analyses
     read the tables, and the memo would only hold memory. A session without
-    roots tables lazily and keeps its memo.
+    roots tables lazily and keeps its memo, so expressions that share
+    subtrees evaluate each node once. :func:`session_for` keeps such a
+    session for the last bare :class:`ParamEnv` it was given, which is how
+    repeated calls under one bare env share it.
     """
 
     def __init__(self, env: ParamEnv, roots: tuple[ModeExpr, ...] = ()):
@@ -233,12 +236,29 @@ class ModeEvaluator:
 # what the env-taking functions accept: a bare binding or a session
 Binding = ParamEnv | ModeEvaluator
 
+# (env, session) of the last bare ParamEnv given to session_for. One slot, so
+# a pass over many bindings keeps one scalar memo alive, not one per binding.
+_last_bare: tuple[ParamEnv, ModeEvaluator] | None = None
+
 
 def session_for(binding: Binding) -> ModeEvaluator:
-    """The session to evaluate in: binding itself, or a new one for a bare env."""
+    """The session to evaluate in: binding itself, or the session of a bare env.
+
+    A bare env gets the session made for the last bare env given here when
+    it is that same object, otherwise a new session that replaces it. So
+    calls that keep passing one env share its tables and scalar memo. The
+    match is by identity: equal values with another limit scale are another
+    binding to the analyses that read the scale.
+    """
+    global _last_bare
     if isinstance(binding, ModeEvaluator):
         return binding
-    return ModeEvaluator(binding)
+    last = _last_bare
+    if last is not None and last[0] is binding:
+        return last[1]
+    session = ModeEvaluator(binding)
+    _last_bare = (binding, session)
+    return session
 
 
 def commutator(left: ModeExpr, right: ModeExpr, env: Binding) -> complex:

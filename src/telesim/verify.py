@@ -81,7 +81,8 @@ def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovRep
     outputs may be a name -> ModeExpr mapping or a plain sequence; sequences
     get positional names. Both commutator families are checked for every
     unordered pair, plus self-normalization [A, A^dagger] = 1. env may be a
-    session, whose tables are then reused.
+    session, whose tables are then reused, or a bare env, whose session
+    later calls with that same env reuse (see :func:`opalg.session_for`).
     """
     if isinstance(outputs, dict):
         items = list(outputs.items())

@@ -1,17 +1,20 @@
 """Command-line front end: report formats, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import telesim
 from telesim.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "src" / "telesim" / "golden"
 ACAUSAL = Path(__file__).resolve().parent / "fixtures" / "acausal.tls"
 GOLDEN = GOLDEN_DIR / "delayed_telefilter.tls"
+MIRROR = GOLDEN_DIR / "delayed_telemirror.tls"
 
 
 def run_cli(capsys, *argv):
@@ -147,10 +150,14 @@ def test_parse_errors_exit_2_with_location(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same telesim as this process, installed or not
+    package_root = str(Path(telesim.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
     proc = subprocess.run(
         [sys.executable, "-m", "telesim.cli", "protocols", "list"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, path]))},
     )
     assert proc.returncode == 0
     assert "nodelay_telemirror" in proc.stdout
@@ -168,3 +175,44 @@ def test_too_deep_circuit_exits_2_with_a_message(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: circuit too deep to evaluate")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, scale",
+    [
+        (("verify", str(MIRROR), "--param", "r=1e308"), None),
+        (("run", str(MIRROR), "--param", "r=1e6"), None),
+        (("verify", str(MIRROR)), "1e6"),
+    ],
+    ids=["verify-r-1e308", "run-r-1e6", "verify-scale-1e6"],
+)
+def test_out_of_range_bindings_exit_2_with_a_message(capsys, monkeypatch, argv, scale):
+    if scale is not None:
+        monkeypatch.setenv("TELESIM_LIMIT_SCALE", scale)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_exits_2_with_a_message(capsys, monkeypatch):
+    import telesim.cli as cli
+
+    def exhausted(path, env):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_load_protocol", exhausted)
+    code, out, err = run_cli(capsys, "verify", str(GOLDEN))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_undeclared_param_binding_exits_2(capsys, command):
+    code, out, err = run_cli(capsys, command, str(MIRROR), "--param", "nosuch=1")
+    assert code == 2
+    assert out == ""
+    assert "circuit declares no parameter 'nosuch'" in err

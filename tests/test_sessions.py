@@ -1,7 +1,10 @@
 """Per-binding numeric sessions: sharing, exactness, evaluation counts."""
 
 import contextlib
+import gc
 import io
+import math
+import weakref
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -26,8 +29,16 @@ from telesim.coeff import (
     conj,
 )
 from telesim.dsl import parse_circuit
-from telesim.opalg import ModeEvaluator, ModeExpr, ModeId, dagger
+from telesim.opalg import (
+    ModeEvaluator,
+    ModeExpr,
+    ModeId,
+    dagger,
+    quadrature_variance,
+    session_for,
+)
 from telesim.protocols import protocol_text
+from telesim.verify import check_bogoliubov, limit_coefficients
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "src" / "telesim" / "golden"
 
@@ -130,6 +141,22 @@ def _coefficients(expr: ModeExpr):
     return [coef for pair in expr.terms.values() for coef in pair]
 
 
+def _count_evaluations(monkeypatch, counting=lambda: True) -> Counter:
+    """Counts (binding, node) pairs reaching Evaluator._eval while counting()."""
+    counts: Counter = Counter()
+    kept = []  # holds every counted node so no id is recycled
+    plain = Evaluator._eval
+
+    def counting_eval(self, expr):
+        if counting():
+            counts[tuple(sorted(self.env.values.items())), id(expr)] += 1
+            kept.append(expr)
+        return plain(self, expr)
+
+    monkeypatch.setattr(Evaluator, "_eval", counting_eval)
+    return counts
+
+
 def test_verify_evaluates_each_node_once_per_binding(tmp_path, monkeypatch):
     """Every (binding, DAG node) pair reaches Evaluator._eval at most once.
 
@@ -157,19 +184,9 @@ def test_verify_evaluates_each_node_once_per_binding(tmp_path, monkeypatch):
         finally:
             in_oracle.pop()
 
-    counts: Counter = Counter()
-    kept = []  # holds every counted node so no id is recycled
-    plain = Evaluator._eval
-
-    def counting_eval(self, expr):
-        if loaded and not in_oracle:
-            counts[tuple(sorted(self.env.values.items())), id(expr)] += 1
-            kept.append(expr)
-        return plain(self, expr)
-
     monkeypatch.setattr(cli, "_load_protocol", recording_load)
     monkeypatch.setattr(cli, "covariance_oracle", fenced_oracle)
-    monkeypatch.setattr(Evaluator, "_eval", counting_eval)
+    counts = _count_evaluations(monkeypatch, lambda: loaded and not in_oracle)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", str(path), "--format", "machine"]) == 0
 
@@ -187,3 +204,83 @@ def test_verify_evaluates_each_node_once_per_binding(tmp_path, monkeypatch):
     assert len(bindings) == 3
     assert max(counts.values()) == 1
     assert sum(counts.values()) <= len(bindings) * _unique_nodes(roots)
+
+
+# ---------------------------------------------------------------------------
+# bare ParamEnv bindings
+
+
+def test_audit_under_one_bare_env_evaluates_each_node_once_per_binding(monkeypatch):
+    """Library calls that keep passing one bare env share its session."""
+    protocol = _golden("delayed_telemirror")
+    env = protocol.env.bind(r=1.3, s=0.9)
+    counts = _count_evaluations(monkeypatch)
+
+    check_bogoliubov(protocol.quantum_ports(), env)
+    for expr in protocol.all_ports().values():
+        for phase in (0.0, math.pi / 2):
+            quadrature_variance(expr, phase, env)
+    for expr in protocol.quantum_ports().values():
+        limit_coefficients(expr, protocol.limit_params, env)
+
+    roots = []
+    for expr in protocol.all_ports().values():
+        roots += _coefficients(expr)
+    bindings = {binding for binding, _ in counts}
+    # the env itself, the limit scale and twice the limit scale
+    assert len(bindings) == 3
+    assert max(counts.values()) == 1
+    assert sum(counts.values()) <= len(bindings) * _unique_nodes(roots)
+
+
+def test_equal_values_with_another_limit_scale_are_another_binding():
+    protocol = _golden("delayed_telemirror")
+    values = dict(protocol.env.bind(r=1.2, s=0.7).values)
+    low, high = ParamEnv(values, 20.0), ParamEnv(values, 30.0)
+    params = protocol.limit_params
+    for name, expr in protocol.quantum_ports().items():
+        got_low = limit_coefficients(expr, params, low)
+        got_high = limit_coefficients(expr, params, high)
+        assert (got_low.scale, got_high.scale) == (20.0, 30.0)
+        assert got_low == limit_coefficients(expr, params, ModeEvaluator(low)), name
+        assert got_high == limit_coefficients(expr, params, ModeEvaluator(high)), name
+
+
+def _same_mpc(got, want) -> bool:
+    return got.real._mpf_ == want.real._mpf_ and got.imag._mpf_ == want.imag._mpf_
+
+
+def test_interleaved_bare_envs_match_fresh_sessions_exactly():
+    protocol = _golden("delayed_telemirror")
+    first = protocol.env.bind(r=1.1, s=0.6)
+    second = protocol.env.bind(r=1.7, s=0.3)
+    for env in (first, second, first):
+        session = session_for(env)
+        assert session.env is env
+        assert session_for(env) is session
+        fresh = ModeEvaluator(env)
+        for name, expr in protocol.all_ports().items():
+            got, want = session.table(expr), fresh.table(expr)
+            assert got.keys() == want.keys(), name
+            for mode, (c, d) in got.items():
+                assert _same_mpc(c, want[mode][0]) and _same_mpc(d, want[mode][1]), name
+            for phase in (0.0, math.pi / 2):
+                assert quadrature_variance(expr, phase, env) == float(
+                    fresh.variance(expr, phase)
+                ), name
+
+
+def test_bare_env_session_is_released_once_another_env_is_used():
+    protocol = _golden("delayed_telemirror")
+    first = protocol.env.bind(r=1.1)
+    second = protocol.env.bind(r=1.7)
+    ports = protocol.quantum_ports()
+    # limit_coefficients binds siblings, so the session sits in a cycle
+    for expr in ports.values():
+        limit_coefficients(expr, protocol.limit_params, first)
+    session = weakref.ref(session_for(first))
+    gc.collect()
+    assert session() is not None
+    check_bogoliubov(ports, second)
+    gc.collect()
+    assert session() is None
