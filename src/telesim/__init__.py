@@ -20,9 +20,7 @@ from .coeff import CoefExpr, CoefficientError, ParamEnv, evaluate, evaluate_mp
 from .dsl import ParseError, format_number, parse_circuit, serialize_circuit
 from .elements import (
     ClassicalSignal,
-    RailState,
     apply_balanced_bs,
-    apply_beamsplitter,
     apply_inverse_squeezer,
     apply_phase_shift,
     apply_two_mode_squeezer,
@@ -84,10 +82,8 @@ __all__ = [
     "PortTiming",
     "ProtocolInfo",
     "ProtocolOutput",
-    "RailState",
     "SelectivityReport",
     "apply_balanced_bs",
-    "apply_beamsplitter",
     "apply_inverse_squeezer",
     "apply_phase_shift",
     "apply_two_mode_squeezer",

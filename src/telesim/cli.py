@@ -1,15 +1,18 @@
 """Command line front end and report serialization.
 
-Subcommands: run (evaluate a circuit file and report), verify (full check
-suite, nonzero exit on any failure), protocols list / protocols build
-(registry access), limits (push declared scale parameters). Reports come
-in two formats: text tables for reading and a machine form whose bytes are
-deterministic, with sorted keys, 12 significant digits and no negative
-zero, so golden files stay stable.
+The CLI parses arguments, loads circuit files and renders reports; the
+checks and analyses it reports live in :mod:`telesim.verify`.
+
+Subcommands: run (evaluate a circuit file and report), verify (the
+:func:`~telesim.verify.verify_suite` checks, nonzero exit on any failure),
+protocols list / protocols build (registry access), limits (push declared
+scale parameters). Reports come in two formats: text tables for reading
+and a machine form whose bytes are deterministic, with sorted keys, 12
+significant digits and no negative zero, so golden files stay stable.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage, parse or
-evaluation errors, including circuits nested too deep to evaluate, bindings
-too large to evaluate and memory running out.
+evaluation errors, including non-finite bindings, circuits nested too deep
+to evaluate, bindings too large to evaluate and memory running out.
 TELESIM_LIMIT_SCALE overrides the stand-in value used for parameters
 declared infinite.
 """
@@ -21,8 +24,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from . import __version__
 from .circuit import CircuitError, ProtocolOutput
 from .coeff import CoefficientError, ParamEnv
 from .dsl import ParseError, parse_circuit, serialize_circuit
@@ -31,25 +35,21 @@ from .opalg import (
     ModeEvaluator,
     prune_for_display,
     quadrature_variance,
-    to_complex,
 )
 from .protocols import PROTOCOLS, build
 from .verify import (
     BogoliubovReport,
-    CovarianceRecord,
+    CheckSuite,
     DependencyReport,
-    LimitResult,
+    LimitSuite,
     SelectivityReport,
     causality_report,
-    check_bogoliubov,
-    covariance_oracle,
-    limit_coefficients,
+    limit_suite,
     selectivity_report,
-    signaling_test,
+    verify_suite,
 )
 
 TOOL_NAME = "telesim"
-TOOL_VERSION = "0.1.0"
 SCALE_ENV_VAR = "TELESIM_LIMIT_SCALE"
 
 
@@ -86,28 +86,6 @@ def _coefficient_map(expr, session: ModeEvaluator) -> dict[str, list[float]]:
 
 
 @dataclass
-class LimitSuite:
-    """Per-port limit results for one set of scale parameters."""
-
-    params: tuple[str, ...]
-    results: dict[str, LimitResult]
-
-
-@dataclass
-class CheckSuite:
-    """Named pass/fail outcomes; any failure makes verify exit nonzero."""
-
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    def add(self, name: str, passed: bool, detail: str = ""):
-        self.checks.append((name, bool(passed), detail))
-
-    @property
-    def all_passed(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
-
-
-@dataclass
 class ReportDocument:
     """Deterministic account of one evaluated circuit plus analyses."""
 
@@ -124,7 +102,7 @@ def _base_payload(protocol: ProtocolOutput) -> dict:
     env = protocol.env
     session = protocol.evaluator()
     payload: dict = {
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+        "tool": {"name": TOOL_NAME, "version": __version__},
         "protocol": protocol.name,
         "protocol_args": _plain_args(protocol.protocol_args),
         "parameters": {k: _num(float(v)) for k, v in sorted(env.values.items())},
@@ -238,11 +216,6 @@ def _fold_analysis(payload: dict, analysis) -> None:
                 }
                 for name, result in analysis.results.items()
             },
-        }
-    elif isinstance(analysis, CovarianceRecord):
-        payload["covariance"] = {
-            name: {"x": _num(vx), "p": _num(vp)}
-            for name, (vx, vp) in sorted(analysis.variances.items())
         }
     elif isinstance(analysis, CheckSuite):
         payload["checks"] = [
@@ -423,20 +396,25 @@ def _base_env(args) -> ParamEnv:
     scale = 20.0
     raw = os.environ.get(SCALE_ENV_VAR)
     if raw:
-        try:
-            scale = float(raw)
-        except ValueError:
-            raise _UsageError(f"{SCALE_ENV_VAR} must be a number, got {raw!r}")
+        scale = _finite(raw, f"{SCALE_ENV_VAR} must be a finite number")
     values = {}
     for item in getattr(args, "param", None) or []:
         key, _, raw_value = item.partition("=")
         if not _ or not key:
             raise _UsageError(f"--param expects NAME=VALUE, got {item!r}")
-        try:
-            values[key] = float(raw_value)
-        except ValueError:
-            raise _UsageError(f"parameter {key!r} needs a numeric value, got {raw_value!r}")
+        values[key] = _finite(raw_value, f"parameter {key!r} needs a finite numeric value")
     return ParamEnv(values, scale)
+
+
+def _finite(raw: str, message: str) -> float:
+    # a NaN binding fails every "> tol" test, so every check would pass
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan  # rejected below with the same message
+    if not math.isfinite(value):
+        raise _UsageError(f"{message}, got {raw!r}")
+    return value
 
 
 class _UsageError(Exception):
@@ -487,31 +465,6 @@ def _attach_target(protocol: ProtocolOutput) -> None:
         protocol.expected_limit = rebuilt.expected_limit
 
 
-def _declared_limit_gap(protocol: ProtocolOutput) -> float:
-    """Largest coefficient distance from the declared limit forms.
-
-    Evaluated at twice the limit scale so the comparison sits well inside
-    convergence; ports the protocol declares no form for (those that
-    legitimately diverge) are skipped.
-    """
-    evaluator = protocol.evaluator().bind(
-        **{p: 2 * protocol.env.limit_scale for p in protocol.limit_params}
-    )
-    ports = protocol.all_ports()
-    worst = 0.0
-    for name, want in protocol.expected_limit.items():
-        expr = ports.get(name)
-        if expr is None:
-            continue
-        have = evaluator.table(expr)
-        target = evaluator.table(want)
-        for mode in have.keys() | target.keys():
-            hc, hd = have.get(mode, (0, 0))
-            tc, td = target.get(mode, (0, 0))
-            worst = max(worst, abs(to_complex(hc - tc)), abs(to_complex(hd - td)))
-    return worst
-
-
 def _write_out(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -527,16 +480,7 @@ def _run_command(args) -> int:
     if protocol.target is not None:
         analyses.append(selectivity_report(protocol))
     if protocol.limit_params:
-        session = protocol.evaluator()
-        analyses.append(
-            LimitSuite(
-                tuple(protocol.limit_params),
-                {
-                    name: limit_coefficients(expr, protocol.limit_params, session)
-                    for name, expr in protocol.quantum_ports().items()
-                },
-            )
-        )
+        analyses.append(limit_suite(protocol, protocol.limit_params))
     document = emit_report(protocol, analyses, args.format)
     _write_out(document.render(), args.out)
     return 0
@@ -545,74 +489,10 @@ def _run_command(args) -> int:
 def _verify_command(args) -> int:
     env = _base_env(args)
     protocol = _load_protocol(args.file, env)
-    checks = CheckSuite()
-
-    session = protocol.evaluator()
-    bog = check_bogoliubov(protocol.quantum_ports(), session, tol=1e-10)
-    checks.add(
-        "bogoliubov canonical output set",
-        bog.passed,
-        f"max deviation {bog.max_deviation:.3e}",
-    )
-
-    causality = causality_report(protocol)
-    checks.add(
-        "causality",
-        causality.verdict == "causal",
-        f"verdict {causality.verdict}, delay {causality.mandatory_delay}",
-    )
-
-    bins = sorted({m.time_bin for m in protocol.input_registry})
-    leak = max((signaling_test(protocol, b) for b in bins), default=0.0)
-    checks.add("no early output carries later input", leak == 0.0, f"max weight {leak:.3e}")
-
-    # pipeline equivalence is checked at a well-conditioned working point:
-    # recovery chains cancel terms of order e^{2(r+s)}, which float64 cannot
-    # resolve at the limit stand-in, and any finite value probes the same code
-    probe = session.bind(
-        **{
-            p: min(protocol.env.values[p], 2.0)
-            for p in protocol.limit_params
-            if p in protocol.env.values
-        }
-    )
-    cov = covariance_oracle(protocol.circuit, probe.env)
-    worst = 0.0
-    for name, expr in protocol.all_ports().items():
-        for phase in (0.0, math.pi / 2):
-            op_side = quadrature_variance(expr, phase, probe)
-            cov_side = cov.variance(name, phase)
-            scale = max(1.0, abs(op_side), abs(cov_side))
-            worst = max(worst, abs(op_side - cov_side) / scale)
-    checks.add(
-        "covariance oracle matches operator variances",
-        worst <= 1e-10,
-        f"max relative gap {worst:.3e}",
-    )
-
-    limit_suite = None
-    if protocol.limit_params:
-        results = {
-            name: limit_coefficients(expr, protocol.limit_params, session)
-            for name, expr in protocol.quantum_ports().items()
-        }
-        limit_suite = LimitSuite(tuple(protocol.limit_params), results)
-        if protocol.expected_limit:
-            gap = _declared_limit_gap(protocol)
-            checks.add(
-                "declared limit forms reached",
-                gap <= 1e-8,
-                f"max coefficient gap {gap:.3e}",
-            )
-
-    analyses: list = [causality, bog, checks]
-    if protocol.target is not None:
-        analyses.insert(2, selectivity_report(protocol))
-    if limit_suite is not None:
-        analyses.append(limit_suite)
-    document = emit_report(protocol, analyses, args.format)
+    suite = verify_suite(protocol)
+    document = emit_report(protocol, [*suite.reports, suite], args.format)
     _write_out(document.render(), args.out)
-    return 0 if checks.all_passed else 1
+    return 0 if suite.all_passed else 1
 
 
 def _limits_command(args) -> int:
@@ -622,15 +502,7 @@ def _limits_command(args) -> int:
     if not params:
         raise _UsageError("no scale parameters given and none declared infinite")
     _require_declared(protocol.circuit, params)
-    session = protocol.evaluator()
-    suite = LimitSuite(
-        tuple(params),
-        {
-            name: limit_coefficients(expr, list(params), session)
-            for name, expr in protocol.quantum_ports().items()
-        },
-    )
-    document = emit_report(protocol, [suite], args.format)
+    document = emit_report(protocol, [limit_suite(protocol, params)], args.format)
     _write_out(document.render(), args.out)
     return 0
 

@@ -55,9 +55,6 @@ class ParamEnv:
         merged.update(overrides)
         return ParamEnv(merged, self.limit_scale)
 
-    def with_scale(self, scale: float) -> "ParamEnv":
-        return ParamEnv(self.values, scale)
-
 
 class CoefExpr:
     """Base class; subclasses are frozen dataclasses forming the tree.

@@ -26,29 +26,16 @@ from .opalg import ModeExpr, dagger, lin_comb
 
 
 @dataclass(frozen=True)
-class RailState:
-    """One spatiotemporal beam: the addressed mode and its orthogonal rest.
-
-    The two components never talk to each other; every element here acts
-    on them independently or leaves perp alone entirely.
-    """
-
-    zero: ModeExpr
-    perp: ModeExpr
-
-
-@dataclass(frozen=True)
 class ClassicalSignal:
     """Measurement record: a commuting operator that can be fed forward.
 
-    beta_normalized means the macroscopic local-oscillator amplitude has
-    been divided out. canonical is False when the two quadrature phases
-    were not a right-angle pair, which leaves the record usable but
-    outside the guarantees of the standard construction.
+    The macroscopic local-oscillator amplitude is already divided out.
+    canonical is False when the two quadrature phases were not a
+    right-angle pair, which leaves the record usable but outside the
+    guarantees of the standard construction.
     """
 
     expr: ModeExpr
-    beta_normalized: bool = True
     canonical: bool = True
 
 
@@ -95,15 +82,6 @@ def split_modes(
     out_minus = lin_comb([(keep, in_r), (-I * cis(-phi) * cross, in_t)])
     out_plus = lin_comb([(keep, in_t), (-I * cis(phi) * cross, in_r)])
     return out_minus, out_plus
-
-
-def apply_beamsplitter(
-    in_t: RailState, in_r: RailState, alpha, phi
-) -> tuple[RailState, RailState]:
-    """Beamsplitter on whole beams: both rail components mix identically."""
-    zero_minus, zero_plus = split_modes(in_t.zero, in_r.zero, alpha, phi)
-    perp_minus, perp_plus = split_modes(in_t.perp, in_r.perp, alpha, phi)
-    return RailState(zero_minus, perp_minus), RailState(zero_plus, perp_plus)
 
 
 def apply_balanced_bs(in1: ModeExpr, in2: ModeExpr) -> tuple[ModeExpr, ModeExpr]:
@@ -164,7 +142,7 @@ def dual_homodyne(
     from .coeff import I
 
     record = lin_comb([(1, x_part), (I, p_part)])
-    return ClassicalSignal(record, beta_normalized=True, canonical=_is_right_angle(xphase, pphase))
+    return ClassicalSignal(record, canonical=_is_right_angle(xphase, pphase))
 
 
 def _is_right_angle(xphase: CoefExpr, pphase: CoefExpr) -> bool:
@@ -179,8 +157,6 @@ def _is_right_angle(xphase: CoefExpr, pphase: CoefExpr) -> bool:
 
 def displace(resource_half: ModeExpr, record: ClassicalSignal, zeta) -> ModeExpr:
     """Feed-forward displacement: resource_half + zeta * record."""
-    if not record.beta_normalized:
-        raise ValueError("displacement requires a beta-normalized record")
     return lin_comb([(1, resource_half), (as_coef(zeta), record.expr)])
 
 
@@ -191,8 +167,4 @@ def classical_combine(
     if not signals:
         raise ValueError("nothing to combine")
     combined = lin_comb([(as_coef(w), sig.expr) for w, sig in signals])
-    return ClassicalSignal(
-        combined,
-        beta_normalized=all(sig.beta_normalized for _, sig in signals),
-        canonical=all(sig.canonical for _, sig in signals),
-    )
+    return ClassicalSignal(combined, canonical=all(sig.canonical for _, sig in signals))

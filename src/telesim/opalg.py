@@ -27,7 +27,6 @@ class ModeKind(Enum):
     VACUUM = "vacuum"
     ENTANGLEMENT_SEED = "entanglement_seed"
     SIGNAL = "signal"
-    LOCAL_OSCILLATOR = "local_oscillator"
 
 
 @dataclass(frozen=True)
@@ -81,12 +80,6 @@ class ModeExpr:
 
     def __rmul__(self, coefficient):
         return lin_comb([(coefficient, self)])
-
-    def scaled(self, coefficient) -> "ModeExpr":
-        return lin_comb([(coefficient, self)])
-
-    def mode_ids(self) -> frozenset[ModeId]:
-        return frozenset(self.terms)
 
     def parameters(self) -> frozenset[str]:
         names: set[str] = set()

@@ -10,6 +10,11 @@ declared target. Variances are also computed by a float64 quadrature
 pipeline that never touches the operator tables or the sessions.
 Agreement between the two variance pipelines is the strongest cross-check
 the package has, because they share no code past the scalar evaluator.
+
+:func:`verify_suite` composes these into the named pass/fail checks that
+``telesim verify`` reports, and :func:`limit_suite` takes the limit of
+every quantum port of a protocol; library callers get the same verdicts
+as the command line.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .opalg import (
     ModeExpr,
     ModeId,
     ModeKind,
+    quadrature_variance,
     session_for,
     to_complex,
 )
@@ -247,26 +253,17 @@ def _quadrature_row(rows: _Rows, phase: float):
 
 @dataclass
 class CovarianceRecord:
-    """First and second moments of every declared output.
+    """Quadrature rows of every declared quantum output.
 
     All supported inputs are vacuum, so first moments vanish identically
     and the interesting content is the per-port variance function.
     """
 
     ports: dict[str, _Rows] = field(default_factory=dict)
-    records: dict[str, tuple[list, list]] = field(default_factory=dict)
-    means: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def variance(self, name: str, phase: float = 0.0) -> float:
         row = _quadrature_row(self.ports[name], phase)
         return sum(v * v for v in row)
-
-    @property
-    def variances(self) -> dict[str, tuple[float, float]]:
-        return {
-            name: (self.variance(name, 0.0), self.variance(name, math.pi / 2))
-            for name in self.ports
-        }
 
 
 def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> CovarianceRecord:
@@ -387,11 +384,8 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
             wire = wires.get(stmt.wire)
             if wire is None:
                 raise CircuitError(f"unknown wire {stmt.wire!r}", loc)
-            record.means[stmt.name] = (0.0, 0.0)
             if isinstance(wire, _Rows):
                 record.ports[stmt.name] = wire
-            else:
-                record.records[stmt.name] = wire
         else:
             raise CircuitError(f"unhandled statement {type(stmt).__name__}", loc)
     return record
@@ -588,3 +582,158 @@ def selectivity_report(
         clean_port=clean,
         verdict=verdict,
     )
+
+
+# ---------------------------------------------------------------------------
+# check suite
+
+
+@dataclass
+class LimitSuite:
+    """Per-port limit results for one set of scale parameters."""
+
+    params: tuple[str, ...]
+    results: dict[str, LimitResult]
+
+
+def limit_suite(protocol: ProtocolOutput, params) -> LimitSuite:
+    """Limit of every quantum port as the named parameters grow.
+
+    Each name counts once, in first-seen order. All ports draw their
+    bindings from the protocol's session family.
+    """
+    params = tuple(dict.fromkeys(params))
+    session = protocol.evaluator()
+    return LimitSuite(
+        params,
+        {
+            name: limit_coefficients(expr, params, session)
+            for name, expr in protocol.quantum_ports().items()
+        },
+    )
+
+
+def _declared_limit_gap(protocol: ProtocolOutput) -> float:
+    """Largest coefficient distance from the declared limit forms.
+
+    Evaluated at twice the limit scale so the comparison sits well inside
+    convergence; ports the protocol declares no form for (those that
+    legitimately diverge) are skipped.
+    """
+    evaluator = protocol.evaluator().bind(
+        **{p: 2 * protocol.env.limit_scale for p in protocol.limit_params}
+    )
+    ports = protocol.all_ports()
+    worst = 0.0
+    for name, want in protocol.expected_limit.items():
+        expr = ports.get(name)
+        if expr is None:
+            continue
+        have = evaluator.table(expr)
+        target = evaluator.table(want)
+        for mode in have.keys() | target.keys():
+            hc, hd = have.get(mode, (0, 0))
+            tc, td = target.get(mode, (0, 0))
+            worst = max(worst, abs(to_complex(hc - tc)), abs(to_complex(hd - td)))
+    return worst
+
+
+@dataclass
+class CheckSuite:
+    """Named pass/fail outcomes and the reports they were judged from.
+
+    checks lists (name, passed, detail) in the order the checks ran. The
+    report fields hold the analyses behind them, so a caller can show
+    those without running them again; a field stays None when the
+    protocol declares nothing for it to judge (no target, no parameter
+    tending to infinity).
+    """
+
+    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    bogoliubov: BogoliubovReport | None = None
+    causality: DependencyReport | None = None
+    selectivity: SelectivityReport | None = None
+    limits: LimitSuite | None = None
+
+    def add(self, name: str, passed: bool, detail: str = ""):
+        self.checks.append((name, bool(passed), detail))
+
+    @property
+    def all_passed(self) -> bool:
+        return all(passed for _, passed, _ in self.checks)
+
+    @property
+    def reports(self) -> list:
+        """The reports the suite produced, skipping those it had no input for."""
+        found = (self.causality, self.selectivity, self.bogoliubov, self.limits)
+        return [report for report in found if report is not None]
+
+
+def verify_suite(protocol: ProtocolOutput) -> CheckSuite:
+    """Every check ``telesim verify`` makes on an evaluated protocol.
+
+    In order: the quantum outputs form a canonical mode set (within 1e-10),
+    the device is causal, no output emitted before a bin carries that bin's
+    inputs, the covariance oracle matches the operator variances (relative
+    gap within 1e-10) and, for protocols that declare limit forms, those
+    forms are reached (within LIMIT_TOL). The selectivity report is judged
+    when the protocol names a target. Each analysis runs once, drawing its
+    tables from the protocol's sessions.
+    """
+    suite = CheckSuite()
+    session = protocol.evaluator()
+    bog = suite.bogoliubov = check_bogoliubov(protocol.quantum_ports(), session, tol=1e-10)
+    suite.add(
+        "bogoliubov canonical output set",
+        bog.passed,
+        f"max deviation {bog.max_deviation:.3e}",
+    )
+
+    causality = suite.causality = causality_report(protocol)
+    suite.add(
+        "causality",
+        causality.verdict == "causal",
+        f"verdict {causality.verdict}, delay {causality.mandatory_delay}",
+    )
+
+    bins = sorted({m.time_bin for m in protocol.input_registry})
+    leak = max((signaling_test(protocol, b) for b in bins), default=0.0)
+    suite.add("no early output carries later input", leak == 0.0, f"max weight {leak:.3e}")
+
+    # pipeline equivalence is checked at a well-conditioned working point:
+    # recovery chains cancel terms of order e^{2(r+s)}, which float64 cannot
+    # resolve at the limit stand-in, and any finite value probes the same code
+    probe = session.bind(
+        **{
+            p: min(protocol.env.values[p], 2.0)
+            for p in protocol.limit_params
+            if p in protocol.env.values
+        }
+    )
+    cov = covariance_oracle(protocol.circuit, probe.env)
+    worst = 0.0
+    for name, expr in protocol.all_ports().items():
+        for phase in (0.0, math.pi / 2):
+            op_side = quadrature_variance(expr, phase, probe)
+            cov_side = cov.variance(name, phase)
+            scale = max(1.0, abs(op_side), abs(cov_side))
+            worst = max(worst, abs(op_side - cov_side) / scale)
+    suite.add(
+        "covariance oracle matches operator variances",
+        worst <= 1e-10,
+        f"max relative gap {worst:.3e}",
+    )
+
+    if protocol.limit_params:
+        suite.limits = limit_suite(protocol, protocol.limit_params)
+        if protocol.expected_limit:
+            gap = _declared_limit_gap(protocol)
+            suite.add(
+                "declared limit forms reached",
+                gap <= LIMIT_TOL,
+                f"max coefficient gap {gap:.3e}",
+            )
+
+    if protocol.target is not None:
+        suite.selectivity = selectivity_report(protocol)
+    return suite

@@ -89,6 +89,7 @@ def test_claimed_emission_bin_is_recorded():
         ("output x = ", 1, 12, "expected wire name"),
         ("frobnicate q", 1, 12, "expected '='"),
         ("mode vacuum v rail=r bin=zz", 1, 26, "expected integer bin"),
+        ("mode local_oscillator v rail=r bin=0", 1, 6, "unknown mode kind"),
         ("mode vacuum v rail=r bin=0\noutput x = nosuch", 2, 12, "undefined wire"),
         (
             "mode vacuum v rail=r bin=0\noutput x = v\noutput x = v",

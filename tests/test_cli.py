@@ -216,3 +216,32 @@ def test_undeclared_param_binding_exits_2(capsys, command):
     assert code == 2
     assert out == ""
     assert "circuit declares no parameter 'nosuch'" in err
+
+
+GOLDENS = sorted(GOLDEN_DIR.glob("*.tls"))
+
+
+@pytest.mark.parametrize(
+    "path, binding, scale",
+    [(path, "s=nan", None) for path in GOLDENS]
+    + [(GOLDEN_DIR / "atemporal_telefilter.tls", b, None) for b in ("s=inf", "s=1e400")]
+    + [(path, None, "nan") for path in GOLDENS],
+    ids=lambda v: v.stem if isinstance(v, Path) else v,
+)
+def test_non_finite_bindings_exit_2(capsys, monkeypatch, path, binding, scale):
+    # NaN fails every tolerance comparison, so it used to pass every check
+    if scale is not None:
+        monkeypatch.setenv("TELESIM_LIMIT_SCALE", scale)
+    argv = ["verify", str(path)] + (["--param", binding] if binding else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "finite" in err
+    assert "Traceback" not in err
+
+
+def test_limits_takes_each_parameter_once(capsys):
+    code, out, _ = run_cli(capsys, "limits", str(MIRROR), "--param", "r", "--param", "r")
+    assert code == 0
+    assert "limits: r -> infinity" in out

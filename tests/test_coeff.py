@@ -44,7 +44,6 @@ def test_param_lookup_and_bind():
     assert evaluate(param("s") + param("r"), rebound) == 2.5
     # bind returns a fresh env, the original is untouched
     assert env.values == {"s": 1.25}
-    assert env.with_scale(7.0).limit_scale == 7.0
     assert env.limit_scale == 20.0
 
 

@@ -8,10 +8,7 @@ from hypothesis import given, strategies as st
 
 from telesim.coeff import ParamEnv
 from telesim.elements import (
-    ClassicalSignal,
-    RailState,
     apply_balanced_bs,
-    apply_beamsplitter,
     apply_inverse_squeezer,
     apply_phase_shift,
     apply_two_mode_squeezer,
@@ -111,22 +108,9 @@ def test_phase_shift_rotates_whole_operator():
     assert shifted[R_ID][1] == pytest.approx(rot * math.sinh(0.6))
 
 
-def test_beamsplitter_acts_on_both_rail_components():
-    perp_t = input_mode(ModeId("tp", "top"))
-    perp_r = input_mode(ModeId("rp", "bottom"))
-    out_m, out_p = apply_beamsplitter(
-        RailState(T, perp_t), RailState(R, perp_r), 0.5, 0.0
-    )
-    # the perp component sees the identical mixing matrix
-    zt, pt = table(out_m.zero), table(out_m.perp)
-    assert zt[R_ID][0] == pytest.approx(pt[ModeId("rp", "bottom")][0])
-    assert zt[T_ID][0] == pytest.approx(pt[ModeId("tp", "top")][0])
-    assert table(out_p.zero)[T_ID][0] == pytest.approx(1 / math.sqrt(2))
-
-
 def test_dual_homodyne_canonical_record():
     rec = dual_homodyne(T, R, 0.0, math.pi / 2)
-    assert rec.canonical and rec.beta_normalized
+    assert rec.canonical
     rt2 = math.sqrt(2)
     tr = table(rec.expr)
     assert tr[T_ID][0] == pytest.approx(rt2)
@@ -149,12 +133,6 @@ def test_displace_adds_scaled_record():
     assert out[T_ID][0] == pytest.approx(1.0)
     assert out[R_ID][0] == pytest.approx(1.0)
     assert out[R_ID][1] == pytest.approx(-1.0)
-
-
-def test_displace_requires_normalized_record():
-    raw = ClassicalSignal(T + R, beta_normalized=False)
-    with pytest.raises(ValueError, match="normalized"):
-        displace(R, raw, 1.0)
 
 
 def test_classical_combine_weights_records():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from telesim import cli
+from telesim import cli, verify
 from telesim.circuit import evaluate_circuit
 from telesim.coeff import (
     PI,
@@ -175,7 +175,7 @@ def test_verify_evaluates_each_node_once_per_binding(tmp_path, monkeypatch):
         return protocol
 
     in_oracle = []
-    oracle = cli.covariance_oracle
+    oracle = verify.covariance_oracle
 
     def fenced_oracle(*args):
         in_oracle.append(True)
@@ -185,7 +185,7 @@ def test_verify_evaluates_each_node_once_per_binding(tmp_path, monkeypatch):
             in_oracle.pop()
 
     monkeypatch.setattr(cli, "_load_protocol", recording_load)
-    monkeypatch.setattr(cli, "covariance_oracle", fenced_oracle)
+    monkeypatch.setattr(verify, "covariance_oracle", fenced_oracle)
     counts = _count_evaluations(monkeypatch, lambda: loaded and not in_oracle)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", str(path), "--format", "machine"]) == 0

@@ -1,14 +1,19 @@
 """Independent analysis layer: unitarity, limits, covariances, timing."""
 
+import contextlib
+import io
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+from telesim import cli, verify
 from telesim.circuit import evaluate_circuit
 from telesim.coeff import ParamEnv
 from telesim.dsl import parse_circuit
 from telesim.opalg import ModeId, dagger, input_mode, lin_comb, quadrature_variance
-from telesim.protocols import build
+from telesim.protocols import PROTOCOLS, build
 from telesim.verify import (
     causality_report,
     check_bogoliubov,
@@ -16,7 +21,10 @@ from telesim.verify import (
     limit_coefficients,
     selectivity_report,
     signaling_test,
+    verify_suite,
 )
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "src" / "telesim" / "golden"
 
 A = input_mode(ModeId("a", "left"))
 B = input_mode(ModeId("b", "right"))
@@ -144,3 +152,68 @@ def test_selectivity_accepts_explicit_target():
     j0 = input_mode(next(m for m in po.input_registry if m.name == "j0"))
     rep = selectivity_report(po, target=j0)
     assert rep.verdict == "mode_selective"
+
+
+def _machine_verify(path: Path) -> tuple[int, dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", str(path), "--format", "machine"])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("name", list(PROTOCOLS))
+def test_verify_suite_passes_on_every_protocol(name):
+    protocol = build(name)
+    suite = verify_suite(protocol)
+    assert suite.all_passed, suite.checks
+    # the suite hands back every report it judged from
+    assert suite.bogoliubov.passed and suite.causality.verdict == "causal"
+    assert (suite.selectivity is not None) == (protocol.target is not None)
+    assert (suite.limits is not None) == bool(protocol.limit_params)
+
+
+# A golden file loads its integer protocol arguments as floats (n=3.0), so
+# the CLI cannot rebuild these two from the registry, attaches no target or
+# limit forms, and skips the declared-limit check the library makes.
+_NO_TARGET_FROM_FILE = pytest.mark.xfail(
+    strict=True, reason="CLI attaches no declared limit forms to n-bin goldens"
+)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=_NO_TARGET_FROM_FILE) if name.startswith("nmode_") else name
+        for name in PROTOCOLS
+    ],
+)
+def test_verify_suite_matches_the_cli_checks(name):
+    suite = verify_suite(build(name))
+    code, report = _machine_verify(GOLDEN_DIR / f"{name}.tls")
+    assert code == 0
+    assert [check for check, _, _ in suite.checks] == [
+        entry["check"] for entry in report["checks"]
+    ]
+
+
+def test_cli_verify_runs_each_analysis_once(monkeypatch):
+    calls = []
+    wrapped = (
+        "check_bogoliubov",
+        "causality_report",
+        "covariance_oracle",
+        "selectivity_report",
+        "_declared_limit_gap",
+    )
+    for name in wrapped:
+        plain = getattr(verify, name)
+
+        def counted(*args, _plain=plain, _name=name, **kwargs):
+            calls.append(_name)
+            return _plain(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    code, report = _machine_verify(GOLDEN_DIR / "delayed_telemirror.tls")
+    assert code == 0
+    assert sorted(calls) == sorted(wrapped)
+    assert {"bogoliubov", "causality", "limits", "selectivity"} <= report.keys()
