@@ -4,7 +4,9 @@ Circuits are lists of statements over symbolic scalar coefficients; every
 wire carries an exact linear combination of input creation/annihilation
 operators. The layers stack as coefficients -> operator algebra ->
 elements -> circuits -> protocol builders, with an independent analysis
-module and a text front end on top.
+module and a text front end on top. Circuits (parse_circuit,
+evaluate_circuit, build) are the validated entry point; the element algebra
+in telesim.elements checks nothing and is not exported here.
 """
 
 from .circuit import (
@@ -18,17 +20,6 @@ from .circuit import (
 )
 from .coeff import CoefExpr, CoefficientError, ParamEnv, evaluate, evaluate_mp
 from .dsl import ParseError, format_number, parse_circuit, serialize_circuit
-from .elements import (
-    ClassicalSignal,
-    apply_balanced_bs,
-    apply_inverse_squeezer,
-    apply_phase_shift,
-    apply_two_mode_squeezer,
-    classical_combine,
-    displace,
-    dual_homodyne,
-    split_modes,
-)
 from .opalg import (
     ModeEvaluator,
     ModeExpr,
@@ -65,7 +56,6 @@ __all__ = [
     "BogoliubovReport",
     "CircuitAst",
     "CircuitError",
-    "ClassicalSignal",
     "CoefExpr",
     "CoefficientError",
     "CovarianceRecord",
@@ -83,19 +73,12 @@ __all__ = [
     "ProtocolInfo",
     "ProtocolOutput",
     "SelectivityReport",
-    "apply_balanced_bs",
-    "apply_inverse_squeezer",
-    "apply_phase_shift",
-    "apply_two_mode_squeezer",
     "build",
     "causality_report",
     "check_bogoliubov",
-    "classical_combine",
     "commutator",
     "covariance_oracle",
     "dagger",
-    "displace",
-    "dual_homodyne",
     "evaluate",
     "evaluate_circuit",
     "evaluate_mp",
@@ -113,5 +96,4 @@ __all__ = [
     "selectivity_report",
     "serialize_circuit",
     "signaling_test",
-    "split_modes",
 ]

@@ -6,6 +6,13 @@ names. Evaluation walks the list once, carrying symbolic mode
 expressions plus an emission time for every wire, and collects declared
 outputs into a :class:`ProtocolOutput`.
 
+The interpreter is the one place element parameters are validated: each
+split, squeeze and homodyne is judged under the actual binding (declared
+defaults overlaid with the caller's values) before the unchecked algebra
+of :mod:`telesim.elements` sees it. Measurement records are plain
+:class:`ModeExpr` values; a wire's ``classical`` tag is what keeps them
+apart from quantum wires.
+
 Emission times follow arrival: an element emits at the latest bin among
 its inputs. A displacement may claim an earlier emission bin; the claim
 is honored here and judged by the causality analysis, which is exactly
@@ -14,20 +21,19 @@ how deliberately impossible circuits get flagged instead of rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .coeff import CoefExpr, CoefficientError, ParamEnv, evaluate
 from .elements import (
-    ClassicalSignal,
     apply_inverse_squeezer,
     apply_phase_shift,
     apply_two_mode_squeezer,
-    classical_combine,
     displace,
     dual_homodyne,
     split_modes,
 )
-from .opalg import ModeEvaluator, ModeExpr, ModeId, ModeKind, input_mode
+from .opalg import ModeEvaluator, ModeExpr, ModeId, ModeKind, input_mode, lin_comb
 
 
 @dataclass(frozen=True)
@@ -159,14 +165,6 @@ class CircuitAst:
         return tuple(s for s in self.statements if isinstance(s, ParamDecl))
 
     @property
-    def modes(self) -> tuple[ModeDecl, ...]:
-        return tuple(s for s in self.statements if isinstance(s, ModeDecl))
-
-    @property
-    def outputs(self) -> tuple[OutputStmt, ...]:
-        return tuple(s for s in self.statements if isinstance(s, OutputStmt))
-
-    @property
     def protocol(self) -> ProtocolDecl | None:
         for s in self.statements:
             if isinstance(s, ProtocolDecl):
@@ -186,7 +184,9 @@ class ProtocolOutput:
 
     transmitted and reflected hold the canonical port set; taps carry
     per-bin intermediate views that overlap the canonical ports and are
-    therefore excluded from unitarity sweeps. port_bins records, for
+    therefore excluded from unitarity sweeps. classical maps output names
+    to measurement records, operators that commute with their own
+    conjugates and carry no quantum port of their own. port_bins records, for
     every port, which temporal slot it occupies and when the device can
     actually emit it. evaluator() is the numeric session every analysis of
     this protocol draws its coefficient tables from.
@@ -194,7 +194,7 @@ class ProtocolOutput:
 
     transmitted: dict[str, ModeExpr] = field(default_factory=dict)
     reflected: dict[str, ModeExpr] = field(default_factory=dict)
-    classical: dict[str, ClassicalSignal] = field(default_factory=dict)
+    classical: dict[str, ModeExpr] = field(default_factory=dict)
     taps: dict[str, ModeExpr] = field(default_factory=dict)
     input_registry: list[ModeId] = field(default_factory=list)
     expected_limit: dict[str, ModeExpr] | None = None
@@ -213,13 +213,15 @@ class ProtocolOutput:
     def evaluator(self) -> ModeEvaluator:
         """Root session under env; bind() on it reaches derived bindings.
 
-        Every session of the family tables all ports and classical records
-        when it is created. A new session replaces the family when env is
-        reassigned.
+        Every session of the family tables all ports, classical records, the
+        target and the declared limit forms when it is created, so nodes they
+        share are evaluated once per binding. A new session replaces the
+        family when env is reassigned.
         """
         if self._session is None or self._session.env is not self.env:
-            roots = [*self.all_ports().values()]
-            roots += [signal.expr for signal in self.classical.values()]
+            roots = [*self.all_ports().values(), *self.classical.values()]
+            roots += [self.target] if self.target is not None else []
+            roots += (self.expected_limit or {}).values()
             self._session = ModeEvaluator(self.env, tuple(roots))
         return self._session
 
@@ -295,7 +297,7 @@ class _Evaluation:
             raise CircuitError(f"wire {name!r} is a measurement record", loc)
         return wire.value
 
-    def classical(self, name: str, loc: Loc) -> ClassicalSignal:
+    def classical(self, name: str, loc: Loc) -> ModeExpr:
         wire = self.wire(name, loc)
         if not wire.classical:
             raise CircuitError(f"wire {name!r} is not a measurement record", loc)
@@ -376,14 +378,22 @@ class _Evaluation:
                 stmt.xphase,
                 stmt.pphase,
             )
-            if not record.canonical:
+            # the record keeps its canonical form only for a right-angle pair
+            gap = self.scalar(stmt.pphase - stmt.xphase, loc, "homodyne phases")
+            right_angle = (
+                abs(gap.imag) <= 1e-9
+                and math.isfinite(gap.real)
+                and abs(math.remainder(gap.real - math.pi / 2, 2 * math.pi)) <= 1e-9
+            )
+            if not right_angle:
                 self.flags.append(f"noncanonical homodyne phases at {loc}")
             t_bin = max(self.bin_of(stmt.signal), self.bin_of(stmt.resource))
             self.put(stmt.out, record, t_bin, loc, classical=True)
             return
         if isinstance(stmt, CombineStmt):
-            signals = [(w, self.classical(name, loc)) for w, name in stmt.terms]
-            combined = classical_combine(signals)
+            if not stmt.terms:
+                raise CircuitError("combine needs at least one record", loc)
+            combined = lin_comb([(w, self.classical(name, loc)) for w, name in stmt.terms])
             t_bin = max(self.bin_of(name) for _, name in stmt.terms)
             self.put(stmt.out, combined, t_bin, loc, classical=True)
             return
@@ -425,8 +435,8 @@ def evaluate_circuit(ast: CircuitAst, env: ParamEnv | None = None) -> ProtocolOu
     """Lower the statement list onto the optical elements.
 
     Mode expressions stay symbolic in the declared parameters; env (over
-    declared defaults) is used to check numeric preconditions and is
-    attached to the result for later evaluation.
+    declared defaults) is the binding every element parameter is checked
+    under, and is attached to the result for later evaluation.
     """
     evaluation = _Evaluation(ast, env if env is not None else ParamEnv({}))
     result = evaluation.run()

@@ -38,11 +38,7 @@ from .opalg import (
 )
 from .protocols import PROTOCOLS, build
 from .verify import (
-    BogoliubovReport,
     CheckSuite,
-    DependencyReport,
-    LimitSuite,
-    SelectivityReport,
     causality_report,
     limit_suite,
     selectivity_report,
@@ -138,9 +134,9 @@ def _base_payload(protocol: ProtocolOutput) -> dict:
     payload["classical"] = {
         name: {
             "emission_bin": protocol.port_bins[name].emission_bin,
-            "coefficients": _coefficient_map(signal.expr, session),
+            "coefficients": _coefficient_map(record, session),
         }
-        for name, signal in protocol.classical.items()
+        for name, record in protocol.classical.items()
     }
     payload["variances"] = {
         name: {
@@ -164,44 +160,52 @@ def _plain_args(args: dict) -> dict:
     return plain
 
 
-def _fold_analysis(payload: dict, analysis) -> None:
-    if isinstance(analysis, DependencyReport):
+def emit_report(output: ProtocolOutput, suite: CheckSuite, format: str = "text") -> ReportDocument:
+    """Assemble the report document; identical inputs give identical bytes.
+
+    Each report the suite holds gets its section, and a non-empty check list
+    its own; selectivity is always present, null when the suite has none.
+    """
+    if format not in ("text", "machine"):
+        raise ValueError(f"unknown report format {format!r}")
+    payload = _base_payload(output)
+    causality = suite.causality
+    if causality is not None:
         payload["causality"] = {
-            "verdict": analysis.verdict,
-            "mandatory_delay": analysis.mandatory_delay,
-            "violations": sorted(analysis.violations),
+            "verdict": causality.verdict,
+            "mandatory_delay": causality.mandatory_delay,
+            "violations": sorted(causality.violations),
             "dependencies": {
                 name: sorted([mode.name, time_bin] for mode, time_bin in deps)
-                for name, deps in analysis.dependencies.items()
+                for name, deps in causality.dependencies.items()
             },
         }
-    elif isinstance(analysis, SelectivityReport):
-        payload["selectivity"] = {
-            "verdict": analysis.verdict,
-            "clean_port": analysis.clean_port,
-            "target_overlap": [
-                _num(analysis.target_overlap.real),
-                _num(analysis.target_overlap.imag),
-            ],
-            "orthogonal_leakage": _num(analysis.orthogonal_leakage),
-            "noise_variance_excess": {
-                name: _num(v)
-                for name, v in sorted(analysis.noise_variance_excess.items())
-            },
-        }
-    elif isinstance(analysis, BogoliubovReport):
+    selectivity = suite.selectivity
+    payload["selectivity"] = None if selectivity is None else {
+        "verdict": selectivity.verdict,
+        "clean_port": selectivity.clean_port,
+        "target_overlap": [
+            _num(selectivity.target_overlap.real),
+            _num(selectivity.target_overlap.imag),
+        ],
+        "orthogonal_leakage": _num(selectivity.orthogonal_leakage),
+        "noise_variance_excess": {
+            name: _num(v) for name, v in sorted(selectivity.noise_variance_excess.items())
+        },
+    }
+    bog = suite.bogoliubov
+    if bog is not None:
         payload["bogoliubov"] = {
-            "passed": analysis.passed,
-            "max_deviation": _num(analysis.max_deviation),
-            "tol": _num(analysis.tol),
+            "passed": bog.passed,
+            "max_deviation": _num(bog.max_deviation),
+            "tol": _num(bog.tol),
             "failures": [
-                [left, right, kind, _num(dev)]
-                for left, right, kind, dev in analysis.failures
+                [left, right, kind, _num(dev)] for left, right, kind, dev in bog.failures
             ],
         }
-    elif isinstance(analysis, LimitSuite):
+    if suite.limits is not None:
         payload["limits"] = {
-            "parameters": list(analysis.params),
+            "parameters": list(suite.limits.params),
             "ports": {
                 name: {
                     "converged": result.converged,
@@ -214,26 +218,14 @@ def _fold_analysis(payload: dict, analysis) -> None:
                         )
                     },
                 }
-                for name, result in analysis.results.items()
+                for name, result in suite.limits.results.items()
             },
         }
-    elif isinstance(analysis, CheckSuite):
+    if suite.checks:
         payload["checks"] = [
             {"check": name, "passed": passed, "detail": detail}
-            for name, passed, detail in analysis.checks
+            for name, passed, detail in suite.checks
         ]
-    else:
-        raise TypeError(f"cannot fold analysis {type(analysis).__name__}")
-
-
-def emit_report(output: ProtocolOutput, analyses: list, format: str = "text") -> ReportDocument:
-    """Assemble the report document; identical inputs give identical bytes."""
-    if format not in ("text", "machine"):
-        raise ValueError(f"unknown report format {format!r}")
-    payload = _base_payload(output)
-    payload.setdefault("selectivity", None)
-    for analysis in analyses:
-        _fold_analysis(payload, analysis)
     return ReportDocument(payload=payload, format=format)
 
 
@@ -456,6 +448,13 @@ def _attach_target(protocol: ProtocolOutput) -> None:
     info = PROTOCOLS.get(protocol.name)
     if info is None:
         return
+    # an int argument counts time bins, each with input modes of its own, so
+    # one above the file's input count cannot match and is not built
+    inputs = len(protocol.input_registry)
+    for spec in info.args:
+        value = protocol.protocol_args.get(spec.name)
+        if spec.kind == "int" and isinstance(value, (int, float)) and value > inputs:
+            return
     try:
         rebuilt = info.build(**protocol.protocol_args)
     except (TypeError, ValueError):
@@ -476,12 +475,12 @@ def _write_out(text: str, out_path: str | None) -> None:
 def _run_command(args) -> int:
     env = _base_env(args)
     protocol = _load_protocol(args.file, env)
-    analyses: list = [causality_report(protocol)]
+    suite = CheckSuite(causality=causality_report(protocol))
     if protocol.target is not None:
-        analyses.append(selectivity_report(protocol))
+        suite.selectivity = selectivity_report(protocol)
     if protocol.limit_params:
-        analyses.append(limit_suite(protocol, protocol.limit_params))
-    document = emit_report(protocol, analyses, args.format)
+        suite.limits = limit_suite(protocol, protocol.limit_params)
+    document = emit_report(protocol, suite, args.format)
     _write_out(document.render(), args.out)
     return 0
 
@@ -489,8 +488,11 @@ def _run_command(args) -> int:
 def _verify_command(args) -> int:
     env = _base_env(args)
     protocol = _load_protocol(args.file, env)
-    suite = verify_suite(protocol)
-    document = emit_report(protocol, [*suite.reports, suite], args.format)
+    try:
+        suite = verify_suite(protocol)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+    document = emit_report(protocol, suite, args.format)
     _write_out(document.render(), args.out)
     return 0 if suite.all_passed else 1
 
@@ -502,7 +504,8 @@ def _limits_command(args) -> int:
     if not params:
         raise _UsageError("no scale parameters given and none declared infinite")
     _require_declared(protocol.circuit, params)
-    document = emit_report(protocol, [limit_suite(protocol, params)], args.format)
+    suite = CheckSuite(limits=limit_suite(protocol, params))
+    document = emit_report(protocol, suite, args.format)
     _write_out(document.render(), args.out)
     return 0
 

@@ -2,66 +2,22 @@
 
 Beamsplitters and phase plates act on whole wire operators (all
 coefficients pick up the same factors, never mixing c with d); squeezers
-couple a wire to the conjugate of its partner. Measurement channels
-produce :class:`ClassicalSignal` values that commute with their own
-conjugates and can be combined and fed forward as displacements.
+couple a wire to the conjugate of its partner. A dual homodyne returns its
+measurement record as a plain :class:`ModeExpr` that commutes with its own
+conjugate; records combine with ``lin_comb`` and are fed forward by
+:func:`displace`.
+
+These functions are unchecked algebra: they evaluate nothing and accept
+any parameter expression. Circuits (``parse_circuit``, ``evaluate_circuit``,
+``build``) are the validated entry point; the circuit interpreter checks
+every element parameter under the actual binding before it reaches an
+element here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .coeff import (
-    CoefExpr,
-    CoefficientError,
-    ParamEnv,
-    as_coef,
-    cis,
-    cosh,
-    evaluate,
-    sinh,
-    sqrt,
-)
+from .coeff import I, as_coef, cis, cosh, sinh, sqrt
 from .opalg import ModeExpr, dagger, lin_comb
-
-
-@dataclass(frozen=True)
-class ClassicalSignal:
-    """Measurement record: a commuting operator that can be fed forward.
-
-    The macroscopic local-oscillator amplitude is already divided out.
-    canonical is False when the two quadrature phases were not a
-    right-angle pair, which leaves the record usable but outside the
-    guarantees of the standard construction.
-    """
-
-    expr: ModeExpr
-    canonical: bool = True
-
-
-def _const_real(expr: CoefExpr) -> float | None:
-    """Numeric value of a parameter-free expression, else None."""
-    if expr.parameters():
-        return None
-    try:
-        value = evaluate(expr, ParamEnv({}))
-    except CoefficientError:
-        return None
-    if abs(value.imag) > 1e-12:
-        return None
-    return value.real
-
-
-def _check_transmissivity(alpha: CoefExpr) -> None:
-    value = _const_real(alpha)
-    if value is not None and not -1e-12 <= value <= 1 + 1e-12:
-        raise ValueError(f"beamsplitter transmissivity {value} outside [0, 1]")
-
-
-def _check_gain(gain: CoefExpr) -> None:
-    value = _const_real(gain)
-    if value is not None and value < -1e-12:
-        raise ValueError(f"squeezer gain {value} must be nonnegative")
 
 
 def split_modes(
@@ -74,11 +30,8 @@ def split_modes(
     """
     alpha = as_coef(alpha)
     phi = as_coef(phi)
-    _check_transmissivity(alpha)
     keep = sqrt(alpha)
     cross = sqrt(1 - alpha)
-    from .coeff import I
-
     out_minus = lin_comb([(keep, in_r), (-I * cis(-phi) * cross, in_t)])
     out_plus = lin_comb([(keep, in_t), (-I * cis(phi) * cross, in_r)])
     return out_minus, out_plus
@@ -98,7 +51,6 @@ def apply_two_mode_squeezer(
     """out_i = cosh(g) in_i + e^{i theta} sinh(g) in_other^dagger."""
     gain = as_coef(gain)
     phase = as_coef(phase)
-    _check_gain(gain)
     c = cosh(gain)
     s = cis(phase) * sinh(gain)
     out1 = lin_comb([(c, in1), (s, dagger(in2))])
@@ -111,7 +63,6 @@ def apply_inverse_squeezer(
 ) -> tuple[ModeExpr, ModeExpr]:
     """Undoes apply_two_mode_squeezer at phase 0 and the same gain."""
     gain = as_coef(gain)
-    _check_gain(gain)
     c = cosh(gain)
     s = sinh(gain)
     out1 = lin_comb([(c, in1), (-s, dagger(in2))])
@@ -126,7 +77,7 @@ def apply_phase_shift(in_mode: ModeExpr, phi) -> ModeExpr:
 
 def dual_homodyne(
     signal: ModeExpr, resource: ModeExpr, xphase, pphase
-) -> ClassicalSignal:
+) -> ModeExpr:
     """Joint quadrature readout of signal against resource.
 
     Mixes the two wires on a balanced beamsplitter and records
@@ -139,32 +90,10 @@ def dual_homodyne(
     sum_out, diff_out = apply_balanced_bs(signal, resource)
     x_part = lin_comb([(cis(-xphase), diff_out), (cis(xphase), dagger(diff_out))])
     p_part = lin_comb([(cis(-pphase), sum_out), (cis(pphase), dagger(sum_out))])
-    from .coeff import I
-
-    record = lin_comb([(1, x_part), (I, p_part)])
-    return ClassicalSignal(record, canonical=_is_right_angle(xphase, pphase))
+    return lin_comb([(1, x_part), (I, p_part)])
 
 
-def _is_right_angle(xphase: CoefExpr, pphase: CoefExpr) -> bool:
-    import math
-
-    gap = _const_real(pphase - xphase)
-    if gap is None:
-        # parameter-dependent separation: trust the caller
-        return True
-    return abs(math.remainder(gap - math.pi / 2, 2 * math.pi)) <= 1e-9
-
-
-def displace(resource_half: ModeExpr, record: ClassicalSignal, zeta) -> ModeExpr:
+def displace(resource_half: ModeExpr, record: ModeExpr, zeta) -> ModeExpr:
     """Feed-forward displacement: resource_half + zeta * record."""
-    return lin_comb([(1, resource_half), (as_coef(zeta), record.expr)])
+    return lin_comb([(1, resource_half), (zeta, record)])
 
-
-def classical_combine(
-    signals: list[tuple[object, ClassicalSignal]]
-) -> ClassicalSignal:
-    """Weighted sum of measurement records; still a commuting operator."""
-    if not signals:
-        raise ValueError("nothing to combine")
-    combined = lin_comb([(as_coef(w), sig.expr) for w, sig in signals])
-    return ClassicalSignal(combined, canonical=all(sig.canonical for _, sig in signals))

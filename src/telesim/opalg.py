@@ -135,8 +135,9 @@ def _binding_key(env: ParamEnv) -> tuple:
 class ModeEvaluator:
     """Numeric session: mode expressions evaluated under one binding.
 
-    Coefficient tables are cached per expression object, so every analysis
-    that draws from the same session reuses them. :meth:`bind` returns the
+    Coefficient tables, and the vacuum variances read from them, are cached
+    per expression object, so every analysis that draws from the same
+    session reuses them. :meth:`bind` returns the
     session of a derived binding from the same family, one session per
     distinct set of values. A session given ``roots`` (an evaluated
     protocol's ports and records), like every session bound from it, tables
@@ -154,6 +155,7 @@ class ModeEvaluator:
         self._coef: Evaluator | None = Evaluator(env)
         # identity cache; holds the expression so its id cannot be recycled
         self._tables: dict[int, tuple[ModeExpr, NumericTerms]] = {}
+        self._variances: dict[tuple[int, float], object] = {}
         self._roots = tuple(roots)
         # made on the first bind(): the family refers back to this session,
         # and a session that never binds should be freed without the cyclic GC
@@ -217,13 +219,18 @@ class ModeEvaluator:
         return total
 
     def variance(self, expr: ModeExpr, phase: float):
-        fwd = MP.exp(MP.mpc(0, -phase))
-        bwd = MP.exp(MP.mpc(0, phase))
-        total = MP.mpf(0)
-        for c, d in self.table(expr).values():
-            amp = fwd * c + bwd * MP.conj(d)
-            total += amp.real**2 + amp.imag**2
-        return total
+        table = self.table(expr)
+        # a table lives as long as its session, so its id is a stable key
+        key = (id(table), phase)
+        if key not in self._variances:
+            fwd = MP.exp(MP.mpc(0, -phase))
+            bwd = MP.exp(MP.mpc(0, phase))
+            total = MP.mpf(0)
+            for c, d in table.values():
+                amp = fwd * c + bwd * MP.conj(d)
+                total += amp.real**2 + amp.imag**2
+            self._variances[key] = total
+        return self._variances[key]
 
 
 # what the env-taking functions accept: a bare binding or a session

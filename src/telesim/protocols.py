@@ -98,27 +98,6 @@ def _real_lit(x: float) -> CoefExpr:
     return Num(x)
 
 
-def _complex_lit(z: complex) -> CoefExpr:
-    re, im = z.real, z.imag
-    if im == 0:
-        return _real_lit(re)
-    if im == 1:
-        imag: CoefExpr = ImagUnit()
-    elif im == -1:
-        imag = Neg(ImagUnit())
-    elif im > 0:
-        imag = Mul(_real_lit(im), ImagUnit())
-    else:
-        imag = Mul(_negated(_real_lit(-im)), ImagUnit())
-    if re == 0:
-        return imag
-    if im > 0:
-        return Add(_real_lit(re), imag)
-    if im == -1:
-        return Sub(_real_lit(re), ImagUnit())
-    return Sub(_real_lit(re), Mul(_real_lit(-im), ImagUnit()))
-
-
 def _angle_lit(phi: float) -> CoefExpr:
     """Canonical spelling for multiples of pi/4, float literal otherwise."""
     k = round(phi * 4 / math.pi)
@@ -1084,10 +1063,18 @@ class ProtocolInfo:
     args: tuple[ArgSpec, ...]
 
     def build(self, **overrides) -> ProtocolOutput:
-        known = {spec.name for spec in self.args}
-        for key in overrides:
-            if key not in known:
+        """Run the builder on the given arguments.
+
+        An integral float given for an int argument counts as that int:
+        circuit files read every number back as a float (n=3 as 3.0).
+        """
+        specs = {spec.name: spec for spec in self.args}
+        for key, value in overrides.items():
+            spec = specs.get(key)
+            if spec is None:
                 raise ValueError(f"protocol {self.name} has no argument {key!r}")
+            if spec.kind == "int" and isinstance(value, float) and value.is_integer():
+                overrides[key] = int(value)
         return self.builder(**overrides)
 
 

@@ -124,7 +124,7 @@ def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovRep
 
 @dataclass(frozen=True)
 class LimitResult:
-    """Coefficient tables at scale L and 2L plus the verdict.
+    """Verdict on a coefficient table compared at scale L and 2L.
 
     converged means every coefficient moved by at most tol between the two
     scales and none blew up; limit is the 2L table with entries below the
@@ -135,8 +135,6 @@ class LimitResult:
 
     scale: float
     tol: float
-    at_scale: dict
-    at_double_scale: dict
     max_difference: float
     divergent: bool
     converged: bool
@@ -184,8 +182,6 @@ def limit_coefficients(
     return LimitResult(
         scale=scale,
         tol=tol,
-        at_scale=low,
-        at_double_scale=high,
         max_difference=worst,
         divergent=divergent,
         converged=not divergent and worst <= tol,
@@ -407,7 +403,6 @@ class DependencyReport:
 
     dependencies: dict[str, frozenset]
     emission: dict[str, int]
-    slots: dict[str, int]
     violations: tuple[str, ...]
     verdict: str
     mandatory_delay: int
@@ -424,24 +419,21 @@ def _dependency_scan(expr: ModeExpr, evaluator: ModeEvaluator) -> frozenset:
 def causality_report(protocol: ProtocolOutput) -> DependencyReport:
     """Timing audit of an evaluated protocol."""
     evaluator = protocol.evaluator()
-    scanned: dict[str, frozenset] = {}
-    for name, expr in protocol.all_ports().items():
-        scanned[name] = _dependency_scan(expr, evaluator)
-    for name, signal in protocol.classical.items():
-        scanned[name] = _dependency_scan(signal.expr, evaluator)
+    scanned = {
+        name: _dependency_scan(expr, evaluator)
+        for name, expr in {**protocol.all_ports(), **protocol.classical}.items()
+    }
     emission = {name: timing.emission_bin for name, timing in protocol.port_bins.items()}
-    slots = {name: timing.slot_bin for name, timing in protocol.port_bins.items()}
     violations = []
     delay = 0
     for name, deps in scanned.items():
         latest = max((time_bin for _, time_bin in deps), default=emission[name])
         if emission[name] < latest:
             violations.append(name)
-        delay = max(delay, emission[name] - slots[name])
+        delay = max(delay, emission[name] - protocol.port_bins[name].slot_bin)
     return DependencyReport(
         dependencies=scanned,
         emission=emission,
-        slots=slots,
         violations=tuple(violations),
         verdict="acausal" if violations else "causal",
         mandatory_delay=delay,
@@ -483,7 +475,6 @@ class SelectivityReport:
 
     target_overlap: complex
     orthogonal_leakage: float
-    port_leakage: dict[str, float]
     noise_variance_excess: dict[str, float]
     clean_port: str
     verdict: str
@@ -577,7 +568,6 @@ def selectivity_report(
     return SelectivityReport(
         target_overlap=overlaps[clean],
         orthogonal_leakage=leakage[clean],
-        port_leakage=leakage,
         noise_variance_excess=excess,
         clean_port=clean,
         verdict=verdict,
@@ -646,7 +636,8 @@ class CheckSuite:
     report fields hold the analyses behind them, so a caller can show
     those without running them again; a field stays None when the
     protocol declares nothing for it to judge (no target, no parameter
-    tending to infinity).
+    tending to infinity) or when nothing ran it: ``telesim run`` and
+    ``telesim limits`` report a suite holding only the analyses they make.
     """
 
     checks: list[tuple[str, bool, str]] = field(default_factory=list)
@@ -662,12 +653,6 @@ class CheckSuite:
     def all_passed(self) -> bool:
         return all(passed for _, passed, _ in self.checks)
 
-    @property
-    def reports(self) -> list:
-        """The reports the suite produced, skipping those it had no input for."""
-        found = (self.causality, self.selectivity, self.bogoliubov, self.limits)
-        return [report for report in found if report is not None]
-
 
 def verify_suite(protocol: ProtocolOutput) -> CheckSuite:
     """Every check ``telesim verify`` makes on an evaluated protocol.
@@ -678,8 +663,12 @@ def verify_suite(protocol: ProtocolOutput) -> CheckSuite:
     gap within 1e-10) and, for protocols that declare limit forms, those
     forms are reached (within LIMIT_TOL). The selectivity report is judged
     when the protocol names a target. Each analysis runs once, drawing its
-    tables from the protocol's sessions.
+    tables from the protocol's sessions. Raises ValueError when the
+    protocol has no quantum output, since every check would then pass
+    vacuously.
     """
+    if not protocol.quantum_ports():
+        raise ValueError("circuit has no quantum output to verify")
     suite = CheckSuite()
     session = protocol.evaluator()
     bog = suite.bogoliubov = check_bogoliubov(protocol.quantum_ports(), session, tol=1e-10)

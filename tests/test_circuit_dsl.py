@@ -6,7 +6,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from telesim.circuit import CircuitError, evaluate_circuit, merge_env
+from telesim.circuit import (
+    CircuitAst,
+    CircuitError,
+    CombineStmt,
+    Loc,
+    evaluate_circuit,
+    merge_env,
+)
 from telesim.coeff import ParamEnv
 from telesim.dsl import ParseError, format_number, parse_circuit, serialize_circuit
 
@@ -112,19 +119,45 @@ def test_parse_errors_carry_line_and_column(source, line, column, fragment):
     assert excinfo.value.column == column
 
 
+TWO_MODES = "mode vacuum v rail=r bin=0\nmode vacuum w rail=q bin=0\n"
+
+
 def test_semantic_errors_surface_as_circuit_errors():
-    bad_alpha = (
-        "mode vacuum v rail=r bin=0\nmode vacuum w rail=q bin=0\n"
-        "(a, b) = split(v, w, alpha=2, phi=0)"
-    )
-    with pytest.raises(CircuitError, match=r"alpha = 2.0 outside"):
-        evaluate_circuit(parse_circuit(bad_alpha))
-    bad_gain = (
-        "mode vacuum v rail=r bin=0\nmode vacuum w rail=q bin=0\n"
-        "(a, b) = squeeze(v, w, gain=0-1, phase=0)"
-    )
-    with pytest.raises(CircuitError, match="nonnegative"):
-        evaluate_circuit(parse_circuit(bad_gain))
+    # every element parameter is judged by the interpreter under the binding
+    measured = parse_circuit(TWO_MODES + "m = homodyne(v, w, xphase=0, pphase=pi/2)")
+    empty_combine = CircuitAst(measured.statements + (CombineStmt(Loc(4, 1), "c", ()),))
+    param_alpha = "param t = 2\n" + TWO_MODES + "(a, b) = split(v, w, alpha=t, phi=0)"
+    cases = [
+        (TWO_MODES + "(a, b) = split(v, w, alpha=2, phi=0)", r"alpha = 2.0 outside"),
+        (TWO_MODES + "(a, b) = split(v, w, alpha=0-0.25, phi=0)", r"alpha = -0.25 outside"),
+        (TWO_MODES + "(a, b) = split(v, w, alpha=0.5+i, phi=0)", "alpha must be real"),
+        (TWO_MODES + "(a, b) = squeeze(v, w, gain=0-1, phase=0)", "nonnegative"),
+        (TWO_MODES + "(a, b) = unsqueeze(v, w, gain=0-1)", "nonnegative"),
+        (param_alpha, r"alpha = 2.0 outside \[0, 1\] \(line 4, column 1\)"),
+        (empty_combine, r"combine needs at least one record \(line 4, column 1\)"),
+    ]
+    for circuit, message in cases:
+        ast = parse_circuit(circuit) if isinstance(circuit, str) else circuit
+        with pytest.raises(CircuitError, match=message):
+            evaluate_circuit(ast)
+    # the declared default is out of range, the bound value is not
+    evaluate_circuit(parse_circuit(param_alpha), ParamEnv({"t": 0.5}))
+
+
+def test_homodyne_phases_off_a_right_angle_are_flagged():
+    def flags(pphase: str, **binding) -> list[str]:
+        text = (
+            "param t = 0\n" + TWO_MODES
+            + f"m = homodyne(v, w, xphase=0, pphase={pphase})\noutput rec = m\n"
+        )
+        return evaluate_circuit(parse_circuit(text), ParamEnv(binding)).flags
+
+    flagged = ["noncanonical homodyne phases at line 4, column 1"]
+    assert flags("pi/2") == []
+    assert flags("0.3") == flagged
+    # parameter-dependent phases are judged under the binding
+    assert flags("pi/2 + t") == []
+    assert flags("pi/2 + t", t=0.3) == flagged
 
 
 def test_records_are_not_mode_wires():

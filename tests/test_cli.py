@@ -1,5 +1,6 @@
 """Command-line front end: report formats, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -120,6 +121,47 @@ def test_verify_flags_the_acausal_fixture(capsys):
     code, out, _ = run_cli(capsys, "verify", str(ACAUSAL))
     assert code == 1
     assert "acausal" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "mode vacuum v rail=r bin=0\nmode vacuum w rail=q bin=0\n",
+        "mode vacuum v rail=r bin=0\nmode vacuum w rail=q bin=0\n"
+        "m = homodyne(v, w, xphase=0, pphase=pi/2)\noutput rec = m\n",
+    ],
+    ids=["empty", "modes-only", "records-only"],
+)
+def test_verify_without_quantum_outputs_exits_2(tmp_path, capsys, text):
+    # every check is a max over the quantum outputs, so none would be judged
+    path = tmp_path / "circuit.tls"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: circuit has no quantum output to verify\n"
+
+
+def test_protocol_header_larger_than_the_file_is_not_rebuilt(tmp_path, capsys, monkeypatch):
+    # n counts bins and every bin declares inputs, so two inputs cannot match
+    # an n = 100000 registry circuit; building one would take hours
+    import telesim.cli as cli
+
+    def refuse(**kwargs):
+        raise AssertionError(f"registry rebuild with {kwargs}")
+
+    info = cli.PROTOCOLS["nmode_delayed_telefilter"]
+    monkeypatch.setitem(cli.PROTOCOLS, info.name, dataclasses.replace(info, builder=refuse))
+    path = tmp_path / "claims.tls"
+    path.write_text(
+        "protocol nmode_delayed_telefilter(n=100000)\n"
+        "mode vacuum v rail=r bin=0\nmode vacuum w rail=q bin=0\n"
+        "(a, b) = split(v, w, alpha=0.5, phi=0)\noutput x = a\n"
+    )
+    code, out, _ = run_cli(capsys, "run", str(path), "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["selectivity"] is None
 
 
 def test_limits_command_reports_convergence(capsys):

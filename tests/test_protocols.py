@@ -1,7 +1,5 @@
 """Protocol registry: built-in circuits, argument handling, timing metadata."""
 
-import math
-
 import pytest
 
 from telesim.circuit import evaluate_circuit
@@ -37,6 +35,8 @@ def test_unknown_protocol_and_arguments_are_rejected():
         build("atemporal_telefilter", nonsense=1)
     with pytest.raises(ValueError, match="gain_mode must be one of"):
         build("atemporal_telefilter", gain_mode="bogus")
+    with pytest.raises(ValueError, match="n must be an integer"):
+        build("nmode_delayed_telefilter", n=3.5)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -89,8 +89,10 @@ def test_argument_overrides_are_echoed():
     po = build("delayed_telefilter", alpha=0.3, quad_phases=(0.1, -0.2))
     assert po.protocol_args["alpha"] == 0.3
     assert po.protocol_args["quad_phases"] == (0.1, -0.2)
-    po = build("nmode_nodelay_telefilter", n=4)
-    assert po.protocol_args["n"] == 4
+    # circuit files read n=4 back as 4.0; an integral float counts as the int
+    for n in (4, 4.0):
+        po = build("nmode_nodelay_telefilter", n=n)
+        assert po.protocol_args["n"] == 4 and isinstance(po.protocol_args["n"], int)
     assert len(po.protocol_args["alphas"]) == 3
 
 

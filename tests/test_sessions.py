@@ -76,7 +76,7 @@ def test_session_tables_equal_fresh_evaluation():
         for session in (protocol.evaluator(), protocol.evaluator().bind(**doubled)):
             fresh = ModeEvaluator(session.env)
             exprs = list(protocol.all_ports().values())
-            exprs += [signal.expr for signal in protocol.classical.values()]
+            exprs += list(protocol.classical.values())
             for expr in exprs:
                 assert session.table(expr) == fresh.table(expr), path.stem
 
@@ -192,10 +192,8 @@ def test_verify_evaluates_each_node_once_per_binding(tmp_path, monkeypatch):
 
     (protocol,) = loaded
     roots = []
-    for expr in protocol.all_ports().values():
+    for expr in [*protocol.all_ports().values(), *protocol.classical.values()]:
         roots += _coefficients(expr)
-    for signal in protocol.classical.values():
-        roots += _coefficients(signal.expr)
     for expr in [protocol.target, *(protocol.expected_limit or {}).values()]:
         if expr is not None:
             roots += _coefficients(expr)

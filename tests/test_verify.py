@@ -68,7 +68,7 @@ def test_limit_converges_to_declared_form():
 
 def test_limit_reports_divergence_without_raising():
     po = build("atemporal_telefilter")
-    res = limit_coefficients(po.classical["record"].expr, po.limit_params, po.env)
+    res = limit_coefficients(po.classical["record"], po.limit_params, po.env)
     assert res.divergent
     assert not res.converged
 
@@ -172,21 +172,7 @@ def test_verify_suite_passes_on_every_protocol(name):
     assert (suite.limits is not None) == bool(protocol.limit_params)
 
 
-# A golden file loads its integer protocol arguments as floats (n=3.0), so
-# the CLI cannot rebuild these two from the registry, attaches no target or
-# limit forms, and skips the declared-limit check the library makes.
-_NO_TARGET_FROM_FILE = pytest.mark.xfail(
-    strict=True, reason="CLI attaches no declared limit forms to n-bin goldens"
-)
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(name, marks=_NO_TARGET_FROM_FILE) if name.startswith("nmode_") else name
-        for name in PROTOCOLS
-    ],
-)
+@pytest.mark.parametrize("name", list(PROTOCOLS))
 def test_verify_suite_matches_the_cli_checks(name):
     suite = verify_suite(build(name))
     code, report = _machine_verify(GOLDEN_DIR / f"{name}.tls")
