@@ -2,9 +2,10 @@
 
 A circuit is an ordered list of statements: parameter and mode
 declarations followed by element applications, each binding fresh wire
-names. Evaluation walks the list once, carrying symbolic mode
-expressions plus an emission time for every wire, and collects declared
-outputs into a :class:`ProtocolOutput`.
+names, then outputs and the oracle the analyses judge them against (the
+target mode and each port's expected limit form). Evaluation walks the
+list once, carrying symbolic mode expressions plus an emission time for
+every wire, and collects declared outputs into a :class:`ProtocolOutput`.
 
 The interpreter is the one place element parameters are validated: each
 split, squeeze and homodyne is judged under the actual binding (declared
@@ -33,7 +34,7 @@ from .elements import (
     dual_homodyne,
     split_modes,
 )
-from .opalg import ModeEvaluator, ModeExpr, ModeId, ModeKind, input_mode, lin_comb
+from .opalg import ModeEvaluator, ModeExpr, ModeId, ModeKind, dagger, input_mode, lin_comb
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,18 @@ class ProtocolDecl(Stmt):
     args: tuple[tuple[str, object], ...]
 
 
+# mode forms: (weight, declared mode, creation) terms, creation meaning a^dag
+@dataclass(frozen=True)
+class TargetStmt(Stmt):
+    terms: tuple[tuple[CoefExpr, str, bool], ...]
+
+
+@dataclass(frozen=True)
+class ExpectStmt(Stmt):
+    port: str
+    terms: tuple[tuple[CoefExpr, str, bool], ...]
+
+
 @dataclass(frozen=True)
 class CircuitAst:
     statements: tuple[Stmt, ...]
@@ -188,8 +201,10 @@ class ProtocolOutput:
     to measurement records, operators that commute with their own
     conjugates and carry no quantum port of their own. port_bins records, for
     every port, which temporal slot it occupies and when the device can
-    actually emit it. evaluator() is the numeric session every analysis of
-    this protocol draws its coefficient tables from.
+    actually emit it. target and expected_limit (per port, its form as the
+    infinite parameters grow) come from the circuit's target and expect
+    statements. evaluator() is the numeric session every analysis of this
+    protocol draws its coefficient tables from.
     """
 
     transmitted: dict[str, ModeExpr] = field(default_factory=dict)
@@ -270,7 +285,7 @@ class _Evaluation:
         self.ast = ast
         self.env, self.infinite = merge_env(ast, env)
         self.wires: dict[str, _Wire] = {}
-        self.registry: list[ModeId] = []
+        self.registry: dict[str, ModeId] = {}
         self.flags: list[str] = []
 
     def scalar(self, expr: CoefExpr, loc: Loc, what: str) -> complex:
@@ -303,6 +318,15 @@ class _Evaluation:
             raise CircuitError(f"wire {name!r} is not a measurement record", loc)
         return wire.value
 
+    def form(self, terms, loc: Loc) -> ModeExpr:
+        parts = []
+        for weight, name, creation in terms:
+            if name not in self.registry:
+                raise CircuitError(f"{name!r} is not a declared mode", loc)
+            mode = input_mode(self.registry[name])
+            parts.append((weight, dagger(mode) if creation else mode))
+        return lin_comb(parts)
+
     def put(self, name: str, value, time_bin: int, loc: Loc, classical=False):
         if name in self.wires:
             raise CircuitError(f"wire {name!r} assigned twice", loc)
@@ -319,7 +343,7 @@ class _Evaluation:
             out.protocol_args = dict(decl.args)
         for stmt in self.ast.statements:
             self._step(stmt, out)
-        out.input_registry = list(self.registry)
+        out.input_registry = list(self.registry.values())
         return out
 
     def _step(self, stmt: Stmt, out: ProtocolOutput) -> None:
@@ -328,7 +352,7 @@ class _Evaluation:
             return
         if isinstance(stmt, ModeDecl):
             mode_id = ModeId(stmt.name, stmt.rail, stmt.time_bin, stmt.kind)
-            self.registry.append(mode_id)
+            self.registry[stmt.name] = mode_id
             self.put(stmt.name, input_mode(mode_id), stmt.time_bin, loc)
             return
         if isinstance(stmt, SplitStmt):
@@ -427,6 +451,15 @@ class _Evaluation:
                 out.taps[stmt.name] = wire.value
             else:
                 raise CircuitError(f"unknown output role {role!r}", loc)
+            return
+        if isinstance(stmt, TargetStmt):
+            out.target = self.form(stmt.terms, loc)
+            return
+        if isinstance(stmt, ExpectStmt):
+            if stmt.port not in out.all_ports():
+                raise CircuitError(f"no quantum output {stmt.port!r} to expect", loc)
+            out.expected_limit = out.expected_limit or {}
+            out.expected_limit[stmt.port] = self.form(stmt.terms, loc)
             return
         raise CircuitError(f"unhandled statement {type(stmt).__name__}", loc)
 

@@ -1,7 +1,9 @@
 """Command line front end and report serialization.
 
 The CLI parses arguments, loads circuit files and renders reports; the
-checks and analyses it reports live in :mod:`telesim.verify`.
+checks and analyses it reports live in :mod:`telesim.verify`. run, verify
+and limits never consult the protocol registry: a file's ``target`` and
+``expect`` statements are its whole oracle.
 
 Subcommands: run (evaluate a circuit file and report), verify (the
 :func:`~telesim.verify.verify_suite` checks, nonzero exit on any failure),
@@ -11,8 +13,9 @@ and a machine form whose bytes are deterministic, with sorted keys, 12
 significant digits and no negative zero, so golden files stay stable.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage, parse or
-evaluation errors, including non-finite bindings, circuits nested too deep
-to evaluate, bindings too large to evaluate and memory running out.
+evaluation errors, including non-finite bindings, unnormalized targets,
+circuits nested too deep to evaluate, bindings too large to evaluate and
+memory running out.
 TELESIM_LIMIT_SCALE overrides the stand-in value used for parameters
 declared infinite.
 """
@@ -26,8 +29,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import __version__
-from .circuit import CircuitError, ProtocolOutput
+from . import __version__, protocols
+from .circuit import CircuitError, ProtocolOutput, evaluate_circuit
 from .coeff import CoefficientError, ParamEnv
 from .dsl import ParseError, parse_circuit, serialize_circuit
 from .opalg import (
@@ -36,7 +39,6 @@ from .opalg import (
     prune_for_display,
     quadrature_variance,
 )
-from .protocols import PROTOCOLS, build
 from .verify import (
     CheckSuite,
     causality_report,
@@ -419,13 +421,9 @@ def _load_protocol(path: str, env: ParamEnv) -> ProtocolOutput:
             text = handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
-    from .circuit import evaluate_circuit
-
     ast = parse_circuit(text)
     _require_declared(ast, env.values)
-    protocol = evaluate_circuit(ast, env)
-    _attach_target(protocol)
-    return protocol
+    return evaluate_circuit(ast, env)
 
 
 def _require_declared(ast, names) -> None:
@@ -433,35 +431,6 @@ def _require_declared(ast, names) -> None:
     for name in names:
         if name not in declared:
             raise _UsageError(f"circuit declares no parameter {name!r}")
-
-
-def _attach_target(protocol: ProtocolOutput) -> None:
-    """Recover the declared target mode for registry protocols.
-
-    A circuit file names its protocol but carries no target expression;
-    rebuilding from the registry supplies one as long as the declaration
-    matches. Files that diverge from their registry namesake simply get no
-    selectivity verdict.
-    """
-    if protocol.target is not None or not protocol.name:
-        return
-    info = PROTOCOLS.get(protocol.name)
-    if info is None:
-        return
-    # an int argument counts time bins, each with input modes of its own, so
-    # one above the file's input count cannot match and is not built
-    inputs = len(protocol.input_registry)
-    for spec in info.args:
-        value = protocol.protocol_args.get(spec.name)
-        if spec.kind == "int" and isinstance(value, (int, float)) and value > inputs:
-            return
-    try:
-        rebuilt = info.build(**protocol.protocol_args)
-    except (TypeError, ValueError):
-        return
-    if [m for m in rebuilt.input_registry] == [m for m in protocol.input_registry]:
-        protocol.target = rebuilt.target
-        protocol.expected_limit = rebuilt.expected_limit
 
 
 def _write_out(text: str, out_path: str | None) -> None:
@@ -488,10 +457,7 @@ def _run_command(args) -> int:
 def _verify_command(args) -> int:
     env = _base_env(args)
     protocol = _load_protocol(args.file, env)
-    try:
-        suite = verify_suite(protocol)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    suite = verify_suite(protocol)
     document = emit_report(protocol, suite, args.format)
     _write_out(document.render(), args.out)
     return 0 if suite.all_passed else 1
@@ -512,7 +478,7 @@ def _limits_command(args) -> int:
 
 def _protocols_list_command(args) -> int:
     rows = [["name", "arguments", "summary"]]
-    for name, info in PROTOCOLS.items():
+    for name, info in protocols.PROTOCOLS.items():
         pieces = []
         for spec in info.args:
             default = spec.default
@@ -550,15 +516,12 @@ def _parse_protocol_args(info, items: list[str]) -> dict:
 
 
 def _protocols_build_command(args) -> int:
-    info = PROTOCOLS.get(args.name)
+    info = protocols.PROTOCOLS.get(args.name)
     if info is None:
-        known = ", ".join(PROTOCOLS)
+        known = ", ".join(protocols.PROTOCOLS)
         raise _UsageError(f"unknown protocol {args.name!r} (known: {known})")
     overrides = _parse_protocol_args(info, args.param or [])
-    try:
-        protocol = build(args.name, **overrides)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    protocol = protocols.build(args.name, **overrides)
     _write_out(serialize_circuit(protocol.circuit), args.out)
     return 0
 
@@ -640,7 +603,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (CircuitError, CoefficientError) as exc:
+    except (CircuitError, CoefficientError, ValueError) as exc:
+        # ValueError: an input the analyses cannot judge, such as a target
+        # that is not normalized or a circuit with no quantum output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

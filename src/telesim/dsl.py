@@ -1,7 +1,12 @@
 """Textual circuit language: parser and canonical serializer.
 
 One statement per line, `#` comments, define-before-use wires with
-single assignment. The serializer emits a canonical spelling (spaces
+single assignment: ``protocol``, ``param`` and ``mode`` declarations,
+elements, ``output``s, then ``target = TERMS`` (the mode of interest) and
+``expect PORT = TERMS`` (the form a quantum output reaches as the infinite
+parameters grow). Terms are comma-separated ``WEIGHT*NAME``: records for
+combine, declared modes for target and expect, ``WEIGHT*MODE^dag`` for a
+creation operator. The serializer emits a canonical spelling (spaces
 around + and -, tight * and /, minimal parentheses), so a file produced
 by it re-parses to a structurally equal program and re-serializes to
 identical bytes.
@@ -16,6 +21,7 @@ from .circuit import (
     CircuitAst,
     CombineStmt,
     DisplaceStmt,
+    ExpectStmt,
     HomodyneStmt,
     Loc,
     ModeDecl,
@@ -27,6 +33,7 @@ from .circuit import (
     SplitStmt,
     SqueezeStmt,
     Stmt,
+    TargetStmt,
     UnsqueezeStmt,
 )
 from .coeff import (
@@ -55,7 +62,7 @@ _TOKEN_RE = re.compile(
   | (?P<comment>\#[^\n]*)
   | (?P<number>\d+(\.\d+)?([eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[()\[\],=*+\-/])
+  | (?P<punct>[()\[\],=*+\-/^])
     """,
     re.VERBOSE,
 )
@@ -217,9 +224,7 @@ class _LineParser:
 
 
 def _number_value(text: str) -> float:
-    if text.isdigit():
-        return int(text)
-    return float(text)
+    return int(text) if text.isdigit() else float(text)
 
 
 class _CircuitParser:
@@ -228,8 +233,10 @@ class _CircuitParser:
         self.params: set[str] = set()
         self.wires: dict[str, str] = {}  # name -> 'q' | 'c'
         self.rail_bins: dict[str, int] = {}
-        self.output_names: set[str] = set()
-        self.protocol_seen = False
+        self.modes: set[str] = set()
+        self.outputs: dict[str, str] = {}  # name -> kind of its wire
+        self.expected: set[str] = set()
+        self.protocol_seen = self.target_seen = False
 
     def parse(self, text: str) -> CircuitAst:
         for index, raw in enumerate(text.split("\n"), start=1):
@@ -240,7 +247,8 @@ class _CircuitParser:
             self.statements.append(self._statement(line))
         return CircuitAst(tuple(self.statements))
 
-    _RESERVED = frozenset(("pi", "i", "infinity", "param", "mode", "output", "protocol"))
+    _KEYWORDS = ("param", "mode", "output", "protocol", "target", "expect")
+    _RESERVED = frozenset(("pi", "i", "infinity") + _KEYWORDS)
 
     def _fresh(self, token: _Token, what: str) -> str:
         name = token.text
@@ -286,7 +294,7 @@ class _CircuitParser:
     def _statement(self, line: _LineParser) -> Stmt:
         token = line.peek()
         loc = Loc(token.line, token.column)
-        if token.kind == "ident" and token.text in ("param", "mode", "output", "protocol"):
+        if token.kind == "ident" and token.text in self._KEYWORDS:
             line.next()
             handler = getattr(self, f"_parse_{token.text}")
             return handler(line, loc)
@@ -340,11 +348,12 @@ class _CircuitParser:
             )
         self.rail_bins[rail] = time_bin
         self.wires[name] = "q"
+        self.modes.add(name)
         return ModeDecl(loc, kind, name, rail, time_bin)
 
     def _parse_output(self, line: _LineParser, loc: Loc) -> OutputStmt:
         name_token = line.expect_ident("output name")
-        if name_token.text in self.output_names:
+        if name_token.text in self.outputs:
             raise ParseError(
                 f"output {name_token.text!r} already declared", name_token.line, name_token.column
             )
@@ -370,7 +379,7 @@ class _CircuitParser:
                 role = role_token.text
             else:
                 raise ParseError(f"unexpected clause {key.text!r}", key.line, key.column)
-        self.output_names.add(name_token.text)
+        self.outputs[name_token.text] = self.wires[wire_token.text]
         return OutputStmt(loc, name_token.text, wire_token.text, slot_bin, role)
 
     def _parse_protocol(self, line: _LineParser, loc: Loc) -> ProtocolDecl:
@@ -380,7 +389,7 @@ class _CircuitParser:
         name = line.expect_ident("protocol name").text
         line.expect_punct("(")
         args: list[tuple[str, object]] = []
-        if not self.at_close(line):
+        if not line.at_punct(")"):
             while True:
                 key = line.expect_ident("argument name").text
                 line.expect_punct("=")
@@ -393,9 +402,26 @@ class _CircuitParser:
         line.expect_end()
         return ProtocolDecl(loc, name, tuple(args))
 
-    @staticmethod
-    def at_close(line: _LineParser) -> bool:
-        return line.at_punct(")")
+    def _parse_target(self, line: _LineParser, loc: Loc) -> TargetStmt:
+        if self.target_seen:
+            raise ParseError("duplicate target declaration", loc.line, loc.column)
+        self.target_seen = True
+        line.expect_punct("=")
+        terms = self._terms(line, "target")
+        line.expect_end()
+        return TargetStmt(loc, terms)
+
+    def _parse_expect(self, line: _LineParser, loc: Loc) -> ExpectStmt:
+        port = line.expect_ident("output name")
+        if self.outputs.get(port.text) != "q":
+            raise ParseError(f"no quantum output {port.text!r} declared", port.line, port.column)
+        if port.text in self.expected:
+            raise ParseError(f"duplicate expect for {port.text!r}", port.line, port.column)
+        self.expected.add(port.text)
+        line.expect_punct("=")
+        terms = self._terms(line, "expect")
+        line.expect_end()
+        return ExpectStmt(loc, port.text, terms)
 
     def _protocol_value(self, line: _LineParser):
         if line.at_punct("["):
@@ -500,15 +526,12 @@ class _CircuitParser:
             self.wires[out] = "c"
             return HomodyneStmt(loc, out, signal, resource, xphase, pphase)
         if elem.text == "combine":
-            terms = [self._combine_term(line)]
-            while line.at_punct(","):
-                line.next()
-                terms.append(self._combine_term(line))
+            terms = self._terms(line, "combine")
             line.expect_punct(")")
             line.expect_end()
             out = self._fresh(target, "wire")
             self.wires[out] = "c"
-            return CombineStmt(loc, out, tuple(terms))
+            return CombineStmt(loc, out, tuple((weight, name) for weight, name, _ in terms))
         if elem.text == "displace":
             resource = self._wire_in(line, "q")
             line.expect_punct(",")
@@ -527,29 +550,34 @@ class _CircuitParser:
             return DisplaceStmt(loc, out, resource, record, gain, claimed)
         raise ParseError(f"unknown element {elem.text!r}", elem.line, elem.column)
 
-    def _combine_term(self, line: _LineParser) -> tuple[CoefExpr, str]:
+    def _terms(self, line: _LineParser, what: str) -> tuple:
+        terms = [self._term(line, what)]
+        while line.at_punct(","):
+            line.next()
+            terms.append(self._term(line, what))
+        return tuple(terms)
+
+    def _term(self, line: _LineParser, what: str) -> tuple[CoefExpr, str, bool]:
+        """WEIGHT*RECORD for combine; WEIGHT*MODE or WEIGHT*MODE^dag otherwise."""
         start = line.peek()
-        expr = line.parse_expr()
+        expr = line.parse_expr()  # raises unless a token starts it
+        noun = "RECORD" if what == "combine" else "MODE"
         if not isinstance(expr, Mul) or not isinstance(expr.right, Param):
-            where = start if start is not None else _Token("", "", line.line, line.end_column)
-            raise ParseError(
-                "combine term must be WEIGHT*RECORD", where.line, where.column
-            )
-        record = expr.right.name
-        if self.wires.get(record) != "c":
-            where = start if start is not None else _Token("", "", line.line, line.end_column)
-            raise ParseError(
-                f"wire {record!r} is not a measurement record", where.line, where.column
-            )
+            raise ParseError(f"{what} term must be WEIGHT*{noun}", start.line, start.column)
+        name = expr.right.name
+        if what == "combine" and self.wires.get(name) != "c":
+            raise ParseError(f"wire {name!r} is not a measurement record", start.line, start.column)
+        if what != "combine" and name not in self.modes:
+            raise ParseError(f"{name!r} is not a declared mode", start.line, start.column)
+        creation = what != "combine" and line.at_punct("^")
+        if creation:
+            line.next()
+            line.expect_keyword("dag")
         weight = expr.left
-        for name in sorted(weight.parameters()):
-            if name not in self.params:
-                raise ParseError(
-                    f"undeclared parameter {name!r}",
-                    start.line if start is not None else line.line,
-                    start.column if start is not None else 1,
-                )
-        return weight, record
+        for param in sorted(weight.parameters()):
+            if param not in self.params:
+                raise ParseError(f"undeclared parameter {param!r}", start.line, start.column)
+        return weight, name, creation
 
 
 def parse_circuit(text: str) -> CircuitAst:
@@ -620,6 +648,13 @@ def _format_protocol_value(value) -> str:
     raise ValueError(f"protocol argument {value!r} has no source form")
 
 
+def _format_terms(terms) -> str:
+    return ", ".join(
+        f"{_format_expr(weight, _LEVEL_MUL)}*{name}" + ("^dag" if creation else "")
+        for weight, name, creation in terms
+    )
+
+
 def serialize_statement(stmt: Stmt) -> str:
     if isinstance(stmt, ParamDecl):
         value = "infinity" if stmt.infinite else format_number(stmt.value)
@@ -649,10 +684,7 @@ def serialize_statement(stmt: Stmt) -> str:
             f"xphase={format_coef(stmt.xphase)}, pphase={format_coef(stmt.pphase)})"
         )
     if isinstance(stmt, CombineStmt):
-        terms = ", ".join(
-            f"{_format_expr(weight, _LEVEL_MUL)}*{record}" for weight, record in stmt.terms
-        )
-        return f"{stmt.out} = combine({terms})"
+        return f"{stmt.out} = combine({_format_terms((w, r, False) for w, r in stmt.terms)})"
     if isinstance(stmt, DisplaceStmt):
         claim = "" if stmt.claimed_bin is None else f", bin={stmt.claimed_bin}"
         return (
@@ -669,6 +701,10 @@ def serialize_statement(stmt: Stmt) -> str:
     if isinstance(stmt, ProtocolDecl):
         args = ", ".join(f"{key}={_format_protocol_value(value)}" for key, value in stmt.args)
         return f"protocol {stmt.name}({args})"
+    if isinstance(stmt, TargetStmt):
+        return f"target = {_format_terms(stmt.terms)}"
+    if isinstance(stmt, ExpectStmt):
+        return f"expect {stmt.port} = {_format_terms(stmt.terms)}"
     raise ValueError(f"statement {type(stmt).__name__} has no source form")
 
 

@@ -1,10 +1,11 @@
 """Builders for the telefilter and telemirror circuit family.
 
-Each builder assembles a circuit statement by statement, evaluates it,
-and attaches the closed-form port limits it is designed to reach. The
-statement list is the single source of truth: the text fixtures under
-golden/ are these same circuits serialized, and re-parsing them must
-reproduce the builder output byte for byte.
+Each builder assembles a circuit statement by statement and evaluates
+it. The circuit ends with the oracle its analyses judge it against: the
+target mode (``target``) and the closed-form limit each port is designed
+to reach (``expect``). The statement list is the single source of truth:
+the text fixtures under golden/ are these same circuits serialized,
+oracle included, and each equals ``protocol_text(name)`` byte for byte.
 
 Numeric arguments are baked into the statements as literals; only the
 squeezing strengths stay symbolic (declared infinite) so the same
@@ -24,6 +25,7 @@ from .circuit import (
     CircuitAst,
     CombineStmt,
     DisplaceStmt,
+    ExpectStmt,
     HomodyneStmt,
     ModeDecl,
     OutputStmt,
@@ -34,6 +36,7 @@ from .circuit import (
     SplitStmt,
     SqueezeStmt,
     Stmt,
+    TargetStmt,
     UnsqueezeStmt,
     evaluate_circuit,
 )
@@ -50,7 +53,7 @@ from .coeff import (
     PiConst,
     Sub,
 )
-from .opalg import ModeExpr, ModeKind, dagger, input_mode, lin_comb
+from .opalg import ModeKind
 
 _HALF_PI = math.pi / 2
 _CANONICAL_PHI = -_HALF_PI
@@ -165,6 +168,30 @@ def _conj_phase_lit(phi: float, phi_lit: CoefExpr | None = None) -> CoefExpr:
     return Call("exp", Mul(Neg(ImagUnit()), phi_lit))
 
 
+def _weight_lit(z: complex) -> CoefExpr:
+    """A double as re, im*i or (re +- im*i) in the parser's shapes, never
+    respelled symbolically as _real_lit would (1/sqrt(2) stays 0.7071067811865476)."""
+
+    def signed(x: float) -> CoefExpr:
+        return Neg(Num(-x)) if x < 0 else Num(x)
+
+    z = complex(z)
+    if z.imag == 0:
+        return signed(z.real)
+    if z.real == 0:
+        return Mul(signed(z.imag), ImagUnit())
+    imag = Mul(Num(abs(z.imag)), ImagUnit())
+    return Add(signed(z.real), imag) if z.imag > 0 else Sub(signed(z.real), imag)
+
+
+def _form(terms: list[tuple[complex, str]]) -> tuple:
+    """(weight, mode) pairs; a mode spelled MODE^dag is its creation operator."""
+    return tuple(
+        (_weight_lit(weight), name.removesuffix("^dag"), name.endswith("^dag"))
+        for weight, name in terms
+    )
+
+
 _S = Param("s")
 _R = Param("r")
 
@@ -178,20 +205,16 @@ def _sqrt2() -> CoefExpr:
 
 
 class _Circ:
-    """Accumulates statements and remembers declared input modes."""
+    """Accumulates statements."""
 
     def __init__(self, name: str, args: list[tuple[str, object]]):
         self.stmts: list[Stmt] = [ProtocolDecl(BUILTIN_LOC, name, tuple(args))]
-        self.ids: dict[str, object] = {}
 
     def param(self, name: str, value: float | None = None, infinite: bool = False):
         self.stmts.append(ParamDecl(BUILTIN_LOC, name, value, infinite))
 
     def mode(self, kind: ModeKind, name: str, rail: str, time_bin: int = 0):
-        from .opalg import ModeId
-
         self.stmts.append(ModeDecl(BUILTIN_LOC, kind, name, rail, time_bin))
-        self.ids[name] = ModeId(name, rail, time_bin, kind)
 
     def split(self, out_minus, out_plus, in_t, in_r, alpha: CoefExpr, phi: CoefExpr):
         self.stmts.append(SplitStmt(BUILTIN_LOC, out_minus, out_plus, in_t, in_r, alpha, phi))
@@ -226,23 +249,14 @@ class _Circ:
     def output(self, name, wire, slot_bin: int | None = None, role: str | None = None):
         self.stmts.append(OutputStmt(BUILTIN_LOC, name, wire, slot_bin, role))
 
-    def ast(self) -> CircuitAst:
-        return CircuitAst(tuple(self.stmts))
+    def target(self, terms: list[tuple[complex, str]]):
+        self.stmts.append(TargetStmt(BUILTIN_LOC, _form(terms)))
 
-    def mode_expr(self, name: str) -> ModeExpr:
-        return input_mode(self.ids[name])
-
-    def combo(self, parts: list[tuple[complex, str]]) -> ModeExpr:
-        terms = []
-        for weight, name in parts:
-            if name.endswith("+"):
-                terms.append((weight, dagger(self.mode_expr(name[:-1]))))
-            else:
-                terms.append((weight, self.mode_expr(name)))
-        return lin_comb(terms)
+    def expect(self, port: str, terms: list[tuple[complex, str]]):
+        self.stmts.append(ExpectStmt(BUILTIN_LOC, port, _form(terms)))
 
     def finish(self) -> ProtocolOutput:
-        return evaluate_circuit(self.ast())
+        return evaluate_circuit(CircuitAst(tuple(self.stmts)))
 
 
 def _check_choice(value: str, allowed: tuple[str, ...], what: str) -> None:
@@ -289,13 +303,10 @@ def build_atemporal_telefilter(gain_mode: str = "unity") -> ProtocolOutput:
     c.output("filtered", "jout", role="transmitted")
     c.output("filtered_perp", "e1_perp", role="transmitted")
     c.output("record", "m")
-    po = c.finish()
-    po.expected_limit = {
-        "filtered": c.mode_expr("j0"),
-        "filtered_perp": c.mode_expr("e1_perp"),
-    }
-    po.target = c.mode_expr("j0")
-    return po
+    c.target([(1, "j0")])
+    c.expect("filtered", [(1, "j0")])
+    c.expect("filtered_perp", [(1, "e1_perp")])
+    return c.finish()
 
 
 def build_atemporal_telemirror(gain_mode: str = "unity") -> ProtocolOutput:
@@ -340,18 +351,15 @@ def build_atemporal_telemirror(gain_mode: str = "unity") -> ProtocolOutput:
     c.output("reflected_perp", "refl_perp", role="reflected")
     c.output("recovered_1_direct", "rec1d", role="tap")
     c.output("recovered_2_direct", "rec2d", role="tap")
-    po = c.finish()
-    po.expected_limit = {
-        "mirror_out": c.mode_expr("j0"),
-        "mirror_out_perp": c.combo([(-1, "e1_perp")]),
-        "recovered_1": c.mode_expr("e1"),
-        "recovered_2": c.mode_expr("e2"),
-        "reflected_perp": c.mode_expr("j_perp"),
-        "recovered_1_direct": c.mode_expr("e1"),
-        "recovered_2_direct": c.mode_expr("e2"),
-    }
-    po.target = c.mode_expr("j0")
-    return po
+    c.target([(1, "j0")])
+    c.expect("mirror_out", [(1, "j0")])
+    c.expect("mirror_out_perp", [(-1, "e1_perp")])
+    c.expect("recovered_1", [(1, "e1")])
+    c.expect("recovered_2", [(1, "e2")])
+    c.expect("reflected_perp", [(1, "j_perp")])
+    c.expect("recovered_1_direct", [(1, "e1")])
+    c.expect("recovered_2_direct", [(1, "e2")])
+    return c.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -428,34 +436,24 @@ def build_delayed_telefilter(
     c.output("bin1_out", "j1p", slot_bin=1, role="tap")
     c.output("bin2_out", "j2p", slot_bin=2, role="tap")
     c.output("record", "m")
-    po = c.finish()
-    g1 = cmath.exp(-2j * ph1)
-    g2 = cmath.exp(-2j * ph2)
-    ca, sa = math.sqrt(alpha), math.sqrt(1 - alpha)
-    po.expected_limit = {
-        "selected_perp": c.mode_expr("e1_perp"),
-        "orthogonal_perp": c.mode_expr("u_perp"),
-    }
-    if _canonical_phase(phi):
-        po.expected_limit.update(
-            {
-                "selected": c.combo([(sa * g1, "j1"), (ca * g2, "j2")]),
-                "orthogonal": c.mode_expr("u0"),
-                "bin1_out": c.combo(
-                    [((1 - alpha) * g1, "j1"), (ca * sa * g2, "j2"), (ca, "u0")]
-                ),
-                "bin2_out": c.combo(
-                    [(ca * sa * g1, "j1"), (alpha * g2, "j2"), (-sa, "u0")]
-                ),
-            }
-        )
-        po.target = c.combo([(sa * g1, "j1"), (ca * g2, "j2")])
-    else:
+    c.expect("selected_perp", [(1, "e1_perp")])
+    c.expect("orthogonal_perp", [(1, "u_perp")])
+    if not _canonical_phase(phi):
+        po = c.finish()
         po.flags.append(
             "distribution phase off the canonical -pi/2; "
             "closed-form limits attached for the perp ports only"
         )
-    return po
+        return po
+    g1 = cmath.exp(-2j * ph1)
+    g2 = cmath.exp(-2j * ph2)
+    ca, sa = math.sqrt(alpha), math.sqrt(1 - alpha)
+    c.target([(sa * g1, "j1"), (ca * g2, "j2")])
+    c.expect("selected", [(sa * g1, "j1"), (ca * g2, "j2")])
+    c.expect("orthogonal", [(1, "u0")])
+    c.expect("bin1_out", [((1 - alpha) * g1, "j1"), (ca * sa * g2, "j2"), (ca, "u0")])
+    c.expect("bin2_out", [(ca * sa * g1, "j1"), (alpha * g2, "j2"), (-sa, "u0")])
+    return c.finish()
 
 
 def build_delayed_telemirror(
@@ -494,6 +492,12 @@ def _declare_mirror_inputs(c: _Circ):
     c.mode(_VACUUM, "u_perp", "receiver_ancilla")
     c.mode(_VACUUM, "e2_perp", "sender")
     c.mode(_VACUUM, "v_perp", "sender_ancilla")
+
+
+def _expect_perp_recovered(c: _Circ):
+    # the balanced mirrors hand every orthogonal input back unchanged
+    for k, mode in enumerate(("e2_perp", "v_perp", "j1_perp", "j2_perp"), start=1):
+        c.expect(f"recovered_{k}_perp", [(1, mode)])
 
 
 def _delayed_telemirror_symmetric() -> ProtocolOutput:
@@ -545,24 +549,18 @@ def _delayed_telemirror_symmetric() -> ProtocolOutput:
     c.output("bin1_out", "j1p", slot_bin=1, role="tap")
     c.output("bin2_out", "j2p", slot_bin=2, role="tap")
     c.output("channel_residual", "c_plus_pp", role="tap")
-    po = c.finish()
     rh = 1 / math.sqrt(2)
-    po.expected_limit = {
-        "selected": c.combo([(-rh, "j1"), (-rh, "j2")]),
-        "orthogonal": c.mode_expr("u0"),
-        "selected_perp": c.mode_expr("e1_perp"),
-        "orthogonal_perp": c.mode_expr("u_perp"),
-        "recovered_1": c.mode_expr("v0"),
-        "recovered_2": c.combo([(rh, "j1"), (-rh, "j2")]),
-        "recovered_3": c.mode_expr("e1"),
-        "recovered_4": c.mode_expr("e2"),
-        "recovered_1_perp": c.mode_expr("e2_perp"),
-        "recovered_2_perp": c.mode_expr("v_perp"),
-        "recovered_3_perp": c.mode_expr("j1_perp"),
-        "recovered_4_perp": c.mode_expr("j2_perp"),
-    }
-    po.target = c.combo([(rh, "j1"), (rh, "j2")])
-    return po
+    c.target([(rh, "j1"), (rh, "j2")])
+    c.expect("selected", [(-rh, "j1"), (-rh, "j2")])
+    c.expect("orthogonal", [(1, "u0")])
+    c.expect("selected_perp", [(1, "e1_perp")])
+    c.expect("orthogonal_perp", [(1, "u_perp")])
+    c.expect("recovered_1", [(1, "v0")])
+    c.expect("recovered_2", [(rh, "j1"), (-rh, "j2")])
+    c.expect("recovered_3", [(1, "e1")])
+    c.expect("recovered_4", [(1, "e2")])
+    _expect_perp_recovered(c)
+    return c.finish()
 
 
 def _delayed_telemirror_tuned(alpha: float, phi: float, phi_c2: float) -> ProtocolOutput:
@@ -628,21 +626,18 @@ def _delayed_telemirror_tuned(alpha: float, phi: float, phi_c2: float) -> Protoc
     c.output("bin1_out", "j1p", slot_bin=1, role="tap")
     c.output("bin2_out", "j2p", slot_bin=2, role="tap")
     c.output("channel_residual", "c_plus_pp", role="tap")
-    po = c.finish()
     ca, sa = math.sqrt(alpha), math.sqrt(1 - alpha)
     ph = cmath.exp(-1j * phi)
-    po.expected_limit = {
-        "selected": c.combo([(1j * ph * sa, "j1"), (-ca, "j2")]),
-        "orthogonal": c.mode_expr("u0"),
-        "selected_perp": c.mode_expr("e1_perp"),
-        "orthogonal_perp": c.mode_expr("u_perp"),
-        "recovered_1": c.combo([(-1j / ph, "v0")]),
-        "recovered_2": c.combo([(1j * ph * ca, "j1"), (sa, "j2")]),
-        "recovered_1_perp": c.combo([(-1j * ph, "e2_perp")]),
-        "recovered_2_perp": c.combo([(-1j / ph, "v_perp")]),
-    }
-    po.target = c.combo([(1j * ph * sa, "j1"), (-ca, "j2")])
-    return po
+    c.target([(1j * ph * sa, "j1"), (-ca, "j2")])
+    c.expect("selected", [(1j * ph * sa, "j1"), (-ca, "j2")])
+    c.expect("orthogonal", [(1, "u0")])
+    c.expect("selected_perp", [(1, "e1_perp")])
+    c.expect("orthogonal_perp", [(1, "u_perp")])
+    c.expect("recovered_1", [(-1j / ph, "v0")])
+    c.expect("recovered_2", [(1j * ph * ca, "j1"), (sa, "j2")])
+    c.expect("recovered_1_perp", [(-1j * ph, "e2_perp")])
+    c.expect("recovered_2_perp", [(-1j / ph, "v_perp")])
+    return c.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -678,16 +673,13 @@ def build_nodelay_independent() -> ProtocolOutput:
     c.output("bin2_out", "j2p", slot_bin=2, role="tap")
     c.output("record_1", "m1")
     c.output("record_2", "m2")
-    po = c.finish()
     rh = 1 / math.sqrt(2)
-    po.expected_limit = {
-        "sym_out": c.combo([(rh, "j1"), (rh, "j2")]),
-        "anti_out": c.combo([(rh, "j1"), (-rh, "j2")]),
-        "bin1_out": c.mode_expr("j1"),
-        "bin2_out": c.mode_expr("j2"),
-    }
-    po.target = c.combo([(rh, "j1"), (rh, "j2")])
-    return po
+    c.target([(rh, "j1"), (rh, "j2")])
+    c.expect("sym_out", [(rh, "j1"), (rh, "j2")])
+    c.expect("anti_out", [(rh, "j1"), (-rh, "j2")])
+    c.expect("bin1_out", [(1, "j1")])
+    c.expect("bin2_out", [(1, "j2")])
+    return c.finish()
 
 
 def build_nodelay_telefilter(
@@ -721,20 +713,15 @@ def build_nodelay_telefilter(
     c.output("bin2_out", "j2p", slot_bin=2, role="tap")
     c.output("record_1", "m1")
     c.output("record_2", "m2")
-    po = c.finish()
     g1 = cmath.exp(-2j * ph1)
     g2 = cmath.exp(-2j * ph2)
     ca, sa = math.sqrt(alpha), math.sqrt(1 - alpha)
-    po.expected_limit = {
-        "selected": c.combo([(sa * g1, "j1"), (ca * g2, "j2")]),
-        "orthogonal": c.combo(
-            [(ca * g1, "j1"), (-sa * g2, "j2"), (1, "u0"), (-1, "v0+")]
-        ),
-        "bin1_out": c.combo([(g1, "j1"), (ca, "u0"), (-ca, "v0+")]),
-        "bin2_out": c.combo([(g2, "j2"), (-sa, "u0"), (sa, "v0+")]),
-    }
-    po.target = c.combo([(sa * g1, "j1"), (ca * g2, "j2")])
-    return po
+    c.target([(sa * g1, "j1"), (ca * g2, "j2")])
+    c.expect("selected", [(sa * g1, "j1"), (ca * g2, "j2")])
+    c.expect("orthogonal", [(ca * g1, "j1"), (-sa * g2, "j2"), (1, "u0"), (-1, "v0^dag")])
+    c.expect("bin1_out", [(g1, "j1"), (ca, "u0"), (-ca, "v0^dag")])
+    c.expect("bin2_out", [(g2, "j2"), (-sa, "u0"), (sa, "v0^dag")])
+    return c.finish()
 
 
 def build_nodelay_telemirror(
@@ -797,33 +784,27 @@ def build_nodelay_telemirror(
     c.output("recovered_4_perp", "j2_perp", role="reflected")
     c.output("bin1_out", "j1p", slot_bin=1, role="tap")
     c.output("bin2_out", "j2p", slot_bin=2, role="tap")
-    po = c.finish()
     standard = (
         alpha == 0.5 and theta_minus in (None, _HALF_PI) and theta_plus in (None, _HALF_PI)
     )
     if not standard:
+        po = c.finish()
         po.flags.append(
             "decoder chain calibrated for alpha = 1/2 with standard splitter phases; "
             "no closed-form limits attached"
         )
-        po.target = None
         return po
     rh = 1 / math.sqrt(2)
     q = 1 / (2 * math.sqrt(2))
-    po.expected_limit = {
-        "selected": c.combo([(rh, "j1"), (rh, "j2")]),
-        "orthogonal": c.combo([(rh, "j1"), (-rh, "j2"), (-1, "u0"), (1, "v0+")]),
-        "selected_perp": c.combo([(-1, "e1_perp")]),
-        "orthogonal_perp": c.combo([(-1, "u_perp")]),
-        "recovered_1": c.combo([(q, "j1+"), (-q, "j2+"), (-1, "u0+"), (1.5, "v0")]),
-        "recovered_2": c.combo([(q, "j1"), (-q, "j2"), (1, "u0"), (-0.5, "v0+")]),
-        "recovered_1_perp": c.mode_expr("e2_perp"),
-        "recovered_2_perp": c.mode_expr("v_perp"),
-        "recovered_3_perp": c.mode_expr("j1_perp"),
-        "recovered_4_perp": c.mode_expr("j2_perp"),
-    }
-    po.target = c.combo([(rh, "j1"), (rh, "j2")])
-    return po
+    c.target([(rh, "j1"), (rh, "j2")])
+    c.expect("selected", [(rh, "j1"), (rh, "j2")])
+    c.expect("orthogonal", [(rh, "j1"), (-rh, "j2"), (-1, "u0"), (1, "v0^dag")])
+    c.expect("selected_perp", [(-1, "e1_perp")])
+    c.expect("orthogonal_perp", [(-1, "u_perp")])
+    c.expect("recovered_1", [(q, "j1^dag"), (-q, "j2^dag"), (-1, "u0^dag"), (1.5, "v0")])
+    c.expect("recovered_2", [(q, "j1"), (-q, "j2"), (1, "u0"), (-0.5, "v0^dag")])
+    _expect_perp_recovered(c)
+    return c.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -988,14 +969,12 @@ def build_nmode_delayed_telefilter(
     for k in range(1, n + 1):
         c.output(f"bin{k}_out", f"j{k}p", slot_bin=k, role="tap")
     c.output("record", "m")
-    po = c.finish()
-    po.expected_limit = {
-        "selected": c.combo([(coefs[k], f"j{k + 1}") for k in range(n)]),
-    }
+    selected = [(coefs[k], f"j{k + 1}") for k in range(n)]
+    c.target(selected)
+    c.expect("selected", selected)
     for k in range(1, n):
-        po.expected_limit[f"orthogonal_{k}"] = c.mode_expr(f"u{k}")
-    po.target = c.combo([(coefs[k], f"j{k + 1}") for k in range(n)])
-    return po
+        c.expect(f"orthogonal_{k}", [(1, f"u{k}")])
+    return c.finish()
 
 
 def build_nmode_nodelay_telefilter(
@@ -1034,13 +1013,10 @@ def build_nmode_nodelay_telefilter(
     for k in range(1, n + 1):
         c.output(f"bin{k}_out", f"j{k}p", slot_bin=k, role="tap")
         c.output(f"record_{k}", f"m{k}")
-    po = c.finish()
     weights = [abs(w) for w in _amplitude_schedule(alphas, phis)]
-    po.expected_limit = {
-        "selected": c.combo([(-weights[k], f"j{k + 1}") for k in range(n)]),
-    }
-    po.target = c.combo([(weights[k], f"j{k + 1}") for k in range(n)])
-    return po
+    c.target([(weights[k], f"j{k + 1}") for k in range(n)])
+    c.expect("selected", [(-weights[k], f"j{k + 1}") for k in range(n)])
+    return c.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -1052,7 +1028,6 @@ class ArgSpec:
     name: str
     kind: str  # "int" | "float" | "choice" | "float_list"
     default: object
-    choices: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -1062,21 +1037,6 @@ class ProtocolInfo:
     summary: str
     args: tuple[ArgSpec, ...]
 
-    def build(self, **overrides) -> ProtocolOutput:
-        """Run the builder on the given arguments.
-
-        An integral float given for an int argument counts as that int:
-        circuit files read every number back as a float (n=3 as 3.0).
-        """
-        specs = {spec.name: spec for spec in self.args}
-        for key, value in overrides.items():
-            spec = specs.get(key)
-            if spec is None:
-                raise ValueError(f"protocol {self.name} has no argument {key!r}")
-            if spec.kind == "int" and isinstance(value, float) and value.is_integer():
-                overrides[key] = int(value)
-        return self.builder(**overrides)
-
 
 PROTOCOLS: dict[str, ProtocolInfo] = {
     info.name: info
@@ -1085,13 +1045,13 @@ PROTOCOLS: dict[str, ProtocolInfo] = {
             "atemporal_telefilter",
             build_atemporal_telefilter,
             "single-mode teleporter, measure and displace",
-            (ArgSpec("gain_mode", "choice", "unity", ("unity", "tanh")),),
+            (ArgSpec("gain_mode", "choice", "unity"),),
         ),
         ProtocolInfo(
             "atemporal_telemirror",
             build_atemporal_telemirror,
             "single-mode teleporter, amplify and tap, resources recovered",
-            (ArgSpec("gain_mode", "choice", "unity", ("unity", "matched")),),
+            (ArgSpec("gain_mode", "choice", "unity"),),
         ),
         ProtocolInfo(
             "delayed_telefilter",
@@ -1101,7 +1061,7 @@ PROTOCOLS: dict[str, ProtocolInfo] = {
                 ArgSpec("alpha", "float", 0.5),
                 ArgSpec("phi", "float", _CANONICAL_PHI),
                 ArgSpec("quad_phases", "float_list", (0.0, 0.0)),
-                ArgSpec("gain_mode", "choice", "unity", ("unity", "tanh")),
+                ArgSpec("gain_mode", "choice", "unity"),
             ),
         ),
         ProtocolInfo(
@@ -1111,7 +1071,7 @@ PROTOCOLS: dict[str, ProtocolInfo] = {
             (
                 ArgSpec("alpha", "float", 0.5),
                 ArgSpec("phi", "float", _CANONICAL_PHI),
-                ArgSpec("selection", "choice", "auto", ("auto", "symmetric", "tuned")),
+                ArgSpec("selection", "choice", "auto"),
                 ArgSpec("phi_c2", "float", 0.0),
             ),
         ),
@@ -1169,7 +1129,10 @@ def build(name: str, **overrides) -> ProtocolOutput:
     info = PROTOCOLS.get(name)
     if info is None:
         raise ValueError(f"unknown protocol {name!r}")
-    return info.build(**overrides)
+    unknown = sorted(overrides.keys() - {spec.name for spec in info.args})
+    if unknown:
+        raise ValueError(f"protocol {name} has no argument {unknown[0]!r}")
+    return info.builder(**overrides)
 
 
 def protocol_text(name: str, **overrides) -> str:

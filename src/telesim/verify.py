@@ -27,6 +27,7 @@ from .circuit import (
     CircuitError,
     CombineStmt,
     DisplaceStmt,
+    ExpectStmt,
     HomodyneStmt,
     ModeDecl,
     OutputStmt,
@@ -36,6 +37,7 @@ from .circuit import (
     ProtocolOutput,
     SplitStmt,
     SqueezeStmt,
+    TargetStmt,
     UnsqueezeStmt,
     merge_env,
 )
@@ -295,7 +297,8 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
 
     for stmt in circuit.statements:
         loc = stmt.loc
-        if isinstance(stmt, (ParamDecl, ProtocolDecl)):
+        # the target and limit forms are the oracle of other checks, not wiring
+        if isinstance(stmt, (ParamDecl, ProtocolDecl, TargetStmt, ExpectStmt)):
             continue
         if isinstance(stmt, ModeDecl):
             x, p = _zeros(n), _zeros(n)

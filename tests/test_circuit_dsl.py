@@ -10,15 +10,19 @@ from telesim.circuit import (
     CircuitAst,
     CircuitError,
     CombineStmt,
+    ExpectStmt,
     Loc,
+    TargetStmt,
     evaluate_circuit,
     merge_env,
 )
-from telesim.coeff import ParamEnv
+from telesim.coeff import Num, ParamEnv
 from telesim.dsl import ParseError, format_number, parse_circuit, serialize_circuit
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "src" / "telesim" / "golden"
 GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.tls"))
+
+TWO_MODES = "mode vacuum v rail=r bin=0\nmode vacuum w rail=q bin=0\n"
 
 MINIMAL = """param s = 1.0
 mode entanglement_seed e1 rail=src bin=0
@@ -110,6 +114,35 @@ def test_claimed_emission_bin_is_recorded():
             26,
             "nondecreasing order",
         ),
+        # target and expect terms name declared modes; expect a quantum output
+        (
+            TWO_MODES + "(a, b) = split(v, w, alpha=0.5, phi=0)\ntarget = 1*v, 0.5*a",
+            4,
+            15,
+            "'a' is not a declared mode",
+        ),
+        ("mode vacuum v rail=r bin=0\ntarget = v", 2, 10, "target term must be WEIGHT\\*MODE"),
+        ("mode vacuum v rail=r bin=0\ntarget = 1*v^v", 2, 14, "expected keyword 'dag'"),
+        ("mode vacuum v rail=r bin=0\nexpect x = 1*v", 2, 8, "no quantum output 'x' declared"),
+        (
+            TWO_MODES + "m = homodyne(v, w, xphase=0, pphase=pi/2)\noutput rec = m\n"
+            "expect rec = 1*v",
+            5,
+            8,
+            "no quantum output 'rec' declared",
+        ),
+        (
+            "mode vacuum v rail=r bin=0\ntarget = 1*v\ntarget = 1*v^dag",
+            3,
+            1,
+            "duplicate target declaration",
+        ),
+        (
+            "mode vacuum v rail=r bin=0\noutput x = v\nexpect x = 1*v\nexpect x = -1*v",
+            4,
+            8,
+            "duplicate expect for 'x'",
+        ),
     ],
 )
 def test_parse_errors_carry_line_and_column(source, line, column, fragment):
@@ -119,13 +152,16 @@ def test_parse_errors_carry_line_and_column(source, line, column, fragment):
     assert excinfo.value.column == column
 
 
-TWO_MODES = "mode vacuum v rail=r bin=0\nmode vacuum w rail=q bin=0\n"
-
-
 def test_semantic_errors_surface_as_circuit_errors():
     # every element parameter is judged by the interpreter under the binding
     measured = parse_circuit(TWO_MODES + "m = homodyne(v, w, xphase=0, pphase=pi/2)")
     empty_combine = CircuitAst(measured.statements + (CombineStmt(Loc(4, 1), "c", ()),))
+    record_target = CircuitAst(
+        measured.statements + (TargetStmt(Loc(4, 1), ((Num(1), "m", False),)),)
+    )
+    stray_expect = CircuitAst(
+        measured.statements + (ExpectStmt(Loc(4, 1), "x", ((Num(1), "v", False),)),)
+    )
     param_alpha = "param t = 2\n" + TWO_MODES + "(a, b) = split(v, w, alpha=t, phi=0)"
     cases = [
         (TWO_MODES + "(a, b) = split(v, w, alpha=2, phi=0)", r"alpha = 2.0 outside"),
@@ -135,6 +171,8 @@ def test_semantic_errors_surface_as_circuit_errors():
         (TWO_MODES + "(a, b) = unsqueeze(v, w, gain=0-1)", "nonnegative"),
         (param_alpha, r"alpha = 2.0 outside \[0, 1\] \(line 4, column 1\)"),
         (empty_combine, r"combine needs at least one record \(line 4, column 1\)"),
+        (record_target, r"'m' is not a declared mode \(line 4, column 1\)"),
+        (stray_expect, r"no quantum output 'x' to expect \(line 4, column 1\)"),
     ]
     for circuit, message in cases:
         ast = parse_circuit(circuit) if isinstance(circuit, str) else circuit

@@ -143,16 +143,31 @@ def test_verify_without_quantum_outputs_exits_2(tmp_path, capsys, text):
     assert err == "error: circuit has no quantum output to verify\n"
 
 
+# selectivity verdict of every golden; the first four are the ones the
+# benchmark gate pins (perfbench/workloads.py, EXPECTED_SELECTIVITY)
+GOLDEN_SELECTIVITY = {
+    "atemporal_telefilter": "mode_selective",
+    "delayed_telefilter": "mode_selective",
+    "nodelay_telefilter": "mode_discriminating",
+    "nodelay_independent": "neither",
+    "atemporal_telemirror": "mode_selective",
+    "delayed_telemirror": "mode_selective",
+    "nmode_delayed_telefilter": "mode_selective",
+    "nmode_nodelay_telefilter": "mode_discriminating",
+    "nodelay_telemirror": "mode_discriminating",
+}
+
+
 def test_protocol_header_larger_than_the_file_is_not_rebuilt(tmp_path, capsys, monkeypatch):
-    # n counts bins and every bin declares inputs, so two inputs cannot match
-    # an n = 100000 registry circuit; building one would take hours
-    import telesim.cli as cli
+    # a file carries its own target and limit forms: no command runs a
+    # registry builder, whatever protocol its header names
+    import telesim.protocols as protocols
 
     def refuse(**kwargs):
         raise AssertionError(f"registry rebuild with {kwargs}")
 
-    info = cli.PROTOCOLS["nmode_delayed_telefilter"]
-    monkeypatch.setitem(cli.PROTOCOLS, info.name, dataclasses.replace(info, builder=refuse))
+    for name, info in list(protocols.PROTOCOLS.items()):
+        monkeypatch.setitem(protocols.PROTOCOLS, name, dataclasses.replace(info, builder=refuse))
     path = tmp_path / "claims.tls"
     path.write_text(
         "protocol nmode_delayed_telefilter(n=100000)\n"
@@ -162,6 +177,59 @@ def test_protocol_header_larger_than_the_file_is_not_rebuilt(tmp_path, capsys, m
     code, out, _ = run_cli(capsys, "run", str(path), "--format", "machine")
     assert code == 0
     assert json.loads(out)["selectivity"] is None
+    assert sorted(GOLDEN_SELECTIVITY) == sorted(p.stem for p in GOLDEN_DIR.glob("*.tls"))
+    for name, verdict in GOLDEN_SELECTIVITY.items():
+        for command in ("run", "verify"):
+            argv = (command, str(GOLDEN_DIR / f"{name}.tls"), "--format", "machine")
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, (command, name)
+            assert json.loads(out)["selectivity"]["verdict"] == verdict, (command, name)
+
+
+HANDWRITTEN = """param s = infinity
+mode entanglement_seed e1 rail=src bin=0
+mode entanglement_seed e2 rail=src bin=0
+mode signal j rail=in bin=0
+mode signal k rail=in bin=0
+(a0, b0) = squeeze(e1, e2, gain=s, phase=0)
+m = homodyne(j, a0, xphase=0, pphase=pi/2)
+out = displace(b0, m, gain=1/sqrt(2))
+output filtered = out role=transmitted
+"""
+
+
+def test_handwritten_circuit_declares_its_own_oracle(tmp_path, capsys):
+    # no protocol header: the verdicts come from the file's own statements
+    path = tmp_path / "teleporter.tls"
+    path.write_text(HANDWRITTEN + "target = 1*j\nexpect filtered = 1*j\n")
+    code, out, _ = run_cli(capsys, "verify", str(path), "--format", "machine")
+    assert code == 0, out
+    payload = json.loads(out)
+    assert payload["protocol"] is None
+    assert payload["selectivity"]["verdict"] == "mode_selective"
+    assert payload["selectivity"]["clean_port"] == "filtered"
+    checks = {entry["check"]: entry["passed"] for entry in payload["checks"]}
+    assert checks["declared limit forms reached"] is True
+    # a wrong limit form is caught
+    path.write_text(HANDWRITTEN + "target = 1*j\nexpect filtered = 1*j^dag\n")
+    code, out, _ = run_cli(capsys, "verify", str(path), "--format", "machine")
+    assert code == 1
+    checks = {entry["check"]: entry["passed"] for entry in json.loads(out)["checks"]}
+    assert checks["declared limit forms reached"] is False
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize(
+    "target", ["2*j", "1*e1", "0.6*j, 0.6*k"], ids=["scaled", "seed-only", "overweight"]
+)
+def test_unnormalized_target_exits_2(tmp_path, capsys, command, target):
+    path = tmp_path / "teleporter.tls"
+    path.write_text(HANDWRITTEN + f"target = {target}\n")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: target is not normalized over the signal inputs")
+    assert "Traceback" not in err
 
 
 def test_limits_command_reports_convergence(capsys):

@@ -1,5 +1,7 @@
 """Protocol registry: built-in circuits, argument handling, timing metadata."""
 
+from pathlib import Path
+
 import pytest
 
 from telesim.circuit import evaluate_circuit
@@ -7,6 +9,8 @@ from telesim.coeff import ParamEnv
 from telesim.dsl import parse_circuit, serialize_circuit
 from telesim.opalg import ModeEvaluator, ModeKind
 from telesim.protocols import PROTOCOLS, build, protocol_text
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "src" / "telesim" / "golden"
 
 ALL_NAMES = [
     "atemporal_telefilter",
@@ -53,6 +57,39 @@ def test_every_protocol_builds_with_analysis_metadata(name):
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
+def test_goldens_are_the_builders_circuits(name):
+    """Each golden is its builder's circuit, oracle included. Regenerate all with
+
+    PYTHONPATH=src python -c "from telesim.protocols import PROTOCOLS, protocol_text; [open(f'src/telesim/golden/{n}.tls', 'w').write(protocol_text(n)) for n in PROTOCOLS]"
+    """
+    assert (GOLDEN_DIR / f"{name}.tls").read_text() == protocol_text(name)
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("delayed_telemirror", {"alpha": 0.4, "phi": -1.2, "phi_c2": 0.3}),
+        ("delayed_telefilter", {"alpha": 0.3, "quad_phases": (0.1, -0.2)}),
+        ("nodelay_telefilter", {"alpha": 0.7, "quad_phases": (0.4, 0.0)}),
+        ("nmode_delayed_telefilter", {"n": 5, "phis": (-1.0, 0.5, -1.5708, 2.0)}),
+    ],
+)
+def test_limit_form_weights_survive_the_text_exactly(name, overrides):
+    # complex and irrational weights are spelled as the builder's doubles, so
+    # the re-parsed target and limit forms evaluate to the same 160 digits
+    built = build(name, **overrides)
+    text = protocol_text(name, **overrides)
+    assert serialize_circuit(parse_circuit(text)) == text
+    parsed = evaluate_circuit(parse_circuit(text))
+    forms = {"target": built.target, **built.expected_limit}
+    again = {"target": parsed.target, **parsed.expected_limit}
+    assert list(again) == list(forms)
+    session = ModeEvaluator(built.env)
+    for port, form in forms.items():
+        assert session.table(again[port]) == session.table(form), port
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
 def test_protocol_text_round_trips_and_rebuilds(name):
     text = protocol_text(name)
     ast = parse_circuit(text)
@@ -89,10 +126,8 @@ def test_argument_overrides_are_echoed():
     po = build("delayed_telefilter", alpha=0.3, quad_phases=(0.1, -0.2))
     assert po.protocol_args["alpha"] == 0.3
     assert po.protocol_args["quad_phases"] == (0.1, -0.2)
-    # circuit files read n=4 back as 4.0; an integral float counts as the int
-    for n in (4, 4.0):
-        po = build("nmode_nodelay_telefilter", n=n)
-        assert po.protocol_args["n"] == 4 and isinstance(po.protocol_args["n"], int)
+    po = build("nmode_nodelay_telefilter", n=4)
+    assert po.protocol_args["n"] == 4 and isinstance(po.protocol_args["n"], int)
     assert len(po.protocol_args["alphas"]) == 3
 
 
