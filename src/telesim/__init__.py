@@ -6,7 +6,8 @@ operators. The layers stack as coefficients -> operator algebra ->
 elements -> circuits -> protocol builders, with an independent analysis
 module and a text front end on top. Circuits (parse_circuit,
 evaluate_circuit, build) are the validated entry point; the element algebra
-in telesim.elements checks nothing and is not exported here.
+in telesim.elements checks nothing and is not exported here. Numbers come
+from a ModeEvaluator session: its tables, commutators and variances.
 """
 
 from .circuit import (
@@ -25,16 +26,13 @@ from .opalg import (
     ModeExpr,
     ModeId,
     ModeKind,
-    commutator,
     dagger,
     input_mode,
-    is_proper_mode,
     lin_comb,
-    overlap_with,
     prune_for_display,
     quadrature_variance,
 )
-from .protocols import PROTOCOLS, ArgSpec, ProtocolInfo, build, protocol_text
+from .protocols import PROTOCOLS, build, protocol_text
 from .verify import (
     BogoliubovReport,
     CovarianceRecord,
@@ -52,7 +50,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArgSpec",
     "BogoliubovReport",
     "CircuitAst",
     "CircuitError",
@@ -70,13 +67,11 @@ __all__ = [
     "ParamEnv",
     "ParseError",
     "PortTiming",
-    "ProtocolInfo",
     "ProtocolOutput",
     "SelectivityReport",
     "build",
     "causality_report",
     "check_bogoliubov",
-    "commutator",
     "covariance_oracle",
     "dagger",
     "evaluate",
@@ -84,11 +79,9 @@ __all__ = [
     "evaluate_mp",
     "format_number",
     "input_mode",
-    "is_proper_mode",
     "limit_coefficients",
     "lin_comb",
     "merge_env",
-    "overlap_with",
     "parse_circuit",
     "protocol_text",
     "prune_for_display",

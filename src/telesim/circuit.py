@@ -458,6 +458,8 @@ class _Evaluation:
         if isinstance(stmt, ExpectStmt):
             if stmt.port not in out.all_ports():
                 raise CircuitError(f"no quantum output {stmt.port!r} to expect", loc)
+            if not any(decl.infinite for decl in self.ast.params):
+                raise CircuitError("expect needs a 'param NAME = infinity' declaration", loc)
             out.expected_limit = out.expected_limit or {}
             out.expected_limit[stmt.port] = self.form(stmt.terms, loc)
             return

@@ -379,15 +379,9 @@ def evaluate_mp(expr: CoefExpr, env: ParamEnv) -> mpmath.mpc:
 
 
 def to_complex(value: mpmath.mpc) -> complex:
-    """mpmath boundary conversion; out-of-range magnitudes become inf."""
-
-    def part(x) -> float:
-        try:
-            return float(x)
-        except OverflowError:
-            return float("inf") if x > 0 else float("-inf")
-
-    return complex(part(value.real), part(value.imag))
+    """mpmath boundary conversion; mpmath itself saturates out-of-range
+    magnitudes to signed inf and underflows them to zero."""
+    return complex(value)
 
 
 def evaluate(expr: CoefExpr, env: ParamEnv) -> complex:

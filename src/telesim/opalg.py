@@ -2,8 +2,10 @@
 
 A :class:`ModeExpr` is a finitely supported map from input-mode labels to
 coefficient pairs ``(c, d)`` meaning a contribution ``c*a + d*a_dagger``.
-Everything a circuit produces stays in this form, so commutators,
-quadrature variances, and mode overlaps reduce to sums over the table.
+Everything a circuit produces stays in this form, so commutators and
+quadrature variances reduce to sums over the table. Expressions compare by
+identity: a :class:`ModeEvaluator` caches the numeric table of each
+expression object it is given.
 """
 
 from __future__ import annotations
@@ -57,14 +59,6 @@ class ModeExpr:
     def __init__(self, terms: dict[ModeId, CoefPair] | None = None):
         self.terms = dict(terms) if terms else {}
 
-    def __eq__(self, other):
-        if not isinstance(other, ModeExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms))
-
     def __add__(self, other):
         if not isinstance(other, ModeExpr):
             return NotImplemented
@@ -80,13 +74,6 @@ class ModeExpr:
 
     def __rmul__(self, coefficient):
         return lin_comb([(coefficient, self)])
-
-    def parameters(self) -> frozenset[str]:
-        names: set[str] = set()
-        for c, d in self.terms.values():
-            names |= c.parameters()
-            names |= d.parameters()
-        return frozenset(names)
 
     def __repr__(self):
         if not self.terms:
@@ -135,27 +122,26 @@ def _binding_key(env: ParamEnv) -> tuple:
 class ModeEvaluator:
     """Numeric session: mode expressions evaluated under one binding.
 
-    Coefficient tables, and the vacuum variances read from them, are cached
-    per expression object, so every analysis that draws from the same
-    session reuses them. :meth:`bind` returns the
-    session of a derived binding from the same family, one session per
-    distinct set of values. A session given ``roots`` (an evaluated
-    protocol's ports and records), like every session bound from it, tables
-    them all on creation in one pass through a single scalar
-    :class:`Evaluator`, then drops that evaluator's per-node memo: analyses
-    read the tables, and the memo would only hold memory. A session without
-    roots tables lazily and keeps its memo, so expressions that share
-    subtrees evaluate each node once. :func:`session_for` keeps such a
-    session for the last bare :class:`ParamEnv` it was given, which is how
-    repeated calls under one bare env share it.
+    Coefficient tables, and the vacuum variances read from them, are keyed
+    by the expression object itself (expressions compare by identity), so
+    every analysis that draws from the same session reuses them.
+    :meth:`bind` returns the session of a derived binding from the same
+    family, one session per distinct set of values. A session given
+    ``roots`` (an evaluated protocol's ports and records), like every
+    session bound from it, tables them all on creation in one pass through a
+    single scalar :class:`Evaluator`, then drops that evaluator's per-node
+    memo: analyses read the tables, and the memo would only hold memory. A
+    session without roots tables lazily and keeps its memo, so expressions
+    that share subtrees evaluate each node once. :func:`session_for` keeps
+    such a session for the last bare :class:`ParamEnv` it was given, which
+    is how repeated calls under one bare env share it.
     """
 
     def __init__(self, env: ParamEnv, roots: tuple[ModeExpr, ...] = ()):
         self.env = env
         self._coef: Evaluator | None = Evaluator(env)
-        # identity cache; holds the expression so its id cannot be recycled
-        self._tables: dict[int, tuple[ModeExpr, NumericTerms]] = {}
-        self._variances: dict[tuple[int, float], object] = {}
+        self._tables: dict[ModeExpr, NumericTerms] = {}
+        self._variances: dict[tuple[ModeExpr, float], object] = {}
         self._roots = tuple(roots)
         # made on the first bind(): the family refers back to this session,
         # and a session that never binds should be freed without the cyclic GC
@@ -179,14 +165,14 @@ class ModeEvaluator:
         return session
 
     def table(self, expr: ModeExpr) -> NumericTerms:
-        cached = self._tables.get(id(expr))
-        if cached is not None and cached[0] is expr:
-            return cached[1]
+        cached = self._tables.get(expr)
+        if cached is not None:
+            return cached
         if self._coef is None:
             self._coef = Evaluator(self.env)
         ev = self._coef.eval
         result = {m: (ev(c), ev(d)) for m, (c, d) in expr.terms.items()}
-        self._tables[id(expr)] = (expr, result)
+        self._tables[expr] = result
         return result
 
     def commutator(self, left: ModeExpr, right: ModeExpr):
@@ -220,8 +206,7 @@ class ModeEvaluator:
 
     def variance(self, expr: ModeExpr, phase: float):
         table = self.table(expr)
-        # a table lives as long as its session, so its id is a stable key
-        key = (id(table), phase)
+        key = (expr, phase)
         if key not in self._variances:
             fwd = MP.exp(MP.mpc(0, -phase))
             bwd = MP.exp(MP.mpc(0, phase))
@@ -261,11 +246,6 @@ def session_for(binding: Binding) -> ModeEvaluator:
     return session
 
 
-def commutator(left: ModeExpr, right: ModeExpr, env: Binding) -> complex:
-    """[left, right] as a number; bilinear and antisymmetric."""
-    return to_complex(session_for(env).commutator(left, right))
-
-
 def quadrature_variance(expr: ModeExpr, phase: float, env: Binding) -> float:
     """Vacuum variance of X(phase) = e^{-i phase} A + e^{i phase} A^dagger.
 
@@ -275,28 +255,7 @@ def quadrature_variance(expr: ModeExpr, phase: float, env: Binding) -> float:
     return float(session_for(env).variance(expr, phase))
 
 
-def is_proper_mode(expr: ModeExpr, env: Binding, tol: float = 1e-9) -> bool:
-    """True when [A, A^dagger] = 1 within tol."""
-    norm = session_for(env).cross_commutator(expr, expr)
-    return abs(norm - 1) <= tol
-
-
-def overlap_with(expr: ModeExpr, target: ModeExpr, env: Binding) -> complex:
-    """Amplitude of target inside expr, i.e. [expr, target^dagger].
-
-    The target must be canonically normalized, otherwise the number has no
-    interpretation as an amplitude.
-    """
-    evaluator = session_for(env)
-    norm = evaluator.cross_commutator(target, target)
-    if abs(norm - 1) > 1e-9:
-        raise ValueError(
-            f"target is not a proper mode: [T, T^dagger] = {to_complex(norm)}"
-        )
-    return to_complex(evaluator.cross_commutator(expr, target))
-
-
-def prune_for_display(expr: ModeExpr, env: Binding, threshold: float = DISPLAY_THRESHOLD):
+def prune_for_display(expr: ModeExpr, env: Binding):
     """Numeric coefficient table with negligible entries dropped.
 
     Display convenience only; expression semantics never depend on it.
@@ -304,7 +263,7 @@ def prune_for_display(expr: ModeExpr, env: Binding, threshold: float = DISPLAY_T
     table = {}
     for mode, (c, d) in session_for(env).table(expr).items():
         cc, dc = to_complex(c), to_complex(d)
-        if abs(cc) <= threshold and abs(dc) <= threshold:
+        if abs(cc) <= DISPLAY_THRESHOLD and abs(dc) <= DISPLAY_THRESHOLD:
             continue
         table[mode] = (cc, dc)
     return table

@@ -3,9 +3,10 @@
 Each builder assembles a circuit statement by statement and evaluates
 it. The circuit ends with the oracle its analyses judge it against: the
 target mode (``target``) and the closed-form limit each port is designed
-to reach (``expect``). The statement list is the single source of truth:
-the text fixtures under golden/ are these same circuits serialized,
-oracle included, and each equals ``protocol_text(name)`` byte for byte.
+to reach (``expect``). Every builder returns the evaluated circuit as is,
+so the statement list is the single source of truth: the text fixtures
+under golden/ are these same circuits serialized, oracle included, and
+each equals ``protocol_text(name)`` byte for byte.
 
 Numeric arguments are baked into the statements as literals; only the
 squeezing strengths stay symbolic (declared infinite) so the same
@@ -439,12 +440,8 @@ def build_delayed_telefilter(
     c.expect("selected_perp", [(1, "e1_perp")])
     c.expect("orthogonal_perp", [(1, "u_perp")])
     if not _canonical_phase(phi):
-        po = c.finish()
-        po.flags.append(
-            "distribution phase off the canonical -pi/2; "
-            "closed-form limits attached for the perp ports only"
-        )
-        return po
+        # closed-form limits of the selected ports hold only at -pi/2
+        return c.finish()
     g1 = cmath.exp(-2j * ph1)
     g2 = cmath.exp(-2j * ph2)
     ca, sa = math.sqrt(alpha), math.sqrt(1 - alpha)
@@ -788,12 +785,8 @@ def build_nodelay_telemirror(
         alpha == 0.5 and theta_minus in (None, _HALF_PI) and theta_plus in (None, _HALF_PI)
     )
     if not standard:
-        po = c.finish()
-        po.flags.append(
-            "decoder chain calibrated for alpha = 1/2 with standard splitter phases; "
-            "no closed-form limits attached"
-        )
-        return po
+        # the decoder chain is calibrated for alpha = 1/2 and standard phases
+        return c.finish()
     rh = 1 / math.sqrt(2)
     q = 1 / (2 * math.sqrt(2))
     c.target([(rh, "j1"), (rh, "j2")])

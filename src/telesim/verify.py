@@ -4,12 +4,13 @@ Nothing in here feeds back into simulation. The operator-side analyses
 read coefficient tables from the protocol's per-binding sessions
 (:meth:`ProtocolOutput.evaluator`), so each coefficient is evaluated once
 per binding however many analyses use it: unitarity from pairwise
-commutators, limits by pushing scale parameters twice as far, causality
-from the time-bin registry, and selectivity from overlaps against the
-declared target. Variances are also computed by a float64 quadrature
-pipeline that never touches the operator tables or the sessions.
-Agreement between the two variance pipelines is the strongest cross-check
-the package has, because they share no code past the scalar evaluator.
+commutators, limits by pushing scale parameters twice as far (past
+float64 range, OverflowError), causality from the time-bin registry, and
+selectivity from overlaps against the protocol's declared target.
+Variances are also computed by a float64 quadrature pipeline that never
+touches the operator tables or the sessions. Agreement between the two
+variance pipelines is the strongest cross-check the package has, because
+they share no code past the scalar evaluator.
 
 :func:`verify_suite` composes these into the named pass/fail checks that
 ``telesim verify`` reports, and :func:`limit_suite` takes the limit of
@@ -19,6 +20,7 @@ as the command line.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -86,16 +88,13 @@ class BogoliubovReport:
 def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovReport:
     """Verify that outputs form a canonical mode set under env.
 
-    outputs may be a name -> ModeExpr mapping or a plain sequence; sequences
-    get positional names. Both commutator families are checked for every
-    unordered pair, plus self-normalization [A, A^dagger] = 1. env may be a
-    session, whose tables are then reused, or a bare env, whose session
-    later calls with that same env reuse (see :func:`opalg.session_for`).
+    outputs maps names to mode expressions. Both commutator families are
+    checked for every unordered pair, plus self-normalization
+    [A, A^dagger] = 1. env may be a session, whose tables are then reused,
+    or a bare env, whose session later calls with that same env reuse (see
+    :func:`opalg.session_for`).
     """
-    if isinstance(outputs, dict):
-        items = list(outputs.items())
-    else:
-        items = [(f"output{i}", expr) for i, expr in enumerate(outputs)]
+    items = list(outputs.items())
     evaluator = session_for(env)
     failures = []
     worst = 0.0
@@ -128,15 +127,14 @@ def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovRep
 class LimitResult:
     """Verdict on a coefficient table compared at scale L and 2L.
 
-    converged means every coefficient moved by at most tol between the two
-    scales and none blew up; limit is the 2L table with entries below the
-    display threshold dropped. Divergence is reported, not raised: raw
+    converged means every coefficient moved by at most LIMIT_TOL between the
+    two scales and none blew up; limit is the 2L table with entries below
+    the display threshold dropped. Divergence is reported, not raised: raw
     classical channels grow like e^r by design and the caller may want to
     see exactly that.
     """
 
     scale: float
-    tol: float
     max_difference: float
     divergent: bool
     converged: bool
@@ -144,22 +142,26 @@ class LimitResult:
 
 
 def _complex_table(expr: ModeExpr, evaluator: ModeEvaluator) -> dict:
-    return {
-        mode: (to_complex(c), to_complex(d))
-        for mode, (c, d) in evaluator.table(expr).items()
-    }
+    table = {}
+    for mode, (c, d) in evaluator.table(expr).items():
+        c, d = to_complex(c), to_complex(d)
+        # before any abs(): CPython's abs() of a NaN such as inf - inf obeys a stale errno
+        if not (cmath.isfinite(c) and cmath.isfinite(d)):
+            raise OverflowError(f"limit coefficient of {mode.name} beyond float64 range")
+        table[mode] = (c, d)
+    return table
 
 
 def limit_coefficients(
     expr: ModeExpr,
     params_to_infinity: list[str],
     env: Binding,
-    tol: float = LIMIT_TOL,
 ) -> LimitResult:
     """Numeric limit of a mode expression as the named parameters grow.
 
     Given a session, the scale and double-scale bindings come from its
-    family, so every port of a protocol shares them.
+    family, so every port of a protocol shares them. Raises OverflowError
+    when a coefficient at either scale is beyond float64 range.
     """
     session = session_for(env)
     scale = session.env.limit_scale
@@ -183,10 +185,9 @@ def limit_coefficients(
             limit[mode] = (c, d)
     return LimitResult(
         scale=scale,
-        tol=tol,
         max_difference=worst,
         divergent=divergent,
-        converged=not divergent and worst <= tol,
+        converged=not divergent and worst <= LIMIT_TOL,
         limit=limit,
     )
 
@@ -509,21 +510,17 @@ def _orthogonal_basis(target: list[complex]) -> list[list[complex]]:
     return basis
 
 
-def selectivity_report(
-    protocol: ProtocolOutput,
-    target: ModeExpr | None = None,
-    env: Binding | None = None,
-) -> SelectivityReport:
+def selectivity_report(protocol: ProtocolOutput) -> SelectivityReport:
     """Classify transmitted ports against the declared target mode.
 
     Judged at the high-entanglement limit: every parameter the protocol
     declares as tending to infinity is pinned at the limit scale, whatever
     finite value the caller evaluated at.
     """
-    target = target if target is not None else protocol.target
+    target = protocol.target
     if target is None:
         raise ValueError("protocol declares no target mode")
-    base = session_for(env) if env is not None else protocol.evaluator()
+    base = protocol.evaluator()
     evaluator = base.bind(**{p: base.env.limit_scale for p in protocol.limit_params})
 
     signal_ids = sorted(

@@ -10,14 +10,20 @@ from telesim.circuit import (
     CircuitAst,
     CircuitError,
     CombineStmt,
+    DisplaceStmt,
     ExpectStmt,
     Loc,
+    OutputStmt,
+    PhaseStmt,
+    SplitStmt,
+    Stmt,
     TargetStmt,
     evaluate_circuit,
     merge_env,
 )
 from telesim.coeff import Num, ParamEnv
 from telesim.dsl import ParseError, format_number, parse_circuit, serialize_circuit
+from telesim.verify import covariance_oracle
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "src" / "telesim" / "golden"
 GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.tls"))
@@ -70,6 +76,9 @@ def test_merge_env_prefers_caller_values():
     merged, infinite = merge_env(ast, ParamEnv({"s": 2.5}))
     assert merged.values["s"] == 2.5
     assert infinite == []
+    # a negative default parses and binds like any other
+    merged, _ = merge_env(parse_circuit("param t = -3\n"), ParamEnv({}))
+    assert merged.values["t"] == -3.0
 
 
 def test_evaluate_honors_env_override():
@@ -143,6 +152,39 @@ def test_claimed_emission_bin_is_recorded():
             8,
             "duplicate expect for 'x'",
         ),
+        (TWO_MODES + "(a, b) = split(v, w, alpha=t, phi=0)", 3, 28, "undeclared parameter 't'"),
+        ("mode vacuum v rail=r bin=0\ntarget = t*v", 2, 10, "undeclared parameter 't'"),
+        ("mode vacuum pi rail=r bin=0", 1, 13, "name 'pi' is reserved"),
+        ("mode vacuum v rail=r bin=0\nparam v = 1", 2, 7, "parameter 'v' already defined"),
+        (TWO_MODES + "(a, a) = split(v, w, alpha=0.5, phi=0)", 3, 5, "wire 'a' bound twice"),
+        ("mode vacuum v rail=r bin=0\noutput x = v role=sideways", 2, 19, "unknown role"),
+        ("mode vacuum v rail=r bin=0\noutput x = v bin=1 bin=2", 2, 20, "unexpected clause 'bin'"),
+        ("protocol p()\nprotocol q()", 2, 1, "duplicate protocol declaration"),
+        ("protocol p(x=i)", 1, 14, "protocol argument must be a real number"),
+        (TWO_MODES + "a = frobnicate(v)", 3, 5, "unknown element 'frobnicate'"),
+        (TWO_MODES + "(a, b) = frobnicate(v, w)", 3, 10, "unknown two-output element"),
+        (TWO_MODES + "c = combine(1*v)", 3, 13, "wire 'v' is not a measurement record"),
+        (
+            TWO_MODES + "(a, b) = split(v, w, alpha=sqrt, phi=0)",
+            3,
+            28,
+            "function 'sqrt' requires an argument list",
+        ),
+        (
+            TWO_MODES + "(a, b) = split(v, w, alpha=" + "(" * 201 + "0.5" + ")" * 201 + ", phi=0)",
+            3,
+            128,
+            "expression too deeply nested",
+        ),
+        (
+            TWO_MODES + "(a, b) = split(v, w, alpha=" + "-" * 201 + "1, phi=0)",
+            3,
+            227,
+            "expression too deeply nested",
+        ),
+        ("mode vacuum v rail=r bin=0\ntarget =", 2, 9, "expected expression"),
+        (TWO_MODES + "(a, b) = split(v, w, alpha=), phi=0)", 3, 28, "expected expression"),
+        ("mode vacuum v rail=r bin=0 extra", 1, 28, "unexpected trailing input"),
     ],
 )
 def test_parse_errors_carry_line_and_column(source, line, column, fragment):
@@ -163,7 +205,34 @@ def test_semantic_errors_surface_as_circuit_errors():
         measured.statements + (ExpectStmt(Loc(4, 1), "x", ((Num(1), "v", False),)),)
     )
     param_alpha = "param t = 2\n" + TWO_MODES + "(a, b) = split(v, w, alpha=t, phi=0)"
+    undefined = TWO_MODES + "(a, b) = split(v, w, alpha=1/0, phi=0)"
+    at = Loc(4, 1)
+
+    def wired(*stmts):
+        # hand-built wiring the parser would refuse, after v, w and record m
+        return CircuitAst(measured.statements + stmts)
+
+    unknown_wire = wired(SplitStmt(at, "a", "b", "nosuch", "w", Num(0.5), Num(0)))
+    record_as_mode = wired(SplitStmt(at, "a", "b", "m", "w", Num(0.5), Num(0)))
+    mode_as_record = wired(DisplaceStmt(at, "d", "v", "w", Num(1)))
+    unknown_output = wired(OutputStmt(at, "x", "nosuch"))
+    unhandled = wired(Stmt(at))
     cases = [
+        (undefined, r"cannot evaluate alpha: division by zero \(line 3, column 1\)"),
+        (unknown_wire, r"unknown wire 'nosuch' \(line 4, column 1\)"),
+        (record_as_mode, r"wire 'm' is a measurement record \(line 4, column 1\)"),
+        (mode_as_record, r"wire 'w' is not a measurement record \(line 4, column 1\)"),
+        (wired(PhaseStmt(at, "v", "w", Num(0))), r"wire 'v' assigned twice \(line 4, column 1\)"),
+        (unknown_output, r"unknown wire 'nosuch' \(line 4, column 1\)"),
+        (
+            wired(OutputStmt(at, "x", "v"), OutputStmt(Loc(5, 1), "x", "w")),
+            r"output 'x' declared twice \(line 5, column 1\)",
+        ),
+        (
+            wired(OutputStmt(at, "x", "v", None, "sideways")),
+            r"unknown output role 'sideways' \(line 4, column 1\)",
+        ),
+        (unhandled, r"unhandled statement Stmt \(line 4, column 1\)"),
         (TWO_MODES + "(a, b) = split(v, w, alpha=2, phi=0)", r"alpha = 2.0 outside"),
         (TWO_MODES + "(a, b) = split(v, w, alpha=0-0.25, phi=0)", r"alpha = -0.25 outside"),
         (TWO_MODES + "(a, b) = split(v, w, alpha=0.5+i, phi=0)", "alpha must be real"),
@@ -173,6 +242,10 @@ def test_semantic_errors_surface_as_circuit_errors():
         (empty_combine, r"combine needs at least one record \(line 4, column 1\)"),
         (record_target, r"'m' is not a declared mode \(line 4, column 1\)"),
         (stray_expect, r"no quantum output 'x' to expect \(line 4, column 1\)"),
+        (
+            "mode vacuum v rail=r bin=0\noutput x = v\nexpect x = 1e300*v",
+            r"expect needs a 'param NAME = infinity' declaration \(line 3, column 1\)",
+        ),
     ]
     for circuit, message in cases:
         ast = parse_circuit(circuit) if isinstance(circuit, str) else circuit
@@ -180,6 +253,18 @@ def test_semantic_errors_surface_as_circuit_errors():
             evaluate_circuit(ast)
     # the declared default is out of range, the bound value is not
     evaluate_circuit(parse_circuit(param_alpha), ParamEnv({"t": 0.5}))
+    # the float64 oracle walks the same statements with its own wiring checks
+    oracle_cases = [
+        (parse_circuit(undefined), r"cannot evaluate alpha: division by zero \(line 3"),
+        (unknown_wire, r"no quantum wire 'nosuch' \(line 4, column 1\)"),
+        (record_as_mode, r"no quantum wire 'm' \(line 4, column 1\)"),
+        (mode_as_record, r"no measurement record 'w' \(line 4, column 1\)"),
+        (unknown_output, r"unknown wire 'nosuch' \(line 4, column 1\)"),
+        (unhandled, r"unhandled statement Stmt \(line 4, column 1\)"),
+    ]
+    for circuit, message in oracle_cases:
+        with pytest.raises(CircuitError, match=message):
+            covariance_oracle(circuit)
 
 
 def test_homodyne_phases_off_a_right_angle_are_flagged():

@@ -218,6 +218,21 @@ def test_handwritten_circuit_declares_its_own_oracle(tmp_path, capsys):
     assert checks["declared limit forms reached"] is False
 
 
+def test_expect_without_an_infinite_parameter_exits_2(tmp_path, capsys):
+    # with nothing declared infinite no limit is taken, so the form is never judged
+    path = tmp_path / "finite.tls"
+    finite = HANDWRITTEN.replace("param s = infinity", "param s = 3")
+    path.write_text(finite + "expect filtered = 1e300*j\n")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: expect needs a 'param NAME = infinity' declaration (line 10")
+    assert "Traceback" not in err
+    # a declared infinite parameter pinned by --param still evaluates
+    path.write_text(HANDWRITTEN + "expect filtered = 1*j\n")
+    assert run_cli(capsys, "verify", str(path), "--param", "s=3")[0] == 0
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 @pytest.mark.parametrize(
     "target", ["2*j", "1*e1", "0.6*j, 0.6*k"], ids=["scaled", "seed-only", "overweight"]
@@ -304,6 +319,38 @@ def test_out_of_range_bindings_exit_2_with_a_message(capsys, monkeypatch, argv, 
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, scale",
+    [
+        (("run", str(MIRROR), "--param", "r=1e6"), None),
+        (("verify", str(MIRROR)), "1e6"),
+    ],
+    ids=["run-r-1e6", "verify-scale-1e6"],
+)
+def test_out_of_range_limit_tables_exit_2_under_every_hash_seed(argv, scale):
+    # regression: complex abs() of inf - inf raised or returned NaN depending
+    # on a stale errno, so the exit code followed the hash seed
+    package_root = str(Path(telesim.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "TELESIM_LIMIT_SCALE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    if scale is not None:
+        env["TELESIM_LIMIT_SCALE"] = scale
+    results = [
+        subprocess.run(
+            [sys.executable, "-m", "telesim.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**env, "PYTHONHASHSEED": seed},
+        )
+        for seed in ("1", "2")
+    ]
+    for proc in results:
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: number out of range")
+    assert results[0].stderr == results[1].stderr
 
 
 def test_out_of_memory_exits_2_with_a_message(capsys, monkeypatch):

@@ -19,7 +19,6 @@ from telesim.elements import (
 from telesim.opalg import (
     ModeEvaluator,
     ModeId,
-    commutator,
     dagger,
     input_mode,
     lin_comb,
@@ -106,8 +105,9 @@ def test_dual_homodyne_canonical_record():
     assert tr[R_ID][1] == pytest.approx(-rt2)
     assert abs(tr[R_ID][0]) < 1e-12
     # records commute with themselves: a legitimate classical channel
-    assert commutator(rec, rec, EMPTY) == pytest.approx(0.0)
-    assert commutator(rec, dagger(rec), EMPTY) == pytest.approx(0.0)
+    ev = ModeEvaluator(EMPTY)
+    assert ev.commutator(rec, rec) == pytest.approx(0.0)
+    assert ev.cross_commutator(rec, rec) == pytest.approx(0.0)
 
 
 def test_displace_adds_scaled_record():
@@ -139,10 +139,11 @@ def test_teleportation_identity_at_unity_gain():
 )
 def test_split_preserves_canonical_pairs(alpha, phi):
     minus, plus = split_modes(T, R, alpha, phi)
-    assert commutator(minus, dagger(minus), EMPTY) == pytest.approx(1.0, abs=1e-10)
-    assert commutator(plus, dagger(plus), EMPTY) == pytest.approx(1.0, abs=1e-10)
-    assert commutator(minus, dagger(plus), EMPTY) == pytest.approx(0.0, abs=1e-10)
-    assert commutator(minus, plus, EMPTY) == pytest.approx(0.0, abs=1e-10)
+    ev = ModeEvaluator(EMPTY)
+    assert ev.cross_commutator(minus, minus) == pytest.approx(1.0, abs=1e-10)
+    assert ev.cross_commutator(plus, plus) == pytest.approx(1.0, abs=1e-10)
+    assert ev.cross_commutator(minus, plus) == pytest.approx(0.0, abs=1e-10)
+    assert ev.commutator(minus, plus) == pytest.approx(0.0, abs=1e-10)
 
 
 @given(
@@ -151,7 +152,8 @@ def test_split_preserves_canonical_pairs(alpha, phi):
 )
 def test_squeezer_preserves_canonical_pairs(g, theta):
     out1, out2 = apply_two_mode_squeezer(T, R, g, theta)
-    assert commutator(out1, dagger(out1), EMPTY) == pytest.approx(1.0, abs=1e-9)
-    assert commutator(out2, dagger(out2), EMPTY) == pytest.approx(1.0, abs=1e-9)
-    assert commutator(out1, out2, EMPTY) == pytest.approx(0.0, abs=1e-9)
-    assert commutator(out1, dagger(out2), EMPTY) == pytest.approx(0.0, abs=1e-9)
+    ev = ModeEvaluator(EMPTY)
+    assert ev.cross_commutator(out1, out1) == pytest.approx(1.0, abs=1e-9)
+    assert ev.cross_commutator(out2, out2) == pytest.approx(1.0, abs=1e-9)
+    assert ev.commutator(out1, out2) == pytest.approx(0.0, abs=1e-9)
+    assert ev.cross_commutator(out1, out2) == pytest.approx(0.0, abs=1e-9)

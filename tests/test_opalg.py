@@ -10,12 +10,9 @@ from telesim.opalg import (
     ModeEvaluator,
     ModeId,
     ModeKind,
-    commutator,
     dagger,
     input_mode,
-    is_proper_mode,
     lin_comb,
-    overlap_with,
     prune_for_display,
     quadrature_variance,
 )
@@ -35,11 +32,12 @@ def test_mode_id_ordering_is_bin_major():
 
 
 def test_canonical_commutators():
-    assert commutator(A, dagger(A), EMPTY) == pytest.approx(1.0)
-    assert commutator(A, A, EMPTY) == 0
-    assert commutator(A, B, EMPTY) == 0
-    assert commutator(A, dagger(B), EMPTY) == 0
-    assert commutator(dagger(A), A, EMPTY) == pytest.approx(-1.0)
+    ev = ModeEvaluator(EMPTY)
+    assert ev.commutator(A, dagger(A)) == pytest.approx(1.0)
+    assert ev.commutator(A, A) == 0
+    assert ev.commutator(A, B) == 0
+    assert ev.commutator(A, dagger(B)) == 0
+    assert ev.commutator(dagger(A), A) == pytest.approx(-1.0)
 
 
 def test_dagger_is_an_involution():
@@ -90,11 +88,13 @@ def test_two_mode_squeezed_difference_quadrature():
 
 
 def test_overlap_and_properness():
-    assert overlap_with(A, A, EMPTY) == pytest.approx(1.0)
-    assert overlap_with(A, B, EMPTY) == 0
-    assert is_proper_mode(A, EMPTY)
-    assert not is_proper_mode(2 * A, EMPTY)
-    assert not is_proper_mode(lin_comb([(1.0, A), (1.0, dagger(A))]), EMPTY)
+    # the overlap of A with T is [A, T^dagger]; a proper mode has [A, A^dagger] = 1
+    ev = ModeEvaluator(EMPTY)
+    assert ev.cross_commutator(A, A) == pytest.approx(1.0)
+    assert ev.cross_commutator(A, B) == 0
+    assert ev.cross_commutator(2 * A, 2 * A) == pytest.approx(4.0)
+    mixed = lin_comb([(1.0, A), (1.0, dagger(A))])
+    assert ev.cross_commutator(mixed, mixed) == 0
 
 
 def test_prune_for_display_drops_dust():
@@ -131,8 +131,9 @@ def test_table_memo_keeps_keyed_expressions_alive():
 )
 def test_commutator_of_annihilator_mixtures_vanishes(ca, cb):
     expr = lin_comb([(ca, A), (cb, B)])
-    assert commutator(expr, expr, EMPTY) == 0
-    norm = commutator(expr, dagger(expr), EMPTY)
+    ev = ModeEvaluator(EMPTY)
+    assert ev.commutator(expr, expr) == 0
+    norm = ev.commutator(expr, dagger(expr))
     assert norm == pytest.approx(ca * ca + cb * cb, abs=1e-12)
 
 

@@ -51,7 +51,7 @@ def test_bogoliubov_rejects_scaled_and_overlapping_sets():
 
 def test_bogoliubov_flags_squeezer_with_wrong_norm():
     bad = lin_comb([(1.0, A), (1.0, dagger(B))])  # cosh^2 - sinh^2 = 0
-    report = check_bogoliubov([bad], ParamEnv({}), tol=1e-10)
+    report = check_bogoliubov({"output0": bad}, ParamEnv({}), tol=1e-10)
     assert not report.passed
     assert report.names == ("output0",)
     assert report.max_deviation == pytest.approx(1.0)
@@ -145,13 +145,6 @@ def test_selectivity_verdicts():
     assert rep.noise_variance_excess["orthogonal"] == pytest.approx(2.0, abs=1e-8)
     rep = selectivity_report(build("nodelay_independent"))
     assert rep.verdict == "neither"
-
-
-def test_selectivity_accepts_explicit_target():
-    po = build("atemporal_telefilter")
-    j0 = input_mode(next(m for m in po.input_registry if m.name == "j0"))
-    rep = selectivity_report(po, target=j0)
-    assert rep.verdict == "mode_selective"
 
 
 def _machine_verify(path: Path) -> tuple[int, dict]:
