@@ -318,26 +318,76 @@ def _collect_params(expr: CoefExpr, found: set[str], seen: set[int]) -> None:
 class Evaluator:
     """Evaluates expressions under one env, memoizing shared subtrees.
 
-    The memo keys on object identity and keeps the keyed expression alive,
-    otherwise a recycled id from a garbage-collected temporary could serve
-    another expression's value.
+    :meth:`eval` walks unmemoized nodes with a stack, operands first, and
+    :meth:`_eval` computes each once. The memo keys on identity and keeps
+    each keyed expression alive, so no recycled id serves a stale value.
+    Entries mark nodes no :class:`Param` reaches as binding-invariant, and
+    ``invariants`` keeps those another binding reads (operands of
+    parameter-dependent nodes, values asked of :meth:`eval`), so evaluators
+    sharing it compute only parameter-dependent nodes. It is valid at
+    ``MP``'s one precision; per-binding precision must key it by precision.
     """
 
     def __init__(self, env: ParamEnv):
         self.env = env
-        self._memo: dict[int, tuple[CoefExpr, mpmath.mpc]] = {}
+        self._memo: dict[int, tuple[CoefExpr, mpmath.mpc, bool]] = {}
+        self.invariants: dict[int, tuple[CoefExpr, mpmath.mpc, bool]] = {}
+        self._walking = False
 
     def eval(self, expr: CoefExpr) -> mpmath.mpc:
-        memo = self._memo
-        key = id(expr)
-        hit = memo.get(key)
-        if hit is not None and hit[0] is expr:
-            return hit[1]
-        result = self._eval(expr)
-        memo[key] = (expr, result)
-        return result
+        entry = self._memo.get(id(expr))
+        if entry is None:
+            self._walking = True
+            try:
+                entry = self._walk(expr)
+            finally:
+                self._walking = False
+        # _eval reads operands through here too; only outside requests are kept
+        if entry[2] and not self._walking:
+            self.invariants[id(expr)] = entry
+        return entry[1]
+
+    def _walk(self, root: CoefExpr) -> tuple[CoefExpr, mpmath.mpc, bool]:
+        memo, invariants = self._memo, self.invariants
+        # a node to expand, or a (node, operands) pair whose operands are done
+        stack: list = [root]
+        while stack:
+            item = stack.pop()
+            if type(item) is tuple:  # popped once, since a node expands once
+                node, operands = item
+                value = self._eval(node)
+                invariant = True
+                for kid in operands:
+                    if not memo[id(kid)][2]:
+                        invariant = False
+                if not invariant:
+                    for kid in operands:
+                        entry = memo[id(kid)]
+                        if entry[2]:
+                            invariants[id(kid)] = entry
+                memo[id(node)] = (node, value, invariant)
+                continue
+            key = id(item)
+            if key in memo:
+                continue
+            if key in invariants:
+                memo[key] = invariants[key]
+                continue
+            cls = type(item)
+            if cls in (Add, Sub, Mul, Div):
+                left, right = item.left, item.right
+                # the first operand is pushed last, so it completes first
+                stack += ((item, (left, right)), right, left)
+                continue
+            kid = item.operand if cls in (Neg, Conj) else item.arg if cls is Call else None
+            if kid is None:
+                memo[key] = (item, self._eval(item), cls is not Param)
+            else:
+                stack += ((item, (kid,)), kid)
+        return memo[id(root)]
 
     def _eval(self, expr: CoefExpr) -> mpmath.mpc:
+        """Value of one node whose operands are all memoized."""
         if isinstance(expr, Num):
             return MP.mpc(expr.value)
         if isinstance(expr, Param):

@@ -54,7 +54,7 @@ from .coeff import (
 )
 from .opalg import ModeKind
 
-_MAX_DEPTH = 200
+_MAX_DEPTH = 100
 
 _TOKEN_RE = re.compile(
     r"""
@@ -117,9 +117,8 @@ class _LineParser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise self.error("unexpected end of line")
+        # every caller has peeked a token first
+        token = self.tokens[self.pos]
         self.pos += 1
         return token
 
@@ -154,22 +153,27 @@ class _LineParser:
         self.next()
         return int(token.text)
 
+    def nested(self, parse) -> CoefExpr:
+        """Parse what the '(' or unary '-' at the cursor opens: one nesting level."""
+        if self.depth >= _MAX_DEPTH:
+            raise self.error("expression too deeply nested")
+        self.next()
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     # expression grammar: expr := term (('+'|'-') term)*
     #                     term := factor (('*'|'/') factor)*
     #                     factor := '-' factor | atom
     def parse_expr(self) -> CoefExpr:
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise self.error("expression too deeply nested")
-        try:
-            node = self.parse_term()
-            while self.at_punct("+") or self.at_punct("-"):
-                op = self.next().text
-                right = self.parse_term()
-                node = Add(node, right) if op == "+" else Sub(node, right)
-            return node
-        finally:
-            self.depth -= 1
+        node = self.parse_term()
+        while self.at_punct("+") or self.at_punct("-"):
+            op = self.next().text
+            right = self.parse_term()
+            node = Add(node, right) if op == "+" else Sub(node, right)
+        return node
 
     def parse_term(self) -> CoefExpr:
         node = self.parse_factor()
@@ -180,16 +184,9 @@ class _LineParser:
         return node
 
     def parse_factor(self) -> CoefExpr:
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise self.error("expression too deeply nested")
-        try:
-            if self.at_punct("-"):
-                self.next()
-                return Neg(self.parse_factor())
-            return self.parse_atom()
-        finally:
-            self.depth -= 1
+        if self.at_punct("-"):
+            return Neg(self.nested(self.parse_factor))
+        return self.parse_atom()
 
     def parse_atom(self) -> CoefExpr:
         token = self.peek()
@@ -199,8 +196,7 @@ class _LineParser:
             self.next()
             return Num(_number_value(token.text))
         if token.kind == "punct" and token.text == "(":
-            self.next()
-            inner = self.parse_expr()
+            inner = self.nested(self.parse_expr)
             self.expect_punct(")")
             return inner
         if token.kind == "ident":
@@ -215,8 +211,7 @@ class _LineParser:
                     raise ParseError(
                         f"function {name!r} requires an argument list", token.line, token.column
                     )
-                self.next()
-                arg = self.parse_expr()
+                arg = self.nested(self.parse_expr)
                 self.expect_punct(")")
                 return Call(name, arg)
             return Param(name)

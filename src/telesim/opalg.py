@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from mpmath.libmp import mpc_add, mpc_conjugate, mpc_mul, mpc_sub, mpf_add, mpf_mul
+
 from .coeff import (
     MP,
     CoefExpr,
@@ -128,28 +130,31 @@ class ModeEvaluator:
     :meth:`bind` returns the session of a derived binding from the same
     family, one session per distinct set of values. A session given
     ``roots`` (an evaluated protocol's ports and records), like every
-    session bound from it, tables them all on creation in one pass through a
-    single scalar :class:`Evaluator`, then drops that evaluator's per-node
-    memo: analyses read the tables, and the memo would only hold memory. A
-    session without roots tables lazily and keeps its memo, so expressions
-    that share subtrees evaluate each node once. :func:`session_for` keeps
-    such a session for the last bare :class:`ParamEnv` it was given, which
-    is how repeated calls under one bare env share it.
+    session bound from it, tables them all on creation through one scalar
+    :class:`Evaluator`, then drops its per-node memo; the family keeps one
+    ``Evaluator.invariants`` with the parameter-free values a later binding
+    reads, so a derived binding computes only parameter-dependent nodes. A
+    session without roots tables lazily and keeps its memo. So does the
+    session, a family of its own, that :func:`session_for` keeps for the
+    last bare :class:`ParamEnv` it was given.
     """
 
     def __init__(self, env: ParamEnv, roots: tuple[ModeExpr, ...] = ()):
         self.env = env
-        self._coef: Evaluator | None = Evaluator(env)
+        self._coef: Evaluator | None = None
+        self._invariants: dict = {}
         self._tables: dict[ModeExpr, NumericTerms] = {}
         self._variances: dict[tuple[ModeExpr, float], object] = {}
         self._roots = tuple(roots)
         # made on the first bind(): the family refers back to this session,
         # and a session that never binds should be freed without the cyclic GC
         self._family: dict[tuple, ModeEvaluator] | None = None
-        if self._roots:
-            for expr in self._roots:
-                self.table(expr)
-            self._coef = None
+        self._table_roots()
+
+    def _table_roots(self) -> None:
+        for expr in self._roots:
+            self.table(expr)
+        self._coef = None
 
     def bind(self, **overrides: float) -> "ModeEvaluator":
         """The family's session for this binding with overrides applied."""
@@ -159,8 +164,11 @@ class ModeEvaluator:
         key = _binding_key(env)
         session = self._family.get(key)
         if session is None:
-            session = ModeEvaluator(env, self._roots)
+            session = ModeEvaluator(env)
+            session._invariants = self._invariants
             session._family = self._family
+            session._roots = self._roots
+            session._table_roots()
             self._family[key] = session
         return session
 
@@ -170,22 +178,30 @@ class ModeEvaluator:
             return cached
         if self._coef is None:
             self._coef = Evaluator(self.env)
+            self._coef.invariants = self._invariants
         ev = self._coef.eval
         result = {m: (ev(c), ev(d)) for m, (c, d) in expr.terms.items()}
         self._tables[expr] = result
         return result
 
+    # Sums on raw mpmath tuples, bit-identical to mpc arithmetic in the same
+    # order; skipping a zero term is exact, as adding zero rounds to itself.
+
     def commutator(self, left: ModeExpr, right: ModeExpr):
-        lt = self.table(left)
-        rt = self.table(right)
-        total = MP.mpc(0)
+        """[left, right] = sum of c*f - d*e over modes in both tables."""
+        prec, rnd = MP._prec_rounding
+        lt, rt = self.table(left), self.table(right)
+        total = _ZERO
         for mode, (c, d) in lt.items():
             other = rt.get(mode)
             if other is None:
                 continue
             e, f = other
-            total += c * f - d * e
-        return total
+            cf = _mul(c._mpc_, f._mpc_, prec, rnd)
+            de = _mul(d._mpc_, e._mpc_, prec, rnd)
+            if cf is not _ZERO or de is not _ZERO:
+                total = mpc_add(total, mpc_sub(cf, de, prec, rnd), prec, rnd)
+        return MP.make_mpc(total)
 
     def cross_commutator(self, left: ModeExpr, right: ModeExpr):
         """[left, right^dagger], read off both tables without building a dagger.
@@ -193,29 +209,50 @@ class ModeEvaluator:
         Exactly ``commutator(left, dagger(right))``: conjugation and negation
         are exact, and the sum runs in the same order.
         """
-        lt = self.table(left)
-        rt = self.table(right)
-        total = MP.mpc(0)
+        prec, rnd = MP._prec_rounding
+        lt, rt = self.table(left), self.table(right)
+        total = _ZERO
         for mode, (c, d) in lt.items():
             other = rt.get(mode)
             if other is None:
                 continue
             e, f = other
-            total += c * MP.conj(e) - d * MP.conj(f)
-        return total
+            ce = _mul(c._mpc_, mpc_conjugate(e._mpc_, prec, rnd), prec, rnd)
+            df = _mul(d._mpc_, mpc_conjugate(f._mpc_, prec, rnd), prec, rnd)
+            if ce is not _ZERO or df is not _ZERO:
+                total = mpc_add(total, mpc_sub(ce, df, prec, rnd), prec, rnd)
+        return MP.make_mpc(total)
 
     def variance(self, expr: ModeExpr, phase: float):
+        """Sum over the table of |e^{-i phase} c + e^{i phase} conj(d)|^2."""
         table = self.table(expr)
         key = (expr, phase)
         if key not in self._variances:
-            fwd = MP.exp(MP.mpc(0, -phase))
-            bwd = MP.exp(MP.mpc(0, phase))
-            total = MP.mpf(0)
+            prec, rnd = MP._prec_rounding
+            fwd = MP.exp(MP.mpc(0, -phase))._mpc_
+            bwd = MP.exp(MP.mpc(0, phase))._mpc_
+            total = _ZERO[0]
             for c, d in table.values():
-                amp = fwd * c + bwd * MP.conj(d)
-                total += amp.real**2 + amp.imag**2
-            self._variances[key] = total
+                fc = _mul(fwd, c._mpc_, prec, rnd)
+                bd = _mul(bwd, mpc_conjugate(d._mpc_, prec, rnd), prec, rnd)
+                if fc is _ZERO and bd is _ZERO:
+                    continue
+                re, im = mpc_add(fc, bd, prec, rnd)
+                squares = mpf_mul(re, re, prec, rnd), mpf_mul(im, im, prec, rnd)
+                total = mpf_add(total, mpf_add(*squares, prec, rnd), prec, rnd)
+            self._variances[key] = MP.make_mpf(total)
         return self._variances[key]
+
+
+_ZERO = MP.mpc(0)._mpc_
+
+
+def _mul(a: tuple, b: tuple, prec: int, rnd: str) -> tuple:
+    """mpc_mul(a, b), or _ZERO itself when a factor is zero and the other finite
+    (inf and nan are the mpfs with a zero mantissa and a nonzero exponent)."""
+    if (a == _ZERO or b == _ZERO) and all(man or not exp for _, man, exp, _ in a + b):
+        return _ZERO
+    return mpc_mul(a, b, prec, rnd)
 
 
 # what the env-taking functions accept: a bare binding or a session

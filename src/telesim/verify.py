@@ -245,6 +245,14 @@ def _sum_rows(parts: list[_Rows]) -> _Rows:
     return _Rows(x, p)
 
 
+def _squeezed_rows(c, s, one: _Rows, two: _Rows) -> tuple[_Rows, _Rows]:
+    # a1' = c a1 + s a2^dagger, a2' = c a2 + s a1^dagger
+    return (
+        _sum_rows([_scaled_rows(c, one), _scaled_rows(s, _dagger_rows(two))]),
+        _sum_rows([_scaled_rows(c, two), _scaled_rows(s, _dagger_rows(one))]),
+    )
+
+
 def _quadrature_row(rows: _Rows, phase: float):
     c, s = math.cos(phase), math.sin(phase)
     return [c * xv + s * pv for xv, pv in zip(rows.x, rows.p)]
@@ -275,6 +283,7 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
     merged, _ = merge_env(circuit, env if env is not None else ParamEnv({}))
     n = 2 * sum(1 for s in circuit.statements if isinstance(s, ModeDecl))
     wires: dict[str, object] = {}
+    outputs: set[str] = set()
     record = CovarianceRecord()
     slot = 0
 
@@ -289,6 +298,11 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
         if not isinstance(wire, _Rows):
             raise CircuitError(f"no quantum wire {name!r}", loc)
         return wire
+
+    def put(name, wire, loc) -> None:
+        if name in wires:
+            raise CircuitError(f"wire {name!r} assigned twice", loc)
+        wires[name] = wire
 
     def classical(name, loc):
         wire = wires.get(name)
@@ -305,7 +319,7 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
             x, p = _zeros(n), _zeros(n)
             x[slot] = 1.0
             p[slot + 1] = 1.0
-            wires[stmt.name] = _Rows(x, p)
+            put(stmt.name, _Rows(x, p), loc)
             slot += 2
         elif isinstance(stmt, SplitStmt):
             alpha = scalar(stmt.alpha, loc, "alpha").real
@@ -315,38 +329,28 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
             t, r = quantum(stmt.in_t, loc), quantum(stmt.in_r, loc)
             down = -1j * complex(math.cos(-phi), math.sin(-phi)) * cross
             up = -1j * complex(math.cos(phi), math.sin(phi)) * cross
-            wires[stmt.out_minus] = _sum_rows(
-                [_scaled_rows(keep, r), _scaled_rows(down, t)]
-            )
-            wires[stmt.out_plus] = _sum_rows(
-                [_scaled_rows(keep, t), _scaled_rows(up, r)]
-            )
+            put(stmt.out_minus, _sum_rows([_scaled_rows(keep, r), _scaled_rows(down, t)]), loc)
+            put(stmt.out_plus, _sum_rows([_scaled_rows(keep, t), _scaled_rows(up, r)]), loc)
         elif isinstance(stmt, SqueezeStmt):
             g = scalar(stmt.gain, loc, "gain").real
             theta = scalar(stmt.phase, loc, "phase").real
             c = math.cosh(g)
             s = complex(math.cos(theta), math.sin(theta)) * math.sinh(g)
             one, two = quantum(stmt.in1, loc), quantum(stmt.in2, loc)
-            wires[stmt.out1] = _sum_rows(
-                [_scaled_rows(c, one), _scaled_rows(s, _dagger_rows(two))]
-            )
-            wires[stmt.out2] = _sum_rows(
-                [_scaled_rows(c, two), _scaled_rows(s, _dagger_rows(one))]
-            )
+            out1, out2 = _squeezed_rows(c, s, one, two)
+            put(stmt.out1, out1, loc)
+            put(stmt.out2, out2, loc)
         elif isinstance(stmt, UnsqueezeStmt):
             g = scalar(stmt.gain, loc, "gain").real
             c, s = math.cosh(g), math.sinh(g)
             one, two = quantum(stmt.in1, loc), quantum(stmt.in2, loc)
-            wires[stmt.out1] = _sum_rows(
-                [_scaled_rows(c, one), _scaled_rows(-s, _dagger_rows(two))]
-            )
-            wires[stmt.out2] = _sum_rows(
-                [_scaled_rows(c, two), _scaled_rows(-s, _dagger_rows(one))]
-            )
+            out1, out2 = _squeezed_rows(c, -s, one, two)
+            put(stmt.out1, out1, loc)
+            put(stmt.out2, out2, loc)
         elif isinstance(stmt, PhaseStmt):
             phi = scalar(stmt.phi, loc, "phi").real
             unit = complex(math.cos(phi), math.sin(phi))
-            wires[stmt.out] = _scaled_rows(unit, quantum(stmt.operand, loc))
+            put(stmt.out, _scaled_rows(unit, quantum(stmt.operand, loc)), loc)
         elif isinstance(stmt, HomodyneStmt):
             xphase = scalar(stmt.xphase, loc, "xphase").real
             pphase = scalar(stmt.pphase, loc, "pphase").real
@@ -355,10 +359,8 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
             half = 1.0 / math.sqrt(2.0)
             total = _sum_rows([_scaled_rows(half, res), _scaled_rows(half, sig)])
             diff = _sum_rows([_scaled_rows(half, sig), _scaled_rows(-half, res)])
-            wires[stmt.out] = (
-                _quadrature_row(diff, xphase),
-                _quadrature_row(total, pphase),
-            )
+            record_rows = (_quadrature_row(diff, xphase), _quadrature_row(total, pphase))
+            put(stmt.out, record_rows, loc)
         elif isinstance(stmt, CombineStmt):
             re_row, im_row = _zeros(n), _zeros(n)
             for weight, name in stmt.terms:
@@ -368,7 +370,7 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
                 _axpy(-w.imag, im_part, re_row)
                 _axpy(w.imag, re_part, im_row)
                 _axpy(w.real, im_part, im_row)
-            wires[stmt.out] = (re_row, im_row)
+            put(stmt.out, (re_row, im_row), loc)
         elif isinstance(stmt, DisplaceStmt):
             zeta = scalar(stmt.gain, loc, "gain")
             base = quantum(stmt.resource, loc)
@@ -379,12 +381,17 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
             _axpy(-2 * zeta.imag, im_part, x)
             _axpy(2 * zeta.imag, re_part, p)
             _axpy(2 * zeta.real, im_part, p)
-            wires[stmt.out] = _Rows(x, p)
+            put(stmt.out, _Rows(x, p), loc)
         elif isinstance(stmt, OutputStmt):
             wire = wires.get(stmt.wire)
             if wire is None:
                 raise CircuitError(f"unknown wire {stmt.wire!r}", loc)
+            if stmt.name in outputs:
+                raise CircuitError(f"output {stmt.name!r} declared twice", loc)
+            outputs.add(stmt.name)
             if isinstance(wire, _Rows):
+                if (stmt.role or "transmitted") not in ("transmitted", "reflected", "tap"):
+                    raise CircuitError(f"unknown output role {stmt.role!r}", loc)
                 record.ports[stmt.name] = wire
         else:
             raise CircuitError(f"unhandled statement {type(stmt).__name__}", loc)

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from telesim.coeff import (
+    ZERO,
+    Add,
     CoefficientError,
     Evaluator,
+    Mul,
+    Num,
+    Param,
     ParamEnv,
     arccosh,
     as_coef,
@@ -26,6 +31,7 @@ from telesim.coeff import (
     sqrt,
     tanh,
 )
+from telesim.opalg import ModeEvaluator, ModeExpr, ModeId
 
 EMPTY = ParamEnv({})
 
@@ -113,6 +119,23 @@ def test_evaluator_memo_keeps_keyed_expressions_alive():
     for k in range(300):
         fresh = param("x") + num(float(k))
         assert complex(ev.eval(fresh)) == 2.0 + k
+
+
+def test_deep_chains_evaluate_without_recursion():
+    # e <- 1 + (-1)*e, built raw so nothing folds: 5,000 operator nodes,
+    # each one level deeper, far past the interpreter's recursion limit
+    steps = 2500
+    chain = Param("x")
+    for _ in range(steps):
+        chain = Add(Num(1), Mul(Num(-1), chain))
+    # an even number of steps maps x back to itself
+    assert complex(Evaluator(ParamEnv({"x": 0.75})).eval(chain)) == 0.75
+    mode = ModeId("a", "r")
+    expr = ModeExpr({mode: (chain, ZERO)})
+    session = ModeEvaluator(ParamEnv({"x": 0.75}), (expr,))
+    for x in (0.75, 2.5):
+        c, d = session.bind(x=x).table(expr)[mode]
+        assert (complex(c), complex(d)) == (x, 0)
 
 
 @given(

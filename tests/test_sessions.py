@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from telesim import cli, verify
 from telesim.circuit import evaluate_circuit
 from telesim.coeff import (
+    MP,
     PI,
     Add,
     Call,
@@ -117,6 +118,77 @@ def test_cross_commutator_is_exactly_the_dagger_commutator(left, right):
     assert got.real._mpf_ == want.real._mpf_ and got.imag._mpf_ == want.imag._mpf_
 
 
+# exact zeros as the circuits produce them, and a non-finite leaf: the tuple
+# kernels skip a product with a zero factor only where that is exact
+ZERO_LEAVES = st.one_of(
+    LEAVES,
+    st.just(Num(0)),
+    LEAVES.map(lambda leaf: Mul(Num(0), leaf)),
+    st.just(Call("ln", Num(0))),
+)
+ZERO_COEFS = st.recursive(
+    ZERO_LEAVES,
+    lambda kids: st.one_of(
+        kids.map(Neg),
+        kids.map(conj),
+        st.tuples(kids, kids).map(lambda pair: Add(*pair)),
+        st.tuples(kids, kids).map(lambda pair: Mul(*pair)),
+    ),
+    max_leaves=4,
+)
+ZERO_MODE_EXPRS = st.dictionaries(
+    st.sampled_from(IDS), st.tuples(ZERO_COEFS, ZERO_COEFS), max_size=3
+).map(ModeExpr)
+
+
+def _object_commutator(ev, left, right):
+    lt, rt = ev.table(left), ev.table(right)
+    total = MP.mpc(0)
+    for mode, (c, d) in lt.items():
+        other = rt.get(mode)
+        if other is None:
+            continue
+        e, f = other
+        total += c * f - d * e
+    return total
+
+
+def _object_cross_commutator(ev, left, right):
+    lt, rt = ev.table(left), ev.table(right)
+    total = MP.mpc(0)
+    for mode, (c, d) in lt.items():
+        other = rt.get(mode)
+        if other is None:
+            continue
+        e, f = other
+        total += c * MP.conj(e) - d * MP.conj(f)
+    return total
+
+
+def _object_variance(ev, expr, phase):
+    fwd = MP.exp(MP.mpc(0, -phase))
+    bwd = MP.exp(MP.mpc(0, phase))
+    total = MP.mpf(0)
+    for c, d in ev.table(expr).values():
+        amp = fwd * c + bwd * MP.conj(d)
+        total += amp.real**2 + amp.imag**2
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(left=ZERO_MODE_EXPRS, right=ZERO_MODE_EXPRS)
+def test_tuple_kernels_are_bit_identical_to_object_arithmetic(left, right):
+    ev = ModeEvaluator(ParamEnv({"x": 0.7, "y": -1.3}))
+    assert _same_mpc(ev.commutator(left, right), _object_commutator(ev, left, right))
+    assert _same_mpc(
+        ev.cross_commutator(left, right), _object_cross_commutator(ev, left, right)
+    )
+    for expr in (left, right):
+        for phase in (0.0, math.pi / 2, 0.3):
+            got = ev.variance(expr, phase)
+            assert got._mpf_ == _object_variance(ev, expr, phase)._mpf_
+
+
 # ---------------------------------------------------------------------------
 # evaluation counts
 
@@ -135,6 +207,32 @@ def _unique_nodes(roots) -> int:
             if isinstance(value, CoefExpr):
                 stack.append(value)
     return len(seen)
+
+
+def _dependent_and_leaf_nodes(roots) -> set[int]:
+    """Ids of the nodes a Param is reachable from, and of every leaf constant."""
+    dependent: set[int] = set()
+    leaves: set[int] = set()
+    done: set[int] = set()
+    stack = list(roots)
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        kids = [getattr(node, f.name) for f in fields(node)]
+        kids = [kid for kid in kids if isinstance(kid, CoefExpr)]
+        pending = [kid for kid in kids if id(kid) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        done.add(id(node))
+        if isinstance(node, Param) or any(id(kid) in dependent for kid in kids):
+            dependent.add(id(node))
+        elif not kids:
+            leaves.add(id(node))
+    return dependent | leaves
 
 
 def _coefficients(expr: ModeExpr):
@@ -160,7 +258,8 @@ def _count_evaluations(monkeypatch, counting=lambda: True) -> Counter:
 def test_verify_evaluates_each_node_once_per_binding(tmp_path, monkeypatch):
     """Every (binding, DAG node) pair reaches Evaluator._eval at most once.
 
-    Loading evaluates statement scalars on its own, and the covariance
+    The root binding evaluates at most every node; a derived binding only
+    the nodes that depend on a parameter, and leaf constants. Loading evaluates statement scalars on its own, and the covariance
     oracle deliberately shares nothing with the sessions, so neither counts.
     """
     path = tmp_path / "nbin8.tls"
@@ -201,7 +300,13 @@ def test_verify_evaluates_each_node_once_per_binding(tmp_path, monkeypatch):
     # root (also the selectivity limit), twice the scale, the probe point
     assert len(bindings) == 3
     assert max(counts.values()) == 1
-    assert sum(counts.values()) <= len(bindings) * _unique_nodes(roots)
+    root = tuple(sorted(protocol.env.values.items()))
+    at_root = [node for binding, node in counts if binding == root]
+    assert len(at_root) <= _unique_nodes(roots)
+    # a derived binding takes every binding-invariant value from the family
+    allowed = _dependent_and_leaf_nodes(roots)
+    for binding, node in counts:
+        assert binding == root or node in allowed, binding
 
 
 # ---------------------------------------------------------------------------
