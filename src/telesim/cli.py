@@ -609,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the scalar evaluator recurses once per level of coefficient nesting
+        # a last guard: the evaluator walks with a stack, the parser caps nesting
         print(
             "error: circuit too deep to evaluate:"
             " coefficient nesting exceeds the interpreter's recursion limit",

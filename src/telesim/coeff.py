@@ -4,7 +4,8 @@ Expressions are small immutable trees (shared freely, so in practice DAGs)
 built from complex constants, parameter references, the imaginary unit, pi,
 arithmetic, and the handful of functions the circuits need. They evaluate
 numerically under a :class:`ParamEnv`; no symbolic simplification happens
-beyond cheap constant folding in the constructors.
+beyond cheap constant folding in the constructors. A node no parameter
+reaches may hold its value outside its dataclass fields (see Evaluator).
 
 Evaluation runs on a dedicated mpmath context with 160 decimal digits.
 Limit checks substitute scales up to twice the default 20, which drives
@@ -65,6 +66,8 @@ class CoefExpr:
     """
 
     __slots__ = ()
+    # a binding-invariant value an Evaluator stored on the node; not a field
+    _value = None
 
     def __add__(self, other):
         return _fold_add(self, as_coef(other))
@@ -321,34 +324,37 @@ class Evaluator:
     :meth:`eval` walks unmemoized nodes with a stack, operands first, and
     :meth:`_eval` computes each once. The memo keys on identity and keeps
     each keyed expression alive, so no recycled id serves a stale value.
-    Entries mark nodes no :class:`Param` reaches as binding-invariant, and
-    ``invariants`` keeps those another binding reads (operands of
-    parameter-dependent nodes, values asked of :meth:`eval`), so evaluators
-    sharing it compute only parameter-dependent nodes. It is valid at
-    ``MP``'s one precision; per-binding precision must key it by precision.
+    Entries mark nodes no :class:`Param` reaches as binding-invariant. Those
+    another binding reads (operands of parameter-dependent nodes, values
+    asked of :meth:`eval` from outside) keep their value on the node once
+    :meth:`eval` returns, never after it raises; every later walk under any
+    env takes it. A stored value is valid at ``MP``'s one precision only.
     """
 
     def __init__(self, env: ParamEnv):
         self.env = env
         self._memo: dict[int, tuple[CoefExpr, mpmath.mpc, bool]] = {}
-        self.invariants: dict[int, tuple[CoefExpr, mpmath.mpc, bool]] = {}
         self._walking = False
 
     def eval(self, expr: CoefExpr) -> mpmath.mpc:
         entry = self._memo.get(id(expr))
+        if self._walking:  # _eval reading an operand the walk memoized
+            return entry[1]
         if entry is None:
             self._walking = True
             try:
-                entry = self._walk(expr)
+                entry, kept = self._walk(expr)
             finally:
                 self._walking = False
-        # _eval reads operands through here too; only outside requests are kept
-        if entry[2] and not self._walking:
-            self.invariants[id(expr)] = entry
+            for node, value, invariant in kept:
+                if invariant:
+                    object.__setattr__(node, "_value", value)
+        if entry[2]:
+            object.__setattr__(expr, "_value", entry[1])
         return entry[1]
 
-    def _walk(self, root: CoefExpr) -> tuple[CoefExpr, mpmath.mpc, bool]:
-        memo, invariants = self._memo, self.invariants
+    def _walk(self, root: CoefExpr) -> tuple[tuple, list[tuple]]:
+        memo, kept = self._memo, []  # kept: operands of parameter-dependent nodes
         # a node to expand, or a (node, operands) pair whose operands are done
         stack: list = [root]
         while stack:
@@ -356,22 +362,17 @@ class Evaluator:
             if type(item) is tuple:  # popped once, since a node expands once
                 node, operands = item
                 value = self._eval(node)
-                invariant = True
-                for kid in operands:
-                    if not memo[id(kid)][2]:
-                        invariant = False
+                first, last = memo[id(operands[0])], memo[id(operands[-1])]
+                invariant = first[2] and last[2]
                 if not invariant:
-                    for kid in operands:
-                        entry = memo[id(kid)]
-                        if entry[2]:
-                            invariants[id(kid)] = entry
+                    kept += (first, last)
                 memo[id(node)] = (node, value, invariant)
                 continue
             key = id(item)
             if key in memo:
                 continue
-            if key in invariants:
-                memo[key] = invariants[key]
+            if item._value is not None:
+                memo[key] = (item, item._value, True)
                 continue
             cls = type(item)
             if cls in (Add, Sub, Mul, Div):
@@ -384,7 +385,7 @@ class Evaluator:
                 memo[key] = (item, self._eval(item), cls is not Param)
             else:
                 stack += ((item, (kid,)), kid)
-        return memo[id(root)]
+        return memo[id(root)], kept
 
     def _eval(self, expr: CoefExpr) -> mpmath.mpc:
         """Value of one node whose operands are all memoized."""
@@ -422,8 +423,9 @@ class Evaluator:
 def evaluate_mp(expr: CoefExpr, env: ParamEnv) -> mpmath.mpc:
     """One-off high-precision evaluation through a throwaway Evaluator.
 
-    Batches share an Evaluator; analyses of an evaluated circuit read the
-    tables of its per-binding sessions (``ProtocolOutput.evaluator()``).
+    It still reads and stores binding-invariant values on the nodes. Analyses
+    of an evaluated circuit read the tables of its per-binding sessions
+    (``ProtocolOutput.evaluator()``).
     """
     return Evaluator(env).eval(expr)
 

@@ -128,21 +128,19 @@ class ModeEvaluator:
     by the expression object itself (expressions compare by identity), so
     every analysis that draws from the same session reuses them.
     :meth:`bind` returns the session of a derived binding from the same
-    family, one session per distinct set of values. A session given
-    ``roots`` (an evaluated protocol's ports and records), like every
-    session bound from it, tables them all on creation through one scalar
-    :class:`Evaluator`, then drops its per-node memo; the family keeps one
-    ``Evaluator.invariants`` with the parameter-free values a later binding
-    reads, so a derived binding computes only parameter-dependent nodes. A
-    session without roots tables lazily and keeps its memo. So does the
-    session, a family of its own, that :func:`session_for` keeps for the
-    last bare :class:`ParamEnv` it was given.
+    family, one session per distinct set of values; a family shares only
+    its sessions and their tables. A session given ``roots`` (an evaluated
+    protocol's ports and records), like every session bound from it,
+    tables them all on creation through one scalar :class:`Evaluator`, then
+    drops its per-node memo. A session without roots tables lazily and
+    keeps its memo. So does the session, a family of its own, that
+    :func:`session_for` keeps for the last bare :class:`ParamEnv` it was
+    given. Parameter-free values come from the nodes (see :class:`Evaluator`).
     """
 
     def __init__(self, env: ParamEnv, roots: tuple[ModeExpr, ...] = ()):
         self.env = env
         self._coef: Evaluator | None = None
-        self._invariants: dict = {}
         self._tables: dict[ModeExpr, NumericTerms] = {}
         self._variances: dict[tuple[ModeExpr, float], object] = {}
         self._roots = tuple(roots)
@@ -165,7 +163,6 @@ class ModeEvaluator:
         session = self._family.get(key)
         if session is None:
             session = ModeEvaluator(env)
-            session._invariants = self._invariants
             session._family = self._family
             session._roots = self._roots
             session._table_roots()
@@ -178,7 +175,6 @@ class ModeEvaluator:
             return cached
         if self._coef is None:
             self._coef = Evaluator(self.env)
-            self._coef.invariants = self._invariants
         ev = self._coef.eval
         result = {m: (ev(c), ev(d)) for m, (c, d) in expr.terms.items()}
         self._tables[expr] = result
@@ -268,9 +264,10 @@ def session_for(binding: Binding) -> ModeEvaluator:
 
     A bare env gets the session made for the last bare env given here when
     it is that same object, otherwise a new session that replaces it. So
-    calls that keep passing one env share its tables and scalar memo. The
-    match is by identity: equal values with another limit scale are another
-    binding to the analyses that read the scale.
+    calls that keep passing one env share its tables and scalar memo; every
+    env reads the parameter-free values stored on the nodes. The match is by
+    identity: equal values with another limit scale are another binding to
+    the analyses that read the scale.
     """
     global _last_bare
     if isinstance(binding, ModeEvaluator):

@@ -6,9 +6,10 @@ import io
 import math
 import weakref
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from telesim import cli, verify
@@ -19,17 +20,21 @@ from telesim.coeff import (
     Add,
     Call,
     CoefExpr,
+    CoefficientError,
     Conj,
+    Div,
     Evaluator,
     I,
+    ImagUnit,
     Mul,
     Neg,
     Num,
     Param,
     ParamEnv,
+    Sub,
     conj,
 )
-from telesim.dsl import parse_circuit
+from telesim.dsl import format_coef, parse_circuit, serialize_circuit
 from telesim.opalg import (
     ModeEvaluator,
     ModeExpr,
@@ -39,9 +44,15 @@ from telesim.opalg import (
     session_for,
 )
 from telesim.protocols import protocol_text
-from telesim.verify import check_bogoliubov, limit_coefficients
+from telesim.verify import (
+    check_bogoliubov,
+    covariance_oracle,
+    limit_coefficients,
+    verify_suite,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "src" / "telesim" / "golden"
+GOLDENS = sorted(path.stem for path in GOLDEN_DIR.glob("*.tls"))
 
 
 def _golden(name: str):
@@ -193,24 +204,34 @@ def test_tuple_kernels_are_bit_identical_to_object_arithmetic(left, right):
 # evaluation counts
 
 
-def _unique_nodes(roots) -> int:
+def _nodes(roots) -> list:
     """Distinct coefficient nodes reachable from roots, walked iteratively."""
-    seen: set[int] = set()
+    seen: dict[int, CoefExpr] = {}
     stack = list(roots)
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
-        seen.add(id(node))
+        seen[id(node)] = node
         for f in fields(node):
             value = getattr(node, f.name)
             if isinstance(value, CoefExpr):
                 stack.append(value)
-    return len(seen)
+    return list(seen.values())
+
+
+def _unique_nodes(roots) -> int:
+    return len(_nodes(roots))
 
 
 def _dependent_and_leaf_nodes(roots) -> set[int]:
     """Ids of the nodes a Param is reachable from, and of every leaf constant."""
+    dependent, leaves = _param_reached_and_leaf_nodes(roots)
+    return dependent | leaves
+
+
+def _param_reached_and_leaf_nodes(roots) -> tuple[set[int], set[int]]:
+    """Ids of the nodes a Param is reachable from; ids of the leaf constants."""
     dependent: set[int] = set()
     leaves: set[int] = set()
     done: set[int] = set()
@@ -232,7 +253,7 @@ def _dependent_and_leaf_nodes(roots) -> set[int]:
             dependent.add(id(node))
         elif not kids:
             leaves.add(id(node))
-    return dependent | leaves
+    return dependent, leaves
 
 
 def _coefficients(expr: ModeExpr):
@@ -303,7 +324,7 @@ def test_verify_evaluates_each_node_once_per_binding(tmp_path, monkeypatch):
     root = tuple(sorted(protocol.env.values.items()))
     at_root = [node for binding, node in counts if binding == root]
     assert len(at_root) <= _unique_nodes(roots)
-    # a derived binding takes every binding-invariant value from the family
+    # a derived binding takes every binding-invariant value stored on the nodes
     allowed = _dependent_and_leaf_nodes(roots)
     for binding, node in counts:
         assert binding == root or node in allowed, binding
@@ -314,26 +335,40 @@ def test_verify_evaluates_each_node_once_per_binding(tmp_path, monkeypatch):
 
 
 def test_audit_under_one_bare_env_evaluates_each_node_once_per_binding(monkeypatch):
-    """Library calls that keep passing one bare env share its session."""
+    """Library calls that keep passing one bare env share its session.
+
+    Only the circuit's first binding evaluates parameter-free nodes: every
+    later binding, under this env or a new one, reads their values off the
+    nodes and evaluates exactly the nodes a Param reaches.
+    """
     protocol = _golden("delayed_telemirror")
-    env = protocol.env.bind(r=1.3, s=0.9)
-    counts = _count_evaluations(monkeypatch)
-
-    check_bogoliubov(protocol.quantum_ports(), env)
-    for expr in protocol.all_ports().values():
-        for phase in (0.0, math.pi / 2):
-            quadrature_variance(expr, phase, env)
-    for expr in protocol.quantum_ports().values():
-        limit_coefficients(expr, protocol.limit_params, env)
-
     roots = []
     for expr in protocol.all_ports().values():
         roots += _coefficients(expr)
-    bindings = {binding for binding, _ in counts}
-    # the env itself, the limit scale and twice the limit scale
-    assert len(bindings) == 3
-    assert max(counts.values()) == 1
-    assert sum(counts.values()) <= len(bindings) * _unique_nodes(roots)
+    dependent, _ = _param_reached_and_leaf_nodes(roots)
+    counts = _count_evaluations(monkeypatch)
+    first = None
+    for r, s in ((1.3, 0.9), (0.4, 2.1), (1.7, 0.2)):
+        env = protocol.env.bind(r=r, s=s)
+        counts.clear()
+        check_bogoliubov(protocol.quantum_ports(), env)
+        for expr in protocol.all_ports().values():
+            for phase in (0.0, math.pi / 2):
+                quadrature_variance(expr, phase, env)
+        for expr in protocol.quantum_ports().values():
+            limit_coefficients(expr, protocol.limit_params, env)
+
+        bindings = {binding for binding, _ in counts}
+        # the env itself, the limit scale and twice the limit scale
+        assert len(bindings) == 3
+        assert max(counts.values()) == 1
+        assert sum(counts.values()) <= len(bindings) * _unique_nodes(roots)
+        here = tuple(sorted(env.values.items()))
+        first = first or here
+        for binding, node in counts:
+            assert binding == first or node in dependent, binding
+        if here != first:
+            assert {node for binding, node in counts if binding == here} == dependent
 
 
 def test_equal_values_with_another_limit_scale_are_another_binding():
@@ -387,3 +422,125 @@ def test_bare_env_session_is_released_once_another_env_is_used():
     check_bogoliubov(ports, second)
     gc.collect()
     assert session() is None
+
+
+# ---------------------------------------------------------------------------
+# binding-invariant values stored on the nodes
+
+
+def _named_exprs(protocol) -> dict:
+    named = {f"port {name}": expr for name, expr in protocol.all_ports().items()}
+    named.update({f"record {name}": expr for name, expr in protocol.classical.items()})
+    named.update({f"expect {n}": e for n, e in (protocol.expected_limit or {}).items()})
+    if protocol.target is not None:
+        named["target"] = protocol.target
+    return named
+
+
+def _assert_same_tables(session, fresh, protocol, copy) -> None:
+    want_exprs = _named_exprs(copy)
+    for name, expr in _named_exprs(protocol).items():
+        got, want = session.table(expr), fresh.table(want_exprs[name])
+        assert got.keys() == want.keys(), name
+        for mode, (c, d) in got.items():
+            assert _same_mpc(c, want[mode][0]) and _same_mpc(d, want[mode][1]), name
+
+
+def _assert_oracle_agrees(protocol, env, variance) -> None:
+    record = covariance_oracle(protocol.circuit, env)
+    for name, expr in protocol.all_ports().items():
+        for phase in (0.0, math.pi / 2):
+            op_side, cov_side = variance(expr, phase), record.variance(name, phase)
+            scale = max(1.0, abs(op_side), abs(cov_side))
+            assert abs(op_side - cov_side) / scale <= 1e-10, (name, phase)
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_a_later_binding_is_bit_identical_to_a_fresh_copy(name):
+    """Values stored under binding A leave binding B exactly as a copy of the
+    circuit evaluated only under B, in family sessions and bare envs alike."""
+    family, bare, copy = _golden(name), _golden(name), _golden(name)
+    params = sorted(copy.limit_params)
+    a = dict(zip(params, (1.3, 0.8)))
+    b = dict(zip(params, (0.45, 2.05)))
+    copy.env = copy.env.bind(**b)
+    fresh = copy.evaluator()
+
+    session = family.evaluator().bind(**a).bind(**b)
+    _assert_same_tables(session, fresh, family, copy)
+    _assert_oracle_agrees(family, session.env, lambda e, p: float(session.variance(e, p)))
+
+    env_a, env_b = bare.env.bind(**a), bare.env.bind(**b)
+    for env in (env_a, env_b):
+        _assert_oracle_agrees(bare, env, lambda e, p: quadrature_variance(e, p, env))
+    _assert_same_tables(session_for(env_b), fresh, bare, copy)
+
+
+def _coefs_in(value, found: list) -> list:
+    """Every CoefExpr held by a circuit AST, through its statements' fields."""
+    if isinstance(value, CoefExpr):
+        found.append(value)
+    elif is_dataclass(value):
+        for f in fields(value):
+            _coefs_in(getattr(value, f.name), found)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _coefs_in(item, found)
+    return found
+
+
+def _all_nodes(protocol) -> list:
+    roots = _coefs_in(protocol.circuit, [])
+    for expr in _named_exprs(protocol).values():
+        roots += _coefficients(expr)
+    return _nodes(roots)
+
+
+def _appearance(nodes) -> list:
+    seen = []
+    for node in nodes:
+        try:
+            text = format_coef(node)
+        except ValueError as exc:
+            text = repr(exc)
+        seen.append((repr(node), hash(node), [f.name for f in fields(node)], text))
+    return seen
+
+
+def test_stored_values_are_invisible():
+    protocol, copy = _golden("delayed_telemirror"), _golden("delayed_telemirror")
+    nodes = _all_nodes(protocol)
+    before = _appearance(nodes)
+
+    assert verify_suite(protocol).all_passed
+    assert _appearance(nodes) == before
+    assert nodes == _all_nodes(copy)
+    text = serialize_circuit(protocol.circuit)
+    assert serialize_circuit(parse_circuit(text)) == text == serialize_circuit(copy.circuit)
+    dependent, _ = _param_reached_and_leaf_nodes(nodes)
+    stored = [node for node in nodes if "_value" in vars(node)]
+    assert stored
+    assert not [node for node in stored if id(node) in dependent]
+
+
+def _stored(root) -> list:
+    return [node for node in _nodes([root]) if "_value" in vars(node)]
+
+
+def test_a_failed_evaluation_stores_no_value():
+    def build():
+        # numerator: a constant phase times x, plus 2; denominator y - 1.
+        # Fresh nodes throughout: the shared I may hold a value already.
+        phase = Call("exp", Mul(ImagUnit(), Num(0.3)))
+        top = Add(Mul(phase, Param("x")), Num(2))
+        return Div(top, Sub(Param("y"), Num(1)))
+
+    expr = build()
+    failing = (({"x": 0.5}, "unbound parameter 'y'"), ({"x": 0.5, "y": 1.0}, "division by zero"))
+    for env, message in failing:
+        with pytest.raises(CoefficientError, match=message):
+            Evaluator(ParamEnv(env)).eval(expr)
+        assert not _stored(expr)
+    good = ParamEnv({"x": 0.5, "y": 3.0})
+    assert _same_mpc(Evaluator(good).eval(expr), Evaluator(good).eval(build()))
+    assert _stored(expr)
