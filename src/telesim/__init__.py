@@ -19,7 +19,7 @@ from .circuit import (
     evaluate_circuit,
     merge_env,
 )
-from .coeff import CoefExpr, CoefficientError, ParamEnv, evaluate, evaluate_mp
+from .coeff import CoefExpr, CoefficientError, ParamEnv, evaluate
 from .dsl import ParseError, format_number, parse_circuit, serialize_circuit
 from .opalg import (
     ModeEvaluator,
@@ -76,7 +76,6 @@ __all__ = [
     "dagger",
     "evaluate",
     "evaluate_circuit",
-    "evaluate_mp",
     "format_number",
     "input_mode",
     "limit_coefficients",

@@ -7,7 +7,9 @@ and limits never consult the protocol registry: a file's ``target`` and
 
 Subcommands: run (evaluate a circuit file and report), verify (the
 :func:`~telesim.verify.verify_suite` checks, nonzero exit on any failure),
-protocols list / protocols build (registry access), limits (push declared
+protocols list / protocols build (the registry's builders: list reads each
+signature and docstring summary, build types ``--param`` values by the
+annotations and writes the circuit text unevaluated), limits (push declared
 scale parameters). Reports come in two formats: text tables for reading
 and a machine form whose bytes are deterministic, with sorted keys, 12
 significant digits and no negative zero, so golden files stay stable.
@@ -23,16 +25,19 @@ declared infinite.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
+import types
+import typing
 from dataclasses import dataclass
 
 from . import __version__, protocols
 from .circuit import CircuitError, ProtocolOutput, evaluate_circuit
 from .coeff import CoefficientError, ParamEnv
-from .dsl import ParseError, parse_circuit, serialize_circuit
+from .dsl import ParseError, parse_circuit
 from .opalg import (
     DISPLAY_THRESHOLD,
     ModeEvaluator,
@@ -478,51 +483,53 @@ def _limits_command(args) -> int:
 
 def _protocols_list_command(args) -> int:
     rows = [["name", "arguments", "summary"]]
-    for name, info in protocols.PROTOCOLS.items():
+    for name, builder in protocols.PROTOCOLS.items():
         pieces = []
-        for spec in info.args:
-            default = spec.default
+        for arg in inspect.signature(builder).parameters.values():
+            default = arg.default
             if isinstance(default, tuple):
                 default = ",".join(f"{v:g}" for v in default)
-            pieces.append(f"{spec.name}={default}")
-        rows.append([name, " ".join(pieces) or "-", info.summary])
+            pieces.append(f"{arg.name}={default}")
+        summary = (builder.__doc__ or "").partition("\n")[0]  # None under python -OO
+        rows.append([name, " ".join(pieces) or "-", summary])
     sys.stdout.write("\n".join(_table(rows, indent="")) + "\n")
     return 0
 
 
-def _parse_protocol_args(info, items: list[str]) -> dict:
-    specs = {spec.name: spec for spec in info.args}
+def _parse_protocol_args(builder, items: list[str]) -> dict:
+    """Each NAME=VALUE typed by the builder's annotation of NAME: int, float
+    and str convert the text, a list or tuple (also ``| None``) is a
+    comma-separated float list."""
+    params = inspect.signature(builder).parameters
+    hints = typing.get_type_hints(builder)
     parsed: dict[str, object] = {}
     for item in items:
         key, sep, raw = item.partition("=")
-        if not sep or key not in specs:
-            known = ", ".join(specs) or "none"
+        if not sep or key not in params:
+            known = ", ".join(params) or "none"
             raise _UsageError(
                 f"unknown protocol argument {key!r} (takes: {known})"
             )
-        spec = specs[key]
+        hint = hints[key]
+        if isinstance(hint, types.UnionType):
+            hint = typing.get_args(hint)[0]
         try:
-            if spec.kind == "int":
-                parsed[key] = int(raw)
-            elif spec.kind == "float":
-                parsed[key] = float(raw)
-            elif spec.kind == "float_list":
+            if typing.get_origin(hint) in (list, tuple):
                 parsed[key] = tuple(float(v) for v in raw.split(",") if v)
             else:
-                parsed[key] = raw
+                parsed[key] = hint(raw)
         except ValueError:
             raise _UsageError(f"bad value for {key!r}: {raw!r}")
     return parsed
 
 
 def _protocols_build_command(args) -> int:
-    info = protocols.PROTOCOLS.get(args.name)
-    if info is None:
+    builder = protocols.PROTOCOLS.get(args.name)
+    if builder is None:
         known = ", ".join(protocols.PROTOCOLS)
         raise _UsageError(f"unknown protocol {args.name!r} (known: {known})")
-    overrides = _parse_protocol_args(info, args.param or [])
-    protocol = protocols.build(args.name, **overrides)
-    _write_out(serialize_circuit(protocol.circuit), args.out)
+    overrides = _parse_protocol_args(builder, args.param or [])
+    _write_out(protocols.protocol_text(args.name, **overrides), args.out)
     return 0
 
 

@@ -170,7 +170,6 @@ class Call(CoefExpr):
             raise CoefficientError(f"unknown function {self.func!r}")
 
 
-PI = PiConst()
 I = ImagUnit()
 ZERO = Num(0)
 ONE = Num(1)
@@ -238,14 +237,6 @@ def _fold_neg(a: "CoefExpr") -> "CoefExpr":
     return Neg(a)
 
 
-def num(value) -> Num:
-    return Num(value)
-
-
-def param(name: str) -> Param:
-    return Param(name)
-
-
 def as_coef(value) -> CoefExpr:
     if isinstance(value, CoefExpr):
         return value
@@ -276,26 +267,6 @@ def cosh(expr) -> CoefExpr:
 
 def sinh(expr) -> CoefExpr:
     return Call("sinh", as_coef(expr))
-
-
-def tanh(expr) -> CoefExpr:
-    return Call("tanh", as_coef(expr))
-
-
-def sech(expr) -> CoefExpr:
-    return Call("sech", as_coef(expr))
-
-
-def exp(expr) -> CoefExpr:
-    return Call("exp", as_coef(expr))
-
-
-def ln(expr) -> CoefExpr:
-    return Call("ln", as_coef(expr))
-
-
-def arccosh(expr) -> CoefExpr:
-    return Call("arccosh", as_coef(expr))
 
 
 def cis(phase) -> CoefExpr:
@@ -420,21 +391,12 @@ class Evaluator:
         raise CoefficientError(f"cannot evaluate {expr!r}")
 
 
-def evaluate_mp(expr: CoefExpr, env: ParamEnv) -> mpmath.mpc:
-    """One-off high-precision evaluation through a throwaway Evaluator.
+def evaluate(expr: CoefExpr, env: ParamEnv) -> complex:
+    """One-off evaluation through a throwaway Evaluator, as a double.
 
     It still reads and stores binding-invariant values on the nodes. Analyses
     of an evaluated circuit read the tables of its per-binding sessions
-    (``ProtocolOutput.evaluator()``).
+    (``ProtocolOutput.evaluator()``). mpmath saturates out-of-range
+    magnitudes to signed inf and underflows them to zero on the way out.
     """
-    return Evaluator(env).eval(expr)
-
-
-def to_complex(value: mpmath.mpc) -> complex:
-    """mpmath boundary conversion; mpmath itself saturates out-of-range
-    magnitudes to signed inf and underflows them to zero."""
-    return complex(value)
-
-
-def evaluate(expr: CoefExpr, env: ParamEnv) -> complex:
-    return to_complex(evaluate_mp(expr, env))
+    return complex(Evaluator(env).eval(expr))

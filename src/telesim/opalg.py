@@ -10,6 +10,7 @@ expression object it is given.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,13 +18,13 @@ from mpmath.libmp import mpc_add, mpc_conjugate, mpc_mul, mpc_sub, mpf_add, mpf_
 
 from .coeff import (
     MP,
+    ONE,
     CoefExpr,
     Evaluator,
     ParamEnv,
     ZERO,
     as_coef,
     conj,
-    to_complex,
 )
 
 
@@ -85,8 +86,6 @@ class ModeExpr:
 
 
 def input_mode(mode_id: ModeId) -> ModeExpr:
-    from .coeff import ONE
-
     return ModeExpr({mode_id: (ONE, ZERO)})
 
 
@@ -225,8 +224,7 @@ class ModeEvaluator:
         key = (expr, phase)
         if key not in self._variances:
             prec, rnd = MP._prec_rounding
-            fwd = MP.exp(MP.mpc(0, -phase))._mpc_
-            bwd = MP.exp(MP.mpc(0, phase))._mpc_
+            fwd, bwd = _phase_factors(phase)
             total = _ZERO[0]
             for c, d in table.values():
                 fc = _mul(fwd, c._mpc_, prec, rnd)
@@ -241,6 +239,14 @@ class ModeEvaluator:
 
 
 _ZERO = MP.mpc(0)._mpc_
+
+
+@functools.lru_cache(maxsize=64)
+def _phase_factors(phase: float) -> tuple[tuple, tuple]:
+    """Raw e^{-i phase} and e^{i phase} at ``MP``'s one precision, made once
+    per phase. ROADMAP item 3's per-binding precision must key them by the
+    precision too, or a 240-digit session would read 160-digit factors."""
+    return MP.exp(MP.mpc(0, -phase))._mpc_, MP.exp(MP.mpc(0, phase))._mpc_
 
 
 def _mul(a: tuple, b: tuple, prec: int, rnd: str) -> tuple:
@@ -296,7 +302,7 @@ def prune_for_display(expr: ModeExpr, env: Binding):
     """
     table = {}
     for mode, (c, d) in session_for(env).table(expr).items():
-        cc, dc = to_complex(c), to_complex(d)
+        cc, dc = complex(c), complex(d)
         if abs(cc) <= DISPLAY_THRESHOLD and abs(dc) <= DISPLAY_THRESHOLD:
             continue
         table[mode] = (cc, dc)

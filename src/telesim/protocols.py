@@ -1,12 +1,18 @@
 """Builders for the telefilter and telemirror circuit family.
 
-Each builder assembles a circuit statement by statement and evaluates
-it. The circuit ends with the oracle its analyses judge it against: the
-target mode (``target``) and the closed-form limit each port is designed
-to reach (``expect``). Every builder returns the evaluated circuit as is,
-so the statement list is the single source of truth: the text fixtures
-under golden/ are these same circuits serialized, oracle included, and
-each equals ``protocol_text(name)`` byte for byte.
+Each builder assembles a circuit statement by statement and returns the
+:class:`CircuitAst` it wrote; :func:`build` is the one place a registry
+circuit is evaluated. The circuit ends with the oracle its analyses judge
+it against: the target mode (``target``) and the closed-form limit each
+port is designed to reach (``expect``). The statement list is the single
+source of truth: the text fixtures under golden/ are these same circuits
+serialized, oracle included, and each equals ``protocol_text(name)`` byte
+for byte, which serializes without evaluating.
+
+A builder is its own registry entry: its signature gives the argument
+names and defaults, its annotations the types ``telesim protocols build``
+parses, and the first line of its docstring the summary ``telesim
+protocols list`` shows.
 
 Numeric arguments are baked into the statements as literals; only the
 squeezing strengths stay symbolic (declared infinite) so the same
@@ -16,8 +22,8 @@ circuit can be evaluated at any strength or pushed toward the limit.
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -54,6 +60,7 @@ from .coeff import (
     PiConst,
     Sub,
 )
+from .dsl import serialize_circuit
 from .opalg import ModeKind
 
 _HALF_PI = math.pi / 2
@@ -211,8 +218,8 @@ class _Circ:
     def __init__(self, name: str, args: list[tuple[str, object]]):
         self.stmts: list[Stmt] = [ProtocolDecl(BUILTIN_LOC, name, tuple(args))]
 
-    def param(self, name: str, value: float | None = None, infinite: bool = False):
-        self.stmts.append(ParamDecl(BUILTIN_LOC, name, value, infinite))
+    def infinite(self, name: str):
+        self.stmts.append(ParamDecl(BUILTIN_LOC, name, None, True))
 
     def mode(self, kind: ModeKind, name: str, rail: str, time_bin: int = 0):
         self.stmts.append(ModeDecl(BUILTIN_LOC, kind, name, rail, time_bin))
@@ -244,8 +251,8 @@ class _Circ:
     def combine(self, out, terms: list[tuple[CoefExpr, str]]):
         self.stmts.append(CombineStmt(BUILTIN_LOC, out, tuple(terms)))
 
-    def displace(self, out, resource, record, gain: CoefExpr, claimed_bin: int | None = None):
-        self.stmts.append(DisplaceStmt(BUILTIN_LOC, out, resource, record, gain, claimed_bin))
+    def displace(self, out, resource, record, gain: CoefExpr):
+        self.stmts.append(DisplaceStmt(BUILTIN_LOC, out, resource, record, gain, None))
 
     def output(self, name, wire, slot_bin: int | None = None, role: str | None = None):
         self.stmts.append(OutputStmt(BUILTIN_LOC, name, wire, slot_bin, role))
@@ -256,8 +263,8 @@ class _Circ:
     def expect(self, port: str, terms: list[tuple[complex, str]]):
         self.stmts.append(ExpectStmt(BUILTIN_LOC, port, _form(terms)))
 
-    def finish(self) -> ProtocolOutput:
-        return evaluate_circuit(CircuitAst(tuple(self.stmts)))
+    def finish(self) -> CircuitAst:
+        return CircuitAst(tuple(self.stmts))
 
 
 def _check_choice(value: str, allowed: tuple[str, ...], what: str) -> None:
@@ -278,8 +285,8 @@ def _canonical_phase(phi: float) -> bool:
 # single-mode protocols
 
 
-def build_atemporal_telefilter(gain_mode: str = "unity") -> ProtocolOutput:
-    """Teleport one wavepacket mode through measure-and-displace.
+def build_atemporal_telefilter(gain_mode: str = "unity") -> CircuitAst:
+    """single-mode teleporter, measure and displace
 
     With unit gain the output reproduces the addressed mode exactly up
     to entanglement noise that vanishes with squeezing; the tanh gain
@@ -288,7 +295,7 @@ def build_atemporal_telefilter(gain_mode: str = "unity") -> ProtocolOutput:
     """
     _check_choice(gain_mode, ("unity", "tanh"), "gain_mode")
     c = _Circ("atemporal_telefilter", [("gain_mode", gain_mode)])
-    c.param("s", infinite=True)
+    c.infinite("s")
     c.mode(_SEED, "e1", "source")
     c.mode(_SEED, "e2", "source")
     c.mode(_SIGNAL, "j0", "input")
@@ -310,8 +317,8 @@ def build_atemporal_telefilter(gain_mode: str = "unity") -> ProtocolOutput:
     return c.finish()
 
 
-def build_atemporal_telemirror(gain_mode: str = "unity") -> ProtocolOutput:
-    """Amplify-and-tap variant that also reconstructs its resources.
+def build_atemporal_telemirror(gain_mode: str = "unity") -> CircuitAst:
+    """single-mode teleporter, amplify and tap, resources recovered
 
     The reflected pair is undone twice (against the local and the
     resource squeezer) and re-squeezed at arccosh(5/4), which lands the
@@ -321,14 +328,14 @@ def build_atemporal_telemirror(gain_mode: str = "unity") -> ProtocolOutput:
     """
     _check_choice(gain_mode, ("unity", "matched"), "gain_mode")
     c = _Circ("atemporal_telemirror", [("gain_mode", gain_mode)])
-    c.param("s", infinite=True)
+    c.infinite("s")
     matched = gain_mode == "matched"
     if matched:
         crystal = _S
         eta: CoefExpr = Div(Num(2), Add(Num(3), Call("cosh", Mul(Num(2), _S))))
         residual_gain: CoefExpr = Sub(Mul(Num(2), _S), Call("arccosh", Div(Num(5), Num(4))))
     else:
-        c.param("r", infinite=True)
+        c.infinite("r")
         crystal = _R
         eta = Mul(Call("sech", _R), Call("sech", _R))
         residual_gain = Sub(Add(_R, _S), Call("arccosh", Div(Num(5), Num(4))))
@@ -367,12 +374,9 @@ def build_atemporal_telemirror(gain_mode: str = "unity") -> ProtocolOutput:
 # two-bin protocols, delayed feed-forward
 
 
-def _declare_two_bin_front(c: _Circ, with_perp: bool, second_source: bool = False):
+def _declare_two_bin_front(c: _Circ, with_perp: bool):
     c.mode(_SEED, "e1", "source")
     c.mode(_SEED, "e2", "source")
-    if second_source:
-        c.mode(_SEED, "e3", "source2")
-        c.mode(_SEED, "e4", "source2")
     c.mode(_VACUUM, "v0", "sender_ancilla")
     c.mode(_VACUUM, "u0", "receiver_ancilla")
     c.mode(_SIGNAL, "j1", "input", 1)
@@ -387,8 +391,8 @@ def build_delayed_telefilter(
     phi: float = _CANONICAL_PHI,
     quad_phases: tuple[float, float] = (0.0, 0.0),
     gain_mode: str = "unity",
-) -> ProtocolOutput:
-    """Select one two-bin superposition using a shared displacement.
+) -> CircuitAst:
+    """two-bin selector, shared displacement, one bin of delay
 
     Both homodyne records are summed into a single feed-forward signal,
     so the early output bin cannot leave before the late measurement:
@@ -405,7 +409,7 @@ def build_delayed_telefilter(
         ("gain_mode", gain_mode),
     ]
     c = _Circ("delayed_telefilter", args)
-    c.param("s", infinite=True)
+    c.infinite("s")
     _declare_two_bin_front(c, with_perp=True)
     c.squeeze("a0", "b0", "e1", "e2", _S)
     a_lit, phi_lit = _real_lit(alpha), _angle_lit(phi)
@@ -458,8 +462,8 @@ def build_delayed_telemirror(
     phi: float = _CANONICAL_PHI,
     selection: str = "auto",
     phi_c2: float = 0.0,
-) -> ProtocolOutput:
-    """Amplifier implementation of the two-bin selector.
+) -> CircuitAst:
+    """two-bin amplifier selector, resources recovered
 
     selection picks the decoder wiring: "symmetric" is the balanced
     layout (requires alpha = 1/2 and phi = -pi/2), "tuned" carries the
@@ -497,7 +501,7 @@ def _expect_perp_recovered(c: _Circ):
         c.expect(f"recovered_{k}_perp", [(1, mode)])
 
 
-def _delayed_telemirror_symmetric() -> ProtocolOutput:
+def _delayed_telemirror_symmetric() -> CircuitAst:
     args = [
         ("alpha", 0.5),
         ("phi", _CANONICAL_PHI),
@@ -505,8 +509,8 @@ def _delayed_telemirror_symmetric() -> ProtocolOutput:
         ("phi_c2", 0.0),
     ]
     c = _Circ("delayed_telemirror", args)
-    c.param("s", infinite=True)
-    c.param("r", infinite=True)
+    c.infinite("s")
+    c.infinite("r")
     c.mode(_SEED, "e1", "source")
     c.mode(_SEED, "e2", "source")
     c.mode(_VACUUM, "v0", "sender_ancilla")
@@ -560,7 +564,7 @@ def _delayed_telemirror_symmetric() -> ProtocolOutput:
     return c.finish()
 
 
-def _delayed_telemirror_tuned(alpha: float, phi: float, phi_c2: float) -> ProtocolOutput:
+def _delayed_telemirror_tuned(alpha: float, phi: float, phi_c2: float) -> CircuitAst:
     args = [
         ("alpha", alpha),
         ("phi", phi),
@@ -568,8 +572,8 @@ def _delayed_telemirror_tuned(alpha: float, phi: float, phi_c2: float) -> Protoc
         ("phi_c2", phi_c2),
     ]
     c = _Circ("delayed_telemirror", args)
-    c.param("s", infinite=True)
-    c.param("r", infinite=True)
+    c.infinite("s")
+    c.infinite("r")
     c.mode(_SEED, "e1", "source")
     c.mode(_SEED, "e2", "source")
     c.mode(_VACUUM, "v0", "sender_ancilla")
@@ -641,8 +645,8 @@ def _delayed_telemirror_tuned(alpha: float, phi: float, phi_c2: float) -> Protoc
 # two-bin protocols, per-bin feed-forward
 
 
-def build_nodelay_independent() -> ProtocolOutput:
-    """Two disjoint single-bin links recombined at the output.
+def build_nodelay_independent() -> CircuitAst:
+    """two disjoint single-bin links, recombined
 
     Each bin is teleported with its own resource pair and its own
     displacement, so nothing waits on a later measurement. Both the
@@ -650,7 +654,7 @@ def build_nodelay_independent() -> ProtocolOutput:
     reproduces the whole two-bin space instead of selecting from it.
     """
     c = _Circ("nodelay_independent", [])
-    c.param("s", infinite=True)
+    c.infinite("s")
     c.mode(_SEED, "e1", "source")
     c.mode(_SEED, "e2", "source")
     c.mode(_SEED, "e3", "source2")
@@ -682,8 +686,8 @@ def build_nodelay_independent() -> ProtocolOutput:
 def build_nodelay_telefilter(
     alpha: float = 0.5,
     quad_phases: tuple[float, float] = (0.0, 0.0),
-) -> ProtocolOutput:
-    """Distributed resource, per-bin displacements, no feed-forward delay.
+) -> CircuitAst:
+    """two-bin link, per-bin displacement, zero delay
 
     Each bin is displaced from its own record immediately, so causality
     costs nothing; the price moves to the orthogonal port, which picks
@@ -693,7 +697,7 @@ def build_nodelay_telefilter(
     ph1, ph2 = float(quad_phases[0]), float(quad_phases[1])
     args = [("alpha", alpha), ("quad_phases", (ph1, ph2))]
     c = _Circ("nodelay_telefilter", args)
-    c.param("s", infinite=True)
+    c.infinite("s")
     _declare_two_bin_front(c, with_perp=False)
     a_lit, phi_lit = _real_lit(alpha), _angle_lit(_CANONICAL_PHI)
     c.squeeze("a0", "b0", "e1", "e2", _S)
@@ -725,8 +729,8 @@ def build_nodelay_telemirror(
     alpha: float = 0.5,
     theta_minus: float | None = None,
     theta_plus: float | None = None,
-) -> ProtocolOutput:
-    """Amplifier selector with per-bin reflection, no feed-forward delay.
+) -> CircuitAst:
+    """two-bin amplifier link, per-bin reflection, zero delay
 
     The decoder chain is calibrated for the balanced distribution; the
     theta arguments expose the displacement-splitter phase freedom and
@@ -737,8 +741,8 @@ def build_nodelay_telemirror(
     th_p = _HALF_PI if theta_plus is None else float(theta_plus)
     args = [("alpha", alpha), ("theta_minus", th_m), ("theta_plus", th_p)]
     c = _Circ("nodelay_telemirror", args)
-    c.param("s", infinite=True)
-    c.param("r", infinite=True)
+    c.infinite("s")
+    c.infinite("r")
     c.mode(_SEED, "e1", "source")
     c.mode(_SEED, "e2", "source")
     c.mode(_VACUUM, "v0", "sender_ancilla")
@@ -920,8 +924,8 @@ def build_nmode_delayed_telefilter(
     alphas: list[float] | None = None,
     phis: list[float] | None = None,
     quad_phases: list[float] | None = None,
-) -> ProtocolOutput:
-    """N-bin selector with one shared displacement record.
+) -> CircuitAst:
+    """N-bin selector, shared displacement
 
     The resource is peeled across the wavepacket by a splitter cascade;
     all records combine into one signal, so every output bin waits for
@@ -936,7 +940,7 @@ def build_nmode_delayed_telefilter(
         ("quad_phases", tuple(quad)),
     ]
     c = _Circ("nmode_delayed_telefilter", args)
-    c.param("s", infinite=True)
+    c.infinite("s")
     _declare_nmode_front(c, n)
     c.squeeze("a0", "b0", "e1", "e2", _S)
     alpha_lits = [_real_lit(a) for a in alphas]
@@ -974,8 +978,8 @@ def build_nmode_nodelay_telefilter(
     n: int = 3,
     alphas: list[float] | None = None,
     quad_phases: list[float] | None = None,
-) -> ProtocolOutput:
-    """N-bin link with per-bin displacements and zero delay.
+) -> CircuitAst:
+    """N-bin link, per-bin displacement, zero delay
 
     Same cascade as the delayed selector, but each record feeds its own
     bin immediately. Earlier leftovers never see later signals; the
@@ -986,7 +990,7 @@ def build_nmode_nodelay_telefilter(
     )
     args = [("n", n), ("alphas", tuple(alphas)), ("quad_phases", tuple(quad))]
     c = _Circ("nmode_nodelay_telefilter", args)
-    c.param("s", infinite=True)
+    c.infinite("s")
     _declare_nmode_front(c, n)
     c.squeeze("a0", "b0", "e1", "e2", _S)
     alpha_lits = [_real_lit(a) for a in alphas]
@@ -1016,120 +1020,37 @@ def build_nmode_nodelay_telefilter(
 # registry
 
 
-@dataclass(frozen=True)
-class ArgSpec:
-    name: str
-    kind: str  # "int" | "float" | "choice" | "float_list"
-    default: object
-
-
-@dataclass(frozen=True)
-class ProtocolInfo:
-    name: str
-    builder: Callable[..., ProtocolOutput]
-    summary: str
-    args: tuple[ArgSpec, ...]
-
-
-PROTOCOLS: dict[str, ProtocolInfo] = {
-    info.name: info
-    for info in (
-        ProtocolInfo(
-            "atemporal_telefilter",
-            build_atemporal_telefilter,
-            "single-mode teleporter, measure and displace",
-            (ArgSpec("gain_mode", "choice", "unity"),),
-        ),
-        ProtocolInfo(
-            "atemporal_telemirror",
-            build_atemporal_telemirror,
-            "single-mode teleporter, amplify and tap, resources recovered",
-            (ArgSpec("gain_mode", "choice", "unity"),),
-        ),
-        ProtocolInfo(
-            "delayed_telefilter",
-            build_delayed_telefilter,
-            "two-bin selector, shared displacement, one bin of delay",
-            (
-                ArgSpec("alpha", "float", 0.5),
-                ArgSpec("phi", "float", _CANONICAL_PHI),
-                ArgSpec("quad_phases", "float_list", (0.0, 0.0)),
-                ArgSpec("gain_mode", "choice", "unity"),
-            ),
-        ),
-        ProtocolInfo(
-            "delayed_telemirror",
-            build_delayed_telemirror,
-            "two-bin amplifier selector, resources recovered",
-            (
-                ArgSpec("alpha", "float", 0.5),
-                ArgSpec("phi", "float", _CANONICAL_PHI),
-                ArgSpec("selection", "choice", "auto"),
-                ArgSpec("phi_c2", "float", 0.0),
-            ),
-        ),
-        ProtocolInfo(
-            "nodelay_independent",
-            build_nodelay_independent,
-            "two disjoint single-bin links, recombined",
-            (),
-        ),
-        ProtocolInfo(
-            "nodelay_telefilter",
-            build_nodelay_telefilter,
-            "two-bin link, per-bin displacement, zero delay",
-            (
-                ArgSpec("alpha", "float", 0.5),
-                ArgSpec("quad_phases", "float_list", (0.0, 0.0)),
-            ),
-        ),
-        ProtocolInfo(
-            "nodelay_telemirror",
-            build_nodelay_telemirror,
-            "two-bin amplifier link, per-bin reflection, zero delay",
-            (
-                ArgSpec("alpha", "float", 0.5),
-                ArgSpec("theta_minus", "float", None),
-                ArgSpec("theta_plus", "float", None),
-            ),
-        ),
-        ProtocolInfo(
-            "nmode_delayed_telefilter",
-            build_nmode_delayed_telefilter,
-            "N-bin selector, shared displacement",
-            (
-                ArgSpec("n", "int", 3),
-                ArgSpec("alphas", "float_list", None),
-                ArgSpec("phis", "float_list", None),
-                ArgSpec("quad_phases", "float_list", None),
-            ),
-        ),
-        ProtocolInfo(
-            "nmode_nodelay_telefilter",
-            build_nmode_nodelay_telefilter,
-            "N-bin link, per-bin displacement, zero delay",
-            (
-                ArgSpec("n", "int", 3),
-                ArgSpec("alphas", "float_list", None),
-                ArgSpec("quad_phases", "float_list", None),
-            ),
-        ),
+PROTOCOLS: dict[str, Callable[..., CircuitAst]] = {
+    builder.__name__.removeprefix("build_"): builder
+    for builder in (
+        build_atemporal_telefilter,
+        build_atemporal_telemirror,
+        build_delayed_telefilter,
+        build_delayed_telemirror,
+        build_nodelay_independent,
+        build_nodelay_telefilter,
+        build_nodelay_telemirror,
+        build_nmode_delayed_telefilter,
+        build_nmode_nodelay_telefilter,
     )
 }
 
 
-def build(name: str, **overrides) -> ProtocolOutput:
-    info = PROTOCOLS.get(name)
-    if info is None:
+def _circuit(name: str, overrides: dict) -> CircuitAst:
+    builder = PROTOCOLS.get(name)
+    if builder is None:
         raise ValueError(f"unknown protocol {name!r}")
-    unknown = sorted(overrides.keys() - {spec.name for spec in info.args})
+    unknown = sorted(overrides.keys() - inspect.signature(builder).parameters.keys())
     if unknown:
         raise ValueError(f"protocol {name} has no argument {unknown[0]!r}")
-    return info.builder(**overrides)
+    return builder(**overrides)
+
+
+def build(name: str, **overrides) -> ProtocolOutput:
+    """The named registry circuit, evaluated; no other code runs one."""
+    return evaluate_circuit(_circuit(name, overrides))
 
 
 def protocol_text(name: str, **overrides) -> str:
-    """The circuit a builder would run, as canonical source text."""
-    from .dsl import serialize_circuit
-
-    return serialize_circuit(build(name, **overrides).circuit)
+    """The circuit a builder writes, as canonical source text, unevaluated."""
+    return serialize_circuit(_circuit(name, overrides))

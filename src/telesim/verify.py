@@ -53,7 +53,6 @@ from .opalg import (
     ModeKind,
     quadrature_variance,
     session_for,
-    to_complex,
 )
 
 LIMIT_TOL = 1e-8
@@ -100,13 +99,13 @@ def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovRep
     worst = 0.0
     for i, (name_i, expr_i) in enumerate(items):
         for name_j, expr_j in items[i:]:
-            plain = abs(to_complex(evaluator.commutator(expr_i, expr_j)))
+            plain = abs(complex(evaluator.commutator(expr_i, expr_j)))
             worst = max(worst, plain)
             if plain > tol:
                 failures.append((name_i, name_j, "commutator", plain))
             expected = 1.0 if name_i == name_j else 0.0
             cross = abs(
-                to_complex(evaluator.cross_commutator(expr_i, expr_j)) - expected
+                complex(evaluator.cross_commutator(expr_i, expr_j)) - expected
             )
             worst = max(worst, cross)
             if cross > tol:
@@ -144,7 +143,7 @@ class LimitResult:
 def _complex_table(expr: ModeExpr, evaluator: ModeEvaluator) -> dict:
     table = {}
     for mode, (c, d) in evaluator.table(expr).items():
-        c, d = to_complex(c), to_complex(d)
+        c, d = complex(c), complex(d)
         # before any abs(): CPython's abs() of a NaN such as inf - inf obeys a stale errno
         if not (cmath.isfinite(c) and cmath.isfinite(d)):
             raise OverflowError(f"limit coefficient of {mode.name} beyond float64 range")
@@ -289,7 +288,7 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
 
     def scalar(expr, loc, what) -> complex:
         try:
-            return complex(evaluate(expr, merged))
+            return evaluate(expr, merged)
         except Exception as exc:  # surfaced with the statement position
             raise CircuitError(f"cannot evaluate {what}: {exc}", loc) from exc
 
@@ -466,7 +465,7 @@ def signaling_test(protocol: ProtocolOutput, prepared_bin: int) -> float:
             continue
         for mode, (c, d) in evaluator.table(expr).items():
             if mode.time_bin == prepared_bin:
-                worst = max(worst, abs(to_complex(c)), abs(to_complex(d)))
+                worst = max(worst, abs(complex(c)), abs(complex(d)))
     return worst
 
 
@@ -492,7 +491,7 @@ class SelectivityReport:
 
 
 def _signal_vector(table: dict, signal_ids: list[ModeId]) -> list[complex]:
-    return [to_complex(table.get(mode, (0j, 0j))[0]) for mode in signal_ids]
+    return [complex(table.get(mode, (0j, 0j))[0]) for mode in signal_ids]
 
 
 def _inner(left: list[complex], right: list[complex]) -> complex:
@@ -623,15 +622,12 @@ def _declared_limit_gap(protocol: ProtocolOutput) -> float:
     ports = protocol.all_ports()
     worst = 0.0
     for name, want in protocol.expected_limit.items():
-        expr = ports.get(name)
-        if expr is None:
-            continue
-        have = evaluator.table(expr)
+        have = evaluator.table(ports[name])
         target = evaluator.table(want)
         for mode in have.keys() | target.keys():
             hc, hd = have.get(mode, (0, 0))
             tc, td = target.get(mode, (0, 0))
-            worst = max(worst, abs(to_complex(hc - tc)), abs(to_complex(hd - td)))
+            worst = max(worst, abs(complex(hc - tc)), abs(complex(hd - td)))
     return worst
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from telesim.circuit import CircuitError, evaluate_circuit
-from telesim.coeff import ParamEnv, cosh, num, sech, sinh, sqrt, tanh
+from telesim.coeff import Call, Num, ParamEnv, cosh, sinh, sqrt
 from telesim.dsl import ParseError, parse_circuit, serialize_circuit
 from telesim.elements import apply_inverse_squeezer
 from telesim.opalg import (
@@ -48,7 +48,7 @@ def seeds(po):
 
 
 def epr_halves(sd, s):
-    ch, sh = cosh(num(s)), sinh(num(s))
+    ch, sh = cosh(Num(s)), sinh(Num(s))
     a0 = lin_comb([(ch, sd["e1"]), (sh, dagger(sd["e2"]))])
     b0 = lin_comb([(ch, sd["e2"]), (sh, dagger(sd["e1"]))])
     return a0, b0
@@ -90,7 +90,7 @@ def test_unity_filter_transmits_the_addressed_mode():
 def test_tanh_filter_coefficients(s):
     po = build("atemporal_telefilter", gain_mode="tanh")
     sd = seeds(po)
-    want = lin_comb([(tanh(num(s)), sd["j0"]), (sech(num(s)), sd["e2"])])
+    want = lin_comb([(Call("tanh", Num(s)), sd["j0"]), (Call("sech", Num(s)), sd["e2"])])
     assert residual(po, "filtered", want, ParamEnv({"s": s})) <= 1e-12
 
 
@@ -99,11 +99,11 @@ def test_tanh_filter_coefficients(s):
 def test_matched_mirror_coefficients(s):
     po = build("atemporal_telemirror", gain_mode="matched")
     sd = seeds(po)
-    den = sqrt(num(3) + cosh(num(2 * s)))
+    den = sqrt(Num(3) + cosh(Num(2 * s)))
     want = lin_comb(
         [
-            (sqrt(num(2)) * cosh(num(s)) / den, sd["j0"]),
-            (-sqrt(num(2)) / den, sd["e2"]),
+            (sqrt(Num(2)) * cosh(Num(s)) / den, sd["j0"]),
+            (-sqrt(Num(2)) / den, sd["e2"]),
         ]
     )
     assert residual(po, "mirror_out", want, ParamEnv({"s": s})) <= 1e-12
@@ -118,7 +118,7 @@ def test_mirror_transmission_is_exact_at_finite_squeezing(r, s):
     po = build("atemporal_telemirror")
     sd = seeds(po)
     a0, b0 = epr_halves(sd, s)
-    th = tanh(num(r))
+    th = Call("tanh", Num(r))
     want = lin_comb([(1, sd["j0"]), (-th, b0), (th, dagger(a0))])
     assert residual(po, "mirror_out", want, ParamEnv({"r": r, "s": s})) <= EXACT
 
@@ -190,7 +190,7 @@ def test_delayed_filter_per_bin_and_recombined_forms():
     a0, b0 = epr_halves(sd, s)
     ent = lin_comb([(1, b0), (-1, dagger(a0))])
     half = 0.5
-    rt2 = 1 / sqrt(num(2))
+    rt2 = 1 / sqrt(Num(2))
     for port, u_sign in (("bin1_out", 1), ("bin2_out", -1)):
         want = lin_comb(
             [
@@ -263,7 +263,7 @@ def test_delayed_mirror_orthogonal_rail_is_exact_at_finite_squeezing(r, s):
         assert residual(po, port, sd[mode_name], env) <= EXACT, port
     # the undelayed reflected records are exact at finite squeezing too
     assert residual(po, "recovered_1", sd["v0"], env) <= EXACT
-    rt2 = 1 / sqrt(num(2))
+    rt2 = 1 / sqrt(Num(2))
     want_rec2 = lin_comb([(rt2, sd["j1"]), (-rt2, sd["j2"])])
     assert residual(po, "recovered_2", want_rec2, env) <= EXACT
 
@@ -321,7 +321,7 @@ def test_nodelay_filter_per_bin_taps():
     a0, b0 = epr_halves(sd, s)
     ent = lin_comb([(1, b0), (-1, dagger(a0))])
     uv = lin_comb([(1, sd["u0"]), (-1, dagger(sd["v0"]))])
-    sa, ca = sqrt(num(1) - num(alpha)), sqrt(num(alpha))
+    sa, ca = sqrt(Num(1) - Num(alpha)), sqrt(Num(alpha))
     want_b1 = lin_comb([(1, sd["j1"]), (sa, ent), (ca, uv)])
     assert residual(po, "bin1_out", want_b1, env) <= EXACT
     want_b2 = lin_comb([(1, sd["j2"]), (ca, ent), (-sa, uv)])
@@ -350,8 +350,8 @@ def test_nodelay_mirror_is_exact_in_tanh_r(r, s):
     a0, b0 = epr_halves(sd, s)
     ent = lin_comb([(1, b0), (-1, dagger(a0))])
     uv = lin_comb([(1, sd["u0"]), (-1, dagger(sd["v0"]))])
-    th = tanh(num(r))
-    rt2 = 1 / sqrt(num(2))
+    th = Call("tanh", Num(r))
+    rt2 = 1 / sqrt(Num(2))
     cases = [
         ("bin1_out", lin_comb([(1, sd["j1"]), (-th * rt2, ent), (-th * rt2, uv)])),
         ("bin2_out", lin_comb([(1, sd["j2"]), (-th * rt2, ent), (th * rt2, uv)])),
@@ -408,10 +408,10 @@ def test_independent_resources_transmit_but_discriminate_nothing():
 def chain_amplitudes(alphas):
     """Independent product form: bin k keeps sqrt(a1..a_{k-1}(1-a_k))."""
     out = []
-    running = num(1)
+    running = Num(1)
     for a in alphas:
-        out.append(sqrt(running * (num(1) - num(a))))
-        running = running * num(a)
+        out.append(sqrt(running * (Num(1) - Num(a))))
+        running = running * Num(a)
     out.append(sqrt(running))
     return out
 

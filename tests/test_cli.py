@@ -1,6 +1,5 @@
 """Command-line front end: report formats, determinism, exit codes."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -36,10 +35,66 @@ def test_protocols_list_names_everything(capsys):
         assert name in out
 
 
-def test_protocols_build_emits_the_golden_text(capsys):
-    code, out, _ = run_cli(capsys, "protocols", "build", "delayed_telefilter")
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN_DIR.glob("*.tls")))
+def test_protocols_build_emits_the_golden_text(capsys, name):
+    code, out, _ = run_cli(capsys, "protocols", "build", name)
     assert code == 0
-    assert out == GOLDEN.read_text()
+    assert out == (GOLDEN_DIR / f"{name}.tls").read_text()
+
+
+def test_registry_text_is_written_without_evaluating(capsys, monkeypatch):
+    import telesim.circuit
+    import telesim.protocols
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the circuit was evaluated")
+
+    monkeypatch.setattr(telesim.circuit, "evaluate_circuit", refuse)
+    monkeypatch.setattr(telesim.protocols, "evaluate_circuit", refuse)
+    for path in sorted(GOLDEN_DIR.glob("*.tls")):
+        assert telesim.protocol_text(path.stem) == path.read_text()
+        code, out, _ = run_cli(capsys, "protocols", "build", path.stem)
+        assert (code, out) == (0, path.read_text())
+
+
+@pytest.mark.parametrize(
+    "name, params, overrides",
+    [
+        ("delayed_telefilter", ["alpha=0.3"], {"alpha": 0.3}),
+        ("delayed_telefilter", ["gain_mode=tanh"], {"gain_mode": "tanh"}),
+        # tuple[float, float]: a list, not the float its arguments name
+        ("delayed_telefilter", ["quad_phases=0.1,-0.2"], {"quad_phases": (0.1, -0.2)}),
+        ("nodelay_telemirror", ["theta_minus=1.2"], {"theta_minus": 1.2}),
+        (
+            "nmode_delayed_telefilter",
+            ["n=4", "alphas=0.5,0.5,0.5"],
+            {"n": 4, "alphas": (0.5, 0.5, 0.5)},
+        ),
+    ],
+)
+def test_protocols_build_types_params_by_annotation(capsys, name, params, overrides):
+    argv = [arg for param in params for arg in ("--param", param)]
+    code, out, err = run_cli(capsys, "protocols", "build", name, *argv)
+    assert (code, err) == (0, "")
+    assert out == telesim.protocol_text(name, **overrides)
+
+
+@pytest.mark.parametrize(
+    "name, param, message",
+    [
+        (
+            "delayed_telefilter",
+            "nonsense=1",
+            "unknown protocol argument 'nonsense' (takes: alpha, phi, quad_phases, gain_mode)",
+        ),
+        ("nodelay_independent", "x=1", "unknown protocol argument 'x' (takes: none)"),
+        ("nmode_delayed_telefilter", "n=x", "bad value for 'n': 'x'"),
+        ("delayed_telefilter", "alpha=abc", "bad value for 'alpha': 'abc'"),
+    ],
+)
+def test_protocols_build_rejects_bad_params(capsys, name, param, message):
+    code, out, err = run_cli(capsys, "protocols", "build", name, "--param", param)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_protocols_build_accepts_typed_params(capsys):
@@ -166,8 +221,8 @@ def test_protocol_header_larger_than_the_file_is_not_rebuilt(tmp_path, capsys, m
     def refuse(**kwargs):
         raise AssertionError(f"registry rebuild with {kwargs}")
 
-    for name, info in list(protocols.PROTOCOLS.items()):
-        monkeypatch.setitem(protocols.PROTOCOLS, name, dataclasses.replace(info, builder=refuse))
+    for name in list(protocols.PROTOCOLS):
+        monkeypatch.setitem(protocols.PROTOCOLS, name, refuse)
     path = tmp_path / "claims.tls"
     path.write_text(
         "protocol nmode_delayed_telefilter(n=100000)\n"

@@ -27,9 +27,9 @@ ALL_NAMES = [
 
 def test_registry_contents():
     assert sorted(PROTOCOLS) == sorted(ALL_NAMES)
-    for name, info in PROTOCOLS.items():
-        assert info.name == name
-        assert info.summary
+    for name, builder in PROTOCOLS.items():
+        assert builder.__name__ == f"build_{name}"
+        assert builder.__doc__.partition("\n")[0]  # the summary `protocols list` shows
 
 
 def test_unknown_protocol_and_arguments_are_rejected():

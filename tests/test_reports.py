@@ -1,8 +1,9 @@
 """Machine reports pinned byte for byte.
 
-Every ``--format machine`` report below must match its fixture under
-``fixtures/reports/`` exactly, exit code included. A change that means to
-alter report bytes regenerates the fixtures and says so:
+Every ``--format machine`` report below, and the ``protocols list`` table,
+must match its fixture under ``fixtures/reports/`` exactly, exit code
+included. A change that means to alter report bytes regenerates the
+fixtures and says so:
 
     PYTHONPATH=src python tests/test_reports.py --regenerate
 """
@@ -25,7 +26,8 @@ GOLDENS = sorted(path.stem for path in GOLDEN_DIR.glob("*.tls"))
 NBIN = 8
 
 # (fixture name, command, source, limit scale or None, exit code); a source
-# "nmode_delayed_telefilter_n8" is generated, every other one is a golden
+# "nmode_delayed_telefilter_n8" is generated, every other one is a golden;
+# the "protocols" command runs its subcommand "list" and has a .txt fixture
 CASES = [
     (f"{command}_{name}", command, name, None, 0)
     for name in GOLDENS
@@ -35,7 +37,12 @@ CASES = [
      f"nmode_delayed_telefilter_n{NBIN}", None, 0),
     # precision runs out at scale 60 and the declared-limit check fails
     ("verify_delayed_telemirror_scale60", "verify", "delayed_telemirror", "60", 1),
+    ("protocols_list", "protocols", "list", None, 0),
 ]
+
+
+def _fixture(name: str, command: str) -> Path:
+    return FIXTURES / f"{name}.{'txt' if command == 'protocols' else 'json'}"
 
 
 def _source(name: str, workdir: Path) -> Path:
@@ -46,14 +53,18 @@ def _source(name: str, workdir: Path) -> Path:
     return GOLDEN_DIR / f"{name}.tls"
 
 
-def _report(command: str, path: Path, scale: str | None) -> tuple[int, str]:
+def _report(command: str, source: str, scale: str | None, workdir: Path) -> tuple[int, str]:
+    if command == "protocols":
+        argv = [command, source]
+    else:
+        argv = [command, str(_source(source, workdir)), "--format", "machine"]
     saved = os.environ.pop(SCALE_ENV_VAR, None)
     if scale is not None:
         os.environ[SCALE_ENV_VAR] = scale
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            code = main([command, str(path), "--format", "machine"])
+            code = main(argv)
     finally:
         os.environ.pop(SCALE_ENV_VAR, None)
         if saved is not None:
@@ -63,26 +74,26 @@ def _report(command: str, path: Path, scale: str | None) -> tuple[int, str]:
 
 def test_every_golden_has_a_case():
     assert len(GOLDENS) == 9
-    for name, *_ in CASES:
-        assert (FIXTURES / f"{name}.json").is_file(), name
+    for name, command, *_ in CASES:
+        assert _fixture(name, command).is_file(), name
 
 
 @pytest.mark.parametrize(
     "fixture,command,source,scale,code", CASES, ids=[case[0] for case in CASES]
 )
 def test_machine_report_bytes_are_pinned(tmp_path, fixture, command, source, scale, code):
-    got_code, text = _report(command, _source(source, tmp_path), scale)
+    got_code, text = _report(command, source, scale, tmp_path)
     assert got_code == code
-    assert text.encode("utf-8") == (FIXTURES / f"{fixture}.json").read_bytes()
+    assert text.encode("utf-8") == _fixture(fixture, command).read_bytes()
 
 
 def _regenerate(workdir: Path) -> None:
     FIXTURES.mkdir(parents=True, exist_ok=True)
     for fixture, command, source, scale, code in CASES:
-        got_code, text = _report(command, _source(source, workdir), scale)
+        got_code, text = _report(command, source, scale, workdir)
         if got_code != code:
             raise SystemExit(f"{fixture}: exit code {got_code}, expected {code}")
-        (FIXTURES / f"{fixture}.json").write_bytes(text.encode("utf-8"))
+        _fixture(fixture, command).write_bytes(text.encode("utf-8"))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from telesim import cli, verify
 from telesim.circuit import evaluate_circuit
 from telesim.coeff import (
     MP,
-    PI,
     Add,
     Call,
     CoefExpr,
@@ -31,6 +30,7 @@ from telesim.coeff import (
     Num,
     Param,
     ParamEnv,
+    PiConst,
     Sub,
     conj,
 )
@@ -99,7 +99,7 @@ def test_session_tables_equal_fresh_evaluation():
 IDS = [ModeId(name, "r", time_bin) for name, time_bin in (("a", 0), ("b", 0), ("c", 1))]
 LEAVES = st.one_of(
     st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False).map(Num),
-    st.sampled_from([Param("x"), Param("y"), I, PI]),
+    st.sampled_from([Param("x"), Param("y"), I, PiConst()]),
 )
 COEFS = st.recursive(
     LEAVES,

@@ -165,6 +165,14 @@ def test_verify_suite_passes_on_every_protocol(name):
     assert (suite.limits is not None) == bool(protocol.limit_params)
 
 
+def test_verify_suite_passes_on_the_tanh_gain_delayed_telefilter():
+    # the tanh-gain combine weights of the shared displacement record
+    suite = verify_suite(build("delayed_telefilter", gain_mode="tanh"))
+    assert len(suite.checks) == 5
+    assert suite.all_passed, suite.checks
+    assert suite.selectivity.verdict == "mode_selective"
+
+
 @pytest.mark.parametrize("name", list(PROTOCOLS))
 def test_verify_suite_matches_the_cli_checks(name):
     suite = verify_suite(build(name))
