@@ -7,12 +7,18 @@ target mode and each port's expected limit form). Evaluation walks the
 list once, carrying symbolic mode expressions plus an emission time for
 every wire, and collects declared outputs into a :class:`ProtocolOutput`.
 
+:data:`ELEMENTS` is the one declaration of element wiring, read by the
+parser, the serializer and the interpreter. The float64 covariance oracle
+in :mod:`telesim.verify` keeps its own: it is the independent reference,
+so a wrong row shows up as an oracle mismatch instead of being copied
+into both variance pipelines.
+
 The interpreter is the one place element parameters are validated: each
 split, squeeze and homodyne is judged under the actual binding (declared
 defaults overlaid with the caller's values) before the unchecked algebra
 of :mod:`telesim.elements` sees it. Measurement records are plain
-:class:`ModeExpr` values; a wire's ``classical`` tag is what keeps them
-apart from quantum wires.
+:class:`ModeExpr` values; a wire's kind is what keeps them apart from
+quantum wires.
 
 Emission times follow arrival: an element emits at the latest bin among
 its inputs. A displacement may claim an earlier emission bin; the claim
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .coeff import CoefExpr, CoefficientError, ParamEnv, evaluate
 from .elements import (
@@ -138,6 +145,60 @@ class DisplaceStmt(Stmt):
     record: str
     gain: CoefExpr
     claimed_bin: int | None = None
+
+
+# wire kinds, each spelled as the noun a wiring error names
+MODE, RECORD = "mode wire", "measurement record"
+
+
+@dataclass(frozen=True)
+class Element:
+    """Source form and wiring of one element statement.
+
+    outputs and inputs pair each field naming a wire with the wire's kind
+    (mode wire or measurement record); coefficients are the keyword fields
+    in source order. apply is the element function, called with the inputs
+    and then the coefficients. combine reads its records from its terms.
+    """
+
+    keyword: str
+    outputs: tuple[tuple[str, str], ...]
+    inputs: tuple[tuple[str, str], ...] = ()
+    coefficients: tuple[str, ...] = ()
+    apply: Callable | None = None
+
+
+_MODE_OUT = (("out", MODE),)
+_MODE_PAIR_OUT = (("out1", MODE), ("out2", MODE))
+_MODE_PAIR_IN = (("in1", MODE), ("in2", MODE))
+
+ELEMENTS: dict[type, Element] = {
+    SplitStmt: Element(
+        "split",
+        (("out_minus", MODE), ("out_plus", MODE)),
+        (("in_t", MODE), ("in_r", MODE)),
+        ("alpha", "phi"),
+        split_modes,
+    ),
+    SqueezeStmt: Element(
+        "squeeze", _MODE_PAIR_OUT, _MODE_PAIR_IN, ("gain", "phase"), apply_two_mode_squeezer
+    ),
+    UnsqueezeStmt: Element(
+        "unsqueeze", _MODE_PAIR_OUT, _MODE_PAIR_IN, ("gain",), apply_inverse_squeezer
+    ),
+    PhaseStmt: Element("phase", _MODE_OUT, (("operand", MODE),), ("phi",), apply_phase_shift),
+    HomodyneStmt: Element(
+        "homodyne",
+        (("out", RECORD),),
+        (("signal", MODE), ("resource", MODE)),
+        ("xphase", "pphase"),
+        dual_homodyne,
+    ),
+    CombineStmt: Element("combine", (("out", RECORD),)),
+    DisplaceStmt: Element(
+        "displace", _MODE_OUT, (("resource", MODE), ("record", RECORD)), ("gain",), displace
+    ),
+}
 
 
 ROLES = ("transmitted", "reflected", "tap")
@@ -271,13 +332,11 @@ def merge_env(ast: CircuitAst, env: ParamEnv) -> tuple[ParamEnv, list[str]]:
     return ParamEnv(values, env.limit_scale), infinite
 
 
+@dataclass(slots=True)
 class _Wire:
-    __slots__ = ("value", "bin", "classical")
-
-    def __init__(self, value, time_bin: int, classical: bool):
-        self.value = value
-        self.bin = time_bin
-        self.classical = classical
+    value: ModeExpr
+    bin: int
+    kind: str
 
 
 class _Evaluation:
@@ -300,22 +359,13 @@ class _Evaluation:
             raise CircuitError(f"{what} must be real, got {value}", loc)
         return value.real
 
-    def wire(self, name: str, loc: Loc) -> _Wire:
-        found = self.wires.get(name)
-        if found is None:
+    def fetch(self, name: str, kind: str, loc: Loc) -> ModeExpr:
+        wire = self.wires.get(name)
+        if wire is None:
             raise CircuitError(f"unknown wire {name!r}", loc)
-        return found
-
-    def quantum(self, name: str, loc: Loc) -> ModeExpr:
-        wire = self.wire(name, loc)
-        if wire.classical:
-            raise CircuitError(f"wire {name!r} is a measurement record", loc)
-        return wire.value
-
-    def classical(self, name: str, loc: Loc) -> ModeExpr:
-        wire = self.wire(name, loc)
-        if not wire.classical:
-            raise CircuitError(f"wire {name!r} is not a measurement record", loc)
+        if wire.kind != kind:
+            negation = "not " if kind == RECORD else ""
+            raise CircuitError(f"wire {name!r} is {negation}a measurement record", loc)
         return wire.value
 
     def form(self, terms, loc: Loc) -> ModeExpr:
@@ -327,13 +377,10 @@ class _Evaluation:
             parts.append((weight, dagger(mode) if creation else mode))
         return lin_comb(parts)
 
-    def put(self, name: str, value, time_bin: int, loc: Loc, classical=False):
+    def put(self, name: str, value, time_bin: int, loc: Loc, kind: str):
         if name in self.wires:
             raise CircuitError(f"wire {name!r} assigned twice", loc)
-        self.wires[name] = _Wire(value, time_bin, classical)
-
-    def bin_of(self, name: str) -> int:
-        return self.wires[name].bin
+        self.wires[name] = _Wire(value, time_bin, kind)
 
     def run(self) -> ProtocolOutput:
         out = ProtocolOutput(circuit=self.ast, env=self.env, limit_params=self.infinite)
@@ -353,83 +400,25 @@ class _Evaluation:
         if isinstance(stmt, ModeDecl):
             mode_id = ModeId(stmt.name, stmt.rail, stmt.time_bin, stmt.kind)
             self.registry[stmt.name] = mode_id
-            self.put(stmt.name, input_mode(mode_id), stmt.time_bin, loc)
+            self.put(stmt.name, input_mode(mode_id), stmt.time_bin, loc, MODE)
             return
-        if isinstance(stmt, SplitStmt):
-            alpha = self.real_scalar(stmt.alpha, loc, "alpha")
-            if not -1e-12 <= alpha <= 1 + 1e-12:
-                raise CircuitError(f"alpha = {alpha} outside [0, 1]", loc)
-            if alpha < 1e-12 or alpha > 1 - 1e-12:
-                self.flags.append(f"degenerate splitter alpha at {loc}")
-            in_t = self.quantum(stmt.in_t, loc)
-            in_r = self.quantum(stmt.in_r, loc)
-            minus, plus = split_modes(in_t, in_r, stmt.alpha, stmt.phi)
-            t_bin = max(self.bin_of(stmt.in_t), self.bin_of(stmt.in_r))
-            self.put(stmt.out_minus, minus, t_bin, loc)
-            self.put(stmt.out_plus, plus, t_bin, loc)
-            return
-        if isinstance(stmt, SqueezeStmt):
-            if self.real_scalar(stmt.gain, loc, "gain") < -1e-12:
-                raise CircuitError("squeezer gain must be nonnegative", loc)
-            out1, out2 = apply_two_mode_squeezer(
-                self.quantum(stmt.in1, loc),
-                self.quantum(stmt.in2, loc),
-                stmt.gain,
-                stmt.phase,
-            )
-            t_bin = max(self.bin_of(stmt.in1), self.bin_of(stmt.in2))
-            self.put(stmt.out1, out1, t_bin, loc)
-            self.put(stmt.out2, out2, t_bin, loc)
-            return
-        if isinstance(stmt, UnsqueezeStmt):
-            if self.real_scalar(stmt.gain, loc, "gain") < -1e-12:
-                raise CircuitError("squeezer gain must be nonnegative", loc)
-            out1, out2 = apply_inverse_squeezer(
-                self.quantum(stmt.in1, loc), self.quantum(stmt.in2, loc), stmt.gain
-            )
-            t_bin = max(self.bin_of(stmt.in1), self.bin_of(stmt.in2))
-            self.put(stmt.out1, out1, t_bin, loc)
-            self.put(stmt.out2, out2, t_bin, loc)
-            return
-        if isinstance(stmt, PhaseStmt):
-            shifted = apply_phase_shift(self.quantum(stmt.operand, loc), stmt.phi)
-            self.put(stmt.out, shifted, self.bin_of(stmt.operand), loc)
-            return
-        if isinstance(stmt, HomodyneStmt):
-            record = dual_homodyne(
-                self.quantum(stmt.signal, loc),
-                self.quantum(stmt.resource, loc),
-                stmt.xphase,
-                stmt.pphase,
-            )
-            # the record keeps its canonical form only for a right-angle pair
-            gap = self.scalar(stmt.pphase - stmt.xphase, loc, "homodyne phases")
-            right_angle = (
-                abs(gap.imag) <= 1e-9
-                and math.isfinite(gap.real)
-                and abs(math.remainder(gap.real - math.pi / 2, 2 * math.pi)) <= 1e-9
-            )
-            if not right_angle:
-                self.flags.append(f"noncanonical homodyne phases at {loc}")
-            t_bin = max(self.bin_of(stmt.signal), self.bin_of(stmt.resource))
-            self.put(stmt.out, record, t_bin, loc, classical=True)
-            return
-        if isinstance(stmt, CombineStmt):
-            if not stmt.terms:
-                raise CircuitError("combine needs at least one record", loc)
-            combined = lin_comb([(w, self.classical(name, loc)) for w, name in stmt.terms])
-            t_bin = max(self.bin_of(name) for _, name in stmt.terms)
-            self.put(stmt.out, combined, t_bin, loc, classical=True)
-            return
-        if isinstance(stmt, DisplaceStmt):
-            displaced = displace(
-                self.quantum(stmt.resource, loc),
-                self.classical(stmt.record, loc),
-                stmt.gain,
-            )
-            arrival = max(self.bin_of(stmt.resource), self.bin_of(stmt.record))
-            t_bin = arrival if stmt.claimed_bin is None else stmt.claimed_bin
-            self.put(stmt.out, displaced, t_bin, loc)
+        element = ELEMENTS.get(type(stmt))
+        if element is not None:
+            self.check(stmt, loc)
+            if isinstance(stmt, CombineStmt):
+                wires = [record for _, record in stmt.terms]
+                results = lin_comb([(w, self.fetch(r, RECORD, loc)) for w, r in stmt.terms])
+            else:
+                wires = [getattr(stmt, name) for name, _ in element.inputs]
+                inputs = [self.fetch(getattr(stmt, f), kind, loc) for f, kind in element.inputs]
+                results = element.apply(*inputs, *(getattr(stmt, k) for k in element.coefficients))
+            time_bin = max(self.wires[name].bin for name in wires)
+            if isinstance(stmt, DisplaceStmt) and stmt.claimed_bin is not None:
+                time_bin = stmt.claimed_bin
+            if len(element.outputs) == 1:
+                results = (results,)
+            for (field_name, kind), value in zip(element.outputs, results):
+                self.put(getattr(stmt, field_name), value, time_bin, loc, kind)
             return
         if isinstance(stmt, OutputStmt):
             wire = self.wires.get(stmt.wire)
@@ -439,7 +428,7 @@ class _Evaluation:
                 raise CircuitError(f"output {stmt.name!r} declared twice", loc)
             slot = wire.bin if stmt.slot_bin is None else stmt.slot_bin
             out.port_bins[stmt.name] = PortTiming(slot, wire.bin)
-            if wire.classical:
+            if wire.kind == RECORD:
                 out.classical[stmt.name] = wire.value
                 return
             role = stmt.role or "transmitted"
@@ -464,6 +453,30 @@ class _Evaluation:
             out.expected_limit[stmt.port] = self.form(stmt.terms, loc)
             return
         raise CircuitError(f"unhandled statement {type(stmt).__name__}", loc)
+
+    def check(self, stmt: Stmt, loc: Loc) -> None:
+        """Judge an element's parameters under the binding, before its wiring."""
+        if isinstance(stmt, SplitStmt):
+            alpha = self.real_scalar(stmt.alpha, loc, "alpha")
+            if not -1e-12 <= alpha <= 1 + 1e-12:
+                raise CircuitError(f"alpha = {alpha} outside [0, 1]", loc)
+            if alpha < 1e-12 or alpha > 1 - 1e-12:
+                self.flags.append(f"degenerate splitter alpha at {loc}")
+        elif isinstance(stmt, (SqueezeStmt, UnsqueezeStmt)):
+            if self.real_scalar(stmt.gain, loc, "gain") < -1e-12:
+                raise CircuitError("squeezer gain must be nonnegative", loc)
+        elif isinstance(stmt, HomodyneStmt):
+            # the record keeps its canonical form only for a right-angle pair
+            gap = self.scalar(stmt.pphase - stmt.xphase, loc, "homodyne phases")
+            right_angle = (
+                abs(gap.imag) <= 1e-9
+                and math.isfinite(gap.real)
+                and abs(math.remainder(gap.real - math.pi / 2, 2 * math.pi)) <= 1e-9
+            )
+            if not right_angle:
+                self.flags.append(f"noncanonical homodyne phases at {loc}")
+        elif isinstance(stmt, CombineStmt) and not stmt.terms:
+            raise CircuitError("combine needs at least one record", loc)
 
 
 def evaluate_circuit(ast: CircuitAst, env: ParamEnv | None = None) -> ProtocolOutput:

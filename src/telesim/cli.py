@@ -499,7 +499,7 @@ def _protocols_list_command(args) -> int:
 def _parse_protocol_args(builder, items: list[str]) -> dict:
     """Each NAME=VALUE typed by the builder's annotation of NAME: int, float
     and str convert the text, a list or tuple (also ``| None``) is a
-    comma-separated float list."""
+    comma-separated float list; every float must be finite."""
     params = inspect.signature(builder).parameters
     hints = typing.get_type_hints(builder)
     parsed: dict[str, object] = {}
@@ -520,6 +520,9 @@ def _parse_protocol_args(builder, items: list[str]) -> dict:
                 parsed[key] = hint(raw)
         except ValueError:
             raise _UsageError(f"bad value for {key!r}: {raw!r}")
+        numbers = parsed[key] if isinstance(parsed[key], tuple) else (parsed[key],)
+        if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
+            raise _UsageError(f"parameter {key!r} needs a finite numeric value, got {raw!r}")
     return parsed
 
 

@@ -4,12 +4,23 @@ One statement per line, `#` comments, define-before-use wires with
 single assignment: ``protocol``, ``param`` and ``mode`` declarations,
 elements, ``output``s, then ``target = TERMS`` (the mode of interest) and
 ``expect PORT = TERMS`` (the form a quantum output reaches as the infinite
-parameters grow). Terms are comma-separated ``WEIGHT*NAME``: records for
-combine, declared modes for target and expect, ``WEIGHT*MODE^dag`` for a
-creation operator. The serializer emits a canonical spelling (spaces
-around + and -, tight * and /, minimal parentheses), so a file produced
-by it re-parses to a structurally equal program and re-serializes to
-identical bytes.
+parameters grow). The seven elements read, with ``r`` a measurement
+record and every other wire a mode wire:
+
+    (a, b) = split(t, r, alpha=EXPR, phi=EXPR)
+    (a, b) = squeeze(x, y, gain=EXPR, phase=EXPR)
+    (a, b) = unsqueeze(x, y, gain=EXPR)
+    a = phase(x, phi=EXPR)
+    r = homodyne(signal, resource, xphase=EXPR, pphase=EXPR)
+    r = combine(TERMS)
+    a = displace(resource, r, gain=EXPR[, bin=INT])
+
+Parser and serializer read this wiring from :data:`telesim.circuit.ELEMENTS`.
+Terms are comma-separated ``WEIGHT*NAME``: records for combine, declared
+modes for target and expect, ``WEIGHT*MODE^dag`` for a creation operator.
+The serializer emits a canonical spelling (spaces around + and -, tight *
+and /, minimal parentheses), so a file produced by it re-parses to a
+structurally equal program and re-serializes to identical bytes.
 """
 
 from __future__ import annotations
@@ -18,23 +29,21 @@ import re
 from dataclasses import dataclass
 
 from .circuit import (
+    ELEMENTS,
+    MODE,
+    RECORD,
     CircuitAst,
     CombineStmt,
     DisplaceStmt,
     ExpectStmt,
-    HomodyneStmt,
     Loc,
     ModeDecl,
     OutputStmt,
     ParamDecl,
-    PhaseStmt,
     ProtocolDecl,
     ROLES,
-    SplitStmt,
-    SqueezeStmt,
     Stmt,
     TargetStmt,
-    UnsqueezeStmt,
 )
 from .coeff import (
     Add,
@@ -226,7 +235,7 @@ class _CircuitParser:
     def __init__(self):
         self.statements: list[Stmt] = []
         self.params: set[str] = set()
-        self.wires: dict[str, str] = {}  # name -> 'q' | 'c'
+        self.wires: dict[str, str] = {}  # name -> MODE | RECORD
         self.rail_bins: dict[str, int] = {}
         self.modes: set[str] = set()
         self.outputs: dict[str, str] = {}  # name -> kind of its wire
@@ -253,14 +262,6 @@ class _CircuitParser:
             raise ParseError(f"name {name!r} is reserved", token.line, token.column)
         return name
 
-    def _fresh_pair(self, first: _Token, second: _Token) -> tuple[str, str]:
-        out1 = self._fresh(first, "wire")
-        out2 = self._fresh(second, "wire")
-        if out1 == out2:
-            raise ParseError(f"wire {out2!r} bound twice", second.line, second.column)
-        self.wires[out1] = self.wires[out2] = "q"
-        return out1, out2
-
     def _expr(self, line: _LineParser) -> CoefExpr:
         start = line.peek()
         expr = line.parse_expr()
@@ -282,8 +283,7 @@ class _CircuitParser:
         if declared is None:
             raise ParseError(f"undefined wire {token.text!r}", token.line, token.column)
         if declared != kind:
-            need = "measurement record" if kind == "c" else "mode wire"
-            raise ParseError(f"wire {token.text!r} is not a {need}", token.line, token.column)
+            raise ParseError(f"wire {token.text!r} is not a {kind}", token.line, token.column)
         return token.text
 
     def _statement(self, line: _LineParser) -> Stmt:
@@ -342,7 +342,7 @@ class _CircuitParser:
                 bin_token.column,
             )
         self.rail_bins[rail] = time_bin
-        self.wires[name] = "q"
+        self.wires[name] = MODE
         self.modes.add(name)
         return ModeDecl(loc, kind, name, rail, time_bin)
 
@@ -408,7 +408,7 @@ class _CircuitParser:
 
     def _parse_expect(self, line: _LineParser, loc: Loc) -> ExpectStmt:
         port = line.expect_ident("output name")
-        if self.outputs.get(port.text) != "q":
+        if self.outputs.get(port.text) != MODE:
             raise ParseError(f"no quantum output {port.text!r} declared", port.line, port.column)
         if port.text in self.expected:
             raise ParseError(f"duplicate expect for {port.text!r}", port.line, port.column)
@@ -458,92 +458,46 @@ class _CircuitParser:
         return value.real
 
     def _parse_assignment(self, line: _LineParser, loc: Loc) -> Stmt:
+        """``(a, b) = ELEMENT(...)`` or ``a = ELEMENT(...)``, wired by its table entry."""
         if line.at_punct("("):
             line.next()
-            first = line.expect_ident("wire name")
+            targets = [line.expect_ident("wire name")]
             line.expect_punct(",")
-            second = line.expect_ident("wire name")
+            targets.append(line.expect_ident("wire name"))
             line.expect_punct(")")
-            line.expect_punct("=")
-            return self._pair_element(line, loc, first, second)
-        target = line.expect_ident("statement")
+        else:
+            targets = [line.expect_ident("statement")]
         line.expect_punct("=")
-        return self._single_element(line, loc, target)
-
-    def _pair_element(self, line: _LineParser, loc: Loc, first: _Token, second: _Token) -> Stmt:
         elem = line.expect_ident("element name")
         line.expect_punct("(")
-        in1 = self._wire_in(line, "q")
-        line.expect_punct(",")
-        in2 = self._wire_in(line, "q")
-        if elem.text == "split":
-            alpha = self._keyword_expr(line, "alpha")
-            phi = self._keyword_expr(line, "phi")
-            line.expect_punct(")")
-            line.expect_end()
-            out1, out2 = self._fresh_pair(first, second)
-            return SplitStmt(loc, out1, out2, in1, in2, alpha, phi)
-        if elem.text == "squeeze":
-            gain = self._keyword_expr(line, "gain")
-            phase = self._keyword_expr(line, "phase")
-            line.expect_punct(")")
-            line.expect_end()
-            out1, out2 = self._fresh_pair(first, second)
-            return SqueezeStmt(loc, out1, out2, in1, in2, gain, phase)
-        if elem.text == "unsqueeze":
-            gain = self._keyword_expr(line, "gain")
-            line.expect_punct(")")
-            line.expect_end()
-            out1, out2 = self._fresh_pair(first, second)
-            return UnsqueezeStmt(loc, out1, out2, in1, in2, gain)
-        raise ParseError(f"unknown two-output element {elem.text!r}", elem.line, elem.column)
-
-    def _single_element(self, line: _LineParser, loc: Loc, target: _Token) -> Stmt:
-        elem = line.expect_ident("element name")
-        line.expect_punct("(")
-        if elem.text == "phase":
-            operand = self._wire_in(line, "q")
-            phi = self._keyword_expr(line, "phi")
-            line.expect_punct(")")
-            line.expect_end()
-            out = self._fresh(target, "wire")
-            self.wires[out] = "q"
-            return PhaseStmt(loc, out, operand, phi)
-        if elem.text == "homodyne":
-            signal = self._wire_in(line, "q")
-            line.expect_punct(",")
-            resource = self._wire_in(line, "q")
-            xphase = self._keyword_expr(line, "xphase")
-            pphase = self._keyword_expr(line, "pphase")
-            line.expect_punct(")")
-            line.expect_end()
-            out = self._fresh(target, "wire")
-            self.wires[out] = "c"
-            return HomodyneStmt(loc, out, signal, resource, xphase, pphase)
-        if elem.text == "combine":
-            terms = self._terms(line, "combine")
-            line.expect_punct(")")
-            line.expect_end()
-            out = self._fresh(target, "wire")
-            self.wires[out] = "c"
-            return CombineStmt(loc, out, tuple((weight, name) for weight, name, _ in terms))
-        if elem.text == "displace":
-            resource = self._wire_in(line, "q")
-            line.expect_punct(",")
-            record = self._wire_in(line, "c")
-            gain = self._keyword_expr(line, "gain")
-            claimed = None
-            if line.at_punct(","):
-                line.next()
-                line.expect_keyword("bin")
-                line.expect_punct("=")
-                claimed = line.expect_int("bin")
-            line.expect_punct(")")
-            line.expect_end()
-            out = self._fresh(target, "wire")
-            self.wires[out] = "q"
-            return DisplaceStmt(loc, out, resource, record, gain, claimed)
-        raise ParseError(f"unknown element {elem.text!r}", elem.line, elem.column)
+        found = _ELEMENT_FORMS.get((elem.text, len(targets)))
+        if found is None:
+            what = "two-output element" if len(targets) == 2 else "element"
+            raise ParseError(f"unknown {what} {elem.text!r}", elem.line, elem.column)
+        stmt_type, element = found
+        fields: dict[str, object] = {}
+        for index, (name, kind) in enumerate(element.inputs):
+            if index:
+                line.expect_punct(",")
+            fields[name] = self._wire_in(line, kind)
+        for key in element.coefficients:
+            fields[key] = self._keyword_expr(line, key)
+        if stmt_type is CombineStmt:
+            fields["terms"] = tuple(term[:2] for term in self._terms(line, "combine"))
+        if stmt_type is DisplaceStmt and line.at_punct(","):
+            line.next()
+            line.expect_keyword("bin")
+            line.expect_punct("=")
+            fields["claimed_bin"] = line.expect_int("bin")
+        line.expect_punct(")")
+        line.expect_end()
+        outs = [self._fresh(token, "wire") for token in targets]
+        if len(set(outs)) < len(outs):
+            raise ParseError(f"wire {outs[-1]!r} bound twice", targets[-1].line, targets[-1].column)
+        for out, (name, kind) in zip(outs, element.outputs):
+            self.wires[out] = kind
+            fields[name] = out
+        return stmt_type(loc, **fields)
 
     def _terms(self, line: _LineParser, what: str) -> tuple:
         terms = [self._term(line, what)]
@@ -560,7 +514,7 @@ class _CircuitParser:
         if not isinstance(expr, Mul) or not isinstance(expr.right, Param):
             raise ParseError(f"{what} term must be WEIGHT*{noun}", start.line, start.column)
         name = expr.right.name
-        if what == "combine" and self.wires.get(name) != "c":
+        if what == "combine" and self.wires.get(name) != RECORD:
             raise ParseError(f"wire {name!r} is not a measurement record", start.line, start.column)
         if what != "combine" and name not in self.modes:
             raise ParseError(f"{name!r} is not a declared mode", start.line, start.column)
@@ -573,6 +527,12 @@ class _CircuitParser:
             if param not in self.params:
                 raise ParseError(f"undeclared parameter {param!r}", start.line, start.column)
         return weight, name, creation
+
+
+_ELEMENT_FORMS = {
+    (element.keyword, len(element.outputs)): (stmt_type, element)
+    for stmt_type, element in ELEMENTS.items()
+}
 
 
 def parse_circuit(text: str) -> CircuitAst:
@@ -656,36 +616,18 @@ def serialize_statement(stmt: Stmt) -> str:
         return f"param {stmt.name} = {value}"
     if isinstance(stmt, ModeDecl):
         return f"mode {stmt.kind.value} {stmt.name} rail={stmt.rail} bin={stmt.time_bin}"
-    if isinstance(stmt, SplitStmt):
-        return (
-            f"({stmt.out_minus}, {stmt.out_plus}) = split({stmt.in_t}, {stmt.in_r}, "
-            f"alpha={format_coef(stmt.alpha)}, phi={format_coef(stmt.phi)})"
-        )
-    if isinstance(stmt, SqueezeStmt):
-        return (
-            f"({stmt.out1}, {stmt.out2}) = squeeze({stmt.in1}, {stmt.in2}, "
-            f"gain={format_coef(stmt.gain)}, phase={format_coef(stmt.phase)})"
-        )
-    if isinstance(stmt, UnsqueezeStmt):
-        return (
-            f"({stmt.out1}, {stmt.out2}) = unsqueeze({stmt.in1}, {stmt.in2}, "
-            f"gain={format_coef(stmt.gain)})"
-        )
-    if isinstance(stmt, PhaseStmt):
-        return f"{stmt.out} = phase({stmt.operand}, phi={format_coef(stmt.phi)})"
-    if isinstance(stmt, HomodyneStmt):
-        return (
-            f"{stmt.out} = homodyne({stmt.signal}, {stmt.resource}, "
-            f"xphase={format_coef(stmt.xphase)}, pphase={format_coef(stmt.pphase)})"
-        )
-    if isinstance(stmt, CombineStmt):
-        return f"{stmt.out} = combine({_format_terms((w, r, False) for w, r in stmt.terms)})"
-    if isinstance(stmt, DisplaceStmt):
-        claim = "" if stmt.claimed_bin is None else f", bin={stmt.claimed_bin}"
-        return (
-            f"{stmt.out} = displace({stmt.resource}, {stmt.record}, "
-            f"gain={format_coef(stmt.gain)}{claim})"
-        )
+    element = ELEMENTS.get(type(stmt))
+    if element is not None:
+        outs = ", ".join(getattr(stmt, name) for name, _ in element.outputs)
+        args = [getattr(stmt, name) for name, _ in element.inputs]
+        args += [f"{key}={format_coef(getattr(stmt, key))}" for key in element.coefficients]
+        if isinstance(stmt, CombineStmt):
+            args.append(_format_terms((weight, name, False) for weight, name in stmt.terms))
+        if isinstance(stmt, DisplaceStmt) and stmt.claimed_bin is not None:
+            args.append(f"bin={stmt.claimed_bin}")
+        if len(element.outputs) > 1:
+            outs = f"({outs})"
+        return f"{outs} = {element.keyword}({', '.join(args)})"
     if isinstance(stmt, OutputStmt):
         text = f"output {stmt.name} = {stmt.wire}"
         if stmt.slot_bin is not None:

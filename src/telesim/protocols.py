@@ -103,6 +103,8 @@ def _real_lit(x: float) -> CoefExpr:
     f = Fraction(x).limit_denominator(64)
     if f.denominator <= 64 and abs(f.numerator) <= 999 and float(f) == x:
         return _frac_expr(f)
+    if x > 32:  # past sqrt(999), and x * x may overflow
+        return Num(x)
     g = Fraction(x * x).limit_denominator(64)
     if 0 < g.numerator <= 999 and g.denominator <= 64 and math.sqrt(g.numerator / g.denominator) == x:
         return Call("sqrt", _frac_expr(g))

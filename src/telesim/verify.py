@@ -450,9 +450,10 @@ def causality_report(protocol: ProtocolOutput) -> DependencyReport:
     )
 
 
-def signaling_test(protocol: ProtocolOutput, prepared_bin: int) -> float:
-    """Largest weight of a bin's inputs inside any earlier-emitted output.
+def signaling_test(protocol: ProtocolOutput, causality: DependencyReport) -> float:
+    """Largest weight of a later bin's input inside any earlier-emitted output.
 
+    Visits the causality scan's dependencies of the quantum and tap ports.
     Zero here is structural, not numeric: a causal device simply never
     routes a late input into an output that already left. Protocols whose
     outputs all emit at the final bin have nothing to test and return 0;
@@ -461,10 +462,10 @@ def signaling_test(protocol: ProtocolOutput, prepared_bin: int) -> float:
     evaluator = protocol.evaluator()
     worst = 0.0
     for name, expr in protocol.all_ports().items():
-        if protocol.port_bins[name].emission_bin >= prepared_bin:
-            continue
-        for mode, (c, d) in evaluator.table(expr).items():
-            if mode.time_bin == prepared_bin:
+        table = evaluator.table(expr)
+        for mode, time_bin in causality.dependencies[name]:
+            if time_bin > causality.emission[name]:
+                c, d = table[mode]
                 worst = max(worst, abs(complex(c)), abs(complex(d)))
     return worst
 
@@ -688,8 +689,7 @@ def verify_suite(protocol: ProtocolOutput) -> CheckSuite:
         f"verdict {causality.verdict}, delay {causality.mandatory_delay}",
     )
 
-    bins = sorted({m.time_bin for m in protocol.input_registry})
-    leak = max((signaling_test(protocol, b) for b in bins), default=0.0)
+    leak = signaling_test(protocol, causality)
     suite.add("no early output carries later input", leak == 0.0, f"max weight {leak:.3e}")
 
     # pipeline equivalence is checked at a well-conditioned working point:

@@ -1,18 +1,24 @@
 """Circuit source language: parsing, validation, serialization, evaluation."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from telesim.circuit import (
+    BUILTIN_LOC,
+    ELEMENTS,
+    MODE,
+    RECORD,
     CircuitAst,
     CircuitError,
     CombineStmt,
     DisplaceStmt,
     ExpectStmt,
     Loc,
+    ModeDecl,
     OutputStmt,
     PhaseStmt,
     SplitStmt,
@@ -21,8 +27,9 @@ from telesim.circuit import (
     evaluate_circuit,
     merge_env,
 )
-from telesim.coeff import Num, ParamEnv
+from telesim.coeff import Div, Num, ParamEnv
 from telesim.dsl import ParseError, format_number, parse_circuit, serialize_circuit
+from telesim.opalg import ModeKind, quadrature_variance
 from telesim.verify import covariance_oracle
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "src" / "telesim" / "golden"
@@ -163,6 +170,8 @@ def test_claimed_emission_bin_is_recorded():
         ("protocol p(x=i)", 1, 14, "protocol argument must be a real number"),
         (TWO_MODES + "a = frobnicate(v)", 3, 5, "unknown element 'frobnicate'"),
         (TWO_MODES + "(a, b) = frobnicate(v, w)", 3, 10, "unknown two-output element"),
+        # the element is looked up before its inputs are read
+        (TWO_MODES + "(a, b) = frobnicate(nosuch, w)", 3, 10, "unknown two-output element"),
         (TWO_MODES + "c = combine(1*v)", 3, 13, "wire 'v' is not a measurement record"),
         (
             TWO_MODES + "(a, b) = split(v, w, alpha=sqrt, phi=0)",
@@ -281,6 +290,59 @@ def test_homodyne_phases_off_a_right_angle_are_flagged():
     # parameter-dependent phases are judged under the binding
     assert flags("pi/2 + t") == []
     assert flags("pi/2 + t", t=0.3) == flagged
+
+
+def _every_element_circuit() -> CircuitAst:
+    """One statement per ELEMENTS row, plus a displacement with a bin claim.
+
+    Mode inputs are fresh vacuum modes and record inputs the latest record,
+    so rows that read records come after the rows that write them; every
+    coefficient is 1/2 and every output wire is declared an output.
+    """
+    modes = [ModeDecl(BUILTIN_LOC, ModeKind.VACUUM, f"v{k}", f"r{k}", 0) for k in range(20)]
+    fresh = iter(mode.name for mode in modes)
+    half = Div(Num(1), Num(2))
+    records: list[str] = []
+    statements: list = []
+
+    def reads_records(row) -> bool:
+        stmt_type, element = row
+        return stmt_type is CombineStmt or any(kind == RECORD for _, kind in element.inputs)
+
+    for stmt_type, element in sorted(ELEMENTS.items(), key=reads_records):
+        fields = {
+            name: next(fresh) if kind == MODE else records[-1] for name, kind in element.inputs
+        }
+        fields.update({key: half for key in element.coefficients})
+        fields.update({name: f"{element.keyword}_{name}" for name, _ in element.outputs})
+        if stmt_type is CombineStmt:
+            fields["terms"] = ((half, records[-1]), (Num(2), records[0]))
+        statements.append(stmt_type(BUILTIN_LOC, **fields))
+        records += [fields[name] for name, kind in element.outputs if kind == RECORD]
+    claimed = next(s for s in statements if isinstance(s, DisplaceStmt))
+    statements.append(replace(claimed, out="claimed", resource=next(fresh), claimed_bin=0))
+    wires = [getattr(stmt, name) for stmt in statements for name, _ in ELEMENTS[type(stmt)].outputs]
+    outputs = [OutputStmt(BUILTIN_LOC, f"port_{wire}", wire) for wire in wires]
+    return CircuitAst(tuple(modes) + tuple(statements) + tuple(outputs))
+
+
+def test_every_element_row_round_trips_and_runs_in_both_pipelines():
+    ast = _every_element_circuit()
+    text = serialize_circuit(ast)
+    for element in ELEMENTS.values():
+        assert f" = {element.keyword}(" in text
+    assert ", bin=0)" in text and "combine(1/2*" in text
+    assert parse_circuit(text) == ast
+    assert serialize_circuit(parse_circuit(text)) == text
+    # a row the float64 oracle has no wiring for fails here as unhandled
+    protocol = evaluate_circuit(ast)
+    oracle = covariance_oracle(ast)
+    assert set(oracle.ports) == set(protocol.all_ports())
+    session = protocol.evaluator()
+    for name, expr in protocol.all_ports().items():
+        for phase in (0.0, math.pi / 2):
+            op_side = quadrature_variance(expr, phase, session)
+            assert oracle.variance(name, phase) == pytest.approx(op_side, rel=1e-10, abs=1e-10)
 
 
 def test_records_are_not_mode_wires():

@@ -10,9 +10,11 @@ import pytest
 
 import telesim
 from telesim.cli import main
+from telesim.dsl import parse_circuit, serialize_circuit
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "src" / "telesim" / "golden"
 ACAUSAL = Path(__file__).resolve().parent / "fixtures" / "acausal.tls"
+CLONING = Path(__file__).resolve().parent / "fixtures" / "cloning.tls"
 GOLDEN = GOLDEN_DIR / "delayed_telefilter.tls"
 MIRROR = GOLDEN_DIR / "delayed_telemirror.tls"
 
@@ -97,6 +99,31 @@ def test_protocols_build_rejects_bad_params(capsys, name, param, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("delayed_telemirror", ["phi=inf"]),
+        ("delayed_telemirror", ["alpha=0.4", "phi=nan"]),
+        ("delayed_telefilter", ["quad_phases=nan,0"]),
+    ],
+)
+def test_protocols_build_rejects_non_finite_params(capsys, name, params):
+    argv = [arg for param in params for arg in ("--param", param)]
+    code, out, err = run_cli(capsys, "protocols", "build", name, *argv)
+    key, _, raw = params[-1].partition("=")
+    message = f"error: parameter {key!r} needs a finite numeric value, got {raw!r}\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_protocols_build_spells_a_huge_angle_as_a_float_literal(capsys):
+    code, out, err = run_cli(
+        capsys, "protocols", "build", "delayed_telefilter", "--param", "phi=1e300"
+    )
+    assert (code, err) == (0, "")
+    assert "split(a0, v0, alpha=1/2, phi=1e+300)" in out
+    assert serialize_circuit(parse_circuit(out)) == out
+
+
 def test_protocols_build_accepts_typed_params(capsys):
     code, out, _ = run_cli(
         capsys, "protocols", "build", "nmode_delayed_telefilter",
@@ -176,6 +203,17 @@ def test_verify_flags_the_acausal_fixture(capsys):
     code, out, _ = run_cli(capsys, "verify", str(ACAUSAL))
     assert code == 1
     assert "acausal" in out
+    # the bin-0 output carries the bin-1 signal at full weight
+    assert "[FAIL] no early output carries later input  max weight 1.000e+00" in out
+
+
+def test_verify_text_names_the_failing_bogoliubov_pair(capsys):
+    # the circuit reads signal a twice, so its two outputs do not commute
+    code, out, _ = run_cli(capsys, "verify", str(CLONING))
+    assert code == 1
+    lines = out.splitlines()
+    assert "bogoliubov: FAIL (max deviation 5.000e-01, tol 1.0e-10)" in lines
+    assert "  cross-commutator [out_x, out_p]: 5.000e-01" in lines
 
 
 @pytest.mark.parametrize(

@@ -130,9 +130,11 @@ def test_causality_delay_spans_the_bins():
 
 def test_signaling_is_structurally_zero_for_no_delay_taps():
     for name in ("nodelay_telefilter", "nodelay_telemirror"):
-        assert signaling_test(build(name), 2) == 0.0
+        po = build(name)
+        assert signaling_test(po, causality_report(po)) == 0.0
     # every delayed output emits at the final bin, so the test is vacuous
-    assert signaling_test(build("delayed_telefilter"), 2) == 0.0
+    po = build("delayed_telefilter")
+    assert signaling_test(po, causality_report(po)) == 0.0
 
 
 def test_selectivity_verdicts():
