@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 
-from mpmath.libmp import mpc_add, mpc_conjugate, mpc_mul, mpc_sub, mpf_add, mpf_mul
+from mpmath.libmp import fnan, from_man_exp
 
 from .coeff import (
     MP,
@@ -111,6 +111,10 @@ def lin_comb(weighted: list[tuple[object, ModeExpr]]) -> ModeExpr:
 
 NumericTerms = dict[ModeId, tuple]
 
+GUARD_BITS = 64
+# a larger entry raises OverflowError: its integer grows with its exponent
+MAX_MAGNITUDE_BITS = 1 << 16
+
 # coefficients at or below this magnitude are dropped from displayed tables
 DISPLAY_THRESHOLD = 1e-14
 
@@ -135,12 +139,22 @@ class ModeEvaluator:
     keeps its memo. So does the session, a family of its own, that
     :func:`session_for` keeps for the last bare :class:`ParamEnv` it was
     given. Parameter-free values come from the nodes (see :class:`Evaluator`).
+
+    The kernels below hold each entry x, converted once per session, as
+    x~ = trunc(x 2^P), P = working bits + GUARD_BITS, sum exact integer
+    products and round once. As |x - x~| < 2^-P and |x~| <= |x|, each part
+    of a product moves by at most 2^-P (|x|_1 + |y|_1), |z|_1 = |Re z| +
+    |Im z|. An inf or nan entry makes every kernel reading its table give nan.
     """
 
     def __init__(self, env: ParamEnv, roots: tuple[ModeExpr, ...] = ()):
         self.env = env
+        # the working precision, read here only: the kernels round to it
+        self._prec, self._rnd = MP._prec_rounding
+        self._bits = self._prec + GUARD_BITS
         self._coef: Evaluator | None = None
         self._tables: dict[ModeExpr, NumericTerms] = {}
+        self._fixed_tables: dict[ModeExpr, dict | None] = {}
         self._variances: dict[tuple[ModeExpr, float], object] = {}
         self._roots = tuple(roots)
         # made on the first bind(): the family refers back to this session,
@@ -179,82 +193,88 @@ class ModeEvaluator:
         self._tables[expr] = result
         return result
 
-    # Sums on raw mpmath tuples, bit-identical to mpc arithmetic in the same
-    # order; skipping a zero term is exact, as adding zero rounds to itself.
+    def _fixed(self, expr: ModeExpr) -> dict | None:
+        if expr not in self._fixed_tables:
+            self._fixed_tables[expr] = _fixed_table(self.table(expr), self._bits)
+        return self._fixed_tables[expr]
 
     def commutator(self, left: ModeExpr, right: ModeExpr):
-        """[left, right] = sum of c*f - d*e over modes in both tables."""
-        prec, rnd = MP._prec_rounding
-        lt, rt = self.table(left), self.table(right)
-        total = _ZERO
-        for mode, (c, d) in lt.items():
-            other = rt.get(mode)
-            if other is None:
-                continue
-            e, f = other
-            cf = _mul(c._mpc_, f._mpc_, prec, rnd)
-            de = _mul(d._mpc_, e._mpc_, prec, rnd)
-            if cf is not _ZERO or de is not _ZERO:
-                total = mpc_add(total, mpc_sub(cf, de, prec, rnd), prec, rnd)
-        return MP.make_mpc(total)
+        """[left, right] = sum of c*f - d*e over modes in both tables.
+
+        Before its one rounding each part lies within 2^-P sum(|c|_1 +
+        |d|_1 + |e|_1 + |f|_1) of the exact sum; on multiples of 2^-P it is it.
+        """
+        return self._commutator(left, right, cross=False)
 
     def cross_commutator(self, left: ModeExpr, right: ModeExpr):
-        """[left, right^dagger], read off both tables without building a dagger.
+        """[left, right^dagger], exactly ``commutator(left, dagger(right))``
+        (truncation commutes with conjugation) without building a dagger."""
+        return self._commutator(left, right, cross=True)
 
-        Exactly ``commutator(left, dagger(right))``: conjugation and negation
-        are exact, and the sum runs in the same order.
-        """
-        prec, rnd = MP._prec_rounding
-        lt, rt = self.table(left), self.table(right)
-        total = _ZERO
-        for mode, (c, d) in lt.items():
-            other = rt.get(mode)
-            if other is None:
-                continue
-            e, f = other
-            ce = _mul(c._mpc_, mpc_conjugate(e._mpc_, prec, rnd), prec, rnd)
-            df = _mul(d._mpc_, mpc_conjugate(f._mpc_, prec, rnd), prec, rnd)
-            if ce is not _ZERO or df is not _ZERO:
-                total = mpc_add(total, mpc_sub(ce, df, prec, rnd), prec, rnd)
-        return MP.make_mpc(total)
+    def _commutator(self, left: ModeExpr, right: ModeExpr, cross: bool):
+        lt, rt = self._fixed(left), self._fixed(right)
+        if lt is None or rt is None:
+            return MP.make_mpc((fnan, fnan))
+        re = im = 0
+        for mode, (cr, ci, dr, di) in lt.items():
+            if mode in rt:
+                er, ei, fr, fi = rt[mode]
+                if cross:  # dagger(right) holds (conj(f), conj(e))
+                    er, ei, fr, fi = fr, -fi, er, -ei
+                re += cr * fr - ci * fi - dr * er + di * ei
+                im += cr * fi + ci * fr - dr * ei - di * er
+        exp, prec, rnd = -2 * self._bits, self._prec, self._rnd
+        return MP.make_mpc((from_man_exp(re, exp, prec, rnd), from_man_exp(im, exp, prec, rnd)))
 
     def variance(self, expr: ModeExpr, phase: float):
-        """Sum over the table of |e^{-i phase} c + e^{i phase} conj(d)|^2."""
-        table = self.table(expr)
+        """Sum over the table of |a|^2, a = e^{-i phase} c + e^{i phase} conj(d).
+
+        With w = e^{-i phase} truncated too, each part of every a lies within
+        delta = 2^-P (2|w|_1 + |c|_1 + |d|_1) of its exact value, and the sum
+        before its one rounding within sum(2 delta (|a|_1 + delta)).
+        """
         key = (expr, phase)
         if key not in self._variances:
-            prec, rnd = MP._prec_rounding
-            fwd, bwd = _phase_factors(phase)
-            total = _ZERO[0]
-            for c, d in table.values():
-                fc = _mul(fwd, c._mpc_, prec, rnd)
-                bd = _mul(bwd, mpc_conjugate(d._mpc_, prec, rnd), prec, rnd)
-                if fc is _ZERO and bd is _ZERO:
-                    continue
-                re, im = mpc_add(fc, bd, prec, rnd)
-                squares = mpf_mul(re, re, prec, rnd), mpf_mul(im, im, prec, rnd)
-                total = mpf_add(total, mpf_add(*squares, prec, rnd), prec, rnd)
-            self._variances[key] = MP.make_mpf(total)
+            table, total = self._fixed(expr), 0
+            wr, wi = _phase_factor(phase, self._prec)
+            for cr, ci, dr, di in (table or {}).values():
+                # e^{i phase} = conj(w), so a = w c + conj(w d)
+                re = wr * (cr + dr) - wi * (ci + di)
+                im = wr * (ci - di) + wi * (cr - dr)
+                total += re * re + im * im
+            total = from_man_exp(total, -4 * self._bits, self._prec, self._rnd)
+            self._variances[key] = MP.make_mpf(fnan if table is None else total)
         return self._variances[key]
 
 
-_ZERO = MP.mpc(0)._mpc_
+def _fixed_table(table: NumericTerms, bits: int) -> dict | None:
+    """(cr, ci, dr, di) of each entry in fixed point, or None if one is inf or nan."""
+    out = {}
+    for mode, (c, d) in table.items():
+        parts = c._mpc_ + d._mpc_
+        # inf and nan are the raw mpfs with a zero mantissa and a nonzero exponent
+        if any(not man and exp for _, man, exp, _ in parts):
+            return None
+        out[mode] = tuple(_to_fixed(part, bits) for part in parts)
+    return out
+
+
+def _to_fixed(value: tuple, bits: int) -> int:
+    """trunc(value * 2^bits) of a finite raw mpf."""
+    sign, man, exp, bc = value
+    if man and exp + bc > MAX_MAGNITUDE_BITS:
+        raise OverflowError(f"coefficient beyond 2^{MAX_MAGNITUDE_BITS}, the exact sums' range")
+    fixed = man << (exp + bits) if exp + bits >= 0 else man >> -(exp + bits)
+    return -fixed if sign else fixed
 
 
 @functools.lru_cache(maxsize=64)
-def _phase_factors(phase: float) -> tuple[tuple, tuple]:
-    """Raw e^{-i phase} and e^{i phase} at ``MP``'s one precision, made once
-    per phase. ROADMAP item 3's per-binding precision must key them by the
-    precision too, or a 240-digit session would read 160-digit factors."""
-    return MP.exp(MP.mpc(0, -phase))._mpc_, MP.exp(MP.mpc(0, phase))._mpc_
-
-
-def _mul(a: tuple, b: tuple, prec: int, rnd: str) -> tuple:
-    """mpc_mul(a, b), or _ZERO itself when a factor is zero and the other finite
-    (inf and nan are the mpfs with a zero mantissa and a nonzero exponent)."""
-    if (a == _ZERO or b == _ZERO) and all(man or not exp for _, man, exp, _ in a + b):
-        return _ZERO
-    return mpc_mul(a, b, prec, rnd)
+def _phase_factor(phase: float, prec: int) -> tuple[int, int]:
+    """e^{-i phase} at prec bits, in fixed point at 2^-(prec + GUARD_BITS),
+    made once per phase and precision."""
+    with MP.workprec(prec):
+        w = MP.exp(MP.mpc(0, -phase))._mpc_
+    return _to_fixed(w[0], prec + GUARD_BITS), _to_fixed(w[1], prec + GUARD_BITS)
 
 
 # what the env-taking functions accept: a bare binding or a session

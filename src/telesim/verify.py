@@ -89,33 +89,40 @@ def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovRep
 
     outputs maps names to mode expressions. Both commutator families are
     checked for every unordered pair, plus self-normalization
-    [A, A^dagger] = 1. env may be a session, whose tables are then reused,
-    or a bare env, whose session later calls with that same env reuse (see
+    [A, A^dagger] = 1; a nan deviation fails its pair and is the maximum.
+    env may be a session, whose tables are then reused, or a bare env,
+    whose session later calls with that same env reuse (see
     :func:`opalg.session_for`).
     """
     items = list(outputs.items())
     evaluator = session_for(env)
     failures = []
-    worst = 0.0
+    deviations = []
     for i, (name_i, expr_i) in enumerate(items):
         for name_j, expr_j in items[i:]:
-            plain = abs(complex(evaluator.commutator(expr_i, expr_j)))
-            worst = max(worst, plain)
-            if plain > tol:
-                failures.append((name_i, name_j, "commutator", plain))
             expected = 1.0 if name_i == name_j else 0.0
-            cross = abs(
-                complex(evaluator.cross_commutator(expr_i, expr_j)) - expected
-            )
-            worst = max(worst, cross)
-            if cross > tol:
-                failures.append((name_i, name_j, "cross-commutator", cross))
+            plain = _magnitude(complex(evaluator.commutator(expr_i, expr_j)))
+            cross = _magnitude(complex(evaluator.cross_commutator(expr_i, expr_j)) - expected)
+            for check, deviation in (("commutator", plain), ("cross-commutator", cross)):
+                deviations.append(deviation)
+                if not deviation <= tol:
+                    failures.append((name_i, name_j, check, deviation))
     return BogoliubovReport(
         names=tuple(name for name, _ in items),
         tol=tol,
-        max_deviation=worst,
+        max_deviation=_worst(deviations),
         failures=tuple(failures),
     )
+
+
+def _worst(values: list[float]) -> float:
+    """max(values, default=0.0), or nan if one is: max() drops a later nan."""
+    return max(values, key=lambda v: (math.isnan(v), v), default=0.0)
+
+
+def _magnitude(z: complex) -> float:
+    """abs(z), or nan if a part is nan: CPython's abs() then obeys a stale errno."""
+    return math.nan if cmath.isnan(z) else abs(z)
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +467,13 @@ def signaling_test(protocol: ProtocolOutput, causality: DependencyReport) -> flo
     for those the cost shows up as delay in the causality report instead.
     """
     evaluator = protocol.evaluator()
-    worst = 0.0
+    weights = []
     for name, expr in protocol.all_ports().items():
         table = evaluator.table(expr)
         for mode, time_bin in causality.dependencies[name]:
             if time_bin > causality.emission[name]:
-                c, d = table[mode]
-                worst = max(worst, abs(complex(c)), abs(complex(d)))
-    return worst
+                weights += [_magnitude(complex(part)) for part in table[mode]]
+    return _worst(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -703,13 +709,14 @@ def verify_suite(protocol: ProtocolOutput) -> CheckSuite:
         }
     )
     cov = covariance_oracle(protocol.circuit, probe.env)
-    worst = 0.0
+    gaps = []
     for name, expr in protocol.all_ports().items():
         for phase in (0.0, math.pi / 2):
             op_side = quadrature_variance(expr, phase, probe)
             cov_side = cov.variance(name, phase)
             scale = max(1.0, abs(op_side), abs(cov_side))
-            worst = max(worst, abs(op_side - cov_side) / scale)
+            gaps.append(abs(op_side - cov_side) / scale)
+    worst = _worst(gaps)
     suite.add(
         "covariance oracle matches operator variances",
         worst <= 1e-10,

@@ -15,6 +15,7 @@ from telesim.dsl import parse_circuit, serialize_circuit
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "src" / "telesim" / "golden"
 ACAUSAL = Path(__file__).resolve().parent / "fixtures" / "acausal.tls"
 CLONING = Path(__file__).resolve().parent / "fixtures" / "cloning.tls"
+INFINITE_GAIN = Path(__file__).resolve().parent / "fixtures" / "infinite_gain.tls"
 GOLDEN = GOLDEN_DIR / "delayed_telefilter.tls"
 MIRROR = GOLDEN_DIR / "delayed_telemirror.tls"
 
@@ -214,6 +215,26 @@ def test_verify_text_names_the_failing_bogoliubov_pair(capsys):
     lines = out.splitlines()
     assert "bogoliubov: FAIL (max deviation 5.000e-01, tol 1.0e-10)" in lines
     assert "  cross-commutator [out_x, out_p]: 5.000e-01" in lines
+
+
+def test_verify_fails_a_non_finite_deviation(capsys):
+    # gain = -ln(0) is infinite: the tables hold inf and nan, the variances
+    # read nan, and a nan deviation must fail rather than drop out of a max
+    code, out, _ = run_cli(capsys, "verify", str(INFINITE_GAIN))
+    assert code == 1
+    lines = out.splitlines()
+    assert "  [FAIL] bogoliubov canonical output set  max deviation nan" in lines
+    assert "  [FAIL] covariance oracle matches operator variances  max relative gap nan" in lines
+    assert "  cross-commutator [out, out]: nan" in lines
+
+
+def test_verify_fails_a_non_finite_late_weight(tmp_path, capsys):
+    # the acausal fixture's early output carries the bin-1 record with weight nan
+    path = tmp_path / "acausal_nan.tls"
+    path.write_text(ACAUSAL.read_text().replace("gain=1/sqrt(2), bin=0", "gain=0*ln(0), bin=0"))
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert "  [FAIL] no early output carries later input  max weight nan" in out.splitlines()
 
 
 @pytest.mark.parametrize(

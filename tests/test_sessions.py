@@ -7,12 +7,14 @@ import math
 import weakref
 from collections import Counter
 from dataclasses import fields, is_dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_rational
 
-from telesim import cli, verify
+from telesim import cli, opalg, verify
 from telesim.circuit import evaluate_circuit
 from telesim.coeff import (
     MP,
@@ -36,6 +38,7 @@ from telesim.coeff import (
 )
 from telesim.dsl import format_coef, parse_circuit, serialize_circuit
 from telesim.opalg import (
+    GUARD_BITS,
     ModeEvaluator,
     ModeExpr,
     ModeId,
@@ -129,75 +132,123 @@ def test_cross_commutator_is_exactly_the_dagger_commutator(left, right):
     assert got.real._mpf_ == want.real._mpf_ and got.imag._mpf_ == want.imag._mpf_
 
 
-# exact zeros as the circuits produce them, and a non-finite leaf: the tuple
-# kernels skip a product with a zero factor only where that is exact
-ZERO_LEAVES = st.one_of(
-    LEAVES,
-    st.just(Num(0)),
-    LEAVES.map(lambda leaf: Mul(Num(0), leaf)),
-    st.just(Call("ln", Num(0))),
-)
-ZERO_COEFS = st.recursive(
-    ZERO_LEAVES,
-    lambda kids: st.one_of(
-        kids.map(Neg),
-        kids.map(conj),
-        st.tuples(kids, kids).map(lambda pair: Add(*pair)),
-        st.tuples(kids, kids).map(lambda pair: Mul(*pair)),
-    ),
-    max_leaves=4,
-)
-ZERO_MODE_EXPRS = st.dictionaries(
-    st.sampled_from(IDS), st.tuples(ZERO_COEFS, ZERO_COEFS), max_size=3
-).map(ModeExpr)
+# the kernels against exact rational sums of the same table entries
+
+GRID = MP.prec + GUARD_BITS  # P: the kernels hold entries at 2^-P
 
 
-def _object_commutator(ev, left, right):
-    lt, rt = ev.table(left), ev.table(right)
-    total = MP.mpc(0)
-    for mode, (c, d) in lt.items():
-        other = rt.get(mode)
-        if other is None:
-            continue
-        e, f = other
-        total += c * f - d * e
-    return total
+def _frac(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    value = man * Fraction(2) ** exp
+    return -value if sign else value
 
 
-def _object_cross_commutator(ev, left, right):
-    lt, rt = ev.table(left), ev.table(right)
-    total = MP.mpc(0)
-    for mode, (c, d) in lt.items():
-        other = rt.get(mode)
-        if other is None:
-            continue
-        e, f = other
-        total += c * MP.conj(e) - d * MP.conj(f)
-    return total
+def _cfrac(z) -> tuple[Fraction, Fraction]:
+    return _frac(z.real), _frac(z.imag)
 
 
-def _object_variance(ev, expr, phase):
-    fwd = MP.exp(MP.mpc(0, -phase))
-    bwd = MP.exp(MP.mpc(0, phase))
-    total = MP.mpf(0)
-    for c, d in ev.table(expr).values():
-        amp = fwd * c + bwd * MP.conj(d)
-        total += amp.real**2 + amp.imag**2
-    return total
+def _cmul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _cadd(x, y, sign=1):
+    return x[0] + sign * y[0], x[1] + sign * y[1]
+
+
+def _conj(x):
+    return x[0], -x[1]
+
+
+def _norm1(x) -> Fraction:
+    return abs(x[0]) + abs(x[1])
+
+
+def _on_grid(*values) -> bool:
+    return all((part * 2**GRID).denominator == 1 for value in values for part in value)
+
+
+def _assert_rounds(got, exact: Fraction, on_grid: bool, bound: Fraction):
+    """got is exact rounded once when every entry lies on the grid, and
+    within bound of it, plus that rounding, otherwise."""
+    if on_grid:
+        want = from_rational(exact.numerator, exact.denominator, MP.prec, "n")
+        assert got._mpf_ == want
+    else:
+        assert abs(_frac(got) - exact) <= bound + (abs(exact) + bound) / 2**MP.prec
+
+
+def _assert_commutator_exact(got, pairs, cross: bool):
+    """pairs: ((c, d), (e, f)) exact entries of each mode in both tables."""
+    total, size, entries = (Fraction(0), Fraction(0)), Fraction(0), []
+    for (c, d), (e, f) in pairs:
+        if cross:
+            e, f = _conj(e), _conj(f)
+            term = _cadd(_cmul(c, e), _cmul(d, f), -1)
+        else:
+            term = _cadd(_cmul(c, f), _cmul(d, e), -1)
+        total = _cadd(total, term)
+        size += _norm1(c) + _norm1(d) + _norm1(e) + _norm1(f)
+        entries += [c, d, e, f]
+    for part, exact in zip((got.real, got.imag), total):
+        _assert_rounds(part, exact, _on_grid(*entries), size / 2**GRID)
+
+
+def _assert_variance_exact(got, table, phase):
+    w = _cfrac(MP.exp(MP.mpc(0, -phase)))
+    total = bound = Fraction(0)
+    for c, d in table:
+        amp = _cadd(_cmul(w, c), _conj(_cmul(w, d)))
+        total += amp[0] ** 2 + amp[1] ** 2
+        delta = (2 * _norm1(w) + _norm1(c) + _norm1(d)) / 2**GRID
+        bound += 2 * delta * (_norm1(amp) + delta)
+    entries = [w] + [part for entry in table for part in entry]
+    _assert_rounds(got, total, _on_grid(*entries), bound)
 
 
 @settings(max_examples=150, deadline=None)
-@given(left=ZERO_MODE_EXPRS, right=ZERO_MODE_EXPRS)
-def test_tuple_kernels_are_bit_identical_to_object_arithmetic(left, right):
+@given(
+    left=MODE_EXPRS,
+    right=MODE_EXPRS,
+    shift=st.sampled_from([0, 80]),
+    poisoned=st.booleans(),
+)
+def test_integer_kernels_round_the_exact_sum_once(left, right, shift, poisoned):
+    # a shift of 80 bits pushes low mantissa bits below the grid; ln(0) is -inf
+    left = ModeExpr({m: (Mul(Num(2.0**-shift), c), d) for m, (c, d) in left.terms.items()})
+    if poisoned:
+        left = ModeExpr({**left.terms, IDS[1]: (Call("ln", Num(0)), Num(1))})
     ev = ModeEvaluator(ParamEnv({"x": 0.7, "y": -1.3}))
-    assert _same_mpc(ev.commutator(left, right), _object_commutator(ev, left, right))
-    assert _same_mpc(
-        ev.cross_commutator(left, right), _object_cross_commutator(ev, left, right)
-    )
-    for expr in (left, right):
+    lt, rt = ev.table(left), ev.table(right)
+    finite = {
+        id(table): all(MP.isfinite(z) for entry in table.values() for z in entry)
+        for table in (lt, rt)
+    }
+    got = (ev.commutator(left, right), ev.cross_commutator(left, right))
+    if not (finite[id(lt)] and finite[id(rt)]):
+        for value in got:
+            assert MP.isnan(value.real) and MP.isnan(value.imag)
+    else:
+        pairs = [
+            (tuple(map(_cfrac, lt[m])), tuple(map(_cfrac, rt[m]))) for m in lt if m in rt
+        ]
+        _assert_commutator_exact(got[0], pairs, cross=False)
+        _assert_commutator_exact(got[1], pairs, cross=True)
+    for expr, table in ((left, lt), (right, rt)):
         for phase in (0.0, math.pi / 2, 0.3):
-            got = ev.variance(expr, phase)
-            assert got._mpf_ == _object_variance(ev, expr, phase)._mpf_
+            variance = ev.variance(expr, phase)
+            if not finite[id(table)]:
+                assert MP.isnan(variance)
+            else:
+                exact = [tuple(map(_cfrac, entry)) for entry in table.values()]
+                _assert_variance_exact(variance, exact, phase)
+
+
+def test_a_coefficient_beyond_the_kernels_range_raises_overflow():
+    # e^50000 is about 2^72135: its fixed-point integer would grow with the exponent
+    ev = ModeEvaluator(ParamEnv({}))
+    huge = ModeExpr({IDS[0]: (Call("exp", Num(50000)), Num(0))})
+    with pytest.raises(OverflowError, match="the exact sums. range"):
+        ev.variance(huge, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +379,25 @@ def test_verify_evaluates_each_node_once_per_binding(tmp_path, monkeypatch):
     allowed = _dependent_and_leaf_nodes(roots)
     for binding, node in counts:
         assert binding == root or node in allowed, binding
+
+
+def test_verify_converts_each_table_once_per_session(monkeypatch):
+    """The kernels convert a (session, table) pair to fixed point at most
+    once, however many pairs and phases read it."""
+    protocol = evaluate_circuit(parse_circuit(protocol_text("nmode_delayed_telefilter", n=16)))
+    converted = []  # the tables themselves, so no id is reused
+    convert = opalg._fixed_table
+
+    def counting(table, bits):
+        converted.append(table)
+        return convert(table, bits)
+
+    monkeypatch.setattr(opalg, "_fixed_table", counting)
+    suite = verify_suite(protocol)
+    assert suite.all_passed
+    # each session caches its tables, so a table stands for (session, expression)
+    assert len(converted) > len(protocol.quantum_ports())
+    assert max(Counter(map(id, converted)).values()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Independent analysis layer: unitarity, limits, covariances, timing."""
 
 import contextlib
+import ctypes
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -206,3 +208,14 @@ def test_cli_verify_runs_each_analysis_once(monkeypatch):
     assert code == 0
     assert sorted(calls) == sorted(wrapped)
     assert {"bogoliubov", "causality", "limits", "selectivity"} <= report.keys()
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="reads the C library's strtod")
+def test_a_nan_magnitude_ignores_a_stale_errno():
+    # CPython's complex abs() of a nan reads errno, which a libm call may
+    # have left at ERANGE, and then raises OverflowError
+    strtod = ctypes.CDLL(None).strtod
+    strtod.restype = ctypes.c_double
+    z = complex(math.nan, 0.0)
+    strtod(b"1e999", None)
+    assert math.isnan(verify._magnitude(z))
