@@ -97,8 +97,23 @@ class ReportDocument:
 
     def render(self) -> str:
         if self.format == "machine":
-            return json.dumps(self.payload, sort_keys=True, indent=2) + "\n"
+            try:
+                text = json.dumps(self.payload, sort_keys=True, indent=2, allow_nan=False)
+            except ValueError:  # a non-finite number: strict JSON has none
+                text = json.dumps(_spelled(self.payload), sort_keys=True, indent=2)
+            return text + "\n"
         return _render_text(self.payload)
+
+
+def _spelled(value):
+    """value with each non-finite float spelled as the string "nan", "inf" or "-inf"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _spelled(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spelled(item) for item in value]
+    return value
 
 
 def _base_payload(protocol: ProtocolOutput) -> dict:

@@ -9,7 +9,8 @@ reaches may hold its value outside its dataclass fields (see Evaluator).
 
 Evaluation runs on a dedicated mpmath context with 160 decimal digits.
 Limit checks substitute scales up to twice the default 20, which drives
-intermediate magnitudes past anything float64 can cancel correctly.
+intermediate magnitudes past anything float64 can cancel correctly. It
+carries raw mpmath tuples, with an identity memo and a value memo.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numbers
 from dataclasses import dataclass
 
 import mpmath
+from mpmath.libmp import fzero, mpc_add, mpc_conjugate, mpc_div, mpc_is_infnan, mpc_mul
+from mpmath.libmp import mpc_mul_mpf, mpc_neg, mpc_sub
 
 MP = mpmath.mp.clone()
 MP.dps = 160
@@ -293,36 +296,35 @@ class Evaluator:
     """Evaluates expressions under one env, memoizing shared subtrees.
 
     :meth:`eval` walks unmemoized nodes with a stack, operands first, and
-    :meth:`_eval` computes each once. The memo keys on identity and keeps
-    each keyed expression alive, so no recycled id serves a stale value.
-    Entries mark nodes no :class:`Param` reaches as binding-invariant. Those
-    another binding reads (operands of parameter-dependent nodes, values
-    asked of :meth:`eval` from outside) keep their value on the node once
-    :meth:`eval` returns, never after it raises; every later walk under any
-    env takes it. A stored value is valid at ``MP``'s one precision only.
+    :meth:`_eval` computes each once from its operands' memo entries by the
+    ``mpmath.libmp`` kernels that ``MP.mpc`` arithmetic calls, bit for bit.
+    Values stay raw ``_mpc_`` tuples until :meth:`eval` wraps one. The memo
+    keys on identity and keeps each keyed expression alive, so no recycled
+    id serves a stale value; the value memo computes each distinct ``Num``,
+    function argument and quotient once per binding. Entries mark nodes no
+    :class:`Param` reaches as binding-invariant. Those another binding reads
+    (operands of parameter-dependent nodes, values asked of :meth:`eval`
+    from outside) keep their value on the node once :meth:`eval` returns,
+    never after it raises; every later walk under any env takes it. A stored
+    value is valid at ``MP``'s one precision only.
     """
 
     def __init__(self, env: ParamEnv):
         self.env = env
-        self._memo: dict[int, tuple[CoefExpr, mpmath.mpc, bool]] = {}
-        self._walking = False
+        self._prec, self._rnd = MP._prec_rounding
+        self._memo: dict[int, tuple[CoefExpr, tuple, bool]] = {}
+        self._values: dict = {}  # Num by value, Call by (func, argument), Div by operands
 
     def eval(self, expr: CoefExpr) -> mpmath.mpc:
         entry = self._memo.get(id(expr))
-        if self._walking:  # _eval reading an operand the walk memoized
-            return entry[1]
         if entry is None:
-            self._walking = True
-            try:
-                entry, kept = self._walk(expr)
-            finally:
-                self._walking = False
+            entry, kept = self._walk(expr)
             for node, value, invariant in kept:
                 if invariant:
                     object.__setattr__(node, "_value", value)
         if entry[2]:
             object.__setattr__(expr, "_value", entry[1])
-        return entry[1]
+        return MP.make_mpc(entry[1])
 
     def _walk(self, root: CoefExpr) -> tuple[tuple, list[tuple]]:
         memo, kept = self._memo, []  # kept: operands of parameter-dependent nodes
@@ -358,37 +360,55 @@ class Evaluator:
                 stack += ((item, (kid,)), kid)
         return memo[id(root)], kept
 
-    def _eval(self, expr: CoefExpr) -> mpmath.mpc:
-        """Value of one node whose operands are all memoized."""
-        if isinstance(expr, Num):
-            return MP.mpc(expr.value)
-        if isinstance(expr, Param):
+    def _eval(self, expr: CoefExpr) -> tuple:
+        """Raw value of one node whose operands are all memoized."""
+        cls, memo, values, prec, rnd = type(expr), self._memo, self._values, self._prec, self._rnd
+        if cls is Mul:
+            a, b = memo[id(expr.left)][1], memo[id(expr.right)][1]
+            # times a finite real, mpc_mul's cross terms are exact zeros (inf*0 is nan)
+            if b[1] == fzero and not (mpc_is_infnan(a) or mpc_is_infnan(b)):
+                return mpc_mul_mpf(a, b[0], prec, rnd)
+            if a[1] == fzero and not (mpc_is_infnan(a) or mpc_is_infnan(b)):
+                return mpc_mul_mpf(b, a[0], prec, rnd)
+            return mpc_mul(a, b, prec, rnd)
+        if cls is Add:
+            return mpc_add(memo[id(expr.left)][1], memo[id(expr.right)][1], prec, rnd)
+        if cls is Sub:
+            return mpc_sub(memo[id(expr.left)][1], memo[id(expr.right)][1], prec, rnd)
+        if cls is Neg:
+            return mpc_neg(memo[id(expr.operand)][1], prec, rnd)
+        if cls is Conj:
+            return mpc_conjugate(memo[id(expr.operand)][1], prec, rnd)
+        if cls is Param:
             try:
-                return MP.mpc(self.env.values[expr.name])
+                return MP.mpc(self.env.values[expr.name])._mpc_
             except KeyError:
                 raise CoefficientError(f"unbound parameter {expr.name!r}") from None
-        if isinstance(expr, PiConst):
-            return MP.mpc(MP.pi)
-        if isinstance(expr, ImagUnit):
-            return MP.mpc(0, 1)
-        if isinstance(expr, Add):
-            return self.eval(expr.left) + self.eval(expr.right)
-        if isinstance(expr, Sub):
-            return self.eval(expr.left) - self.eval(expr.right)
-        if isinstance(expr, Mul):
-            return self.eval(expr.left) * self.eval(expr.right)
-        if isinstance(expr, Div):
-            denom = self.eval(expr.right)
-            if denom == 0:
+        if cls is PiConst:
+            return MP.mpc(MP.pi)._mpc_
+        if cls is ImagUnit:
+            return MP.mpc(0, 1)._mpc_
+        # equal inputs give equal values: each distinct input is computed once
+        if cls is Num:
+            key = expr.value
+        elif cls is Call:
+            key = (expr.func, memo[id(expr.arg)][1])
+        elif cls is Div:
+            key = (memo[id(expr.left)][1], memo[id(expr.right)][1])
+            if key[1] == (fzero, fzero):
                 raise CoefficientError("division by zero")
-            return self.eval(expr.left) / denom
-        if isinstance(expr, Neg):
-            return -self.eval(expr.operand)
-        if isinstance(expr, Conj):
-            return MP.conj(self.eval(expr.operand))
-        if isinstance(expr, Call):
-            return MP.mpc(_FUNCTIONS[expr.func](self.eval(expr.arg)))
-        raise CoefficientError(f"cannot evaluate {expr!r}")
+        else:
+            raise CoefficientError(f"cannot evaluate {expr!r}")
+        value = values.get(key)
+        if value is None:
+            if cls is Num:
+                value = MP.mpc(key)._mpc_
+            elif cls is Call:
+                value = MP.mpc(_FUNCTIONS[key[0]](MP.make_mpc(key[1])))._mpc_
+            else:
+                value = mpc_div(*key, prec, rnd)
+            values[key] = value
+        return value
 
 
 def evaluate(expr: CoefExpr, env: ParamEnv) -> complex:

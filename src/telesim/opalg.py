@@ -10,7 +10,9 @@ expression object it is given.
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -323,7 +325,12 @@ def prune_for_display(expr: ModeExpr, env: Binding):
     table = {}
     for mode, (c, d) in session_for(env).table(expr).items():
         cc, dc = complex(c), complex(d)
-        if abs(cc) <= DISPLAY_THRESHOLD and abs(dc) <= DISPLAY_THRESHOLD:
+        if _magnitude(cc) <= DISPLAY_THRESHOLD and _magnitude(dc) <= DISPLAY_THRESHOLD:
             continue
         table[mode] = (cc, dc)
     return table
+
+
+def _magnitude(z: complex) -> float:
+    """abs(z), or nan if a part is nan: CPython's abs() then obeys a stale errno."""
+    return math.nan if cmath.isnan(z) else abs(z)

@@ -51,6 +51,7 @@ from .opalg import (
     ModeExpr,
     ModeId,
     ModeKind,
+    _magnitude,
     quadrature_variance,
     session_for,
 )
@@ -118,11 +119,6 @@ def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovRep
 def _worst(values: list[float]) -> float:
     """max(values, default=0.0), or nan if one is: max() drops a later nan."""
     return max(values, key=lambda v: (math.isnan(v), v), default=0.0)
-
-
-def _magnitude(z: complex) -> float:
-    """abs(z), or nan if a part is nan: CPython's abs() then obeys a stale errno."""
-    return math.nan if cmath.isnan(z) else abs(z)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,20 @@ def test_verify_fails_a_non_finite_deviation(capsys):
     assert "  cross-commutator [out, out]: nan" in lines
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_non_finite_machine_reports_are_strict_json(capsys, command):
+    code, out, _ = run_cli(capsys, command, str(INFINITE_GAIN), "--format", "machine")
+    assert code == (1 if command == "verify" else 0)
+    report = json.loads(out, parse_constant=_refuse_constant)
+    assert '"nan"' in out
+    if command == "verify":
+        assert report["bogoliubov"]["max_deviation"] == "nan"
+
+
 def test_verify_fails_a_non_finite_late_weight(tmp_path, capsys):
     # the acausal fixture's early output carries the bin-1 record with weight nan
     path = tmp_path / "acausal_nan.tls"

@@ -1,13 +1,17 @@
 """Mode operator algebra: linear combinations, commutators, variances."""
 
+import cmath
+import ctypes
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from telesim.coeff import ParamEnv
+from telesim.coeff import ZERO, Call, Mul, Num, ParamEnv
 from telesim.opalg import (
     ModeEvaluator,
+    ModeExpr,
     ModeId,
     ModeKind,
     dagger,
@@ -101,6 +105,21 @@ def test_prune_for_display_drops_dust():
     expr = lin_comb([(1.0, A), (1e-20, B)])
     kept = dict(prune_for_display(expr, EMPTY))
     assert A_ID in kept and B_ID not in kept
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="reads the C library's strtod")
+def test_pruning_a_nan_entry_ignores_a_stale_errno():
+    # 0*ln(0) is nan. Tabled first, so no libm call runs between strtod
+    # leaving errno at ERANGE and the magnitude test; a zero d converts
+    # without one as well
+    expr = ModeExpr({A_ID: (Mul(Num(0), Call("ln", Num(0))), ZERO)})
+    session = ModeEvaluator(EMPTY)
+    session.table(expr)
+    strtod = ctypes.CDLL(None).strtod
+    strtod.restype = ctypes.c_double
+    strtod(b"1e999", None)
+    c, d = prune_for_display(expr, session)[A_ID]
+    assert cmath.isnan(c) and d == 0
 
 
 def test_mode_kind_tags_survive():

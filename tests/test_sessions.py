@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import math
+import operator
 import weakref
 from collections import Counter
 from dataclasses import fields, is_dataclass
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_rational
 
-from telesim import cli, opalg, verify
+from telesim import cli, coeff, opalg, verify
 from telesim.circuit import evaluate_circuit
 from telesim.coeff import (
     MP,
@@ -251,6 +252,93 @@ def test_a_coefficient_beyond_the_kernels_range_raises_overflow():
         ev.variance(huge, 0.0)
 
 
+# scalar evaluation against plain mpmath object arithmetic
+
+# exactly real, exactly imaginary and zero operands come up often
+SCALARS = st.one_of(
+    st.sampled_from([0, 1, -2.5, 0.5j, -3j, 1.5 - 0.25j]),
+    st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+)
+_OBJECT_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+# "leaf" is exp or ln of a fresh Num; exp takes leaves only: exp of exp of a
+# product can pass mpmath's exponent range and raise OverflowError
+_KINDS = st.sampled_from([Num, "leaf", "ln(0)", Call, Neg, Conj, *_OBJECT_OPS])
+
+
+@st.composite
+def coefficient_dags(draw) -> list:
+    """The nodes of a random DAG, each after its operands.
+
+    Operands are drawn from the nodes so far, so subtrees are shared, and
+    fresh Nums, exp and ln leaves and quotients repeat values. ln(0) is -inf,
+    so products with it test where real operands may skip mpc_mul.
+    """
+    nodes = [Param("x"), Param("y"), I, PiConst(), Call("ln", Num(0))]
+
+    def pick():
+        return nodes[draw(st.integers(0, 63)) % len(nodes)]
+
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(_KINDS)
+        if kind is Num:
+            node = Num(draw(SCALARS))
+        elif kind == "leaf":
+            node = Call(draw(st.sampled_from(["exp", "ln"])), Num(draw(SCALARS)))
+        elif kind == "ln(0)":
+            node = Call("ln", Num(0))
+        elif kind is Call:
+            node = Call(draw(st.sampled_from(["sqrt", "ln"])), pick())
+        elif kind in (Neg, Conj):
+            node = kind(pick())
+        else:
+            node = kind(pick(), pick())
+        nodes.append(node)
+    return nodes
+
+
+def _object_value(expr: CoefExpr, env: dict, done: dict):
+    """The reference value of expr: plain MP.mpc object arithmetic, node by node."""
+    if id(expr) not in done:
+        cls = type(expr)
+        if cls is Num:
+            value = MP.mpc(expr.value)
+        elif cls is Param:
+            value = MP.mpc(env[expr.name])
+        elif cls is PiConst:
+            value = MP.mpc(MP.pi)
+        elif cls is ImagUnit:
+            value = MP.mpc(0, 1)
+        elif cls is Neg:
+            value = -_object_value(expr.operand, env, done)
+        elif cls is Conj:
+            value = MP.conj(_object_value(expr.operand, env, done))
+        elif cls is Call:
+            value = MP.mpc(getattr(MP, expr.func)(_object_value(expr.arg, env, done)))
+        else:
+            left = _object_value(expr.left, env, done)
+            right = _object_value(expr.right, env, done)
+            if cls is Div and right == 0:
+                raise CoefficientError("division by zero")
+            value = _OBJECT_OPS[cls](left, right)
+        done[id(expr)] = value
+    return done[id(expr)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(nodes=coefficient_dags())
+def test_raw_evaluation_is_bit_identical_to_object_arithmetic(nodes):
+    env = {"x": 0.7, "y": -1.3}
+    ev, done = Evaluator(ParamEnv(env)), {}
+    for node in nodes:
+        try:
+            want = _object_value(node, env, done)
+        except CoefficientError:
+            with pytest.raises(CoefficientError, match="division by zero"):
+                ev.eval(node)
+            continue
+        assert _same_mpc(ev.eval(node), want)
+
+
 # ---------------------------------------------------------------------------
 # evaluation counts
 
@@ -439,6 +527,37 @@ def test_audit_under_one_bare_env_evaluates_each_node_once_per_binding(monkeypat
             assert binding == first or node in dependent, binding
         if here != first:
             assert {node for binding, node in counts if binding == here} == dependent
+
+
+def test_each_distinct_constant_and_function_argument_is_evaluated_once(monkeypatch):
+    # the splitters of an n-bin circuit each build their own cis(phi), sqrt(alpha)
+    # and Num nodes; the 16-bin root binding has 5 distinct exp arguments
+    protocol = evaluate_circuit(parse_circuit(protocol_text("nmode_delayed_telefilter", n=16)))
+    args: dict[str, list] = {"exp": [], "sqrt": [], "Num": []}
+    for name in ("exp", "sqrt"):
+
+        def counted(x, _plain=coeff._FUNCTIONS[name], _args=args[name]):
+            _args.append(x._mpc_)
+            return _plain(x)
+
+        monkeypatch.setitem(coeff._FUNCTIONS, name, counted)
+
+    class CountingContext:
+        """coeff's MP, recording each complex it converts: a Num's value."""
+
+        def __getattr__(self, name):
+            return getattr(MP, name)
+
+        def mpc(self, *values):
+            if values and type(values[0]) is complex:
+                args["Num"].append(values[0])
+            return MP.mpc(*values)
+
+    monkeypatch.setattr(coeff, "MP", CountingContext())
+    protocol.evaluator()
+    for name, seen in args.items():
+        assert seen and len(seen) == len(set(seen)), name
+    assert len(args["exp"]) == 5
 
 
 def test_equal_values_with_another_limit_scale_are_another_binding():
