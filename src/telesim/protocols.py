@@ -17,6 +17,18 @@ protocols list`` shows.
 Numeric arguments are baked into the statements as literals; only the
 squeezing strengths stay symbolic (declared infinite) so the same
 circuit can be evaluated at any strength or pushed toward the limit.
+
+Angles follow one rule. An angle is on the grid when its double is
+exactly k*pi/4 with |k| <= 8; it is then spelled symbolically (``3*pi/4``),
+otherwise as its float literal. An angle derived from others (``pi - phi``,
+a homodyne's p-phase ``x + pi/2``) takes its own grid spelling only when it
+and its base angles are all on the grid; otherwise it is the exact symbolic
+combination of the bases' literals. A phase factor e^{-i m phi} is an exact
+unit (1, -i, -1, i) when phi is on the grid and m*phi is a right angle, and
+otherwise exp(-i*...) of phi's literal. Either way every angle the wiring
+uses equals the literal the circuit carries: a separately rounded double
+breaks the cancellations the wiring relies on once squeezing amplifies the
+mismatch past float width.
 """
 
 from __future__ import annotations
@@ -111,36 +123,43 @@ def _real_lit(x: float) -> CoefExpr:
     return Num(x)
 
 
+def _grid_k(phi: float) -> int | None:
+    """k when phi is exactly k*pi/4 with |k| <= 8, else None."""
+    k = round(phi * 4 / math.pi)
+    return k if abs(k) <= 8 and k * (math.pi / 4) == phi else None
+
+
 def _angle_lit(phi: float) -> CoefExpr:
-    """Canonical spelling for multiples of pi/4, float literal otherwise."""
-    k = round(phi * 4 / math.pi)
-    if abs(k) <= 8 and k * (math.pi / 4) == phi:
-        if k == 0:
-            return Num(0)
-        f = Fraction(abs(k), 4)
-        base: CoefExpr = PiConst()
-        if f.numerator != 1:
-            head = Num(f.numerator) if k > 0 else Neg(Num(f.numerator))
-            base = Mul(head, PiConst())
-        elif k < 0:
-            base = Neg(PiConst())
-        if f.denominator == 1:
-            return base
-        return Div(base, Num(f.denominator))
-    return _real_lit(phi)
+    k = _grid_k(phi)
+    if k is None:
+        return _real_lit(phi)
+    if k == 0:
+        return Num(0)
+    f = Fraction(abs(k), 4)
+    base: CoefExpr = PiConst()
+    if f.numerator != 1:
+        head = Num(f.numerator) if k > 0 else Neg(Num(f.numerator))
+        base = Mul(head, PiConst())
+    elif k < 0:
+        base = Neg(PiConst())
+    if f.denominator == 1:
+        return base
+    return Div(base, Num(f.denominator))
 
 
-def _grid_angle(phi: float) -> bool:
-    k = round(phi * 4 / math.pi)
-    return abs(k) <= 8 and k * (math.pi / 4) == phi
+def _derived_angle(value: float, bases: tuple[float, ...], combination: CoefExpr) -> CoefExpr:
+    """value's grid spelling, or the combination of the bases' literals."""
+    if all(_grid_k(a) is not None for a in (value, *bases)):
+        return _angle_lit(value)
+    return combination
 
 
-def _right_angle_unit(phi: float) -> complex | None:
-    """Exact value of e^{-i phi} when phi is a multiple of pi/2."""
-    k = round(phi / _HALF_PI)
-    if k * _HALF_PI == phi:
-        return (1 + 0j, -1j, -1 + 0j, 1j)[k % 4]
-    return None
+def _phase_unit(phi: float, m: int = 1) -> complex | None:
+    """e^{-i m phi} exactly, when phi is on the grid and m*phi a right angle."""
+    k = _grid_k(phi)
+    if k is None or m * k % 2:
+        return None
+    return (1 + 0j, -1j, -1 + 0j, 1j)[m * k // 2 % 4]
 
 
 def _unit_lit(z: complex) -> CoefExpr:
@@ -162,20 +181,12 @@ def _scale(factor: CoefExpr, expr: CoefExpr) -> CoefExpr:
     return Mul(factor, expr)
 
 
-def _conj_phase_lit(phi: float, phi_lit: CoefExpr | None = None) -> CoefExpr:
-    """e^{-i phi} as an expression; exact unit spelling at right angles.
-
-    Off the grid this stays symbolic in the same literal the circuit
-    uses for the angle elsewhere. A rounded float constant would break
-    the cancellations the wiring relies on once squeezing amplifies the
-    mismatch past float width.
-    """
-    unit = _right_angle_unit(phi)
+def _conj_phase_lit(phi: float) -> CoefExpr:
+    """e^{-i phi} as an expression."""
+    unit = _phase_unit(phi)
     if unit is not None:
         return _unit_lit(unit)
-    if phi_lit is None:
-        phi_lit = _angle_lit(phi)
-    return Call("exp", Mul(Neg(ImagUnit()), phi_lit))
+    return Call("exp", Mul(Neg(ImagUnit()), _angle_lit(phi)))
 
 
 def _weight_lit(z: complex) -> CoefExpr:
@@ -210,6 +221,10 @@ def _sqrt2() -> CoefExpr:
     return Call("sqrt", Num(2))
 
 
+def _half_pi() -> CoefExpr:
+    return Div(PiConst(), Num(2))
+
+
 # ---------------------------------------------------------------------------
 # statement emission
 
@@ -239,15 +254,11 @@ class _Circ:
         self.stmts.append(PhaseStmt(BUILTIN_LOC, out, operand, phi))
 
     def homodyne(self, out, signal, resource, xphase: float):
+        pphase = _derived_angle(
+            xphase + _HALF_PI, (xphase,), Add(_angle_lit(xphase), _half_pi())
+        )
         self.stmts.append(
-            HomodyneStmt(
-                BUILTIN_LOC,
-                out,
-                signal,
-                resource,
-                _angle_lit(xphase),
-                _angle_lit(xphase + _HALF_PI),
-            )
+            HomodyneStmt(BUILTIN_LOC, out, signal, resource, _angle_lit(xphase), pphase)
         )
 
     def combine(self, out, terms: list[tuple[CoefExpr, str]]):
@@ -376,16 +387,34 @@ def build_atemporal_telemirror(gain_mode: str = "unity") -> CircuitAst:
 # two-bin protocols, delayed feed-forward
 
 
-def _declare_two_bin_front(c: _Circ, with_perp: bool):
+_SIGNAL_BINS = ((_SIGNAL, "j1", "input", 1), (_SIGNAL, "j2", "input", 2))
+_RECEIVER_PERP = ((_VACUUM, "e1_perp", "receiver"), (_VACUUM, "u_perp", "receiver_ancilla"))
+# bin-major so each rail's bins stay nondecreasing
+_MIRROR_INPUTS = (
+    (_SIGNAL, "j1", "input", 1),
+    (_SIGNAL, "j1_perp", "input", 1),
+    (_SIGNAL, "j2", "input", 2),
+    (_SIGNAL, "j2_perp", "input", 2),
+    *_RECEIVER_PERP,
+    (_VACUUM, "e2_perp", "sender"),
+    (_VACUUM, "v_perp", "sender_ancilla"),
+)
+
+
+def _two_bin_front(c: _Circ, inputs, alpha: float, phi: float) -> tuple[CoefExpr, CoefExpr]:
+    """Seed pair, bin ancillas, inputs, squeeze and both distribution
+    splits; returns the alpha and phi literals the splits carry."""
     c.mode(_SEED, "e1", "source")
     c.mode(_SEED, "e2", "source")
     c.mode(_VACUUM, "v0", "sender_ancilla")
     c.mode(_VACUUM, "u0", "receiver_ancilla")
-    c.mode(_SIGNAL, "j1", "input", 1)
-    c.mode(_SIGNAL, "j2", "input", 2)
-    if with_perp:
-        c.mode(_VACUUM, "e1_perp", "receiver")
-        c.mode(_VACUUM, "u_perp", "receiver_ancilla")
+    for decl in inputs:
+        c.mode(*decl)
+    c.squeeze("a0", "b0", "e1", "e2", _S)
+    a_lit, phi_lit = _real_lit(alpha), _angle_lit(phi)
+    c.split("a_minus", "a_plus", "a0", "v0", a_lit, phi_lit)
+    c.split("b_minus", "b_plus", "b0", "u0", a_lit, phi_lit)
+    return a_lit, phi_lit
 
 
 def build_delayed_telefilter(
@@ -403,7 +432,6 @@ def build_delayed_telefilter(
     _check_choice(gain_mode, ("unity", "tanh"), "gain_mode")
     _check_unit_interval(alpha, "alpha")
     ph1, ph2 = float(quad_phases[0]), float(quad_phases[1])
-    chi = math.pi - phi
     args = [
         ("alpha", alpha),
         ("phi", phi),
@@ -412,11 +440,7 @@ def build_delayed_telefilter(
     ]
     c = _Circ("delayed_telefilter", args)
     c.infinite("s")
-    _declare_two_bin_front(c, with_perp=True)
-    c.squeeze("a0", "b0", "e1", "e2", _S)
-    a_lit, phi_lit = _real_lit(alpha), _angle_lit(phi)
-    c.split("a_minus", "a_plus", "a0", "v0", a_lit, phi_lit)
-    c.split("b_minus", "b_plus", "b0", "u0", a_lit, phi_lit)
+    a_lit, phi_lit = _two_bin_front(c, _SIGNAL_BINS + _RECEIVER_PERP, alpha, phi)
     c.homodyne("m1", "j1", "a_minus", ph1)
     c.homodyne("m2", "j2", "a_plus", ph2)
     weights: list[CoefExpr] = []
@@ -429,10 +453,7 @@ def build_delayed_telefilter(
     c.combine("m", [(weights[0], "m1"), (weights[1], "m2")])
     c.displace("j1p", "b_minus", "m", Call("sqrt", Sub(Num(1), a_lit)))
     c.displace("j2p", "b_plus", "m", Call("sqrt", a_lit))
-    if _grid_angle(phi) and _grid_angle(chi):
-        chi_lit = _angle_lit(chi)
-    else:
-        chi_lit = Sub(PiConst(), phi_lit)
+    chi_lit = _derived_angle(math.pi - phi, (phi,), Sub(PiConst(), phi_lit))
     c.split("sel", "orth", "j1p", "j2p", a_lit, chi_lit)
     c.split("bp_minus", "bp_plus", "e1_perp", "u_perp", a_lit, phi_lit)
     c.split("sel_perp", "orth_perp", "bp_minus", "bp_plus", a_lit, chi_lit)
@@ -485,18 +506,6 @@ def build_delayed_telemirror(
     return _delayed_telemirror_tuned(alpha, phi, phi_c2)
 
 
-def _declare_mirror_inputs(c: _Circ):
-    # bin-major so each rail's bins stay nondecreasing
-    c.mode(_SIGNAL, "j1", "input", 1)
-    c.mode(_SIGNAL, "j1_perp", "input", 1)
-    c.mode(_SIGNAL, "j2", "input", 2)
-    c.mode(_SIGNAL, "j2_perp", "input", 2)
-    c.mode(_VACUUM, "e1_perp", "receiver")
-    c.mode(_VACUUM, "u_perp", "receiver_ancilla")
-    c.mode(_VACUUM, "e2_perp", "sender")
-    c.mode(_VACUUM, "v_perp", "sender_ancilla")
-
-
 def _expect_perp_recovered(c: _Circ):
     # the balanced mirrors hand every orthogonal input back unchanged
     for k, mode in enumerate(("e2_perp", "v_perp", "j1_perp", "j2_perp"), start=1):
@@ -513,15 +522,7 @@ def _delayed_telemirror_symmetric() -> CircuitAst:
     c = _Circ("delayed_telemirror", args)
     c.infinite("s")
     c.infinite("r")
-    c.mode(_SEED, "e1", "source")
-    c.mode(_SEED, "e2", "source")
-    c.mode(_VACUUM, "v0", "sender_ancilla")
-    c.mode(_VACUUM, "u0", "receiver_ancilla")
-    _declare_mirror_inputs(c)
-    half, neg_half_pi = _real_lit(0.5), _angle_lit(_CANONICAL_PHI)
-    c.squeeze("a0", "b0", "e1", "e2", _S)
-    c.split("a_minus", "a_plus", "a0", "v0", half, neg_half_pi)
-    c.split("b_minus", "b_plus", "b0", "u0", half, neg_half_pi)
+    half, neg_half_pi = _two_bin_front(c, _MIRROR_INPUTS, 0.5, _CANONICAL_PHI)
     c.squeeze("c1", "ar1", "j1", "a_minus", _R)
     c.squeeze("c2", "ar2", "j2", "a_plus", _R)
     c.split("c_plus", "c_minus", "c1", "c2", half, neg_half_pi)
@@ -576,31 +577,18 @@ def _delayed_telemirror_tuned(alpha: float, phi: float, phi_c2: float) -> Circui
     c = _Circ("delayed_telemirror", args)
     c.infinite("s")
     c.infinite("r")
-    c.mode(_SEED, "e1", "source")
-    c.mode(_SEED, "e2", "source")
-    c.mode(_VACUUM, "v0", "sender_ancilla")
-    c.mode(_VACUUM, "u0", "receiver_ancilla")
-    _declare_mirror_inputs(c)
-    a_lit, phi_lit = _real_lit(alpha), _angle_lit(phi)
+    a_lit, phi_lit = _two_bin_front(c, _MIRROR_INPUTS, alpha, phi)
     pc2_lit = _angle_lit(phi_c2)
     mu_lit = Sub(Num(1), a_lit)
-    grid = _grid_angle(phi) and _grid_angle(phi_c2)
-
-    # The decoder only cancels if these stay exact combinations of the
-    # base angles all the way through evaluation.
-    def derived(value: float, build: Callable[[], CoefExpr]) -> CoefExpr:
-        if grid and _grid_angle(value):
-            return _angle_lit(value)
-        return build()
-
-    phi_c1_lit = derived(_HALF_PI - phi, lambda: Sub(Div(PiConst(), Num(2)), phi_lit))
-    theta_p_lit = derived(phi_c2 + _HALF_PI, lambda: Add(pc2_lit, Div(PiConst(), Num(2))))
-    theta_m_lit = derived(phi + phi_c2 + math.pi, lambda: Add(Add(phi_lit, pc2_lit), PiConst()))
-    neg_c0_lit = derived(phi_c2 - _HALF_PI, lambda: Sub(pc2_lit, Div(PiConst(), Num(2))))
-    chi_lit = derived(math.pi - phi, lambda: Sub(PiConst(), phi_lit))
-    c.squeeze("a0", "b0", "e1", "e2", _S)
-    c.split("a_minus", "a_plus", "a0", "v0", a_lit, phi_lit)
-    c.split("b_minus", "b_plus", "b0", "u0", a_lit, phi_lit)
+    # the decoder's angles all derive from phi and phi_c2 together
+    bases = (phi, phi_c2)
+    phi_c1_lit = _derived_angle(_HALF_PI - phi, bases, Sub(_half_pi(), phi_lit))
+    theta_p_lit = _derived_angle(phi_c2 + _HALF_PI, bases, Add(pc2_lit, _half_pi()))
+    theta_m_lit = _derived_angle(
+        phi + phi_c2 + math.pi, bases, Add(Add(phi_lit, pc2_lit), PiConst())
+    )
+    neg_c0_lit = _derived_angle(phi_c2 - _HALF_PI, bases, Sub(pc2_lit, _half_pi()))
+    chi_lit = _derived_angle(math.pi - phi, bases, Sub(PiConst(), phi_lit))
     c.squeeze("c1", "ar1", "j1", "a_minus", _R)
     c.squeeze("c2", "ar2", "j2", "a_plus", _R)
     c.phase("c1s", "c1", phi_c1_lit)
@@ -700,11 +688,7 @@ def build_nodelay_telefilter(
     args = [("alpha", alpha), ("quad_phases", (ph1, ph2))]
     c = _Circ("nodelay_telefilter", args)
     c.infinite("s")
-    _declare_two_bin_front(c, with_perp=False)
-    a_lit, phi_lit = _real_lit(alpha), _angle_lit(_CANONICAL_PHI)
-    c.squeeze("a0", "b0", "e1", "e2", _S)
-    c.split("a_minus", "a_plus", "a0", "v0", a_lit, phi_lit)
-    c.split("b_minus", "b_plus", "b0", "u0", a_lit, phi_lit)
+    a_lit, phi_lit = _two_bin_front(c, _SIGNAL_BINS, alpha, _CANONICAL_PHI)
     c.homodyne("m1", "j1", "a_minus", ph1)
     c.homodyne("m2", "j2", "a_plus", ph2)
     c.displace("j1p", "b_minus", "m1", Div(_conj_phase_lit(ph1), _sqrt2()))
@@ -745,16 +729,8 @@ def build_nodelay_telemirror(
     c = _Circ("nodelay_telemirror", args)
     c.infinite("s")
     c.infinite("r")
-    c.mode(_SEED, "e1", "source")
-    c.mode(_SEED, "e2", "source")
-    c.mode(_VACUUM, "v0", "sender_ancilla")
-    c.mode(_VACUUM, "u0", "receiver_ancilla")
-    _declare_mirror_inputs(c)
-    a_lit, phi_lit = _real_lit(alpha), _angle_lit(_CANONICAL_PHI)
+    a_lit, phi_lit = _two_bin_front(c, _MIRROR_INPUTS, alpha, _CANONICAL_PHI)
     back_lit = _angle_lit(-3 * _HALF_PI)
-    c.squeeze("a0", "b0", "e1", "e2", _S)
-    c.split("a_minus", "a_plus", "a0", "v0", a_lit, phi_lit)
-    c.split("b_minus", "b_plus", "b0", "u0", a_lit, phi_lit)
     c.phase("b_minus_d", "b_minus", _angle_lit(math.pi))
     c.phase("b_plus_d", "b_plus", _angle_lit(math.pi))
     c.squeeze("c1", "ar1", "j1", "a_minus", _R)
@@ -815,7 +791,7 @@ def _default_alphas(n: int) -> list[float]:
     return [(n - k) / (n - k + 1) for k in range(1, n)]
 
 
-def _check_nmode_args(n: int, alphas, phis, quad_phases, n_quad: int):
+def _check_nmode_args(n: int, alphas, phis, quad_phases):
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"n must be an integer >= 2; got {n!r}")
     alphas = _default_alphas(n) if alphas is None else [float(a) for a in alphas]
@@ -829,9 +805,9 @@ def _check_nmode_args(n: int, alphas, phis, quad_phases, n_quad: int):
         phis = [float(p) for p in phis]
     if len(phis) != n - 1:
         raise ValueError(f"phis must have length {n - 1}; got {len(phis)}")
-    quad = [0.0] * n_quad if quad_phases is None else [float(p) for p in quad_phases]
-    if len(quad) != n_quad:
-        raise ValueError(f"quad_phases must have length {n_quad}; got {len(quad)}")
+    quad = [0.0] * n if quad_phases is None else [float(p) for p in quad_phases]
+    if len(quad) != n:
+        raise ValueError(f"quad_phases must have length {n}; got {len(quad)}")
     return alphas, phis, quad
 
 
@@ -849,22 +825,40 @@ def _cascade(c: _Circ, prefix: str, trunk: str, ancillas: list[str],
     return resources
 
 
-def _fold_back(c: _Circ, bins: list[str], phis,
-               alpha_lits: list[CoefExpr], phi_lits: list[CoefExpr]) -> tuple[list[str], str]:
-    """Undo the cascade on the displaced bins; returns (leftovers, trunk)."""
-    acc = bins[-1]
-    leftovers: list[str] = []
-    for k in range(len(bins) - 1, 0, -1):
-        back = phis[k - 1] - math.pi
-        if _grid_angle(phis[k - 1]) and _grid_angle(back):
-            angle = _angle_lit(back)
-        else:
-            angle = Sub(phi_lits[k - 1], PiConst())
-        c.split(f"urec{k}", f"trunk{k}", acc, bins[k - 1], alpha_lits[k - 1], angle)
-        leftovers.append(f"urec{k}")
+def _nbin_front(c: _Circ, alphas: list[float], phis: list[float]):
+    """Seed pair, bin ancillas, inputs, squeeze and both distribution
+    cascades; returns the alpha and phi literals the cascades carry and
+    each rail's resource wire per bin."""
+    n = len(alphas) + 1
+    c.mode(_SEED, "e1", "source")
+    c.mode(_SEED, "e2", "source")
+    for k in range(1, n):
+        c.mode(_VACUUM, f"v{k}", "sender_ancilla")
+    for k in range(1, n):
+        c.mode(_VACUUM, f"u{k}", "receiver_ancilla")
+    for k in range(1, n + 1):
+        c.mode(_SIGNAL, f"j{k}", "input", k)
+    c.squeeze("a0", "b0", "e1", "e2", _S)
+    alpha_lits = [_real_lit(a) for a in alphas]
+    phi_lits = [_angle_lit(p) for p in phis]
+    a_res = _cascade(c, "a", "a0", [f"v{k}" for k in range(1, n)], alpha_lits, phi_lits)
+    b_res = _cascade(c, "b", "b0", [f"u{k}" for k in range(1, n)], alpha_lits, phi_lits)
+    return alpha_lits, phi_lits, a_res, b_res
+
+
+def _fold_back(c: _Circ, phis: list[float], alpha_lits: list[CoefExpr], phi_lits: list[CoefExpr]):
+    """Undo the cascade on the displaced bins j1p..jNp: the trunk leaves
+    as ``selected`` and each step's leftover as ``orthogonal_k``."""
+    n = len(phis) + 1
+    acc = f"j{n}p"
+    for k in range(n - 1, 0, -1):
+        phi = phis[k - 1]
+        back = _derived_angle(phi - math.pi, (phi,), Sub(phi_lits[k - 1], PiConst()))
+        c.split(f"urec{k}", f"trunk{k}", acc, f"j{k}p", alpha_lits[k - 1], back)
         acc = f"trunk{k}"
-    leftovers.reverse()
-    return leftovers, acc
+    c.output("selected", acc, role="transmitted")
+    for k in range(1, n):
+        c.output(f"orthogonal_{k}", f"urec{k}", role="transmitted")
 
 
 def _amplitude_schedule(alphas, phis) -> list[complex]:
@@ -876,6 +870,12 @@ def _amplitude_schedule(alphas, phis) -> list[complex]:
         running *= math.sqrt(a)
     coefs.append(running)
     return coefs
+
+
+def _quad_turn(q: float) -> complex:
+    """e^{-2iq}, the turn a quadrature phase gives the teleported bin."""
+    unit = _phase_unit(q, 2)
+    return cmath.exp(-2j * q) if unit is None else unit
 
 
 def _tap_weight_asts(alpha_lits: list[CoefExpr]) -> list[CoefExpr]:
@@ -894,31 +894,18 @@ def _tap_weight_asts(alpha_lits: list[CoefExpr]) -> list[CoefExpr]:
     return outs
 
 
-def _tap_gain_asts(alpha_lits: list[CoefExpr], phis, phi_lits) -> list[CoefExpr]:
+def _tap_gain_asts(alpha_lits: list[CoefExpr], phis: list[float]) -> list[CoefExpr]:
     """Displacement gain per tap: the trunk amplitude it must match."""
     weights = _tap_weight_asts(alpha_lits)
     gains: list[CoefExpr] = []
-    for k, w in enumerate(weights):
-        if k == len(weights) - 1:
-            gains.append(w)
-            continue
-        unit = _right_angle_unit(phis[k])
+    for w, phi in zip(weights, phis):
+        unit = _phase_unit(phi)
         if unit is not None:
             gains.append(_scale(_unit_lit(-1j * unit), w))
         else:
-            gains.append(_scale(Neg(ImagUnit()), _scale(_conj_phase_lit(phis[k], phi_lits[k]), w)))
+            gains.append(_scale(Neg(ImagUnit()), _scale(_conj_phase_lit(phi), w)))
+    gains.append(weights[-1])
     return gains
-
-
-def _declare_nmode_front(c: _Circ, n: int):
-    c.mode(_SEED, "e1", "source")
-    c.mode(_SEED, "e2", "source")
-    for k in range(1, n):
-        c.mode(_VACUUM, f"v{k}", "sender_ancilla")
-    for k in range(1, n):
-        c.mode(_VACUUM, f"u{k}", "receiver_ancilla")
-    for k in range(1, n + 1):
-        c.mode(_SIGNAL, f"j{k}", "input", k)
 
 
 def build_nmode_delayed_telefilter(
@@ -934,7 +921,7 @@ def build_nmode_delayed_telefilter(
     the last measurement. The leftover ports return the receiver
     ancillas unchanged.
     """
-    alphas, phis, quad = _check_nmode_args(n, alphas, phis, quad_phases, n)
+    alphas, phis, quad = _check_nmode_args(n, alphas, phis, quad_phases)
     args = [
         ("n", n),
         ("alphas", tuple(alphas)),
@@ -943,32 +930,22 @@ def build_nmode_delayed_telefilter(
     ]
     c = _Circ("nmode_delayed_telefilter", args)
     c.infinite("s")
-    _declare_nmode_front(c, n)
-    c.squeeze("a0", "b0", "e1", "e2", _S)
-    alpha_lits = [_real_lit(a) for a in alphas]
-    phi_lits = [_angle_lit(p) for p in phis]
-    a_res = _cascade(c, "a", "a0", [f"v{k}" for k in range(1, n)], alpha_lits, phi_lits)
-    b_res = _cascade(c, "b", "b0", [f"u{k}" for k in range(1, n)], alpha_lits, phi_lits)
-    coefs = _amplitude_schedule(alphas, phis)
-    gains = _tap_gain_asts(alpha_lits, phis, phi_lits)
+    alpha_lits, phi_lits, a_res, b_res = _nbin_front(c, alphas, phis)
+    gains = _tap_gain_asts(alpha_lits, phis)
     terms: list[tuple[CoefExpr, str]] = []
     for k in range(1, n + 1):
         c.homodyne(f"m{k}", f"j{k}", a_res[k - 1], quad[k - 1])
         weight = Div(_scale(_conj_phase_lit(quad[k - 1]), gains[k - 1]), _sqrt2())
         terms.append((weight, f"m{k}"))
     c.combine("m", terms)
-    bins = []
     for k in range(1, n + 1):
         c.displace(f"j{k}p", b_res[k - 1], "m", gains[k - 1])
-        bins.append(f"j{k}p")
-    leftovers, trunk = _fold_back(c, bins, phis, alpha_lits, phi_lits)
-    c.output("selected", trunk, role="transmitted")
-    for k, rec in enumerate(leftovers, start=1):
-        c.output(f"orthogonal_{k}", rec, role="transmitted")
+    _fold_back(c, phis, alpha_lits, phi_lits)
     for k in range(1, n + 1):
         c.output(f"bin{k}_out", f"j{k}p", slot_bin=k, role="tap")
     c.output("record", "m")
-    selected = [(coefs[k], f"j{k + 1}") for k in range(n)]
+    coefs = _amplitude_schedule(alphas, phis)
+    selected = [(coefs[k] * _quad_turn(quad[k]), f"j{k + 1}") for k in range(n)]
     c.target(selected)
     c.expect("selected", selected)
     for k in range(1, n):
@@ -988,33 +965,25 @@ def build_nmode_nodelay_telefilter(
     cost is distribution noise on every leftover port.
     """
     alphas, phis, quad = _check_nmode_args(
-        n, alphas, None, quad_phases if quad_phases is not None else [_CANONICAL_PHI] * n, n
+        n, alphas, None, quad_phases if quad_phases is not None else [_CANONICAL_PHI] * n
     )
     args = [("n", n), ("alphas", tuple(alphas)), ("quad_phases", tuple(quad))]
     c = _Circ("nmode_nodelay_telefilter", args)
     c.infinite("s")
-    _declare_nmode_front(c, n)
-    c.squeeze("a0", "b0", "e1", "e2", _S)
-    alpha_lits = [_real_lit(a) for a in alphas]
-    phi_lits = [_angle_lit(p) for p in phis]
-    a_res = _cascade(c, "a", "a0", [f"v{k}" for k in range(1, n)], alpha_lits, phi_lits)
-    b_res = _cascade(c, "b", "b0", [f"u{k}" for k in range(1, n)], alpha_lits, phi_lits)
-    bins = []
+    alpha_lits, phi_lits, a_res, b_res = _nbin_front(c, alphas, phis)
     for k in range(1, n + 1):
         c.homodyne(f"m{k}", f"j{k}", a_res[k - 1], quad[k - 1])
         gain = Div(_conj_phase_lit(quad[k - 1]), _sqrt2())
         c.displace(f"j{k}p", b_res[k - 1], f"m{k}", gain)
-        bins.append(f"j{k}p")
-    leftovers, trunk = _fold_back(c, bins, phis, alpha_lits, phi_lits)
-    c.output("selected", trunk, role="transmitted")
-    for k, rec in enumerate(leftovers, start=1):
-        c.output(f"orthogonal_{k}", rec, role="transmitted")
+    _fold_back(c, phis, alpha_lits, phi_lits)
     for k in range(1, n + 1):
         c.output(f"bin{k}_out", f"j{k}p", slot_bin=k, role="tap")
         c.output(f"record_{k}", f"m{k}")
     weights = [abs(w) for w in _amplitude_schedule(alphas, phis)]
-    c.target([(weights[k], f"j{k + 1}") for k in range(n)])
-    c.expect("selected", [(-weights[k], f"j{k + 1}") for k in range(n)])
+    turns = [_quad_turn(q) for q in quad]
+    # bin 1's weight stays real and positive in the target
+    c.target([(weights[k] * (turns[k] * turns[0].conjugate()), f"j{k + 1}") for k in range(n)])
+    c.expect("selected", [(weights[k] * turns[k], f"j{k + 1}") for k in range(n)])
     return c.finish()
 
 

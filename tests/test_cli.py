@@ -125,6 +125,21 @@ def test_protocols_build_spells_a_huge_angle_as_a_float_literal(capsys):
     assert serialize_circuit(parse_circuit(out)) == out
 
 
+def test_a_right_angle_past_the_grid_builds_a_circuit_that_verifies(tmp_path, capsys):
+    # 5*pi/2 is spelled as its double, so its phase factor stays exp(-i*...)
+    # of that double instead of an exact -i the literal does not equal
+    code, out, err = run_cli(
+        capsys, "protocols", "build", "delayed_telefilter",
+        "--param", "quad_phases=7.853981633974483,0",
+    )
+    assert (code, err) == (0, "")
+    assert "exp(-i*7.853981633974483)" in out
+    path = tmp_path / "past_the_grid.tls"
+    path.write_text(out)
+    code, report, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0, report
+
+
 def test_protocols_build_accepts_typed_params(capsys):
     code, out, _ = run_cli(
         capsys, "protocols", "build", "nmode_delayed_telefilter",
