@@ -592,8 +592,7 @@ def _make_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="parameter to send to infinity (repeatable)",
     )
-    p_limits.add_argument("--format", choices=("text", "machine"), default="text")
-    p_limits.add_argument("--out", metavar="PATH")
+    add_io(p_limits, with_params=False)
     p_limits.set_defaults(handler=_limits_command, param=None)
 
     p_protocols = sub.add_parser("protocols", help="registry access")

@@ -99,11 +99,6 @@ class CoefExpr:
     def __neg__(self):
         return _fold_neg(self)
 
-    def parameters(self) -> frozenset[str]:
-        found: set[str] = set()
-        _collect_params(self, found, set())
-        return frozenset(found)
-
 
 @dataclass(frozen=True)
 class Num(CoefExpr):
@@ -275,21 +270,6 @@ def sinh(expr) -> CoefExpr:
 def cis(phase) -> CoefExpr:
     """e^{i*phase} as an expression."""
     return Call("exp", Mul(I, as_coef(phase)))
-
-
-def _collect_params(expr: CoefExpr, found: set[str], seen: set[int]) -> None:
-    if id(expr) in seen:
-        return
-    seen.add(id(expr))
-    if isinstance(expr, Param):
-        found.add(expr.name)
-    elif isinstance(expr, (Add, Sub, Mul, Div)):
-        _collect_params(expr.left, found, seen)
-        _collect_params(expr.right, found, seen)
-    elif isinstance(expr, (Neg, Conj)):
-        _collect_params(expr.operand, found, seen)
-    elif isinstance(expr, Call):
-        _collect_params(expr.arg, found, seen)
 
 
 class Evaluator:

@@ -117,6 +117,7 @@ class _LineParser:
         self.line = line_no
         self.end_column = line_len + 1
         self.depth = 0
+        self.names: list[str] = []  # each Param made, in source order
 
     def error(self, message: str) -> ParseError:
         column = self.tokens[self.pos].column if self.pos < len(self.tokens) else self.end_column
@@ -223,6 +224,7 @@ class _LineParser:
                 arg = self.nested(self.parse_expr)
                 self.expect_punct(")")
                 return Call(name, arg)
+            self.names.append(name)
             return Param(name)
         raise self.error("expected expression")
 
@@ -262,13 +264,15 @@ class _CircuitParser:
             raise ParseError(f"name {name!r} is reserved", token.line, token.column)
         return name
 
+    def _check_params(self, names: list[str], start: _Token) -> None:
+        undeclared = sorted(set(names) - self.params)
+        if undeclared:
+            raise ParseError(f"undeclared parameter {undeclared[0]!r}", start.line, start.column)
+
     def _expr(self, line: _LineParser) -> CoefExpr:
-        start = line.peek()
-        expr = line.parse_expr()
-        for name in sorted(expr.parameters()):
-            if name not in self.params:
-                where = start if start is not None else _Token("", "", line.line, 1)
-                raise ParseError(f"undeclared parameter {name!r}", where.line, where.column)
+        start, mark = line.peek(), len(line.names)
+        expr = line.parse_expr()  # raises unless a token starts it
+        self._check_params(line.names[mark:], start)
         return expr
 
     def _keyword_expr(self, line: _LineParser, key: str) -> CoefExpr:
@@ -508,7 +512,7 @@ class _CircuitParser:
 
     def _term(self, line: _LineParser, what: str) -> tuple[CoefExpr, str, bool]:
         """WEIGHT*RECORD for combine; WEIGHT*MODE or WEIGHT*MODE^dag otherwise."""
-        start = line.peek()
+        start, mark = line.peek(), len(line.names)
         expr = line.parse_expr()  # raises unless a token starts it
         noun = "RECORD" if what == "combine" else "MODE"
         if not isinstance(expr, Mul) or not isinstance(expr.right, Param):
@@ -522,11 +526,9 @@ class _CircuitParser:
         if creation:
             line.next()
             line.expect_keyword("dag")
-        weight = expr.left
-        for param in sorted(weight.parameters()):
-            if param not in self.params:
-                raise ParseError(f"undeclared parameter {param!r}", start.line, start.column)
-        return weight, name, creation
+        # every name but the trailing NAME is the weight's
+        self._check_params(line.names[mark:-1], start)
+        return expr.left, name, creation
 
 
 _ELEMENT_FORMS = {

@@ -1,13 +1,18 @@
 """Builders for the telefilter and telemirror circuit family.
 
-Each builder assembles a circuit statement by statement and returns the
-:class:`CircuitAst` it wrote; :func:`build` is the one place a registry
-circuit is evaluated. The circuit ends with the oracle its analyses judge
-it against: the target mode (``target``) and the closed-form limit each
-port is designed to reach (``expect``). The statement list is the single
-source of truth: the text fixtures under golden/ are these same circuits
-serialized, oracle included, and each equals ``protocol_text(name)`` byte
-for byte, which serializes without evaluating.
+A builder writes its golden: its circuit as circuit-language text, one
+statement per line, which :func:`telesim.dsl.parse_circuit` turns into
+statements. So only the parser knows what tree a coefficient's text makes,
+it checks every builder circuit's wiring, and each statement's location is
+its line in the golden, as the CLI reports it. :func:`build` is the one
+place a registry circuit is evaluated. The circuit ends with the oracle its
+analyses judge it against: the target mode (``target``) and the
+closed-form limit each port is designed to reach (``expect``). Each golden
+under golden/ equals ``protocol_text(name)`` byte for byte.
+
+Line 1, the protocol statement, is not parsed but is a
+:class:`ProtocolDecl` of the builder's own Python values: the parser reads
+every number as a float, and an argument such as ``n`` must stay an int.
 
 A builder is its own registry entry: its signature gives the argument
 names and defaults, its annotations the types ``telesim protocols build``
@@ -16,7 +21,9 @@ protocols list`` shows.
 
 Numeric arguments are baked into the statements as literals; only the
 squeezing strengths stay symbolic (declared infinite) so the same
-circuit can be evaluated at any strength or pushed toward the limit.
+circuit can be evaluated at any strength or pushed toward the limit. A
+literal spliced into a larger coefficient goes in parentheses, which the
+parser drops, so the coefficient is the same tree as the literal's own.
 
 Angles follow one rule. An angle is on the grid when its double is
 exactly k*pi/4 with |k| <= 8; it is then spelled symbolically (``3*pi/4``),
@@ -39,88 +46,36 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .circuit import (
-    BUILTIN_LOC,
-    CircuitAst,
-    CombineStmt,
-    DisplaceStmt,
-    ExpectStmt,
-    HomodyneStmt,
-    ModeDecl,
-    OutputStmt,
-    ParamDecl,
-    PhaseStmt,
-    ProtocolDecl,
-    ProtocolOutput,
-    SplitStmt,
-    SqueezeStmt,
-    Stmt,
-    TargetStmt,
-    UnsqueezeStmt,
-    evaluate_circuit,
-)
-from .coeff import (
-    Add,
-    Call,
-    CoefExpr,
-    Div,
-    ImagUnit,
-    Mul,
-    Neg,
-    Num,
-    Param,
-    PiConst,
-    Sub,
-)
-from .dsl import serialize_circuit
-from .opalg import ModeKind
+from .circuit import CircuitAst, Loc, ProtocolDecl, ProtocolOutput, evaluate_circuit
+from .dsl import format_number, parse_circuit, serialize_circuit
 
 _HALF_PI = math.pi / 2
 _CANONICAL_PHI = -_HALF_PI
-
-_SEED = ModeKind.ENTANGLEMENT_SEED
-_SIGNAL = ModeKind.SIGNAL
-_VACUUM = ModeKind.VACUUM
 
 
 # ---------------------------------------------------------------------------
 # literal construction
 #
-# Builders work with plain floats and turn them into expression trees at
-# emission time. The trees use the exact shapes the parser produces, so
-# serialize -> parse round-trips are structurally identity. Small
-# rationals and their square roots get symbolic spellings; anything else
-# becomes a float literal (repr round-trips exactly).
+# Builders work with plain floats and turn them into coefficient text at
+# emission time. Small rationals and their square roots get symbolic
+# spellings; anything else becomes a float literal (repr round-trips
+# exactly).
 
 
-def _negated(expr: CoefExpr) -> CoefExpr:
-    if isinstance(expr, Div):
-        return Div(_negated(expr.left), expr.right)
-    if isinstance(expr, Mul):
-        return Mul(_negated(expr.left), expr.right)
-    return Neg(expr)
-
-
-def _frac_expr(f: Fraction) -> CoefExpr:
-    if f.denominator == 1:
-        return Num(f.numerator)
-    return Div(Num(f.numerator), Num(f.denominator))
-
-
-def _real_lit(x: float) -> CoefExpr:
+def _real_lit(x: float) -> str:
     if x < 0:
-        return _negated(_real_lit(-x))
+        return "-" + _real_lit(-x)
     if x == int(x) and x < 1e15:
-        return Num(int(x))
+        return str(int(x))
     f = Fraction(x).limit_denominator(64)
     if f.denominator <= 64 and abs(f.numerator) <= 999 and float(f) == x:
-        return _frac_expr(f)
+        return str(f)
     if x > 32:  # past sqrt(999), and x * x may overflow
-        return Num(x)
+        return format_number(x)
     g = Fraction(x * x).limit_denominator(64)
     if 0 < g.numerator <= 999 and g.denominator <= 64 and math.sqrt(g.numerator / g.denominator) == x:
-        return Call("sqrt", _frac_expr(g))
-    return Num(x)
+        return f"sqrt({g})"
+    return format_number(x)
 
 
 def _grid_k(phi: float) -> int | None:
@@ -129,25 +84,20 @@ def _grid_k(phi: float) -> int | None:
     return k if abs(k) <= 8 and k * (math.pi / 4) == phi else None
 
 
-def _angle_lit(phi: float) -> CoefExpr:
+def _angle_lit(phi: float) -> str:
     k = _grid_k(phi)
     if k is None:
         return _real_lit(phi)
     if k == 0:
-        return Num(0)
+        return "0"
     f = Fraction(abs(k), 4)
-    base: CoefExpr = PiConst()
+    head = "-" if k < 0 else ""
     if f.numerator != 1:
-        head = Num(f.numerator) if k > 0 else Neg(Num(f.numerator))
-        base = Mul(head, PiConst())
-    elif k < 0:
-        base = Neg(PiConst())
-    if f.denominator == 1:
-        return base
-    return Div(base, Num(f.denominator))
+        head += f"{f.numerator}*"
+    return f"{head}pi" + ("" if f.denominator == 1 else f"/{f.denominator}")
 
 
-def _derived_angle(value: float, bases: tuple[float, ...], combination: CoefExpr) -> CoefExpr:
+def _derived_angle(value: float, bases: tuple[float, ...], combination: str) -> str:
     """value's grid spelling, or the combination of the bases' literals."""
     if all(_grid_k(a) is not None for a in (value, *bases)):
         return _angle_lit(value)
@@ -162,67 +112,53 @@ def _phase_unit(phi: float, m: int = 1) -> complex | None:
     return (1 + 0j, -1j, -1 + 0j, 1j)[m * k // 2 % 4]
 
 
-def _unit_lit(z: complex) -> CoefExpr:
-    table: dict[tuple[int, int], CoefExpr] = {
-        (1, 0): Num(1),
-        (-1, 0): Neg(Num(1)),
-        (0, 1): ImagUnit(),
-        (0, -1): Neg(ImagUnit()),
-    }
-    return table[(int(z.real), int(z.imag))]
+_UNIT_TEXT = {1: "1", -1j: "-i", -1: "-1", 1j: "i"}
 
 
-def _scale(factor: CoefExpr, expr: CoefExpr) -> CoefExpr:
-    """factor * expr with the unit factors folded away."""
-    if factor == Num(1):
+def _scale(factor: str, expr: str) -> str:
+    """factor * expr with the unit factors folded away.
+
+    A leading minus binds to expr's first factor, as negating a product
+    by hand would; expr is never a sum."""
+    if factor == "1":
         return expr
-    if factor == Neg(Num(1)):
-        return _negated(expr)
-    return Mul(factor, expr)
+    if factor == "-1":
+        return "-" + expr
+    return f"{factor}*({expr})"
 
 
-def _conj_phase_lit(phi: float) -> CoefExpr:
-    """e^{-i phi} as an expression."""
+def _conj_phase_lit(phi: float) -> str:
+    """e^{-i phi} as coefficient text."""
     unit = _phase_unit(phi)
     if unit is not None:
-        return _unit_lit(unit)
-    return Call("exp", Mul(Neg(ImagUnit()), _angle_lit(phi)))
+        return _UNIT_TEXT[unit]
+    return f"exp(-i*({_angle_lit(phi)}))"
 
 
-def _weight_lit(z: complex) -> CoefExpr:
-    """A double as re, im*i or (re +- im*i) in the parser's shapes, never
-    respelled symbolically as _real_lit would (1/sqrt(2) stays 0.7071067811865476)."""
+def _weight_lit(z: complex) -> str:
+    """A double as re, im*i or re +- im*i, never respelled symbolically as
+    _real_lit would (1/sqrt(2) stays 0.7071067811865476)."""
 
-    def signed(x: float) -> CoefExpr:
-        return Neg(Num(-x)) if x < 0 else Num(x)
+    def signed(x: float) -> str:
+        return "-" + format_number(-x) if x < 0 else format_number(x)
 
     z = complex(z)
     if z.imag == 0:
         return signed(z.real)
     if z.real == 0:
-        return Mul(signed(z.imag), ImagUnit())
-    imag = Mul(Num(abs(z.imag)), ImagUnit())
-    return Add(signed(z.real), imag) if z.imag > 0 else Sub(signed(z.real), imag)
+        return f"{signed(z.imag)}*i"
+    return f"{signed(z.real)} {'+' if z.imag > 0 else '-'} {format_number(abs(z.imag))}*i"
 
 
-def _form(terms: list[tuple[complex, str]]) -> tuple:
-    """(weight, mode) pairs; a mode spelled MODE^dag is its creation operator."""
-    return tuple(
-        (_weight_lit(weight), name.removesuffix("^dag"), name.endswith("^dag"))
-        for weight, name in terms
-    )
+def _terms(terms: list[tuple[complex, str]]) -> str:
+    """WEIGHT*MODE terms; a mode spelled MODE^dag is its creation operator."""
+    return ", ".join(f"({_weight_lit(weight)})*{name}" for weight, name in terms)
 
 
-_S = Param("s")
-_R = Param("r")
-
-
-def _sqrt2() -> CoefExpr:
-    return Call("sqrt", Num(2))
-
-
-def _half_pi() -> CoefExpr:
-    return Div(PiConst(), Num(2))
+def _homodyne(out: str, signal: str, resource: str, xphase: float) -> str:
+    x_lit = _angle_lit(xphase)
+    pphase = _derived_angle(xphase + _HALF_PI, (xphase,), f"({x_lit}) + pi/2")
+    return f"{out} = homodyne({signal}, {resource}, xphase={x_lit}, pphase={pphase})"
 
 
 # ---------------------------------------------------------------------------
@@ -230,54 +166,21 @@ def _half_pi() -> CoefExpr:
 
 
 class _Circ:
-    """Accumulates statements."""
+    """A circuit's statement lines and its protocol statement."""
 
     def __init__(self, name: str, args: list[tuple[str, object]]):
-        self.stmts: list[Stmt] = [ProtocolDecl(BUILTIN_LOC, name, tuple(args))]
+        self.decl = ProtocolDecl(Loc(1, 1), name, tuple(args))
+        self.lines: list[str] = []
 
-    def infinite(self, name: str):
-        self.stmts.append(ParamDecl(BUILTIN_LOC, name, None, True))
-
-    def mode(self, kind: ModeKind, name: str, rail: str, time_bin: int = 0):
-        self.stmts.append(ModeDecl(BUILTIN_LOC, kind, name, rail, time_bin))
-
-    def split(self, out_minus, out_plus, in_t, in_r, alpha: CoefExpr, phi: CoefExpr):
-        self.stmts.append(SplitStmt(BUILTIN_LOC, out_minus, out_plus, in_t, in_r, alpha, phi))
-
-    def squeeze(self, out1, out2, in1, in2, gain: CoefExpr):
-        self.stmts.append(SqueezeStmt(BUILTIN_LOC, out1, out2, in1, in2, gain, Num(0)))
-
-    def unsqueeze(self, out1, out2, in1, in2, gain: CoefExpr):
-        self.stmts.append(UnsqueezeStmt(BUILTIN_LOC, out1, out2, in1, in2, gain))
-
-    def phase(self, out, operand, phi: CoefExpr):
-        self.stmts.append(PhaseStmt(BUILTIN_LOC, out, operand, phi))
-
-    def homodyne(self, out, signal, resource, xphase: float):
-        pphase = _derived_angle(
-            xphase + _HALF_PI, (xphase,), Add(_angle_lit(xphase), _half_pi())
-        )
-        self.stmts.append(
-            HomodyneStmt(BUILTIN_LOC, out, signal, resource, _angle_lit(xphase), pphase)
-        )
-
-    def combine(self, out, terms: list[tuple[CoefExpr, str]]):
-        self.stmts.append(CombineStmt(BUILTIN_LOC, out, tuple(terms)))
-
-    def displace(self, out, resource, record, gain: CoefExpr):
-        self.stmts.append(DisplaceStmt(BUILTIN_LOC, out, resource, record, gain, None))
-
-    def output(self, name, wire, slot_bin: int | None = None, role: str | None = None):
-        self.stmts.append(OutputStmt(BUILTIN_LOC, name, wire, slot_bin, role))
-
-    def target(self, terms: list[tuple[complex, str]]):
-        self.stmts.append(TargetStmt(BUILTIN_LOC, _form(terms)))
-
-    def expect(self, port: str, terms: list[tuple[complex, str]]):
-        self.stmts.append(ExpectStmt(BUILTIN_LOC, port, _form(terms)))
+    def add(self, text: str) -> None:
+        """Statements, one per line; indentation and blank lines are dropped."""
+        self.lines += [line.strip() for line in text.splitlines() if line.strip()]
 
     def finish(self) -> CircuitAst:
-        return CircuitAst(tuple(self.stmts))
+        # line 1 is the protocol statement's, so each statement's location
+        # is its line in the golden
+        body = parse_circuit("\n" + "\n".join(self.lines))
+        return CircuitAst((self.decl, *body.statements))
 
 
 def _check_choice(value: str, allowed: tuple[str, ...], what: str) -> None:
@@ -290,12 +193,29 @@ def _check_unit_interval(value: float, what: str) -> None:
         raise ValueError(f"{what} must lie in [0, 1]; got {value}")
 
 
+def _check_length(values, n: int, what: str) -> list[float]:
+    values = [float(v) for v in values]
+    if len(values) != n:
+        raise ValueError(f"{what} must have length {n}; got {len(values)}")
+    return values
+
+
 def _canonical_phase(phi: float) -> bool:
     return abs(math.remainder(phi - _CANONICAL_PHI, 2 * math.pi)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # single-mode protocols
+
+# seed pair, inputs, receiver vacuum and the squeeze
+_ONE_BIN_FRONT = """
+    mode entanglement_seed e1 rail=source bin=0
+    mode entanglement_seed e2 rail=source bin=0
+    mode signal j0 rail=input bin=0
+    mode signal j_perp rail=input bin=0
+    mode vacuum e1_perp rail=receiver bin=0
+    (a0, b0) = squeeze(e1, e2, gain=s, phase=0)
+"""
 
 
 def build_atemporal_telefilter(gain_mode: str = "unity") -> CircuitAst:
@@ -308,25 +228,19 @@ def build_atemporal_telefilter(gain_mode: str = "unity") -> CircuitAst:
     """
     _check_choice(gain_mode, ("unity", "tanh"), "gain_mode")
     c = _Circ("atemporal_telefilter", [("gain_mode", gain_mode)])
-    c.infinite("s")
-    c.mode(_SEED, "e1", "source")
-    c.mode(_SEED, "e2", "source")
-    c.mode(_SIGNAL, "j0", "input")
-    c.mode(_SIGNAL, "j_perp", "input")
-    c.mode(_VACUUM, "e1_perp", "receiver")
-    c.squeeze("a0", "b0", "e1", "e2", _S)
-    c.homodyne("m", "j0", "a0", 0.0)
-    if gain_mode == "unity":
-        gain: CoefExpr = Div(Num(1), _sqrt2())
-    else:
-        gain = Div(Call("tanh", _S), _sqrt2())
-    c.displace("jout", "b0", "m", gain)
-    c.output("filtered", "jout", role="transmitted")
-    c.output("filtered_perp", "e1_perp", role="transmitted")
-    c.output("record", "m")
-    c.target([(1, "j0")])
-    c.expect("filtered", [(1, "j0")])
-    c.expect("filtered_perp", [(1, "e1_perp")])
+    c.add("param s = infinity")
+    c.add(_ONE_BIN_FRONT)
+    gain = "1/sqrt(2)" if gain_mode == "unity" else "tanh(s)/sqrt(2)"
+    c.add(f"""
+        m = homodyne(j0, a0, xphase=0, pphase=pi/2)
+        jout = displace(b0, m, gain={gain})
+        output filtered = jout role=transmitted
+        output filtered_perp = e1_perp role=transmitted
+        output record = m
+        target = 1*j0
+        expect filtered = 1*j0
+        expect filtered_perp = 1*e1_perp
+    """)
     return c.finish()
 
 
@@ -341,45 +255,37 @@ def build_atemporal_telemirror(gain_mode: str = "unity") -> CircuitAst:
     """
     _check_choice(gain_mode, ("unity", "matched"), "gain_mode")
     c = _Circ("atemporal_telemirror", [("gain_mode", gain_mode)])
-    c.infinite("s")
-    matched = gain_mode == "matched"
-    if matched:
-        crystal = _S
-        eta: CoefExpr = Div(Num(2), Add(Num(3), Call("cosh", Mul(Num(2), _S))))
-        residual_gain: CoefExpr = Sub(Mul(Num(2), _S), Call("arccosh", Div(Num(5), Num(4))))
+    c.add("param s = infinity")
+    if gain_mode == "matched":
+        crystal, eta, residual_gain = "s", "2/(3 + cosh(2*s))", "2*s - arccosh(5/4)"
     else:
-        c.infinite("r")
-        crystal = _R
-        eta = Mul(Call("sech", _R), Call("sech", _R))
-        residual_gain = Sub(Add(_R, _S), Call("arccosh", Div(Num(5), Num(4))))
-    c.mode(_SEED, "e1", "source")
-    c.mode(_SEED, "e2", "source")
-    c.mode(_SIGNAL, "j0", "input")
-    c.mode(_SIGNAL, "j_perp", "input")
-    c.mode(_VACUUM, "e1_perp", "receiver")
-    c.squeeze("a0", "b0", "e1", "e2", _S)
-    c.squeeze("c0", "a_refl", "j0", "a0", crystal)
-    c.split("jout", "c_refl", "b0", "c0", eta, _angle_lit(_HALF_PI))
-    c.unsqueeze("q1", "q2", "a_refl", "c_refl", crystal)
-    c.unsqueeze("p1", "p2", "q1", "q2", _S)
-    c.squeeze("rec1", "rec2", "p1", "p2", Call("arccosh", Div(Num(5), Num(4))))
-    c.unsqueeze("rec1d", "rec2d", "a_refl", "c_refl", residual_gain)
-    c.split("jout_perp", "refl_perp", "e1_perp", "j_perp", eta, _angle_lit(_HALF_PI))
-    c.output("mirror_out", "jout", role="transmitted")
-    c.output("mirror_out_perp", "jout_perp", role="transmitted")
-    c.output("recovered_1", "rec1", role="reflected")
-    c.output("recovered_2", "rec2", role="reflected")
-    c.output("reflected_perp", "refl_perp", role="reflected")
-    c.output("recovered_1_direct", "rec1d", role="tap")
-    c.output("recovered_2_direct", "rec2d", role="tap")
-    c.target([(1, "j0")])
-    c.expect("mirror_out", [(1, "j0")])
-    c.expect("mirror_out_perp", [(-1, "e1_perp")])
-    c.expect("recovered_1", [(1, "e1")])
-    c.expect("recovered_2", [(1, "e2")])
-    c.expect("reflected_perp", [(1, "j_perp")])
-    c.expect("recovered_1_direct", [(1, "e1")])
-    c.expect("recovered_2_direct", [(1, "e2")])
+        c.add("param r = infinity")
+        crystal, eta, residual_gain = "r", "sech(r)*sech(r)", "r + s - arccosh(5/4)"
+    c.add(_ONE_BIN_FRONT)
+    c.add(f"""
+        (c0, a_refl) = squeeze(j0, a0, gain={crystal}, phase=0)
+        (jout, c_refl) = split(b0, c0, alpha={eta}, phi=pi/2)
+        (q1, q2) = unsqueeze(a_refl, c_refl, gain={crystal})
+        (p1, p2) = unsqueeze(q1, q2, gain=s)
+        (rec1, rec2) = squeeze(p1, p2, gain=arccosh(5/4), phase=0)
+        (rec1d, rec2d) = unsqueeze(a_refl, c_refl, gain={residual_gain})
+        (jout_perp, refl_perp) = split(e1_perp, j_perp, alpha={eta}, phi=pi/2)
+        output mirror_out = jout role=transmitted
+        output mirror_out_perp = jout_perp role=transmitted
+        output recovered_1 = rec1 role=reflected
+        output recovered_2 = rec2 role=reflected
+        output reflected_perp = refl_perp role=reflected
+        output recovered_1_direct = rec1d role=tap
+        output recovered_2_direct = rec2d role=tap
+        target = 1*j0
+        expect mirror_out = 1*j0
+        expect mirror_out_perp = -1*e1_perp
+        expect recovered_1 = 1*e1
+        expect recovered_2 = 1*e2
+        expect reflected_perp = 1*j_perp
+        expect recovered_1_direct = 1*e1
+        expect recovered_2_direct = 1*e2
+    """)
     return c.finish()
 
 
@@ -387,33 +293,40 @@ def build_atemporal_telemirror(gain_mode: str = "unity") -> CircuitAst:
 # two-bin protocols, delayed feed-forward
 
 
-_SIGNAL_BINS = ((_SIGNAL, "j1", "input", 1), (_SIGNAL, "j2", "input", 2))
-_RECEIVER_PERP = ((_VACUUM, "e1_perp", "receiver"), (_VACUUM, "u_perp", "receiver_ancilla"))
+_SIGNAL_BINS = """
+    mode signal j1 rail=input bin=1
+    mode signal j2 rail=input bin=2
+"""
+_RECEIVER_PERP = """
+    mode vacuum e1_perp rail=receiver bin=0
+    mode vacuum u_perp rail=receiver_ancilla bin=0
+"""
 # bin-major so each rail's bins stay nondecreasing
-_MIRROR_INPUTS = (
-    (_SIGNAL, "j1", "input", 1),
-    (_SIGNAL, "j1_perp", "input", 1),
-    (_SIGNAL, "j2", "input", 2),
-    (_SIGNAL, "j2_perp", "input", 2),
-    *_RECEIVER_PERP,
-    (_VACUUM, "e2_perp", "sender"),
-    (_VACUUM, "v_perp", "sender_ancilla"),
-)
+_MIRROR_INPUTS = f"""
+    mode signal j1 rail=input bin=1
+    mode signal j1_perp rail=input bin=1
+    mode signal j2 rail=input bin=2
+    mode signal j2_perp rail=input bin=2
+    {_RECEIVER_PERP}
+    mode vacuum e2_perp rail=sender bin=0
+    mode vacuum v_perp rail=sender_ancilla bin=0
+"""
 
 
-def _two_bin_front(c: _Circ, inputs, alpha: float, phi: float) -> tuple[CoefExpr, CoefExpr]:
+def _two_bin_front(c: _Circ, inputs: str, alpha: float, phi: float) -> tuple[str, str]:
     """Seed pair, bin ancillas, inputs, squeeze and both distribution
     splits; returns the alpha and phi literals the splits carry."""
-    c.mode(_SEED, "e1", "source")
-    c.mode(_SEED, "e2", "source")
-    c.mode(_VACUUM, "v0", "sender_ancilla")
-    c.mode(_VACUUM, "u0", "receiver_ancilla")
-    for decl in inputs:
-        c.mode(*decl)
-    c.squeeze("a0", "b0", "e1", "e2", _S)
     a_lit, phi_lit = _real_lit(alpha), _angle_lit(phi)
-    c.split("a_minus", "a_plus", "a0", "v0", a_lit, phi_lit)
-    c.split("b_minus", "b_plus", "b0", "u0", a_lit, phi_lit)
+    c.add(f"""
+        mode entanglement_seed e1 rail=source bin=0
+        mode entanglement_seed e2 rail=source bin=0
+        mode vacuum v0 rail=sender_ancilla bin=0
+        mode vacuum u0 rail=receiver_ancilla bin=0
+        {inputs}
+        (a0, b0) = squeeze(e1, e2, gain=s, phase=0)
+        (a_minus, a_plus) = split(a0, v0, alpha={a_lit}, phi={phi_lit})
+        (b_minus, b_plus) = split(b0, u0, alpha={a_lit}, phi={phi_lit})
+    """)
     return a_lit, phi_lit
 
 
@@ -431,7 +344,7 @@ def build_delayed_telefilter(
     """
     _check_choice(gain_mode, ("unity", "tanh"), "gain_mode")
     _check_unit_interval(alpha, "alpha")
-    ph1, ph2 = float(quad_phases[0]), float(quad_phases[1])
+    ph1, ph2 = _check_length(quad_phases, 2, "quad_phases")
     args = [
         ("alpha", alpha),
         ("phi", phi),
@@ -439,44 +352,47 @@ def build_delayed_telefilter(
         ("gain_mode", gain_mode),
     ]
     c = _Circ("delayed_telefilter", args)
-    c.infinite("s")
+    c.add("param s = infinity")
     a_lit, phi_lit = _two_bin_front(c, _SIGNAL_BINS + _RECEIVER_PERP, alpha, phi)
-    c.homodyne("m1", "j1", "a_minus", ph1)
-    c.homodyne("m2", "j2", "a_plus", ph2)
-    weights: list[CoefExpr] = []
-    for ph, amp in ((ph1, Sub(Num(1), a_lit)), (ph2, a_lit)):
-        base = _scale(_conj_phase_lit(ph), Call("sqrt", amp))
-        if gain_mode == "tanh":
-            weights.append(Div(Mul(Call("tanh", _S), base), _sqrt2()))
-        else:
-            weights.append(Div(base, _sqrt2()))
-    c.combine("m", [(weights[0], "m1"), (weights[1], "m2")])
-    c.displace("j1p", "b_minus", "m", Call("sqrt", Sub(Num(1), a_lit)))
-    c.displace("j2p", "b_plus", "m", Call("sqrt", a_lit))
-    chi_lit = _derived_angle(math.pi - phi, (phi,), Sub(PiConst(), phi_lit))
-    c.split("sel", "orth", "j1p", "j2p", a_lit, chi_lit)
-    c.split("bp_minus", "bp_plus", "e1_perp", "u_perp", a_lit, phi_lit)
-    c.split("sel_perp", "orth_perp", "bp_minus", "bp_plus", a_lit, chi_lit)
-    c.output("selected", "sel", role="transmitted")
-    c.output("orthogonal", "orth", role="transmitted")
-    c.output("selected_perp", "sel_perp", role="transmitted")
-    c.output("orthogonal_perp", "orth_perp", role="transmitted")
-    c.output("bin1_out", "j1p", slot_bin=1, role="tap")
-    c.output("bin2_out", "j2p", slot_bin=2, role="tap")
-    c.output("record", "m")
-    c.expect("selected_perp", [(1, "e1_perp")])
-    c.expect("orthogonal_perp", [(1, "u_perp")])
+    tanh = "tanh(s)*" if gain_mode == "tanh" else ""
+    weights = [
+        f"{tanh}({_scale(_conj_phase_lit(ph), f'sqrt({amp})')})/sqrt(2)"
+        for ph, amp in ((ph1, f"1 - ({a_lit})"), (ph2, a_lit))
+    ]
+    chi_lit = _derived_angle(math.pi - phi, (phi,), f"pi - ({phi_lit})")
+    c.add(f"""
+        {_homodyne("m1", "j1", "a_minus", ph1)}
+        {_homodyne("m2", "j2", "a_plus", ph2)}
+        m = combine(({weights[0]})*m1, ({weights[1]})*m2)
+        j1p = displace(b_minus, m, gain=sqrt(1 - ({a_lit})))
+        j2p = displace(b_plus, m, gain=sqrt({a_lit}))
+        (sel, orth) = split(j1p, j2p, alpha={a_lit}, phi={chi_lit})
+        (bp_minus, bp_plus) = split(e1_perp, u_perp, alpha={a_lit}, phi={phi_lit})
+        (sel_perp, orth_perp) = split(bp_minus, bp_plus, alpha={a_lit}, phi={chi_lit})
+        output selected = sel role=transmitted
+        output orthogonal = orth role=transmitted
+        output selected_perp = sel_perp role=transmitted
+        output orthogonal_perp = orth_perp role=transmitted
+        output bin1_out = j1p bin=1 role=tap
+        output bin2_out = j2p bin=2 role=tap
+        output record = m
+        expect selected_perp = 1*e1_perp
+        expect orthogonal_perp = 1*u_perp
+    """)
     if not _canonical_phase(phi):
         # closed-form limits of the selected ports hold only at -pi/2
         return c.finish()
     g1 = cmath.exp(-2j * ph1)
     g2 = cmath.exp(-2j * ph2)
     ca, sa = math.sqrt(alpha), math.sqrt(1 - alpha)
-    c.target([(sa * g1, "j1"), (ca * g2, "j2")])
-    c.expect("selected", [(sa * g1, "j1"), (ca * g2, "j2")])
-    c.expect("orthogonal", [(1, "u0")])
-    c.expect("bin1_out", [((1 - alpha) * g1, "j1"), (ca * sa * g2, "j2"), (ca, "u0")])
-    c.expect("bin2_out", [(ca * sa * g1, "j1"), (alpha * g2, "j2"), (-sa, "u0")])
+    selected = _terms([(sa * g1, "j1"), (ca * g2, "j2")])
+    c.add(f"""
+        target = {selected}
+        expect selected = {selected}
+        expect orthogonal = 1*u0
+        expect bin1_out = {_terms([((1 - alpha) * g1, "j1"), (ca * sa * g2, "j2"), (ca, "u0")])}
+        expect bin2_out = {_terms([(ca * sa * g1, "j1"), (alpha * g2, "j2"), (-sa, "u0")])}
+    """)
     return c.finish()
 
 
@@ -506,10 +422,13 @@ def build_delayed_telemirror(
     return _delayed_telemirror_tuned(alpha, phi, phi_c2)
 
 
-def _expect_perp_recovered(c: _Circ):
-    # the balanced mirrors hand every orthogonal input back unchanged
-    for k, mode in enumerate(("e2_perp", "v_perp", "j1_perp", "j2_perp"), start=1):
-        c.expect(f"recovered_{k}_perp", [(1, mode)])
+# the balanced mirrors hand every orthogonal input back unchanged
+_PERP_RECOVERED = """
+    expect recovered_1_perp = 1*e2_perp
+    expect recovered_2_perp = 1*v_perp
+    expect recovered_3_perp = 1*j1_perp
+    expect recovered_4_perp = 1*j2_perp
+"""
 
 
 def _delayed_telemirror_symmetric() -> CircuitAst:
@@ -520,50 +439,50 @@ def _delayed_telemirror_symmetric() -> CircuitAst:
         ("phi_c2", 0.0),
     ]
     c = _Circ("delayed_telemirror", args)
-    c.infinite("s")
-    c.infinite("r")
-    half, neg_half_pi = _two_bin_front(c, _MIRROR_INPUTS, 0.5, _CANONICAL_PHI)
-    c.squeeze("c1", "ar1", "j1", "a_minus", _R)
-    c.squeeze("c2", "ar2", "j2", "a_plus", _R)
-    c.split("c_plus", "c_minus", "c1", "c2", half, neg_half_pi)
-    eta = Sub(Num(1), Div(Num(1), Mul(Num(2), Mul(Call("cosh", _R), Call("cosh", _R)))))
-    c.split("j1p", "c_plus_p", "c_plus", "b_minus", eta, _angle_lit(_HALF_PI))
-    c.split("j2p", "c_plus_pp", "c_plus_p", "b_plus", eta, _angle_lit(_HALF_PI))
-    c.split("sel", "orth", "j1p", "j2p", half, neg_half_pi)
-    c.split("o1", "o2", "ar1", "ar2", half, neg_half_pi)
-    c.unsqueeze("rec1", "rec2", "o2", "c_minus", _R)
-    k = Sub(Add(_R, _S), Call("arccosh", Div(Num(5), Num(4))))
-    c.unsqueeze("rec3", "rec4", "o1", "c_plus_pp", k)
-    c.split("bp_minus", "bp_plus", "e1_perp", "u_perp", half, neg_half_pi)
-    c.split("sel_perp", "orth_perp", "bp_minus", "bp_plus", half, neg_half_pi)
-    c.split("ap_minus", "ap_plus", "e2_perp", "v_perp", half, neg_half_pi)
-    c.split("rp_e2", "rp_v", "ap_minus", "ap_plus", half, neg_half_pi)
-    c.output("selected", "sel", role="transmitted")
-    c.output("orthogonal", "orth", role="transmitted")
-    c.output("selected_perp", "sel_perp", role="transmitted")
-    c.output("orthogonal_perp", "orth_perp", role="transmitted")
-    c.output("recovered_1", "rec1", role="reflected")
-    c.output("recovered_2", "rec2", role="reflected")
-    c.output("recovered_3", "rec3", role="reflected")
-    c.output("recovered_4", "rec4", role="reflected")
-    c.output("recovered_1_perp", "rp_e2", role="reflected")
-    c.output("recovered_2_perp", "rp_v", role="reflected")
-    c.output("recovered_3_perp", "j1_perp", role="reflected")
-    c.output("recovered_4_perp", "j2_perp", role="reflected")
-    c.output("bin1_out", "j1p", slot_bin=1, role="tap")
-    c.output("bin2_out", "j2p", slot_bin=2, role="tap")
-    c.output("channel_residual", "c_plus_pp", role="tap")
-    rh = 1 / math.sqrt(2)
-    c.target([(rh, "j1"), (rh, "j2")])
-    c.expect("selected", [(-rh, "j1"), (-rh, "j2")])
-    c.expect("orthogonal", [(1, "u0")])
-    c.expect("selected_perp", [(1, "e1_perp")])
-    c.expect("orthogonal_perp", [(1, "u_perp")])
-    c.expect("recovered_1", [(1, "v0")])
-    c.expect("recovered_2", [(rh, "j1"), (-rh, "j2")])
-    c.expect("recovered_3", [(1, "e1")])
-    c.expect("recovered_4", [(1, "e2")])
-    _expect_perp_recovered(c)
+    c.add("param s = infinity\nparam r = infinity")
+    _two_bin_front(c, _MIRROR_INPUTS, 0.5, _CANONICAL_PHI)
+    eta = "1 - 1/(2*(cosh(r)*cosh(r)))"
+    rh = _weight_lit(1 / math.sqrt(2))
+    c.add(f"""
+        (c1, ar1) = squeeze(j1, a_minus, gain=r, phase=0)
+        (c2, ar2) = squeeze(j2, a_plus, gain=r, phase=0)
+        (c_plus, c_minus) = split(c1, c2, alpha=1/2, phi=-pi/2)
+        (j1p, c_plus_p) = split(c_plus, b_minus, alpha={eta}, phi=pi/2)
+        (j2p, c_plus_pp) = split(c_plus_p, b_plus, alpha={eta}, phi=pi/2)
+        (sel, orth) = split(j1p, j2p, alpha=1/2, phi=-pi/2)
+        (o1, o2) = split(ar1, ar2, alpha=1/2, phi=-pi/2)
+        (rec1, rec2) = unsqueeze(o2, c_minus, gain=r)
+        (rec3, rec4) = unsqueeze(o1, c_plus_pp, gain=r + s - arccosh(5/4))
+        (bp_minus, bp_plus) = split(e1_perp, u_perp, alpha=1/2, phi=-pi/2)
+        (sel_perp, orth_perp) = split(bp_minus, bp_plus, alpha=1/2, phi=-pi/2)
+        (ap_minus, ap_plus) = split(e2_perp, v_perp, alpha=1/2, phi=-pi/2)
+        (rp_e2, rp_v) = split(ap_minus, ap_plus, alpha=1/2, phi=-pi/2)
+        output selected = sel role=transmitted
+        output orthogonal = orth role=transmitted
+        output selected_perp = sel_perp role=transmitted
+        output orthogonal_perp = orth_perp role=transmitted
+        output recovered_1 = rec1 role=reflected
+        output recovered_2 = rec2 role=reflected
+        output recovered_3 = rec3 role=reflected
+        output recovered_4 = rec4 role=reflected
+        output recovered_1_perp = rp_e2 role=reflected
+        output recovered_2_perp = rp_v role=reflected
+        output recovered_3_perp = j1_perp role=reflected
+        output recovered_4_perp = j2_perp role=reflected
+        output bin1_out = j1p bin=1 role=tap
+        output bin2_out = j2p bin=2 role=tap
+        output channel_residual = c_plus_pp role=tap
+        target = {rh}*j1, {rh}*j2
+        expect selected = -{rh}*j1, -{rh}*j2
+        expect orthogonal = 1*u0
+        expect selected_perp = 1*e1_perp
+        expect orthogonal_perp = 1*u_perp
+        expect recovered_1 = 1*v0
+        expect recovered_2 = {rh}*j1, -{rh}*j2
+        expect recovered_3 = 1*e1
+        expect recovered_4 = 1*e2
+        {_PERP_RECOVERED}
+    """)
     return c.finish()
 
 
@@ -575,59 +494,62 @@ def _delayed_telemirror_tuned(alpha: float, phi: float, phi_c2: float) -> Circui
         ("phi_c2", phi_c2),
     ]
     c = _Circ("delayed_telemirror", args)
-    c.infinite("s")
-    c.infinite("r")
+    c.add("param s = infinity\nparam r = infinity")
     a_lit, phi_lit = _two_bin_front(c, _MIRROR_INPUTS, alpha, phi)
     pc2_lit = _angle_lit(phi_c2)
-    mu_lit = Sub(Num(1), a_lit)
+    mu_lit = f"1 - ({a_lit})"
     # the decoder's angles all derive from phi and phi_c2 together
     bases = (phi, phi_c2)
-    phi_c1_lit = _derived_angle(_HALF_PI - phi, bases, Sub(_half_pi(), phi_lit))
-    theta_p_lit = _derived_angle(phi_c2 + _HALF_PI, bases, Add(pc2_lit, _half_pi()))
+    phi_c1_lit = _derived_angle(_HALF_PI - phi, bases, f"pi/2 - ({phi_lit})")
+    theta_p_lit = _derived_angle(phi_c2 + _HALF_PI, bases, f"({pc2_lit}) + pi/2")
     theta_m_lit = _derived_angle(
-        phi + phi_c2 + math.pi, bases, Add(Add(phi_lit, pc2_lit), PiConst())
+        phi + phi_c2 + math.pi, bases, f"({phi_lit}) + ({pc2_lit}) + pi"
     )
-    neg_c0_lit = _derived_angle(phi_c2 - _HALF_PI, bases, Sub(pc2_lit, _half_pi()))
-    chi_lit = _derived_angle(math.pi - phi, bases, Sub(PiConst(), phi_lit))
-    c.squeeze("c1", "ar1", "j1", "a_minus", _R)
-    c.squeeze("c2", "ar2", "j2", "a_plus", _R)
-    c.phase("c1s", "c1", phi_c1_lit)
-    c.phase("c2s", "c2", pc2_lit)
-    c.split("c_minus", "c_plus", "c2s", "c1s", a_lit, neg_c0_lit)
-    cosh_sq = Mul(Call("cosh", _R), Call("cosh", _R))
-    eta_m = Sub(Num(1), Div(Sub(Num(1), a_lit), cosh_sq))
-    eta_p = Sub(Num(1), Div(a_lit, cosh_sq))
-    c.split("j1p", "c_plus_p", "c_plus", "b_minus", eta_m, theta_m_lit)
-    c.split("j2p", "c_plus_pp", "c_plus_p", "b_plus", eta_p, theta_p_lit)
-    c.split("sel", "orth", "j1p", "j2p", a_lit, chi_lit)
-    c.split("o1", "o2", "ar2", "ar1", mu_lit, phi_lit)
-    c.unsqueeze("rec1", "rec2", "o2", "c_minus", _R)
-    c.split("bp_minus", "bp_plus", "e1_perp", "u_perp", a_lit, phi_lit)
-    c.split("sel_perp", "orth_perp", "bp_minus", "bp_plus", a_lit, chi_lit)
-    c.split("ap_minus", "ap_plus", "e2_perp", "v_perp", a_lit, phi_lit)
-    c.split("rp_e2", "rp_v", "ap_plus", "ap_minus", mu_lit, phi_lit)
-    c.output("selected", "sel", role="transmitted")
-    c.output("orthogonal", "orth", role="transmitted")
-    c.output("selected_perp", "sel_perp", role="transmitted")
-    c.output("orthogonal_perp", "orth_perp", role="transmitted")
-    c.output("recovered_1", "rec1", role="reflected")
-    c.output("recovered_2", "rec2", role="reflected")
-    c.output("recovered_1_perp", "rp_e2", role="reflected")
-    c.output("recovered_2_perp", "rp_v", role="reflected")
-    c.output("bin1_out", "j1p", slot_bin=1, role="tap")
-    c.output("bin2_out", "j2p", slot_bin=2, role="tap")
-    c.output("channel_residual", "c_plus_pp", role="tap")
+    neg_c0_lit = _derived_angle(phi_c2 - _HALF_PI, bases, f"({pc2_lit}) - pi/2")
+    chi_lit = _derived_angle(math.pi - phi, bases, f"pi - ({phi_lit})")
+    eta_m = f"1 - (1 - ({a_lit}))/(cosh(r)*cosh(r))"
+    eta_p = f"1 - ({a_lit})/(cosh(r)*cosh(r))"
+    c.add(f"""
+        (c1, ar1) = squeeze(j1, a_minus, gain=r, phase=0)
+        (c2, ar2) = squeeze(j2, a_plus, gain=r, phase=0)
+        c1s = phase(c1, phi={phi_c1_lit})
+        c2s = phase(c2, phi={pc2_lit})
+        (c_minus, c_plus) = split(c2s, c1s, alpha={a_lit}, phi={neg_c0_lit})
+        (j1p, c_plus_p) = split(c_plus, b_minus, alpha={eta_m}, phi={theta_m_lit})
+        (j2p, c_plus_pp) = split(c_plus_p, b_plus, alpha={eta_p}, phi={theta_p_lit})
+        (sel, orth) = split(j1p, j2p, alpha={a_lit}, phi={chi_lit})
+        (o1, o2) = split(ar2, ar1, alpha={mu_lit}, phi={phi_lit})
+        (rec1, rec2) = unsqueeze(o2, c_minus, gain=r)
+        (bp_minus, bp_plus) = split(e1_perp, u_perp, alpha={a_lit}, phi={phi_lit})
+        (sel_perp, orth_perp) = split(bp_minus, bp_plus, alpha={a_lit}, phi={chi_lit})
+        (ap_minus, ap_plus) = split(e2_perp, v_perp, alpha={a_lit}, phi={phi_lit})
+        (rp_e2, rp_v) = split(ap_plus, ap_minus, alpha={mu_lit}, phi={phi_lit})
+        output selected = sel role=transmitted
+        output orthogonal = orth role=transmitted
+        output selected_perp = sel_perp role=transmitted
+        output orthogonal_perp = orth_perp role=transmitted
+        output recovered_1 = rec1 role=reflected
+        output recovered_2 = rec2 role=reflected
+        output recovered_1_perp = rp_e2 role=reflected
+        output recovered_2_perp = rp_v role=reflected
+        output bin1_out = j1p bin=1 role=tap
+        output bin2_out = j2p bin=2 role=tap
+        output channel_residual = c_plus_pp role=tap
+    """)
     ca, sa = math.sqrt(alpha), math.sqrt(1 - alpha)
     ph = cmath.exp(-1j * phi)
-    c.target([(1j * ph * sa, "j1"), (-ca, "j2")])
-    c.expect("selected", [(1j * ph * sa, "j1"), (-ca, "j2")])
-    c.expect("orthogonal", [(1, "u0")])
-    c.expect("selected_perp", [(1, "e1_perp")])
-    c.expect("orthogonal_perp", [(1, "u_perp")])
-    c.expect("recovered_1", [(-1j / ph, "v0")])
-    c.expect("recovered_2", [(1j * ph * ca, "j1"), (sa, "j2")])
-    c.expect("recovered_1_perp", [(-1j * ph, "e2_perp")])
-    c.expect("recovered_2_perp", [(-1j / ph, "v_perp")])
+    selected = _terms([(1j * ph * sa, "j1"), (-ca, "j2")])
+    c.add(f"""
+        target = {selected}
+        expect selected = {selected}
+        expect orthogonal = 1*u0
+        expect selected_perp = 1*e1_perp
+        expect orthogonal_perp = 1*u_perp
+        expect recovered_1 = {_terms([(-1j / ph, "v0")])}
+        expect recovered_2 = {_terms([(1j * ph * ca, "j1"), (sa, "j2")])}
+        expect recovered_1_perp = {_terms([(-1j * ph, "e2_perp")])}
+        expect recovered_2_perp = {_terms([(-1j / ph, "v_perp")])}
+    """)
     return c.finish()
 
 
@@ -644,32 +566,33 @@ def build_nodelay_independent() -> CircuitAst:
     reproduces the whole two-bin space instead of selecting from it.
     """
     c = _Circ("nodelay_independent", [])
-    c.infinite("s")
-    c.mode(_SEED, "e1", "source")
-    c.mode(_SEED, "e2", "source")
-    c.mode(_SEED, "e3", "source2")
-    c.mode(_SEED, "e4", "source2")
-    c.mode(_SIGNAL, "j1", "input", 1)
-    c.mode(_SIGNAL, "j2", "input", 2)
-    c.squeeze("a0", "b0", "e1", "e2", _S)
-    c.squeeze("y0", "z0", "e3", "e4", _S)
-    c.homodyne("m1", "j1", "a0", 0.0)
-    c.homodyne("m2", "j2", "y0", 0.0)
-    c.displace("j1p", "b0", "m1", Div(Num(1), _sqrt2()))
-    c.displace("j2p", "z0", "m2", Div(Num(1), _sqrt2()))
-    c.split("sym", "anti", "j1p", "j2p", _real_lit(0.5), _angle_lit(_CANONICAL_PHI))
-    c.output("sym_out", "sym", role="transmitted")
-    c.output("anti_out", "anti", role="transmitted")
-    c.output("bin1_out", "j1p", slot_bin=1, role="tap")
-    c.output("bin2_out", "j2p", slot_bin=2, role="tap")
-    c.output("record_1", "m1")
-    c.output("record_2", "m2")
-    rh = 1 / math.sqrt(2)
-    c.target([(rh, "j1"), (rh, "j2")])
-    c.expect("sym_out", [(rh, "j1"), (rh, "j2")])
-    c.expect("anti_out", [(rh, "j1"), (-rh, "j2")])
-    c.expect("bin1_out", [(1, "j1")])
-    c.expect("bin2_out", [(1, "j2")])
+    rh = _weight_lit(1 / math.sqrt(2))
+    c.add(f"""
+        param s = infinity
+        mode entanglement_seed e1 rail=source bin=0
+        mode entanglement_seed e2 rail=source bin=0
+        mode entanglement_seed e3 rail=source2 bin=0
+        mode entanglement_seed e4 rail=source2 bin=0
+        {_SIGNAL_BINS}
+        (a0, b0) = squeeze(e1, e2, gain=s, phase=0)
+        (y0, z0) = squeeze(e3, e4, gain=s, phase=0)
+        m1 = homodyne(j1, a0, xphase=0, pphase=pi/2)
+        m2 = homodyne(j2, y0, xphase=0, pphase=pi/2)
+        j1p = displace(b0, m1, gain=1/sqrt(2))
+        j2p = displace(z0, m2, gain=1/sqrt(2))
+        (sym, anti) = split(j1p, j2p, alpha=1/2, phi=-pi/2)
+        output sym_out = sym role=transmitted
+        output anti_out = anti role=transmitted
+        output bin1_out = j1p bin=1 role=tap
+        output bin2_out = j2p bin=2 role=tap
+        output record_1 = m1
+        output record_2 = m2
+        target = {rh}*j1, {rh}*j2
+        expect sym_out = {rh}*j1, {rh}*j2
+        expect anti_out = {rh}*j1, -{rh}*j2
+        expect bin1_out = 1*j1
+        expect bin2_out = 1*j2
+    """)
     return c.finish()
 
 
@@ -684,30 +607,36 @@ def build_nodelay_telefilter(
     up the full distribution noise instead of splitting off clean.
     """
     _check_unit_interval(alpha, "alpha")
-    ph1, ph2 = float(quad_phases[0]), float(quad_phases[1])
+    ph1, ph2 = _check_length(quad_phases, 2, "quad_phases")
     args = [("alpha", alpha), ("quad_phases", (ph1, ph2))]
     c = _Circ("nodelay_telefilter", args)
-    c.infinite("s")
+    c.add("param s = infinity")
     a_lit, phi_lit = _two_bin_front(c, _SIGNAL_BINS, alpha, _CANONICAL_PHI)
-    c.homodyne("m1", "j1", "a_minus", ph1)
-    c.homodyne("m2", "j2", "a_plus", ph2)
-    c.displace("j1p", "b_minus", "m1", Div(_conj_phase_lit(ph1), _sqrt2()))
-    c.displace("j2p", "b_plus", "m2", Div(_conj_phase_lit(ph2), _sqrt2()))
-    c.split("sel", "orth", "j1p", "j2p", a_lit, phi_lit)
-    c.output("selected", "sel", role="transmitted")
-    c.output("orthogonal", "orth", role="transmitted")
-    c.output("bin1_out", "j1p", slot_bin=1, role="tap")
-    c.output("bin2_out", "j2p", slot_bin=2, role="tap")
-    c.output("record_1", "m1")
-    c.output("record_2", "m2")
+    c.add(f"""
+        {_homodyne("m1", "j1", "a_minus", ph1)}
+        {_homodyne("m2", "j2", "a_plus", ph2)}
+        j1p = displace(b_minus, m1, gain=({_conj_phase_lit(ph1)})/sqrt(2))
+        j2p = displace(b_plus, m2, gain=({_conj_phase_lit(ph2)})/sqrt(2))
+        (sel, orth) = split(j1p, j2p, alpha={a_lit}, phi={phi_lit})
+        output selected = sel role=transmitted
+        output orthogonal = orth role=transmitted
+        output bin1_out = j1p bin=1 role=tap
+        output bin2_out = j2p bin=2 role=tap
+        output record_1 = m1
+        output record_2 = m2
+    """)
     g1 = cmath.exp(-2j * ph1)
     g2 = cmath.exp(-2j * ph2)
     ca, sa = math.sqrt(alpha), math.sqrt(1 - alpha)
-    c.target([(sa * g1, "j1"), (ca * g2, "j2")])
-    c.expect("selected", [(sa * g1, "j1"), (ca * g2, "j2")])
-    c.expect("orthogonal", [(ca * g1, "j1"), (-sa * g2, "j2"), (1, "u0"), (-1, "v0^dag")])
-    c.expect("bin1_out", [(g1, "j1"), (ca, "u0"), (-ca, "v0^dag")])
-    c.expect("bin2_out", [(g2, "j2"), (-sa, "u0"), (sa, "v0^dag")])
+    selected = _terms([(sa * g1, "j1"), (ca * g2, "j2")])
+    orthogonal = _terms([(ca * g1, "j1"), (-sa * g2, "j2"), (1, "u0"), (-1, "v0^dag")])
+    c.add(f"""
+        target = {selected}
+        expect selected = {selected}
+        expect orthogonal = {orthogonal}
+        expect bin1_out = {_terms([(g1, "j1"), (ca, "u0"), (-ca, "v0^dag")])}
+        expect bin2_out = {_terms([(g2, "j2"), (-sa, "u0"), (sa, "v0^dag")])}
+    """)
     return c.finish()
 
 
@@ -727,58 +656,60 @@ def build_nodelay_telemirror(
     th_p = _HALF_PI if theta_plus is None else float(theta_plus)
     args = [("alpha", alpha), ("theta_minus", th_m), ("theta_plus", th_p)]
     c = _Circ("nodelay_telemirror", args)
-    c.infinite("s")
-    c.infinite("r")
-    a_lit, phi_lit = _two_bin_front(c, _MIRROR_INPUTS, alpha, _CANONICAL_PHI)
-    back_lit = _angle_lit(-3 * _HALF_PI)
-    c.phase("b_minus_d", "b_minus", _angle_lit(math.pi))
-    c.phase("b_plus_d", "b_plus", _angle_lit(math.pi))
-    c.squeeze("c1", "ar1", "j1", "a_minus", _R)
-    c.squeeze("c2", "ar2", "j2", "a_plus", _R)
-    disp = Mul(Call("tanh", _R), Call("tanh", _R))
-    c.split("j1p", "c1p", "c1", "b_minus_d", disp, _angle_lit(-th_m))
-    c.split("j2p", "c2p", "c2", "b_plus_d", disp, _angle_lit(-th_p))
-    c.split("sel", "orth", "j1p", "j2p", a_lit, phi_lit)
-    c.split("o_minus", "o_plus", "ar2", "ar1", a_lit, back_lit)
-    c.split("d_u", "d_b", "c2p", "c1p", a_lit, back_lit)
-    c.unsqueeze("rec1", "rec2", "o_minus", "d_u", _R)
-    c.unsqueeze("rec3", "rec4", "o_plus", "d_b", _R)
-    c.split("bp_minus", "bp_plus", "e1_perp", "u_perp", a_lit, phi_lit)
-    c.phase("bp_minus_d", "bp_minus", _angle_lit(math.pi))
-    c.phase("bp_plus_d", "bp_plus", _angle_lit(math.pi))
-    c.split("sel_perp", "orth_perp", "bp_minus_d", "bp_plus_d", a_lit, phi_lit)
-    c.split("ap_minus", "ap_plus", "e2_perp", "v_perp", a_lit, phi_lit)
-    c.split("rp_v", "rp_e2", "ap_plus", "ap_minus", a_lit, back_lit)
-    c.output("selected", "sel", role="transmitted")
-    c.output("orthogonal", "orth", role="transmitted")
-    c.output("selected_perp", "sel_perp", role="transmitted")
-    c.output("orthogonal_perp", "orth_perp", role="transmitted")
-    c.output("recovered_1", "rec1", role="reflected")
-    c.output("recovered_2", "rec2", role="reflected")
-    c.output("recovered_3", "rec3", role="reflected")
-    c.output("recovered_4", "rec4", role="reflected")
-    c.output("recovered_1_perp", "rp_e2", role="reflected")
-    c.output("recovered_2_perp", "rp_v", role="reflected")
-    c.output("recovered_3_perp", "j1_perp", role="reflected")
-    c.output("recovered_4_perp", "j2_perp", role="reflected")
-    c.output("bin1_out", "j1p", slot_bin=1, role="tap")
-    c.output("bin2_out", "j2p", slot_bin=2, role="tap")
+    c.add("param s = infinity\nparam r = infinity")
+    a, phi = _two_bin_front(c, _MIRROR_INPUTS, alpha, _CANONICAL_PHI)
+    back = _angle_lit(-3 * _HALF_PI)
+    c.add(f"""
+        b_minus_d = phase(b_minus, phi=pi)
+        b_plus_d = phase(b_plus, phi=pi)
+        (c1, ar1) = squeeze(j1, a_minus, gain=r, phase=0)
+        (c2, ar2) = squeeze(j2, a_plus, gain=r, phase=0)
+        (j1p, c1p) = split(c1, b_minus_d, alpha=tanh(r)*tanh(r), phi={_angle_lit(-th_m)})
+        (j2p, c2p) = split(c2, b_plus_d, alpha=tanh(r)*tanh(r), phi={_angle_lit(-th_p)})
+        (sel, orth) = split(j1p, j2p, alpha={a}, phi={phi})
+        (o_minus, o_plus) = split(ar2, ar1, alpha={a}, phi={back})
+        (d_u, d_b) = split(c2p, c1p, alpha={a}, phi={back})
+        (rec1, rec2) = unsqueeze(o_minus, d_u, gain=r)
+        (rec3, rec4) = unsqueeze(o_plus, d_b, gain=r)
+        (bp_minus, bp_plus) = split(e1_perp, u_perp, alpha={a}, phi={phi})
+        bp_minus_d = phase(bp_minus, phi=pi)
+        bp_plus_d = phase(bp_plus, phi=pi)
+        (sel_perp, orth_perp) = split(bp_minus_d, bp_plus_d, alpha={a}, phi={phi})
+        (ap_minus, ap_plus) = split(e2_perp, v_perp, alpha={a}, phi={phi})
+        (rp_v, rp_e2) = split(ap_plus, ap_minus, alpha={a}, phi={back})
+        output selected = sel role=transmitted
+        output orthogonal = orth role=transmitted
+        output selected_perp = sel_perp role=transmitted
+        output orthogonal_perp = orth_perp role=transmitted
+        output recovered_1 = rec1 role=reflected
+        output recovered_2 = rec2 role=reflected
+        output recovered_3 = rec3 role=reflected
+        output recovered_4 = rec4 role=reflected
+        output recovered_1_perp = rp_e2 role=reflected
+        output recovered_2_perp = rp_v role=reflected
+        output recovered_3_perp = j1_perp role=reflected
+        output recovered_4_perp = j2_perp role=reflected
+        output bin1_out = j1p bin=1 role=tap
+        output bin2_out = j2p bin=2 role=tap
+    """)
     standard = (
         alpha == 0.5 and theta_minus in (None, _HALF_PI) and theta_plus in (None, _HALF_PI)
     )
     if not standard:
         # the decoder chain is calibrated for alpha = 1/2 and standard phases
         return c.finish()
-    rh = 1 / math.sqrt(2)
-    q = 1 / (2 * math.sqrt(2))
-    c.target([(rh, "j1"), (rh, "j2")])
-    c.expect("selected", [(rh, "j1"), (rh, "j2")])
-    c.expect("orthogonal", [(rh, "j1"), (-rh, "j2"), (-1, "u0"), (1, "v0^dag")])
-    c.expect("selected_perp", [(-1, "e1_perp")])
-    c.expect("orthogonal_perp", [(-1, "u_perp")])
-    c.expect("recovered_1", [(q, "j1^dag"), (-q, "j2^dag"), (-1, "u0^dag"), (1.5, "v0")])
-    c.expect("recovered_2", [(q, "j1"), (-q, "j2"), (1, "u0"), (-0.5, "v0^dag")])
-    _expect_perp_recovered(c)
+    rh = _weight_lit(1 / math.sqrt(2))
+    q = _weight_lit(1 / (2 * math.sqrt(2)))
+    c.add(f"""
+        target = {rh}*j1, {rh}*j2
+        expect selected = {rh}*j1, {rh}*j2
+        expect orthogonal = {rh}*j1, -{rh}*j2, -1*u0, 1*v0^dag
+        expect selected_perp = -1*e1_perp
+        expect orthogonal_perp = -1*u_perp
+        expect recovered_1 = {q}*j1^dag, -{q}*j2^dag, -1*u0^dag, 1.5*v0
+        expect recovered_2 = {q}*j1, -{q}*j2, 1*u0, -0.5*v0^dag
+        {_PERP_RECOVERED}
+    """)
     return c.finish()
 
 
@@ -794,31 +725,22 @@ def _default_alphas(n: int) -> list[float]:
 def _check_nmode_args(n: int, alphas, phis, quad_phases):
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"n must be an integer >= 2; got {n!r}")
-    alphas = _default_alphas(n) if alphas is None else [float(a) for a in alphas]
-    if len(alphas) != n - 1:
-        raise ValueError(f"alphas must have length {n - 1}; got {len(alphas)}")
+    alphas = _check_length(_default_alphas(n) if alphas is None else alphas, n - 1, "alphas")
     for a in alphas:
         _check_unit_interval(a, "each alpha")
-    if phis is None:
-        phis = [_CANONICAL_PHI] * (n - 1)
-    else:
-        phis = [float(p) for p in phis]
-    if len(phis) != n - 1:
-        raise ValueError(f"phis must have length {n - 1}; got {len(phis)}")
-    quad = [0.0] * n if quad_phases is None else [float(p) for p in quad_phases]
-    if len(quad) != n:
-        raise ValueError(f"quad_phases must have length {n}; got {len(quad)}")
+    phis = _check_length([_CANONICAL_PHI] * (n - 1) if phis is None else phis, n - 1, "phis")
+    quad = _check_length([0.0] * n if quad_phases is None else quad_phases, n, "quad_phases")
     return alphas, phis, quad
 
 
 def _cascade(c: _Circ, prefix: str, trunk: str, ancillas: list[str],
-             alpha_lits: list[CoefExpr], phi_lits: list[CoefExpr]) -> list[str]:
+             alpha_lits: list[str], phi_lits: list[str]) -> list[str]:
     """Peel one share per ancilla; returns the resource wire per bin."""
     resources: list[str] = []
     acc = trunk
     for k, (anc, a, p) in enumerate(zip(ancillas, alpha_lits, phi_lits), start=1):
         res, nxt = f"{prefix}res{k}", f"{prefix}tr{k}"
-        c.split(res, nxt, acc, anc, a, p)
+        c.add(f"({res}, {nxt}) = split({acc}, {anc}, alpha={a}, phi={p})")
         resources.append(res)
         acc = nxt
     resources.append(acc)
@@ -830,15 +752,17 @@ def _nbin_front(c: _Circ, alphas: list[float], phis: list[float]):
     cascades; returns the alpha and phi literals the cascades carry and
     each rail's resource wire per bin."""
     n = len(alphas) + 1
-    c.mode(_SEED, "e1", "source")
-    c.mode(_SEED, "e2", "source")
+    c.add("""
+        mode entanglement_seed e1 rail=source bin=0
+        mode entanglement_seed e2 rail=source bin=0
+    """)
     for k in range(1, n):
-        c.mode(_VACUUM, f"v{k}", "sender_ancilla")
+        c.add(f"mode vacuum v{k} rail=sender_ancilla bin=0")
     for k in range(1, n):
-        c.mode(_VACUUM, f"u{k}", "receiver_ancilla")
+        c.add(f"mode vacuum u{k} rail=receiver_ancilla bin=0")
     for k in range(1, n + 1):
-        c.mode(_SIGNAL, f"j{k}", "input", k)
-    c.squeeze("a0", "b0", "e1", "e2", _S)
+        c.add(f"mode signal j{k} rail=input bin={k}")
+    c.add("(a0, b0) = squeeze(e1, e2, gain=s, phase=0)")
     alpha_lits = [_real_lit(a) for a in alphas]
     phi_lits = [_angle_lit(p) for p in phis]
     a_res = _cascade(c, "a", "a0", [f"v{k}" for k in range(1, n)], alpha_lits, phi_lits)
@@ -846,19 +770,20 @@ def _nbin_front(c: _Circ, alphas: list[float], phis: list[float]):
     return alpha_lits, phi_lits, a_res, b_res
 
 
-def _fold_back(c: _Circ, phis: list[float], alpha_lits: list[CoefExpr], phi_lits: list[CoefExpr]):
+def _fold_back(c: _Circ, phis: list[float], alpha_lits: list[str], phi_lits: list[str]):
     """Undo the cascade on the displaced bins j1p..jNp: the trunk leaves
     as ``selected`` and each step's leftover as ``orthogonal_k``."""
     n = len(phis) + 1
     acc = f"j{n}p"
     for k in range(n - 1, 0, -1):
         phi = phis[k - 1]
-        back = _derived_angle(phi - math.pi, (phi,), Sub(phi_lits[k - 1], PiConst()))
-        c.split(f"urec{k}", f"trunk{k}", acc, f"j{k}p", alpha_lits[k - 1], back)
+        back = _derived_angle(phi - math.pi, (phi,), f"({phi_lits[k - 1]}) - pi")
+        alpha = alpha_lits[k - 1]
+        c.add(f"(urec{k}, trunk{k}) = split({acc}, j{k}p, alpha={alpha}, phi={back})")
         acc = f"trunk{k}"
-    c.output("selected", acc, role="transmitted")
+    c.add(f"output selected = {acc} role=transmitted")
     for k in range(1, n):
-        c.output(f"orthogonal_{k}", f"urec{k}", role="transmitted")
+        c.add(f"output orthogonal_{k} = urec{k} role=transmitted")
 
 
 def _amplitude_schedule(alphas, phis) -> list[complex]:
@@ -878,32 +803,29 @@ def _quad_turn(q: float) -> complex:
     return cmath.exp(-2j * q) if unit is None else unit
 
 
-def _tap_weight_asts(alpha_lits: list[CoefExpr]) -> list[CoefExpr]:
+def _tap_weights(alpha_lits: list[str]) -> list[str]:
     """Square root of the trunk power reaching each tap, symbolic in the
     same alpha literals the cascade splitters carry."""
-    outs: list[CoefExpr] = []
+    outs: list[str] = []
     n = len(alpha_lits) + 1
     for k in range(n):
-        parts: list[CoefExpr] = [alpha_lits[i] for i in range(k)]
+        parts = [f"({a})" for a in alpha_lits[:k]]
         if k < n - 1:
-            parts.append(Sub(Num(1), alpha_lits[k]))
-        prod = parts[0]
-        for p in parts[1:]:
-            prod = Mul(prod, p)
-        outs.append(Call("sqrt", prod))
+            parts.append(f"(1 - ({alpha_lits[k]}))")
+        outs.append(f"sqrt({'*'.join(parts)})")
     return outs
 
 
-def _tap_gain_asts(alpha_lits: list[CoefExpr], phis: list[float]) -> list[CoefExpr]:
+def _tap_gains(alpha_lits: list[str], phis: list[float]) -> list[str]:
     """Displacement gain per tap: the trunk amplitude it must match."""
-    weights = _tap_weight_asts(alpha_lits)
-    gains: list[CoefExpr] = []
+    weights = _tap_weights(alpha_lits)
+    gains: list[str] = []
     for w, phi in zip(weights, phis):
         unit = _phase_unit(phi)
         if unit is not None:
-            gains.append(_scale(_unit_lit(-1j * unit), w))
+            gains.append(_scale(_UNIT_TEXT[-1j * unit], w))
         else:
-            gains.append(_scale(Neg(ImagUnit()), _scale(_conj_phase_lit(phi), w)))
+            gains.append(_scale("-i", _scale(_conj_phase_lit(phi), w)))
     gains.append(weights[-1])
     return gains
 
@@ -929,27 +851,26 @@ def build_nmode_delayed_telefilter(
         ("quad_phases", tuple(quad)),
     ]
     c = _Circ("nmode_delayed_telefilter", args)
-    c.infinite("s")
+    c.add("param s = infinity")
     alpha_lits, phi_lits, a_res, b_res = _nbin_front(c, alphas, phis)
-    gains = _tap_gain_asts(alpha_lits, phis)
-    terms: list[tuple[CoefExpr, str]] = []
+    gains = _tap_gains(alpha_lits, phis)
+    terms: list[str] = []
     for k in range(1, n + 1):
-        c.homodyne(f"m{k}", f"j{k}", a_res[k - 1], quad[k - 1])
-        weight = Div(_scale(_conj_phase_lit(quad[k - 1]), gains[k - 1]), _sqrt2())
-        terms.append((weight, f"m{k}"))
-    c.combine("m", terms)
+        c.add(_homodyne(f"m{k}", f"j{k}", a_res[k - 1], quad[k - 1]))
+        terms.append(f"(({_scale(_conj_phase_lit(quad[k - 1]), gains[k - 1])})/sqrt(2))*m{k}")
+    c.add(f"m = combine({', '.join(terms)})")
     for k in range(1, n + 1):
-        c.displace(f"j{k}p", b_res[k - 1], "m", gains[k - 1])
+        c.add(f"j{k}p = displace({b_res[k - 1]}, m, gain={gains[k - 1]})")
     _fold_back(c, phis, alpha_lits, phi_lits)
     for k in range(1, n + 1):
-        c.output(f"bin{k}_out", f"j{k}p", slot_bin=k, role="tap")
-    c.output("record", "m")
+        c.add(f"output bin{k}_out = j{k}p bin={k} role=tap")
+    c.add("output record = m")
     coefs = _amplitude_schedule(alphas, phis)
-    selected = [(coefs[k] * _quad_turn(quad[k]), f"j{k + 1}") for k in range(n)]
-    c.target(selected)
-    c.expect("selected", selected)
+    selected = _terms([(coefs[k] * _quad_turn(quad[k]), f"j{k + 1}") for k in range(n)])
+    c.add(f"target = {selected}")
+    c.add(f"expect selected = {selected}")
     for k in range(1, n):
-        c.expect(f"orthogonal_{k}", [(1, f"u{k}")])
+        c.add(f"expect orthogonal_{k} = 1*u{k}")
     return c.finish()
 
 
@@ -969,21 +890,22 @@ def build_nmode_nodelay_telefilter(
     )
     args = [("n", n), ("alphas", tuple(alphas)), ("quad_phases", tuple(quad))]
     c = _Circ("nmode_nodelay_telefilter", args)
-    c.infinite("s")
+    c.add("param s = infinity")
     alpha_lits, phi_lits, a_res, b_res = _nbin_front(c, alphas, phis)
     for k in range(1, n + 1):
-        c.homodyne(f"m{k}", f"j{k}", a_res[k - 1], quad[k - 1])
-        gain = Div(_conj_phase_lit(quad[k - 1]), _sqrt2())
-        c.displace(f"j{k}p", b_res[k - 1], f"m{k}", gain)
+        c.add(_homodyne(f"m{k}", f"j{k}", a_res[k - 1], quad[k - 1]))
+        gain = f"({_conj_phase_lit(quad[k - 1])})/sqrt(2)"
+        c.add(f"j{k}p = displace({b_res[k - 1]}, m{k}, gain={gain})")
     _fold_back(c, phis, alpha_lits, phi_lits)
     for k in range(1, n + 1):
-        c.output(f"bin{k}_out", f"j{k}p", slot_bin=k, role="tap")
-        c.output(f"record_{k}", f"m{k}")
+        c.add(f"output bin{k}_out = j{k}p bin={k} role=tap")
+        c.add(f"output record_{k} = m{k}")
     weights = [abs(w) for w in _amplitude_schedule(alphas, phis)]
     turns = [_quad_turn(q) for q in quad]
     # bin 1's weight stays real and positive in the target
-    c.target([(weights[k] * (turns[k] * turns[0].conjugate()), f"j{k + 1}") for k in range(n)])
-    c.expect("selected", [(weights[k] * turns[k], f"j{k + 1}") for k in range(n)])
+    target = [(weights[k] * (turns[k] * turns[0].conjugate()), f"j{k + 1}") for k in range(n)]
+    c.add(f"target = {_terms(target)}")
+    c.add(f"expect selected = {_terms([(weights[k] * turns[k], f'j{k + 1}') for k in range(n)])}")
     return c.finish()
 
 

@@ -161,6 +161,14 @@ def test_claimed_emission_bin_is_recorded():
         ),
         (TWO_MODES + "(a, b) = split(v, w, alpha=t, phi=0)", 3, 28, "undeclared parameter 't'"),
         ("mode vacuum v rail=r bin=0\ntarget = t*v", 2, 10, "undeclared parameter 't'"),
+        # a name nested in a call or a weight; the sorted-first name, at the expression's start
+        (
+            TWO_MODES + "(a, b) = split(v, w, alpha=z + sqrt(1 - t), phi=0)",
+            3,
+            28,
+            "undeclared parameter 't'",
+        ),
+        ("mode vacuum v rail=r bin=0\ntarget = (1 - t)*v", 2, 10, "undeclared parameter 't'"),
         ("mode vacuum pi rail=r bin=0", 1, 13, "name 'pi' is reserved"),
         ("mode vacuum v rail=r bin=0\nparam v = 1", 2, 7, "parameter 'v' already defined"),
         (TWO_MODES + "(a, a) = split(v, w, alpha=0.5, phi=0)", 3, 5, "wire 'a' bound twice"),

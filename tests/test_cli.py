@@ -93,6 +93,10 @@ def test_protocols_build_types_params_by_annotation(capsys, name, params, overri
         ("nodelay_independent", "x=1", "unknown protocol argument 'x' (takes: none)"),
         ("nmode_delayed_telefilter", "n=x", "bad value for 'n': 'x'"),
         ("delayed_telefilter", "alpha=abc", "bad value for 'alpha': 'abc'"),
+        ("delayed_telefilter", "quad_phases=1", "quad_phases must have length 2; got 1"),
+        ("delayed_telefilter", "quad_phases=1,2,3", "quad_phases must have length 2; got 3"),
+        ("nodelay_telefilter", "quad_phases=1", "quad_phases must have length 2; got 1"),
+        ("nodelay_telefilter", "quad_phases=1,2,3", "quad_phases must have length 2; got 3"),
     ],
 )
 def test_protocols_build_rejects_bad_params(capsys, name, param, message):

@@ -22,7 +22,6 @@ from telesim.coeff import (
     cosh,
     evaluate,
     sinh,
-    sqrt,
 )
 from telesim.opalg import ModeEvaluator, ModeExpr, ModeId
 
@@ -87,12 +86,6 @@ def test_functions_match_cmath(func, reference):
 def test_conj():
     z = Num(1 + 2j) * Param("x")
     assert evaluate(conj(z), ParamEnv({"x": 3.0})) == 3 - 6j
-
-
-def test_parameters_collection():
-    expr = sqrt(Param("a")) * cosh(Param("b")) + Num(2)
-    assert expr.parameters() == frozenset({"a", "b"})
-    assert Num(5).parameters() == frozenset()
 
 
 def test_high_precision_cancellation():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from telesim.circuit import evaluate_circuit
-from telesim.coeff import Call, ParamEnv
+from telesim.coeff import ParamEnv
 from telesim.dsl import parse_circuit, serialize_circuit
 from telesim.opalg import ModeEvaluator, ModeKind
 from telesim.protocols import PROTOCOLS, _conj_phase_lit, _phase_unit, build, protocol_text
@@ -66,6 +66,13 @@ def test_goldens_are_the_builders_circuits(name):
     PYTHONPATH=src python -c "from telesim.protocols import PROTOCOLS, protocol_text; [open(f'src/telesim/golden/{n}.tls', 'w').write(protocol_text(n)) for n in PROTOCOLS]"
     """
     assert (GOLDEN_DIR / f"{name}.tls").read_text() == protocol_text(name)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_build_flags_name_the_golden_lines(name):
+    # the library and the CLI see the same statements, locations included
+    golden = evaluate_circuit(parse_circuit((GOLDEN_DIR / f"{name}.tls").read_text()))
+    assert build(name).flags == golden.flags
 
 
 @pytest.mark.parametrize(
@@ -319,8 +326,7 @@ def test_phases_past_the_grid_get_no_exact_unit(phi):
     # factor is no unit
     assert _phase_unit(phi) is None
     assert _phase_unit(phi, 2) is None
-    lit = _conj_phase_lit(phi)
-    assert isinstance(lit, Call) and lit.func == "exp"
+    assert _conj_phase_lit(phi).startswith("exp(-i*")
 
 
 def test_phases_on_the_grid_get_exact_units():
