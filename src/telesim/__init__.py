@@ -48,44 +48,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BogoliubovReport",
-    "CircuitAst",
-    "CircuitError",
-    "CoefExpr",
-    "CoefficientError",
-    "CovarianceRecord",
-    "DependencyReport",
-    "LimitResult",
-    "Loc",
-    "ModeEvaluator",
-    "ModeExpr",
-    "ModeId",
-    "ModeKind",
-    "PROTOCOLS",
-    "ParamEnv",
-    "ParseError",
-    "PortTiming",
-    "ProtocolOutput",
-    "SelectivityReport",
-    "build",
-    "causality_report",
-    "check_bogoliubov",
-    "covariance_oracle",
-    "dagger",
-    "evaluate",
-    "evaluate_circuit",
-    "format_number",
-    "input_mode",
-    "limit_coefficients",
-    "lin_comb",
-    "merge_env",
-    "parse_circuit",
-    "protocol_text",
-    "prune_for_display",
-    "quadrature_variance",
-    "selectivity_report",
-    "serialize_circuit",
-    "signaling_test",
-]

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .coeff import CoefExpr, CoefficientError, ParamEnv, evaluate
+from .coeff import CoefExpr, CoefficientError, Evaluator, ParamEnv, Tape
 from .elements import (
     apply_inverse_squeezer,
     apply_phase_shift,
@@ -232,7 +232,10 @@ class ExpectStmt(Stmt):
 
 @dataclass(frozen=True)
 class CircuitAst:
+    """Statements, and the tape their scalars run on (see :func:`evaluate_circuit`)."""
+
     statements: tuple[Stmt, ...]
+    tape: Tape = field(default_factory=Tape, init=False, compare=False, repr=False)
 
     @property
     def params(self) -> tuple[ParamDecl, ...]:
@@ -341,15 +344,16 @@ class _Wire:
 
 class _Evaluation:
     def __init__(self, ast: CircuitAst, env: ParamEnv):
-        self.ast = ast
+        self.ast = CircuitAst(ast.statements)  # with a tape of its own
         self.env, self.infinite = merge_env(ast, env)
         self.wires: dict[str, _Wire] = {}
         self.registry: dict[str, ModeId] = {}
         self.flags: list[str] = []
+        self.coef = Evaluator(self.env, self.ast.tape)
 
     def scalar(self, expr: CoefExpr, loc: Loc, what: str) -> complex:
         try:
-            return evaluate(expr, self.env)
+            return complex(self.coef.eval(expr))
         except CoefficientError as exc:
             raise CircuitError(f"cannot evaluate {what}: {exc}", loc) from exc
 
@@ -391,6 +395,10 @@ class _Evaluation:
         for stmt in self.ast.statements:
             self._step(stmt, out)
         out.input_registry = list(self.registry.values())
+        forms = [*(out.expected_limit or {}).values(), out.target]
+        for expr in [*out.all_ports().values(), *out.classical.values(), *forms]:
+            if expr is not None:
+                expr.tape = self.ast.tape
         return out
 
     def _step(self, stmt: Stmt, out: ProtocolOutput) -> None:
@@ -431,15 +439,11 @@ class _Evaluation:
             if wire.kind == RECORD:
                 out.classical[stmt.name] = wire.value
                 return
+            ports = {"transmitted": out.transmitted, "reflected": out.reflected, "tap": out.taps}
             role = stmt.role or "transmitted"
-            if role == "transmitted":
-                out.transmitted[stmt.name] = wire.value
-            elif role == "reflected":
-                out.reflected[stmt.name] = wire.value
-            elif role == "tap":
-                out.taps[stmt.name] = wire.value
-            else:
+            if role not in ports:
                 raise CircuitError(f"unknown output role {role!r}", loc)
+            ports[role][stmt.name] = wire.value
             return
         if isinstance(stmt, TargetStmt):
             out.target = self.form(stmt.terms, loc)
@@ -484,7 +488,9 @@ def evaluate_circuit(ast: CircuitAst, env: ParamEnv | None = None) -> ProtocolOu
 
     Mode expressions stay symbolic in the declared parameters; env (over
     declared defaults) is the binding every element parameter is checked
-    under, and is attached to the result for later evaluation.
+    under, and is attached to the result for later evaluation. The result's
+    circuit is an equal copy of ast with a new tape, which the checks, every
+    output expression's tables and the covariance oracle run on.
     """
     evaluation = _Evaluation(ast, env if env is not None else ParamEnv({}))
     result = evaluation.run()

@@ -296,29 +296,12 @@ def _render_text(payload: dict) -> str:
     lines.append("")
     lines.append("outputs")
     rows = [["port", "role", "slot", "emit", "mode", "a", "a^dag"]]
-    for name in payload["outputs"]:
-        entry = payload["outputs"][name]
-        first = True
-        coeffs = entry["coefficients"]
-        if not coeffs:
-            rows.append(
-                [name, entry["role"], str(entry["slot_bin"]), str(entry["emission_bin"]), "-", "0", "0"]
-            )
-            continue
-        for mode in coeffs:
-            a, ad = _fmt_complex(coeffs[mode])
-            rows.append(
-                [
-                    name if first else "",
-                    entry["role"] if first else "",
-                    str(entry["slot_bin"]) if first else "",
-                    str(entry["emission_bin"]) if first else "",
-                    mode,
-                    a,
-                    ad,
-                ]
-            )
-            first = False
+    for name, entry in payload["outputs"].items():
+        # the port's columns fill its first row only
+        head = [name, entry["role"], str(entry["slot_bin"]), str(entry["emission_bin"])]
+        for mode, quad in (entry["coefficients"] or {"-": None}).items():
+            rows.append(head + [mode, *(_fmt_complex(quad) if quad else ("0", "0"))])
+            head = [""] * 4
     lines.extend(_table(rows))
 
     if payload.get("variances"):
@@ -573,15 +556,14 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "machine"), default="text")
         p.add_argument("--out", metavar="PATH", help="write the report to a file")
 
-    p_run = sub.add_parser("run", help="evaluate a circuit file and report")
-    p_run.add_argument("file")
-    add_io(p_run)
-    p_run.set_defaults(handler=_run_command)
-
-    p_verify = sub.add_parser("verify", help="full analysis suite on a circuit file")
-    p_verify.add_argument("file")
-    add_io(p_verify)
-    p_verify.set_defaults(handler=_verify_command)
+    for name, handler, summary in (
+        ("run", _run_command, "evaluate a circuit file and report"),
+        ("verify", _verify_command, "full analysis suite on a circuit file"),
+    ):
+        p_file = sub.add_parser(name, help=summary)
+        p_file.add_argument("file")
+        add_io(p_file)
+        p_file.set_defaults(handler=handler)
 
     p_limits = sub.add_parser("limits", help="push scale parameters to their limit")
     p_limits.add_argument("file")
@@ -621,13 +603,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code else 0
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (CircuitError, CoefficientError, ValueError) as exc:
+    except (_UsageError, CircuitError, CoefficientError, ValueError) as exc:
         # ValueError: an input the analyses cannot judge, such as a target
         # that is not normalized or a circuit with no quantum output
         print(f"error: {exc}", file=sys.stderr)

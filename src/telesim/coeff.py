@@ -4,13 +4,14 @@ Expressions are small immutable trees (shared freely, so in practice DAGs)
 built from complex constants, parameter references, the imaginary unit, pi,
 arithmetic, and the handful of functions the circuits need. They evaluate
 numerically under a :class:`ParamEnv`; no symbolic simplification happens
-beyond cheap constant folding in the constructors. A node no parameter
-reaches may hold its value outside its dataclass fields (see Evaluator).
+beyond cheap constant folding in the constructors. Nodes hold their fields
+only: evaluation state lives on a :class:`Tape`, the nodes of one circuit
+as instructions, which keeps the binding-invariant values its runs read.
 
 Evaluation runs on a dedicated mpmath context with 160 decimal digits.
 Limit checks substitute scales up to twice the default 20, which drives
-intermediate magnitudes past anything float64 can cancel correctly. It
-carries raw mpmath tuples, with an identity memo and a value memo.
+intermediate magnitudes past anything float64 can cancel correctly. Each
+run (:class:`Evaluator`) carries raw mpmath tuples and a value memo.
 """
 
 from __future__ import annotations
@@ -69,8 +70,6 @@ class CoefExpr:
     """
 
     __slots__ = ()
-    # a binding-invariant value an Evaluator stored on the node; not a field
-    _value = None
 
     def __add__(self, other):
         return _fold_add(self, as_coef(other))
@@ -272,131 +271,167 @@ def cis(phase) -> CoefExpr:
     return Call("exp", Mul(I, as_coef(phase)))
 
 
-class Evaluator:
-    """Evaluates expressions under one env, memoizing shared subtrees.
+_KERNELS = {Add: mpc_add, Sub: mpc_sub, Neg: mpc_neg, Conj: mpc_conjugate}
 
-    :meth:`eval` walks unmemoized nodes with a stack, operands first, and
-    :meth:`_eval` computes each once from its operands' memo entries by the
-    ``mpmath.libmp`` kernels that ``MP.mpc`` arithmetic calls, bit for bit.
-    Values stay raw ``_mpc_`` tuples until :meth:`eval` wraps one. The memo
-    keys on identity and keeps each keyed expression alive, so no recycled
-    id serves a stale value; the value memo computes each distinct ``Num``,
-    function argument and quotient once per binding. Entries mark nodes no
-    :class:`Param` reaches as binding-invariant. Those another binding reads
-    (operands of parameter-dependent nodes, values asked of :meth:`eval`
-    from outside) keep their value on the node once :meth:`eval` returns,
-    never after it raises; every later walk under any env takes it. A stored
-    value is valid at ``MP``'s one precision only.
+
+class Tape:
+    """A circuit's coefficient nodes as instructions, operands first: node i
+    (kept alive, so no recycled id serves a stale index), its operands'
+    indices (-1 where it has fewer), and whether a Param reaches it. For
+    each precision, ``stored`` keeps the invariant values later runs read:
+    operands of dependent instructions, and invariant roots."""
+
+    __slots__ = ("nodes", "index", "left", "right", "dependent", "stored")
+
+    def __init__(self):
+        self.nodes: list[CoefExpr] = []
+        self.index: dict[int, int] = {}  # id(node) -> instruction
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.dependent = bytearray()
+        self.stored: dict[int, dict[int, tuple]] = {}  # precision -> instruction -> value
+
+
+class Evaluator:
+    """One run of a :class:`Tape` (by default a one-off tape) under one env.
+
+    :meth:`eval` appends a root's nodes the tape lacks, computing each as it
+    appends it, and otherwise runs only what this run lacks: after a
+    circuit's first run at ``MP``'s precision, what a :class:`Param`
+    reaches. :meth:`_eval` applies the ``mpmath.libmp`` kernels of ``MP.mpc``
+    arithmetic, bit for bit, to raw ``_mpc_`` tuples; the value memo computes
+    each distinct ``Num``, function argument and quotient once per run.
+    Values join the store when :meth:`eval` returns, never when it raises.
     """
 
-    def __init__(self, env: ParamEnv):
+    def __init__(self, env: ParamEnv, tape: Tape | None = None):
         self.env = env
+        self.tape = tape = Tape() if tape is None else tape
+        self._nodes, self._left, self._right = tape.nodes, tape.left, tape.right
         self._prec, self._rnd = MP._prec_rounding
-        self._memo: dict[int, tuple[CoefExpr, tuple, bool]] = {}
-        self._values: dict = {}  # Num by value, Call by (func, argument), Div by operands
+        self._stored = tape.stored.setdefault(self._prec, {})
+        self._vals = dict(self._stored)  # instruction -> raw value in this run
+        self._fresh: list[int] = []  # values to store once eval() returns
+        self._by_input: dict = {}  # Num by value, Call by (func, argument), Div by operands
 
     def eval(self, expr: CoefExpr) -> mpmath.mpc:
-        entry = self._memo.get(id(expr))
-        if entry is None:
-            entry, kept = self._walk(expr)
-            for node, value, invariant in kept:
-                if invariant:
-                    object.__setattr__(node, "_value", value)
-        if entry[2]:
-            object.__setattr__(expr, "_value", entry[1])
-        return MP.make_mpc(entry[1])
+        fresh = self._fresh
+        fresh.clear()  # what a call that raised left
+        i = self.tape.index.get(id(expr))
+        i = self._append(expr) if i is None else i
+        value = self._vals.get(i) or self._run(i)
+        if not self.tape.dependent[i] and i not in self._stored:
+            fresh.append(i)
+        for k in fresh:
+            self._stored[k] = self._vals[k]
+        return MP.make_mpc(value)
 
-    def _walk(self, root: CoefExpr) -> tuple[tuple, list[tuple]]:
-        memo, kept = self._memo, []  # kept: operands of parameter-dependent nodes
-        # a node to expand, or a (node, operands) pair whose operands are done
-        stack: list = [root]
+    def _append(self, root: CoefExpr) -> int:
+        """Append each node of root the tape lacks, operands first, computing it."""
+        index, vals, dependent = self.tape.index, self._vals, self.tape.dependent
+        nodes, left, right = self._nodes, self._left, self._right
+        stack: list = [root]  # a node to expand, or (node, a, b) once its operands are on the tape
         while stack:
-            item = stack.pop()
-            if type(item) is tuple:  # popped once, since a node expands once
-                node, operands = item
-                value = self._eval(node)
-                first, last = memo[id(operands[0])], memo[id(operands[-1])]
-                invariant = first[2] and last[2]
-                if not invariant:
-                    kept += (first, last)
-                memo[id(node)] = (node, value, invariant)
+            node = stack.pop()
+            if type(node) is tuple:
+                node, a, b = node
+                a, b = index[id(a)], -1 if b is None else index[id(b)]
+            elif id(node) in index:
+                if index[id(node)] not in vals:
+                    self._run(index[id(node)])
                 continue
-            key = id(item)
-            if key in memo:
-                continue
-            if item._value is not None:
-                memo[key] = (item, item._value, True)
-                continue
-            cls = type(item)
-            if cls in (Add, Sub, Mul, Div):
-                left, right = item.left, item.right
-                # the first operand is pushed last, so it completes first
-                stack += ((item, (left, right)), right, left)
-                continue
-            kid = item.operand if cls in (Neg, Conj) else item.arg if cls is Call else None
-            if kid is None:
-                memo[key] = (item, self._eval(item), cls is not Param)
             else:
-                stack += ((item, (kid,)), kid)
-        return memo[id(root)], kept
+                cls = type(node)
+                if cls in (Add, Sub, Mul, Div):
+                    # the first operand is pushed last, so it completes first
+                    stack += ((node, node.left, node.right), node.right, node.left)
+                    continue
+                if cls in (Neg, Conj, Call):
+                    kid = node.arg if cls is Call else node.operand
+                    stack += ((node, kid, None), kid)
+                    continue
+                if cls not in (Num, Param, PiConst, ImagUnit):
+                    raise CoefficientError(f"cannot evaluate {node!r}")
+                a = b = -1
+            i = len(nodes)
+            index[id(node)] = i
+            nodes.append(node)
+            left.append(a)
+            right.append(b)
+            on = type(node) is Param or (a >= 0 and dependent[a]) or (b >= 0 and dependent[b])
+            dependent.append(on)
+            vals[i] = self._eval(i)
+            if on:
+                self._keep(i)
+        return index[id(root)]
 
-    def _eval(self, expr: CoefExpr) -> tuple:
-        """Raw value of one node whose operands are all memoized."""
-        cls, memo, values, prec, rnd = type(expr), self._memo, self._values, self._prec, self._rnd
+    def _keep(self, i: int) -> None:
+        """Store the invariant operands of dependent instruction i."""
+        for k in (self._left[i], self._right[i]):
+            if k >= 0 and not self.tape.dependent[k] and k not in self._stored:
+                self._fresh.append(k)
+
+    def _run(self, root: int) -> tuple:
+        """Value of instruction root, computing first what this run lacks of it."""
+        vals, left, right, dependent = self._vals, self._left, self._right, self.tape.dependent
+        stack = [root]  # an instruction to expand, or ~i once its operands are done
+        while stack:
+            i = stack.pop()
+            if i < 0:
+                vals[~i] = self._eval(~i)
+                if dependent[~i]:
+                    self._keep(~i)
+            elif i not in vals:
+                stack.append(~i)
+                if right[i] >= 0 and right[i] not in vals:
+                    stack.append(right[i])
+                if left[i] >= 0 and left[i] not in vals:
+                    stack.append(left[i])
+        return vals[root]
+
+    def _eval(self, i: int) -> tuple:
+        """Raw value of instruction i, whose operands this run holds."""
+        node, vals, prec, rnd = self._nodes[i], self._vals, self._prec, self._rnd
+        cls, x, y = type(node), vals.get(self._left[i]), vals.get(self._right[i])
         if cls is Mul:
-            a, b = memo[id(expr.left)][1], memo[id(expr.right)][1]
             # times a finite real, mpc_mul's cross terms are exact zeros (inf*0 is nan)
-            if b[1] == fzero and not (mpc_is_infnan(a) or mpc_is_infnan(b)):
-                return mpc_mul_mpf(a, b[0], prec, rnd)
-            if a[1] == fzero and not (mpc_is_infnan(a) or mpc_is_infnan(b)):
-                return mpc_mul_mpf(b, a[0], prec, rnd)
-            return mpc_mul(a, b, prec, rnd)
-        if cls is Add:
-            return mpc_add(memo[id(expr.left)][1], memo[id(expr.right)][1], prec, rnd)
-        if cls is Sub:
-            return mpc_sub(memo[id(expr.left)][1], memo[id(expr.right)][1], prec, rnd)
-        if cls is Neg:
-            return mpc_neg(memo[id(expr.operand)][1], prec, rnd)
-        if cls is Conj:
-            return mpc_conjugate(memo[id(expr.operand)][1], prec, rnd)
+            if y[1] == fzero and not (mpc_is_infnan(x) or mpc_is_infnan(y)):
+                return mpc_mul_mpf(x, y[0], prec, rnd)
+            if x[1] == fzero and not (mpc_is_infnan(x) or mpc_is_infnan(y)):
+                return mpc_mul_mpf(y, x[0], prec, rnd)
+            return mpc_mul(x, y, prec, rnd)
+        kernel = _KERNELS.get(cls)
+        if kernel is not None:
+            return kernel(x, prec, rnd) if y is None else kernel(x, y, prec, rnd)
         if cls is Param:
             try:
-                return MP.mpc(self.env.values[expr.name])._mpc_
+                return MP.mpc(self.env.values[node.name])._mpc_
             except KeyError:
-                raise CoefficientError(f"unbound parameter {expr.name!r}") from None
-        if cls is PiConst:
-            return MP.mpc(MP.pi)._mpc_
-        if cls is ImagUnit:
-            return MP.mpc(0, 1)._mpc_
+                raise CoefficientError(f"unbound parameter {node.name!r}") from None
+        if cls is PiConst or cls is ImagUnit:
+            return (MP.mpc(MP.pi) if cls is PiConst else MP.mpc(0, 1))._mpc_
         # equal inputs give equal values: each distinct input is computed once
-        if cls is Num:
-            key = expr.value
-        elif cls is Call:
-            key = (expr.func, memo[id(expr.arg)][1])
-        elif cls is Div:
-            key = (memo[id(expr.left)][1], memo[id(expr.right)][1])
-            if key[1] == (fzero, fzero):
-                raise CoefficientError("division by zero")
-        else:
-            raise CoefficientError(f"cannot evaluate {expr!r}")
-        value = values.get(key)
+        key = node.value if cls is Num else (node.func, x) if cls is Call else (x, y)
+        if cls is Div and y == (fzero, fzero):
+            raise CoefficientError("division by zero")
+        value = self._by_input.get(key)
         if value is None:
             if cls is Num:
                 value = MP.mpc(key)._mpc_
             elif cls is Call:
-                value = MP.mpc(_FUNCTIONS[key[0]](MP.make_mpc(key[1])))._mpc_
+                value = MP.mpc(_FUNCTIONS[key[0]](MP.make_mpc(x)))._mpc_
             else:
-                value = mpc_div(*key, prec, rnd)
-            values[key] = value
+                value = mpc_div(x, y, prec, rnd)
+            self._by_input[key] = value
         return value
 
 
 def evaluate(expr: CoefExpr, env: ParamEnv) -> complex:
-    """One-off evaluation through a throwaway Evaluator, as a double.
+    """One-off evaluation through a run on a one-off tape, as a double.
 
-    It still reads and stores binding-invariant values on the nodes. Analyses
-    of an evaluated circuit read the tables of its per-binding sessions
-    (``ProtocolOutput.evaluator()``). mpmath saturates out-of-range
+    Analyses of an evaluated circuit read the tables of its per-binding
+    sessions (``ProtocolOutput.evaluator()``), and its statement scalars go
+    through runs of the circuit's tape. mpmath saturates out-of-range
     magnitudes to signed inf and underflows them to zero on the way out.
     """
     return complex(Evaluator(env).eval(expr))

@@ -26,7 +26,7 @@ structurally equal program and re-serializes to identical bytes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import (
     ELEMENTS,
@@ -86,8 +86,7 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {line}, column {column})")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int

@@ -24,6 +24,7 @@ from .coeff import (
     CoefExpr,
     Evaluator,
     ParamEnv,
+    Tape,
     ZERO,
     as_coef,
     conj,
@@ -48,6 +49,11 @@ class ModeId:
     def __post_init__(self):
         if self.time_bin < 0:
             raise ValueError(f"time_bin must be >= 0, got {self.time_bin}")
+        # the generated hash, computed once: tables look modes up constantly
+        object.__setattr__(self, "_hash", hash((self.name, self.rail, self.time_bin, self.kind)))
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
         return (self.time_bin, self.rail, self.name)
@@ -57,12 +63,14 @@ CoefPair = tuple[CoefExpr, CoefExpr]
 
 
 class ModeExpr:
-    """Linear combination sum_i (c_i * a_i + d_i * a_i^dagger)."""
+    """Linear combination sum_i (c_i * a_i + d_i * a_i^dagger), with the tape
+    of the circuit that made it, if any (see :class:`ModeEvaluator`)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "tape")
 
     def __init__(self, terms: dict[ModeId, CoefPair] | None = None):
         self.terms = dict(terms) if terms else {}
+        self.tape: Tape | None = None
 
     def __add__(self, other):
         if not isinstance(other, ModeExpr):
@@ -134,13 +142,14 @@ class ModeEvaluator:
     every analysis that draws from the same session reuses them.
     :meth:`bind` returns the session of a derived binding from the same
     family, one session per distinct set of values; a family shares only
-    its sessions and their tables. A session given ``roots`` (an evaluated
-    protocol's ports and records), like every session bound from it,
-    tables them all on creation through one scalar :class:`Evaluator`, then
-    drops its per-node memo. A session without roots tables lazily and
-    keeps its memo. So does the session, a family of its own, that
+    its sessions and their tables. A session evaluates coefficients by one
+    run (:class:`Evaluator`) per tape: its expressions' circuit's, or its
+    own. A session given ``roots`` (an evaluated protocol's ports and
+    records), like every session bound from it, tables them all on
+    creation, then drops its runs. A session without roots tables lazily and
+    keeps its runs. So does the session, a family of its own, that
     :func:`session_for` keeps for the last bare :class:`ParamEnv` it was
-    given. Parameter-free values come from the nodes (see :class:`Evaluator`).
+    given.
 
     The kernels below hold each entry x, converted once per session, as
     x~ = trunc(x 2^P), P = working bits + GUARD_BITS, sum exact integer
@@ -154,7 +163,7 @@ class ModeEvaluator:
         # the working precision, read here only: the kernels round to it
         self._prec, self._rnd = MP._prec_rounding
         self._bits = self._prec + GUARD_BITS
-        self._coef: Evaluator | None = None
+        self._runs: dict[Tape | None, Evaluator] = {}
         self._tables: dict[ModeExpr, NumericTerms] = {}
         self._fixed_tables: dict[ModeExpr, dict | None] = {}
         self._variances: dict[tuple[ModeExpr, float], object] = {}
@@ -167,7 +176,7 @@ class ModeEvaluator:
     def _table_roots(self) -> None:
         for expr in self._roots:
             self.table(expr)
-        self._coef = None
+        self._runs = {}
 
     def bind(self, **overrides: float) -> "ModeEvaluator":
         """The family's session for this binding with overrides applied."""
@@ -188,9 +197,10 @@ class ModeEvaluator:
         cached = self._tables.get(expr)
         if cached is not None:
             return cached
-        if self._coef is None:
-            self._coef = Evaluator(self.env)
-        ev = self._coef.eval
+        run = self._runs.get(expr.tape)
+        if run is None:
+            run = self._runs[expr.tape] = Evaluator(self.env, expr.tape)
+        ev = run.eval
         result = {m: (ev(c), ev(d)) for m, (c, d) in expr.terms.items()}
         self._tables[expr] = result
         return result
@@ -219,8 +229,9 @@ class ModeEvaluator:
             return MP.make_mpc((fnan, fnan))
         re = im = 0
         for mode, (cr, ci, dr, di) in lt.items():
-            if mode in rt:
-                er, ei, fr, fi = rt[mode]
+            other = rt.get(mode)
+            if other is not None:
+                er, ei, fr, fi = other
                 if cross:  # dagger(right) holds (conj(f), conj(e))
                     er, ei, fr, fi = fr, -fi, er, -ei
                 re += cr * fr - ci * fi - dr * er + di * ei
@@ -283,7 +294,7 @@ def _phase_factor(phase: float, prec: int) -> tuple[int, int]:
 Binding = ParamEnv | ModeEvaluator
 
 # (env, session) of the last bare ParamEnv given to session_for. One slot, so
-# a pass over many bindings keeps one scalar memo alive, not one per binding.
+# a pass over many bindings keeps one set of runs alive, not one per binding.
 _last_bare: tuple[ParamEnv, ModeEvaluator] | None = None
 
 
@@ -292,10 +303,10 @@ def session_for(binding: Binding) -> ModeEvaluator:
 
     A bare env gets the session made for the last bare env given here when
     it is that same object, otherwise a new session that replaces it. So
-    calls that keep passing one env share its tables and scalar memo; every
-    env reads the parameter-free values stored on the nodes. The match is by
-    identity: equal values with another limit scale are another binding to
-    the analyses that read the scale.
+    calls that keep passing one env share its tables and runs; every env
+    reads the parameter-free values stored on the circuit's tape. The match
+    is by identity: equal values with another limit scale are another
+    binding to the analyses that read the scale.
     """
     global _last_bare
     if isinstance(binding, ModeEvaluator):

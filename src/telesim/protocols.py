@@ -193,8 +193,14 @@ def _check_unit_interval(value: float, what: str) -> None:
         raise ValueError(f"{what} must lie in [0, 1]; got {value}")
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite; got {value}")
+    return value
+
+
 def _check_length(values, n: int, what: str) -> list[float]:
-    values = [float(v) for v in values]
+    values = [_finite(float(v), what) for v in values]
     if len(values) != n:
         raise ValueError(f"{what} must have length {n}; got {len(values)}")
     return values
@@ -345,6 +351,7 @@ def build_delayed_telefilter(
     _check_choice(gain_mode, ("unity", "tanh"), "gain_mode")
     _check_unit_interval(alpha, "alpha")
     ph1, ph2 = _check_length(quad_phases, 2, "quad_phases")
+    phi = _finite(phi, "phi")
     args = [
         ("alpha", alpha),
         ("phi", phi),
@@ -410,6 +417,7 @@ def build_delayed_telemirror(
     """
     _check_choice(selection, ("auto", "symmetric", "tuned"), "selection")
     _check_unit_interval(alpha, "alpha")
+    phi, phi_c2 = _finite(phi, "phi"), _finite(phi_c2, "phi_c2")
     canonical = alpha == 0.5 and _canonical_phase(phi)
     if selection == "auto":
         selection = "symmetric" if canonical else "tuned"
@@ -652,8 +660,8 @@ def build_nodelay_telemirror(
     default to the standard wiring.
     """
     _check_unit_interval(alpha, "alpha")
-    th_m = _HALF_PI if theta_minus is None else float(theta_minus)
-    th_p = _HALF_PI if theta_plus is None else float(theta_plus)
+    th_m = _HALF_PI if theta_minus is None else _finite(float(theta_minus), "theta_minus")
+    th_p = _HALF_PI if theta_plus is None else _finite(float(theta_plus), "theta_plus")
     args = [("alpha", alpha), ("theta_minus", th_m), ("theta_plus", th_p)]
     c = _Circ("nodelay_telemirror", args)
     c.add("param s = infinity\nparam r = infinity")

@@ -43,7 +43,7 @@ from .circuit import (
     UnsqueezeStmt,
     merge_env,
 )
-from .coeff import ParamEnv, evaluate
+from .coeff import Evaluator, ParamEnv
 from .opalg import (
     DISPLAY_THRESHOLD,
     Binding,
@@ -280,9 +280,11 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
 
     Returns per-output X/P variance data computed without the operator
     tables; disagreement with quadrature_variance indicates a defect in one
-    of the two pipelines.
+    of the two pipelines. Its scalars are one run of the circuit's tape:
+    past the scalar evaluator it shares nothing with the operator pipeline.
     """
     merged, _ = merge_env(circuit, env if env is not None else ParamEnv({}))
+    coef = Evaluator(merged, circuit.tape)
     n = 2 * sum(1 for s in circuit.statements if isinstance(s, ModeDecl))
     wires: dict[str, object] = {}
     outputs: set[str] = set()
@@ -291,7 +293,7 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
 
     def scalar(expr, loc, what) -> complex:
         try:
-            return evaluate(expr, merged)
+            return complex(coef.eval(expr))
         except Exception as exc:  # surfaced with the statement position
             raise CircuitError(f"cannot evaluate {what}: {exc}", loc) from exc
 

@@ -329,6 +329,29 @@ def test_phases_past_the_grid_get_no_exact_unit(phi):
     assert _conj_phase_lit(phi).startswith("exp(-i*")
 
 
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize(
+    "name, argument, overrides",
+    [
+        ("delayed_telefilter", "phi", lambda x: {"phi": x}),
+        ("delayed_telefilter", "quad_phases", lambda x: {"quad_phases": (0.0, x)}),
+        ("nmode_delayed_telefilter", "phis", lambda x: {"phis": [x, 0.0]}),
+        ("nmode_delayed_telefilter", "quad_phases", lambda x: {"quad_phases": [0.0, x, 0.0]}),
+        ("delayed_telemirror", "phi", lambda x: {"phi": x}),
+        ("delayed_telemirror", "phi_c2", lambda x: {"phi_c2": x}),
+        ("nodelay_telefilter", "quad_phases", lambda x: {"quad_phases": (x, 0.0)}),
+        ("nodelay_telemirror", "theta_minus", lambda x: {"theta_minus": x}),
+        ("nodelay_telemirror", "theta_plus", lambda x: {"theta_plus": x}),
+    ],
+)
+def test_builders_reject_non_finite_angles_by_name(name, argument, overrides, value):
+    with pytest.raises(ValueError, match=f"^{argument} must be finite; got {value}$"):
+        build(name, **overrides(value))
+
+
 def test_phases_on_the_grid_get_exact_units():
     for k in range(-8, 9):
         assert _phase_unit(_q(k), 2) == (1, -1j, -1, 1j)[k % 4]

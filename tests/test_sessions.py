@@ -35,6 +35,7 @@ from telesim.coeff import (
     ParamEnv,
     PiConst,
     Sub,
+    Tape,
     conj,
 )
 from telesim.dsl import format_coef, parse_circuit, serialize_circuit
@@ -405,11 +406,12 @@ def _count_evaluations(monkeypatch, counting=lambda: True) -> Counter:
     kept = []  # holds every counted node so no id is recycled
     plain = Evaluator._eval
 
-    def counting_eval(self, expr):
+    def counting_eval(self, i):
         if counting():
-            counts[tuple(sorted(self.env.values.items())), id(expr)] += 1
-            kept.append(expr)
-        return plain(self, expr)
+            node = self.tape.nodes[i]
+            counts[tuple(sorted(self.env.values.items())), id(node)] += 1
+            kept.append(node)
+        return plain(self, i)
 
     monkeypatch.setattr(Evaluator, "_eval", counting_eval)
     return counts
@@ -463,7 +465,7 @@ def test_verify_evaluates_each_node_once_per_binding(tmp_path, monkeypatch):
     root = tuple(sorted(protocol.env.values.items()))
     at_root = [node for binding, node in counts if binding == root]
     assert len(at_root) <= _unique_nodes(roots)
-    # a derived binding takes every binding-invariant value stored on the nodes
+    # a derived binding takes every binding-invariant value stored on the tape
     allowed = _dependent_and_leaf_nodes(roots)
     for binding, node in counts:
         assert binding == root or node in allowed, binding
@@ -497,7 +499,7 @@ def test_audit_under_one_bare_env_evaluates_each_node_once_per_binding(monkeypat
 
     Only the circuit's first binding evaluates parameter-free nodes: every
     later binding, under this env or a new one, reads their values off the
-    nodes and evaluates exactly the nodes a Param reaches.
+    circuit's tape and evaluates exactly the nodes a Param reaches.
     """
     protocol = _golden("delayed_telemirror")
     roots = []
@@ -614,7 +616,7 @@ def test_bare_env_session_is_released_once_another_env_is_used():
 
 
 # ---------------------------------------------------------------------------
-# binding-invariant values stored on the nodes
+# binding-invariant values stored on the tape
 
 
 def _named_exprs(protocol) -> dict:
@@ -665,6 +667,21 @@ def test_a_later_binding_is_bit_identical_to_a_fresh_copy(name):
     _assert_same_tables(session_for(env_b), fresh, bare, copy)
 
 
+def test_each_evaluation_has_a_tape_of_its_own():
+    # a tape shared by every evaluation of one AST would grow with each of them
+    ast = parse_circuit((GOLDEN_DIR / "delayed_telemirror.tls").read_text())
+    first, second = evaluate_circuit(ast), evaluate_circuit(ast)
+    assert first.circuit == second.circuit == ast
+    tape = first.circuit.tape
+    assert tape is not second.circuit.tape and not ast.tape.nodes
+    assert tape.nodes  # the interpreter's checks ran on it
+    first.evaluator()
+    size = len(tape.nodes)
+    second.evaluator()
+    assert len(tape.nodes) == size
+    assert all(expr.tape is tape for expr in first.all_ports().values())
+
+
 def _coefs_in(value, found: list) -> list:
     """Every CoefExpr held by a circuit AST, through its statements' fields."""
     if isinstance(value, CoefExpr):
@@ -706,30 +723,56 @@ def test_stored_values_are_invisible():
     assert nodes == _all_nodes(copy)
     text = serialize_circuit(protocol.circuit)
     assert serialize_circuit(parse_circuit(text)) == text == serialize_circuit(copy.circuit)
+    for node in nodes:
+        assert set(vars(node)) == {f.name for f in fields(node)}, node
+    # the invariant values live on the circuit's tape, and none depends on a Param
+    tape = protocol.circuit.tape
+    stored = tape.stored[MP.prec]
+    assert stored and not [i for i in stored if tape.dependent[i]]
     dependent, _ = _param_reached_and_leaf_nodes(nodes)
-    stored = [node for node in nodes if "_value" in vars(node)]
-    assert stored
-    assert not [node for node in stored if id(node) in dependent]
+    assert not [i for i in stored if id(tape.nodes[i]) in dependent]
 
 
-def _stored(root) -> list:
-    return [node for node in _nodes([root]) if "_value" in vars(node)]
+def _snapshot(tape: Tape) -> dict:
+    return {prec: dict(values) for prec, values in tape.stored.items() if values}
 
 
 def test_a_failed_evaluation_stores_no_value():
     def build():
-        # numerator: a constant phase times x, plus 2; denominator y - 1.
-        # Fresh nodes throughout: the shared I may hold a value already.
+        # numerator: a constant phase times x, plus 2; denominator y - 1
         phase = Call("exp", Mul(ImagUnit(), Num(0.3)))
         top = Add(Mul(phase, Param("x")), Num(2))
         return Div(top, Sub(Param("y"), Num(1)))
 
-    expr = build()
+    expr, tape = build(), Tape()
     failing = (({"x": 0.5}, "unbound parameter 'y'"), ({"x": 0.5, "y": 1.0}, "division by zero"))
-    for env, message in failing:
-        with pytest.raises(CoefficientError, match=message):
-            Evaluator(ParamEnv(env)).eval(expr)
-        assert not _stored(expr)
     good = ParamEnv({"x": 0.5, "y": 3.0})
-    assert _same_mpc(Evaluator(good).eval(expr), Evaluator(good).eval(build()))
-    assert _stored(expr)
+    for _ in range(2):  # before any value is stored, then after
+        for env, message in failing:
+            before = _snapshot(tape)
+            with pytest.raises(CoefficientError, match=message):
+                Evaluator(ParamEnv(env), tape).eval(expr)
+            assert _snapshot(tape) == before
+        assert _same_mpc(Evaluator(good, tape).eval(expr), Evaluator(good).eval(build()))
+        assert _snapshot(tape)[MP.prec]
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_a_240_digit_run_after_a_160_digit_run_is_a_fresh_240_digit_run(name):
+    """Invariants stored at 160 digits never reach a run at 240 digits."""
+    protocol, copy = _golden(name), _golden(name)
+    at_160 = protocol.evaluator()
+    with MP.workdps(240):
+        later, fresh = ModeEvaluator(protocol.env), ModeEvaluator(copy.env)
+        want_exprs = copy.all_ports()
+        differs = False
+        for port, expr in protocol.all_ports().items():
+            got, want = later.table(expr), fresh.table(want_exprs[port])
+            assert got.keys() == want.keys(), port
+            for mode, (c, d) in got.items():
+                assert _same_mpc(c, want[mode][0]) and _same_mpc(d, want[mode][1]), port
+                low = at_160.table(expr)[mode]
+                differs |= not (_same_mpc(c, low[0]) and _same_mpc(d, low[1]))
+    assert differs
+    # one set of invariants per precision
+    assert len(protocol.circuit.tape.stored) == 2
