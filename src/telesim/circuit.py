@@ -53,9 +53,6 @@ class Loc:
         return f"line {self.line}, column {self.column}"
 
 
-BUILTIN_LOC = Loc(0, 0)
-
-
 class CircuitError(Exception):
     """Evaluation-time failure, tagged with the statement location."""
 
@@ -292,17 +289,21 @@ class ProtocolOutput:
     def evaluator(self) -> ModeEvaluator:
         """Root session under env; bind() on it reaches derived bindings.
 
-        Every session of the family tables all ports, classical records, the
-        target and the declared limit forms when it is created, so nodes they
-        share are evaluated once per binding. A new session replaces the
-        family when env is reassigned.
+        It and every session bound from it table :meth:`roots` when created,
+        so nodes they share are evaluated once per binding. The protocol owns
+        the root session, and each session the ones it binds; when env is
+        reassigned, a new root replaces the whole tree.
         """
         if self._session is None or self._session.env is not self.env:
-            roots = [*self.all_ports().values(), *self.classical.values()]
-            roots += [self.target] if self.target is not None else []
-            roots += (self.expected_limit or {}).values()
-            self._session = ModeEvaluator(self.env, tuple(roots))
+            self._session = ModeEvaluator(self.env, self.roots())
         return self._session
+
+    def roots(self) -> tuple[ModeExpr, ...]:
+        """Every expression the analyses table: ports, classical records,
+        the target and the declared limit forms."""
+        target = () if self.target is None else (self.target,)
+        limits = (self.expected_limit or {}).values()
+        return (*self.all_ports().values(), *self.classical.values(), *target, *limits)
 
     def quantum_ports(self) -> dict[str, ModeExpr]:
         ports = dict(self.transmitted)
@@ -395,10 +396,8 @@ class _Evaluation:
         for stmt in self.ast.statements:
             self._step(stmt, out)
         out.input_registry = list(self.registry.values())
-        forms = [*(out.expected_limit or {}).values(), out.target]
-        for expr in [*out.all_ports().values(), *out.classical.values(), *forms]:
-            if expr is not None:
-                expr.tape = self.ast.tape
+        for expr in out.roots():
+            expr.tape = self.ast.tape
         return out
 
     def _step(self, stmt: Stmt, out: ProtocolOutput) -> None:

@@ -281,7 +281,7 @@ class Tape:
     each precision, ``stored`` keeps the invariant values later runs read:
     operands of dependent instructions, and invariant roots."""
 
-    __slots__ = ("nodes", "index", "left", "right", "dependent", "stored")
+    __slots__ = ("nodes", "index", "left", "right", "dependent", "stored", "__weakref__")
 
     def __init__(self):
         self.nodes: list[CoefExpr] = []

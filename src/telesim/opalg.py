@@ -72,22 +72,6 @@ class ModeExpr:
         self.terms = dict(terms) if terms else {}
         self.tape: Tape | None = None
 
-    def __add__(self, other):
-        if not isinstance(other, ModeExpr):
-            return NotImplemented
-        return lin_comb([(1, self), (1, other)])
-
-    def __sub__(self, other):
-        if not isinstance(other, ModeExpr):
-            return NotImplemented
-        return lin_comb([(1, self), (-1, other)])
-
-    def __neg__(self):
-        return lin_comb([(-1, self)])
-
-    def __rmul__(self, coefficient):
-        return lin_comb([(coefficient, self)])
-
     def __repr__(self):
         if not self.terms:
             return "ModeExpr(0)"
@@ -139,17 +123,17 @@ class ModeEvaluator:
 
     Coefficient tables, and the vacuum variances read from them, are keyed
     by the expression object itself (expressions compare by identity), so
-    every analysis that draws from the same session reuses them.
-    :meth:`bind` returns the session of a derived binding from the same
-    family, one session per distinct set of values; a family shares only
-    its sessions and their tables. A session evaluates coefficients by one
-    run (:class:`Evaluator`) per tape: its expressions' circuit's, or its
-    own. A session given ``roots`` (an evaluated protocol's ports and
-    records), like every session bound from it, tables them all on
-    creation, then drops its runs. A session without roots tables lazily and
-    keeps its runs. So does the session, a family of its own, that
-    :func:`session_for` keeps for the last bare :class:`ParamEnv` it was
-    given.
+    every analysis that draws from the same session reuses them. Sessions
+    form a tree owned from the top: :meth:`bind` returns this session when
+    the overrides change no value, otherwise the session it made for that
+    set of values, once. No session refers to the one that made it, so a
+    finished analysis frees them all without the cyclic GC. A session
+    evaluates coefficients by one run (:class:`Evaluator`) per tape: its
+    expressions' circuit's, or its own. A session given ``roots`` (an
+    evaluated protocol's ports, records and forms) tables them all on
+    creation, then drops its runs; it hands them to every session it binds.
+    A session without roots tables lazily and keeps its runs, as does the
+    one :func:`session_for` keeps for the last bare :class:`ParamEnv` given.
 
     The kernels below hold each entry x, converted once per session, as
     x~ = trunc(x 2^P), P = working bits + GUARD_BITS, sum exact integer
@@ -168,29 +152,21 @@ class ModeEvaluator:
         self._fixed_tables: dict[ModeExpr, dict | None] = {}
         self._variances: dict[tuple[ModeExpr, float], object] = {}
         self._roots = tuple(roots)
-        # made on the first bind(): the family refers back to this session,
-        # and a session that never binds should be freed without the cyclic GC
-        self._family: dict[tuple, ModeEvaluator] | None = None
-        self._table_roots()
-
-    def _table_roots(self) -> None:
+        self._derived: dict[tuple, ModeEvaluator] = {}
         for expr in self._roots:
             self.table(expr)
         self._runs = {}
 
     def bind(self, **overrides: float) -> "ModeEvaluator":
-        """The family's session for this binding with overrides applied."""
-        if self._family is None:
-            self._family = {_binding_key(self.env): self}
+        """This session if the overrides change no value, else its session
+        for the binding with them applied."""
         env = self.env.bind(**overrides)
         key = _binding_key(env)
-        session = self._family.get(key)
+        if key == _binding_key(self.env):
+            return self
+        session = self._derived.get(key)
         if session is None:
-            session = ModeEvaluator(env)
-            session._family = self._family
-            session._roots = self._roots
-            session._table_roots()
-            self._family[key] = session
+            session = self._derived[key] = ModeEvaluator(env, self._roots)
         return session
 
     def table(self, expr: ModeExpr) -> NumericTerms:

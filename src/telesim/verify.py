@@ -161,8 +161,8 @@ def limit_coefficients(
 ) -> LimitResult:
     """Numeric limit of a mode expression as the named parameters grow.
 
-    Given a session, the scale and double-scale bindings come from its
-    family, so every port of a protocol shares them. Raises OverflowError
+    Given a session, the scale and double-scale bindings are ones it binds,
+    so every port of a protocol shares them. Raises OverflowError
     when a coefficient at either scale is beyond float64 range.
     """
     session = session_for(env)
@@ -601,7 +601,7 @@ def limit_suite(protocol: ProtocolOutput, params) -> LimitSuite:
     """Limit of every quantum port as the named parameters grow.
 
     Each name counts once, in first-seen order. All ports draw their
-    bindings from the protocol's session family.
+    bindings from the protocol's root session.
     """
     params = tuple(dict.fromkeys(params))
     session = protocol.evaluator()
@@ -625,15 +625,15 @@ def _declared_limit_gap(protocol: ProtocolOutput) -> float:
         **{p: 2 * protocol.env.limit_scale for p in protocol.limit_params}
     )
     ports = protocol.all_ports()
-    worst = 0.0
+    gaps = []
     for name, want in protocol.expected_limit.items():
         have = evaluator.table(ports[name])
         target = evaluator.table(want)
         for mode in have.keys() | target.keys():
             hc, hd = have.get(mode, (0, 0))
             tc, td = target.get(mode, (0, 0))
-            worst = max(worst, abs(complex(hc - tc)), abs(complex(hd - td)))
-    return worst
+            gaps += [_magnitude(complex(hc - tc)), _magnitude(complex(hd - td))]
+    return _worst(gaps)
 
 
 @dataclass

@@ -171,7 +171,7 @@ def test_mirror_reflects_the_orthogonal_component():
     # admixture of anything else converges to exactly zero
     env = scale_env(po)
     assert residual(po, "reflected_perp", sd["j_perp"], env) <= 1e-8
-    gap = po.all_ports()["reflected_perp"] - sd["j_perp"]
+    gap = lin_comb([(1, po.all_ports()["reflected_perp"]), (-1, sd["j_perp"])])
     from telesim.verify import limit_coefficients
 
     res = limit_coefficients(gap, po.limit_params, po.env)

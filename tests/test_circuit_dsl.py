@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from telesim.circuit import (
-    BUILTIN_LOC,
     ELEMENTS,
     MODE,
     RECORD,
@@ -307,7 +306,7 @@ def _every_element_circuit() -> CircuitAst:
     so rows that read records come after the rows that write them; every
     coefficient is 1/2 and every output wire is declared an output.
     """
-    modes = [ModeDecl(BUILTIN_LOC, ModeKind.VACUUM, f"v{k}", f"r{k}", 0) for k in range(20)]
+    modes = [ModeDecl(Loc(0, 0), ModeKind.VACUUM, f"v{k}", f"r{k}", 0) for k in range(20)]
     fresh = iter(mode.name for mode in modes)
     half = Div(Num(1), Num(2))
     records: list[str] = []
@@ -325,12 +324,12 @@ def _every_element_circuit() -> CircuitAst:
         fields.update({name: f"{element.keyword}_{name}" for name, _ in element.outputs})
         if stmt_type is CombineStmt:
             fields["terms"] = ((half, records[-1]), (Num(2), records[0]))
-        statements.append(stmt_type(BUILTIN_LOC, **fields))
+        statements.append(stmt_type(Loc(0, 0), **fields))
         records += [fields[name] for name, kind in element.outputs if kind == RECORD]
     claimed = next(s for s in statements if isinstance(s, DisplaceStmt))
     statements.append(replace(claimed, out="claimed", resource=next(fresh), claimed_bin=0))
     wires = [getattr(stmt, name) for stmt in statements for name, _ in ELEMENTS[type(stmt)].outputs]
-    outputs = [OutputStmt(BUILTIN_LOC, f"port_{wire}", wire) for wire in wires]
+    outputs = [OutputStmt(Loc(0, 0), f"port_{wire}", wire) for wire in wires]
     return CircuitAst(tuple(modes) + tuple(statements) + tuple(outputs))
 
 

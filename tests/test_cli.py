@@ -16,6 +16,7 @@ GOLDEN_DIR = Path(__file__).resolve().parents[1] / "src" / "telesim" / "golden"
 ACAUSAL = Path(__file__).resolve().parent / "fixtures" / "acausal.tls"
 CLONING = Path(__file__).resolve().parent / "fixtures" / "cloning.tls"
 INFINITE_GAIN = Path(__file__).resolve().parent / "fixtures" / "infinite_gain.tls"
+NAN_LIMIT_TAP = Path(__file__).resolve().parent / "fixtures" / "nan_limit_tap.tls"
 GOLDEN = GOLDEN_DIR / "delayed_telefilter.tls"
 MIRROR = GOLDEN_DIR / "delayed_telemirror.tls"
 
@@ -245,6 +246,16 @@ def test_verify_fails_a_non_finite_deviation(capsys):
     assert "  [FAIL] bogoliubov canonical output set  max deviation nan" in lines
     assert "  [FAIL] covariance oracle matches operator variances  max relative gap nan" in lines
     assert "  cross-commutator [out, out]: nan" in lines
+
+
+def test_verify_fails_a_non_finite_declared_limit_gap(capsys):
+    # the tap's phase ln(40 - s) is nan at twice the limit scale; taps get no
+    # limit suite, so only the declared-form gap reads that coefficient
+    code, out, _ = run_cli(capsys, "verify", str(NAN_LIMIT_TAP))
+    assert code == 1
+    lines = out.splitlines()
+    assert "  [FAIL] declared limit forms reached  max coefficient gap nan" in lines
+    assert [line for line in lines if "[FAIL]" in line] == [lines[-1]]
 
 
 def _refuse_constant(name):

@@ -60,12 +60,12 @@ def test_dagger_swaps_and_conjugates():
 
 def test_linear_combination_arithmetic():
     ev = ModeEvaluator(EMPTY)
-    expr = 2 * A + B - A
+    expr = lin_comb([(2, A), (1, B), (-1, A)])
     table = dict(ev.table(expr))
     assert complex(table[A_ID][0]) == 1
     assert complex(table[B_ID][0]) == 1
-    assert dict(ev.table(-expr))[A_ID][0] == -1
-    assert dict(ev.table(3j * expr))[B_ID][0] == 3j
+    assert dict(ev.table(lin_comb([(-1, expr)])))[A_ID][0] == -1
+    assert dict(ev.table(lin_comb([(3j, expr)])))[B_ID][0] == 3j
 
 
 def test_vacuum_variance_is_one_at_every_phase():
@@ -96,7 +96,8 @@ def test_overlap_and_properness():
     ev = ModeEvaluator(EMPTY)
     assert ev.cross_commutator(A, A) == pytest.approx(1.0)
     assert ev.cross_commutator(A, B) == 0
-    assert ev.cross_commutator(2 * A, 2 * A) == pytest.approx(4.0)
+    double = lin_comb([(2, A)])
+    assert ev.cross_commutator(double, double) == pytest.approx(4.0)
     mixed = lin_comb([(1.0, A), (1.0, dagger(A))])
     assert ev.cross_commutator(mixed, mixed) == 0
 

@@ -73,8 +73,10 @@ def test_bind_returns_one_session_per_binding():
     high = root.bind(**doubled)
     assert high is not root
     assert root.bind(**doubled) is high
-    # siblings reach each other, whichever session binds
-    assert high.bind(**{p: protocol.env.limit_scale for p in protocol.limit_params}) is root
+    assert high.bind(**doubled) is high
+    # a session binds downwards only: nothing refers back up the tree
+    back = high.bind(**{p: protocol.env.limit_scale for p in protocol.limit_params})
+    assert back is not root and back.env.values == root.env.values
     assert high.env.limit_scale == protocol.env.limit_scale
 
 
@@ -599,20 +601,54 @@ def test_interleaved_bare_envs_match_fresh_sessions_exactly():
                 ), name
 
 
+@contextlib.contextmanager
+def _cyclic_gc_off():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_bare_env_session_is_released_once_another_env_is_used():
     protocol = _golden("delayed_telemirror")
     first = protocol.env.bind(r=1.1)
     second = protocol.env.bind(r=1.7)
     ports = protocol.quantum_ports()
-    # limit_coefficients binds siblings, so the session sits in a cycle
-    for expr in ports.values():
-        limit_coefficients(expr, protocol.limit_params, first)
-    session = weakref.ref(session_for(first))
-    gc.collect()
-    assert session() is not None
-    check_bogoliubov(ports, second)
-    gc.collect()
-    assert session() is None
+    with _cyclic_gc_off():
+        for expr in ports.values():
+            limit_coefficients(expr, protocol.limit_params, first)
+        session = weakref.ref(session_for(first))
+        assert session() is not None
+        check_bogoliubov(ports, second)
+        assert session() is None
+
+
+def _telesim_objects() -> int:
+    return sum(type(o).__module__.startswith("telesim.") for o in gc.get_objects())
+
+
+def test_verify_frees_its_sessions_and_tape_without_the_cyclic_gc(tmp_path, monkeypatch):
+    path = tmp_path / "nbin8.tls"
+    path.write_text(protocol_text("nmode_delayed_telefilter", n=8))
+    refs = []
+    load = cli._load_protocol
+
+    def recording_load(*args):
+        protocol = load(*args)
+        refs.extend([weakref.ref(protocol.evaluator()), weakref.ref(protocol.circuit.tape)])
+        return protocol
+
+    monkeypatch.setattr(cli, "_load_protocol", recording_load)
+    with _cyclic_gc_off(), contextlib.redirect_stdout(io.StringIO()):
+        gc.collect()
+        before = _telesim_objects()
+        assert cli.main(["verify", str(path), "--format", "machine"]) == 0
+        assert [ref() for ref in refs] == [None, None]
+        # nothing is left behind, in cycles or otherwise
+        assert _telesim_objects() == before
 
 
 # ---------------------------------------------------------------------------
@@ -649,17 +685,17 @@ def _assert_oracle_agrees(protocol, env, variance) -> None:
 @pytest.mark.parametrize("name", GOLDENS)
 def test_a_later_binding_is_bit_identical_to_a_fresh_copy(name):
     """Values stored under binding A leave binding B exactly as a copy of the
-    circuit evaluated only under B, in family sessions and bare envs alike."""
-    family, bare, copy = _golden(name), _golden(name), _golden(name)
+    circuit evaluated only under B, in bound sessions and bare envs alike."""
+    bound, bare, copy = _golden(name), _golden(name), _golden(name)
     params = sorted(copy.limit_params)
     a = dict(zip(params, (1.3, 0.8)))
     b = dict(zip(params, (0.45, 2.05)))
     copy.env = copy.env.bind(**b)
     fresh = copy.evaluator()
 
-    session = family.evaluator().bind(**a).bind(**b)
-    _assert_same_tables(session, fresh, family, copy)
-    _assert_oracle_agrees(family, session.env, lambda e, p: float(session.variance(e, p)))
+    session = bound.evaluator().bind(**a).bind(**b)
+    _assert_same_tables(session, fresh, bound, copy)
+    _assert_oracle_agrees(bound, session.env, lambda e, p: float(session.variance(e, p)))
 
     env_a, env_b = bare.env.bind(**a), bare.env.bind(**b)
     for env in (env_a, env_b):

@@ -43,7 +43,7 @@ def test_bogoliubov_accepts_canonical_pairs():
 
 
 def test_bogoliubov_rejects_scaled_and_overlapping_sets():
-    report = check_bogoliubov({"x": A, "y": 2 * A}, ParamEnv({}))
+    report = check_bogoliubov({"x": A, "y": lin_comb([(2, A)])}, ParamEnv({}))
     assert not report.passed
     kinds = {(left, right, kind) for left, right, kind, _ in report.failures}
     # y is not normalized and x overlaps it
@@ -78,7 +78,7 @@ def test_limit_reports_divergence_without_raising():
 def test_limit_of_a_difference_is_empty():
     po = build("atemporal_telemirror")
     target = input_mode(next(m for m in po.input_registry if m.name == "j0"))
-    gap = po.transmitted["mirror_out"] - target
+    gap = lin_comb([(1, po.transmitted["mirror_out"]), (-1, target)])
     res = limit_coefficients(gap, po.limit_params, po.env)
     assert res.converged
     assert res.limit == {}
