@@ -292,7 +292,8 @@ class ProtocolOutput:
         It and every session bound from it table :meth:`roots` when created,
         so nodes they share are evaluated once per binding. The protocol owns
         the root session, and each session the ones it binds; when env is
-        reassigned, a new root replaces the whole tree.
+        reassigned, a new root replaces the whole tree. The kept root keeps
+        the precision it was made with, even if ``MP``'s has changed since.
         """
         if self._session is None or self._session.env is not self.env:
             self._session = ModeEvaluator(self.env, self.roots())

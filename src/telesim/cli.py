@@ -19,7 +19,7 @@ evaluation errors, including non-finite bindings, unnormalized targets,
 circuits nested too deep to evaluate, bindings too large to evaluate and
 memory running out.
 TELESIM_LIMIT_SCALE overrides the stand-in value used for parameters
-declared infinite.
+declared infinite; it must be finite and above zero.
 """
 
 from __future__ import annotations
@@ -393,7 +393,8 @@ def _base_env(args) -> ParamEnv:
     scale = 20.0
     raw = os.environ.get(SCALE_ENV_VAR)
     if raw:
-        scale = _finite(raw, f"{SCALE_ENV_VAR} must be a finite number")
+        # at or below zero, L and 2L are one binding or an invalid one
+        scale = _finite(raw, f"{SCALE_ENV_VAR} must be a finite number above zero", floor=0.0)
     values = {}
     for item in getattr(args, "param", None) or []:
         key, _, raw_value = item.partition("=")
@@ -403,13 +404,13 @@ def _base_env(args) -> ParamEnv:
     return ParamEnv(values, scale)
 
 
-def _finite(raw: str, message: str) -> float:
+def _finite(raw: str, message: str, floor: float = -math.inf) -> float:
     # a NaN binding fails every "> tol" test, so every check would pass
     try:
         value = float(raw)
     except ValueError:
         value = math.nan  # rejected below with the same message
-    if not math.isfinite(value):
+    if not (math.isfinite(value) and value > floor):
         raise _UsageError(f"{message}, got {raw!r}")
     return value
 

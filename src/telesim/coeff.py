@@ -8,10 +8,12 @@ beyond cheap constant folding in the constructors. Nodes hold their fields
 only: evaluation state lives on a :class:`Tape`, the nodes of one circuit
 as instructions, which keeps the binding-invariant values its runs read.
 
-Evaluation runs on a dedicated mpmath context with 160 decimal digits.
-Limit checks substitute scales up to twice the default 20, which drives
-intermediate magnitudes past anything float64 can cancel correctly. Each
-run (:class:`Evaluator`) carries raw mpmath tuples and a value memo.
+Evaluation runs on a dedicated mpmath context, ``MP``, with 160 decimal
+digits. A session's precision is ``MP``'s when the session is made; its
+runs and derived sessions keep it. Limit checks substitute scales up to
+twice the default 20, which drives intermediate magnitudes past anything
+float64 can cancel correctly. Each run (:class:`Evaluator`) carries raw
+mpmath tuples and a value memo.
 """
 
 from __future__ import annotations
@@ -20,21 +22,23 @@ import numbers
 from dataclasses import dataclass
 
 import mpmath
-from mpmath.libmp import fzero, mpc_add, mpc_conjugate, mpc_div, mpc_is_infnan, mpc_mul
-from mpmath.libmp import mpc_mul_mpf, mpc_neg, mpc_sub
+from mpmath.libmp import fone, fzero, mpc_acosh, mpc_add, mpc_conjugate, mpc_cosh, mpc_div
+from mpmath.libmp import mpc_exp, mpc_is_infnan, mpc_log, mpc_mpf_div, mpc_mul, mpc_mul_mpf
+from mpmath.libmp import mpc_neg, mpc_pos, mpc_sinh, mpc_sqrt, mpc_sub, mpc_tanh, mpf_pi
 
 MP = mpmath.mp.clone()
 MP.dps = 160
 
+
+def _mpc_sech(z: tuple, prec: int, rnd: str) -> tuple:
+    # as MP.sech computes it: 1/cosh at 10 more bits, rounded once
+    return mpc_pos(mpc_mpf_div(fone, mpc_cosh(z, prec + 10, rnd), prec + 10, rnd), prec, rnd)
+
+
+# MP's functions as raw kernels on complex arguments, called at a run's precision
 _FUNCTIONS = {
-    "cosh": MP.cosh,
-    "sinh": MP.sinh,
-    "tanh": MP.tanh,
-    "sech": MP.sech,
-    "exp": MP.exp,
-    "sqrt": MP.sqrt,
-    "ln": MP.ln,
-    "arccosh": MP.acosh,
+    "cosh": mpc_cosh, "sinh": mpc_sinh, "tanh": mpc_tanh, "sech": _mpc_sech,
+    "exp": mpc_exp, "sqrt": mpc_sqrt, "ln": mpc_log, "arccosh": mpc_acosh,
 }
 
 FUNCTION_NAMES = frozenset(_FUNCTIONS)
@@ -299,7 +303,8 @@ class Evaluator:
     appends it, and otherwise runs only what this run lacks: after a
     circuit's first run at ``MP``'s precision, what a :class:`Param`
     reaches. :meth:`_eval` applies the ``mpmath.libmp`` kernels of ``MP.mpc``
-    arithmetic, bit for bit, to raw ``_mpc_`` tuples; the value memo computes
+    arithmetic and of ``MP``'s functions, bit for bit, to raw ``_mpc_`` tuples
+    at the precision ``MP`` had when the run was made; the value memo computes
     each distinct ``Num``, function argument and quotient once per run.
     Values join the store when :meth:`eval` returns, never when it raises.
     """
@@ -409,7 +414,7 @@ class Evaluator:
             except KeyError:
                 raise CoefficientError(f"unbound parameter {node.name!r}") from None
         if cls is PiConst or cls is ImagUnit:
-            return (MP.mpc(MP.pi) if cls is PiConst else MP.mpc(0, 1))._mpc_
+            return (mpf_pi(prec, rnd), fzero) if cls is PiConst else (fzero, fone)
         # equal inputs give equal values: each distinct input is computed once
         key = node.value if cls is Num else (node.func, x) if cls is Call else (x, y)
         if cls is Div and y == (fzero, fzero):
@@ -419,7 +424,7 @@ class Evaluator:
             if cls is Num:
                 value = MP.mpc(key)._mpc_
             elif cls is Call:
-                value = MP.mpc(_FUNCTIONS[key[0]](MP.make_mpc(x)))._mpc_
+                value = _FUNCTIONS[key[0]](x, prec, rnd)
             else:
                 value = mpc_div(x, y, prec, rnd)
             self._by_input[key] = value

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from mpmath.libmp import fnan, from_man_exp
+from mpmath.libmp import fnan, from_float, from_man_exp, fzero, mpc_exp
 
 from .coeff import (
     MP,
@@ -121,36 +121,38 @@ def _binding_key(env: ParamEnv) -> tuple:
 class ModeEvaluator:
     """Numeric session: mode expressions evaluated under one binding.
 
-    Coefficient tables, and the vacuum variances read from them, are keyed
-    by the expression object itself (expressions compare by identity), so
-    every analysis that draws from the same session reuses them. Sessions
-    form a tree owned from the top: :meth:`bind` returns this session when
-    the overrides change no value, otherwise the session it made for that
-    set of values, once. No session refers to the one that made it, so a
-    finished analysis frees them all without the cyclic GC. A session
-    evaluates coefficients by one run (:class:`Evaluator`) per tape: its
-    expressions' circuit's, or its own. A session given ``roots`` (an
-    evaluated protocol's ports, records and forms) tables them all on
-    creation, then drops its runs; it hands them to every session it binds.
-    A session without roots tables lazily and keeps its runs, as does the
-    one :func:`session_for` keeps for the last bare :class:`ParamEnv` given.
+    Coefficient tables are keyed by the expression object itself
+    (expressions compare by identity), so every analysis that draws from
+    the same session reuses them. Sessions form a tree owned from the top:
+    :meth:`bind` returns this session when the overrides change no value,
+    otherwise the session it made for that set of values, once. No session
+    refers to the one that made it, so a finished analysis frees them all
+    without the cyclic GC. A session evaluates coefficients by one run
+    (:class:`Evaluator`) per tape: its expressions' circuit's, or its own.
+    A session given ``roots`` (an evaluated protocol's ports, records and
+    forms) tables them all on creation, then drops its runs; it hands them
+    to every session it binds. A session without roots tables lazily and
+    keeps its runs, as does the one :func:`session_for` keeps for the last
+    bare :class:`ParamEnv` given. Its precision is ``MP``'s when it is made;
+    its runs and the sessions it binds keep it.
 
     The kernels below hold each entry x, converted once per session, as
     x~ = trunc(x 2^P), P = working bits + GUARD_BITS, sum exact integer
     products and round once. As |x - x~| < 2^-P and |x~| <= |x|, each part
     of a product moves by at most 2^-P (|x|_1 + |y|_1), |z|_1 = |Re z| +
-    |Im z|. An inf or nan entry makes every kernel reading its table give nan.
+    |Im z|. One walk gives both commutators of a pair, and a variance is
+    summed anew on each call. An inf or nan entry makes every kernel
+    reading its table give nan.
     """
 
     def __init__(self, env: ParamEnv, roots: tuple[ModeExpr, ...] = ()):
         self.env = env
-        # the working precision, read here only: the kernels round to it
+        # the working precision, read here only: runs, kernels and bound sessions keep it
         self._prec, self._rnd = MP._prec_rounding
         self._bits = self._prec + GUARD_BITS
         self._runs: dict[Tape | None, Evaluator] = {}
         self._tables: dict[ModeExpr, NumericTerms] = {}
         self._fixed_tables: dict[ModeExpr, dict | None] = {}
-        self._variances: dict[tuple[ModeExpr, float], object] = {}
         self._roots = tuple(roots)
         self._derived: dict[tuple, ModeEvaluator] = {}
         for expr in self._roots:
@@ -166,7 +168,8 @@ class ModeEvaluator:
             return self
         session = self._derived.get(key)
         if session is None:
-            session = self._derived[key] = ModeEvaluator(env, self._roots)
+            with MP.workprec(self._prec):
+                session = self._derived[key] = ModeEvaluator(env, self._roots)
         return session
 
     def table(self, expr: ModeExpr) -> NumericTerms:
@@ -175,7 +178,8 @@ class ModeEvaluator:
             return cached
         run = self._runs.get(expr.tape)
         if run is None:
-            run = self._runs[expr.tape] = Evaluator(self.env, expr.tape)
+            with MP.workprec(self._prec):
+                run = self._runs[expr.tape] = Evaluator(self.env, expr.tape)
         ev = run.eval
         result = {m: (ev(c), ev(d)) for m, (c, d) in expr.terms.items()}
         self._tables[expr] = result
@@ -186,34 +190,30 @@ class ModeEvaluator:
             self._fixed_tables[expr] = _fixed_table(self.table(expr), self._bits)
         return self._fixed_tables[expr]
 
-    def commutator(self, left: ModeExpr, right: ModeExpr):
-        """[left, right] = sum of c*f - d*e over modes in both tables.
+    def commutators(self, left: ModeExpr, right: ModeExpr):
+        """([left, right], [left, right^dagger]) from one walk over the modes
+        in both tables: sums of c*f - d*e and of c*conj(e) - d*conj(f).
 
         Before its one rounding each part lies within 2^-P sum(|c|_1 +
-        |d|_1 + |e|_1 + |f|_1) of the exact sum; on multiples of 2^-P it is it.
+        |d|_1 + |e|_1 + |f|_1) of the exact sum; on multiples of 2^-P it is
+        it. The second is bit-equal to the first of ``(left, dagger(right))``:
+        truncation commutes with conjugation.
         """
-        return self._commutator(left, right, cross=False)
-
-    def cross_commutator(self, left: ModeExpr, right: ModeExpr):
-        """[left, right^dagger], exactly ``commutator(left, dagger(right))``
-        (truncation commutes with conjugation) without building a dagger."""
-        return self._commutator(left, right, cross=True)
-
-    def _commutator(self, left: ModeExpr, right: ModeExpr, cross: bool):
         lt, rt = self._fixed(left), self._fixed(right)
         if lt is None or rt is None:
-            return MP.make_mpc((fnan, fnan))
-        re = im = 0
+            return (MP.make_mpc((fnan, fnan)),) * 2
+        re = im = cross_re = cross_im = 0
         for mode, (cr, ci, dr, di) in lt.items():
             other = rt.get(mode)
             if other is not None:
                 er, ei, fr, fi = other
-                if cross:  # dagger(right) holds (conj(f), conj(e))
-                    er, ei, fr, fi = fr, -fi, er, -ei
                 re += cr * fr - ci * fi - dr * er + di * ei
                 im += cr * fi + ci * fr - dr * ei - di * er
+                cross_re += cr * er + ci * ei - dr * fr - di * fi
+                cross_im += ci * er - cr * ei + dr * fi - di * fr
         exp, prec, rnd = -2 * self._bits, self._prec, self._rnd
-        return MP.make_mpc((from_man_exp(re, exp, prec, rnd), from_man_exp(im, exp, prec, rnd)))
+        parts = [from_man_exp(x, exp, prec, rnd) for x in (re, im, cross_re, cross_im)]
+        return MP.make_mpc(tuple(parts[:2])), MP.make_mpc(tuple(parts[2:]))
 
     def variance(self, expr: ModeExpr, phase: float):
         """Sum over the table of |a|^2, a = e^{-i phase} c + e^{i phase} conj(d).
@@ -222,18 +222,16 @@ class ModeEvaluator:
         delta = 2^-P (2|w|_1 + |c|_1 + |d|_1) of its exact value, and the sum
         before its one rounding within sum(2 delta (|a|_1 + delta)).
         """
-        key = (expr, phase)
-        if key not in self._variances:
-            table, total = self._fixed(expr), 0
-            wr, wi = _phase_factor(phase, self._prec)
-            for cr, ci, dr, di in (table or {}).values():
-                # e^{i phase} = conj(w), so a = w c + conj(w d)
-                re = wr * (cr + dr) - wi * (ci + di)
-                im = wr * (ci - di) + wi * (cr - dr)
-                total += re * re + im * im
-            total = from_man_exp(total, -4 * self._bits, self._prec, self._rnd)
-            self._variances[key] = MP.make_mpf(fnan if table is None else total)
-        return self._variances[key]
+        table, total = self._fixed(expr), 0
+        if table is None:
+            return MP.make_mpf(fnan)
+        wr, wi = _phase_factor(phase, self._prec)
+        for cr, ci, dr, di in table.values():
+            # e^{i phase} = conj(w), so a = w c + conj(w d)
+            re = wr * (cr + dr) - wi * (ci + di)
+            im = wr * (ci - di) + wi * (cr - dr)
+            total += re * re + im * im
+        return MP.make_mpf(from_man_exp(total, -4 * self._bits, self._prec, self._rnd))
 
 
 def _fixed_table(table: NumericTerms, bits: int) -> dict | None:
@@ -261,8 +259,7 @@ def _to_fixed(value: tuple, bits: int) -> int:
 def _phase_factor(phase: float, prec: int) -> tuple[int, int]:
     """e^{-i phase} at prec bits, in fixed point at 2^-(prec + GUARD_BITS),
     made once per phase and precision."""
-    with MP.workprec(prec):
-        w = MP.exp(MP.mpc(0, -phase))._mpc_
+    w = mpc_exp((fzero, from_float(-phase)), prec, "n")
     return _to_fixed(w[0], prec + GUARD_BITS), _to_fixed(w[1], prec + GUARD_BITS)
 
 
@@ -282,7 +279,8 @@ def session_for(binding: Binding) -> ModeEvaluator:
     calls that keep passing one env share its tables and runs; every env
     reads the parameter-free values stored on the circuit's tape. The match
     is by identity: equal values with another limit scale are another
-    binding to the analyses that read the scale.
+    binding to the analyses that read the scale. A kept session keeps the
+    precision it was made with, even if ``MP``'s has changed since.
     """
     global _last_bare
     if isinstance(binding, ModeEvaluator):

@@ -90,7 +90,8 @@ def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovRep
 
     outputs maps names to mode expressions. Both commutator families are
     checked for every unordered pair, plus self-normalization
-    [A, A^dagger] = 1; a nan deviation fails its pair and is the maximum.
+    [A, A^dagger] = 1, from one :meth:`ModeEvaluator.commutators` call per
+    pair; a nan deviation fails its pair and is the maximum.
     env may be a session, whose tables are then reused, or a bare env,
     whose session later calls with that same env reuse (see
     :func:`opalg.session_for`).
@@ -102,8 +103,8 @@ def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovRep
     for i, (name_i, expr_i) in enumerate(items):
         for name_j, expr_j in items[i:]:
             expected = 1.0 if name_i == name_j else 0.0
-            plain = _magnitude(complex(evaluator.commutator(expr_i, expr_j)))
-            cross = _magnitude(complex(evaluator.cross_commutator(expr_i, expr_j)) - expected)
+            plain, cross = evaluator.commutators(expr_i, expr_j)
+            plain, cross = _magnitude(complex(plain)), _magnitude(complex(cross) - expected)
             for check, deviation in (("commutator", plain), ("cross-commutator", cross)):
                 deviations.append(deviation)
                 if not deviation <= tol:
@@ -130,10 +131,10 @@ class LimitResult:
     """Verdict on a coefficient table compared at scale L and 2L.
 
     converged means every coefficient moved by at most LIMIT_TOL between the
-    two scales and none blew up; limit is the 2L table with entries below
-    the display threshold dropped. Divergence is reported, not raised: raw
-    classical channels grow like e^r by design and the caller may want to
-    see exactly that.
+    two scales and none blew up; limit is the 2L table less the entries
+    :func:`opalg.prune_for_display` drops. Divergence is reported, not
+    raised: raw classical channels grow like e^r by design and the caller
+    may want to see exactly that.
     """
 
     scale: float
@@ -168,9 +169,7 @@ def limit_coefficients(
     session = session_for(env)
     scale = session.env.limit_scale
     low = _complex_table(expr, session.bind(**{p: scale for p in params_to_infinity}))
-    high = _complex_table(
-        expr, session.bind(**{p: 2 * scale for p in params_to_infinity})
-    )
+    high = _complex_table(expr, session.bind(**{p: 2 * scale for p in params_to_infinity}))
     worst = 0.0
     divergent = False
     for mode in low.keys() | high.keys():
@@ -179,12 +178,11 @@ def limit_coefficients(
         worst = max(worst, abs(hc - lc), abs(hd - ld))
         if max(abs(hc), abs(hd)) > DIVERGENCE_BOUND:
             divergent = True
-    limit = {}
-    for mode, (c, d) in high.items():
-        c = c if abs(c) > DISPLAY_THRESHOLD else 0j
-        d = d if abs(d) > DISPLAY_THRESHOLD else 0j
-        if c != 0 or d != 0:
-            limit[mode] = (c, d)
+    limit = {
+        mode: (c, d)
+        for mode, (c, d) in high.items()
+        if abs(c) > DISPLAY_THRESHOLD or abs(d) > DISPLAY_THRESHOLD
+    }
     return LimitResult(
         scale=scale,
         max_difference=worst,
@@ -550,13 +548,8 @@ def selectivity_report(protocol: ProtocolOutput) -> SelectivityReport:
     for name, expr in protocol.transmitted.items():
         pvec = _signal_vector(evaluator.table(expr), signal_ids)
         overlaps[name] = _inner(pvec, tvec)
-        leakage[name] = max(
-            (abs(_inner(pvec, b)) for b in complement), default=0.0
-        )
-        spread = max(
-            float(evaluator.variance(expr, 0.0)),
-            float(evaluator.variance(expr, math.pi / 2)),
-        )
+        leakage[name] = max((abs(_inner(pvec, b)) for b in complement), default=0.0)
+        spread = max(float(evaluator.variance(expr, phase)) for phase in (0.0, math.pi / 2))
         excess[name] = spread - 1.0
 
     clean = max(overlaps, key=lambda name: abs(overlaps[name]))

@@ -533,6 +533,21 @@ def test_undeclared_param_binding_exits_2(capsys, command):
     assert "circuit declares no parameter 'nosuch'" in err
 
 
+def test_limits_without_a_scale_parameter_exits_2(capsys):
+    code, out, err = run_cli(capsys, "limits", str(ACAUSAL))
+    assert code == 2
+    assert out == ""
+    assert "no scale parameters given and none declared infinite" in err
+
+
+def test_a_non_numeric_binding_exits_2(capsys):
+    path = GOLDEN_DIR / "atemporal_telefilter.tls"
+    code, out, err = run_cli(capsys, "run", str(path), "--param", "s=abc")
+    assert code == 2
+    assert out == ""
+    assert "parameter 's' needs a finite numeric value, got 'abc'" in err
+
+
 GOLDENS = sorted(GOLDEN_DIR.glob("*.tls"))
 
 
@@ -540,7 +555,9 @@ GOLDENS = sorted(GOLDEN_DIR.glob("*.tls"))
     "path, binding, scale",
     [(path, "s=nan", None) for path in GOLDENS]
     + [(GOLDEN_DIR / "atemporal_telefilter.tls", b, None) for b in ("s=inf", "s=1e400")]
-    + [(path, None, "nan") for path in GOLDENS],
+    + [(path, None, "nan") for path in GOLDENS]
+    # at scale 0, L and 2L are one binding; below it, an invalid one
+    + [(GOLDEN_DIR / "atemporal_telefilter.tls", None, scale) for scale in ("0", "-5")],
     ids=lambda v: v.stem if isinstance(v, Path) else v,
 )
 def test_non_finite_bindings_exit_2(capsys, monkeypatch, path, binding, scale):

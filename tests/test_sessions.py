@@ -129,8 +129,8 @@ MODE_EXPRS = st.dictionaries(
 @given(left=MODE_EXPRS, right=MODE_EXPRS)
 def test_cross_commutator_is_exactly_the_dagger_commutator(left, right):
     ev = ModeEvaluator(ParamEnv({"x": 0.7, "y": -1.3}))
-    got = ev.cross_commutator(left, right)
-    want = ev.commutator(left, dagger(right))
+    got = ev.commutators(left, right)[1]
+    want = ev.commutators(left, dagger(right))[0]
     # exact: same mpc value, not merely close
     assert (got.real, got.imag) == (want.real, want.imag)
     assert got.real._mpf_ == want.real._mpf_ and got.imag._mpf_ == want.imag._mpf_
@@ -227,7 +227,7 @@ def test_integer_kernels_round_the_exact_sum_once(left, right, shift, poisoned):
         id(table): all(MP.isfinite(z) for entry in table.values() for z in entry)
         for table in (lt, rt)
     }
-    got = (ev.commutator(left, right), ev.cross_commutator(left, right))
+    got = ev.commutators(left, right)
     if not (finite[id(lt)] and finite[id(rt)]):
         for value in got:
             assert MP.isnan(value.real) and MP.isnan(value.imag)
@@ -540,9 +540,9 @@ def test_each_distinct_constant_and_function_argument_is_evaluated_once(monkeypa
     args: dict[str, list] = {"exp": [], "sqrt": [], "Num": []}
     for name in ("exp", "sqrt"):
 
-        def counted(x, _plain=coeff._FUNCTIONS[name], _args=args[name]):
-            _args.append(x._mpc_)
-            return _plain(x)
+        def counted(x, prec, rnd, _plain=coeff._FUNCTIONS[name], _args=args[name]):
+            _args.append(x)
+            return _plain(x, prec, rnd)
 
         monkeypatch.setitem(coeff._FUNCTIONS, name, counted)
 
@@ -812,3 +812,30 @@ def test_a_240_digit_run_after_a_160_digit_run_is_a_fresh_240_digit_run(name):
     assert differs
     # one set of invariants per precision
     assert len(protocol.circuit.tape.stored) == 2
+
+
+@pytest.mark.parametrize("name", ["delayed_telemirror", "nodelay_telemirror"])
+def test_a_lazy_session_tables_at_the_precision_it_was_made_with(name):
+    """A 160-digit session tables at 160 digits under a 240-digit MP, and
+    stores no 240-digit value among the 160-digit invariants of its tape."""
+    protocol, copy = _golden(name), _golden(name)
+    ports = protocol.all_ports()
+    started, untouched = ModeEvaluator(protocol.env), ModeEvaluator(protocol.env)
+    # this port's run stores few of the invariants the other ports read, so
+    # most of theirs are computed after MP's precision has changed
+    started.table(ports["recovered_3_perp"])
+    with MP.workdps(240):
+        for session in (started, untouched):
+            for expr in ports.values():
+                session.table(expr)
+    for session in (started, untouched, ModeEvaluator(protocol.env)):
+        _assert_same_tables(session, ModeEvaluator(copy.env), protocol, copy)
+
+
+def test_bind_makes_a_derived_session_at_its_own_precision():
+    protocol, copy = _golden("delayed_telemirror"), _golden("delayed_telemirror")
+    root = protocol.evaluator()
+    with MP.workdps(240):
+        bound = root.bind(s=40, r=40)
+    assert root.bind(s=40, r=40) is bound
+    _assert_same_tables(bound, copy.evaluator().bind(s=40, r=40), protocol, copy)
