@@ -25,6 +25,7 @@ declared infinite; it must be finite and above zero.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -539,6 +540,7 @@ def _protocols_build_command(args) -> int:
 # argument wiring
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,

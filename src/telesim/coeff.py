@@ -7,6 +7,8 @@ numerically under a :class:`ParamEnv`; no symbolic simplification happens
 beyond cheap constant folding in the constructors. Nodes hold their fields
 only: evaluation state lives on a :class:`Tape`, the nodes of one circuit
 as instructions, which keeps the binding-invariant values its runs read.
+Nodes of equal structure share one instruction (hash-consing as the tape
+is built), so each binding computes a value once however many nodes spell it.
 
 Evaluation runs on a dedicated mpmath context, ``MP``, with 160 decimal
 digits. A session's precision is ``MP``'s when the session is made; its
@@ -279,17 +281,23 @@ _KERNELS = {Add: mpc_add, Sub: mpc_sub, Neg: mpc_neg, Conj: mpc_conjugate}
 
 
 class Tape:
-    """A circuit's coefficient nodes as instructions, operands first: node i
-    (kept alive, so no recycled id serves a stale index), its operands'
-    indices (-1 where it has fewer), and whether a Param reaches it. For
-    each precision, ``stored`` keeps the invariant values later runs read:
-    operands of dependent instructions, and invariant roots."""
+    """A circuit's coefficient nodes as instructions, operands first: node i,
+    its operands' indices (-1 where it has fewer), and whether a Param
+    reaches it. A node with the structural key of an instruction (its class
+    or ``Num`` value, ``Param`` name or ``Call`` function, and its operand
+    indices) maps to it and joins ``aliases``: every indexed node stays
+    alive, so no recycled id serves a stale index. For each precision,
+    ``stored`` keeps the invariant values later runs read: operands of
+    dependent instructions, and invariant roots."""
 
-    __slots__ = ("nodes", "index", "left", "right", "dependent", "stored", "__weakref__")
+    __slots__ = ("nodes", "index", "keys", "aliases", "left", "right", "dependent", "stored",
+                 "__weakref__")
 
     def __init__(self):
         self.nodes: list[CoefExpr] = []
         self.index: dict[int, int] = {}  # id(node) -> instruction
+        self.keys: dict[tuple, int] = {}  # structural key -> instruction
+        self.aliases: list[CoefExpr] = []  # nodes mapped to another node's instruction
         self.left: list[int] = []
         self.right: list[int] = []
         self.dependent = bytearray()
@@ -304,8 +312,9 @@ class Evaluator:
     circuit's first run at ``MP``'s precision, what a :class:`Param`
     reaches. :meth:`_eval` applies the ``mpmath.libmp`` kernels of ``MP.mpc``
     arithmetic and of ``MP``'s functions, bit for bit, to raw ``_mpc_`` tuples
-    at the precision ``MP`` had when the run was made; the value memo computes
-    each distinct ``Num``, function argument and quotient once per run.
+    at the precision ``MP`` had when the run was made. Equal structure is one
+    instruction already; the value memo computes each distinct function
+    argument and quotient once per run, where unequal structure gives them.
     Values join the store when :meth:`eval` returns, never when it raises.
     """
 
@@ -317,7 +326,7 @@ class Evaluator:
         self._stored = tape.stored.setdefault(self._prec, {})
         self._vals = dict(self._stored)  # instruction -> raw value in this run
         self._fresh: list[int] = []  # values to store once eval() returns
-        self._by_input: dict = {}  # Num by value, Call by (func, argument), Div by operands
+        self._by_input: dict = {}  # Call by (func, argument), Div by operands
 
     def eval(self, expr: CoefExpr) -> mpmath.mpc:
         fresh = self._fresh
@@ -333,7 +342,8 @@ class Evaluator:
 
     def _append(self, root: CoefExpr) -> int:
         """Append each node of root the tape lacks, operands first, computing it."""
-        index, vals, dependent = self.tape.index, self._vals, self.tape.dependent
+        tape, vals = self.tape, self._vals
+        index, keys, dependent = tape.index, tape.keys, tape.dependent
         nodes, left, right = self._nodes, self._left, self._right
         stack: list = [root]  # a node to expand, or (node, a, b) once its operands are on the tape
         while stack:
@@ -358,8 +368,19 @@ class Evaluator:
                 if cls not in (Num, Param, PiConst, ImagUnit):
                     raise CoefficientError(f"cannot evaluate {node!r}")
                 a = b = -1
-            i = len(nodes)
-            index[id(node)] = i
+            cls = type(node)
+            # a Param's name and a Call's func differ in the operand: -1 for a Param
+            key = (node.value if cls is Num else node.name if cls is Param else
+                   node.func if cls is Call else cls, a, b)
+            i = keys.get(key)
+            if i is not None:
+                # structurally equal to instruction i: kept alive, so its id stays taken
+                index[id(node)] = i
+                tape.aliases.append(node)
+                if i not in vals:
+                    self._run(i)
+                continue
+            i = keys[key] = index[id(node)] = len(nodes)
             nodes.append(node)
             left.append(a)
             right.append(b)
@@ -415,18 +436,15 @@ class Evaluator:
                 raise CoefficientError(f"unbound parameter {node.name!r}") from None
         if cls is PiConst or cls is ImagUnit:
             return (mpf_pi(prec, rnd), fzero) if cls is PiConst else (fzero, fone)
-        # equal inputs give equal values: each distinct input is computed once
-        key = node.value if cls is Num else (node.func, x) if cls is Call else (x, y)
+        if cls is Num:
+            return MP.mpc(node.value)._mpc_
+        # equal values reached through unequal structure: each is computed once
+        key = (node.func, x) if cls is Call else (x, y)
         if cls is Div and y == (fzero, fzero):
             raise CoefficientError("division by zero")
         value = self._by_input.get(key)
         if value is None:
-            if cls is Num:
-                value = MP.mpc(key)._mpc_
-            elif cls is Call:
-                value = _FUNCTIONS[key[0]](x, prec, rnd)
-            else:
-                value = mpc_div(x, y, prec, rnd)
+            value = _FUNCTIONS[key[0]](x, prec, rnd) if cls is Call else mpc_div(x, y, prec, rnd)
             self._by_input[key] = value
         return value
 

@@ -223,7 +223,7 @@ class ModeEvaluator:
         before its one rounding within sum(2 delta (|a|_1 + delta)).
         """
         table, total = self._fixed(expr), 0
-        if table is None:
+        if table is None or not math.isfinite(phase):
             return MP.make_mpf(fnan)
         wr, wi = _phase_factor(phase, self._prec)
         for cr, ci, dr, di in table.values():

@@ -212,45 +212,29 @@ class _Rows:
         self.p = p
 
 
-def _zeros(n):
-    return [0.0] * n
+def _mix(u: complex, a: _Rows, v: complex, b: _Rows) -> _Rows:
+    # u a + v b: X = Re(u) Xa - Im(u) Pa + (Re(v) Xb - Im(v) Pb),
+    # P = Im(u) Xa + Re(u) Pa + (Im(v) Xb + Re(v) Pb)
+    ur, ui, vr, vi = u.real, u.imag, v.real, v.imag
+    return _Rows(
+        [ur * ax - ui * ap + (vr * bx - vi * bp) for ax, ap, bx, bp in zip(a.x, a.p, b.x, b.p)],
+        [ui * ax + ur * ap + (vi * bx + vr * bp) for ax, ap, bx, bp in zip(a.x, a.p, b.x, b.p)],
+    )
 
 
-def _axpy(scale, row, into):
-    for i, value in enumerate(row):
-        into[i] += scale * value
-
-
-def _scaled_rows(u: complex, rows: _Rows) -> _Rows:
-    # a' = u a: X' = Re(u) X - Im(u) P, P' = Im(u) X + Re(u) P
-    n = len(rows.x)
-    x, p = _zeros(n), _zeros(n)
-    _axpy(u.real, rows.x, x)
-    _axpy(-u.imag, rows.p, x)
-    _axpy(u.imag, rows.x, p)
-    _axpy(u.real, rows.p, p)
-    return _Rows(x, p)
-
-
-def _dagger_rows(rows: _Rows) -> _Rows:
-    return _Rows(list(rows.x), [-v for v in rows.p])
-
-
-def _sum_rows(parts: list[_Rows]) -> _Rows:
-    n = len(parts[0].x)
-    x, p = _zeros(n), _zeros(n)
-    for part in parts:
-        _axpy(1.0, part.x, x)
-        _axpy(1.0, part.p, p)
-    return _Rows(x, p)
+def _accumulate(x, p, u: complex, re, im) -> tuple[list, list]:
+    # rows of (X + iP) + u (R + iI): X' = X + Re(u) R - Im(u) I, P' = P + Im(u) R + Re(u) I
+    ur, ui = u.real, u.imag
+    return (
+        [xv + ur * rv - ui * iv for xv, rv, iv in zip(x, re, im)],
+        [pv + ui * rv + ur * iv for pv, rv, iv in zip(p, re, im)],
+    )
 
 
 def _squeezed_rows(c, s, one: _Rows, two: _Rows) -> tuple[_Rows, _Rows]:
-    # a1' = c a1 + s a2^dagger, a2' = c a2 + s a1^dagger
-    return (
-        _sum_rows([_scaled_rows(c, one), _scaled_rows(s, _dagger_rows(two))]),
-        _sum_rows([_scaled_rows(c, two), _scaled_rows(s, _dagger_rows(one))]),
-    )
+    # a1' = c a1 + s a2^dagger, a2' = c a2 + s a1^dagger; a^dagger negates P, shares X
+    dag_one, dag_two = (_Rows(rows.x, [-v for v in rows.p]) for rows in (one, two))
+    return _mix(c, one, s, dag_two), _mix(c, two, s, dag_one)
 
 
 def _quadrature_row(rows: _Rows, phase: float):
@@ -269,8 +253,10 @@ class CovarianceRecord:
     ports: dict[str, _Rows] = field(default_factory=dict)
 
     def variance(self, name: str, phase: float = 0.0) -> float:
-        row = _quadrature_row(self.ports[name], phase)
-        return sum(v * v for v in row)
+        rows = self.ports[name]
+        if not math.isfinite(phase):  # as the operator kernels: a non-finite input gives nan
+            return math.nan
+        return sum(v * v for v in _quadrature_row(rows, phase))
 
 
 def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> CovarianceRecord:
@@ -280,6 +266,8 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
     tables; disagreement with quadrature_variance indicates a defect in one
     of the two pipelines. Its scalars are one run of the circuit's tape:
     past the scalar evaluator it shares nothing with the operator pipeline.
+    Each element's row entry is one list-comprehension term with the float
+    products and sums of the element map, in the order it is written.
     """
     merged, _ = merge_env(circuit, env if env is not None else ParamEnv({}))
     coef = Evaluator(merged, circuit.tape)
@@ -318,7 +306,7 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
         if isinstance(stmt, (ParamDecl, ProtocolDecl, TargetStmt, ExpectStmt)):
             continue
         if isinstance(stmt, ModeDecl):
-            x, p = _zeros(n), _zeros(n)
+            x, p = [0.0] * n, [0.0] * n
             x[slot] = 1.0
             p[slot + 1] = 1.0
             put(stmt.name, _Rows(x, p), loc)
@@ -331,59 +319,45 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
             t, r = quantum(stmt.in_t, loc), quantum(stmt.in_r, loc)
             down = -1j * complex(math.cos(-phi), math.sin(-phi)) * cross
             up = -1j * complex(math.cos(phi), math.sin(phi)) * cross
-            put(stmt.out_minus, _sum_rows([_scaled_rows(keep, r), _scaled_rows(down, t)]), loc)
-            put(stmt.out_plus, _sum_rows([_scaled_rows(keep, t), _scaled_rows(up, r)]), loc)
-        elif isinstance(stmt, SqueezeStmt):
+            put(stmt.out_minus, _mix(keep, r, down, t), loc)
+            put(stmt.out_plus, _mix(keep, t, up, r), loc)
+        elif isinstance(stmt, (SqueezeStmt, UnsqueezeStmt)):
             g = scalar(stmt.gain, loc, "gain").real
-            theta = scalar(stmt.phase, loc, "phase").real
-            c = math.cosh(g)
-            s = complex(math.cos(theta), math.sin(theta)) * math.sinh(g)
+            if isinstance(stmt, SqueezeStmt):
+                theta = scalar(stmt.phase, loc, "phase").real
+                c, s = math.cosh(g), complex(math.cos(theta), math.sin(theta)) * math.sinh(g)
+            else:
+                c, s = math.cosh(g), -math.sinh(g)
             one, two = quantum(stmt.in1, loc), quantum(stmt.in2, loc)
             out1, out2 = _squeezed_rows(c, s, one, two)
-            put(stmt.out1, out1, loc)
-            put(stmt.out2, out2, loc)
-        elif isinstance(stmt, UnsqueezeStmt):
-            g = scalar(stmt.gain, loc, "gain").real
-            c, s = math.cosh(g), math.sinh(g)
-            one, two = quantum(stmt.in1, loc), quantum(stmt.in2, loc)
-            out1, out2 = _squeezed_rows(c, -s, one, two)
             put(stmt.out1, out1, loc)
             put(stmt.out2, out2, loc)
         elif isinstance(stmt, PhaseStmt):
             phi = scalar(stmt.phi, loc, "phi").real
             unit = complex(math.cos(phi), math.sin(phi))
-            put(stmt.out, _scaled_rows(unit, quantum(stmt.operand, loc)), loc)
+            rows = quantum(stmt.operand, loc)
+            put(stmt.out, _Rows(*_accumulate([0.0] * n, [0.0] * n, unit, rows.x, rows.p)), loc)
         elif isinstance(stmt, HomodyneStmt):
             xphase = scalar(stmt.xphase, loc, "xphase").real
             pphase = scalar(stmt.pphase, loc, "pphase").real
             sig = quantum(stmt.signal, loc)
             res = quantum(stmt.resource, loc)
             half = 1.0 / math.sqrt(2.0)
-            total = _sum_rows([_scaled_rows(half, res), _scaled_rows(half, sig)])
-            diff = _sum_rows([_scaled_rows(half, sig), _scaled_rows(-half, res)])
-            record_rows = (_quadrature_row(diff, xphase), _quadrature_row(total, pphase))
-            put(stmt.out, record_rows, loc)
+            total, diff = _mix(half, res, half, sig), _mix(half, sig, -half, res)
+            put(stmt.out, (_quadrature_row(diff, xphase), _quadrature_row(total, pphase)), loc)
         elif isinstance(stmt, CombineStmt):
-            re_row, im_row = _zeros(n), _zeros(n)
+            parts = [0.0] * n, [0.0] * n
             for weight, name in stmt.terms:
                 w = scalar(weight, loc, "combine weight")
-                re_part, im_part = classical(name, loc)
-                _axpy(w.real, re_part, re_row)
-                _axpy(-w.imag, im_part, re_row)
-                _axpy(w.imag, re_part, im_row)
-                _axpy(w.real, im_part, im_row)
-            put(stmt.out, (re_row, im_row), loc)
+                parts = _accumulate(*parts, w, *classical(name, loc))
+            put(stmt.out, parts, loc)
         elif isinstance(stmt, DisplaceStmt):
             zeta = scalar(stmt.gain, loc, "gain")
             base = quantum(stmt.resource, loc)
             re_part, im_part = classical(stmt.record, loc)
             # a' = a + zeta (M_re + i M_im) with Hermitian M parts
-            x, p = list(base.x), list(base.p)
-            _axpy(2 * zeta.real, re_part, x)
-            _axpy(-2 * zeta.imag, im_part, x)
-            _axpy(2 * zeta.imag, re_part, p)
-            _axpy(2 * zeta.real, im_part, p)
-            put(stmt.out, _Rows(x, p), loc)
+            twice = complex(2 * zeta.real, 2 * zeta.imag)  # 2 * zeta would make 0 * inf parts
+            put(stmt.out, _Rows(*_accumulate(base.x, base.p, twice, re_part, im_part)), loc)
         elif isinstance(stmt, OutputStmt):
             wire = wires.get(stmt.wire)
             if wire is None:

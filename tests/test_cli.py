@@ -424,6 +424,21 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
 
 
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    """The parser is built once; a parse, a usage error or --help leaves it as it was."""
+    calls = [
+        ("limits", str(GOLDEN), "--param", "s", "--format", "machine"),
+        ("run", str(GOLDEN), "--format", "yaml"),
+        ("protocols", "--help"),
+        ("run", str(GOLDEN), "--param", "s=0.7", "--param", "s=0.8", "--format", "machine"),
+        ("run", str(GOLDEN), "--format", "machine"),
+    ]
+    first = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, *_ in first] == [0, 2, 0, 0, 0]
+    assert telesim.cli._make_parser() is telesim.cli._make_parser()
+    assert [run_cli(capsys, *argv) for argv in calls] == first
+
+
 def test_parse_errors_exit_2_with_location(tmp_path, capsys):
     bad = tmp_path / "bad.tls"
     bad.write_text("mode vacuum v rail=r bin=0\noutput x = nosuch\n")

@@ -398,6 +398,28 @@ def _param_reached_and_leaf_nodes(roots) -> tuple[set[int], set[int]]:
     return dependent, leaves
 
 
+def _structural_classes(roots) -> dict[int, int]:
+    """Class of each node reachable from roots, by id: two nodes share a class
+    when their types, leaf fields and operands' classes are equal."""
+    classes: dict[int, int] = {}
+    labels: dict[tuple, int] = {}
+    stack = list(roots)
+    while stack:
+        node = stack[-1]
+        if id(node) in classes:
+            stack.pop()
+            continue
+        values = [getattr(node, f.name) for f in fields(node)]
+        pending = [v for v in values if isinstance(v, CoefExpr) and id(v) not in classes]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        label = (type(node), *(classes[id(v)] if isinstance(v, CoefExpr) else v for v in values))
+        classes[id(node)] = labels.setdefault(label, len(labels))
+    return classes
+
+
 def _coefficients(expr: ModeExpr):
     return [coef for pair in expr.terms.values() for coef in pair]
 
@@ -501,13 +523,14 @@ def test_audit_under_one_bare_env_evaluates_each_node_once_per_binding(monkeypat
 
     Only the circuit's first binding evaluates parameter-free nodes: every
     later binding, under this env or a new one, reads their values off the
-    circuit's tape and evaluates exactly the nodes a Param reaches.
+    circuit's tape and evaluates one node of each structure a Param reaches.
     """
     protocol = _golden("delayed_telemirror")
     roots = []
     for expr in protocol.all_ports().values():
         roots += _coefficients(expr)
     dependent, _ = _param_reached_and_leaf_nodes(roots)
+    classes = _structural_classes(roots)
     counts = _count_evaluations(monkeypatch)
     first = None
     for r, s in ((1.3, 0.9), (0.4, 2.1), (1.7, 0.2)):
@@ -530,7 +553,9 @@ def test_audit_under_one_bare_env_evaluates_each_node_once_per_binding(monkeypat
         for binding, node in counts:
             assert binding == first or node in dependent, binding
         if here != first:
-            assert {node for binding, node in counts if binding == here} == dependent
+            # one node per structural class: equal structure shares one instruction
+            evaluated = [classes[node] for binding, node in counts if binding == here]
+            assert sorted(evaluated) == sorted({classes[node] for node in dependent})
 
 
 def test_each_distinct_constant_and_function_argument_is_evaluated_once(monkeypatch):
@@ -562,6 +587,20 @@ def test_each_distinct_constant_and_function_argument_is_evaluated_once(monkeypa
     for name, seen in args.items():
         assert seen and len(seen) == len(set(seen)), name
     assert len(args["exp"]) == 5
+
+
+def test_the_tape_holds_one_instruction_per_structural_class():
+    # the splitters of an n-bin circuit each build their own cis(phi), sqrt(alpha)
+    # and Num nodes; the tape keeps one instruction for each distinct structure
+    protocol = evaluate_circuit(parse_circuit(protocol_text("nmode_delayed_telefilter", n=16)))
+    protocol.evaluator()
+    nodes = _nodes([coef for expr in protocol.roots() for coef in _coefficients(expr)])
+    classes = _structural_classes(nodes)
+    tape = protocol.circuit.tape
+    assert len(nodes) > len(set(classes.values()))
+    assert sorted(classes[id(node)] for node in tape.nodes) == sorted(set(classes.values()))
+    for node in nodes:
+        assert classes[id(tape.nodes[tape.index[id(node)]])] == classes[id(node)], node
 
 
 def test_equal_values_with_another_limit_scale_are_another_binding():

@@ -94,6 +94,15 @@ def test_covariance_oracle_matches_operator_variances():
             assert record.variance(port, phase) == pytest.approx(want, rel=1e-10), port
 
 
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_phase_gives_a_nan_variance_in_both_pipelines(phase):
+    po = evaluate_circuit(parse_circuit((GOLDEN_DIR / "delayed_telemirror.tls").read_text()))
+    record = covariance_oracle(po.circuit, po.env)
+    for port, expr in po.quantum_ports().items():
+        assert math.isnan(quadrature_variance(expr, phase, po.env)), port
+        assert math.isnan(record.variance(port, phase)), port
+
+
 def test_covariance_oracle_on_passive_circuit_gives_unit_variances():
     text = """mode vacuum v1 rail=a bin=0
 mode vacuum v2 rail=b bin=0
