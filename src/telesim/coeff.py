@@ -7,8 +7,11 @@ numerically under a :class:`ParamEnv`; no symbolic simplification happens
 beyond cheap constant folding in the constructors. Nodes hold their fields
 only: evaluation state lives on a :class:`Tape`, the nodes of one circuit
 as instructions, which keeps the binding-invariant values its runs read.
-Nodes of equal structure share one instruction (hash-consing as the tape
-is built), so each binding computes a value once however many nodes spell it.
+Building and computing are separate steps: :meth:`Tape.append` compiles a
+root into instructions and computes nothing, and an :class:`Evaluator`, one
+run of the tape under one binding, fills in values. Nodes of equal structure
+share one instruction (hash-consing as the tape is built), so each binding
+computes a value once however many nodes spell it.
 
 Evaluation runs on a dedicated mpmath context, ``MP``, with 160 decimal
 digits. A session's precision is ``MP``'s when the session is made; its
@@ -283,12 +286,13 @@ _KERNELS = {Add: mpc_add, Sub: mpc_sub, Neg: mpc_neg, Conj: mpc_conjugate}
 class Tape:
     """A circuit's coefficient nodes as instructions, operands first: node i,
     its operands' indices (-1 where it has fewer), and whether a Param
-    reaches it. A node with the structural key of an instruction (its class
-    or ``Num`` value, ``Param`` name or ``Call`` function, and its operand
-    indices) maps to it and joins ``aliases``: every indexed node stays
-    alive, so no recycled id serves a stale index. For each precision,
+    reaches it. :meth:`append` is the only writer of that structure and
+    computes nothing. A node with the structural key of an instruction (its
+    class or ``Num`` value, ``Param`` name or ``Call`` function, and its
+    operand indices) maps to it and joins ``aliases``: every indexed node
+    stays alive, so no recycled id serves a stale index. For each precision,
     ``stored`` keeps the invariant values later runs read: operands of
-    dependent instructions, and invariant roots."""
+    dependent instructions, and invariant roots; runs write it."""
 
     __slots__ = ("nodes", "index", "keys", "aliases", "left", "right", "dependent", "stored",
                  "__weakref__")
@@ -303,48 +307,10 @@ class Tape:
         self.dependent = bytearray()
         self.stored: dict[int, dict[int, tuple]] = {}  # precision -> instruction -> value
 
-
-class Evaluator:
-    """One run of a :class:`Tape` (by default a one-off tape) under one env.
-
-    :meth:`eval` appends a root's nodes the tape lacks, computing each as it
-    appends it, and otherwise runs only what this run lacks: after a
-    circuit's first run at ``MP``'s precision, what a :class:`Param`
-    reaches. :meth:`_eval` applies the ``mpmath.libmp`` kernels of ``MP.mpc``
-    arithmetic and of ``MP``'s functions, bit for bit, to raw ``_mpc_`` tuples
-    at the precision ``MP`` had when the run was made. Equal structure is one
-    instruction already; the value memo computes each distinct function
-    argument and quotient once per run, where unequal structure gives them.
-    Values join the store when :meth:`eval` returns, never when it raises.
-    """
-
-    def __init__(self, env: ParamEnv, tape: Tape | None = None):
-        self.env = env
-        self.tape = tape = Tape() if tape is None else tape
-        self._nodes, self._left, self._right = tape.nodes, tape.left, tape.right
-        self._prec, self._rnd = MP._prec_rounding
-        self._stored = tape.stored.setdefault(self._prec, {})
-        self._vals = dict(self._stored)  # instruction -> raw value in this run
-        self._fresh: list[int] = []  # values to store once eval() returns
-        self._by_input: dict = {}  # Call by (func, argument), Div by operands
-
-    def eval(self, expr: CoefExpr) -> mpmath.mpc:
-        fresh = self._fresh
-        fresh.clear()  # what a call that raised left
-        i = self.tape.index.get(id(expr))
-        i = self._append(expr) if i is None else i
-        value = self._vals.get(i) or self._run(i)
-        if not self.tape.dependent[i] and i not in self._stored:
-            fresh.append(i)
-        for k in fresh:
-            self._stored[k] = self._vals[k]
-        return MP.make_mpc(value)
-
-    def _append(self, root: CoefExpr) -> int:
-        """Append each node of root the tape lacks, operands first, computing it."""
-        tape, vals = self.tape, self._vals
-        index, keys, dependent = tape.index, tape.keys, tape.dependent
-        nodes, left, right = self._nodes, self._left, self._right
+    def append(self, root: CoefExpr) -> int:
+        """Instruction of root, appending each node of root the tape lacks, operands first."""
+        index, keys, dependent = self.index, self.keys, self.dependent
+        nodes, left, right = self.nodes, self.left, self.right
         stack: list = [root]  # a node to expand, or (node, a, b) once its operands are on the tape
         while stack:
             node = stack.pop()
@@ -352,8 +318,6 @@ class Evaluator:
                 node, a, b = node
                 a, b = index[id(a)], -1 if b is None else index[id(b)]
             elif id(node) in index:
-                if index[id(node)] not in vals:
-                    self._run(index[id(node)])
                 continue
             else:
                 cls = type(node)
@@ -376,43 +340,72 @@ class Evaluator:
             if i is not None:
                 # structurally equal to instruction i: kept alive, so its id stays taken
                 index[id(node)] = i
-                tape.aliases.append(node)
-                if i not in vals:
-                    self._run(i)
+                self.aliases.append(node)
                 continue
-            i = keys[key] = index[id(node)] = len(nodes)
+            keys[key] = index[id(node)] = len(nodes)
             nodes.append(node)
             left.append(a)
             right.append(b)
-            on = type(node) is Param or (a >= 0 and dependent[a]) or (b >= 0 and dependent[b])
-            dependent.append(on)
-            vals[i] = self._eval(i)
-            if on:
-                self._keep(i)
+            dependent.append(cls is Param or (a >= 0 and dependent[a]) or (b >= 0 and dependent[b]))
         return index[id(root)]
 
-    def _keep(self, i: int) -> None:
-        """Store the invariant operands of dependent instruction i."""
-        for k in (self._left[i], self._right[i]):
-            if k >= 0 and not self.tape.dependent[k] and k not in self._stored:
-                self._fresh.append(k)
+
+class Evaluator:
+    """One run of a :class:`Tape` (by default a one-off tape) under one env.
+
+    :meth:`eval` has the tape append a root it lacks, then runs only what
+    this run lacks of it: after a circuit's first run at ``MP``'s precision,
+    what a :class:`Param` reaches. :meth:`_eval` applies the ``mpmath.libmp``
+    kernels of ``MP.mpc`` arithmetic and of ``MP``'s functions, bit for bit,
+    to raw ``_mpc_`` tuples at the precision ``MP`` had when the run was
+    made. Equal structure is one instruction already; the value memo computes
+    each distinct function argument and quotient once per run, where unequal
+    structure gives them. Values join the store when :meth:`_run` finishes,
+    never when it raises: the invariant operands it computed, and through
+    :meth:`eval` an invariant root.
+    """
+
+    def __init__(self, env: ParamEnv, tape: Tape | None = None):
+        self.env = env
+        self.tape = tape = Tape() if tape is None else tape
+        self._nodes, self._left, self._right = tape.nodes, tape.left, tape.right
+        self._prec, self._rnd = MP._prec_rounding
+        self._stored = tape.stored.setdefault(self._prec, {})
+        self._vals = dict(self._stored)  # instruction -> raw value in this run
+        self._by_input: dict = {}  # Call by (func, argument), Div by operands
+
+    def eval(self, expr: CoefExpr) -> mpmath.mpc:
+        tape = self.tape
+        i = tape.index.get(id(expr))
+        i = tape.append(expr) if i is None else i
+        value = self._vals.get(i) or self._run(i)
+        if not tape.dependent[i] and i not in self._stored:
+            self._stored[i] = value
+        return MP.make_mpc(value)
 
     def _run(self, root: int) -> tuple:
         """Value of instruction root, computing first what this run lacks of it."""
         vals, left, right, dependent = self._vals, self._left, self._right, self.tape.dependent
+        stored = self._stored
+        keep = []  # invariant operands of the dependent instructions computed, to store
         stack = [root]  # an instruction to expand, or ~i once its operands are done
         while stack:
             i = stack.pop()
             if i < 0:
-                vals[~i] = self._eval(~i)
-                if dependent[~i]:
-                    self._keep(~i)
+                i = ~i
+                vals[i] = self._eval(i)
+                if dependent[i]:
+                    for k in (left[i], right[i]):
+                        if k >= 0 and not dependent[k] and k not in stored:
+                            keep.append(k)
             elif i not in vals:
                 stack.append(~i)
                 if right[i] >= 0 and right[i] not in vals:
                     stack.append(right[i])
                 if left[i] >= 0 and left[i] not in vals:
                     stack.append(left[i])
+        for k in keep:
+            stored[k] = vals[k]
         return vals[root]
 
     def _eval(self, i: int) -> tuple:

@@ -238,6 +238,8 @@ def _squeezed_rows(c, s, one: _Rows, two: _Rows) -> tuple[_Rows, _Rows]:
 
 
 def _quadrature_row(rows: _Rows, phase: float):
+    if not math.isfinite(phase):  # as the operator kernels: a non-finite phase gives nan
+        return [math.nan] * len(rows.x)
     c, s = math.cos(phase), math.sin(phase)
     return [c * xv + s * pv for xv, pv in zip(rows.x, rows.p)]
 
@@ -253,10 +255,7 @@ class CovarianceRecord:
     ports: dict[str, _Rows] = field(default_factory=dict)
 
     def variance(self, name: str, phase: float = 0.0) -> float:
-        rows = self.ports[name]
-        if not math.isfinite(phase):  # as the operator kernels: a non-finite input gives nan
-            return math.nan
-        return sum(v * v for v in _quadrature_row(rows, phase))
+        return sum(v * v for v in _quadrature_row(self.ports[name], phase))
 
 
 def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> CovarianceRecord:

@@ -248,6 +248,27 @@ def test_verify_fails_a_non_finite_deviation(capsys):
     assert "  cross-commutator [out, out]: nan" in lines
 
 
+def test_verify_fails_an_infinite_homodyne_phase(tmp_path, capsys):
+    # xphase = -ln(0) is infinite: the oracle's quadrature rows read nan, as
+    # the operator tables do, so the checks fail by name instead of raising
+    path = tmp_path / "infinite_phase.tls"
+    path.write_text(
+        "param t = 0\n"
+        "mode signal a rail=in bin=0\n"
+        "mode vacuum v rail=v bin=0\n"
+        "mode vacuum w rail=w bin=0\n"
+        "m = homodyne(a, v, xphase=-ln(t), pphase=pi/2)\n"
+        "x = displace(w, m, gain=1)\n"
+        "output out = x\n"
+    )
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert "  [FAIL] bogoliubov canonical output set  max deviation nan" in lines
+    assert "  [FAIL] covariance oracle matches operator variances  max relative gap nan" in lines
+    assert run_cli(capsys, "run", str(path))[0] == 0
+
+
 def test_verify_fails_a_non_finite_declared_limit_gap(capsys):
     # the tap's phase ln(40 - s) is nan at twice the limit scale; taps get no
     # limit suite, so only the declared-form gap reads that coefficient

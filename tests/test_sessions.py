@@ -828,8 +828,34 @@ def test_a_failed_evaluation_stores_no_value():
             with pytest.raises(CoefficientError, match=message):
                 Evaluator(ParamEnv(env), tape).eval(expr)
             assert _snapshot(tape) == before
+            # the tape is whole whichever binding first reached it and raised
+            assert id(expr) in tape.index
+        size = len(tape.nodes)
         assert _same_mpc(Evaluator(good, tape).eval(expr), Evaluator(good).eval(build()))
+        assert len(tape.nodes) == size
         assert _snapshot(tape)[MP.prec]
+
+
+def test_appending_computes_nothing(monkeypatch):
+    """Tape.append compiles roots without computing or storing a value;
+    a run then computes them and appends nothing."""
+    text = protocol_text("nmode_delayed_telefilter", n=16)
+    protocol, copy = (evaluate_circuit(parse_circuit(text)) for _ in range(2))
+    ports, copy_ports = protocol.all_ports(), copy.all_ports()
+    counts = _count_evaluations(monkeypatch)
+    tape = Tape()
+    for expr in ports.values():
+        for root in _coefficients(expr):
+            assert tape.append(root) == tape.index[id(root)]
+    assert not counts and tape.stored == {}
+    size, run, fresh = len(tape.nodes), Evaluator(protocol.env, tape), copy.evaluator()
+    for port, expr in ports.items():
+        want = fresh.table(copy_ports[port])
+        assert expr.terms.keys() == want.keys(), port
+        for mode, pair in expr.terms.items():
+            for root, value in zip(pair, want[mode]):
+                assert _same_mpc(run.eval(root), value), port
+    assert len(tape.nodes) == size and tape.stored[MP.prec]
 
 
 @pytest.mark.parametrize("name", GOLDENS)
