@@ -397,8 +397,11 @@ class _Evaluation:
         for stmt in self.ast.statements:
             self._step(stmt, out)
         out.input_registry = list(self.registry.values())
+        tape = self.ast.tape
         for expr in out.roots():
-            expr.tape = self.ast.tape
+            # a fold may hand back a foreign node (a module constant, a parser literal)
+            expr.terms = {m: (tape.own(c), tape.own(d)) for m, (c, d) in expr.terms.items()}
+            expr.tape = tape
         return out
 
     def _step(self, stmt: Stmt, out: ProtocolOutput) -> None:
@@ -489,10 +492,16 @@ def evaluate_circuit(ast: CircuitAst, env: ParamEnv | None = None) -> ProtocolOu
     Mode expressions stay symbolic in the declared parameters; env (over
     declared defaults) is the binding every element parameter is checked
     under, and is attached to the result for later evaluation. The result's
-    circuit is an equal copy of ast with a new tape, which the checks, every
-    output expression's tables and the covariance oracle run on.
+    circuit is an equal copy of ast with a new tape, current while the
+    interpreter runs: each coefficient node made meanwhile is numbered on it
+    as it is made, and every output coefficient is the tape's own node. The
+    checks, the output tables and the covariance oracle run on that tape.
     """
     evaluation = _Evaluation(ast, env if env is not None else ParamEnv({}))
-    result = evaluation.run()
+    outer, Tape.current = Tape.current, evaluation.ast.tape
+    try:
+        result = evaluation.run()
+    finally:
+        Tape.current = outer
     result.flags.extend(evaluation.flags)
     return result

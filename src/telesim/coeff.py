@@ -2,16 +2,14 @@
 
 Expressions are small immutable trees (shared freely, so in practice DAGs)
 built from complex constants, parameter references, the imaginary unit, pi,
-arithmetic, and the handful of functions the circuits need. They evaluate
-numerically under a :class:`ParamEnv`; no symbolic simplification happens
-beyond cheap constant folding in the constructors. Nodes hold their fields
-only: evaluation state lives on a :class:`Tape`, the nodes of one circuit
-as instructions, which keeps the binding-invariant values its runs read.
-Building and computing are separate steps: :meth:`Tape.append` compiles a
-root into instructions and computes nothing, and an :class:`Evaluator`, one
-run of the tape under one binding, fills in values. Nodes of equal structure
-share one instruction (hash-consing as the tape is built), so each binding
-computes a value once however many nodes spell it.
+arithmetic, and the handful of functions the circuits need; no symbolic
+simplification happens beyond cheap constant folding in the constructors.
+Nodes hold their fields only. A :class:`Tape` numbers the nodes of one
+evaluated circuit as instructions and keeps the binding-invariant values
+its runs read; an :class:`Evaluator` is one run of a tape under one
+binding. While ``evaluate_circuit`` runs, its tape is current and the
+constructors intern on it (hash-consing as nodes are made), so a structure
+is one node and each binding computes its value once.
 
 Evaluation runs on a dedicated mpmath context, ``MP``, with 160 decimal
 digits. A session's precision is ``MP``'s when the session is made; its
@@ -181,103 +179,118 @@ ZERO = Num(0)
 ONE = Num(1)
 
 
-def _is_num(expr, value=None) -> bool:
-    if not isinstance(expr, Num):
-        return False
-    return value is None or expr.value == value
+def _intern(cls, head, a=None, b=None):
+    """The node of class cls, structural head (its class, a Num's value or a
+    Call's function) and operands a, b. While a tape is current, it is the
+    tape's node of that key, made and numbered there if the tape has none."""
+    tape = Tape.current
+    if tape is not None:
+        index = tape.index
+        i = -1 if a is None else index.get(id(a))
+        j = -1 if b is None else index.get(id(b))
+        key = (head, tape.append(a) if i is None else i, tape.append(b) if j is None else j)
+        k = tape.keys.get(key)
+        if k is not None:
+            return tape.nodes[k]
+    node = (cls(head) if a is None else cls(a, b) if b is not None else
+            cls(a) if head is cls else cls(head, a))
+    if tape is not None:
+        tape._add(node, key)
+    return node
 
 
 # literal arithmetic folds only when it is lossless in doubles; anything
-# that would round must survive as a tree for the extended-precision pass
+# that would round must survive as a tree for the extended-precision pass.
+# A zero operand is tested before a unit one.
 
 
 def _fold_add(a: "CoefExpr", b: "CoefExpr") -> "CoefExpr":
-    if _is_num(a, 0):
+    if type(a) is Num and a.value == 0:
         return b
-    if _is_num(b, 0):
+    if type(b) is Num and b.value == 0:
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
+    if type(a) is Num and type(b) is Num:
         total = a.value + b.value
         if total - a.value == b.value and total - b.value == a.value:
-            return Num(total)
-    return Add(a, b)
+            return _intern(Num, total)
+    return _intern(Add, Add, a, b)
 
 
 def _fold_sub(a: "CoefExpr", b: "CoefExpr") -> "CoefExpr":
-    if _is_num(b, 0):
+    if type(b) is Num and b.value == 0:
         return a
-    if _is_num(a, 0):
+    if type(a) is Num and a.value == 0:
         return _fold_neg(b)
-    if isinstance(a, Num) and isinstance(b, Num):
+    if type(a) is Num and type(b) is Num:
         total = a.value - b.value
         if a.value - total == b.value and total + b.value == a.value:
-            return Num(total)
-    return Sub(a, b)
+            return _intern(Num, total)
+    return _intern(Sub, Sub, a, b)
 
 
 def _fold_mul(a: "CoefExpr", b: "CoefExpr") -> "CoefExpr":
-    if _is_num(a, 0) or _is_num(b, 0):
+    if (type(a) is Num and a.value == 0) or (type(b) is Num and b.value == 0):
         return ZERO
-    if _is_num(a, 1):
+    if type(a) is Num and a.value == 1:
         return b
-    if _is_num(b, 1):
+    if type(b) is Num and b.value == 1:
         return a
-    return Mul(a, b)
+    return _intern(Mul, Mul, a, b)
 
 
 def _fold_div(a: "CoefExpr", b: "CoefExpr") -> "CoefExpr":
-    if _is_num(b, 0):
+    if type(b) is Num and b.value == 0:
         raise CoefficientError("division by zero")
-    if _is_num(b, 1):
+    if type(b) is Num and b.value == 1:
         return a
-    if _is_num(a, 0):
+    if type(a) is Num and a.value == 0:
         return ZERO
-    return Div(a, b)
+    return _intern(Div, Div, a, b)
 
 
 def _fold_neg(a: "CoefExpr") -> "CoefExpr":
-    if isinstance(a, Num):
-        return Num(-a.value)
-    if isinstance(a, Neg):
+    if type(a) is Num:
+        return _intern(Num, -a.value)
+    if type(a) is Neg:
         return a.operand
-    return Neg(a)
+    return _intern(Neg, Neg, a)
 
 
 def as_coef(value) -> CoefExpr:
     if isinstance(value, CoefExpr):
         return value
     if isinstance(value, numbers.Number):
-        return Num(value)
+        return _intern(Num, complex(value))
     raise CoefficientError(f"cannot treat {value!r} as a coefficient")
 
 
 def conj(expr) -> CoefExpr:
     expr = as_coef(expr)
-    if isinstance(expr, Num):
-        return Num(expr.value.conjugate())
-    if isinstance(expr, Conj):
+    if type(expr) is Num:
+        return _intern(Num, expr.value.conjugate())
+    if type(expr) is Conj:
         # keeps dagger an involution on the nose
         return expr.operand
-    if isinstance(expr, Neg):
+    if type(expr) is Neg:
         return _fold_neg(conj(expr.operand))
-    return Conj(expr)
+    return _intern(Conj, Conj, expr)
 
 
 def sqrt(expr) -> CoefExpr:
-    return Call("sqrt", as_coef(expr))
+    return _intern(Call, "sqrt", as_coef(expr))
 
 
 def cosh(expr) -> CoefExpr:
-    return Call("cosh", as_coef(expr))
+    return _intern(Call, "cosh", as_coef(expr))
 
 
 def sinh(expr) -> CoefExpr:
-    return Call("sinh", as_coef(expr))
+    return _intern(Call, "sinh", as_coef(expr))
 
 
 def cis(phase) -> CoefExpr:
     """e^{i*phase} as an expression."""
-    return Call("exp", Mul(I, as_coef(phase)))
+    return _intern(Call, "exp", _intern(Mul, Mul, I, as_coef(phase)))
 
 
 _KERNELS = {Add: mpc_add, Sub: mpc_sub, Neg: mpc_neg, Conj: mpc_conjugate}
@@ -285,32 +298,46 @@ _KERNELS = {Add: mpc_add, Sub: mpc_sub, Neg: mpc_neg, Conj: mpc_conjugate}
 
 class Tape:
     """A circuit's coefficient nodes as instructions, operands first: node i,
-    its operands' indices (-1 where it has fewer), and whether a Param
-    reaches it. :meth:`append` is the only writer of that structure and
-    computes nothing. A node with the structural key of an instruction (its
-    class or ``Num`` value, ``Param`` name or ``Call`` function, and its
-    operand indices) maps to it and joins ``aliases``: every indexed node
-    stays alive, so no recycled id serves a stale index. For each precision,
-    ``stored`` keeps the invariant values later runs read: operands of
-    dependent instructions, and invariant roots; runs write it."""
+    its structural key ``ops[i]`` (head: class, ``Num`` value, ``Call``
+    function or ``Param`` name; then the operands' indices, -1 where it has
+    fewer) and whether a Param reaches it; joining computes nothing. While a
+    tape is ``current`` (``evaluate_circuit`` makes its own so), the
+    constructors above number each node as they make it, and return the
+    tape's node for a key it holds. A foreign node (made by the parser, as a
+    module constant or under no tape) joins when first read, through
+    :meth:`append`; one whose key is taken maps to that instruction and
+    stays in ``foreign``, so its id is never recycled. ``stored`` keeps, per
+    precision, the invariant values later runs read: operands of dependent
+    instructions, and invariant roots."""
 
-    __slots__ = ("nodes", "index", "keys", "aliases", "left", "right", "dependent", "stored",
-                 "__weakref__")
+    __slots__ = ("nodes", "ops", "index", "keys", "foreign", "dependent", "stored", "__weakref__")
+    current: "Tape | None" = None  # the tape the constructors intern on
 
     def __init__(self):
         self.nodes: list[CoefExpr] = []
+        self.ops: list[tuple] = []  # instruction -> structural key
         self.index: dict[int, int] = {}  # id(node) -> instruction
         self.keys: dict[tuple, int] = {}  # structural key -> instruction
-        self.aliases: list[CoefExpr] = []  # nodes mapped to another node's instruction
-        self.left: list[int] = []
-        self.right: list[int] = []
+        self.foreign: list[CoefExpr] = []  # foreign nodes mapped to another node's instruction
         self.dependent = bytearray()
         self.stored: dict[int, dict[int, tuple]] = {}  # precision -> instruction -> value
 
+    def _add(self, node: CoefExpr, key: tuple) -> None:
+        _, i, j = key
+        self.keys[key] = self.index[id(node)] = len(self.nodes)
+        self.nodes.append(node)
+        self.ops.append(key)
+        dep = self.dependent
+        dep.append(type(node) is Param or (i >= 0 and dep[i]) or (j >= 0 and dep[j]))
+
+    def own(self, node: CoefExpr) -> CoefExpr:
+        """The instruction node of node, joining node first if it is foreign."""
+        i = self.index.get(id(node))
+        return self.nodes[self.append(node) if i is None else i]
+
     def append(self, root: CoefExpr) -> int:
-        """Instruction of root, appending each node of root the tape lacks, operands first."""
-        index, keys, dependent = self.index, self.keys, self.dependent
-        nodes, left, right = self.nodes, self.left, self.right
+        """Instruction of root, joining each node of root the tape lacks, operands first."""
+        index = self.index
         stack: list = [root]  # a node to expand, or (node, a, b) once its operands are on the tape
         while stack:
             node = stack.pop()
@@ -336,26 +363,21 @@ class Tape:
             # a Param's name and a Call's func differ in the operand: -1 for a Param
             key = (node.value if cls is Num else node.name if cls is Param else
                    node.func if cls is Call else cls, a, b)
-            i = keys.get(key)
-            if i is not None:
-                # structurally equal to instruction i: kept alive, so its id stays taken
+            i = self.keys.get(key)
+            if i is None:
+                self._add(node, key)
+            else:
                 index[id(node)] = i
-                self.aliases.append(node)
-                continue
-            keys[key] = index[id(node)] = len(nodes)
-            nodes.append(node)
-            left.append(a)
-            right.append(b)
-            dependent.append(cls is Param or (a >= 0 and dependent[a]) or (b >= 0 and dependent[b]))
+                self.foreign.append(node)
         return index[id(root)]
 
 
 class Evaluator:
     """One run of a :class:`Tape` (by default a one-off tape) under one env.
 
-    :meth:`eval` has the tape append a root it lacks, then runs only what
-    this run lacks of it: after a circuit's first run at ``MP``'s precision,
-    what a :class:`Param` reaches. :meth:`_eval` applies the ``mpmath.libmp``
+    :meth:`eval` joins a foreign root to the tape, then runs only what this
+    run lacks of it: after a circuit's first run at ``MP``'s precision, what
+    a :class:`Param` reaches. :meth:`_eval` applies the ``mpmath.libmp``
     kernels of ``MP.mpc`` arithmetic and of ``MP``'s functions, bit for bit,
     to raw ``_mpc_`` tuples at the precision ``MP`` had when the run was
     made. Equal structure is one instruction already; the value memo computes
@@ -368,7 +390,7 @@ class Evaluator:
     def __init__(self, env: ParamEnv, tape: Tape | None = None):
         self.env = env
         self.tape = tape = Tape() if tape is None else tape
-        self._nodes, self._left, self._right = tape.nodes, tape.left, tape.right
+        self._nodes, self._ops = tape.nodes, tape.ops
         self._prec, self._rnd = MP._prec_rounding
         self._stored = tape.stored.setdefault(self._prec, {})
         self._vals = dict(self._stored)  # instruction -> raw value in this run
@@ -385,7 +407,7 @@ class Evaluator:
 
     def _run(self, root: int) -> tuple:
         """Value of instruction root, computing first what this run lacks of it."""
-        vals, left, right, dependent = self._vals, self._left, self._right, self.tape.dependent
+        vals, ops, dependent = self._vals, self._ops, self.tape.dependent
         stored = self._stored
         keep = []  # invariant operands of the dependent instructions computed, to store
         stack = [root]  # an instruction to expand, or ~i once its operands are done
@@ -395,15 +417,16 @@ class Evaluator:
                 i = ~i
                 vals[i] = self._eval(i)
                 if dependent[i]:
-                    for k in (left[i], right[i]):
+                    for k in ops[i][1:]:
                         if k >= 0 and not dependent[k] and k not in stored:
                             keep.append(k)
             elif i not in vals:
                 stack.append(~i)
-                if right[i] >= 0 and right[i] not in vals:
-                    stack.append(right[i])
-                if left[i] >= 0 and left[i] not in vals:
-                    stack.append(left[i])
+                _, a, b = ops[i]
+                if b >= 0 and b not in vals:
+                    stack.append(b)
+                if a >= 0 and a not in vals:
+                    stack.append(a)
         for k in keep:
             stored[k] = vals[k]
         return vals[root]
@@ -411,7 +434,8 @@ class Evaluator:
     def _eval(self, i: int) -> tuple:
         """Raw value of instruction i, whose operands this run holds."""
         node, vals, prec, rnd = self._nodes[i], self._vals, self._prec, self._rnd
-        cls, x, y = type(node), vals.get(self._left[i]), vals.get(self._right[i])
+        _, a, b = self._ops[i]
+        cls, x, y = type(node), vals.get(a), vals.get(b)
         if cls is Mul:
             # times a finite real, mpc_mul's cross terms are exact zeros (inf*0 is nan)
             if y[1] == fzero and not (mpc_is_infnan(x) or mpc_is_infnan(y)):

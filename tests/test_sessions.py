@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_rational
 
 from telesim import cli, coeff, opalg, verify
-from telesim.circuit import evaluate_circuit
+from telesim.circuit import CircuitError, evaluate_circuit
 from telesim.coeff import (
     MP,
     Add,
@@ -37,6 +37,8 @@ from telesim.coeff import (
     Sub,
     Tape,
     conj,
+    cosh,
+    evaluate,
 )
 from telesim.dsl import format_coef, parse_circuit, serialize_circuit
 from telesim.opalg import (
@@ -755,6 +757,136 @@ def test_each_evaluation_has_a_tape_of_its_own():
     second.evaluator()
     assert len(tape.nodes) == size
     assert all(expr.tape is tape for expr in first.all_ports().values())
+
+
+# instruction and dependent counts after protocol.evaluator(): one instruction
+# per distinct structure, however many times the interpreter builds it
+TAPE_COUNTS = {
+    ("atemporal_telefilter", None): (61, 34),
+    ("atemporal_telemirror", None): (156, 132),
+    ("delayed_telefilter", None): (256, 104),
+    ("delayed_telemirror", None): (297, 247),
+    ("nmode_delayed_telefilter", None): (497, 170),
+    ("nmode_nodelay_telefilter", None): (361, 150),
+    ("nodelay_independent", None): (97, 46),
+    ("nodelay_telefilter", None): (190, 92),
+    ("nodelay_telemirror", None): (300, 227),
+    ("nmode_delayed_telefilter", 8): (2964, 500),
+    ("nmode_delayed_telefilter", 16): (11160, 1028),
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(TAPE_COUNTS, key=str), ids=str)
+def test_the_tape_structure_is_pinned(name, n, monkeypatch):
+    text = (GOLDEN_DIR / f"{name}.tls").read_text() if n is None else protocol_text(name, n=n)
+    ast = parse_circuit(text)
+    joined = []  # the roots the joining walk is handed: foreign nodes only
+    append = Tape.append
+    monkeypatch.setattr(Tape, "append", lambda tape, root: joined.append(root) or append(tape, root))
+    protocol = evaluate_circuit(ast)
+    protocol.evaluator()
+    foreign = {id(node) for node in _nodes(_coefs_in(ast, []))} | {id(coeff.ZERO), id(coeff.ONE), id(I)}
+    assert joined and all(id(root) in foreign for root in joined)
+    tape = protocol.circuit.tape
+    assert (len(tape.nodes), sum(tape.dependent)) == TAPE_COUNTS[name, n]
+    assert len(tape.ops) == len(tape.dependent) == len(tape.nodes)
+    assert all(tape.keys[key] == i and max(key[1:]) < i for i, key in enumerate(tape.ops))
+    # ports, records, the target and the forms hold the tape's own nodes only
+    for expr in protocol.roots():
+        for coef in _coefficients(expr):
+            assert tape.nodes[tape.index[id(coef)]] is coef, (expr, coef)
+
+
+def test_a_failed_evaluation_leaves_no_tape_current():
+    text = """
+        mode signal a rail=in bin=0
+        mode vacuum v rail=v bin=0
+        mode vacuum w rail=w bin=0
+        (x, y) = split(a, v, alpha=0.5, phi=pi/4)
+        (p, q) = split(x, w, alpha=2, phi=0)
+        output o = p
+    """
+    with pytest.raises(CircuitError, match="alpha = 2.0 outside"):
+        evaluate_circuit(parse_circuit(text))
+    assert Tape.current is None
+    # library nodes are not interned: each build is a node of its own
+    built = [cosh(Param("s")) * 2 for _ in range(2)]
+    assert built[0] == built[1] and built[0] is not built[1]
+    value = evaluate(built[0], ParamEnv({"s": 1.5}))
+    assert (value.real.hex(), value.imag.hex()) == ("0x1.2d1bc21e22022p+2", "0x0.0p+0")
+    name = "delayed_telemirror"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", str(GOLDEN_DIR / f"{name}.tls"), "--format", "machine"])
+    pinned = Path(__file__).parent / "fixtures" / "reports" / f"verify_{name}.json"
+    assert code == 0 and out.getvalue().encode("utf-8") == pinned.read_bytes()
+
+
+def test_two_evaluations_of_one_ast_make_equal_tapes():
+    ast = parse_circuit(protocol_text("nmode_delayed_telefilter", n=4))
+    first, second = evaluate_circuit(ast), evaluate_circuit(ast)
+    one, two = first.circuit.tape, second.circuit.tape
+    tables = [[p.evaluator().table(expr) for expr in p.roots()] for p in (first, second)]
+    assert one.dependent == two.dependent
+    assert [key[1:] for key in one.ops] == [key[1:] for key in two.ops]
+    for got, want in zip(*tables):
+        assert got.keys() == want.keys()
+        for mode, (c, d) in got.items():
+            assert _same_mpc(c, want[mode][0]) and _same_mpc(d, want[mode][1])
+    # both number the parser's nodes, and share no node the interpreter made
+    shared = {id(node) for node in one.nodes} & {id(node) for node in two.nodes}
+    parsed = {id(node) for node in _nodes(_coefs_in(ast, []))}
+    assert shared and shared <= parsed | {id(coeff.ZERO), id(coeff.ONE), id(I)}
+
+
+# each zero of the circuit below, spelled as the parser reads it
+_SPELLED_ZEROS = {"Z1": "-0", "Z2": "0.0", "Z3": "1e-400", "Z4": "-0.0", "Z5": "0"}
+_ZERO_CIRCUIT = """\
+param s = infinity
+mode entanglement_seed e1 rail=source bin=0
+mode entanglement_seed e2 rail=source bin=0
+mode signal j0 rail=input bin=0
+mode signal j1 rail=input bin=1
+mode vacuum v rail=receiver bin=0
+(a0, b0) = squeeze(e1, e2, gain=s, phase=Z1)
+(a1, a2) = split(a0, v, alpha=0.5, phi=Z2)
+m0 = homodyne(j0, a1, xphase=Z3, pphase=pi/2)
+m1 = homodyne(j1, a2, xphase=Z4, pphase=pi/2 + Z1)
+m = combine(1*m0, (Z2)*m1, 0.5*m1, (Z5)*m0)
+out = displace(b0, m, gain=1/sqrt(2) + Z3)
+turned = phase(out, phi=Z4)
+output filtered = turned role=transmitted
+output record = m
+"""
+
+
+def _machine_reports(path: Path) -> list:
+    reports = []
+    for command in ("run", "verify"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([command, str(path), "--format", "machine"])
+        reports.append((code, out.getvalue()))
+    return reports
+
+
+def test_literal_spellings_survive_interning(tmp_path):
+    """Num keys compare complex values, so 0j and -0j share an instruction;
+    the serializer prints the parser's nodes, never the interned ones."""
+    spelled, plain = _ZERO_CIRCUIT, _ZERO_CIRCUIT
+    for mark, zero in _SPELLED_ZEROS.items():
+        spelled, plain = spelled.replace(mark, zero), plain.replace(mark, "0")
+    ast = parse_circuit(spelled)
+    before = serialize_circuit(ast)
+    protocol = evaluate_circuit(ast)
+    protocol.evaluator()
+    text = serialize_circuit(protocol.circuit)
+    assert text == before == serialize_circuit(parse_circuit(text))
+    assert "-0" in text and "-0" not in serialize_circuit(parse_circuit(plain))
+    paths = tmp_path / "spelled.tls", tmp_path / "plain.tls"
+    for path, source in zip(paths, (spelled, plain)):
+        path.write_text(source)
+    assert _machine_reports(paths[0]) == _machine_reports(paths[1])
 
 
 def _coefs_in(value, found: list) -> list:
