@@ -267,7 +267,8 @@ def as_coef(value) -> CoefExpr:
 def conj(expr) -> CoefExpr:
     expr = as_coef(expr)
     if type(expr) is Num:
-        return _intern(Num, expr.value.conjugate())
+        # a real value is its own conjugate: no new node for a fold to drop
+        return expr if not expr.value.imag else _intern(Num, expr.value.conjugate())
     if type(expr) is Conj:
         # keeps dagger an involution on the nose
         return expr.operand

@@ -140,9 +140,9 @@ class ModeEvaluator:
     x~ = trunc(x 2^P), P = working bits + GUARD_BITS, sum exact integer
     products and round once. As |x - x~| < 2^-P and |x~| <= |x|, each part
     of a product moves by at most 2^-P (|x|_1 + |y|_1), |z|_1 = |Re z| +
-    |Im z|. One walk gives both commutators of a pair, and a variance is
-    summed anew on each call. An inf or nan entry makes every kernel
-    reading its table give nan.
+    |Im z|. One walk gives both commutators of a pair; a variance reads
+    three sums per table, made once per session. An inf or nan entry makes
+    every kernel reading its table give nan.
     """
 
     def __init__(self, env: ParamEnv, roots: tuple[ModeExpr, ...] = ()):
@@ -153,6 +153,7 @@ class ModeEvaluator:
         self._runs: dict[Tape | None, Evaluator] = {}
         self._tables: dict[ModeExpr, NumericTerms] = {}
         self._fixed_tables: dict[ModeExpr, dict | None] = {}
+        self._variance_sums: dict[ModeExpr, tuple[int, int, int] | None] = {}
         self._roots = tuple(roots)
         self._derived: dict[tuple, ModeEvaluator] = {}
         for expr in self._roots:
@@ -199,9 +200,14 @@ class ModeEvaluator:
         it. The second is bit-equal to the first of ``(left, dagger(right))``:
         truncation commutes with conjugation.
         """
+        re, im, cross_re, cross_im = self._commutator_parts(left, right)
+        return MP.make_mpc((re, im)), MP.make_mpc((cross_re, cross_im))
+
+    def _commutator_parts(self, left: ModeExpr, right: ModeExpr) -> tuple:
+        """The raw mpf parts (re, im, cross re, cross im) of :meth:`commutators`."""
         lt, rt = self._fixed(left), self._fixed(right)
         if lt is None or rt is None:
-            return (MP.make_mpc((fnan, fnan)),) * 2
+            return (fnan,) * 4
         re = im = cross_re = cross_im = 0
         for mode, (cr, ci, dr, di) in lt.items():
             other = rt.get(mode)
@@ -212,37 +218,53 @@ class ModeEvaluator:
                 cross_re += cr * er + ci * ei - dr * fr - di * fi
                 cross_im += ci * er - cr * ei + dr * fi - di * fr
         exp, prec, rnd = -2 * self._bits, self._prec, self._rnd
-        parts = [from_man_exp(x, exp, prec, rnd) for x in (re, im, cross_re, cross_im)]
-        return MP.make_mpc(tuple(parts[:2])), MP.make_mpc(tuple(parts[2:]))
+        return (from_man_exp(re, exp, prec, rnd), from_man_exp(im, exp, prec, rnd),
+                from_man_exp(cross_re, exp, prec, rnd), from_man_exp(cross_im, exp, prec, rnd))
 
     def variance(self, expr: ModeExpr, phase: float):
         """Sum over the table of |a|^2, a = e^{-i phase} c + e^{i phase} conj(d).
 
         With w = e^{-i phase} truncated too, each part of every a lies within
         delta = 2^-P (2|w|_1 + |c|_1 + |d|_1) of its exact value, and the sum
-        before its one rounding within sum(2 delta (|a|_1 + delta)).
+        before its one rounding within sum(2 delta (|a|_1 + delta)), formed
+        from the table's three phase-free sums (:meth:`_sums`).
         """
-        table, total = self._fixed(expr), 0
-        if table is None or not math.isfinite(phase):
+        sums = self._sums(expr)
+        if sums is None or not math.isfinite(phase):
             return MP.make_mpf(fnan)
         wr, wi = _phase_factor(phase, self._prec)
-        for cr, ci, dr, di in table.values():
-            # e^{i phase} = conj(w), so a = w c + conj(w d)
-            re = wr * (cr + dr) - wi * (ci + di)
-            im = wr * (ci - di) + wi * (cr - dr)
-            total += re * re + im * im
+        s1, s2, s3 = sums
+        total = wr * wr * s1 + wi * wi * s2 + 2 * wr * wi * s3
         return MP.make_mpf(from_man_exp(total, -4 * self._bits, self._prec, self._rnd))
+
+    def _sums(self, expr: ModeExpr) -> tuple[int, int, int] | None:
+        """sum(A^2 + C^2), sum(B^2 + D^2), sum(CD - AB) of the fixed table, or
+        None if it is not finite: A, B, C, D = cr + dr, ci + di, ci - di, cr - dr
+        are the parts of a = w c + conj(w d) = (wr A - wi B) + i (wr C + wi D)."""
+        if expr not in self._variance_sums:
+            table, sums = self._fixed(expr), None
+            if table is not None:
+                s1 = s2 = s3 = 0
+                for cr, ci, dr, di in table.values():
+                    a, b, c, d = cr + dr, ci + di, ci - di, cr - dr
+                    s1 += a * a + c * c
+                    s2 += b * b + d * d
+                    s3 += c * d - a * b
+                sums = s1, s2, s3
+            self._variance_sums[expr] = sums
+        return self._variance_sums[expr]
 
 
 def _fixed_table(table: NumericTerms, bits: int) -> dict | None:
     """(cr, ci, dr, di) of each entry in fixed point, or None if one is inf or nan."""
     out = {}
     for mode, (c, d) in table.items():
-        parts = c._mpc_ + d._mpc_
-        # inf and nan are the raw mpfs with a zero mantissa and a nonzero exponent
-        if any(not man and exp for _, man, exp, _ in parts):
-            return None
-        out[mode] = tuple(_to_fixed(part, bits) for part in parts)
+        cr, ci, dr, di = parts = c._mpc_ + d._mpc_
+        for _, man, exp, _ in parts:
+            # inf and nan are the raw mpfs with a zero mantissa and a nonzero exponent
+            if not man and exp:
+                return None
+        out[mode] = (_to_fixed(cr, bits), _to_fixed(ci, bits), _to_fixed(dr, bits), _to_fixed(di, bits))
     return out
 
 

@@ -24,6 +24,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+from mpmath.libmp import to_float
+
 from .circuit import (
     CircuitAst,
     CircuitError,
@@ -43,7 +45,7 @@ from .circuit import (
     UnsqueezeStmt,
     merge_env,
 )
-from .coeff import Evaluator, ParamEnv
+from .coeff import MP, Evaluator, ParamEnv
 from .opalg import (
     DISPLAY_THRESHOLD,
     Binding,
@@ -90,21 +92,26 @@ def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovRep
 
     outputs maps names to mode expressions. Both commutator families are
     checked for every unordered pair, plus self-normalization
-    [A, A^dagger] = 1, from one :meth:`ModeEvaluator.commutators` call per
-    pair; a nan deviation fails its pair and is the maximum.
+    [A, A^dagger] = 1, from one walk per pair (the kernel of
+    :meth:`ModeEvaluator.commutators`) whose rounded parts go straight to
+    floats, as ``complex()`` of its values would; a nan deviation fails its
+    pair and is the maximum.
     env may be a session, whose tables are then reused, or a bare env,
     whose session later calls with that same env reuse (see
     :func:`opalg.session_for`).
     """
     items = list(outputs.items())
     evaluator = session_for(env)
+    rnd = MP._prec_rounding[1]
     failures = []
     deviations = []
     for i, (name_i, expr_i) in enumerate(items):
         for name_j, expr_j in items[i:]:
             expected = 1.0 if name_i == name_j else 0.0
-            plain, cross = evaluator.commutators(expr_i, expr_j)
-            plain, cross = _magnitude(complex(plain)), _magnitude(complex(cross) - expected)
+            re, im, cross_re, cross_im = evaluator._commutator_parts(expr_i, expr_j)
+            plain = _magnitude(complex(to_float(re, False, rnd), to_float(im, False, rnd)))
+            cross = complex(to_float(cross_re, False, rnd), to_float(cross_im, False, rnd))
+            cross = _magnitude(cross - expected)
             for check, deviation in (("commutator", plain), ("cross-commutator", cross)):
                 deviations.append(deviation)
                 if not deviation <= tol:

@@ -1,10 +1,12 @@
 """Per-binding numeric sessions: sharing, exactness, evaluation counts."""
 
+import cmath
 import contextlib
 import gc
 import io
 import math
 import operator
+import random
 import weakref
 from collections import Counter
 from dataclasses import fields, is_dataclass
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import from_rational
+from mpmath.libmp import fnan, from_man_exp, from_rational
 
 from telesim import cli, coeff, opalg, verify
 from telesim.circuit import CircuitError, evaluate_circuit
@@ -60,6 +62,7 @@ from telesim.verify import (
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "src" / "telesim" / "golden"
 GOLDENS = sorted(path.stem for path in GOLDEN_DIR.glob("*.tls"))
+FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 
 
 def _golden(name: str):
@@ -253,8 +256,101 @@ def test_a_coefficient_beyond_the_kernels_range_raises_overflow():
     # e^50000 is about 2^72135: its fixed-point integer would grow with the exponent
     ev = ModeEvaluator(ParamEnv({}))
     huge = ModeExpr({IDS[0]: (Call("exp", Num(50000)), Num(0))})
-    with pytest.raises(OverflowError, match="the exact sums. range"):
-        ev.variance(huge, 0.0)
+    for phase in (0.0, math.nan):  # the table is converted before the phase is read
+        with pytest.raises(OverflowError, match="the exact sums. range"):
+            ev.variance(huge, phase)
+    # an inf or nan part of an entry wins over a part too large for the sums
+    mixed = ModeExpr({IDS[0]: (Call("exp", Num(50000)), Call("ln", Num(0)))})
+    assert MP.isnan(ev.variance(mixed, 0.0))
+
+
+def _reference_variance(session: ModeEvaluator, expr: ModeExpr, phase: float) -> tuple:
+    """The raw mpf of the per-entry kernel: each entry's |a|^2 summed in turn."""
+    bits, table = session._bits, []
+    for c, d in session.table(expr).values():
+        parts = c._mpc_ + d._mpc_
+        if any(not man and exp for _, man, exp, _ in parts):
+            return fnan
+        table.append(tuple(opalg._to_fixed(part, bits) for part in parts))
+    if not math.isfinite(phase):
+        return fnan
+    wr, wi = opalg._phase_factor(phase, session._prec)
+    total = 0
+    for cr, ci, dr, di in table:
+        re = wr * (cr + dr) - wi * (ci + di)
+        im = wr * (ci - di) + wi * (cr - dr)
+        total += re * re + im * im
+    return from_man_exp(total, -4 * bits, session._prec, session._rnd)
+
+
+def _source(name: str, n: int | None = None) -> str:
+    if n is not None:
+        return protocol_text(name, n=n)
+    folder = GOLDEN_DIR if name in GOLDENS else FIXTURE_DIR
+    return (folder / f"{name}.tls").read_text()
+
+
+# infinite_gain's tables hold inf and nan
+@pytest.mark.parametrize(
+    "name,n", [(name, None) for name in [*GOLDENS, "infinite_gain"]] + [("nmode_delayed_telefilter", 8)]
+)
+def test_the_variance_is_bit_identical_to_the_per_entry_sum(name, n):
+    protocol = evaluate_circuit(parse_circuit(_source(name, n)))
+    root = protocol.evaluator()
+    derived = root.bind(**dict(zip(sorted(protocol.limit_params), (1.3, 0.8))))
+    assert (derived is root) == (name == "infinite_gain")
+    for session in (root, derived):
+        for expr in protocol.all_ports().values():
+            for phase in (0.0, math.pi / 2, 0.3, -2.5, 1e3, math.nan):
+                want = _reference_variance(session, expr, phase)
+                assert session.variance(expr, phase)._mpf_ == want, (name, phase)
+
+
+def _reference_bogoliubov(outputs, session: ModeEvaluator, tol: float) -> tuple:
+    """(max_deviation, failures) rebuilt from commutators() and complex()."""
+    items, worst, failures = list(outputs.items()), 0.0, []
+    for i, (name_i, expr_i) in enumerate(items):
+        for name_j, expr_j in items[i:]:
+            plain, cross = session.commutators(expr_i, expr_j)
+            expected = 1.0 if name_i == name_j else 0.0
+            checks = (("commutator", complex(plain)), ("cross-commutator", complex(cross) - expected))
+            for check, value in checks:
+                deviation = math.nan if cmath.isnan(value) else abs(value)
+                if math.isnan(deviation) or (not math.isnan(worst) and deviation > worst):
+                    worst = deviation
+                if not deviation <= tol:
+                    failures.append((name_i, name_j, check, deviation))
+    return worst, failures
+
+
+def _assert_bogoliubov_matches(outputs, session: ModeEvaluator, tol: float = 1e-10):
+    report = check_bogoliubov(outputs, session, tol=tol)
+    worst, failures = _reference_bogoliubov(outputs, session, tol)
+    assert report.max_deviation.hex() == worst.hex()
+    assert len(report.failures) == len(failures)
+    for got, want in zip(report.failures, failures):
+        assert got[:3] == want[:3] and got[3].hex() == want[3].hex()
+    return report
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_the_bogoliubov_floats_equal_the_commutators_values(name):
+    protocol = _golden(name)
+    root = protocol.evaluator()
+    assert _assert_bogoliubov_matches(protocol.quantum_ports(), root).passed
+    rng = random.Random(f"bogoliubov:{name}")
+    for _ in range(4):  # the sweep workload's draws: U(0.1, 2.2) per limit parameter
+        session = root.bind(**{p: rng.uniform(0.1, 2.2) for p in sorted(protocol.limit_params)})
+        assert _assert_bogoliubov_matches(protocol.quantum_ports(), session).passed
+
+
+def test_the_bogoliubov_floats_keep_their_failures():
+    cloning = evaluate_circuit(parse_circuit(_source("cloning")))
+    report = _assert_bogoliubov_matches(cloning.quantum_ports(), cloning.evaluator())
+    assert not report.passed and report.max_deviation == 0.5
+    poisoned = evaluate_circuit(parse_circuit(_source("infinite_gain")))
+    report = _assert_bogoliubov_matches(poisoned.quantum_ports(), poisoned.evaluator())
+    assert math.isnan(report.max_deviation) and report.failures
 
 
 # scalar evaluation against plain mpmath object arithmetic
@@ -773,13 +869,17 @@ TAPE_COUNTS = {
     ("nodelay_telemirror", None): (300, 227),
     ("nmode_delayed_telefilter", 8): (2964, 500),
     ("nmode_delayed_telefilter", 16): (11160, 1028),
+    ("acausal", None): (61, 34),
+    ("cloning", None): (13, 0),
+    # conj of a real Num (dagger's conj(ONE)) once numbered a node no root reached
+    ("infinite_gain", None): (10, 6),
+    ("nan_limit_tap", None): (66, 38),
 }
 
 
 @pytest.mark.parametrize("name,n", sorted(TAPE_COUNTS, key=str), ids=str)
 def test_the_tape_structure_is_pinned(name, n, monkeypatch):
-    text = (GOLDEN_DIR / f"{name}.tls").read_text() if n is None else protocol_text(name, n=n)
-    ast = parse_circuit(text)
+    ast = parse_circuit(_source(name, n))
     joined = []  # the roots the joining walk is handed: foreign nodes only
     append = Tape.append
     monkeypatch.setattr(Tape, "append", lambda tape, root: joined.append(root) or append(tape, root))
@@ -795,6 +895,26 @@ def test_the_tape_structure_is_pinned(name, n, monkeypatch):
     for expr in protocol.roots():
         for coef in _coefficients(expr):
             assert tape.nodes[tape.index[id(coef)]] is coef, (expr, coef)
+    # and every instruction is reached from them
+    reached, todo = set(), [tape.index[id(c)] for e in protocol.roots() for c in _coefficients(e)]
+    while todo:
+        i = todo.pop()
+        if i >= 0 and i not in reached:
+            reached.add(i)
+            todo += tape.ops[i][1:]
+    assert len(reached) == len(tape.nodes)
+
+
+def test_the_conjugate_of_a_real_num_is_that_num():
+    tape = Tape()
+    Tape.current = tape
+    try:
+        real, imag = coeff.as_coef(2.5), coeff.as_coef(1 + 2j)
+        assert conj(real) is real and conj(coeff.ONE) is coeff.ONE
+        assert conj(imag).value == 1 - 2j
+    finally:
+        Tape.current = None
+    assert len(tape.nodes) == 3
 
 
 def test_a_failed_evaluation_leaves_no_tape_current():
