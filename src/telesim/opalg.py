@@ -11,12 +11,13 @@ expression object it is given.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from mpmath.libmp import fnan, from_float, from_man_exp, fzero, mpc_exp
+from mpmath.libmp import fnan, from_float, from_man_exp, fzero, mpc_exp, mpc_to_complex
 
 from .coeff import (
     MP,
@@ -123,18 +124,22 @@ class ModeEvaluator:
 
     Coefficient tables are keyed by the expression object itself
     (expressions compare by identity), so every analysis that draws from
-    the same session reuses them. Sessions form a tree owned from the top:
-    :meth:`bind` returns this session when the overrides change no value,
-    otherwise the session it made for that set of values, once. No session
-    refers to the one that made it, so a finished analysis frees them all
-    without the cyclic GC. A session evaluates coefficients by one run
+    the same session reuses them, and each table's float view (:meth:`floats`)
+    and fixed-point form, made once per session. Sessions form a tree owned
+    from the top: :meth:`bind` returns this session when the overrides change
+    no value, otherwise the session it made for that set of values, once. No
+    session refers to the one that made it, so a finished analysis frees them
+    all without the cyclic GC. A session evaluates coefficients by one run
     (:class:`Evaluator`) per tape: its expressions' circuit's, or its own.
     A session given ``roots`` (an evaluated protocol's ports, records and
-    forms) tables them all on creation, then drops its runs; it hands them
-    to every session it binds. A session without roots tables lazily and
-    keeps its runs, as does the one :func:`session_for` keeps for the last
-    bare :class:`ParamEnv` given. Its precision is ``MP``'s when it is made;
-    its runs and the sessions it binds keep it.
+    forms) tables them all on creation, then drops its runs; it hands them,
+    and the caches of the top session, to every session it binds. A bound
+    session takes each root entry no parameter reaches, with its fixed-point
+    and float forms, from those caches; it evaluates and converts the rest.
+    A session without roots tables lazily and keeps its runs, as does the
+    one :func:`session_for` keeps for the last bare :class:`ParamEnv` given.
+    Its precision is ``MP``'s when it is made; its runs and the sessions it
+    binds keep it.
 
     The kernels below hold each entry x, converted once per session, as
     x~ = trunc(x 2^P), P = working bits + GUARD_BITS, sum exact integer
@@ -145,15 +150,16 @@ class ModeEvaluator:
     every kernel reading its table give nan.
     """
 
-    def __init__(self, env: ParamEnv, roots: tuple[ModeExpr, ...] = ()):
+    def __init__(self, env: ParamEnv, roots: tuple[ModeExpr, ...] = (), shared: tuple | None = None):
         self.env = env
         # the working precision, read here only: runs, kernels and bound sessions keep it
         self._prec, self._rnd = MP._prec_rounding
         self._bits = self._prec + GUARD_BITS
         self._runs: dict[Tape | None, Evaluator] = {}
-        self._tables: dict[ModeExpr, NumericTerms] = {}
-        self._fixed_tables: dict[ModeExpr, dict | None] = {}
+        # slots 0-3 of _caches; _reached: per root, the modes a parameter reaches
+        self._tables, self._fixed_tables, self._floats, self._reached = self._caches = ({}, {}, {}, {})
         self._variance_sums: dict[ModeExpr, tuple[int, int, int] | None] = {}
+        self._shared = shared  # in a bound session, the caches of the top session it was bound from
         self._roots = tuple(roots)
         self._derived: dict[tuple, ModeEvaluator] = {}
         for expr in self._roots:
@@ -167,11 +173,10 @@ class ModeEvaluator:
         key = _binding_key(env)
         if key == _binding_key(self.env):
             return self
-        session = self._derived.get(key)
-        if session is None:
+        if key not in self._derived:
             with MP.workprec(self._prec):
-                session = self._derived[key] = ModeEvaluator(env, self._roots)
-        return session
+                self._derived[key] = ModeEvaluator(env, self._roots, self._shared or self._caches)
+        return self._derived[key]
 
     def table(self, expr: ModeExpr) -> NumericTerms:
         cached = self._tables.get(expr)
@@ -181,15 +186,45 @@ class ModeEvaluator:
         if run is None:
             with MP.workprec(self._prec):
                 run = self._runs[expr.tape] = Evaluator(self.env, expr.tape)
-        ev = run.eval
-        result = {m: (ev(c), ev(d)) for m, (c, d) in expr.terms.items()}
+        ev, terms, shared = run.eval, expr.terms, self._shared
+        if shared is None or expr not in self._roots:
+            result = {m: (ev(c), ev(d)) for m, (c, d) in terms.items()}
+        else:
+            modes = shared[3].get(expr)
+            if modes is None:
+                tape, index, dep = run.tape, run.tape.index, run.tape.dependent
+                modes = shared[3][expr] = [m for m, (c, d) in terms.items() if dep[
+                    index.get(id(c)) or tape.append(c)] or dep[index.get(id(d)) or tape.append(d)]]
+            made = {m: (ev(terms[m][0]), ev(terms[m][1])) for m in modes}
+            result = {**shared[0][expr], **made} if made else shared[0][expr]
         self._tables[expr] = result
         return result
 
+    def floats(self, expr: ModeExpr) -> dict:
+        """(complex(c), complex(d)) of each entry of :meth:`table`, made once per session."""
+        views = self._floats
+        return views[expr] if expr in views else self._converted(2, expr, _float_table, self._rnd)
+
     def _fixed(self, expr: ModeExpr) -> dict | None:
-        if expr not in self._fixed_tables:
-            self._fixed_tables[expr] = _fixed_table(self.table(expr), self._bits)
-        return self._fixed_tables[expr]
+        fixed = self._fixed_tables
+        return fixed[expr] if expr in fixed else self._converted(1, expr, _fixed_table, self._bits)
+
+    def _converted(self, slot: int, expr: ModeExpr, convert, arg):
+        """convert(table(expr), arg), kept in cache slot; for a root in a bound session, the
+        top session's (made there first) with the entries a parameter reaches converted here."""
+        table, shared = self.table(expr), self._shared
+        modes = shared and shared[3].get(expr)
+        if modes is not None and expr not in shared[slot]:
+            with contextlib.suppress(OverflowError):  # from an entry this session may lack
+                shared[slot][expr] = convert(shared[0][expr], arg)
+        base = None if modes is None else shared[slot].get(expr)
+        if base is None:  # unshared, or an inf, nan or too large entry there
+            made = convert(table, arg)
+        else:  # None if an entry a parameter reaches is inf or nan
+            made = convert({m: table[m] for m in modes}, arg)
+            made = made if made is None else {**base, **made} if made else base
+        self._caches[slot][expr] = made
+        return made
 
     def commutators(self, left: ModeExpr, right: ModeExpr):
         """([left, right], [left, right^dagger]) from one walk over the modes
@@ -253,6 +288,12 @@ class ModeEvaluator:
                 sums = s1, s2, s3
             self._variance_sums[expr] = sums
         return self._variance_sums[expr]
+
+
+def _float_table(table: NumericTerms, rnd: str) -> dict:
+    """complex() of each entry at rounding rnd, as ``complex(mpc)`` converts."""
+    return {m: (mpc_to_complex(c._mpc_, False, rnd), mpc_to_complex(d._mpc_, False, rnd))
+            for m, (c, d) in table.items()}
 
 
 def _fixed_table(table: NumericTerms, bits: int) -> dict | None:
@@ -325,17 +366,13 @@ def quadrature_variance(expr: ModeExpr, phase: float, env: Binding) -> float:
 
 
 def prune_for_display(expr: ModeExpr, env: Binding):
-    """Numeric coefficient table with negligible entries dropped.
-
-    Display convenience only; expression semantics never depend on it.
-    """
-    table = {}
-    for mode, (c, d) in session_for(env).table(expr).items():
-        cc, dc = complex(c), complex(d)
-        if _magnitude(cc) <= DISPLAY_THRESHOLD and _magnitude(dc) <= DISPLAY_THRESHOLD:
-            continue
-        table[mode] = (cc, dc)
-    return table
+    """The session's float view of expr (:meth:`ModeEvaluator.floats`) with
+    negligible entries dropped: display only; no semantics depend on it."""
+    return {
+        mode: (c, d)
+        for mode, (c, d) in session_for(env).floats(expr).items()
+        if not (_magnitude(c) <= DISPLAY_THRESHOLD and _magnitude(d) <= DISPLAY_THRESHOLD)
+    }
 
 
 def _magnitude(z: complex) -> float:

@@ -24,7 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from mpmath.libmp import to_float
+from mpmath.libmp import fzero, mpc_sub, mpc_to_complex, to_float
 
 from .circuit import (
     CircuitAst,
@@ -62,6 +62,9 @@ LIMIT_TOL = 1e-8
 DIVERGENCE_BOUND = 1e8
 LEAKAGE_TOL = 1e-6
 NOISE_THRESHOLD = 0.5
+
+_ZERO = (fzero, fzero)  # the raw mpc of an exact zero
+_ZEROS = (MP.mpc(0), MP.mpc(0))  # the entry of a mode a table lacks
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +155,11 @@ class LimitResult:
 
 
 def _complex_table(expr: ModeExpr, evaluator: ModeEvaluator) -> dict:
-    table = {}
-    for mode, (c, d) in evaluator.table(expr).items():
-        c, d = complex(c), complex(d)
+    table = evaluator.floats(expr)
+    for mode, (c, d) in table.items():
         # before any abs(): CPython's abs() of a NaN such as inf - inf obeys a stale errno
         if not (cmath.isfinite(c) and cmath.isfinite(d)):
             raise OverflowError(f"limit coefficient of {mode.name} beyond float64 range")
-        table[mode] = (c, d)
     return table
 
 
@@ -169,9 +170,9 @@ def limit_coefficients(
 ) -> LimitResult:
     """Numeric limit of a mode expression as the named parameters grow.
 
-    Given a session, the scale and double-scale bindings are ones it binds,
-    so every port of a protocol shares them. Raises OverflowError
-    when a coefficient at either scale is beyond float64 range.
+    Reads the float views of the scale and double-scale bindings, which a
+    given session binds, so every port of a protocol shares them. Raises
+    OverflowError when a coefficient at either scale is beyond float64 range.
     """
     session = session_for(env)
     scale = session.env.limit_scale
@@ -402,9 +403,10 @@ class DependencyReport:
 
 
 def _dependency_scan(expr: ModeExpr, evaluator: ModeEvaluator) -> frozenset:
+    """(mode, bin) of each entry with a raw part not exactly zero, as ``!= 0`` tests."""
     found = set()
     for mode, (c, d) in evaluator.table(expr).items():
-        if c != 0 or d != 0:
+        if c._mpc_ != _ZERO or d._mpc_ != _ZERO:
             found.add((mode, mode.time_bin))
     return frozenset(found)
 
@@ -436,7 +438,7 @@ def causality_report(protocol: ProtocolOutput) -> DependencyReport:
 def signaling_test(protocol: ProtocolOutput, causality: DependencyReport) -> float:
     """Largest weight of a later bin's input inside any earlier-emitted output.
 
-    Visits the causality scan's dependencies of the quantum and tap ports.
+    Reads the quantum and tap ports' float views at the scan's dependencies.
     Zero here is structural, not numeric: a causal device simply never
     routes a late input into an output that already left. Protocols whose
     outputs all emit at the final bin have nothing to test and return 0;
@@ -445,10 +447,10 @@ def signaling_test(protocol: ProtocolOutput, causality: DependencyReport) -> flo
     evaluator = protocol.evaluator()
     weights = []
     for name, expr in protocol.all_ports().items():
-        table = evaluator.table(expr)
+        table = evaluator.floats(expr)
         for mode, time_bin in causality.dependencies[name]:
             if time_bin > causality.emission[name]:
-                weights += [_magnitude(complex(part)) for part in table[mode]]
+                weights += [_magnitude(part) for part in table[mode]]
     return _worst(weights)
 
 
@@ -474,7 +476,7 @@ class SelectivityReport:
 
 
 def _signal_vector(table: dict, signal_ids: list[ModeId]) -> list[complex]:
-    return [complex(table.get(mode, (0j, 0j))[0]) for mode in signal_ids]
+    return [table.get(mode, (0j, 0j))[0] for mode in signal_ids]
 
 
 def _inner(left: list[complex], right: list[complex]) -> complex:
@@ -504,7 +506,8 @@ def selectivity_report(protocol: ProtocolOutput) -> SelectivityReport:
 
     Judged at the high-entanglement limit: every parameter the protocol
     declares as tending to infinity is pinned at the limit scale, whatever
-    finite value the caller evaluated at.
+    finite value the caller evaluated at. Reads that binding's float views
+    of the target and transmitted ports, and their variances.
     """
     target = protocol.target
     if target is None:
@@ -516,7 +519,7 @@ def selectivity_report(protocol: ProtocolOutput) -> SelectivityReport:
         (m for m in protocol.input_registry if m.kind is ModeKind.SIGNAL),
         key=ModeId.sort_key,
     )
-    tvec = _signal_vector(evaluator.table(target), signal_ids)
+    tvec = _signal_vector(evaluator.floats(target), signal_ids)
     tnorm = math.sqrt(abs(_inner(tvec, tvec)))
     if abs(tnorm - 1) > 1e-6:
         raise ValueError(f"target is not normalized over the signal inputs: {tnorm}")
@@ -526,7 +529,7 @@ def selectivity_report(protocol: ProtocolOutput) -> SelectivityReport:
     leakage: dict[str, float] = {}
     excess: dict[str, float] = {}
     for name, expr in protocol.transmitted.items():
-        pvec = _signal_vector(evaluator.table(expr), signal_ids)
+        pvec = _signal_vector(evaluator.floats(expr), signal_ids)
         overlaps[name] = _inner(pvec, tvec)
         leakage[name] = max((abs(_inner(pvec, b)) for b in complement), default=0.0)
         spread = max(float(evaluator.variance(expr, phase)) for phase in (0.0, math.pi / 2))
@@ -588,24 +591,24 @@ def limit_suite(protocol: ProtocolOutput, params) -> LimitSuite:
 
 
 def _declared_limit_gap(protocol: ProtocolOutput) -> float:
-    """Largest coefficient distance from the declared limit forms.
-
-    Evaluated at twice the limit scale so the comparison sits well inside
-    convergence; ports the protocol declares no form for (those that
-    legitimately diverge) are skipped.
+    """Largest coefficient distance from the declared limit forms: each raw
+    difference at the session's precision, converted once. Evaluated at
+    twice the limit scale so the comparison sits well inside convergence;
+    ports the protocol declares no form for (those that legitimately
+    diverge) are skipped.
     """
     evaluator = protocol.evaluator().bind(
         **{p: 2 * protocol.env.limit_scale for p in protocol.limit_params}
     )
-    ports = protocol.all_ports()
+    ports, prec, rnd = protocol.all_ports(), evaluator._prec, evaluator._rnd
     gaps = []
     for name, want in protocol.expected_limit.items():
         have = evaluator.table(ports[name])
         target = evaluator.table(want)
         for mode in have.keys() | target.keys():
-            hc, hd = have.get(mode, (0, 0))
-            tc, td = target.get(mode, (0, 0))
-            gaps += [_magnitude(complex(hc - tc)), _magnitude(complex(hd - td))]
+            for h, t in zip(have.get(mode, _ZEROS), target.get(mode, _ZEROS)):
+                gap = mpc_to_complex(mpc_sub(h._mpc_, t._mpc_, prec, rnd), False, rnd)
+                gaps.append(_magnitude(gap))
     return _worst(gaps)
 
 

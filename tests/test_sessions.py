@@ -7,6 +7,7 @@ import io
 import math
 import operator
 import random
+import types
 import weakref
 from collections import Counter
 from dataclasses import fields, is_dataclass
@@ -49,6 +50,7 @@ from telesim.opalg import (
     ModeExpr,
     ModeId,
     dagger,
+    lin_comb,
     quadrature_variance,
     session_for,
 )
@@ -63,6 +65,7 @@ from telesim.verify import (
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "src" / "telesim" / "golden"
 GOLDENS = sorted(path.stem for path in GOLDEN_DIR.glob("*.tls"))
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
+FIXTURES = sorted(path.stem for path in FIXTURE_DIR.glob("*.tls"))
 
 
 def _golden(name: str):
@@ -593,23 +596,197 @@ def test_verify_evaluates_each_node_once_per_binding(tmp_path, monkeypatch):
         assert binding == root or node in allowed, binding
 
 
+def _refers_to(start, target) -> bool:
+    """Whether target is reachable from start through gc.get_referents,
+    other than through a module, a class or a function."""
+    seen, stack = {id(start)}, [start]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if ref is target:
+                return True
+            if id(ref) not in seen and not isinstance(ref, (types.ModuleType, type, types.FunctionType)):
+                seen.add(id(ref))
+                stack.append(ref)
+    return False
+
+
 def test_verify_converts_each_table_once_per_session(monkeypatch):
     """The kernels convert a (session, table) pair to fixed point at most
-    once, however many pairs and phases read it."""
+    once, however many pairs and phases read it. Each entry is converted to
+    fixed point and to complex at most once in the whole tree of sessions:
+    a bound session converts only the entries a parameter reaches, and
+    takes the rest from the root session's, to which it holds no reference."""
     protocol = evaluate_circuit(parse_circuit(protocol_text("nmode_delayed_telefilter", n=16)))
     converted = []  # the tables themselves, so no id is reused
-    convert = opalg._fixed_table
+    entries = {"fixed": [], "complex": []}  # the entries, likewise kept alive
+    convert, to_complex = opalg._fixed_table, opalg._float_table
 
     def counting(table, bits):
         converted.append(table)
+        entries["fixed"].extend(table.values())
         return convert(table, bits)
 
+    def counting_complex(table, rnd):
+        entries["complex"].extend(table.values())
+        return to_complex(table, rnd)
+
     monkeypatch.setattr(opalg, "_fixed_table", counting)
+    monkeypatch.setattr(opalg, "_float_table", counting_complex)
     suite = verify_suite(protocol)
     assert suite.all_passed
     # each session caches its tables, so a table stands for (session, expression)
     assert len(converted) > len(protocol.quantum_ports())
     assert max(Counter(map(id, converted)).values()) == 1
+
+    root = protocol.evaluator()
+    bound = list(root._derived.values())  # twice the limit scale, and the probe point
+    assert len(bound) == 2
+    dependent, _ = _param_reached_and_leaf_nodes(
+        [coef for expr in protocol.roots() for coef in _coefficients(expr)])
+    at_root, reached = set(), set()
+    for expr in protocol.roots():
+        at_root.update(map(id, root.table(expr).values()))
+        for session in bound:
+            for mode, pair in session.table(expr).items():
+                c, d = expr.terms[mode]
+                if id(c) in dependent or id(d) in dependent:
+                    reached.add(id(pair))
+                else:  # shared with the root session, not made again
+                    assert pair is root.table(expr)[mode]
+    assert reached and not reached & at_root
+    for kind, seen in entries.items():
+        assert max(Counter(map(id, seen)).values()) == 1, kind
+        made_bound = {id(pair) for pair in seen} - at_root
+        assert made_bound and made_bound <= reached, kind
+    for session in bound:
+        assert _refers_to(root, session) and not _refers_to(session, root)
+
+
+def test_the_raw_zero_test_agrees_with_mpc_ne_zero():
+    """The causality scan's test of raw parts against (fzero, fzero) is
+    ``mpc != 0``: exact zeros only are zero; a residue, a value below float
+    range, inf and nan are dependencies."""
+    protocol = _golden("delayed_telefilter")
+    session = protocol.evaluator()
+    ln0 = Call("ln", Num(0))
+    cases = {
+        "zero": ((Num(0), Num(-0.0)), False),
+        "signed zero, cancellation": ((Num(complex(-0.0, -0.0)), Sub(Param("s"), Param("s"))), False),
+        "below float range": ((Mul(Num(1e-200), Num(1e-200)), Num(0)), True),
+        "inf": ((Num(0), ln0), True),
+        "nan": ((Sub(ln0, ln0), Num(0)), True),
+    }
+    for case, (pair, nonzero) in cases.items():
+        expr = ModeExpr({IDS[2]: pair})
+        c, d = session.table(expr)[IDS[2]]
+        assert (c != 0 or d != 0) == nonzero, case
+        want = frozenset({(IDS[2], 1)} if nonzero else ())
+        assert verify._dependency_scan(expr, session) == want, case
+    assert complex(session.table(ModeExpr({IDS[2]: cases["below float range"][0]}))[IDS[2]][0]) == 0
+    # delayed_telefilter's orthogonal port holds residues near 5.8e-154 and below float range
+    orthogonal = protocol.all_ports()["orthogonal"]
+    parts = [abs(z) for pair in session.table(orthogonal).values() for z in pair]
+    assert any(0 < part < 1e-150 for part in parts) and any(0 < part < 1e-320 for part in parts)
+    for expr in [*protocol.all_ports().values(), *protocol.classical.values()]:
+        want = {(m, m.time_bin) for m, (c, d) in session.table(expr).items() if c != 0 or d != 0}
+        assert verify._dependency_scan(expr, session) == want
+
+
+def test_the_declared_limit_gap_is_complex_of_the_mpc_differences():
+    """Raw differences at the session's precision, converted once, give the
+    bits of ``complex(have - want)`` on mpc values, at scales 20 and 60."""
+    checked = 0
+    for name in GOLDENS:
+        for scale in (20.0, 60.0):
+            protocol = _golden(name)
+            if not protocol.expected_limit:
+                continue
+            protocol.env = ParamEnv(dict(protocol.env.values), scale)
+            high = {p: 2 * scale for p in protocol.limit_params}
+            session, ports, gaps = protocol.evaluator().bind(**high), protocol.all_ports(), []
+            for port, want in protocol.expected_limit.items():
+                have, target = session.table(ports[port]), session.table(want)
+                for mode in have.keys() | target.keys():
+                    for h, t in zip(have.get(mode, (0, 0)), target.get(mode, (0, 0))):
+                        gaps.append(verify._magnitude(complex(h - t)))
+            assert verify._declared_limit_gap(protocol).hex() == verify._worst(gaps).hex(), name
+            checked += 1
+    assert checked
+
+
+def _hex_pair(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _sweep_bindings(protocol, seed: str, count: int = 3) -> list[dict]:
+    """Draws of the sweep workload's range, U(0.1, 2.2), for each limit parameter."""
+    rng = random.Random(seed)
+    return [{p: rng.uniform(0.1, 2.2) for p in sorted(protocol.limit_params)} for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "name,n", [(name, None) for name in [*GOLDENS, *FIXTURES]] + [("nmode_delayed_telefilter", 8)]
+)
+def test_the_float_view_is_complex_of_each_entry(name, n):
+    """Each part's float.hex equals complex()'s (infinite_gain's tables hold
+    inf and nan). A rounding mode passed in mpc_to_complex's second slot,
+    strict, would round with round_fast instead."""
+    protocol = evaluate_circuit(parse_circuit(_source(name, n)))
+    root = protocol.evaluator()
+    sessions = [root] + [root.bind(**draw) for draw in _sweep_bindings(protocol, f"floats:{name}")]
+    for session in sessions:
+        for expr in protocol.roots():
+            table, view = session.table(expr), session.floats(expr)
+            assert list(view) == list(table), name
+            for mode, pair in table.items():
+                want = [_hex_pair(complex(z)) for z in pair]
+                assert [_hex_pair(z) for z in view[mode]] == want, (name, mode)
+
+
+def _assert_same_session(got: ModeEvaluator, want: ModeEvaluator, exprs) -> None:
+    """Tables (_mpc_), fixed tables, variance sums and float views (float.hex) equal."""
+    for expr in exprs:
+        table, fresh = got.table(expr), want.table(expr)
+        assert list(table) == list(fresh)
+        for mode, pair in table.items():
+            assert [z._mpc_ for z in pair] == [z._mpc_ for z in fresh[mode]], mode
+            view, fresh_view = got.floats(expr)[mode], want.floats(expr)[mode]
+            assert list(map(_hex_pair, view)) == list(map(_hex_pair, fresh_view)), mode
+        fixed, fresh_fixed = got._fixed(expr), want._fixed(expr)
+        assert fixed == fresh_fixed and (fixed is None or list(fixed) == list(fresh_fixed))
+        assert got._sums(expr) == want._sums(expr)
+
+
+@pytest.mark.parametrize(
+    "name,n", [(name, None) for name in GOLDENS] + [("nmode_delayed_telefilter", k) for k in (8, 16)]
+)
+def test_a_bound_session_matches_a_fresh_session(name, n):
+    """A bound session that takes its invariant entries from the root
+    session's tables, fixed tables and float views matches a session that
+    evaluates and converts every entry itself: the first bound session makes
+    the root's forms, the second reads them, and a session bound from a bound
+    session shares the root's too. A non-root expression is tabled in full."""
+    protocol = evaluate_circuit(parse_circuit(_source(name, n)))
+    root = protocol.evaluator()
+    first, second, third = _sweep_bindings(protocol, f"bound:{name}:{n}")
+    ports = list(protocol.all_ports().values())
+    extra = lin_comb([(0.5, ports[0]), (0.25j, dagger(ports[-1]))])
+    dependent, _ = _param_reached_and_leaf_nodes(
+        [coef for expr in protocol.roots() for coef in _coefficients(expr)])
+    shared_outright = 0
+    for session in (root.bind(**first), root.bind(**second), root.bind(**first).bind(**third)):
+        assert session is not root
+        _assert_same_session(session, ModeEvaluator(session.env), [*protocol.roots(), extra])
+        for expr in protocol.roots():
+            table = session.table(expr)
+            reached = {m for m, (c, d) in expr.terms.items() if {id(c), id(d)} & dependent}
+            for mode, pair in table.items():
+                assert (pair is root.table(expr)[mode]) == (mode not in reached), mode
+            if not reached:  # the root's forms themselves
+                shared_outright += 1
+                assert table is root.table(expr) and session.floats(expr) is root.floats(expr)
+                assert session._fixed(expr) is root._fixed(expr)
+    assert shared_outright
 
 
 # ---------------------------------------------------------------------------
