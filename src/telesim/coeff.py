@@ -16,7 +16,8 @@ digits. A session's precision is ``MP``'s when the session is made; its
 runs and derived sessions keep it. Limit checks substitute scales up to
 twice the default 20, which drives intermediate magnitudes past anything
 float64 can cancel correctly. Each run (:class:`Evaluator`) carries raw
-mpmath tuples and a value memo.
+mpmath tuples and value memos: per distinct function argument, quotient
+operand pair, and operand pair of a binding-invariant product.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import numbers
 from dataclasses import dataclass
 
 import mpmath
-from mpmath.libmp import fone, fzero, mpc_acosh, mpc_add, mpc_conjugate, mpc_cosh, mpc_div
-from mpmath.libmp import mpc_exp, mpc_is_infnan, mpc_log, mpc_mpf_div, mpc_mul, mpc_mul_mpf
-from mpmath.libmp import mpc_neg, mpc_pos, mpc_sinh, mpc_sqrt, mpc_sub, mpc_tanh, mpf_pi
+from mpmath.libmp import fone, fzero, mpc_acosh, mpc_add, mpc_conjugate, mpc_cosh, mpc_div, mpc_exp
+from mpmath.libmp import mpc_is_infnan, mpc_log, mpc_mpf_div, mpc_mul, mpc_mul_mpf, mpc_neg
+from mpmath.libmp import mpc_pos, mpc_sinh, mpc_sqrt, mpc_sub, mpc_tanh, mpf_mul, mpf_neg, mpf_pi
 
 MP = mpmath.mp.clone()
 MP.dps = 160
@@ -297,6 +298,20 @@ def cis(phase) -> CoefExpr:
 _KERNELS = {Add: mpc_add, Sub: mpc_sub, Neg: mpc_neg, Conj: mpc_conjugate}
 
 
+def _mul(x: tuple, y: tuple, prec: int, rnd: str) -> tuple:
+    """mpc_mul(x, y), bit for bit: with finite operands, its terms through a
+    zero part are exact zeros (inf*0 is nan), so each part rounds one product."""
+    if (fzero in x or fzero in y) and not (mpc_is_infnan(x) or mpc_is_infnan(y)):
+        if y[1] == fzero:
+            return mpc_mul_mpf(x, y[0], prec, rnd)
+        if x[1] == fzero:
+            return mpc_mul_mpf(y, x[0], prec, rnd)
+        if y[0] == fzero:  # (a + bi) di = -bd + adi; -bd is exact before its one rounding
+            return mpf_mul(mpf_neg(x[1]), y[1], prec, rnd), mpf_mul(x[0], y[1], prec, rnd)
+        return mpf_mul(mpf_neg(y[1]), x[1], prec, rnd), mpf_mul(y[0], x[1], prec, rnd)
+    return mpc_mul(x, y, prec, rnd)
+
+
 class Tape:
     """A circuit's coefficient nodes as instructions, operands first: node i,
     its structural key ``ops[i]`` (head: class, ``Num`` value, ``Call``
@@ -381,21 +396,22 @@ class Evaluator:
     a :class:`Param` reaches. :meth:`_eval` applies the ``mpmath.libmp``
     kernels of ``MP.mpc`` arithmetic and of ``MP``'s functions, bit for bit,
     to raw ``_mpc_`` tuples at the precision ``MP`` had when the run was
-    made. Equal structure is one instruction already; the value memo computes
-    each distinct function argument and quotient once per run, where unequal
-    structure gives them. Values join the store when :meth:`_run` finishes,
-    never when it raises: the invariant operands it computed, and through
-    :meth:`eval` an invariant root.
+    made. Equal structure is one instruction already; the value memos compute
+    each distinct function argument, quotient and invariant product once per
+    run, where unequal structure gives them. Values join the store when
+    :meth:`_run` finishes, never when it raises: the invariant operands it
+    computed, and through :meth:`eval` an invariant root.
     """
 
     def __init__(self, env: ParamEnv, tape: Tape | None = None):
         self.env = env
         self.tape = tape = Tape() if tape is None else tape
-        self._nodes, self._ops = tape.nodes, tape.ops
+        self._nodes, self._ops, self._dependent = tape.nodes, tape.ops, tape.dependent
         self._prec, self._rnd = MP._prec_rounding
         self._stored = tape.stored.setdefault(self._prec, {})
         self._vals = dict(self._stored)  # instruction -> raw value in this run
-        self._by_input: dict = {}  # Call by (func, argument), Div by operands
+        # Call by (func, argument), Div by operands; binding-invariant Mul by operands
+        self._by_input, self._products = {}, {}
 
     def eval(self, expr: CoefExpr) -> mpmath.mpc:
         tape = self.tape
@@ -438,12 +454,13 @@ class Evaluator:
         _, a, b = self._ops[i]
         cls, x, y = type(node), vals.get(a), vals.get(b)
         if cls is Mul:
-            # times a finite real, mpc_mul's cross terms are exact zeros (inf*0 is nan)
-            if y[1] == fzero and not (mpc_is_infnan(x) or mpc_is_infnan(y)):
-                return mpc_mul_mpf(x, y[0], prec, rnd)
-            if x[1] == fzero and not (mpc_is_infnan(x) or mpc_is_infnan(y)):
-                return mpc_mul_mpf(y, x[0], prec, rnd)
-            return mpc_mul(x, y, prec, rnd)
+            if self._dependent[i]:  # its operands rarely repeat: hashing them costs more
+                return _mul(x, y, prec, rnd)
+            # equal invariant operands come from unequal structure (7/8 * 6/7 is 3/4)
+            value = self._products.get((x, y))
+            if value is None:
+                value = self._products[x, y] = _mul(x, y, prec, rnd)
+            return value
         kernel = _KERNELS.get(cls)
         if kernel is not None:
             return kernel(x, prec, rnd) if y is None else kernel(x, y, prec, rnd)

@@ -156,9 +156,9 @@ class ModeEvaluator:
         self._prec, self._rnd = MP._prec_rounding
         self._bits = self._prec + GUARD_BITS
         self._runs: dict[Tape | None, Evaluator] = {}
-        # slots 0-3 of _caches; _reached: per root, the modes a parameter reaches
-        self._tables, self._fixed_tables, self._floats, self._reached = self._caches = ({}, {}, {}, {})
-        self._variance_sums: dict[ModeExpr, tuple[int, int, int] | None] = {}
+        # the slots of _caches; _reached: per root, the modes a parameter reaches
+        self._caches = ({}, {}, {}, {}, {})
+        self._tables, self._fixed_tables, self._floats, self._reached, self._variance_sums = self._caches
         self._shared = shared  # in a bound session, the caches of the top session it was bound from
         self._roots = tuple(roots)
         self._derived: dict[tuple, ModeEvaluator] = {}
@@ -275,19 +275,31 @@ class ModeEvaluator:
     def _sums(self, expr: ModeExpr) -> tuple[int, int, int] | None:
         """sum(A^2 + C^2), sum(B^2 + D^2), sum(CD - AB) of the fixed table, or
         None if it is not finite: A, B, C, D = cr + dr, ci + di, ci - di, cr - dr
-        are the parts of a = w c + conj(w d) = (wr A - wi B) + i (wr C + wi D)."""
-        if expr not in self._variance_sums:
-            table, sums = self._fixed(expr), None
-            if table is not None:
-                s1 = s2 = s3 = 0
-                for cr, ci, dr, di in table.values():
-                    a, b, c, d = cr + dr, ci + di, ci - di, cr - dr
-                    s1 += a * a + c * c
-                    s2 += b * b + d * d
-                    s3 += c * d - a * b
-                sums = s1, s2, s3
-            self._variance_sums[expr] = sums
-        return self._variance_sums[expr]
+        are the parts of a = w c + conj(w d) = (wr A - wi B) + i (wr C + wi D). A
+        bound session's root swaps reached entries into the top session's sums."""
+        sums = self._variance_sums
+        if expr not in sums:
+            table, shared = self._fixed(expr), self._shared
+            modes = shared and shared[3].get(expr)
+            base = None if modes is None or table is None else shared[1].get(expr)
+            if base is None:  # unshared, or an inf or nan entry in either fixed table
+                sums[expr] = None if table is None else _sum_parts(table.values())
+            else:
+                top = shared[4].get(expr) or shared[4].setdefault(expr, _sum_parts(base.values()))
+                old, new = _sum_parts(base[m] for m in modes), _sum_parts(table[m] for m in modes)
+                sums[expr] = tuple(t - o + n for t, o, n in zip(top, old, new))
+        return sums[expr]
+
+
+def _sum_parts(entries) -> tuple[int, int, int]:
+    """The three sums of :meth:`ModeEvaluator._sums` over fixed-point entries."""
+    s1 = s2 = s3 = 0
+    for cr, ci, dr, di in entries:
+        a, b, c, d = cr + dr, ci + di, ci - di, cr - dr
+        s1 += a * a + c * c
+        s2 += b * b + d * d
+        s3 += c * d - a * b
+    return s1, s2, s3
 
 
 def _float_table(table: NumericTerms, rnd: str) -> dict:

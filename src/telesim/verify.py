@@ -592,10 +592,10 @@ def limit_suite(protocol: ProtocolOutput, params) -> LimitSuite:
 
 def _declared_limit_gap(protocol: ProtocolOutput) -> float:
     """Largest coefficient distance from the declared limit forms: each raw
-    difference at the session's precision, converted once. Evaluated at
-    twice the limit scale so the comparison sits well inside convergence;
-    ports the protocol declares no form for (those that legitimately
-    diverge) are skipped.
+    difference at the session's precision, converted once (the port's float
+    view where the form lacks the mode). Evaluated at twice the limit scale
+    so the comparison sits well inside convergence; ports the protocol
+    declares no form for (those that legitimately diverge) are skipped.
     """
     evaluator = protocol.evaluator().bind(
         **{p: 2 * protocol.env.limit_scale for p in protocol.limit_params}
@@ -603,10 +603,11 @@ def _declared_limit_gap(protocol: ProtocolOutput) -> float:
     ports, prec, rnd = protocol.all_ports(), evaluator._prec, evaluator._rnd
     gaps = []
     for name, want in protocol.expected_limit.items():
-        have = evaluator.table(ports[name])
-        target = evaluator.table(want)
-        for mode in have.keys() | target.keys():
-            for h, t in zip(have.get(mode, _ZEROS), target.get(mode, _ZEROS)):
+        have, target = evaluator.table(ports[name]), evaluator.table(want)
+        for mode in have.keys() - target.keys():  # a value minus an exact zero is that value
+            gaps += map(_magnitude, evaluator.floats(ports[name])[mode])
+        for mode, pair in target.items():
+            for h, t in zip(have.get(mode, _ZEROS), pair):
                 gap = mpc_to_complex(mpc_sub(h._mpc_, t._mpc_, prec, rnd), False, rnd)
                 gaps.append(_magnitude(gap))
     return _worst(gaps)

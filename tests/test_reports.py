@@ -2,13 +2,16 @@
 
 Every ``--format machine`` report below, and the ``protocols list`` table,
 must match its fixture under ``fixtures/reports/`` exactly, exit code
-included. A change that means to alter report bytes regenerates the
-fixtures and says so:
+included. The 16-bin ``verify`` report (137 kB) is pinned by its sha256
+instead. A change that means to alter report bytes regenerates the
+fixtures, which also prints the new sha256 for ``NBIN16_VERIFY_SHA256``,
+and says so:
 
     PYTHONPATH=src python tests/test_reports.py --regenerate
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -39,6 +42,7 @@ CASES = [
     ("verify_delayed_telemirror_scale60", "verify", "delayed_telemirror", "60", 1),
     ("protocols_list", "protocols", "list", None, 0),
 ]
+NBIN16_VERIFY_SHA256 = "2c353aca1609ad299e2aa056b82c90f0b4cc65837824a2389adbe839794c6864"
 
 
 def _fixture(name: str, command: str) -> Path:
@@ -46,9 +50,10 @@ def _fixture(name: str, command: str) -> Path:
 
 
 def _source(name: str, workdir: Path) -> Path:
-    if name == f"nmode_delayed_telefilter_n{NBIN}":
+    if name.startswith("nmode_delayed_telefilter_n"):
         path = workdir / f"{name}.tls"
-        path.write_text(protocol_text("nmode_delayed_telefilter", n=NBIN), encoding="utf-8")
+        n = int(name.rpartition("_n")[2])
+        path.write_text(protocol_text("nmode_delayed_telefilter", n=n), encoding="utf-8")
         return path
     return GOLDEN_DIR / f"{name}.tls"
 
@@ -87,6 +92,16 @@ def test_machine_report_bytes_are_pinned(tmp_path, fixture, command, source, sca
     assert text.encode("utf-8") == _fixture(fixture, command).read_bytes()
 
 
+def _nbin16_verify_sha256(workdir: Path) -> str:
+    code, text = _report("verify", "nmode_delayed_telefilter_n16", None, workdir)
+    assert code == 0
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_the_16_bin_verify_report_sha256_is_pinned(tmp_path):
+    assert _nbin16_verify_sha256(tmp_path) == NBIN16_VERIFY_SHA256
+
+
 def _regenerate(workdir: Path) -> None:
     FIXTURES.mkdir(parents=True, exist_ok=True)
     for fixture, command, source, scale, code in CASES:
@@ -94,6 +109,7 @@ def _regenerate(workdir: Path) -> None:
         if got_code != code:
             raise SystemExit(f"{fixture}: exit code {got_code}, expected {code}")
         _fixture(fixture, command).write_bytes(text.encode("utf-8"))
+    print("NBIN16_VERIFY_SHA256 =", _nbin16_verify_sha256(workdir))
 
 
 if __name__ == "__main__":

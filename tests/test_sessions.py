@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import fnan, from_man_exp, from_rational
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, from_rational, fzero, mpc_mul, mpc_sub
+from mpmath.libmp import mpc_to_complex
 
 from telesim import cli, coeff, opalg, verify
 from telesim.circuit import CircuitError, evaluate_circuit
@@ -366,7 +367,15 @@ SCALARS = st.one_of(
 _OBJECT_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 # "leaf" is exp or ln of a fresh Num; exp takes leaves only: exp of exp of a
 # product can pass mpmath's exponent range and raise OverflowError
-_KINDS = st.sampled_from([Num, "leaf", "ln(0)", Call, Neg, Conj, *_OBJECT_OPS])
+_KINDS = st.sampled_from([Num, "leaf", "ln(0)", Call, Neg, Conj, "imaginary", "again", *_OBJECT_OPS])
+# pure imaginary values: finite, infinite (i ln 0 is nan - i inf) and nan
+_IMAGINARY = [I, Num(0.5j), Num(-3j), Mul(I, PiConst()), Mul(I, Param("x")),
+              Num(complex(0, math.inf)), Num(complex(0, -math.inf)), Num(complex(0, math.nan))]
+
+
+def _same_value(draw, node):
+    """A node of node's value but another structure."""
+    return draw(st.sampled_from([Neg(Neg(node)), Conj(Conj(node)), Add(node, Num(0))]))
 
 
 @st.composite
@@ -375,7 +384,9 @@ def coefficient_dags(draw) -> list:
 
     Operands are drawn from the nodes so far, so subtrees are shared, and
     fresh Nums, exp and ln leaves and quotients repeat values. ln(0) is -inf,
-    so products with it test where real operands may skip mpc_mul.
+    so products with it test where real operands may skip mpc_mul; pure
+    imaginary operands meet finite, infinite and nan partners; "again" is an
+    earlier product's operand values through another structure.
     """
     nodes = [Param("x"), Param("y"), I, PiConst(), Call("ln", Num(0))]
 
@@ -384,7 +395,16 @@ def coefficient_dags(draw) -> list:
 
     for _ in range(draw(st.integers(1, 14))):
         kind = draw(_KINDS)
-        if kind is Num:
+        products = [node for node in nodes if type(node) is Mul]
+        if kind == "again":
+            earlier = draw(st.sampled_from(products)) if products else Mul(pick(), pick())
+            left, right = earlier.left, earlier.right
+            node = Mul(*draw(st.sampled_from([(_same_value(draw, left), right),
+                                              (left, _same_value(draw, right)), (right, left)])))
+        elif kind == "imaginary":
+            partner = pick() if draw(st.booleans()) else Num(draw(SCALARS))
+            node = Mul(*draw(st.permutations([draw(st.sampled_from(_IMAGINARY)), partner])))
+        elif kind is Num:
             node = Num(draw(SCALARS))
         elif kind == "leaf":
             node = Call(draw(st.sampled_from(["exp", "ln"])), Num(draw(SCALARS)))
@@ -445,6 +465,26 @@ def test_raw_evaluation_is_bit_identical_to_object_arithmetic(nodes):
 
 # ---------------------------------------------------------------------------
 # evaluation counts
+
+
+# zero, inf, nan, and mantissas too long for an exact product at either precision
+_PARTS = st.one_of(
+    st.sampled_from([fzero, finf, fninf, fnan]),
+    st.builds(lambda man, exp, neg: from_man_exp(-man if neg else man, exp),
+              st.integers(1 << 300, 1 << 320), st.integers(-200, 200), st.booleans()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(_PARTS, min_size=4, max_size=4), prec=st.sampled_from([53, 532]),
+       rnd=st.sampled_from(["n", "f", "c", "d", "u"]))
+def test_the_product_kernel_is_mpc_mul_under_every_rounding(parts, prec, rnd):
+    """coeff._mul takes shortcuts through zero parts of finite operands:
+    each part it gives is mpc_mul's, bit for bit, in every rounding mode."""
+    xr, xi, yr, yi = parts
+    for x, y in (((xr, xi), (yr, yi)), ((xr, fzero), (fzero, yi)), ((fzero, xi), (yr, yi)),
+                 ((xr, xi), (fzero, yi))):
+        assert coeff._mul(x, y, prec, rnd) == mpc_mul(x, y, prec, rnd), (x, y)
 
 
 def _nodes(roots) -> list:
@@ -692,26 +732,87 @@ def test_the_raw_zero_test_agrees_with_mpc_ne_zero():
         assert verify._dependency_scan(expr, session) == want
 
 
-def test_the_declared_limit_gap_is_complex_of_the_mpc_differences():
+@pytest.mark.parametrize("scale", [20.0, 60.0, 100.0])
+def test_the_declared_limit_gap_is_complex_of_the_mpc_differences(scale):
     """Raw differences at the session's precision, converted once, give the
-    bits of ``complex(have - want)`` on mpc values, at scales 20 and 60."""
-    checked = 0
-    for name in GOLDENS:
-        for scale in (20.0, 60.0):
-            protocol = _golden(name)
-            if not protocol.expected_limit:
-                continue
-            protocol.env = ParamEnv(dict(protocol.env.values), scale)
-            high = {p: 2 * scale for p in protocol.limit_params}
-            session, ports, gaps = protocol.evaluator().bind(**high), protocol.all_ports(), []
-            for port, want in protocol.expected_limit.items():
-                have, target = session.table(ports[port]), session.table(want)
-                for mode in have.keys() | target.keys():
-                    for h, t in zip(have.get(mode, (0, 0)), target.get(mode, (0, 0))):
-                        gaps.append(verify._magnitude(complex(h - t)))
-            assert verify._declared_limit_gap(protocol).hex() == verify._worst(gaps).hex(), name
-            checked += 1
-    assert checked
+    bits of ``complex(have - want)`` on mpc values, and of every mode's raw
+    mpc_sub, though a mode only the port's table holds reads its float view:
+    on every golden with ``expect`` forms and nan_limit_tap, at the CLI's
+    default scale, 60 and 100 (where precision runs out and the mirrors'
+    gaps are huge)."""
+    checked, zeros = {}, (MP.mpc(0), MP.mpc(0))
+    for name in [*GOLDENS, "nan_limit_tap"]:
+        protocol = evaluate_circuit(parse_circuit(_source(name)), ParamEnv({}, scale))
+        if not protocol.expected_limit:
+            continue
+        high = {p: 2 * scale for p in protocol.limit_params}
+        session, ports, gaps, raw_gaps = protocol.evaluator().bind(**high), protocol.all_ports(), [], []
+        for port, want in protocol.expected_limit.items():
+            have, target = session.table(ports[port]), session.table(want)
+            for mode in have.keys() | target.keys():
+                for h, t in zip(have.get(mode, zeros), target.get(mode, zeros)):
+                    gaps.append(verify._magnitude(complex(h - t)))
+                    raw = mpc_sub(h._mpc_, t._mpc_, session._prec, session._rnd)
+                    raw_gaps.append(verify._magnitude(mpc_to_complex(raw, False, session._rnd)))
+        gap = checked[name] = verify._declared_limit_gap(protocol)
+        assert gap.hex() == verify._worst(gaps).hex() == verify._worst(raw_gaps).hex(), name
+    # 2L = 40 makes nan_limit_tap's phase ln(0): a nan gap
+    assert len(checked) > 3 and math.isnan(checked["nan_limit_tap"]) == (scale == 20.0)
+
+
+def _variance_sums_cases():
+    """(protocol, bound sessions): the probe and 2L sessions of an 8-bin
+    ``verify``; infinite_gain bound from t = 0 to t = 1 and back, where one
+    of the two fixed tables holds inf and nan."""
+    protocol = evaluate_circuit(parse_circuit(_source("nmode_delayed_telefilter", 8)))
+    root = protocol.evaluator()
+    yield protocol, [root.bind(**{p: min(protocol.env.values[p], 2.0) for p in protocol.limit_params}),
+                     root.bind(**{p: 2 * protocol.env.limit_scale for p in protocol.limit_params})]
+    for t, other in ((0.0, 1.0), (1.0, 0.0)):
+        protocol = evaluate_circuit(parse_circuit(_source("infinite_gain")), ParamEnv({"t": t}))
+        yield protocol, [protocol.evaluator().bind(t=other)]
+
+
+def test_a_bound_sessions_variance_sums_swap_only_the_reached_entries(monkeypatch):
+    """A bound session takes each root's variance sums from the top
+    session's, minus the reached entries' contributions there, plus its own:
+    the integers of the full walk over its fixed table. Where either fixed
+    table holds inf or nan, it walks its own, or has none."""
+    walked = []
+    plain = opalg._sum_parts
+
+    def counting(entries):
+        entries = list(entries)
+        walked.append(len(entries))
+        return plain(entries)
+
+    monkeypatch.setattr(opalg, "_sum_parts", counting)
+    swapped = unswapped = 0
+    for protocol, sessions in _variance_sums_cases():
+        root = protocol.evaluator()
+        for session in sessions:
+            assert session is not root
+            for expr in protocol.all_ports().values():
+                fresh = ModeEvaluator(session.env)._sums(expr)
+                walked.clear()
+                got, fixed, top = session._sums(expr), session._fixed(expr), root._fixed(expr)
+                want = None
+                if fixed is not None:
+                    want = [0, 0, 0]
+                    for cr, ci, dr, di in fixed.values():
+                        a, b, c, d = cr + dr, ci + di, ci - di, cr - dr
+                        want = [want[0] + a * a + c * c, want[1] + b * b + d * d, want[2] + c * d - a * b]
+                    want = tuple(want)
+                assert got == want == fresh
+                if top is not None and fixed is not None:
+                    reached = len(root._reached[expr])
+                    # the top session's own walk, made once, then the reached entries twice
+                    assert walked in ([reached, reached], [len(top), reached, reached])
+                    swapped += reached < len(fixed)
+                else:
+                    assert walked == ([] if fixed is None else [len(fixed)])
+                    unswapped += 1
+    assert swapped and unswapped == 2
 
 
 def _hex_pair(z: complex) -> tuple[str, str]:
@@ -862,6 +963,43 @@ def test_each_distinct_constant_and_function_argument_is_evaluated_once(monkeypa
     for name, seen in args.items():
         assert seen and len(seen) == len(set(seen)), name
     assert len(args["exp"]) == 5
+
+
+def test_an_invariant_product_is_computed_once_per_distinct_operand_pair(monkeypatch):
+    """The 16-bin root session's run reaches Evaluator._eval once per
+    instruction it computes (none that loading stored), and runs the product
+    kernels once per distinct operand pair of its binding-invariant products
+    plus once per dependent product: 5,022 times for 7,789 products. The
+    builder's splitter ratios meet again as values: 7/8 * 6/7 rounds to 3/4,
+    and exp(i 0) is 1."""
+    protocol = evaluate_circuit(parse_circuit(protocol_text("nmode_delayed_telefilter", n=16)))
+    tape = protocol.circuit.tape
+    stored = set(tape.stored[MP.prec])
+    evaluated: Counter = Counter()
+    invariant_pairs, products, kernel_calls = set(), [], []
+    plain_eval, plain_mul = Evaluator._eval, coeff._mul
+
+    def counting_eval(self, i):
+        evaluated[i] += 1
+        if type(tape.nodes[i]) is Mul:
+            _, a, b = tape.ops[i]
+            products.append(i)
+            if not tape.dependent[i]:
+                invariant_pairs.add((self._vals[a], self._vals[b]))
+        return plain_eval(self, i)
+
+    def counting_mul(x, y, prec, rnd):
+        kernel_calls.append((x, y))
+        return plain_mul(x, y, prec, rnd)
+
+    monkeypatch.setattr(Evaluator, "_eval", counting_eval)
+    monkeypatch.setattr(coeff, "_mul", counting_mul)
+    protocol.evaluator()
+    assert max(evaluated.values()) == 1 and not evaluated.keys() & stored
+    assert len(evaluated) == 11_131 and len(tape.nodes) == 11_160
+    dependent_products = sum(tape.dependent[i] for i in products)
+    assert len(products) == 7_789 and dependent_products == 685
+    assert len(kernel_calls) == len(invariant_pairs) + dependent_products == 5_022
 
 
 def test_the_tape_holds_one_instruction_per_structural_class():
