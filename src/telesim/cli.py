@@ -20,12 +20,18 @@ circuits nested too deep to evaluate, bindings too large to evaluate and
 memory running out.
 TELESIM_LIMIT_SCALE overrides the stand-in value used for parameters
 declared infinite; it must be finite and above zero.
+
+:func:`main` pauses the cyclic garbage collector around each command and
+restores the caller's setting on every exit; the library never touches it.
+Refcounting alone frees what a command made: no session, table or tape
+forms a reference cycle (tests/test_sessions.py checks run, verify, limits).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import inspect
 import json
 import math
@@ -440,8 +446,11 @@ def _require_declared(ast, names) -> None:
 
 def _write_out(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out_path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -599,11 +608,14 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, with the cyclic GC paused, and return its exit code."""
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except ParseError as exc:
@@ -629,6 +641,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory while evaluating the circuit", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Command-line front end: report formats, determinism, exit codes."""
 
+import argparse
+import gc
 import json
 import os
 import subprocess
@@ -205,6 +207,26 @@ def test_run_writes_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(target.read_text())["protocol"] == "delayed_telefilter"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", str(GOLDEN)),
+        ("verify", str(GOLDEN)),
+        ("limits", str(GOLDEN), "--param", "s"),
+        ("protocols", "build", "delayed_telefilter"),
+    ],
+    ids=["run", "verify", "limits", "protocols-build"],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_an_unwritable_out_path_exits_2_with_a_message(tmp_path, capsys, argv, where):
+    target = tmp_path / "no" / "such" / "report.json" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
 
 
 def test_limit_scale_env_var(capsys, monkeypatch):
@@ -458,6 +480,59 @@ def test_one_parser_serves_every_call_of_a_process(capsys):
     assert [code for code, *_ in first] == [0, 2, 0, 0, 0]
     assert telesim.cli._make_parser() is telesim.cli._make_parser()
     assert [run_cli(capsys, *argv) for argv in calls] == first
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "argv, code, handled",
+    [
+        (("verify", str(GOLDEN)), 0, True),
+        (("verify", str(CLONING)), 1, True),
+        (("run", "{tmp}/bad.tls"), 2, True),  # parse error
+        (("run", "/no/such/file.tls"), 2, True),  # usage error
+        (("protocols", "build", "delayed_telefilter", "--out", "{tmp}"), 2, True),
+        (("--help",), 0, False),
+        (("frobnicate",), 2, False),
+    ],
+    ids=["pass", "fail", "parse-error", "usage-error", "write-error", "help", "unknown-command"],
+)
+def test_the_collector_is_paused_for_the_command_and_restored_on_every_exit(
+    tmp_path, capsys, monkeypatch, collecting, argv, code, handled
+):
+    (tmp_path / "bad.tls").write_text("output x = nosuch\n")
+    seen = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording_parse_args(self, *args, **kwargs):
+        parsed = parse_args(self, *args, **kwargs)
+        handler = parsed.handler
+
+        def recording_handler(namespace):
+            seen.append(gc.isenabled())
+            return handler(namespace)
+
+        parsed.handler = recording_handler
+        return parsed
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert run_cli(capsys, *argv)[0] == code
+        assert gc.isenabled() is collecting
+        assert seen == ([False] if handled else [])
+        # an exception that escapes every handler restores the state too
+        monkeypatch.setattr(telesim.cli, "_load_protocol", _raise_runtime_error)
+        with pytest.raises(RuntimeError):
+            main(["verify", str(GOLDEN)])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _raise_runtime_error(*args):
+    raise RuntimeError("escapes")
 
 
 def test_parse_errors_exit_2_with_location(tmp_path, capsys):

@@ -1103,6 +1103,30 @@ def test_verify_frees_its_sessions_and_tape_without_the_cyclic_gc(tmp_path, monk
         assert _telesim_objects() == before
 
 
+@pytest.mark.parametrize("command", ["run", "limits"])
+def test_run_and_limits_free_their_sessions_and_tape_without_the_cyclic_gc(
+    tmp_path, monkeypatch, command
+):
+    """The CLI pauses the cyclic GC for every command, so no command may leave cycles."""
+    path = tmp_path / "nbin8.tls"
+    path.write_text(protocol_text("nmode_delayed_telefilter", n=8))
+    refs = []
+    load = cli._load_protocol
+
+    def recording_load(*args):
+        protocol = load(*args)
+        refs.extend([weakref.ref(protocol.evaluator()), weakref.ref(protocol.circuit.tape)])
+        return protocol
+
+    monkeypatch.setattr(cli, "_load_protocol", recording_load)
+    with _cyclic_gc_off(), contextlib.redirect_stdout(io.StringIO()):
+        gc.collect()
+        before = _telesim_objects()
+        assert cli.main([command, str(path), "--format", "machine"]) == 0
+        assert [ref() for ref in refs] == [None, None]
+        assert _telesim_objects() == before
+
+
 # ---------------------------------------------------------------------------
 # binding-invariant values stored on the tape
 
