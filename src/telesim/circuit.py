@@ -397,11 +397,8 @@ class _Evaluation:
         for stmt in self.ast.statements:
             self._step(stmt, out)
         out.input_registry = list(self.registry.values())
-        tape = self.ast.tape
         for expr in out.roots():
-            # a fold may hand back a foreign node (a module constant, a parser literal)
-            expr.terms = {m: (tape.own(c), tape.own(d)) for m, (c, d) in expr.terms.items()}
-            expr.tape = tape
+            expr.tape = self.ast.tape
         return out
 
     def _step(self, stmt: Stmt, out: ProtocolOutput) -> None:
@@ -494,8 +491,9 @@ def evaluate_circuit(ast: CircuitAst, env: ParamEnv | None = None) -> ProtocolOu
     under, and is attached to the result for later evaluation. The result's
     circuit is an equal copy of ast with a new tape, current while the
     interpreter runs: each coefficient node made meanwhile is numbered on it
-    as it is made, and every output coefficient is the tape's own node. The
-    checks, the output tables and the covariance oracle run on that tape.
+    as it is made; a foreign one (a parser literal, a module constant) joins
+    when first read. The checks, the output tables and the covariance oracle
+    run on that tape.
     """
     evaluation = _Evaluation(ast, env if env is not None else ParamEnv({}))
     outer, Tape.current = Tape.current, evaluation.ast.tape

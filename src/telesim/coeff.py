@@ -16,8 +16,7 @@ digits. A session's precision is ``MP``'s when the session is made; its
 runs and derived sessions keep it. Limit checks substitute scales up to
 twice the default 20, which drives intermediate magnitudes past anything
 float64 can cancel correctly. Each run (:class:`Evaluator`) carries raw
-mpmath tuples and value memos: per distinct function argument, quotient
-operand pair, and operand pair of a binding-invariant product.
+mpmath tuples and one value memo, of its binding-invariant products.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath.libmp import fone, fzero, mpc_acosh, mpc_add, mpc_conjugate, mpc_cosh, mpc_div, mpc_exp
 from mpmath.libmp import mpc_is_infnan, mpc_log, mpc_mpf_div, mpc_mul, mpc_mul_mpf, mpc_neg
-from mpmath.libmp import mpc_pos, mpc_sinh, mpc_sqrt, mpc_sub, mpc_tanh, mpf_mul, mpf_neg, mpf_pi
+from mpmath.libmp import mpc_pos, mpc_sinh, mpc_sqrt, mpc_sub, mpc_tanh, mpf_pi
 
 MP = mpmath.mp.clone()
 MP.dps = 160
@@ -299,16 +298,12 @@ _KERNELS = {Add: mpc_add, Sub: mpc_sub, Neg: mpc_neg, Conj: mpc_conjugate}
 
 
 def _mul(x: tuple, y: tuple, prec: int, rnd: str) -> tuple:
-    """mpc_mul(x, y), bit for bit: with finite operands, its terms through a
-    zero part are exact zeros (inf*0 is nan), so each part rounds one product."""
-    if (fzero in x or fzero in y) and not (mpc_is_infnan(x) or mpc_is_infnan(y)):
-        if y[1] == fzero:
-            return mpc_mul_mpf(x, y[0], prec, rnd)
-        if x[1] == fzero:
-            return mpc_mul_mpf(y, x[0], prec, rnd)
-        if y[0] == fzero:  # (a + bi) di = -bd + adi; -bd is exact before its one rounding
-            return mpf_mul(mpf_neg(x[1]), y[1], prec, rnd), mpf_mul(x[0], y[1], prec, rnd)
-        return mpf_mul(mpf_neg(y[1]), x[1], prec, rnd), mpf_mul(y[0], x[1], prec, rnd)
+    """mpc_mul(x, y), bit for bit: times a finite real, its cross terms are
+    exact zeros (inf*0 is nan), so each part rounds one product."""
+    if y[1] == fzero and not (mpc_is_infnan(x) or mpc_is_infnan(y)):
+        return mpc_mul_mpf(x, y[0], prec, rnd)
+    if x[1] == fzero and not (mpc_is_infnan(x) or mpc_is_infnan(y)):
+        return mpc_mul_mpf(y, x[0], prec, rnd)
     return mpc_mul(x, y, prec, rnd)
 
 
@@ -345,11 +340,6 @@ class Tape:
         self.ops.append(key)
         dep = self.dependent
         dep.append(type(node) is Param or (i >= 0 and dep[i]) or (j >= 0 and dep[j]))
-
-    def own(self, node: CoefExpr) -> CoefExpr:
-        """The instruction node of node, joining node first if it is foreign."""
-        i = self.index.get(id(node))
-        return self.nodes[self.append(node) if i is None else i]
 
     def append(self, root: CoefExpr) -> int:
         """Instruction of root, joining each node of root the tape lacks, operands first."""
@@ -396,11 +386,11 @@ class Evaluator:
     a :class:`Param` reaches. :meth:`_eval` applies the ``mpmath.libmp``
     kernels of ``MP.mpc`` arithmetic and of ``MP``'s functions, bit for bit,
     to raw ``_mpc_`` tuples at the precision ``MP`` had when the run was
-    made. Equal structure is one instruction already; the value memos compute
-    each distinct function argument, quotient and invariant product once per
-    run, where unequal structure gives them. Values join the store when
-    :meth:`_run` finishes, never when it raises: the invariant operands it
-    computed, and through :meth:`eval` an invariant root.
+    made. Equal structure is one instruction already; a value memo computes
+    each distinct invariant product once per run, where unequal structure
+    gives it. Values join the store when :meth:`_run` finishes, never when
+    it raises: the invariant operands it computed, and through :meth:`eval`
+    an invariant root.
     """
 
     def __init__(self, env: ParamEnv, tape: Tape | None = None):
@@ -410,8 +400,7 @@ class Evaluator:
         self._prec, self._rnd = MP._prec_rounding
         self._stored = tape.stored.setdefault(self._prec, {})
         self._vals = dict(self._stored)  # instruction -> raw value in this run
-        # Call by (func, argument), Div by operands; binding-invariant Mul by operands
-        self._by_input, self._products = {}, {}
+        self._products: dict[tuple, tuple] = {}  # binding-invariant Mul by operand values
 
     def eval(self, expr: CoefExpr) -> mpmath.mpc:
         tape = self.tape
@@ -473,15 +462,11 @@ class Evaluator:
             return (mpf_pi(prec, rnd), fzero) if cls is PiConst else (fzero, fone)
         if cls is Num:
             return MP.mpc(node.value)._mpc_
-        # equal values reached through unequal structure: each is computed once
-        key = (node.func, x) if cls is Call else (x, y)
-        if cls is Div and y == (fzero, fzero):
+        if cls is Call:
+            return _FUNCTIONS[node.func](x, prec, rnd)
+        if y == (fzero, fzero):
             raise CoefficientError("division by zero")
-        value = self._by_input.get(key)
-        if value is None:
-            value = _FUNCTIONS[key[0]](x, prec, rnd) if cls is Call else mpc_div(x, y, prec, rnd)
-            self._by_input[key] = value
-        return value
+        return mpc_div(x, y, prec, rnd)
 
 
 def evaluate(expr: CoefExpr, env: ParamEnv) -> complex:

@@ -146,8 +146,8 @@ class ModeEvaluator:
     products and round once. As |x - x~| < 2^-P and |x~| <= |x|, each part
     of a product moves by at most 2^-P (|x|_1 + |y|_1), |z|_1 = |Re z| +
     |Im z|. One walk gives both commutators of a pair; a variance reads
-    three sums per table, made once per session. An inf or nan entry makes
-    every kernel reading its table give nan.
+    three sums per table, each session's own walk of its whole fixed table.
+    An inf or nan entry makes every kernel reading its table give nan.
     """
 
     def __init__(self, env: ParamEnv, roots: tuple[ModeExpr, ...] = (), shared: tuple | None = None):
@@ -157,8 +157,9 @@ class ModeEvaluator:
         self._bits = self._prec + GUARD_BITS
         self._runs: dict[Tape | None, Evaluator] = {}
         # the slots of _caches; _reached: per root, the modes a parameter reaches
-        self._caches = ({}, {}, {}, {}, {})
-        self._tables, self._fixed_tables, self._floats, self._reached, self._variance_sums = self._caches
+        self._caches = ({}, {}, {}, {})
+        self._tables, self._fixed_tables, self._floats, self._reached = self._caches
+        self._variance_sums: dict[ModeExpr, tuple | None] = {}
         self._shared = shared  # in a bound session, the caches of the top session it was bound from
         self._roots = tuple(roots)
         self._derived: dict[tuple, ModeEvaluator] = {}
@@ -275,19 +276,12 @@ class ModeEvaluator:
     def _sums(self, expr: ModeExpr) -> tuple[int, int, int] | None:
         """sum(A^2 + C^2), sum(B^2 + D^2), sum(CD - AB) of the fixed table, or
         None if it is not finite: A, B, C, D = cr + dr, ci + di, ci - di, cr - dr
-        are the parts of a = w c + conj(w d) = (wr A - wi B) + i (wr C + wi D). A
-        bound session's root swaps reached entries into the top session's sums."""
+        are the parts of a = w c + conj(w d) = (wr A - wi B) + i (wr C + wi D). Each
+        session walks its own fixed table, once per expression."""
         sums = self._variance_sums
         if expr not in sums:
-            table, shared = self._fixed(expr), self._shared
-            modes = shared and shared[3].get(expr)
-            base = None if modes is None or table is None else shared[1].get(expr)
-            if base is None:  # unshared, or an inf or nan entry in either fixed table
-                sums[expr] = None if table is None else _sum_parts(table.values())
-            else:
-                top = shared[4].get(expr) or shared[4].setdefault(expr, _sum_parts(base.values()))
-                old, new = _sum_parts(base[m] for m in modes), _sum_parts(table[m] for m in modes)
-                sums[expr] = tuple(t - o + n for t, o, n in zip(top, old, new))
+            table = self._fixed(expr)
+            sums[expr] = None if table is None else _sum_parts(table.values())
         return sums[expr]
 
 

@@ -760,61 +760,6 @@ def test_the_declared_limit_gap_is_complex_of_the_mpc_differences(scale):
     assert len(checked) > 3 and math.isnan(checked["nan_limit_tap"]) == (scale == 20.0)
 
 
-def _variance_sums_cases():
-    """(protocol, bound sessions): the probe and 2L sessions of an 8-bin
-    ``verify``; infinite_gain bound from t = 0 to t = 1 and back, where one
-    of the two fixed tables holds inf and nan."""
-    protocol = evaluate_circuit(parse_circuit(_source("nmode_delayed_telefilter", 8)))
-    root = protocol.evaluator()
-    yield protocol, [root.bind(**{p: min(protocol.env.values[p], 2.0) for p in protocol.limit_params}),
-                     root.bind(**{p: 2 * protocol.env.limit_scale for p in protocol.limit_params})]
-    for t, other in ((0.0, 1.0), (1.0, 0.0)):
-        protocol = evaluate_circuit(parse_circuit(_source("infinite_gain")), ParamEnv({"t": t}))
-        yield protocol, [protocol.evaluator().bind(t=other)]
-
-
-def test_a_bound_sessions_variance_sums_swap_only_the_reached_entries(monkeypatch):
-    """A bound session takes each root's variance sums from the top
-    session's, minus the reached entries' contributions there, plus its own:
-    the integers of the full walk over its fixed table. Where either fixed
-    table holds inf or nan, it walks its own, or has none."""
-    walked = []
-    plain = opalg._sum_parts
-
-    def counting(entries):
-        entries = list(entries)
-        walked.append(len(entries))
-        return plain(entries)
-
-    monkeypatch.setattr(opalg, "_sum_parts", counting)
-    swapped = unswapped = 0
-    for protocol, sessions in _variance_sums_cases():
-        root = protocol.evaluator()
-        for session in sessions:
-            assert session is not root
-            for expr in protocol.all_ports().values():
-                fresh = ModeEvaluator(session.env)._sums(expr)
-                walked.clear()
-                got, fixed, top = session._sums(expr), session._fixed(expr), root._fixed(expr)
-                want = None
-                if fixed is not None:
-                    want = [0, 0, 0]
-                    for cr, ci, dr, di in fixed.values():
-                        a, b, c, d = cr + dr, ci + di, ci - di, cr - dr
-                        want = [want[0] + a * a + c * c, want[1] + b * b + d * d, want[2] + c * d - a * b]
-                    want = tuple(want)
-                assert got == want == fresh
-                if top is not None and fixed is not None:
-                    reached = len(root._reached[expr])
-                    # the top session's own walk, made once, then the reached entries twice
-                    assert walked in ([reached, reached], [len(top), reached, reached])
-                    swapped += reached < len(fixed)
-                else:
-                    assert walked == ([] if fixed is None else [len(fixed)])
-                    unswapped += 1
-    assert swapped and unswapped == 2
-
-
 def _hex_pair(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
@@ -859,17 +804,21 @@ def _assert_same_session(got: ModeEvaluator, want: ModeEvaluator, exprs) -> None
 
 
 @pytest.mark.parametrize(
-    "name,n", [(name, None) for name in GOLDENS] + [("nmode_delayed_telefilter", k) for k in (8, 16)]
+    "name,n,t", [(name, None, None) for name in GOLDENS] + [("nmode_delayed_telefilter", k, None) for k in (8, 16)]
+    + [("infinite_gain", None, t) for t in (0.0, 1.0)]
 )
-def test_a_bound_session_matches_a_fresh_session(name, n):
+def test_a_bound_session_matches_a_fresh_session(name, n, t):
     """A bound session that takes its invariant entries from the root
     session's tables, fixed tables and float views matches a session that
     evaluates and converts every entry itself: the first bound session makes
     the root's forms, the second reads them, and a session bound from a bound
-    session shares the root's too. A non-root expression is tabled in full."""
-    protocol = evaluate_circuit(parse_circuit(_source(name, n)))
+    session shares the root's too. A non-root expression is tabled in full.
+    infinite_gain, made at t = 0 or 1 and bound to the other, holds inf and
+    nan in the root's fixed table or in the bound session's."""
+    env = None if t is None else ParamEnv({"t": t})
+    protocol = evaluate_circuit(parse_circuit(_source(name, n)), env)
     root = protocol.evaluator()
-    first, second, third = _sweep_bindings(protocol, f"bound:{name}:{n}")
+    first, second, third = _sweep_bindings(protocol, f"bound:{name}:{n}") if t is None else [{"t": 1 - t}] * 3
     ports = list(protocol.all_ports().values())
     extra = lin_comb([(0.5, ports[0]), (0.25j, dagger(ports[-1]))])
     dependent, _ = _param_reached_and_leaf_nodes(
@@ -887,7 +836,32 @@ def test_a_bound_session_matches_a_fresh_session(name, n):
                 shared_outright += 1
                 assert table is root.table(expr) and session.floats(expr) is root.floats(expr)
                 assert session._fixed(expr) is root._fixed(expr)
-    assert shared_outright
+    assert shared_outright or name == "infinite_gain"  # t reaches every entry there
+
+
+def test_a_bound_session_converts_its_own_table_when_the_root_overflows():
+    """At r = 40 the root's entries pass 2^65536, past the exact sums' range:
+    its variances raise. A session bound to r = 0.01 cannot take the root's
+    fixed forms then, so it converts its own table, as a fresh session does."""
+    source = """param r = 40
+mode signal a rail=in bin=0
+mode vacuum b rail=b bin=0
+(x, y) = squeeze(a, b, gain=2000*r, phase=0)
+output out = x
+output other = y
+"""
+    protocol = evaluate_circuit(parse_circuit(source))
+    root = protocol.evaluator()
+    ports = list(protocol.all_ports().values())
+    for expr in ports:
+        with pytest.raises(OverflowError, match="the exact sums' range"):
+            root.variance(expr, 0.3)
+    bound = root.bind(r=0.01)
+    fresh = ModeEvaluator(bound.env)
+    _assert_same_session(bound, fresh, ports)
+    for expr in ports:
+        assert bound.variance(expr, 0.3)._mpf_ == fresh.variance(expr, 0.3)._mpf_
+        assert float(bound.variance(expr, 0.3)) == pytest.approx(1.177e17, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -934,18 +908,22 @@ def test_audit_under_one_bare_env_evaluates_each_node_once_per_binding(monkeypat
             assert sorted(evaluated) == sorted({classes[node] for node in dependent})
 
 
-def test_each_distinct_constant_and_function_argument_is_evaluated_once(monkeypatch):
-    # the splitters of an n-bin circuit each build their own cis(phi), sqrt(alpha)
-    # and Num nodes; the 16-bin root binding has 5 distinct exp arguments
+def test_each_distinct_constant_is_converted_once(monkeypatch):
+    # the splitters of an n-bin circuit each build their own cis(phi) and Num
+    # nodes; interned, each distinct Num is one instruction, converted once, and
+    # the root run calls exp once per exp instruction it computes
     protocol = evaluate_circuit(parse_circuit(protocol_text("nmode_delayed_telefilter", n=16)))
-    args: dict[str, list] = {"exp": [], "sqrt": [], "Num": []}
-    for name in ("exp", "sqrt"):
+    tape = protocol.circuit.tape
+    stored = tape.stored[MP.prec]
+    exps = [i for i, node in enumerate(tape.nodes)
+            if type(node) is Call and node.func == "exp" and i not in stored]
+    args: dict[str, list] = {"exp": [], "Num": []}
 
-        def counted(x, prec, rnd, _plain=coeff._FUNCTIONS[name], _args=args[name]):
-            _args.append(x)
-            return _plain(x, prec, rnd)
+    def counted(x, prec, rnd, _plain=coeff._FUNCTIONS["exp"]):
+        args["exp"].append(x)
+        return _plain(x, prec, rnd)
 
-        monkeypatch.setitem(coeff._FUNCTIONS, name, counted)
+    monkeypatch.setitem(coeff._FUNCTIONS, "exp", counted)
 
     class CountingContext:
         """coeff's MP, recording each complex it converts: a Num's value."""
@@ -960,9 +938,8 @@ def test_each_distinct_constant_and_function_argument_is_evaluated_once(monkeypa
 
     monkeypatch.setattr(coeff, "MP", CountingContext())
     protocol.evaluator()
-    for name, seen in args.items():
-        assert seen and len(seen) == len(set(seen)), name
-    assert len(args["exp"]) == 5
+    assert args["Num"] and len(args["Num"]) == len(set(args["Num"]))
+    assert exps and len(args["exp"]) == len(exps)
 
 
 def test_an_invariant_product_is_computed_once_per_distinct_operand_pair(monkeypatch):
@@ -1230,11 +1207,7 @@ def test_the_tape_structure_is_pinned(name, n, monkeypatch):
     assert (len(tape.nodes), sum(tape.dependent)) == TAPE_COUNTS[name, n]
     assert len(tape.ops) == len(tape.dependent) == len(tape.nodes)
     assert all(tape.keys[key] == i and max(key[1:]) < i for i, key in enumerate(tape.ops))
-    # ports, records, the target and the forms hold the tape's own nodes only
-    for expr in protocol.roots():
-        for coef in _coefficients(expr):
-            assert tape.nodes[tape.index[id(coef)]] is coef, (expr, coef)
-    # and every instruction is reached from them
+    # every instruction is reached from the ports, records, target and forms
     reached, todo = set(), [tape.index[id(c)] for e in protocol.roots() for c in _coefficients(e)]
     while todo:
         i = todo.pop()
