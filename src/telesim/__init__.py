@@ -4,10 +4,12 @@ Circuits are lists of statements over symbolic scalar coefficients; every
 wire carries an exact linear combination of input creation/annihilation
 operators. The layers stack as coefficients -> operator algebra ->
 elements -> circuits -> protocol builders, with an independent analysis
-module and a text front end on top. Circuits (parse_circuit,
-evaluate_circuit, build) are the validated entry point; the element algebra
-in telesim.elements checks nothing and is not exported here. Numbers come
-from a ModeEvaluator session: its tables, commutators and variances.
+module and a text front end on top. The protocol builders (PROTOCOLS, build,
+protocol_text) load on first use, so a process that only reads circuit
+files never compiles them. Circuits (parse_circuit, evaluate_circuit, build)
+are the validated entry point; the element algebra in telesim.elements
+checks nothing and is not exported here. Numbers come from a ModeEvaluator
+session: its tables, commutators and variances.
 """
 
 from .circuit import (
@@ -32,7 +34,6 @@ from .opalg import (
     prune_for_display,
     quadrature_variance,
 )
-from .protocols import PROTOCOLS, build, protocol_text
 from .verify import (
     BogoliubovReport,
     CovarianceRecord,
@@ -48,3 +49,17 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+_BUILDER_NAMES = ("PROTOCOLS", "build", "protocol_text")
+
+
+def __getattr__(name):
+    if name in _BUILDER_NAMES:
+        from . import protocols
+
+        return getattr(protocols, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return [*globals(), *_BUILDER_NAMES]

@@ -46,6 +46,8 @@ from .opalg import ModeEvaluator, ModeExpr, ModeId, ModeKind, dagger, input_mode
 
 @dataclass(frozen=True)
 class Loc:
+    """A statement's position in circuit source: 1-based line and column."""
+
     line: int
     column: int
 
@@ -65,12 +67,16 @@ class CircuitError(Exception):
 
 @dataclass(frozen=True)
 class Stmt:
-    # source position; never part of structural equality
+    """Base of every circuit statement: its source position."""
+
+    # never part of structural equality
     loc: Loc = field(compare=False)
 
 
 @dataclass(frozen=True)
 class ParamDecl(Stmt):
+    """``param name = value``, or ``= infinity`` for a scale parameter."""
+
     name: str
     value: float | None
     infinite: bool = False
@@ -78,6 +84,8 @@ class ParamDecl(Stmt):
 
 @dataclass(frozen=True)
 class ModeDecl(Stmt):
+    """``mode kind name rail=... bin=...``: one input mode of the circuit."""
+
     kind: ModeKind
     name: str
     rail: str
@@ -86,6 +94,8 @@ class ModeDecl(Stmt):
 
 @dataclass(frozen=True)
 class SplitStmt(Stmt):
+    """``(out_minus, out_plus) = split(in_t, in_r, alpha=..., phi=...)``."""
+
     out_minus: str
     out_plus: str
     in_t: str
@@ -96,6 +106,8 @@ class SplitStmt(Stmt):
 
 @dataclass(frozen=True)
 class SqueezeStmt(Stmt):
+    """``(out1, out2) = squeeze(in1, in2, gain=..., phase=...)``: two-mode squeezing."""
+
     out1: str
     out2: str
     in1: str
@@ -106,6 +118,8 @@ class SqueezeStmt(Stmt):
 
 @dataclass(frozen=True)
 class UnsqueezeStmt(Stmt):
+    """``(out1, out2) = unsqueeze(in1, in2, gain=...)``: the inverse squeezer."""
+
     out1: str
     out2: str
     in1: str
@@ -115,6 +129,8 @@ class UnsqueezeStmt(Stmt):
 
 @dataclass(frozen=True)
 class PhaseStmt(Stmt):
+    """``out = phase(operand, phi=...)``: a phase shift."""
+
     out: str
     operand: str
     phi: CoefExpr
@@ -122,6 +138,8 @@ class PhaseStmt(Stmt):
 
 @dataclass(frozen=True)
 class HomodyneStmt(Stmt):
+    """``out = homodyne(signal, resource, xphase=..., pphase=...)``: a dual-homodyne record."""
+
     out: str
     signal: str
     resource: str
@@ -131,12 +149,16 @@ class HomodyneStmt(Stmt):
 
 @dataclass(frozen=True)
 class CombineStmt(Stmt):
+    """``out = combine(w1*rec1, ...)``: a weighted sum of measurement records."""
+
     out: str
     terms: tuple[tuple[CoefExpr, str], ...]
 
 
 @dataclass(frozen=True)
 class DisplaceStmt(Stmt):
+    """``out = displace(resource, record, gain=...[, bin=...])``: feed-forward of a record."""
+
     out: str
     resource: str
     record: str
@@ -203,6 +225,8 @@ ROLES = ("transmitted", "reflected", "tap")
 
 @dataclass(frozen=True)
 class OutputStmt(Stmt):
+    """``output name = wire [bin=...] [role=...]``: one declared output."""
+
     name: str
     wire: str
     slot_bin: int | None = None
@@ -211,6 +235,8 @@ class OutputStmt(Stmt):
 
 @dataclass(frozen=True)
 class ProtocolDecl(Stmt):
+    """``protocol name(args)``: the builder and arguments a circuit came from."""
+
     name: str
     args: tuple[tuple[str, object], ...]
 
@@ -218,11 +244,15 @@ class ProtocolDecl(Stmt):
 # mode forms: (weight, declared mode, creation) terms, creation meaning a^dag
 @dataclass(frozen=True)
 class TargetStmt(Stmt):
+    """``target = ...``: the signal mode that selectivity is judged against."""
+
     terms: tuple[tuple[CoefExpr, str, bool], ...]
 
 
 @dataclass(frozen=True)
 class ExpectStmt(Stmt):
+    """``expect port = ...``: the port's form as the infinite parameters grow."""
+
     port: str
     terms: tuple[tuple[CoefExpr, str, bool], ...]
 
@@ -248,6 +278,8 @@ class CircuitAst:
 
 @dataclass(frozen=True)
 class PortTiming:
+    """A port's temporal slot and the bin the device can first emit it in."""
+
     slot_bin: int
     emission_bin: int
 
@@ -339,6 +371,8 @@ def merge_env(ast: CircuitAst, env: ParamEnv) -> tuple[ParamEnv, list[str]]:
 
 @dataclass(slots=True)
 class _Wire:
+    """A bound wire name: its mode expression, emission bin and kind."""
+
     value: ModeExpr
     bin: int
     kind: str

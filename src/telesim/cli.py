@@ -3,7 +3,9 @@
 The CLI parses arguments, loads circuit files and renders reports; the
 checks and analyses it reports live in :mod:`telesim.verify`. run, verify
 and limits never consult the protocol registry: a file's ``target`` and
-``expect`` statements are its whole oracle.
+``expect`` statements are its whole oracle. So :mod:`telesim.protocols`
+loads on first use, inside the two protocols subcommands, and a process
+that runs, verifies or pushes limits never compiles the builders.
 
 Subcommands: run (evaluate a circuit file and report), verify (the
 :func:`~telesim.verify.verify_suite` checks, nonzero exit on any failure),
@@ -33,15 +35,15 @@ import argparse
 import functools
 import gc
 import inspect
-import json
 import math
 import os
 import sys
 import types
 import typing
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
-from . import __version__, protocols
+from . import __version__
 from .circuit import CircuitError, ProtocolOutput, evaluate_circuit
 from .coeff import CoefficientError, ParamEnv
 from .dsl import ParseError, parse_circuit
@@ -104,23 +106,55 @@ class ReportDocument:
 
     def render(self) -> str:
         if self.format == "machine":
-            try:
-                text = json.dumps(self.payload, sort_keys=True, indent=2, allow_nan=False)
-            except ValueError:  # a non-finite number: strict JSON has none
-                text = json.dumps(_spelled(self.payload), sort_keys=True, indent=2)
-            return text + "\n"
+            return _machine_json(self.payload) + "\n"
         return _render_text(self.payload)
 
 
-def _spelled(value):
-    """value with each non-finite float spelled as the string "nan", "inf" or "-inf"."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
+def _machine_json(value, newline: str = "\n") -> str:
+    """value as machine-format JSON text; newline is the line break and
+    indent of value's own line.
+
+    The bytes equal ``json.dumps(value, sort_keys=True, indent=2)`` once
+    each non-finite float in value is replaced by the string "nan", "inf"
+    or "-inf", so the text is strict JSON. A non-empty object or array puts
+    each item on its own line, two spaces deeper than its own line, with a
+    comma after every item but the last, and its closing bracket on a line
+    at its own depth; object items are sorted by key and written
+    ``"key": value``. An empty one is ``{}`` or ``[]``. Keys and strings go
+    through ``json.encoder.encode_basestring_ascii`` (ASCII, escaped),
+    floats through ``float.__repr__``, ints through ``int.__repr__``, and
+    None, True and False are null, true and false. Lists and tuples are
+    arrays; keys must be strings. Each container is joined from its items'
+    strings, so no list of every piece of the document is built.
+    """
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return text if math.isfinite(value) else f'"{text}"'
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = newline + "  "
     if isinstance(value, dict):
-        return {key: _spelled(item) for key, item in value.items()}
+        if not value:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(key)}: {_machine_json(item, inner)}"
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)):
-        return [_spelled(item) for item in value]
-    return value
+        if not value:
+            return "[]"
+        items = [_machine_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _base_payload(protocol: ProtocolOutput) -> dict:
@@ -491,6 +525,8 @@ def _limits_command(args) -> int:
 
 
 def _protocols_list_command(args) -> int:
+    from . import protocols
+
     rows = [["name", "arguments", "summary"]]
     for name, builder in protocols.PROTOCOLS.items():
         pieces = []
@@ -536,6 +572,8 @@ def _parse_protocol_args(builder, items: list[str]) -> dict:
 
 
 def _protocols_build_command(args) -> int:
+    from . import protocols
+
     builder = protocols.PROTOCOLS.get(args.name)
     if builder is None:
         known = ", ".join(protocols.PROTOCOLS)

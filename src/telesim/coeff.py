@@ -108,6 +108,8 @@ class CoefExpr:
 
 @dataclass(frozen=True)
 class Num(CoefExpr):
+    """A complex constant."""
+
     value: complex
 
     def __post_init__(self):
@@ -116,56 +118,71 @@ class Num(CoefExpr):
 
 @dataclass(frozen=True)
 class Param(CoefExpr):
+    """The value the binding gives the named real parameter."""
+
     name: str
 
 
 @dataclass(frozen=True)
 class PiConst(CoefExpr):
-    pass
+    """The constant pi, at the run's precision."""
 
 
 @dataclass(frozen=True)
 class ImagUnit(CoefExpr):
-    pass
+    """The imaginary unit i."""
 
 
 @dataclass(frozen=True)
 class Add(CoefExpr):
+    """The sum left + right."""
+
     left: CoefExpr
     right: CoefExpr
 
 
 @dataclass(frozen=True)
 class Sub(CoefExpr):
+    """The difference left - right."""
+
     left: CoefExpr
     right: CoefExpr
 
 
 @dataclass(frozen=True)
 class Mul(CoefExpr):
+    """The product left * right."""
+
     left: CoefExpr
     right: CoefExpr
 
 
 @dataclass(frozen=True)
 class Div(CoefExpr):
+    """The quotient left / right."""
+
     left: CoefExpr
     right: CoefExpr
 
 
 @dataclass(frozen=True)
 class Neg(CoefExpr):
+    """The negation -operand."""
+
     operand: CoefExpr
 
 
 @dataclass(frozen=True)
 class Conj(CoefExpr):
-    # internal only: produced by dagger(), never by the parser
+    """The complex conjugate of operand; made by dagger(), never by the parser."""
+
     operand: CoefExpr
 
 
 @dataclass(frozen=True)
 class Call(CoefExpr):
+    """The function named func (one of FUNCTION_NAMES) applied to arg."""
+
     func: str
     arg: CoefExpr
 

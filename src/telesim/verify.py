@@ -507,11 +507,15 @@ def selectivity_report(protocol: ProtocolOutput) -> SelectivityReport:
     Judged at the high-entanglement limit: every parameter the protocol
     declares as tending to infinity is pinned at the limit scale, whatever
     finite value the caller evaluated at. Reads that binding's float views
-    of the target and transmitted ports, and their variances.
+    of the target and transmitted ports, and their variances. Raises
+    ValueError when there is no target, no transmitted port to judge or a
+    target that is not normalized.
     """
     target = protocol.target
     if target is None:
         raise ValueError("protocol declares no target mode")
+    if not protocol.transmitted:
+        raise ValueError("target declared but no transmitted port: no output has role=transmitted")
     base = protocol.evaluator()
     evaluator = base.bind(**{p: base.env.limit_scale for p in protocol.limit_params})
 

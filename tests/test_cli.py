@@ -448,6 +448,21 @@ def test_unnormalized_target_exits_2(tmp_path, capsys, command, target):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize(
+    "tap",
+    ["", "mode vacuum v rail=aux bin=0\noutput aux = v role=tap\n"],
+    ids=["reflected", "reflected-and-tap"],
+)
+def test_a_target_without_a_transmitted_port_exits_2(tmp_path, capsys, command, tap):
+    # selectivity picks its clean port among the transmitted ones
+    path = tmp_path / "teleporter.tls"
+    path.write_text(HANDWRITTEN.replace("role=transmitted", "role=reflected") + tap + "target = 1*j\n")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: target declared but no transmitted port: no output has role=transmitted\n"
+
+
 def test_limits_command_reports_convergence(capsys):
     code, out, _ = run_cli(capsys, "limits", str(GOLDEN), "--param", "s")
     assert code == 0
@@ -543,18 +558,54 @@ def test_parse_errors_exit_2_with_location(tmp_path, capsys):
     assert "line 2" in err and "column 12" in err
 
 
-def test_console_entry_point():
+def _child(*argv):
     # the child imports the same telesim as this process, installed or not
     package_root = str(Path(telesim.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    proc = subprocess.run(
-        [sys.executable, "-m", "telesim.cli", "protocols", "list"],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, path]))},
     )
+
+
+def test_console_entry_point():
+    proc = _child("-m", "telesim.cli", "protocols", "list")
     assert proc.returncode == 0
     assert "nodelay_telemirror" in proc.stdout
+
+
+STARTUP = """
+import contextlib, io, json, sys
+import telesim, telesim.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [telesim.cli.main([command, sys.argv[1], "--format", "machine"])
+             for command in ("run", "verify", "limits")]
+seen = {"codes": codes, "loaded": "telesim.protocols" in sys.modules}
+seen["listed"] = sorted({"PROTOCOLS", "build", "protocol_text"} & set(dir(telesim)))
+seen["text"] = telesim.protocol_text("delayed_telefilter")
+from telesim import PROTOCOLS, build
+seen["build"] = build is telesim.protocols.build and PROTOCOLS is telesim.protocols.PROTOCOLS
+try:
+    telesim.nope
+except AttributeError as exc:
+    seen["nope"] = str(exc)
+print(json.dumps(seen))
+"""
+
+
+def test_run_verify_and_limits_never_load_the_protocol_builders():
+    # start-up compiles every module a command imports; the builders load on first use
+    proc = _child("-c", STARTUP, str(GOLDEN))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["codes"] == [0, 0, 0]
+    assert seen["loaded"] is False
+    assert seen["listed"] == ["PROTOCOLS", "build", "protocol_text"]
+    assert seen["text"] == GOLDEN.read_text()
+    assert seen["build"] is True
+    assert seen["nope"] == "module 'telesim' has no attribute 'nope'"
 
 
 def test_too_deep_circuit_exits_2_with_a_message(capsys, monkeypatch):

@@ -13,13 +13,16 @@ and says so:
 import contextlib
 import hashlib
 import io
+import json
+import math
 import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from telesim.cli import SCALE_ENV_VAR, main
+from telesim.cli import SCALE_ENV_VAR, ReportDocument, main
 from telesim.protocols import protocol_text
 
 HERE = Path(__file__).resolve().parent
@@ -100,6 +103,37 @@ def _nbin16_verify_sha256(workdir: Path) -> str:
 
 def test_the_16_bin_verify_report_sha256_is_pinned(tmp_path):
     assert _nbin16_verify_sha256(tmp_path) == NBIN16_VERIFY_SHA256
+
+
+def _spelled(value):
+    """value with each non-finite float spelled as the string "nan", "inf" or "-inf"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _spelled(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spelled(item) for item in value]
+    return value
+
+
+_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_the_machine_writer_writes_the_bytes_of_json_dumps(payload):
+    # the reference is the writer it replaced: json.dumps of the spelled payload
+    want = json.dumps(_spelled(payload), sort_keys=True, indent=2) + "\n"
+    assert ReportDocument(payload, "machine").render() == want
 
 
 def _regenerate(workdir: Path) -> None:
