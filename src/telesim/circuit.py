@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .coeff import CoefExpr, CoefficientError, Evaluator, ParamEnv, Tape
+from .coeff import CoefExpr, CoefficientError, Evaluator, ParamEnv, Tape, to_complex
 from .elements import (
     apply_inverse_squeezer,
     apply_phase_shift,
@@ -305,7 +305,7 @@ class ProtocolOutput:
     classical: dict[str, ModeExpr] = field(default_factory=dict)
     taps: dict[str, ModeExpr] = field(default_factory=dict)
     input_registry: list[ModeId] = field(default_factory=list)
-    expected_limit: dict[str, ModeExpr] | None = None
+    expected_limit: dict[str, ModeExpr] = field(default_factory=dict)
     port_bins: dict[str, PortTiming] = field(default_factory=dict)
     circuit: CircuitAst | None = None
     env: ParamEnv = field(default_factory=lambda: ParamEnv({}))
@@ -335,8 +335,8 @@ class ProtocolOutput:
         """Every expression the analyses table: ports, classical records,
         the target and the declared limit forms."""
         target = () if self.target is None else (self.target,)
-        limits = (self.expected_limit or {}).values()
-        return (*self.all_ports().values(), *self.classical.values(), *target, *limits)
+        return (*self.all_ports().values(), *self.classical.values(), *target,
+                *self.expected_limit.values())
 
     def quantum_ports(self) -> dict[str, ModeExpr]:
         ports = dict(self.transmitted)
@@ -389,7 +389,7 @@ class _Evaluation:
 
     def scalar(self, expr: CoefExpr, loc: Loc, what: str) -> complex:
         try:
-            return complex(self.coef.eval(expr))
+            return to_complex(self.coef.eval(expr))
         except CoefficientError as exc:
             raise CircuitError(f"cannot evaluate {what}: {exc}", loc) from exc
 
@@ -487,7 +487,6 @@ class _Evaluation:
                 raise CircuitError(f"no quantum output {stmt.port!r} to expect", loc)
             if not any(decl.infinite for decl in self.ast.params):
                 raise CircuitError("expect needs a 'param NAME = infinity' declaration", loc)
-            out.expected_limit = out.expected_limit or {}
             out.expected_limit[stmt.port] = self.form(stmt.terms, loc)
             return
         raise CircuitError(f"unhandled statement {type(stmt).__name__}", loc)

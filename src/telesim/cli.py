@@ -7,12 +7,13 @@ and limits never consult the protocol registry: a file's ``target`` and
 loads on first use, inside the two protocols subcommands, and a process
 that runs, verifies or pushes limits never compiles the builders.
 
-Subcommands: run (evaluate a circuit file and report), verify (the
-:func:`~telesim.verify.verify_suite` checks, nonzero exit on any failure),
-protocols list / protocols build (the registry's builders: list reads each
-signature and docstring summary, build types ``--param`` values by the
-annotations and writes the circuit text unevaluated), limits (push declared
-scale parameters). Reports come in two formats: text tables for reading
+Subcommands: run (the :func:`~telesim.verify.run_suite` analyses of a
+circuit file), verify (the :func:`~telesim.verify.verify_suite` checks,
+nonzero exit on any failure), protocols list / protocols build (the
+registry's builders: list reads each signature and docstring summary, build
+types ``--param`` values by the annotations and writes the circuit text
+unevaluated), limits (push declared scale parameters), the first three
+through one handler. Reports come in two formats: text tables for reading
 and a machine form whose bytes are deterministic, with sorted keys, 12
 significant digits and no negative zero, so golden files stay stable.
 
@@ -47,19 +48,8 @@ from . import __version__
 from .circuit import CircuitError, ProtocolOutput, evaluate_circuit
 from .coeff import CoefficientError, ParamEnv
 from .dsl import ParseError, parse_circuit
-from .opalg import (
-    DISPLAY_THRESHOLD,
-    ModeEvaluator,
-    prune_for_display,
-    quadrature_variance,
-)
-from .verify import (
-    CheckSuite,
-    causality_report,
-    limit_suite,
-    selectivity_report,
-    verify_suite,
-)
+from .opalg import DISPLAY_THRESHOLD, prune_for_display, quadrature_variance
+from .verify import CheckSuite, limit_suite, run_suite, verify_suite
 
 TOOL_NAME = "telesim"
 SCALE_ENV_VAR = "TELESIM_LIMIT_SCALE"
@@ -89,8 +79,9 @@ def _quad(c: complex, d: complex) -> list[float]:
     return [_component(c.real), _component(c.imag), _component(d.real), _component(d.imag)]
 
 
-def _coefficient_map(expr, session: ModeEvaluator) -> dict[str, list[float]]:
-    table = prune_for_display(expr, session)
+def _coefficient_map(table: dict) -> dict[str, list[float]]:
+    """A displayed float table (see :func:`prune_for_display`) by mode name,
+    in mode order, each entry rounded for the report."""
     return {
         mode.name: _quad(c, d)
         for mode, (c, d) in sorted(table.items(), key=lambda kv: kv[0].sort_key())
@@ -191,13 +182,13 @@ def _base_payload(protocol: ProtocolOutput) -> dict:
                 "role": role,
                 "slot_bin": timing.slot_bin,
                 "emission_bin": timing.emission_bin,
-                "coefficients": _coefficient_map(expr, session),
+                "coefficients": _coefficient_map(prune_for_display(expr, session)),
             }
     payload["outputs"] = outputs
     payload["classical"] = {
         name: {
             "emission_bin": protocol.port_bins[name].emission_bin,
-            "coefficients": _coefficient_map(record, session),
+            "coefficients": _coefficient_map(prune_for_display(record, session)),
         }
         for name, record in protocol.classical.items()
     }
@@ -274,12 +265,7 @@ def emit_report(output: ProtocolOutput, suite: CheckSuite, format: str = "text")
                     "converged": result.converged,
                     "divergent": result.divergent,
                     "max_difference": _num(result.max_difference),
-                    "limit": {
-                        mode.name: _quad(c, d)
-                        for mode, (c, d) in sorted(
-                            result.limit.items(), key=lambda kv: kv[0].sort_key()
-                        )
-                    },
+                    "limit": _coefficient_map(result.limit),
                 }
                 for name, result in suite.limits.results.items()
             },
@@ -489,39 +475,23 @@ def _write_out(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _run_command(args) -> int:
-    env = _base_env(args)
-    protocol = _load_protocol(args.file, env)
-    suite = CheckSuite(causality=causality_report(protocol))
-    if protocol.target is not None:
-        suite.selectivity = selectivity_report(protocol)
-    if protocol.limit_params:
-        suite.limits = limit_suite(protocol, protocol.limit_params)
-    document = emit_report(protocol, suite, args.format)
-    _write_out(document.render(), args.out)
-    return 0
-
-
-def _verify_command(args) -> int:
-    env = _base_env(args)
-    protocol = _load_protocol(args.file, env)
-    suite = verify_suite(protocol)
-    document = emit_report(protocol, suite, args.format)
-    _write_out(document.render(), args.out)
-    return 0 if suite.all_passed else 1
-
-
-def _limits_command(args) -> int:
-    env = _base_env(args)
-    protocol = _load_protocol(args.file, env)
-    params = args.name or protocol.limit_params
+def _limits_suite(protocol: ProtocolOutput, names: list[str] | None) -> CheckSuite:
+    """The limits of every quantum port as names grow, by default the
+    parameters the circuit declares infinite."""
+    params = names or protocol.limit_params
     if not params:
         raise _UsageError("no scale parameters given and none declared infinite")
     _require_declared(protocol.circuit, params)
-    suite = CheckSuite(limits=limit_suite(protocol, params))
-    document = emit_report(protocol, suite, args.format)
-    _write_out(document.render(), args.out)
-    return 0
+    return CheckSuite(limits=limit_suite(protocol, params))
+
+
+def _file_command(args) -> int:
+    """run, verify and limits: load the file, build the command's suite and
+    write its report; 1 if a check of the suite failed."""
+    protocol = _load_protocol(args.file, _base_env(args))
+    suite = _limits_suite(protocol, args.name) if args.command == "limits" else args.suite(protocol)
+    _write_out(emit_report(protocol, suite, args.format).render(), args.out)
+    return 0 if suite.all_passed else 1
 
 
 def _protocols_list_command(args) -> int:
@@ -606,14 +576,14 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "machine"), default="text")
         p.add_argument("--out", metavar="PATH", help="write the report to a file")
 
-    for name, handler, summary in (
-        ("run", _run_command, "evaluate a circuit file and report"),
-        ("verify", _verify_command, "full analysis suite on a circuit file"),
+    for name, suite, summary in (
+        ("run", run_suite, "evaluate a circuit file and report"),
+        ("verify", verify_suite, "full analysis suite on a circuit file"),
     ):
         p_file = sub.add_parser(name, help=summary)
         p_file.add_argument("file")
         add_io(p_file)
-        p_file.set_defaults(handler=handler)
+        p_file.set_defaults(handler=_file_command, suite=suite)
 
     p_limits = sub.add_parser("limits", help="push scale parameters to their limit")
     p_limits.add_argument("file")
@@ -625,7 +595,7 @@ def _make_parser() -> argparse.ArgumentParser:
         help="parameter to send to infinity (repeatable)",
     )
     add_io(p_limits, with_params=False)
-    p_limits.set_defaults(handler=_limits_command, param=None)
+    p_limits.set_defaults(handler=_file_command, param=None)
 
     p_protocols = sub.add_parser("protocols", help="registry access")
     proto_sub = p_protocols.add_subparsers(dest="subcommand", required=True)

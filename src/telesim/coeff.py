@@ -15,8 +15,10 @@ Evaluation runs on a dedicated mpmath context, ``MP``, with 160 decimal
 digits. A session's precision is ``MP``'s when the session is made; its
 runs and derived sessions keep it. Limit checks substitute scales up to
 twice the default 20, which drives intermediate magnitudes past anything
-float64 can cancel correctly. Each run (:class:`Evaluator`) carries raw
-mpmath tuples and one value memo, of its binding-invariant products.
+float64 can cancel correctly. Values stay raw from tape to kernel: each
+run (:class:`Evaluator`) carries and returns ``_mpc_`` tuples ``(re, im)``
+of raw mpfs ``(sign, man, exp, bc)``, never an mpc, and keeps one value
+memo, of its binding-invariant products; :func:`to_complex` makes a double.
 """
 
 from __future__ import annotations
@@ -27,10 +29,17 @@ from dataclasses import dataclass
 import mpmath
 from mpmath.libmp import fone, fzero, mpc_acosh, mpc_add, mpc_conjugate, mpc_cosh, mpc_div, mpc_exp
 from mpmath.libmp import mpc_is_infnan, mpc_log, mpc_mpf_div, mpc_mul, mpc_mul_mpf, mpc_neg
-from mpmath.libmp import mpc_pos, mpc_sinh, mpc_sqrt, mpc_sub, mpc_tanh, mpf_pi
+from mpmath.libmp import mpc_pos, mpc_sinh, mpc_sqrt, mpc_sub, mpc_tanh, mpc_to_complex, mpf_pi
 
 MP = mpmath.mp.clone()
 MP.dps = 160
+
+
+def to_complex(value: tuple) -> complex:
+    """The double of a raw ``_mpc_`` value, each part rounded at ``MP``'s
+    rounding, as ``complex()`` of its mpc converts; out-of-range parts
+    saturate to signed inf or underflow to zero."""
+    return mpc_to_complex(value, False, MP._prec_rounding[1])
 
 
 def _mpc_sech(z: tuple, prec: int, rnd: str) -> tuple:
@@ -400,14 +409,15 @@ class Evaluator:
 
     :meth:`eval` joins a foreign root to the tape, then runs only what this
     run lacks of it: after a circuit's first run at ``MP``'s precision, what
-    a :class:`Param` reaches. :meth:`_eval` applies the ``mpmath.libmp``
-    kernels of ``MP.mpc`` arithmetic and of ``MP``'s functions, bit for bit,
-    to raw ``_mpc_`` tuples at the precision ``MP`` had when the run was
-    made. Equal structure is one instruction already; a value memo computes
-    each distinct invariant product once per run, where unequal structure
-    gives it. Values join the store when :meth:`_run` finishes, never when
-    it raises: the invariant operands it computed, and through :meth:`eval`
-    an invariant root.
+    a :class:`Param` reaches, and returns the root's raw ``_mpc_`` tuple.
+    :meth:`_eval` applies the ``mpmath.libmp`` kernels of ``MP.mpc``
+    arithmetic and of ``MP``'s functions, bit for bit, to raw ``_mpc_``
+    tuples at the precision ``MP`` had when the run was made. Equal
+    structure is one instruction already; a value memo computes each
+    distinct invariant product once per run, where unequal structure gives
+    it. Values join the store when :meth:`_run` finishes, never when it
+    raises: the invariant operands it computed, and through :meth:`eval` an
+    invariant root.
     """
 
     def __init__(self, env: ParamEnv, tape: Tape | None = None):
@@ -419,14 +429,15 @@ class Evaluator:
         self._vals = dict(self._stored)  # instruction -> raw value in this run
         self._products: dict[tuple, tuple] = {}  # binding-invariant Mul by operand values
 
-    def eval(self, expr: CoefExpr) -> mpmath.mpc:
+    def eval(self, expr: CoefExpr) -> tuple:
+        """The raw ``_mpc_`` tuple (re, im) of expr at the run's precision, unwrapped."""
         tape = self.tape
         i = tape.index.get(id(expr))
         i = tape.append(expr) if i is None else i
         value = self._vals.get(i) or self._run(i)
         if not tape.dependent[i] and i not in self._stored:
             self._stored[i] = value
-        return MP.make_mpc(value)
+        return value
 
     def _run(self, root: int) -> tuple:
         """Value of instruction root, computing first what this run lacks of it."""
@@ -491,7 +502,7 @@ def evaluate(expr: CoefExpr, env: ParamEnv) -> complex:
 
     Analyses of an evaluated circuit read the tables of its per-binding
     sessions (``ProtocolOutput.evaluator()``), and its statement scalars go
-    through runs of the circuit's tape. mpmath saturates out-of-range
-    magnitudes to signed inf and underflows them to zero on the way out.
+    through runs of the circuit's tape. Out-of-range magnitudes saturate to
+    signed inf and underflow to zero on the way out (:func:`to_complex`).
     """
-    return complex(Evaluator(env).eval(expr))
+    return to_complex(Evaluator(env).eval(expr))

@@ -104,7 +104,7 @@ def lin_comb(weighted: list[tuple[object, ModeExpr]]) -> ModeExpr:
     return ModeExpr(out)
 
 
-NumericTerms = dict[ModeId, tuple]
+NumericTerms = dict[ModeId, tuple]  # mode -> (c, d), each a raw _mpc_ tuple
 
 GUARD_BITS = 64
 # a larger entry raises OverflowError: its integer grows with its exponent
@@ -122,6 +122,9 @@ def _binding_key(env: ParamEnv) -> tuple:
 class ModeEvaluator:
     """Numeric session: mode expressions evaluated under one binding.
 
+    A table maps each mode to (c, d), the raw ``_mpc_`` tuples the run
+    gives (:meth:`coeff.Evaluator.eval`), never wrapped in an mpc; the
+    kernels read them as they are and :meth:`floats` is their double view.
     Coefficient tables are keyed by the expression object itself
     (expressions compare by identity), so every analysis that draws from
     the same session reuses them, and each table's float view (:meth:`floats`)
@@ -180,6 +183,7 @@ class ModeEvaluator:
         return self._derived[key]
 
     def table(self, expr: ModeExpr) -> NumericTerms:
+        """Each mode of expr with its raw coefficients (c, d), made once per session."""
         cached = self._tables.get(expr)
         if cached is not None:
             return cached
@@ -202,7 +206,7 @@ class ModeEvaluator:
         return result
 
     def floats(self, expr: ModeExpr) -> dict:
-        """(complex(c), complex(d)) of each entry of :meth:`table`, made once per session."""
+        """The double view of :meth:`table`, as ``complex()`` converts, made once per session."""
         views = self._floats
         return views[expr] if expr in views else self._converted(2, expr, _float_table, self._rnd)
 
@@ -227,20 +231,17 @@ class ModeEvaluator:
         self._caches[slot][expr] = made
         return made
 
-    def commutators(self, left: ModeExpr, right: ModeExpr):
-        """([left, right], [left, right^dagger]) from one walk over the modes
-        in both tables: sums of c*f - d*e and of c*conj(e) - d*conj(f).
+    def commutators(self, left: ModeExpr, right: ModeExpr) -> tuple:
+        """The raw mpfs (re, im, cross re, cross im) of [left, right] and
+        [left, right^dagger], from one walk over the modes in both tables:
+        sums of c*f - d*e and of c*conj(e) - d*conj(f).
 
         Before its one rounding each part lies within 2^-P sum(|c|_1 +
         |d|_1 + |e|_1 + |f|_1) of the exact sum; on multiples of 2^-P it is
-        it. The second is bit-equal to the first of ``(left, dagger(right))``:
-        truncation commutes with conjugation.
+        it. The cross pair is bit-equal to the first of ``(left,
+        dagger(right))``: truncation commutes with conjugation. Every part
+        is nan if a table has an inf or nan entry.
         """
-        re, im, cross_re, cross_im = self._commutator_parts(left, right)
-        return MP.make_mpc((re, im)), MP.make_mpc((cross_re, cross_im))
-
-    def _commutator_parts(self, left: ModeExpr, right: ModeExpr) -> tuple:
-        """The raw mpf parts (re, im, cross re, cross im) of :meth:`commutators`."""
         lt, rt = self._fixed(left), self._fixed(right)
         if lt is None or rt is None:
             return (fnan,) * 4
@@ -297,8 +298,8 @@ def _sum_parts(entries) -> tuple[int, int, int]:
 
 
 def _float_table(table: NumericTerms, rnd: str) -> dict:
-    """complex() of each entry at rounding rnd, as ``complex(mpc)`` converts."""
-    return {m: (mpc_to_complex(c._mpc_, False, rnd), mpc_to_complex(d._mpc_, False, rnd))
+    """The double of each entry at rounding rnd, as ``complex(mpc)`` converts."""
+    return {m: (mpc_to_complex(c, False, rnd), mpc_to_complex(d, False, rnd))
             for m, (c, d) in table.items()}
 
 
@@ -306,7 +307,7 @@ def _fixed_table(table: NumericTerms, bits: int) -> dict | None:
     """(cr, ci, dr, di) of each entry in fixed point, or None if one is inf or nan."""
     out = {}
     for mode, (c, d) in table.items():
-        cr, ci, dr, di = parts = c._mpc_ + d._mpc_
+        cr, ci, dr, di = parts = c + d
         for _, man, exp, _ in parts:
             # inf and nan are the raw mpfs with a zero mantissa and a nonzero exponent
             if not man and exp:

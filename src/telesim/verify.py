@@ -13,9 +13,10 @@ variance pipelines is the strongest cross-check the package has, because
 they share no code past the scalar evaluator.
 
 :func:`verify_suite` composes these into the named pass/fail checks that
-``telesim verify`` reports, and :func:`limit_suite` takes the limit of
-every quantum port of a protocol; library callers get the same verdicts
-as the command line.
+``telesim verify`` reports, :func:`run_suite` into the analyses ``telesim
+run`` reports, and :func:`limit_suite` takes the limit of every quantum
+port of a protocol; library callers get the same verdicts as the command
+line.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from mpmath.libmp import fzero, mpc_sub, mpc_to_complex, to_float
+from mpmath.libmp import fzero, mpc_sub, mpc_to_complex
 
 from .circuit import (
     CircuitAst,
@@ -45,15 +46,15 @@ from .circuit import (
     UnsqueezeStmt,
     merge_env,
 )
-from .coeff import MP, Evaluator, ParamEnv
+from .coeff import Evaluator, ParamEnv, to_complex
 from .opalg import (
-    DISPLAY_THRESHOLD,
     Binding,
     ModeEvaluator,
     ModeExpr,
     ModeId,
     ModeKind,
     _magnitude,
+    prune_for_display,
     quadrature_variance,
     session_for,
 )
@@ -64,7 +65,6 @@ LEAKAGE_TOL = 1e-6
 NOISE_THRESHOLD = 0.5
 
 _ZERO = (fzero, fzero)  # the raw mpc of an exact zero
-_ZEROS = (MP.mpc(0), MP.mpc(0))  # the entry of a mode a table lacks
 
 
 # ---------------------------------------------------------------------------
@@ -95,26 +95,25 @@ def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovRep
 
     outputs maps names to mode expressions. Both commutator families are
     checked for every unordered pair, plus self-normalization
-    [A, A^dagger] = 1, from one walk per pair (the kernel of
-    :meth:`ModeEvaluator.commutators`) whose rounded parts go straight to
-    floats, as ``complex()`` of its values would; a nan deviation fails its
-    pair and is the maximum.
+    [A, A^dagger] = 1, from one walk per pair
+    (:meth:`ModeEvaluator.commutators`) whose raw parts become doubles at
+    the session's rounding, as :meth:`ModeEvaluator.floats` converts; a nan
+    deviation fails its pair and is the maximum.
     env may be a session, whose tables are then reused, or a bare env,
     whose session later calls with that same env reuse (see
     :func:`opalg.session_for`).
     """
     items = list(outputs.items())
     evaluator = session_for(env)
-    rnd = MP._prec_rounding[1]
+    rnd = evaluator._rnd
     failures = []
     deviations = []
     for i, (name_i, expr_i) in enumerate(items):
         for name_j, expr_j in items[i:]:
             expected = 1.0 if name_i == name_j else 0.0
-            re, im, cross_re, cross_im = evaluator._commutator_parts(expr_i, expr_j)
-            plain = _magnitude(complex(to_float(re, False, rnd), to_float(im, False, rnd)))
-            cross = complex(to_float(cross_re, False, rnd), to_float(cross_im, False, rnd))
-            cross = _magnitude(cross - expected)
+            re, im, cross_re, cross_im = evaluator.commutators(expr_i, expr_j)
+            plain = _magnitude(mpc_to_complex((re, im), False, rnd))
+            cross = _magnitude(mpc_to_complex((cross_re, cross_im), False, rnd) - expected)
             for check, deviation in (("commutator", plain), ("cross-commutator", cross)):
                 deviations.append(deviation)
                 if not deviation <= tol:
@@ -177,7 +176,8 @@ def limit_coefficients(
     session = session_for(env)
     scale = session.env.limit_scale
     low = _complex_table(expr, session.bind(**{p: scale for p in params_to_infinity}))
-    high = _complex_table(expr, session.bind(**{p: 2 * scale for p in params_to_infinity}))
+    doubled = session.bind(**{p: 2 * scale for p in params_to_infinity})
+    high = _complex_table(expr, doubled)
     worst = 0.0
     divergent = False
     for mode in low.keys() | high.keys():
@@ -186,17 +186,12 @@ def limit_coefficients(
         worst = max(worst, abs(hc - lc), abs(hd - ld))
         if max(abs(hc), abs(hd)) > DIVERGENCE_BOUND:
             divergent = True
-    limit = {
-        mode: (c, d)
-        for mode, (c, d) in high.items()
-        if abs(c) > DISPLAY_THRESHOLD or abs(d) > DISPLAY_THRESHOLD
-    }
     return LimitResult(
         scale=scale,
         max_difference=worst,
         divergent=divergent,
         converged=not divergent and worst <= LIMIT_TOL,
-        limit=limit,
+        limit=prune_for_display(expr, doubled),
     )
 
 
@@ -286,7 +281,7 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
 
     def scalar(expr, loc, what) -> complex:
         try:
-            return complex(coef.eval(expr))
+            return to_complex(coef.eval(expr))
         except Exception as exc:  # surfaced with the statement position
             raise CircuitError(f"cannot evaluate {what}: {exc}", loc) from exc
 
@@ -406,7 +401,7 @@ def _dependency_scan(expr: ModeExpr, evaluator: ModeEvaluator) -> frozenset:
     """(mode, bin) of each entry with a raw part not exactly zero, as ``!= 0`` tests."""
     found = set()
     for mode, (c, d) in evaluator.table(expr).items():
-        if c._mpc_ != _ZERO or d._mpc_ != _ZERO:
+        if c != _ZERO or d != _ZERO:
             found.add((mode, mode.time_bin))
     return frozenset(found)
 
@@ -611,8 +606,8 @@ def _declared_limit_gap(protocol: ProtocolOutput) -> float:
         for mode in have.keys() - target.keys():  # a value minus an exact zero is that value
             gaps += map(_magnitude, evaluator.floats(ports[name])[mode])
         for mode, pair in target.items():
-            for h, t in zip(have.get(mode, _ZEROS), pair):
-                gap = mpc_to_complex(mpc_sub(h._mpc_, t._mpc_, prec, rnd), False, rnd)
+            for h, t in zip(have.get(mode, (_ZERO, _ZERO)), pair):
+                gap = mpc_to_complex(mpc_sub(h, t, prec, rnd), False, rnd)
                 gaps.append(_magnitude(gap))
     return _worst(gaps)
 
@@ -641,6 +636,19 @@ class CheckSuite:
     @property
     def all_passed(self) -> bool:
         return all(passed for _, passed, _ in self.checks)
+
+
+def run_suite(protocol: ProtocolOutput) -> CheckSuite:
+    """The analyses ``telesim run`` reports, with no pass/fail check: the
+    causality report, the selectivity report when the protocol names a
+    target, and the limits of its quantum ports when a parameter tends to
+    infinity."""
+    suite = CheckSuite(causality=causality_report(protocol))
+    if protocol.target is not None:
+        suite.selectivity = selectivity_report(protocol)
+    if protocol.limit_params:
+        suite.limits = limit_suite(protocol, protocol.limit_params)
+    return suite
 
 
 def verify_suite(protocol: ProtocolOutput) -> CheckSuite:

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from telesim.circuit import CircuitError, evaluate_circuit
-from telesim.coeff import Call, Num, ParamEnv, cosh, sinh, sqrt
+from mpmath.libmp import fzero, mpc_sub
+
+from telesim.coeff import MP, Call, Num, ParamEnv, cosh, sinh, sqrt, to_complex
 from telesim.dsl import ParseError, parse_circuit, serialize_circuit
 from telesim.elements import apply_inverse_squeezer
 from telesim.opalg import (
@@ -55,15 +57,15 @@ def epr_halves(sd, s):
 
 
 def residual(po, port, expected, env):
-    """Largest coefficient distance between a port and an expected form."""
+    """Largest coefficient distance between a port and an expected form, each
+    difference taken at MP's precision before it becomes a double."""
     ev = ModeEvaluator(env)
-    have = dict(ev.table(po.all_ports()[port]))
-    want = dict(ev.table(expected))
+    have, want = ev.table(po.all_ports()[port]), ev.table(expected)
+    zeros = ((fzero, fzero),) * 2
     worst = 0.0
     for mid in set(have) | set(want):
-        hc, hd = have.get(mid, (0, 0))
-        wc, wd = want.get(mid, (0, 0))
-        worst = max(worst, abs(complex(hc - wc)), abs(complex(hd - wd)))
+        for h, w in zip(have.get(mid, zeros), want.get(mid, zeros)):
+            worst = max(worst, abs(to_complex(mpc_sub(h, w, *MP._prec_rounding))))
     return worst
 
 
@@ -137,10 +139,10 @@ def test_mirror_limit_and_recovery_chain():
         po.all_ports()["recovered_1"], po.all_ports()["recovered_2"], math.acosh(5 / 4)
     )
     ev = ModeEvaluator(env)
-    by_name = {m.name: (complex(c), complex(d)) for m, (c, d) in ev.table(p1).items()}
+    by_name = {m.name: entry for m, entry in ev.floats(p1).items()}
     assert by_name["e1"][0] == pytest.approx(5 / 4, abs=1e-8)
     assert by_name["e2"][1] == pytest.approx(-3 / 4, abs=1e-8)
-    by_name = {m.name: (complex(c), complex(d)) for m, (c, d) in ev.table(p2).items()}
+    by_name = {m.name: entry for m, entry in ev.floats(p2).items()}
     assert by_name["e2"][0] == pytest.approx(5 / 4, abs=1e-8)
     assert by_name["e1"][1] == pytest.approx(-3 / 4, abs=1e-8)
 
@@ -446,9 +448,9 @@ def test_nbin_chains_match_product_amplitudes(n):
         assert residual(po, "selected", want, env) <= 1e-12
         ev = ModeEvaluator(env)
         for k in range(1, n + 1):
-            for mode, (c, d) in ev.table(po.taps[f"bin{k}_out"]).items():
+            for mode, (c, d) in ev.floats(po.taps[f"bin{k}_out"]).items():
                 if mode.time_bin > k:
-                    assert complex(c) == 0 and complex(d) == 0, (k, mode.name)
+                    assert c == 0 and d == 0, (k, mode.name)
 
 
 @pytest.mark.criterion(9, "n-bin chains follow the product amplitudes")
@@ -456,10 +458,9 @@ def test_two_bin_chains_reduce_to_the_dedicated_builders():
     def tables_match(po_a, po_b, port, env):
         ev = ModeEvaluator(env)
         rename = {"u1": "u0", "v1": "v0"}
-        ta = {rename.get(m.name, m.name): (complex(c), complex(d))
-              for m, (c, d) in ev.table(po_a.transmitted[port]).items()}
-        tb = {m.name: (complex(c), complex(d))
-              for m, (c, d) in ev.table(po_b.transmitted[port]).items()}
+        ta = {rename.get(m.name, m.name): entry
+              for m, entry in ev.floats(po_a.transmitted[port]).items()}
+        tb = {m.name: entry for m, entry in ev.floats(po_b.transmitted[port]).items()}
         worst = 0.0
         for name in set(ta) | set(tb):
             ac, ad = ta.get(name, (0, 0))

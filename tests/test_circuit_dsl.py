@@ -93,7 +93,7 @@ def test_evaluate_honors_env_override():
     # at zero squeezing the seeds enter with weight exactly 1
     from telesim.opalg import ModeEvaluator
 
-    tab = {m.name: complex(c) for m, (c, _) in ModeEvaluator(po.env).table(po.transmitted["filtered"]).items()}
+    tab = {m.name: c for m, (c, _) in ModeEvaluator(po.env).floats(po.transmitted["filtered"]).items()}
     assert tab["j"] == pytest.approx(1.0)
     assert tab["e2"] == pytest.approx(1.0)
 

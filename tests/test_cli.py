@@ -702,6 +702,19 @@ def test_limits_without_a_scale_parameter_exits_2(capsys):
     assert "no scale parameters given and none declared infinite" in err
 
 
+def test_limits_reports_its_usage_errors_in_order(tmp_path, capsys, monkeypatch):
+    # the scale variable first, then the file, then the parameter names
+    missing = str(tmp_path / "missing.tls")
+    monkeypatch.setenv("TELESIM_LIMIT_SCALE", "-1")
+    code, _, err = run_cli(capsys, "limits", missing, "--param", "nosuch")
+    assert code == 2 and "TELESIM_LIMIT_SCALE must be a finite number above zero" in err
+    monkeypatch.delenv("TELESIM_LIMIT_SCALE")
+    code, _, err = run_cli(capsys, "limits", missing, "--param", "nosuch")
+    assert code == 2 and err.startswith(f"error: cannot read {missing}")
+    code, out, err = run_cli(capsys, "limits", str(MIRROR), "--param", "nosuch")
+    assert (code, out) == (2, "") and "circuit declares no parameter 'nosuch'" in err
+
+
 def test_a_non_numeric_binding_exits_2(capsys):
     path = GOLDEN_DIR / "atemporal_telefilter.tls"
     code, out, err = run_cli(capsys, "run", str(path), "--param", "s=abc")

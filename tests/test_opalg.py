@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from telesim.coeff import ZERO, Call, Mul, Num, ParamEnv
+from telesim.coeff import ZERO, Call, Mul, Num, ParamEnv, to_complex
 from telesim.opalg import (
     ModeEvaluator,
     ModeExpr,
@@ -29,6 +29,12 @@ A = input_mode(A_ID)
 B = input_mode(B_ID)
 
 
+def _commutators(ev, left, right) -> tuple[complex, complex]:
+    """[left, right] and [left, right^dagger] from the session's raw parts, as doubles."""
+    re, im, cross_re, cross_im = ev.commutators(left, right)
+    return to_complex((re, im)), to_complex((cross_re, cross_im))
+
+
 def test_mode_id_ordering_is_bin_major():
     early = ModeId("z", "r", time_bin=0)
     late = ModeId("a", "r", time_bin=1)
@@ -37,11 +43,11 @@ def test_mode_id_ordering_is_bin_major():
 
 def test_canonical_commutators():
     ev = ModeEvaluator(EMPTY)
-    assert ev.commutators(A, dagger(A))[0] == pytest.approx(1.0)
-    assert ev.commutators(A, A)[0] == 0
-    assert ev.commutators(A, B)[0] == 0
-    assert ev.commutators(A, dagger(B))[0] == 0
-    assert ev.commutators(dagger(A), A)[0] == pytest.approx(-1.0)
+    assert _commutators(ev, A, dagger(A))[0] == pytest.approx(1.0)
+    assert _commutators(ev, A, A)[0] == 0
+    assert _commutators(ev, A, B)[0] == 0
+    assert _commutators(ev, A, dagger(B))[0] == 0
+    assert _commutators(ev, dagger(A), A)[0] == pytest.approx(-1.0)
 
 
 def test_dagger_is_an_involution():
@@ -52,20 +58,17 @@ def test_dagger_is_an_involution():
 
 def test_dagger_swaps_and_conjugates():
     expr = lin_comb([(2j, A)])
-    table = dict(ModeEvaluator(EMPTY).table(dagger(expr)))
-    c, d = table[A_ID]
-    assert complex(c) == 0
-    assert complex(d) == -2j
+    assert ModeEvaluator(EMPTY).floats(dagger(expr))[A_ID] == (0, -2j)
 
 
 def test_linear_combination_arithmetic():
     ev = ModeEvaluator(EMPTY)
     expr = lin_comb([(2, A), (1, B), (-1, A)])
-    table = dict(ev.table(expr))
-    assert complex(table[A_ID][0]) == 1
-    assert complex(table[B_ID][0]) == 1
-    assert dict(ev.table(lin_comb([(-1, expr)])))[A_ID][0] == -1
-    assert dict(ev.table(lin_comb([(3j, expr)])))[B_ID][0] == 3j
+    table = ev.floats(expr)
+    assert table[A_ID][0] == 1
+    assert table[B_ID][0] == 1
+    assert ev.floats(lin_comb([(-1, expr)]))[A_ID][0] == -1
+    assert ev.floats(lin_comb([(3j, expr)]))[B_ID][0] == 3j
 
 
 def test_vacuum_variance_is_one_at_every_phase():
@@ -94,12 +97,12 @@ def test_two_mode_squeezed_difference_quadrature():
 def test_overlap_and_properness():
     # the overlap of A with T is [A, T^dagger]; a proper mode has [A, A^dagger] = 1
     ev = ModeEvaluator(EMPTY)
-    assert ev.commutators(A, A)[1] == pytest.approx(1.0)
-    assert ev.commutators(A, B)[1] == 0
+    assert _commutators(ev, A, A)[1] == pytest.approx(1.0)
+    assert _commutators(ev, A, B)[1] == 0
     double = lin_comb([(2, A)])
-    assert ev.commutators(double, double)[1] == pytest.approx(4.0)
+    assert _commutators(ev, double, double)[1] == pytest.approx(4.0)
     mixed = lin_comb([(1.0, A), (1.0, dagger(A))])
-    assert ev.commutators(mixed, mixed)[1] == 0
+    assert _commutators(ev, mixed, mixed)[1] == 0
 
 
 def test_prune_for_display_drops_dust():
@@ -136,13 +139,13 @@ def test_table_memo_keeps_keyed_expressions_alive():
     ev = ModeEvaluator(EMPTY)
     for k in range(300):
         if k % 2:
-            table = dict(ev.table(dagger(lin_comb([(k + 1.0, A)]))))
-            assert complex(table[A_ID][1]) == k + 1.0
-            assert complex(table[A_ID][0]) == 0
+            table = ev.floats(dagger(lin_comb([(k + 1.0, A)])))
+            assert table[A_ID][1] == k + 1.0
+            assert table[A_ID][0] == 0
         else:
-            table = dict(ev.table(lin_comb([(k + 1.0, A), (0.5, B)])))
-            assert complex(table[A_ID][0]) == k + 1.0
-            assert complex(table[B_ID][0]) == 0.5
+            table = ev.floats(lin_comb([(k + 1.0, A), (0.5, B)]))
+            assert table[A_ID][0] == k + 1.0
+            assert table[B_ID][0] == 0.5
 
 
 @given(
@@ -152,8 +155,8 @@ def test_table_memo_keeps_keyed_expressions_alive():
 def test_commutator_of_annihilator_mixtures_vanishes(ca, cb):
     expr = lin_comb([(ca, A), (cb, B)])
     ev = ModeEvaluator(EMPTY)
-    assert ev.commutators(expr, expr)[0] == 0
-    norm = ev.commutators(expr, dagger(expr))[0]
+    assert _commutators(ev, expr, expr)[0] == 0
+    norm = _commutators(ev, expr, dagger(expr))[0]
     assert norm == pytest.approx(ca * ca + cb * cb, abs=1e-12)
 
 

@@ -157,8 +157,8 @@ def test_target_is_normalized():
     for name in ALL_NAMES:
         po = build(name)
         env = ParamEnv({p: 1.0 for p in po.limit_params})
-        tab = ModeEvaluator(env).table(po.target)
-        norm = sum(abs(complex(c)) ** 2 + abs(complex(d)) ** 2 for c, d in tab.values())
+        tab = ModeEvaluator(env).floats(po.target)
+        norm = sum(abs(c) ** 2 + abs(d) ** 2 for c, d in tab.values())
         assert norm == pytest.approx(1.0, abs=1e-12), name
 
 

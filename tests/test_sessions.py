@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import finf, fnan, fninf, from_man_exp, from_rational, fzero, mpc_mul, mpc_sub
-from mpmath.libmp import mpc_to_complex
+from mpmath.libmp import mpc_is_infnan, mpc_to_complex
 
 from telesim import cli, coeff, opalg, verify
 from telesim.circuit import CircuitError, evaluate_circuit
@@ -43,6 +43,7 @@ from telesim.coeff import (
     conj,
     cosh,
     evaluate,
+    to_complex,
 )
 from telesim.dsl import format_coef, parse_circuit, serialize_circuit
 from telesim.opalg import (
@@ -138,11 +139,8 @@ MODE_EXPRS = st.dictionaries(
 @given(left=MODE_EXPRS, right=MODE_EXPRS)
 def test_cross_commutator_is_exactly_the_dagger_commutator(left, right):
     ev = ModeEvaluator(ParamEnv({"x": 0.7, "y": -1.3}))
-    got = ev.commutators(left, right)[1]
-    want = ev.commutators(left, dagger(right))[0]
-    # exact: same mpc value, not merely close
-    assert (got.real, got.imag) == (want.real, want.imag)
-    assert got.real._mpf_ == want.real._mpf_ and got.imag._mpf_ == want.imag._mpf_
+    # exact: the same raw parts, not merely close
+    assert ev.commutators(left, right)[2:] == ev.commutators(left, dagger(right))[:2]
 
 
 # the kernels against exact rational sums of the same table entries
@@ -150,14 +148,14 @@ def test_cross_commutator_is_exactly_the_dagger_commutator(left, right):
 GRID = MP.prec + GUARD_BITS  # P: the kernels hold entries at 2^-P
 
 
-def _frac(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
+def _frac(x: tuple) -> Fraction:
+    sign, man, exp, _ = x
     value = man * Fraction(2) ** exp
     return -value if sign else value
 
 
-def _cfrac(z) -> tuple[Fraction, Fraction]:
-    return _frac(z.real), _frac(z.imag)
+def _cfrac(z: tuple) -> tuple[Fraction, Fraction]:
+    return _frac(z[0]), _frac(z[1])
 
 
 def _cmul(x, y):
@@ -180,18 +178,19 @@ def _on_grid(*values) -> bool:
     return all((part * 2**GRID).denominator == 1 for value in values for part in value)
 
 
-def _assert_rounds(got, exact: Fraction, on_grid: bool, bound: Fraction):
-    """got is exact rounded once when every entry lies on the grid, and
-    within bound of it, plus that rounding, otherwise."""
+def _assert_rounds(got: tuple, exact: Fraction, on_grid: bool, bound: Fraction):
+    """The raw mpf got is exact rounded once when every entry lies on the
+    grid, and within bound of it, plus that rounding, otherwise."""
     if on_grid:
         want = from_rational(exact.numerator, exact.denominator, MP.prec, "n")
-        assert got._mpf_ == want
+        assert got == want
     else:
         assert abs(_frac(got) - exact) <= bound + (abs(exact) + bound) / 2**MP.prec
 
 
-def _assert_commutator_exact(got, pairs, cross: bool):
-    """pairs: ((c, d), (e, f)) exact entries of each mode in both tables."""
+def _assert_commutator_exact(got: tuple, pairs, cross: bool):
+    """got: raw parts (re, im); pairs: ((c, d), (e, f)) exact entries of
+    each mode in both tables."""
     total, size, entries = (Fraction(0), Fraction(0)), Fraction(0), []
     for (c, d), (e, f) in pairs:
         if cross:
@@ -202,12 +201,12 @@ def _assert_commutator_exact(got, pairs, cross: bool):
         total = _cadd(total, term)
         size += _norm1(c) + _norm1(d) + _norm1(e) + _norm1(f)
         entries += [c, d, e, f]
-    for part, exact in zip((got.real, got.imag), total):
+    for part, exact in zip(got, total):
         _assert_rounds(part, exact, _on_grid(*entries), size / 2**GRID)
 
 
 def _assert_variance_exact(got, table, phase):
-    w = _cfrac(MP.exp(MP.mpc(0, -phase)))
+    w = _cfrac(MP.exp(MP.mpc(0, -phase))._mpc_)
     total = bound = Fraction(0)
     for c, d in table:
         amp = _cadd(_cmul(w, c), _conj(_cmul(w, d)))
@@ -233,19 +232,18 @@ def test_integer_kernels_round_the_exact_sum_once(left, right, shift, poisoned):
     ev = ModeEvaluator(ParamEnv({"x": 0.7, "y": -1.3}))
     lt, rt = ev.table(left), ev.table(right)
     finite = {
-        id(table): all(MP.isfinite(z) for entry in table.values() for z in entry)
+        id(table): not any(mpc_is_infnan(z) for entry in table.values() for z in entry)
         for table in (lt, rt)
     }
     got = ev.commutators(left, right)
     if not (finite[id(lt)] and finite[id(rt)]):
-        for value in got:
-            assert MP.isnan(value.real) and MP.isnan(value.imag)
+        assert got == (fnan,) * 4
     else:
         pairs = [
             (tuple(map(_cfrac, lt[m])), tuple(map(_cfrac, rt[m]))) for m in lt if m in rt
         ]
-        _assert_commutator_exact(got[0], pairs, cross=False)
-        _assert_commutator_exact(got[1], pairs, cross=True)
+        _assert_commutator_exact(got[:2], pairs, cross=False)
+        _assert_commutator_exact(got[2:], pairs, cross=True)
     for expr, table in ((left, lt), (right, rt)):
         for phase in (0.0, math.pi / 2, 0.3):
             variance = ev.variance(expr, phase)
@@ -253,7 +251,7 @@ def test_integer_kernels_round_the_exact_sum_once(left, right, shift, poisoned):
                 assert MP.isnan(variance)
             else:
                 exact = [tuple(map(_cfrac, entry)) for entry in table.values()]
-                _assert_variance_exact(variance, exact, phase)
+                _assert_variance_exact(variance._mpf_, exact, phase)
 
 
 def test_a_coefficient_beyond_the_kernels_range_raises_overflow():
@@ -272,7 +270,7 @@ def _reference_variance(session: ModeEvaluator, expr: ModeExpr, phase: float) ->
     """The raw mpf of the per-entry kernel: each entry's |a|^2 summed in turn."""
     bits, table = session._bits, []
     for c, d in session.table(expr).values():
-        parts = c._mpc_ + d._mpc_
+        parts = c + d
         if any(not man and exp for _, man, exp, _ in parts):
             return fnan
         table.append(tuple(opalg._to_fixed(part, bits) for part in parts))
@@ -310,14 +308,20 @@ def test_the_variance_is_bit_identical_to_the_per_entry_sum(name, n):
                 assert session.variance(expr, phase)._mpf_ == want, (name, phase)
 
 
+def _commutators(session: ModeEvaluator, left: ModeExpr, right: ModeExpr) -> tuple[complex, complex]:
+    """[left, right] and [left, right^dagger] from the session's raw parts, as doubles."""
+    re, im, cross_re, cross_im = session.commutators(left, right)
+    return to_complex((re, im)), to_complex((cross_re, cross_im))
+
+
 def _reference_bogoliubov(outputs, session: ModeEvaluator, tol: float) -> tuple:
-    """(max_deviation, failures) rebuilt from commutators() and complex()."""
+    """(max_deviation, failures) rebuilt from commutators() as doubles."""
     items, worst, failures = list(outputs.items()), 0.0, []
     for i, (name_i, expr_i) in enumerate(items):
         for name_j, expr_j in items[i:]:
-            plain, cross = session.commutators(expr_i, expr_j)
+            plain, cross = _commutators(session, expr_i, expr_j)
             expected = 1.0 if name_i == name_j else 0.0
-            checks = (("commutator", complex(plain)), ("cross-commutator", complex(cross) - expected))
+            checks = (("commutator", plain), ("cross-commutator", cross - expected))
             for check, value in checks:
                 deviation = math.nan if cmath.isnan(value) else abs(value)
                 if math.isnan(deviation) or (not math.isnan(worst) and deviation > worst):
@@ -460,7 +464,7 @@ def test_raw_evaluation_is_bit_identical_to_object_arithmetic(nodes):
             with pytest.raises(CoefficientError, match="division by zero"):
                 ev.eval(node)
             continue
-        assert _same_mpc(ev.eval(node), want)
+        assert ev.eval(node) == want._mpc_
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +624,7 @@ def test_verify_evaluates_each_node_once_per_binding(tmp_path, monkeypatch):
     roots = []
     for expr in [*protocol.all_ports().values(), *protocol.classical.values()]:
         roots += _coefficients(expr)
-    for expr in [protocol.target, *(protocol.expected_limit or {}).values()]:
+    for expr in [protocol.target, *protocol.expected_limit.values()]:
         if expr is not None:
             roots += _coefficients(expr)
     bindings = {binding for binding, _ in counts}
@@ -659,7 +663,7 @@ def test_verify_converts_each_table_once_per_session(monkeypatch):
     protocol = evaluate_circuit(parse_circuit(protocol_text("nmode_delayed_telefilter", n=16)))
     converted = []  # the tables themselves, so no id is reused
     entries = {"fixed": [], "complex": []}  # the entries, likewise kept alive
-    convert, to_complex = opalg._fixed_table, opalg._float_table
+    convert, to_floats = opalg._fixed_table, opalg._float_table
 
     def counting(table, bits):
         converted.append(table)
@@ -668,7 +672,7 @@ def test_verify_converts_each_table_once_per_session(monkeypatch):
 
     def counting_complex(table, rnd):
         entries["complex"].extend(table.values())
-        return to_complex(table, rnd)
+        return to_floats(table, rnd)
 
     monkeypatch.setattr(opalg, "_fixed_table", counting)
     monkeypatch.setattr(opalg, "_float_table", counting_complex)
@@ -719,16 +723,17 @@ def test_the_raw_zero_test_agrees_with_mpc_ne_zero():
     for case, (pair, nonzero) in cases.items():
         expr = ModeExpr({IDS[2]: pair})
         c, d = session.table(expr)[IDS[2]]
-        assert (c != 0 or d != 0) == nonzero, case
+        assert (MP.make_mpc(c) != 0 or MP.make_mpc(d) != 0) == nonzero, case
         want = frozenset({(IDS[2], 1)} if nonzero else ())
         assert verify._dependency_scan(expr, session) == want, case
-    assert complex(session.table(ModeExpr({IDS[2]: cases["below float range"][0]}))[IDS[2]][0]) == 0
+    assert session.floats(ModeExpr({IDS[2]: cases["below float range"][0]}))[IDS[2]][0] == 0
     # delayed_telefilter's orthogonal port holds residues near 5.8e-154 and below float range
     orthogonal = protocol.all_ports()["orthogonal"]
-    parts = [abs(z) for pair in session.table(orthogonal).values() for z in pair]
+    parts = [abs(MP.make_mpc(z)) for pair in session.table(orthogonal).values() for z in pair]
     assert any(0 < part < 1e-150 for part in parts) and any(0 < part < 1e-320 for part in parts)
     for expr in [*protocol.all_ports().values(), *protocol.classical.values()]:
-        want = {(m, m.time_bin) for m, (c, d) in session.table(expr).items() if c != 0 or d != 0}
+        want = {(m, m.time_bin) for m, (c, d) in session.table(expr).items()
+                if MP.make_mpc(c) != 0 or MP.make_mpc(d) != 0}
         assert verify._dependency_scan(expr, session) == want
 
 
@@ -740,7 +745,7 @@ def test_the_declared_limit_gap_is_complex_of_the_mpc_differences(scale):
     on every golden with ``expect`` forms and nan_limit_tap, at the CLI's
     default scale, 60 and 100 (where precision runs out and the mirrors'
     gaps are huge)."""
-    checked, zeros = {}, (MP.mpc(0), MP.mpc(0))
+    checked, zeros = {}, ((fzero, fzero),) * 2
     for name in [*GOLDENS, "nan_limit_tap"]:
         protocol = evaluate_circuit(parse_circuit(_source(name)), ParamEnv({}, scale))
         if not protocol.expected_limit:
@@ -751,8 +756,8 @@ def test_the_declared_limit_gap_is_complex_of_the_mpc_differences(scale):
             have, target = session.table(ports[port]), session.table(want)
             for mode in have.keys() | target.keys():
                 for h, t in zip(have.get(mode, zeros), target.get(mode, zeros)):
-                    gaps.append(verify._magnitude(complex(h - t)))
-                    raw = mpc_sub(h._mpc_, t._mpc_, session._prec, session._rnd)
+                    gaps.append(verify._magnitude(complex(MP.make_mpc(h) - MP.make_mpc(t))))
+                    raw = mpc_sub(h, t, session._prec, session._rnd)
                     raw_gaps.append(verify._magnitude(mpc_to_complex(raw, False, session._rnd)))
         gap = checked[name] = verify._declared_limit_gap(protocol)
         assert gap.hex() == verify._worst(gaps).hex() == verify._worst(raw_gaps).hex(), name
@@ -785,17 +790,51 @@ def test_the_float_view_is_complex_of_each_entry(name, n):
             table, view = session.table(expr), session.floats(expr)
             assert list(view) == list(table), name
             for mode, pair in table.items():
-                want = [_hex_pair(complex(z)) for z in pair]
+                want = [_hex_pair(complex(MP.make_mpc(z))) for z in pair]
                 assert [_hex_pair(z) for z in view[mode]] == want, (name, mode)
 
 
+@pytest.mark.parametrize("name", ["delayed_telemirror", "infinite_gain"])
+def test_values_stay_raw_from_tape_to_kernel(name, monkeypatch):
+    """A session's table entries are the raw tuples Evaluator.eval returns
+    for their coefficients, floats() is mpc_to_complex of each at the
+    session's rounding, and check_bogoliubov reads the four raw mpfs of the
+    public commutators() (infinite_gain's tables hold inf and nan)."""
+    protocol = evaluate_circuit(parse_circuit(_source(name)))
+    session = protocol.evaluator()
+    run = Evaluator(protocol.env, protocol.circuit.tape)
+    for expr in protocol.roots():
+        table, view = session.table(expr), session.floats(expr)
+        assert list(table) == list(expr.terms)
+        for mode, (c, d) in expr.terms.items():
+            assert table[mode] == (run.eval(c), run.eval(d)), mode
+            assert [type(z) for z in table[mode]] == [tuple, tuple], mode
+            want = [_hex_pair(mpc_to_complex(z, False, session._rnd)) for z in table[mode]]
+            assert list(map(_hex_pair, view[mode])) == want, mode
+    given, plain = [], ModeEvaluator.commutators
+
+    def recording(self, left, right):
+        given.append(plain(self, left, right))
+        return given[-1]
+
+    monkeypatch.setattr(ModeEvaluator, "commutators", recording)
+    report = check_bogoliubov(protocol.quantum_ports(), session)
+    monkeypatch.undo()
+    ports = list(protocol.quantum_ports().values())
+    pairs = [(left, right) for i, left in enumerate(ports) for right in ports[i:]]
+    assert given == [session.commutators(left, right) for left, right in pairs]
+    assert all(len(parts) == 4 and all(len(part) == 4 for part in parts) for parts in given)
+    worst, failures = _reference_bogoliubov(protocol.quantum_ports(), session, report.tol)
+    assert report.max_deviation.hex() == worst.hex() and len(report.failures) == len(failures)
+
+
 def _assert_same_session(got: ModeEvaluator, want: ModeEvaluator, exprs) -> None:
-    """Tables (_mpc_), fixed tables, variance sums and float views (float.hex) equal."""
+    """Tables (raw), fixed tables, variance sums and float views (float.hex) equal."""
     for expr in exprs:
         table, fresh = got.table(expr), want.table(expr)
         assert list(table) == list(fresh)
         for mode, pair in table.items():
-            assert [z._mpc_ for z in pair] == [z._mpc_ for z in fresh[mode]], mode
+            assert pair == fresh[mode], mode
             view, fresh_view = got.floats(expr)[mode], want.floats(expr)[mode]
             assert list(map(_hex_pair, view)) == list(map(_hex_pair, fresh_view)), mode
         fixed, fresh_fixed = got._fixed(expr), want._fixed(expr)
@@ -1006,10 +1045,6 @@ def test_equal_values_with_another_limit_scale_are_another_binding():
         assert got_high == limit_coefficients(expr, params, ModeEvaluator(high)), name
 
 
-def _same_mpc(got, want) -> bool:
-    return got.real._mpf_ == want.real._mpf_ and got.imag._mpf_ == want.imag._mpf_
-
-
 def test_interleaved_bare_envs_match_fresh_sessions_exactly():
     protocol = _golden("delayed_telemirror")
     first = protocol.env.bind(r=1.1, s=0.6)
@@ -1020,10 +1055,7 @@ def test_interleaved_bare_envs_match_fresh_sessions_exactly():
         assert session_for(env) is session
         fresh = ModeEvaluator(env)
         for name, expr in protocol.all_ports().items():
-            got, want = session.table(expr), fresh.table(expr)
-            assert got.keys() == want.keys(), name
-            for mode, (c, d) in got.items():
-                assert _same_mpc(c, want[mode][0]) and _same_mpc(d, want[mode][1]), name
+            assert session.table(expr) == fresh.table(expr), name
             for phase in (0.0, math.pi / 2):
                 assert quadrature_variance(expr, phase, env) == float(
                     fresh.variance(expr, phase)
@@ -1111,7 +1143,7 @@ def test_run_and_limits_free_their_sessions_and_tape_without_the_cyclic_gc(
 def _named_exprs(protocol) -> dict:
     named = {f"port {name}": expr for name, expr in protocol.all_ports().items()}
     named.update({f"record {name}": expr for name, expr in protocol.classical.items()})
-    named.update({f"expect {n}": e for n, e in (protocol.expected_limit or {}).items()})
+    named.update({f"expect {n}": e for n, e in protocol.expected_limit.items()})
     if protocol.target is not None:
         named["target"] = protocol.target
     return named
@@ -1120,10 +1152,7 @@ def _named_exprs(protocol) -> dict:
 def _assert_same_tables(session, fresh, protocol, copy) -> None:
     want_exprs = _named_exprs(copy)
     for name, expr in _named_exprs(protocol).items():
-        got, want = session.table(expr), fresh.table(want_exprs[name])
-        assert got.keys() == want.keys(), name
-        for mode, (c, d) in got.items():
-            assert _same_mpc(c, want[mode][0]) and _same_mpc(d, want[mode][1]), name
+        assert session.table(expr) == fresh.table(want_exprs[name]), name
 
 
 def _assert_oracle_agrees(protocol, env, variance) -> None:
@@ -1262,9 +1291,7 @@ def test_two_evaluations_of_one_ast_make_equal_tapes():
     assert one.dependent == two.dependent
     assert [key[1:] for key in one.ops] == [key[1:] for key in two.ops]
     for got, want in zip(*tables):
-        assert got.keys() == want.keys()
-        for mode, (c, d) in got.items():
-            assert _same_mpc(c, want[mode][0]) and _same_mpc(d, want[mode][1])
+        assert got == want
     # both number the parser's nodes, and share no node the interpreter made
     shared = {id(node) for node in one.nodes} & {id(node) for node in two.nodes}
     parsed = {id(node) for node in _nodes(_coefs_in(ast, []))}
@@ -1395,7 +1422,7 @@ def test_a_failed_evaluation_stores_no_value():
             # the tape is whole whichever binding first reached it and raised
             assert id(expr) in tape.index
         size = len(tape.nodes)
-        assert _same_mpc(Evaluator(good, tape).eval(expr), Evaluator(good).eval(build()))
+        assert Evaluator(good, tape).eval(expr) == Evaluator(good).eval(build())
         assert len(tape.nodes) == size
         assert _snapshot(tape)[MP.prec]
 
@@ -1418,7 +1445,7 @@ def test_appending_computes_nothing(monkeypatch):
         assert expr.terms.keys() == want.keys(), port
         for mode, pair in expr.terms.items():
             for root, value in zip(pair, want[mode]):
-                assert _same_mpc(run.eval(root), value), port
+                assert run.eval(root) == value, port
     assert len(tape.nodes) == size and tape.stored[MP.prec]
 
 
@@ -1432,12 +1459,9 @@ def test_a_240_digit_run_after_a_160_digit_run_is_a_fresh_240_digit_run(name):
         want_exprs = copy.all_ports()
         differs = False
         for port, expr in protocol.all_ports().items():
-            got, want = later.table(expr), fresh.table(want_exprs[port])
-            assert got.keys() == want.keys(), port
-            for mode, (c, d) in got.items():
-                assert _same_mpc(c, want[mode][0]) and _same_mpc(d, want[mode][1]), port
-                low = at_160.table(expr)[mode]
-                differs |= not (_same_mpc(c, low[0]) and _same_mpc(d, low[1]))
+            got, low = later.table(expr), at_160.table(expr)
+            assert got == fresh.table(want_exprs[port]), port
+            differs |= any(pair != low[mode] for mode, pair in got.items())
     assert differs
     # one set of invariants per precision
     assert len(protocol.circuit.tape.stored) == 2

@@ -21,6 +21,7 @@ from telesim.verify import (
     check_bogoliubov,
     covariance_oracle,
     limit_coefficients,
+    run_suite,
     selectivity_report,
     signaling_test,
     verify_suite,
@@ -194,6 +195,20 @@ def test_verify_suite_matches_the_cli_checks(name):
     assert [check for check, _, _ in suite.checks] == [
         entry["check"] for entry in report["checks"]
     ]
+
+
+@pytest.mark.parametrize("name", list(PROTOCOLS))
+def test_run_suite_holds_the_analyses_of_run_and_no_check(name):
+    protocol = build(name)
+    suite = run_suite(protocol)
+    assert not suite.checks and suite.all_passed and suite.bogoliubov is None
+    assert suite.causality == causality_report(protocol)
+    want = None if protocol.target is None else selectivity_report(protocol)
+    assert suite.selectivity == want
+    assert (suite.limits is not None) == bool(protocol.limit_params)
+    if suite.limits is not None:
+        assert suite.limits.params == tuple(protocol.limit_params)
+        assert suite.limits.results.keys() == protocol.quantum_ports().keys()
 
 
 def test_cli_verify_runs_each_analysis_once(monkeypatch):
