@@ -8,10 +8,11 @@ list once, carrying symbolic mode expressions plus an emission time for
 every wire, and collects declared outputs into a :class:`ProtocolOutput`.
 
 :data:`ELEMENTS` is the one declaration of element wiring, read by the
-parser, the serializer and the interpreter. The float64 covariance oracle
-in :mod:`telesim.verify` keeps its own: it is the independent reference,
-so a wrong row shows up as an oracle mismatch instead of being copied
-into both variance pipelines.
+parser, the serializer and the interpreter, and each element's statement
+class (``SplitStmt`` ... ``DisplaceStmt``) is made from its entry. The
+float64 covariance oracle in :mod:`telesim.verify` keeps its own wiring:
+it is the independent reference, so a wrong row shows up as an oracle
+mismatch instead of being copied into both variance pipelines.
 
 The interpreter is the one place element parameters are validated: each
 split, squeeze and homodyne is judged under the actual binding (declared
@@ -29,7 +30,7 @@ how deliberately impossible circuits get flagged instead of rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from typing import Callable
 
 from .coeff import CoefExpr, CoefficientError, Evaluator, ParamEnv, Tape, to_complex
@@ -92,80 +93,6 @@ class ModeDecl(Stmt):
     time_bin: int
 
 
-@dataclass(frozen=True)
-class SplitStmt(Stmt):
-    """``(out_minus, out_plus) = split(in_t, in_r, alpha=..., phi=...)``."""
-
-    out_minus: str
-    out_plus: str
-    in_t: str
-    in_r: str
-    alpha: CoefExpr
-    phi: CoefExpr
-
-
-@dataclass(frozen=True)
-class SqueezeStmt(Stmt):
-    """``(out1, out2) = squeeze(in1, in2, gain=..., phase=...)``: two-mode squeezing."""
-
-    out1: str
-    out2: str
-    in1: str
-    in2: str
-    gain: CoefExpr
-    phase: CoefExpr
-
-
-@dataclass(frozen=True)
-class UnsqueezeStmt(Stmt):
-    """``(out1, out2) = unsqueeze(in1, in2, gain=...)``: the inverse squeezer."""
-
-    out1: str
-    out2: str
-    in1: str
-    in2: str
-    gain: CoefExpr
-
-
-@dataclass(frozen=True)
-class PhaseStmt(Stmt):
-    """``out = phase(operand, phi=...)``: a phase shift."""
-
-    out: str
-    operand: str
-    phi: CoefExpr
-
-
-@dataclass(frozen=True)
-class HomodyneStmt(Stmt):
-    """``out = homodyne(signal, resource, xphase=..., pphase=...)``: a dual-homodyne record."""
-
-    out: str
-    signal: str
-    resource: str
-    xphase: CoefExpr
-    pphase: CoefExpr
-
-
-@dataclass(frozen=True)
-class CombineStmt(Stmt):
-    """``out = combine(w1*rec1, ...)``: a weighted sum of measurement records."""
-
-    out: str
-    terms: tuple[tuple[CoefExpr, str], ...]
-
-
-@dataclass(frozen=True)
-class DisplaceStmt(Stmt):
-    """``out = displace(resource, record, gain=...[, bin=...])``: feed-forward of a record."""
-
-    out: str
-    resource: str
-    record: str
-    gain: CoefExpr
-    claimed_bin: int | None = None
-
-
 # wire kinds, each spelled as the noun a wiring error names
 MODE, RECORD = "mode wire", "measurement record"
 
@@ -177,7 +104,9 @@ class Element:
     outputs and inputs pair each field naming a wire with the wire's kind
     (mode wire or measurement record); coefficients are the keyword fields
     in source order. apply is the element function, called with the inputs
-    and then the coefficients. combine reads its records from its terms.
+    and then the coefficients. extra holds the fields after the
+    coefficients, as :func:`dataclasses.make_dataclass` takes them: combine's
+    terms, from which it reads its records, and displace's claimed bin.
     """
 
     keyword: str
@@ -185,40 +114,54 @@ class Element:
     inputs: tuple[tuple[str, str], ...] = ()
     coefficients: tuple[str, ...] = ()
     apply: Callable | None = None
+    extra: tuple[tuple, ...] = ()
+
+
+ELEMENTS: dict[type, Element] = {}
+
+
+def _statement(element: Element) -> type:
+    """The frozen statement class of element, registered in :data:`ELEMENTS`."""
+    cls = make_dataclass(
+        f"{element.keyword.capitalize()}Stmt",
+        [*((name, "str") for name, _ in element.outputs + element.inputs),
+         *((name, "CoefExpr") for name in element.coefficients), *element.extra],
+        bases=(Stmt,),
+        frozen=True,
+        namespace={"__module__": __name__, "__doc__": f"A ``{element.keyword}`` statement."},
+    )
+    ELEMENTS[cls] = element
+    return cls
 
 
 _MODE_OUT = (("out", MODE),)
 _MODE_PAIR_OUT = (("out1", MODE), ("out2", MODE))
 _MODE_PAIR_IN = (("in1", MODE), ("in2", MODE))
 
-ELEMENTS: dict[type, Element] = {
-    SplitStmt: Element(
-        "split",
-        (("out_minus", MODE), ("out_plus", MODE)),
-        (("in_t", MODE), ("in_r", MODE)),
-        ("alpha", "phi"),
-        split_modes,
-    ),
-    SqueezeStmt: Element(
-        "squeeze", _MODE_PAIR_OUT, _MODE_PAIR_IN, ("gain", "phase"), apply_two_mode_squeezer
-    ),
-    UnsqueezeStmt: Element(
-        "unsqueeze", _MODE_PAIR_OUT, _MODE_PAIR_IN, ("gain",), apply_inverse_squeezer
-    ),
-    PhaseStmt: Element("phase", _MODE_OUT, (("operand", MODE),), ("phi",), apply_phase_shift),
-    HomodyneStmt: Element(
-        "homodyne",
-        (("out", RECORD),),
-        (("signal", MODE), ("resource", MODE)),
-        ("xphase", "pphase"),
-        dual_homodyne,
-    ),
-    CombineStmt: Element("combine", (("out", RECORD),)),
-    DisplaceStmt: Element(
-        "displace", _MODE_OUT, (("resource", MODE), ("record", RECORD)), ("gain",), displace
-    ),
-}
-
+SplitStmt = _statement(Element(
+    "split", (("out_minus", MODE), ("out_plus", MODE)), (("in_t", MODE), ("in_r", MODE)),
+    ("alpha", "phi"), split_modes,
+))
+SqueezeStmt = _statement(Element(
+    "squeeze", _MODE_PAIR_OUT, _MODE_PAIR_IN, ("gain", "phase"), apply_two_mode_squeezer
+))
+UnsqueezeStmt = _statement(Element(
+    "unsqueeze", _MODE_PAIR_OUT, _MODE_PAIR_IN, ("gain",), apply_inverse_squeezer
+))
+PhaseStmt = _statement(
+    Element("phase", _MODE_OUT, (("operand", MODE),), ("phi",), apply_phase_shift)
+)
+HomodyneStmt = _statement(Element(
+    "homodyne", (("out", RECORD),), (("signal", MODE), ("resource", MODE)),
+    ("xphase", "pphase"), dual_homodyne,
+))
+CombineStmt = _statement(Element(
+    "combine", (("out", RECORD),), extra=(("terms", "tuple[tuple[CoefExpr, str], ...]"),)
+))
+DisplaceStmt = _statement(Element(
+    "displace", _MODE_OUT, (("resource", MODE), ("record", RECORD)), ("gain",), displace,
+    (("claimed_bin", "int | None", None),),
+))
 
 ROLES = ("transmitted", "reflected", "tap")
 

@@ -292,8 +292,6 @@ def _fmt_complex(quad: list[float]) -> tuple[str, str]:
 
 
 def _table(rows: list[list[str]], indent: str = "  ") -> list[str]:
-    if not rows:
-        return []
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     return [
         indent + "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()

@@ -546,7 +546,7 @@ def parse_circuit(text: str) -> CircuitAst:
 # ---------------------------------------------------------------------------
 # canonical serialization
 
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_ATOM = 1, 2, 3, 4
+_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY = 1, 2, 3
 
 
 def format_number(value: float) -> str:
@@ -569,8 +569,7 @@ def _format_expr(expr: CoefExpr, need: int) -> str:
         if value.imag != 0:
             raise ValueError("complex literals have no source form; build them from i")
         if value.real < 0:
-            text = "-" + format_number(-value.real)
-            return f"({text})" if need > _LEVEL_UNARY else text
+            return "-" + format_number(-value.real)
         return format_number(value.real)
     if isinstance(expr, Param):
         return expr.name
@@ -581,8 +580,7 @@ def _format_expr(expr: CoefExpr, need: int) -> str:
     if isinstance(expr, Call):
         return f"{expr.func}({_format_expr(expr.arg, 0)})"
     if isinstance(expr, Neg):
-        text = "-" + _format_expr(expr.operand, _LEVEL_UNARY)
-        return f"({text})" if need > _LEVEL_UNARY else text
+        return "-" + _format_expr(expr.operand, _LEVEL_UNARY)
     if isinstance(expr, (Add, Sub)):
         op = " + " if isinstance(expr, Add) else " - "
         text = _format_expr(expr.left, _LEVEL_ADD) + op + _format_expr(expr.right, _LEVEL_ADD + 1)

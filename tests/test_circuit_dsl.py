@@ -1,7 +1,7 @@
 """Circuit source language: parsing, validation, serialization, evaluation."""
 
 import math
-from dataclasses import replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -16,18 +16,27 @@ from telesim.circuit import (
     CombineStmt,
     DisplaceStmt,
     ExpectStmt,
+    HomodyneStmt,
     Loc,
     ModeDecl,
     OutputStmt,
     PhaseStmt,
     SplitStmt,
+    SqueezeStmt,
     Stmt,
     TargetStmt,
+    UnsqueezeStmt,
     evaluate_circuit,
     merge_env,
 )
-from telesim.coeff import Div, Num, ParamEnv
-from telesim.dsl import ParseError, format_number, parse_circuit, serialize_circuit
+from telesim.coeff import Add, Div, Mul, Neg, Num, Param, ParamEnv, Sub, evaluate
+from telesim.dsl import (
+    ParseError,
+    format_coef,
+    format_number,
+    parse_circuit,
+    serialize_circuit,
+)
 from telesim.opalg import ModeKind, quadrature_variance
 from telesim.verify import covariance_oracle
 
@@ -350,6 +359,70 @@ def test_every_element_row_round_trips_and_runs_in_both_pipelines():
         for phase in (0.0, math.pi / 2):
             op_side = quadrature_variance(expr, phase, session)
             assert oracle.variance(name, phase) == pytest.approx(op_side, rel=1e-10, abs=1e-10)
+
+
+# positional construction is public: field order and defaults are pinned
+STATEMENT_SHAPES = [
+    (SplitStmt, "split", ("out_minus", "out_plus", "in_t", "in_r", "alpha", "phi"), {}),
+    (SqueezeStmt, "squeeze", ("out1", "out2", "in1", "in2", "gain", "phase"), {}),
+    (UnsqueezeStmt, "unsqueeze", ("out1", "out2", "in1", "in2", "gain"), {}),
+    (PhaseStmt, "phase", ("out", "operand", "phi"), {}),
+    (HomodyneStmt, "homodyne", ("out", "signal", "resource", "xphase", "pphase"), {}),
+    (CombineStmt, "combine", ("out", "terms"), {}),
+    (DisplaceStmt, "displace", ("out", "resource", "record", "gain", "claimed_bin"),
+     {"claimed_bin": None}),
+]
+
+
+@pytest.mark.parametrize("cls, keyword, names, defaults", STATEMENT_SHAPES)
+def test_statement_classes_keep_their_public_shape(cls, keyword, names, defaults):
+    assert [f.name for f in fields(cls)] == ["loc", *names]
+    assert {f.name: f.default for f in fields(cls) if f.default is not MISSING} == defaults
+    assert (cls.__module__, cls.__qualname__) == ("telesim.circuit", cls.__name__)
+    assert cls.__doc__ and "\n" not in cls.__doc__
+    assert ELEMENTS[cls].keyword == keyword
+    values = [f"v{k}" for k in range(len(names))]
+    stmt = cls(Loc(1, 1), *values)
+    assert [getattr(stmt, name) for name in names] == values
+    # loc is never part of structural equality
+    assert stmt == cls(Loc(2, 2), *values) and hash(stmt) == hash(cls(Loc(2, 2), *values))
+    assert repr(stmt).startswith(f"{cls.__name__}(loc=Loc(line=1, column=1), {names[0]}='v0'")
+    with pytest.raises(FrozenInstanceError):
+        setattr(stmt, names[-1], "changed")
+
+
+def test_every_element_has_a_statement_class():
+    assert set(ELEMENTS) == {cls for cls, *_ in STATEMENT_SHAPES}
+
+
+def test_negative_literals_serialize_bare_wherever_they_sit():
+    # the parser reads -2.5 as Neg(Num(2.5)); a negative Num comes from folds such as -Num(2.5)
+    x, n = Param("x"), Num(-2.5)
+    env = ParamEnv({"x": 0.75})
+    cases = [
+        (Add(n, x), "-2.5 + x"), (Add(x, n), "x + -2.5"),
+        (Sub(n, x), "-2.5 - x"), (Sub(x, n), "x - -2.5"),
+        (Mul(n, x), "-2.5*x"), (Mul(x, n), "x*-2.5"),
+        (Div(n, x), "-2.5/x"), (Div(x, n), "x/-2.5"),
+        (Neg(n), "--2.5"),
+    ]
+    for expr, text in cases:
+        assert format_coef(expr) == text
+        ast = parse_circuit(f"param x = 0.75\n{TWO_MODES}out = phase(v, phi={text})\n")
+        assert evaluate(ast.statements[-1].phi, env) == evaluate(expr, env), text
+
+    base = parse_circuit(
+        TWO_MODES + "m = homodyne(v, w, xphase=0, pphase=pi/2)\nc = combine(1*m)\ntarget = 1*v\n"
+    )
+    *head, combine, target = base.statements
+    ast = CircuitAst((
+        *head, replace(combine, terms=((n, "m"),)), replace(target, terms=((n, "v", False),))
+    ))
+    text = serialize_circuit(ast)
+    assert text.endswith("c = combine(-2.5*m)\ntarget = -2.5*v\n")
+    *_, combine, target = parse_circuit(text).statements
+    for weight in (combine.terms[0][0], target.terms[0][0]):
+        assert evaluate(weight, env) == -2.5
 
 
 def test_records_are_not_mode_wires():

@@ -108,6 +108,17 @@ def test_protocol_text_round_trips_and_rebuilds(name):
     assert set(po.all_ports()) == set(build(name).all_ports())
 
 
+def test_square_roots_of_small_rationals_keep_their_spelling():
+    alpha = math.sqrt(0.5)
+    text = protocol_text("delayed_telefilter", alpha=alpha)
+    assert "split(a0, v0, alpha=sqrt(1/2), phi=-pi/2)" in text
+    assert serialize_circuit(parse_circuit(text)) == text
+    for po in (build("delayed_telefilter", alpha=alpha), evaluate_circuit(parse_circuit(text))):
+        suite = verify_suite(po)
+        assert [passed for _, passed, _ in suite.checks] == [True] * 5
+        assert suite.selectivity.verdict == "mode_selective"
+
+
 def test_signal_bins_count_from_one():
     po = build("delayed_telefilter")
     bins = {m.name: m.time_bin for m in po.input_registry if m.kind is ModeKind.SIGNAL}
