@@ -5,11 +5,12 @@ built from complex constants, parameter references, the imaginary unit, pi,
 arithmetic, and the handful of functions the circuits need; no symbolic
 simplification happens beyond cheap constant folding in the constructors.
 Nodes hold their fields only. A :class:`Tape` numbers the nodes of one
-evaluated circuit as instructions and keeps the binding-invariant values
-its runs read; an :class:`Evaluator` is one run of a tape under one
-binding. While ``evaluate_circuit`` runs, its tape is current and the
-constructors intern on it (hash-consing as nodes are made), so a structure
-is one node and each binding computes its value once.
+evaluated circuit as instructions, operands first, and keeps the
+binding-invariant values its runs read; an :class:`Evaluator` is one run
+of a tape under one binding, computing what its roots lack in forward
+passes in tape order. While ``evaluate_circuit`` runs, its tape is current
+and the constructors intern on it (hash-consing as nodes are made), so a
+structure is one node and each binding computes its value once.
 
 Evaluation runs on a dedicated mpmath context, ``MP``, with 160 decimal
 digits. A session's precision is ``MP``'s when the session is made; its
@@ -88,10 +89,10 @@ class CoefExpr:
     __slots__ = ()
 
     def __add__(self, other):
-        return _fold_add(self, as_coef(other))
+        return fold_add(self, as_coef(other))
 
     def __radd__(self, other):
-        return _fold_add(as_coef(other), self)
+        return fold_add(as_coef(other), self)
 
     def __sub__(self, other):
         return _fold_sub(self, as_coef(other))
@@ -100,10 +101,10 @@ class CoefExpr:
         return _fold_sub(as_coef(other), self)
 
     def __mul__(self, other):
-        return _fold_mul(self, as_coef(other))
+        return fold_mul(self, as_coef(other))
 
     def __rmul__(self, other):
-        return _fold_mul(as_coef(other), self)
+        return fold_mul(as_coef(other), self)
 
     def __truediv__(self, other):
         return _fold_div(self, as_coef(other))
@@ -210,18 +211,27 @@ def _intern(cls, head, a=None, b=None):
     Call's function) and operands a, b. While a tape is current, it is the
     tape's node of that key, made and numbered there if the tape has none."""
     tape = Tape.current
-    if tape is not None:
-        index = tape.index
-        i = -1 if a is None else index.get(id(a))
-        j = -1 if b is None else index.get(id(b))
-        key = (head, tape.append(a) if i is None else i, tape.append(b) if j is None else j)
-        k = tape.keys.get(key)
-        if k is not None:
-            return tape.nodes[k]
-    node = (cls(head) if a is None else cls(a, b) if b is not None else
-            cls(a) if head is cls else cls(head, a))
-    if tape is not None:
-        tape._add(node, key)
+    if tape is None:
+        return (cls(head) if a is None else cls(a, b) if b is not None else
+                cls(a) if head is cls else cls(head, a))
+    index = tape.index
+    i = -1 if a is None else index.get(id(a))
+    if i is None:
+        i = tape.append(a)
+    j = -1 if b is None else index.get(id(b))
+    if j is None:
+        j = tape.append(b)
+    key = (head, i, j)
+    nodes = tape.nodes
+    k = tape.keys.get(key)
+    if k is not None:
+        return nodes[k]
+    node = cls(head) if i < 0 else cls(a, b) if j >= 0 else cls(a) if head is cls else cls(head, a)
+    tape.keys[key] = index[id(node)] = len(nodes)
+    nodes.append(node)
+    tape.ops.append(key)
+    dep = tape.dependent  # no Param is made here: the parser makes them, and append numbers them
+    dep.append(i >= 0 and (dep[i] or j >= 0 and dep[j]))
     return node
 
 
@@ -230,7 +240,7 @@ def _intern(cls, head, a=None, b=None):
 # A zero operand is tested before a unit one.
 
 
-def _fold_add(a: "CoefExpr", b: "CoefExpr") -> "CoefExpr":
+def fold_add(a: "CoefExpr", b: "CoefExpr") -> "CoefExpr":
     if type(a) is Num and a.value == 0:
         return b
     if type(b) is Num and b.value == 0:
@@ -254,7 +264,7 @@ def _fold_sub(a: "CoefExpr", b: "CoefExpr") -> "CoefExpr":
     return _intern(Sub, Sub, a, b)
 
 
-def _fold_mul(a: "CoefExpr", b: "CoefExpr") -> "CoefExpr":
+def fold_mul(a: "CoefExpr", b: "CoefExpr") -> "CoefExpr":
     if (type(a) is Num and a.value == 0) or (type(b) is Num and b.value == 0):
         return ZERO
     if type(a) is Num and a.value == 1:
@@ -320,9 +330,6 @@ def cis(phase) -> CoefExpr:
     return _intern(Call, "exp", _intern(Mul, Mul, I, as_coef(phase)))
 
 
-_KERNELS = {Add: mpc_add, Sub: mpc_sub, Neg: mpc_neg, Conj: mpc_conjugate}
-
-
 def _mul(x: tuple, y: tuple, prec: int, rnd: str) -> tuple:
     """mpc_mul(x, y), bit for bit: times a finite real, its cross terms are
     exact zeros (inf*0 is nan), so each part rounds one product."""
@@ -359,14 +366,6 @@ class Tape:
         self.dependent = bytearray()
         self.stored: dict[int, dict[int, tuple]] = {}  # precision -> instruction -> value
 
-    def _add(self, node: CoefExpr, key: tuple) -> None:
-        _, i, j = key
-        self.keys[key] = self.index[id(node)] = len(self.nodes)
-        self.nodes.append(node)
-        self.ops.append(key)
-        dep = self.dependent
-        dep.append(type(node) is Param or (i >= 0 and dep[i]) or (j >= 0 and dep[j]))
-
     def append(self, root: CoefExpr) -> int:
         """Instruction of root, joining each node of root the tape lacks, operands first."""
         index = self.index
@@ -396,8 +395,12 @@ class Tape:
             key = (node.value if cls is Num else node.name if cls is Param else
                    node.func if cls is Call else cls, a, b)
             i = self.keys.get(key)
-            if i is None:
-                self._add(node, key)
+            if i is None:  # numbered as _intern numbers what it makes; a Param is dependent
+                self.keys[key] = index[id(node)] = len(self.nodes)
+                self.nodes.append(node)
+                self.ops.append(key)
+                dep = self.dependent
+                dep.append(cls is Param or a >= 0 and (dep[a] or b >= 0 and dep[b]))
             else:
                 index[id(node)] = i
                 self.foreign.append(node)
@@ -407,23 +410,24 @@ class Tape:
 class Evaluator:
     """One run of a :class:`Tape` (by default a one-off tape) under one env.
 
-    :meth:`eval` joins a foreign root to the tape, then runs only what this
-    run lacks of it: after a circuit's first run at ``MP``'s precision, what
-    a :class:`Param` reaches, and returns the root's raw ``_mpc_`` tuple.
-    :meth:`_eval` applies the ``mpmath.libmp`` kernels of ``MP.mpc``
-    arithmetic and of ``MP``'s functions, bit for bit, to raw ``_mpc_``
-    tuples at the precision ``MP`` had when the run was made. Equal
+    :meth:`eval` and, for many roots at once, :meth:`eval_all` join foreign
+    roots to the tape and return their raw ``_mpc_`` tuples. Both go
+    through one pass (:meth:`_run`) over only what this run lacks of them:
+    after a circuit's first run at ``MP``'s precision, what a :class:`Param`
+    reaches. :meth:`_eval` runs a pass forward in tape order, applying the
+    ``mpmath.libmp`` kernels of ``MP.mpc`` arithmetic and of ``MP``'s
+    functions, bit for bit, at the precision ``MP`` had when the run was
+    made; a failing pass raises its first failure in tape order. Equal
     structure is one instruction already; a value memo computes each
     distinct invariant product once per run, where unequal structure gives
-    it. Values join the store when :meth:`_run` finishes, never when it
-    raises: the invariant operands it computed, and through :meth:`eval` an
-    invariant root.
+    it. Values join the store when a pass finishes, never when it raises:
+    the invariant operands of the dependent instructions it computed, and
+    its invariant roots.
     """
 
     def __init__(self, env: ParamEnv, tape: Tape | None = None):
         self.env = env
         self.tape = tape = Tape() if tape is None else tape
-        self._nodes, self._ops, self._dependent = tape.nodes, tape.ops, tape.dependent
         self._prec, self._rnd = MP._prec_rounding
         self._stored = tape.stored.setdefault(self._prec, {})
         self._vals = dict(self._stored)  # instruction -> raw value in this run
@@ -431,70 +435,72 @@ class Evaluator:
 
     def eval(self, expr: CoefExpr) -> tuple:
         """The raw ``_mpc_`` tuple (re, im) of expr at the run's precision, unwrapped."""
-        tape = self.tape
-        i = tape.index.get(id(expr))
-        i = tape.append(expr) if i is None else i
-        value = self._vals.get(i) or self._run(i)
-        if not tape.dependent[i] and i not in self._stored:
-            self._stored[i] = value
-        return value
+        return self._run([self.tape.index.get(id(expr)) or self.tape.append(expr)])[0]
 
-    def _run(self, root: int) -> tuple:
-        """Value of instruction root, computing first what this run lacks of it."""
-        vals, ops, dependent = self._vals, self._ops, self.tape.dependent
-        stored = self._stored
-        keep = []  # invariant operands of the dependent instructions computed, to store
-        stack = [root]  # an instruction to expand, or ~i once its operands are done
-        while stack:
-            i = stack.pop()
-            if i < 0:
-                i = ~i
-                vals[i] = self._eval(i)
-                if dependent[i]:
-                    for k in ops[i][1:]:
-                        if k >= 0 and not dependent[k] and k not in stored:
-                            keep.append(k)
-            elif i not in vals:
-                stack.append(~i)
+    def eval_all(self, exprs) -> list[tuple]:
+        """The raw value of each of exprs, from one pass."""
+        index, append = self.tape.index, self.tape.append
+        return self._run([index.get(id(expr)) or append(expr) for expr in exprs])
+
+    def _run(self, roots: list[int]) -> list[tuple]:
+        """Values of instructions roots, computing first what this run lacks of them."""
+        vals, ops, dependent, stored = self._vals, self.tape.ops, self.tape.dependent, self._stored
+        seen = {i for i in roots if i not in vals}
+        if seen:
+            order = list(seen)
+            for i in order:  # grows as it goes: what the roots reach and the run lacks
                 _, a, b = ops[i]
-                if b >= 0 and b not in vals:
-                    stack.append(b)
-                if a >= 0 and a not in vals:
-                    stack.append(a)
-        for k in keep:
-            stored[k] = vals[k]
-        return vals[root]
+                if a >= 0 and a not in vals and a not in seen:
+                    seen.add(a)
+                    order.append(a)
+                if b >= 0 and b not in vals and b not in seen:
+                    seen.add(b)
+                    order.append(b)
+            order.sort()  # operands are numbered before what reads them
+            self._eval(order)
+            stored.update((k, vals[k]) for i in order if dependent[i]
+                          for k in ops[i][1:] if k >= 0 and not dependent[k] and k not in stored)
+        for i in roots:
+            if not dependent[i] and i not in stored:
+                stored[i] = vals[i]
+        return [vals[i] for i in roots]
 
-    def _eval(self, i: int) -> tuple:
-        """Raw value of instruction i, whose operands this run holds."""
-        node, vals, prec, rnd = self._nodes[i], self._vals, self._prec, self._rnd
-        _, a, b = self._ops[i]
-        cls, x, y = type(node), vals.get(a), vals.get(b)
-        if cls is Mul:
-            if self._dependent[i]:  # its operands rarely repeat: hashing them costs more
-                return _mul(x, y, prec, rnd)
-            # equal invariant operands come from unequal structure (7/8 * 6/7 is 3/4)
-            value = self._products.get((x, y))
-            if value is None:
-                value = self._products[x, y] = _mul(x, y, prec, rnd)
-            return value
-        kernel = _KERNELS.get(cls)
-        if kernel is not None:
-            return kernel(x, prec, rnd) if y is None else kernel(x, y, prec, rnd)
-        if cls is Param:
-            try:
-                return MP.mpc(self.env.values[node.name])._mpc_
-            except KeyError:
-                raise CoefficientError(f"unbound parameter {node.name!r}") from None
-        if cls is PiConst or cls is ImagUnit:
-            return (mpf_pi(prec, rnd), fzero) if cls is PiConst else (fzero, fone)
-        if cls is Num:
-            return MP.mpc(node.value)._mpc_
-        if cls is Call:
-            return _FUNCTIONS[node.func](x, prec, rnd)
-        if y == (fzero, fzero):
-            raise CoefficientError("division by zero")
-        return mpc_div(x, y, prec, rnd)
+    def _eval(self, order: list[int]) -> None:
+        """The raw value of each instruction of order, in order, into the run's
+        values; each one's operands come before it in order or are values already."""
+        ops, dependent, vals, env = self.tape.ops, self.tape.dependent, self._vals, self.env.values
+        products, prec, rnd, mul = self._products, self._prec, self._rnd, _mul
+        for i in order:
+            head, a, b = ops[i]  # the class, a Num's value, a Param's name or a Call's function
+            if head is Mul:
+                x, y = vals[a], vals[b]
+                if dependent[i]:  # its operands rarely repeat: hashing them costs more
+                    value = mul(x, y, prec, rnd)
+                else:  # equal invariant operands come from unequal structure (7/8 * 6/7 is 3/4)
+                    value = products.get((x, y))
+                    if value is None:
+                        value = products[x, y] = mul(x, y, prec, rnd)
+            elif head is Add:
+                value = mpc_add(vals[a], vals[b], prec, rnd)
+            elif head is Conj or head is Neg:
+                value = (mpc_conjugate if head is Conj else mpc_neg)(vals[a], prec, rnd)
+            elif type(head) is str and a >= 0:  # a Call's function
+                value = _FUNCTIONS[head](vals[a], prec, rnd)
+            elif type(head) is str:  # a Param's name
+                if head not in env:
+                    raise CoefficientError(f"unbound parameter {head!r}")
+                value = MP.mpc(env[head])._mpc_
+            elif head is Div:
+                if vals[b] == (fzero, fzero):
+                    raise CoefficientError("division by zero")
+                value = mpc_div(vals[a], vals[b], prec, rnd)
+            elif head is Sub:
+                value = mpc_sub(vals[a], vals[b], prec, rnd)
+            elif head is PiConst or head is ImagUnit:
+                value = (mpf_pi(prec, rnd), fzero) if head is PiConst else (fzero, fone)
+            else:  # a Num's value
+                value = MP.mpc(head)._mpc_
+            vals[i] = value
 
 
 def evaluate(expr: CoefExpr, env: ParamEnv) -> complex:

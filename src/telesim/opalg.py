@@ -16,6 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from mpmath.libmp import fnan, from_float, from_man_exp, fzero, mpc_exp, mpc_to_complex
 
@@ -29,6 +30,8 @@ from .coeff import (
     ZERO,
     as_coef,
     conj,
+    fold_add,
+    fold_mul,
 )
 
 
@@ -98,9 +101,9 @@ def lin_comb(weighted: list[tuple[object, ModeExpr]]) -> ModeExpr:
         for mode, (c, d) in expr.terms.items():
             prev = out.get(mode)
             if prev is None:
-                out[mode] = (w * c, w * d)
+                out[mode] = (fold_mul(w, c), fold_mul(w, d))
             else:
-                out[mode] = (prev[0] + w * c, prev[1] + w * d)
+                out[mode] = (fold_add(prev[0], fold_mul(w, c)), fold_add(prev[1], fold_mul(w, d)))
     return ModeExpr(out)
 
 
@@ -135,12 +138,14 @@ class ModeEvaluator:
     all without the cyclic GC. A session evaluates coefficients by one run
     (:class:`Evaluator`) per tape: its expressions' circuit's, or its own.
     A session given ``roots`` (an evaluated protocol's ports, records and
-    forms) tables them all on creation, then drops its runs; it hands them,
-    and the caches of the top session, to every session it binds. A bound
-    session takes each root entry no parameter reaches, with its fixed-point
-    and float forms, from those caches; it evaluates and converts the rest.
-    A session without roots tables lazily and keeps its runs, as does the
-    one :func:`session_for` keeps for the last bare :class:`ParamEnv` given.
+    forms) tables them all on creation, from one pass per tape
+    (:meth:`Evaluator.eval_all`) sliced into tables, then drops its runs; it
+    hands the roots, and the caches of the top session, to every session it
+    binds. A bound session takes each root entry no parameter reaches, with
+    its fixed-point and float forms, from those caches; it evaluates the
+    rest in that one pass, and converts them. A session without roots
+    tables lazily, one pass per table, and keeps its runs, as does the one
+    :func:`session_for` keeps for the last bare :class:`ParamEnv` given.
     Its precision is ``MP``'s when it is made; its runs and the sessions it
     binds keep it.
 
@@ -166,8 +171,15 @@ class ModeEvaluator:
         self._shared = shared  # in a bound session, the caches of the top session it was bound from
         self._roots = tuple(roots)
         self._derived: dict[tuple, ModeEvaluator] = {}
+        wanted: dict[Tape | None, list] = {}  # per tape: (root, the modes to evaluate)
         for expr in self._roots:
-            self.table(expr)
+            modes = expr.terms if shared is None else self._reached_modes(expr)
+            wanted.setdefault(expr.tape, []).append((expr, modes))
+        for tape, exprs in wanted.items():
+            for (expr, _), made in zip(exprs, self._evaluated(tape, exprs)):
+                if shared is not None:
+                    made = {**shared[0][expr], **made} if made else shared[0][expr]
+                self._tables[expr] = made
         self._runs = {}
 
     def bind(self, **overrides: float) -> "ModeEvaluator":
@@ -185,25 +197,35 @@ class ModeEvaluator:
     def table(self, expr: ModeExpr) -> NumericTerms:
         """Each mode of expr with its raw coefficients (c, d), made once per session."""
         cached = self._tables.get(expr)
-        if cached is not None:
-            return cached
-        run = self._runs.get(expr.tape)
+        if cached is None:
+            (cached,) = self._evaluated(expr.tape, [(expr, expr.terms)])
+            self._tables[expr] = cached
+        return cached
+
+    def _evaluated(self, tape: Tape | None, wanted: list) -> list[NumericTerms]:
+        """For each (expr, modes) of wanted, the table of those modes of expr,
+        from one pass of this session's run of tape."""
+        coefs = [coef for expr, modes in wanted for m in modes for coef in expr.terms[m]]
+        values = iter(self._run_of(tape).eval_all(coefs))
+        pairs = zip(values, values)
+        return [dict(zip(modes, islice(pairs, len(modes)))) for _, modes in wanted]
+
+    def _run_of(self, tape: Tape | None) -> Evaluator:
+        run = self._runs.get(tape)
         if run is None:
             with MP.workprec(self._prec):
-                run = self._runs[expr.tape] = Evaluator(self.env, expr.tape)
-        ev, terms, shared = run.eval, expr.terms, self._shared
-        if shared is None or expr not in self._roots:
-            result = {m: (ev(c), ev(d)) for m, (c, d) in terms.items()}
-        else:
-            modes = shared[3].get(expr)
-            if modes is None:
-                tape, index, dep = run.tape, run.tape.index, run.tape.dependent
-                modes = shared[3][expr] = [m for m, (c, d) in terms.items() if dep[
-                    index.get(id(c)) or tape.append(c)] or dep[index.get(id(d)) or tape.append(d)]]
-            made = {m: (ev(terms[m][0]), ev(terms[m][1])) for m in modes}
-            result = {**shared[0][expr], **made} if made else shared[0][expr]
-        self._tables[expr] = result
-        return result
+                run = self._runs[tape] = Evaluator(self.env, tape)
+        return run
+
+    def _reached_modes(self, expr: ModeExpr) -> list[ModeId]:
+        """The modes of root expr a parameter reaches, found once per top session."""
+        modes = self._shared[3].get(expr)
+        if modes is None:
+            tape = self._run_of(expr.tape).tape
+            index, dep, terms = tape.index, tape.dependent, expr.terms
+            modes = self._shared[3][expr] = [m for m, (c, d) in terms.items() if dep[
+                index.get(id(c)) or tape.append(c)] or dep[index.get(id(d)) or tape.append(d)]]
+        return modes
 
     def floats(self, expr: ModeExpr) -> dict:
         """The double view of :meth:`table`, as ``complex()`` converts, made once per session."""

@@ -39,7 +39,7 @@ def test_every_traced_span_and_counter_fires(capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert [name for name, fired in tracer.fires.items() if not fired] == []
-    assert tracer.counts["coeff.eval_misses"] > 0  # Evaluator._eval
+    assert tracer.counts["coeff.eval_misses"] > 0  # passes: Evaluator._eval
     assert tracer.counts["coeff.evaluators"] > 0  # Evaluator.__init__
 
 
@@ -61,6 +61,6 @@ def test_the_sweep_library_path_counts_runs_and_instructions():
         tracer.uninstall()
     assert tracer.fires["coeff.eval"] > 0
     assert tracer.fires["verify.bogoliubov"] == tracer.fires["verify.oracle"] == 1
-    assert tracer.counts["coeff.eval_misses"] > 0  # instructions run: Evaluator._eval
+    assert tracer.counts["coeff.eval_misses"] > 0  # passes run: Evaluator._eval
     # runs (Evaluator.__init__): the session's and the oracle's
     assert tracer.counts["coeff.evaluators"] == 2

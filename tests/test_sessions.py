@@ -570,17 +570,19 @@ def _coefficients(expr: ModeExpr):
 
 
 def _count_evaluations(monkeypatch, counting=lambda: True) -> Counter:
-    """Counts (binding, node) pairs reaching Evaluator._eval while counting()."""
+    """Counts (binding, node) pairs in the passes Evaluator._eval runs while counting()."""
     counts: Counter = Counter()
     kept = []  # holds every counted node so no id is recycled
     plain = Evaluator._eval
 
-    def counting_eval(self, i):
+    def counting_eval(self, order):
         if counting():
-            node = self.tape.nodes[i]
-            counts[tuple(sorted(self.env.values.items())), id(node)] += 1
-            kept.append(node)
-        return plain(self, i)
+            binding = tuple(sorted(self.env.values.items()))
+            for i in order:
+                node = self.tape.nodes[i]
+                counts[binding, id(node)] += 1
+                kept.append(node)
+        return plain(self, order)
 
     monkeypatch.setattr(Evaluator, "_eval", counting_eval)
     return counts
@@ -982,8 +984,8 @@ def test_each_distinct_constant_is_converted_once(monkeypatch):
 
 
 def test_an_invariant_product_is_computed_once_per_distinct_operand_pair(monkeypatch):
-    """The 16-bin root session's run reaches Evaluator._eval once per
-    instruction it computes (none that loading stored), and runs the product
+    """The 16-bin root session's run passes Evaluator._eval each instruction
+    it computes once (none that loading stored), and runs the product
     kernels once per distinct operand pair of its binding-invariant products
     plus once per dependent product: 5,022 times for 7,789 products. The
     builder's splitter ratios meet again as values: 7/8 * 6/7 rounds to 3/4,
@@ -995,14 +997,15 @@ def test_an_invariant_product_is_computed_once_per_distinct_operand_pair(monkeyp
     invariant_pairs, products, kernel_calls = set(), [], []
     plain_eval, plain_mul = Evaluator._eval, coeff._mul
 
-    def counting_eval(self, i):
-        evaluated[i] += 1
-        if type(tape.nodes[i]) is Mul:
-            _, a, b = tape.ops[i]
-            products.append(i)
-            if not tape.dependent[i]:
-                invariant_pairs.add((self._vals[a], self._vals[b]))
-        return plain_eval(self, i)
+    def counting_eval(self, order):
+        plain_eval(self, order)
+        for i in order:  # operand values read after the pass
+            evaluated[i] += 1
+            if type(tape.nodes[i]) is Mul:
+                _, a, b = tape.ops[i]
+                products.append(i)
+                if not tape.dependent[i]:
+                    invariant_pairs.add((self._vals[a], self._vals[b]))
 
     def counting_mul(x, y, prec, rnd):
         kernel_calls.append((x, y))
@@ -1425,6 +1428,27 @@ def test_a_failed_evaluation_stores_no_value():
         assert Evaluator(good, tape).eval(expr) == Evaluator(good).eval(build())
         assert len(tape.nodes) == size
         assert _snapshot(tape)[MP.prec]
+
+
+@pytest.mark.parametrize("quotient_first, message", [
+    (False, "unbound parameter 'q'"),
+    (True, "division by zero"),
+])
+def test_a_failing_pass_raises_its_first_failure_in_tape_order(quotient_first, message):
+    """Two instructions of one root fail, an unbound parameter and a zero
+    divisor; the pass raises the one numbered first on the tape, and stores
+    nothing, not even the invariant root it computed beside them."""
+    quotient = Div(Num(1), Param("y"))
+    root, invariant = Add(Param("q"), quotient), Mul(Num(0.3), Call("exp", ImagUnit()))
+    tape = Tape()
+    if quotient_first:  # numbered before q, though the root reads q first
+        tape.append(quotient)
+    run = Evaluator(ParamEnv({"y": 0.0}), tape)
+    with pytest.raises(CoefficientError, match=message):
+        run.eval_all([invariant, root])
+    assert _snapshot(tape) == {}
+    assert run.eval(invariant) == Evaluator(ParamEnv({})).eval(invariant)
+    assert _snapshot(tape)[MP.prec]
 
 
 def test_appending_computes_nothing(monkeypatch):
