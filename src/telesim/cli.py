@@ -633,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # a last guard: the evaluator walks with a stack, the parser caps nesting
+        # a last guard: the parser caps nesting and runs are forward passes
         print(
             "error: circuit too deep to evaluate:"
             " coefficient nesting exceeds the interpreter's recursion limit",

@@ -1,9 +1,9 @@
 """Closed-form scalar coefficients over named real parameters.
 
 Expressions are small immutable trees (shared freely, so in practice DAGs)
-built from complex constants, parameter references, the imaginary unit, pi,
-arithmetic, and the handful of functions the circuits need; no symbolic
-simplification happens beyond cheap constant folding in the constructors.
+built from complex constants, parameter references, pi, arithmetic, and
+the handful of functions the circuits need; no symbolic simplification
+happens beyond cheap constant folding in the constructors.
 Nodes hold their fields only. A :class:`Tape` numbers the nodes of one
 evaluated circuit as instructions, operands first, and keeps the
 binding-invariant values its runs read; an :class:`Evaluator` is one run
@@ -139,11 +139,6 @@ class PiConst(CoefExpr):
 
 
 @dataclass(frozen=True)
-class ImagUnit(CoefExpr):
-    """The imaginary unit i."""
-
-
-@dataclass(frozen=True)
 class Add(CoefExpr):
     """The sum left + right."""
 
@@ -201,7 +196,7 @@ class Call(CoefExpr):
             raise CoefficientError(f"unknown function {self.func!r}")
 
 
-I = ImagUnit()
+I = Num(1j)
 ZERO = Num(0)
 ONE = Num(1)
 
@@ -387,7 +382,7 @@ class Tape:
                     kid = node.arg if cls is Call else node.operand
                     stack += ((node, kid, None), kid)
                     continue
-                if cls not in (Num, Param, PiConst, ImagUnit):
+                if cls not in (Num, Param, PiConst):
                     raise CoefficientError(f"cannot evaluate {node!r}")
                 a = b = -1
             cls = type(node)
@@ -435,7 +430,14 @@ class Evaluator:
 
     def eval(self, expr: CoefExpr) -> tuple:
         """The raw ``_mpc_`` tuple (re, im) of expr at the run's precision, unwrapped."""
-        return self._run([self.tape.index.get(id(expr)) or self.tape.append(expr)])[0]
+        tape = self.tape
+        i = tape.index.get(id(expr))
+        if i is None:
+            i = tape.append(expr)
+        value = self._vals.get(i)
+        if value is not None and (tape.dependent[i] or i in self._stored):
+            return value  # a hit: a pass would compute and store nothing
+        return self._run([i])[0]
 
     def eval_all(self, exprs) -> list[tuple]:
         """The raw value of each of exprs, from one pass."""
@@ -496,8 +498,8 @@ class Evaluator:
                 value = mpc_div(vals[a], vals[b], prec, rnd)
             elif head is Sub:
                 value = mpc_sub(vals[a], vals[b], prec, rnd)
-            elif head is PiConst or head is ImagUnit:
-                value = (mpf_pi(prec, rnd), fzero) if head is PiConst else (fzero, fone)
+            elif head is PiConst:
+                value = (mpf_pi(prec, rnd), fzero)
             else:  # a Num's value
                 value = MP.mpc(head)._mpc_
             vals[i] = value

@@ -16,6 +16,13 @@ record and every other wire a mode wire:
     a = displace(resource, r, gain=EXPR[, bin=INT])
 
 Parser and serializer read this wiring from :data:`telesim.circuit.ELEMENTS`.
+Every literal is a value once parsed, and the parser evaluates nothing: a
+number token reads as the double ``float()`` gives, ``i`` as ``Num(1j)``
+(the value of ``coeff.I``), and a ``param`` default is a signed number, an
+optional ``-`` and a number token. A protocol argument, in
+``protocol NAME(KEY=VALUE, ...)``, is what the serializer writes: a bare
+name other than ``pi``, ``i`` or a declared parameter, a signed number, or
+a bracketed list of signed numbers.
 Terms are comma-separated ``WEIGHT*NAME``: records for combine, declared
 modes for target and expect, ``WEIGHT*MODE^dag`` for a creation operator.
 The serializer emits a canonical spelling (spaces around + and -, tight *
@@ -51,15 +58,12 @@ from .coeff import (
     CoefExpr,
     Div,
     FUNCTION_NAMES,
-    ImagUnit,
     Mul,
     Neg,
     Num,
     Param,
-    ParamEnv,
     PiConst,
     Sub,
-    evaluate,
 )
 from .opalg import ModeKind
 
@@ -162,6 +166,17 @@ class _LineParser:
         self.next()
         return int(token.text)
 
+    def number(self, message: str) -> float:
+        """A literal: an optional '-' and a number token, as the double float() reads."""
+        negative = self.at_punct("-")
+        if negative:
+            self.next()
+        token = self.peek()
+        if token is None or token.kind != "number":
+            raise self.error(message)
+        self.next()
+        return -float(token.text) if negative else float(token.text)
+
     def nested(self, parse) -> CoefExpr:
         """Parse what the '(' or unary '-' at the cursor opens: one nesting level."""
         if self.depth >= _MAX_DEPTH:
@@ -202,8 +217,7 @@ class _LineParser:
         if token is None:
             raise self.error("expected expression")
         if token.kind == "number":
-            self.next()
-            return Num(_number_value(token.text))
+            return Num(self.number("expected expression"))
         if token.kind == "punct" and token.text == "(":
             inner = self.nested(self.parse_expr)
             self.expect_punct(")")
@@ -214,7 +228,7 @@ class _LineParser:
             if name == "pi":
                 return PiConst()
             if name == "i":
-                return ImagUnit()
+                return Num(1j)
             if name in FUNCTION_NAMES:
                 if not self.at_punct("("):
                     raise ParseError(
@@ -226,10 +240,6 @@ class _LineParser:
             self.names.append(name)
             return Param(name)
         raise self.error("expected expression")
-
-
-def _number_value(text: str) -> float:
-    return int(text) if text.isdigit() else float(text)
 
 
 class _CircuitParser:
@@ -302,23 +312,13 @@ class _CircuitParser:
         name = self._fresh(line.expect_ident("parameter name"), "parameter")
         line.expect_punct("=")
         token = line.peek()
-        if token is not None and token.kind == "ident" and token.text == "infinity":
+        infinite = token is not None and token.kind == "ident" and token.text == "infinity"
+        if infinite:
             line.next()
-            line.expect_end()
-            self.params.add(name)
-            return ParamDecl(loc, name, None, infinite=True)
-        negative = False
-        if line.at_punct("-"):
-            line.next()
-            negative = True
-        num = line.peek()
-        if num is None or num.kind != "number":
-            raise line.error("expected a number or 'infinity'")
-        line.next()
+        value = None if infinite else line.number("expected a number or 'infinity'")
         line.expect_end()
-        value = float(num.text)
         self.params.add(name)
-        return ParamDecl(loc, name, -value if negative else value)
+        return ParamDecl(loc, name, value, infinite=infinite)
 
     def _parse_mode(self, line: _LineParser, loc: Loc) -> ModeDecl:
         kind_token = line.expect_ident("mode kind")
@@ -422,43 +422,22 @@ class _CircuitParser:
         return ExpectStmt(loc, port.text, terms)
 
     def _protocol_value(self, line: _LineParser):
+        """A bare name, a signed number or a bracketed list of signed numbers."""
+        message = "protocol argument must be a real number"
         if line.at_punct("["):
             line.next()
-            items = []
-            if not line.at_punct("]"):
-                while True:
-                    items.append(self._protocol_number(line))
-                    if line.at_punct(","):
-                        line.next()
-                        continue
-                    break
+            items = [] if line.at_punct("]") else [line.number(message)]
+            while items and line.at_punct(","):
+                line.next()
+                items.append(line.number(message))
             line.expect_punct("]")
             return tuple(items)
         token = line.peek()
-        if token is not None and token.kind == "ident":
-            following = line.tokens[line.pos + 1] if line.pos + 1 < len(line.tokens) else None
-            bare = following is None or (
-                following.kind == "punct" and following.text in (",", ")")
-            )
-            if bare and token.text not in ("pi", "i") and token.text not in self.params:
-                line.next()
-                return token.text
-        return self._protocol_number(line)
-
-    def _protocol_number(self, line: _LineParser) -> float:
-        # protocol arguments are plain data, not expressions over params
-        token = line.peek()
-        expr = self._expr(line)
-        try:
-            value = evaluate(expr, ParamEnv({}))
-        except Exception:
-            value = None
-        if value is None or value.imag != 0:
-            where = token if token is not None else line.tokens[-1]
-            raise ParseError(
-                "protocol argument must be a real number", where.line, where.column
-            )
-        return value.real
+        named = token is not None and token.kind == "ident"
+        if named and token.text not in ("pi", "i") and token.text not in self.params:
+            line.next()
+            return token.text
+        return line.number(message)
 
     def _parse_assignment(self, line: _LineParser, loc: Loc) -> Stmt:
         """``(a, b) = ELEMENT(...)`` or ``a = ELEMENT(...)``, wired by its table entry."""
@@ -566,6 +545,8 @@ def format_coef(expr: CoefExpr) -> str:
 def _format_expr(expr: CoefExpr, need: int) -> str:
     if isinstance(expr, Num):
         value = expr.value
+        if value == 1j:
+            return "i"
         if value.imag != 0:
             raise ValueError("complex literals have no source form; build them from i")
         if value.real < 0:
@@ -575,8 +556,6 @@ def _format_expr(expr: CoefExpr, need: int) -> str:
         return expr.name
     if isinstance(expr, PiConst):
         return "pi"
-    if isinstance(expr, ImagUnit):
-        return "i"
     if isinstance(expr, Call):
         return f"{expr.func}({_format_expr(expr.arg, 0)})"
     if isinstance(expr, Neg):

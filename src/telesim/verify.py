@@ -46,7 +46,7 @@ from .circuit import (
     UnsqueezeStmt,
     merge_env,
 )
-from .coeff import Evaluator, ParamEnv, to_complex
+from .coeff import CoefficientError, Evaluator, ParamEnv, to_complex
 from .opalg import (
     Binding,
     ModeEvaluator,
@@ -282,7 +282,7 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
     def scalar(expr, loc, what) -> complex:
         try:
             return to_complex(coef.eval(expr))
-        except Exception as exc:  # surfaced with the statement position
+        except CoefficientError as exc:  # surfaced with the statement position
             raise CircuitError(f"cannot evaluate {what}: {exc}", loc) from exc
 
     def quantum(name, loc) -> _Rows:

@@ -184,6 +184,9 @@ def test_claimed_emission_bin_is_recorded():
         ("mode vacuum v rail=r bin=0\noutput x = v bin=1 bin=2", 2, 20, "unexpected clause 'bin'"),
         ("protocol p()\nprotocol q()", 2, 1, "duplicate protocol declaration"),
         ("protocol p(x=i)", 1, 14, "protocol argument must be a real number"),
+        # protocol arguments are literals, never expressions or parameters
+        ("protocol p(x=pi/2)", 1, 14, "protocol argument must be a real number"),
+        ("param x = 1\nprotocol p(a=x)", 2, 14, "protocol argument must be a real number"),
         (TWO_MODES + "a = frobnicate(v)", 3, 5, "unknown element 'frobnicate'"),
         (TWO_MODES + "(a, b) = frobnicate(v, w)", 3, 10, "unknown two-output element"),
         # the element is looked up before its inputs are read
@@ -441,6 +444,32 @@ def test_records_are_not_mode_wires():
         parse_circuit(text)
 
 
+def test_a_400_digit_literal_reads_as_1e400():
+    # a 400-digit integer is past float64, as 1e400 is: both read as inf
+    split = TWO_MODES + "(a, b) = split(v, w, alpha={}, phi=0)"
+    assert parse_circuit(split.format("1" + "0" * 399)) == parse_circuit(split.format("1e400"))
+
+
+def test_parsing_runs_no_evaluator(monkeypatch):
+    # literals are values when parsed, so no parse needs a coefficient run
+    from telesim import coeff
+    from telesim.protocols import protocol_text
+
+    texts = [path.read_text() for path in GOLDEN_FILES]
+    texts.append(protocol_text("nmode_delayed_telefilter", n=16))
+    made = []
+    init = coeff.Evaluator.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(coeff.Evaluator, "__init__", counting)
+    for text in texts:
+        parse_circuit(text)
+    assert not made
+
+
 def test_format_number_round_trips():
     for value in (0.5, -1.0, 3.0, math.pi, 1 / 3, 1e-12, -0.0):
         assert float(format_number(value)) == value
@@ -452,6 +481,7 @@ def test_format_number_round_trips():
 @example("param s = ")
 @example("(a, b) = split(")
 @example("\x00\x01")
+@example(TWO_MODES + "(a, b) = split(v, w, alpha=1" + "0" * 399 + ", phi=0)")
 def test_fuzzed_text_never_crashes_the_parser(text):
     # arbitrary input must yield a circuit or a located ParseError, nothing else
     try:

@@ -31,7 +31,6 @@ from telesim.coeff import (
     Div,
     Evaluator,
     I,
-    ImagUnit,
     Mul,
     Neg,
     Num,
@@ -434,8 +433,6 @@ def _object_value(expr: CoefExpr, env: dict, done: dict):
             value = MP.mpc(env[expr.name])
         elif cls is PiConst:
             value = MP.mpc(MP.pi)
-        elif cls is ImagUnit:
-            value = MP.mpc(0, 1)
         elif cls is Neg:
             value = -_object_value(expr.operand, env, done)
         elif cls is Conj:
@@ -1409,7 +1406,7 @@ def _snapshot(tape: Tape) -> dict:
 def test_a_failed_evaluation_stores_no_value():
     def build():
         # numerator: a constant phase times x, plus 2; denominator y - 1
-        phase = Call("exp", Mul(ImagUnit(), Num(0.3)))
+        phase = Call("exp", Mul(I, Num(0.3)))
         top = Add(Mul(phase, Param("x")), Num(2))
         return Div(top, Sub(Param("y"), Num(1)))
 
@@ -1439,7 +1436,7 @@ def test_a_failing_pass_raises_its_first_failure_in_tape_order(quotient_first, m
     divisor; the pass raises the one numbered first on the tape, and stores
     nothing, not even the invariant root it computed beside them."""
     quotient = Div(Num(1), Param("y"))
-    root, invariant = Add(Param("q"), quotient), Mul(Num(0.3), Call("exp", ImagUnit()))
+    root, invariant = Add(Param("q"), quotient), Mul(Num(0.3), Call("exp", I))
     tape = Tape()
     if quotient_first:  # numbered before q, though the root reads q first
         tape.append(quotient)
