@@ -21,7 +21,7 @@ from .circuit import (
     evaluate_circuit,
     merge_env,
 )
-from .coeff import CoefExpr, CoefficientError, ParamEnv, evaluate
+from .coeff import CoefExpr, CoefficientError, ParamEnv
 from .dsl import ParseError, format_number, parse_circuit, serialize_circuit
 from .opalg import (
     ModeEvaluator,

@@ -12,7 +12,8 @@ parser, the serializer and the interpreter, and each element's statement
 class (``SplitStmt`` ... ``DisplaceStmt``) is made from its entry. The
 float64 covariance oracle in :mod:`telesim.verify` keeps its own wiring:
 it is the independent reference, so a wrong row shows up as an oracle
-mismatch instead of being copied into both variance pipelines.
+mismatch instead of being copied into both variance pipelines. The two
+share :class:`Scalars`, the one evaluator of statement scalars.
 
 The interpreter is the one place element parameters are validated: each
 split, squeeze and homodyne is judged under the actual binding (declared
@@ -321,20 +322,31 @@ class _Wire:
     kind: str
 
 
+class Scalars:
+    """A circuit's statement scalars under env over its declared defaults
+    (:func:`merge_env`, whose env and infinite it keeps): a call gives the
+    double of one run of the circuit's tape, or raises the run's
+    ``CoefficientError`` as a ``CircuitError`` at the statement. The
+    interpreter and the covariance oracle both evaluate through it."""
+
+    def __init__(self, ast: CircuitAst, env: ParamEnv):
+        self.env, self.infinite = merge_env(ast, env)
+        self._run = Evaluator(self.env, ast.tape)
+
+    def __call__(self, expr: CoefExpr, loc: Loc, what: str) -> complex:
+        try:
+            return to_complex(self._run.eval(expr))
+        except CoefficientError as exc:
+            raise CircuitError(f"cannot evaluate {what}: {exc}", loc) from exc
+
+
 class _Evaluation:
     def __init__(self, ast: CircuitAst, env: ParamEnv):
         self.ast = CircuitAst(ast.statements)  # with a tape of its own
-        self.env, self.infinite = merge_env(ast, env)
+        self.scalar = Scalars(self.ast, env)
         self.wires: dict[str, _Wire] = {}
         self.registry: dict[str, ModeId] = {}
         self.flags: list[str] = []
-        self.coef = Evaluator(self.env, self.ast.tape)
-
-    def scalar(self, expr: CoefExpr, loc: Loc, what: str) -> complex:
-        try:
-            return to_complex(self.coef.eval(expr))
-        except CoefficientError as exc:
-            raise CircuitError(f"cannot evaluate {what}: {exc}", loc) from exc
 
     def real_scalar(self, expr: CoefExpr, loc: Loc, what: str) -> float:
         value = self.scalar(expr, loc, what)
@@ -366,7 +378,8 @@ class _Evaluation:
         self.wires[name] = _Wire(value, time_bin, kind)
 
     def run(self) -> ProtocolOutput:
-        out = ProtocolOutput(circuit=self.ast, env=self.env, limit_params=self.infinite)
+        scalar = self.scalar
+        out = ProtocolOutput(circuit=self.ast, env=scalar.env, limit_params=scalar.infinite)
         decl = self.ast.protocol
         if decl is not None:
             out.name = decl.name
@@ -374,8 +387,6 @@ class _Evaluation:
         for stmt in self.ast.statements:
             self._step(stmt, out)
         out.input_registry = list(self.registry.values())
-        for expr in out.roots():
-            expr.tape = self.ast.tape
         return out
 
     def _step(self, stmt: Stmt, out: ProtocolOutput) -> None:

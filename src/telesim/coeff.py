@@ -8,9 +8,11 @@ Nodes hold their fields only. A :class:`Tape` numbers the nodes of one
 evaluated circuit as instructions, operands first, and keeps the
 binding-invariant values its runs read; an :class:`Evaluator` is one run
 of a tape under one binding, computing what its roots lack in forward
-passes in tape order. While ``evaluate_circuit`` runs, its tape is current
-and the constructors intern on it (hash-consing as nodes are made), so a
-structure is one node and each binding computes its value once.
+passes in tape order; a circuit's statement scalars (``circuit.Scalars``)
+and its numeric sessions (``opalg.ModeEvaluator``) make the runs. While
+``evaluate_circuit`` runs, its tape is current and the constructors intern
+on it (hash-consing as nodes are made), so a structure is one node and
+each binding computes its value once.
 
 Evaluation runs on a dedicated mpmath context, ``MP``, with 160 decimal
 digits. A session's precision is ``MP``'s when the session is made; its
@@ -504,13 +506,3 @@ class Evaluator:
                 value = MP.mpc(head)._mpc_
             vals[i] = value
 
-
-def evaluate(expr: CoefExpr, env: ParamEnv) -> complex:
-    """One-off evaluation through a run on a one-off tape, as a double.
-
-    Analyses of an evaluated circuit read the tables of its per-binding
-    sessions (``ProtocolOutput.evaluator()``), and its statement scalars go
-    through runs of the circuit's tape. Out-of-range magnitudes saturate to
-    signed inf and underflow to zero on the way out (:func:`to_complex`).
-    """
-    return to_complex(Evaluator(env).eval(expr))

@@ -163,8 +163,12 @@ class _LineParser:
         token = self.peek()
         if token is None or token.kind != "number" or not token.text.isdigit():
             raise self.error(f"expected integer {what}")
+        try:
+            value = int(token.text)
+        except ValueError:  # more digits than Python's integer-string limit
+            raise self.error(f"integer {what} too long: {len(token.text)} digits") from None
         self.next()
-        return int(token.text)
+        return value
 
     def number(self, message: str) -> float:
         """A literal: an optional '-' and a number token, as the double float() reads."""

@@ -68,13 +68,14 @@ CoefPair = tuple[CoefExpr, CoefExpr]
 
 class ModeExpr:
     """Linear combination sum_i (c_i * a_i + d_i * a_i^dagger), with the tape
-    of the circuit that made it, if any (see :class:`ModeEvaluator`)."""
+    current when it was made: its circuit's, while ``evaluate_circuit`` runs
+    (see :class:`ModeEvaluator`)."""
 
     __slots__ = ("terms", "tape")
 
     def __init__(self, terms: dict[ModeId, CoefPair] | None = None):
         self.terms = dict(terms) if terms else {}
-        self.tape: Tape | None = None
+        self.tape = Tape.current
 
     def __repr__(self):
         if not self.terms:
@@ -141,11 +142,14 @@ class ModeEvaluator:
     forms) tables them all on creation, from one pass per tape
     (:meth:`Evaluator.eval_all`) sliced into tables, then drops its runs; it
     hands the roots, and the caches of the top session, to every session it
-    binds. A bound session takes each root entry no parameter reaches, with
-    its fixed-point and float forms, from those caches; it evaluates the
-    rest in that one pass, and converts them. A session without roots
-    tables lazily, one pass per table, and keeps its runs, as does the one
-    :func:`session_for` keeps for the last bare :class:`ParamEnv` given.
+    binds. The top session (given roots, no caches) records, after that
+    pass, the reached modes of each root: those whose c or d a
+    :class:`Param` reaches, as the tape marks them. A bound session takes
+    each root entry of the other modes, with its fixed-point and float
+    forms, from those caches; it evaluates the reached ones in its one
+    pass, and converts them. A session without roots tables lazily, one
+    pass per table, and keeps its runs, as does the one :func:`session_for`
+    keeps for the last bare :class:`ParamEnv` given.
     Its precision is ``MP``'s when it is made; its runs and the sessions it
     binds keep it.
 
@@ -173,11 +177,15 @@ class ModeEvaluator:
         self._derived: dict[tuple, ModeEvaluator] = {}
         wanted: dict[Tape | None, list] = {}  # per tape: (root, the modes to evaluate)
         for expr in self._roots:
-            modes = expr.terms if shared is None else self._reached_modes(expr)
+            modes = expr.terms if shared is None else shared[3][expr]
             wanted.setdefault(expr.tape, []).append((expr, modes))
         for tape, exprs in wanted.items():
-            for (expr, _), made in zip(exprs, self._evaluated(tape, exprs)):
-                if shared is not None:
+            for (expr, modes), made in zip(exprs, self._evaluated(tape, exprs)):
+                if shared is None:  # the pass joined each entry to its run's tape
+                    index, dep = self._runs[tape].tape.index, self._runs[tape].tape.dependent
+                    self._reached[expr] = [m for m, (c, d) in modes.items()
+                                           if dep[index[id(c)]] or dep[index[id(d)]]]
+                else:
                     made = {**shared[0][expr], **made} if made else shared[0][expr]
                 self._tables[expr] = made
         self._runs = {}
@@ -216,16 +224,6 @@ class ModeEvaluator:
             with MP.workprec(self._prec):
                 run = self._runs[tape] = Evaluator(self.env, tape)
         return run
-
-    def _reached_modes(self, expr: ModeExpr) -> list[ModeId]:
-        """The modes of root expr a parameter reaches, found once per top session."""
-        modes = self._shared[3].get(expr)
-        if modes is None:
-            tape = self._run_of(expr.tape).tape
-            index, dep, terms = tape.index, tape.dependent, expr.terms
-            modes = self._shared[3][expr] = [m for m, (c, d) in terms.items() if dep[
-                index.get(id(c)) or tape.append(c)] or dep[index.get(id(d)) or tape.append(d)]]
-        return modes
 
     def floats(self, expr: ModeExpr) -> dict:
         """The double view of :meth:`table`, as ``complex()`` converts, made once per session."""

@@ -10,7 +10,8 @@ selectivity from overlaps against the protocol's declared target.
 Variances are also computed by a float64 quadrature pipeline that never
 touches the operator tables or the sessions. Agreement between the two
 variance pipelines is the strongest cross-check the package has, because
-they share no code past the scalar evaluator.
+they share no code past the scalar evaluator, :class:`circuit.Scalars`,
+through which the interpreter and the oracle evaluate statement scalars.
 
 :func:`verify_suite` composes these into the named pass/fail checks that
 ``telesim verify`` reports, :func:`run_suite` into the analyses ``telesim
@@ -40,13 +41,13 @@ from .circuit import (
     PhaseStmt,
     ProtocolDecl,
     ProtocolOutput,
+    Scalars,
     SplitStmt,
     SqueezeStmt,
     TargetStmt,
     UnsqueezeStmt,
-    merge_env,
 )
-from .coeff import CoefficientError, Evaluator, ParamEnv, to_complex
+from .coeff import ParamEnv
 from .opalg import (
     Binding,
     ModeEvaluator,
@@ -266,24 +267,18 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
 
     Returns per-output X/P variance data computed without the operator
     tables; disagreement with quadrature_variance indicates a defect in one
-    of the two pipelines. Its scalars are one run of the circuit's tape:
-    past the scalar evaluator it shares nothing with the operator pipeline.
+    of the two pipelines. Its scalars are the interpreter's, one run of the
+    circuit's tape (:class:`circuit.Scalars`): past them it shares nothing
+    with the operator pipeline.
     Each element's row entry is one list-comprehension term with the float
     products and sums of the element map, in the order it is written.
     """
-    merged, _ = merge_env(circuit, env if env is not None else ParamEnv({}))
-    coef = Evaluator(merged, circuit.tape)
+    scalar = Scalars(circuit, env if env is not None else ParamEnv({}))
     n = 2 * sum(1 for s in circuit.statements if isinstance(s, ModeDecl))
     wires: dict[str, object] = {}
     outputs: set[str] = set()
     record = CovarianceRecord()
     slot = 0
-
-    def scalar(expr, loc, what) -> complex:
-        try:
-            return to_complex(coef.eval(expr))
-        except CoefficientError as exc:  # surfaced with the statement position
-            raise CircuitError(f"cannot evaluate {what}: {exc}", loc) from exc
 
     def quantum(name, loc) -> _Rows:
         wire = wires.get(name)
@@ -658,24 +653,25 @@ def verify_suite(protocol: ProtocolOutput) -> CheckSuite:
     the device is causal, no output emitted before a bin carries that bin's
     inputs, the covariance oracle matches the operator variances (relative
     gap within 1e-10) and, for protocols that declare limit forms, those
-    forms are reached (within LIMIT_TOL). The selectivity report is judged
-    when the protocol names a target. Each analysis runs once, drawing its
-    tables from the protocol's sessions. Raises ValueError when the
-    protocol has no quantum output, since every check would then pass
-    vacuously.
+    forms are reached (within LIMIT_TOL). The Bogoliubov audit runs first,
+    then :func:`run_suite`'s analyses, which the checks after it extend.
+    Each analysis runs once, drawing its tables from the protocol's
+    sessions. Raises ValueError when the protocol has no quantum output,
+    since every check would then pass vacuously.
     """
     if not protocol.quantum_ports():
         raise ValueError("circuit has no quantum output to verify")
-    suite = CheckSuite()
     session = protocol.evaluator()
-    bog = suite.bogoliubov = check_bogoliubov(protocol.quantum_ports(), session, tol=1e-10)
+    bog = check_bogoliubov(protocol.quantum_ports(), session, tol=1e-10)
+    suite = run_suite(protocol)
+    suite.bogoliubov = bog
     suite.add(
         "bogoliubov canonical output set",
         bog.passed,
         f"max deviation {bog.max_deviation:.3e}",
     )
 
-    causality = suite.causality = causality_report(protocol)
+    causality = suite.causality
     suite.add(
         "causality",
         causality.verdict == "causal",
@@ -688,13 +684,7 @@ def verify_suite(protocol: ProtocolOutput) -> CheckSuite:
     # pipeline equivalence is checked at a well-conditioned working point:
     # recovery chains cancel terms of order e^{2(r+s)}, which float64 cannot
     # resolve at the limit stand-in, and any finite value probes the same code
-    probe = session.bind(
-        **{
-            p: min(protocol.env.values[p], 2.0)
-            for p in protocol.limit_params
-            if p in protocol.env.values
-        }
-    )
+    probe = session.bind(**{p: min(protocol.env.values[p], 2.0) for p in protocol.limit_params})
     cov = covariance_oracle(protocol.circuit, probe.env)
     gaps = []
     for name, expr in protocol.all_ports().items():
@@ -710,16 +700,11 @@ def verify_suite(protocol: ProtocolOutput) -> CheckSuite:
         f"max relative gap {worst:.3e}",
     )
 
-    if protocol.limit_params:
-        suite.limits = limit_suite(protocol, protocol.limit_params)
-        if protocol.expected_limit:
-            gap = _declared_limit_gap(protocol)
-            suite.add(
-                "declared limit forms reached",
-                gap <= LIMIT_TOL,
-                f"max coefficient gap {gap:.3e}",
-            )
-
-    if protocol.target is not None:
-        suite.selectivity = selectivity_report(protocol)
+    if protocol.expected_limit and protocol.limit_params:
+        gap = _declared_limit_gap(protocol)
+        suite.add(
+            "declared limit forms reached",
+            gap <= LIMIT_TOL,
+            f"max coefficient gap {gap:.3e}",
+        )
     return suite

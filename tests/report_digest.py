@@ -1,6 +1,6 @@
 """One sha256 over every report the file commands write, for byte-identity checks.
 
-Usage: python tests/report_digest.py ROOT
+Usage: python tests/report_digest.py ROOT [--each]
 
 Imports telesim from ROOT/src and calls ``telesim.cli.main`` in-process for
 ``run``, ``verify`` and ``limits``, each in text and machine format, with
@@ -10,8 +10,11 @@ Imports telesim from ROOT/src and calls ``telesim.cli.main`` in-process for
 report's label, exit code, stdout and stderr, in a fixed order. Prints the
 report count and the hex digest; two trees whose reports match bit for bit
 print the same lines. A third line hashes, the same way, ``protocols list``
-and ``protocols build NAME`` of every builder at its defaults. Takes about
-8 s. pytest does not collect this file.
+and ``protocols build NAME`` of every builder at its defaults. With
+``--each`` it prints instead one ``label sha256`` line per report and per
+``protocols`` command, the hash of what the digest reads of it, so a diff of
+two trees' outputs names every report that differs. Takes about 8 s.
+pytest does not collect this file; ``tests/test_reports.py`` runs it.
 """
 
 from __future__ import annotations
@@ -42,14 +45,12 @@ def _sources(root: Path, telesim, folder: Path) -> list[tuple[str, Path]]:
     return sources
 
 
-def _update(total, telesim, label: str, argv: list[str]) -> None:
-    """Feed label, exit code, stdout and stderr of ``telesim argv`` to total."""
+def _report(telesim, label: str, argv: list[str]) -> bytes:
+    """What the digest reads of ``telesim argv``: label, exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = telesim.cli.main(argv)
-    total.update(f"{label}|{code}\0".encode())
-    total.update(out.getvalue().encode() + b"\0")
-    total.update(err.getvalue().encode() + b"\0")
+    return f"{label}|{code}\0{out.getvalue()}\0{err.getvalue()}\0".encode()
 
 
 def _import(root: Path):
@@ -62,10 +63,9 @@ def _import(root: Path):
     return telesim
 
 
-def digest(root: Path, telesim) -> tuple[int, str]:
-    """(number of reports, sha256 hex) of the file commands of the tree at root."""
+def reports(root: Path, telesim):
+    """(label, bytes) of each report of the file commands of the tree at root, in order."""
     saved = os.environ.pop(SCALE_ENV_VAR, None)
-    total, count = hashlib.sha256(), 0
     try:
         with tempfile.TemporaryDirectory() as folder:
             for label, path in _sources(root, telesim, Path(folder)):
@@ -76,41 +76,48 @@ def digest(root: Path, telesim) -> tuple[int, str]:
                         os.environ[SCALE_ENV_VAR] = scale
                     for command in COMMANDS:
                         for fmt in FORMATS:
-                            _update(
-                                total,
-                                telesim,
-                                f"{label}|{scale}|{command}|{fmt}",
-                                [command, str(path), "--format", fmt],
-                            )
-                            count += 1
+                            label_of = f"{label}|{scale}|{command}|{fmt}"
+                            argv = [command, str(path), "--format", fmt]
+                            yield label_of, _report(telesim, label_of, argv)
     finally:
         os.environ.pop(SCALE_ENV_VAR, None)
         if saved is not None:
             os.environ[SCALE_ENV_VAR] = saved
-    return count, total.hexdigest()
 
 
-def protocols_digest(telesim) -> tuple[int, str]:
-    """(number of commands, sha256 hex) of ``protocols list`` and of
-    ``protocols build NAME`` for every builder."""
-    total = hashlib.sha256()
+def protocol_reports(telesim):
+    """(label, bytes) of ``protocols list`` and of ``protocols build NAME`` for every builder."""
     commands = [["protocols", "list"]]
     commands += [["protocols", "build", name] for name in telesim.PROTOCOLS]
     for argv in commands:
-        _update(total, telesim, " ".join(argv), argv)
-    return len(commands), total.hexdigest()
+        label = " ".join(argv)
+        yield label, _report(telesim, label, argv)
+
+
+def digest(items) -> tuple[int, str]:
+    """(number of reports, sha256 hex over their bytes in order) of (label, bytes) items."""
+    total, count = hashlib.sha256(), 0
+    for _, data in items:
+        total.update(data)
+        count += 1
+    return count, total.hexdigest()
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if not argv or argv[1:] not in ([], ["--each"]):
         print(__doc__.splitlines()[2], file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
     telesim = _import(root)
-    count, hexdigest = digest(root, telesim)
+    if argv[1:]:
+        for items in (reports(root, telesim), protocol_reports(telesim)):
+            for label, data in items:
+                print(label, hashlib.sha256(data).hexdigest())
+        return 0
+    count, hexdigest = digest(reports(root, telesim))
     print(f"reports {count}")
     print(f"sha256 {hexdigest}")
-    count, hexdigest = protocols_digest(telesim)
+    count, hexdigest = digest(protocol_reports(telesim))
     print(f"protocols {count} sha256 {hexdigest}")
     return 0
 

@@ -29,7 +29,7 @@ from telesim.circuit import (
     evaluate_circuit,
     merge_env,
 )
-from telesim.coeff import Add, Div, Mul, Neg, Num, Param, ParamEnv, Sub, evaluate
+from telesim.coeff import Add, Div, Evaluator, Mul, Neg, Num, Param, ParamEnv, Sub, to_complex
 from telesim.dsl import (
     ParseError,
     format_coef,
@@ -213,6 +213,16 @@ def test_claimed_emission_bin_is_recorded():
         ("mode vacuum v rail=r bin=0\ntarget =", 2, 9, "expected expression"),
         (TWO_MODES + "(a, b) = split(v, w, alpha=), phi=0)", 3, 28, "expected expression"),
         ("mode vacuum v rail=r bin=0 extra", 1, 28, "unexpected trailing input"),
+        # past Python's integer-string limit of 4,300 digits
+        ("mode vacuum v rail=r bin=" + "1" * 4301, 1, 26, "integer bin too long: 4301 digits"),
+        (TWO_MODES + "output o = v bin=" + "1" * 4301, 3, 18, "integer bin too long"),
+        (
+            TWO_MODES + "m = homodyne(v, w, xphase=0, pphase=pi/2)\n"
+            "out = displace(v, m, gain=1, bin=" + "9" * 5000 + ")",
+            4,
+            34,
+            "integer bin too long: 5000 digits",
+        ),
     ],
 )
 def test_parse_errors_carry_line_and_column(source, line, column, fragment):
@@ -271,6 +281,10 @@ def test_semantic_errors_surface_as_circuit_errors():
             "mode vacuum v rail=r bin=0\noutput x = v\nexpect x = 1e300*v",
             r"expect needs a 'param NAME = infinity' declaration \(line 3, column 1\)",
         ),
+        (
+            wired(SqueezeStmt(at, "a", "b", "v", "w", Param("q"), Num(0))),
+            r"^cannot evaluate gain: unbound parameter 'q' \(line 4, column 1\)$",
+        ),
     ]
     for circuit, message in cases:
         ast = parse_circuit(circuit) if isinstance(circuit, str) else circuit
@@ -289,6 +303,11 @@ def test_semantic_errors_surface_as_circuit_errors():
         (output_twice, r"output 'x' declared twice \(line 5, column 1\)"),
         (unknown_role, r"unknown output role 'sideways' \(line 4, column 1\)"),
         (unhandled, r"unhandled statement Stmt \(line 4, column 1\)"),
+        # circuit.Scalars: the message of the same row of cases, word for word
+        (
+            wired(SqueezeStmt(at, "a", "b", "v", "w", Param("q"), Num(0))),
+            r"^cannot evaluate gain: unbound parameter 'q' \(line 4, column 1\)$",
+        ),
     ]
     for circuit, message in oracle_cases:
         with pytest.raises(CircuitError, match=message):
@@ -412,7 +431,8 @@ def test_negative_literals_serialize_bare_wherever_they_sit():
     for expr, text in cases:
         assert format_coef(expr) == text
         ast = parse_circuit(f"param x = 0.75\n{TWO_MODES}out = phase(v, phi={text})\n")
-        assert evaluate(ast.statements[-1].phi, env) == evaluate(expr, env), text
+        parsed = to_complex(Evaluator(env).eval(ast.statements[-1].phi))
+        assert parsed == to_complex(Evaluator(env).eval(expr)), text
 
     base = parse_circuit(
         TWO_MODES + "m = homodyne(v, w, xphase=0, pphase=pi/2)\nc = combine(1*m)\ntarget = 1*v\n"
@@ -425,7 +445,7 @@ def test_negative_literals_serialize_bare_wherever_they_sit():
     assert text.endswith("c = combine(-2.5*m)\ntarget = -2.5*v\n")
     *_, combine, target = parse_circuit(text).statements
     for weight in (combine.terms[0][0], target.terms[0][0]):
-        assert evaluate(weight, env) == -2.5
+        assert to_complex(Evaluator(env).eval(weight)) == -2.5
 
 
 def test_records_are_not_mode_wires():

@@ -558,6 +558,15 @@ def test_parse_errors_exit_2_with_location(tmp_path, capsys):
     assert "line 2" in err and "column 12" in err
 
 
+def test_a_bin_past_the_integer_string_limit_is_a_located_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.tls"
+    bad.write_text("mode vacuum v rail=r bin=" + "1" * 4301 + "\noutput o = v\n")
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: integer bin too long: 4301 digits (line 1, column 26)")
+    assert "Traceback" not in err
+
+
 def _child(*argv):
     # the child imports the same telesim as this process, installed or not
     package_root = str(Path(telesim.__file__).resolve().parents[1])

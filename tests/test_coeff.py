@@ -21,7 +21,6 @@ from telesim.coeff import (
     cis,
     conj,
     cosh,
-    evaluate,
     sinh,
     to_complex,
 )
@@ -31,17 +30,17 @@ EMPTY = ParamEnv({})
 
 
 def test_literals_and_constants():
-    assert evaluate(Num(2.5), EMPTY) == 2.5
-    assert evaluate(Num(1 + 2j), EMPTY) == 1 + 2j
-    assert evaluate(as_coef(3), EMPTY) == 3.0
-    assert evaluate(cis(math.pi / 2), EMPTY) == pytest.approx(1j, abs=1e-15)
+    assert to_complex(Evaluator(EMPTY).eval(Num(2.5))) == 2.5
+    assert to_complex(Evaluator(EMPTY).eval(Num(1 + 2j))) == 1 + 2j
+    assert to_complex(Evaluator(EMPTY).eval(as_coef(3))) == 3.0
+    assert to_complex(Evaluator(EMPTY).eval(cis(math.pi / 2))) == pytest.approx(1j, abs=1e-15)
 
 
 def test_param_lookup_and_bind():
     env = ParamEnv({"s": 1.25})
-    assert evaluate(Param("s"), env) == 1.25
+    assert to_complex(Evaluator(env).eval(Param("s"))) == 1.25
     rebound = env.bind(s=2.0, r=0.5)
-    assert evaluate(Param("s") + Param("r"), rebound) == 2.5
+    assert to_complex(Evaluator(rebound).eval(Param("s") + Param("r"))) == 2.5
     # bind returns a fresh env, the original is untouched
     assert env.values == {"s": 1.25}
     assert env.limit_scale == 20.0
@@ -49,21 +48,21 @@ def test_param_lookup_and_bind():
 
 def test_unbound_param_raises():
     with pytest.raises(CoefficientError, match="unbound parameter 'q'"):
-        evaluate(Param("q"), EMPTY)
+        to_complex(Evaluator(EMPTY).eval(Param("q")))
 
 
 def test_division_by_zero_raises():
     with pytest.raises(CoefficientError, match="division by zero"):
-        evaluate(Num(1) / Num(0), EMPTY)
+        to_complex(Evaluator(EMPTY).eval(Num(1) / Num(0)))
 
 
 def test_arithmetic_sugar():
     x = Param("x")
     env = ParamEnv({"x": 0.75})
-    assert evaluate(2 * x + 1, env) == 2.5
-    assert evaluate(1 - x, env) == 0.25
-    assert evaluate(-x / 3, env) == -0.25
-    assert evaluate((x + x) * (x - 1), env) == pytest.approx(-0.375)
+    assert to_complex(Evaluator(env).eval(2 * x + 1)) == 2.5
+    assert to_complex(Evaluator(env).eval(1 - x)) == 0.25
+    assert to_complex(Evaluator(env).eval(-x / 3)) == -0.25
+    assert to_complex(Evaluator(env).eval((x + x) * (x - 1))) == pytest.approx(-0.375)
 
 
 @pytest.mark.parametrize(
@@ -81,13 +80,13 @@ def test_arithmetic_sugar():
 )
 def test_functions_match_cmath(func, reference):
     env = ParamEnv({"x": 1.35})
-    got = evaluate(Call(func, Param("x")), env)
+    got = to_complex(Evaluator(env).eval(Call(func, Param("x"))))
     assert got == pytest.approx(reference(1.35), rel=1e-13)
 
 
 def test_conj():
     z = Num(1 + 2j) * Param("x")
-    assert evaluate(conj(z), ParamEnv({"x": 3.0})) == 3 - 6j
+    assert to_complex(Evaluator(ParamEnv({"x": 3.0})).eval(conj(z))) == 3 - 6j
 
 
 def test_high_precision_cancellation():
@@ -132,14 +131,14 @@ def test_deep_chains_evaluate_without_recursion():
 def test_field_ops_match_complex_arithmetic(a, b):
     env = ParamEnv({"a": a, "b": b})
     pa, pb = Param("a"), Param("b")
-    assert evaluate(pa + pb, env) == pytest.approx(a + b, abs=1e-12)
-    assert evaluate(pa - pb, env) == pytest.approx(a - b, abs=1e-12)
-    assert evaluate(pa * pb, env) == pytest.approx(a * b, rel=1e-12, abs=1e-12)
+    assert to_complex(Evaluator(env).eval(pa + pb)) == pytest.approx(a + b, abs=1e-12)
+    assert to_complex(Evaluator(env).eval(pa - pb)) == pytest.approx(a - b, abs=1e-12)
+    assert to_complex(Evaluator(env).eval(pa * pb)) == pytest.approx(a * b, rel=1e-12, abs=1e-12)
 
 
 @given(s=st.floats(0.01, 5.0, allow_nan=False))
 def test_tanh_sech_pythagorean(s):
     env = ParamEnv({"s": s})
-    t = evaluate(Call("tanh", Param("s")), env)
-    c = evaluate(Call("sech", Param("s")), env)
+    t = to_complex(Evaluator(env).eval(Call("tanh", Param("s"))))
+    c = to_complex(Evaluator(env).eval(Call("sech", Param("s"))))
     assert abs(t) ** 2 + abs(c) ** 2 == pytest.approx(1.0, abs=1e-12)

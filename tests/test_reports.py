@@ -22,8 +22,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import telesim
 from telesim.cli import SCALE_ENV_VAR, ReportDocument, main
-from telesim.protocols import protocol_text
+from telesim.protocols import PROTOCOLS, protocol_text
 
 HERE = Path(__file__).resolve().parent
 GOLDEN_DIR = HERE.parents[0] / "src" / "telesim" / "golden"
@@ -103,6 +104,38 @@ def _nbin16_verify_sha256(workdir: Path) -> str:
 
 def test_the_16_bin_verify_report_sha256_is_pinned(tmp_path):
     assert _nbin16_verify_sha256(tmp_path) == NBIN16_VERIFY_SHA256
+
+
+def test_the_digest_tool_hashes_each_report_of_one_golden(tmp_path, monkeypatch, capsys):
+    """``tests/report_digest.py ROOT --each`` in-process, its sources cut to one
+    golden: one line per report and per protocols command, each the sha256 of
+    what the default digest reads of it; the default prints its three lines."""
+    import report_digest
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts ROOT/src first
+    golden = GOLDEN_DIR / "delayed_telefilter.tls"
+    label = "golden/delayed_telefilter.tls"
+    monkeypatch.setattr(report_digest, "_sources", lambda *_: [(label, golden)])
+    root = str(HERE.parent)
+    assert report_digest.main([root, "--each"]) == 0
+    lines = [line.rsplit(" ", 1) for line in capsys.readouterr().out.splitlines()]
+    builders = [f"protocols build {name}" for name in PROTOCOLS]
+    assert [name for name, _ in lines] == [
+        f"{label}|{scale}|{command}|{fmt}"
+        for scale in report_digest.SCALES
+        for command in report_digest.COMMANDS
+        for fmt in report_digest.FORMATS
+    ] + ["protocols list"] + builders
+    code, text = _report("verify", "delayed_telefilter", None, tmp_path)
+    read = f"{label}|None|verify|machine|{code}\0{text}\0\0".encode()
+    assert dict(lines)[f"{label}|None|verify|machine"] == hashlib.sha256(read).hexdigest()
+
+    assert report_digest.main([root]) == 0
+    first, second, third = capsys.readouterr().out.splitlines()
+    assert first == "reports 18" and third.startswith("protocols 10 sha256 ")
+    items = list(report_digest.reports(HERE.parent, telesim))
+    assert second == f"sha256 {hashlib.sha256(b''.join(data for _, data in items)).hexdigest()}"
+    assert [hashlib.sha256(data).hexdigest() for _, data in items] == [h for _, h in lines[:18]]
 
 
 def _spelled(value):

@@ -41,7 +41,6 @@ from telesim.coeff import (
     Tape,
     conj,
     cosh,
-    evaluate,
     to_complex,
 )
 from telesim.dsl import format_coef, parse_circuit, serialize_circuit
@@ -877,6 +876,23 @@ def test_a_bound_session_matches_a_fresh_session(name, n, t):
     assert shared_outright or name == "infinite_gain"  # t reaches every entry there
 
 
+@pytest.mark.parametrize(
+    "name,n", [(name, None) for name in [*GOLDENS, *FIXTURES]] + [("nmode_delayed_telefilter", 8)]
+)
+def test_the_top_session_records_each_roots_reached_modes(name, n):
+    """Once protocol.evaluator() returns, before any bind(), the top session
+    holds the reached modes of every root: those whose c or d a Param reaches."""
+    protocol = evaluate_circuit(parse_circuit(_source(name, n)))
+    root = protocol.evaluator()
+    assert not root._derived
+    dependent, _ = _param_reached_and_leaf_nodes(
+        [coef for expr in protocol.roots() for coef in _coefficients(expr)])
+    assert set(root._reached) == set(protocol.roots())
+    for expr in protocol.roots():
+        reached = [m for m, (c, d) in expr.terms.items() if {id(c), id(d)} & dependent]
+        assert root._reached[expr] == reached
+
+
 def test_a_bound_session_converts_its_own_table_when_the_root_overflows():
     """At r = 40 the root's entries pass 2^65536, past the exact sums' range:
     its variances raise. A session bound to r = 0.01 cannot take the root's
@@ -1273,7 +1289,7 @@ def test_a_failed_evaluation_leaves_no_tape_current():
     # library nodes are not interned: each build is a node of its own
     built = [cosh(Param("s")) * 2 for _ in range(2)]
     assert built[0] == built[1] and built[0] is not built[1]
-    value = evaluate(built[0], ParamEnv({"s": 1.5}))
+    value = to_complex(Evaluator(ParamEnv({"s": 1.5})).eval(built[0]))
     assert (value.real.hex(), value.imag.hex()) == ("0x1.2d1bc21e22022p+2", "0x0.0p+0")
     name = "delayed_telemirror"
     out = io.StringIO()
