@@ -476,17 +476,19 @@ def evaluate_circuit(ast: CircuitAst, env: ParamEnv | None = None) -> ProtocolOu
     Mode expressions stay symbolic in the declared parameters; env (over
     declared defaults) is the binding every element parameter is checked
     under, and is attached to the result for later evaluation. The result's
-    circuit is an equal copy of ast with a new tape, current while the
-    interpreter runs: each coefficient node made meanwhile is numbered on it
-    as it is made; a foreign one (a parser literal, a module constant) joins
-    when first read. The checks, the output tables and the covariance oracle
-    run on that tape.
+    circuit is an equal copy of ast with a new tape, building while the
+    interpreter runs (:meth:`Tape.open`): each coefficient node made meanwhile
+    is numbered on it as it is made, or folded; a foreign one (a parser
+    literal, a module constant) joins when first read. The checks, the output
+    tables and the covariance oracle run on that tape.
     """
     evaluation = _Evaluation(ast, env if env is not None else ParamEnv({}))
-    outer, Tape.current = Tape.current, evaluation.ast.tape
+    tape, roots = evaluation.ast.tape, []
+    outer = tape.open()
     try:
         result = evaluation.run()
+        roots = [c for expr in result.roots() for pair in expr.terms.values() for c in pair]
     finally:
-        Tape.current = outer
+        tape.close(outer, roots)
     result.flags.extend(evaluation.flags)
     return result

@@ -14,6 +14,10 @@ and its numeric sessions (``opalg.ModeEvaluator``) make the runs. While
 on it (hash-consing as nodes are made), so a structure is one node and
 each binding computes its value once.
 
+While a tape builds, an invariant sum within its error radius r of 0
+(:func:`_balls`) folds to ``ZERO``: its exact value is within 2r of 0, so
+a fold moves a coefficient by at most twice its error. No dependent sum folds.
+
 Evaluation runs on a dedicated mpmath context, ``MP``, with 160 decimal
 digits. A session's precision is ``MP``'s when the session is made; its
 runs and derived sessions keep it. Limit checks substitute scales up to
@@ -26,8 +30,11 @@ memo, of its binding-invariant products; :func:`to_complex` makes a double.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
+from itertools import compress
+from math import inf, log2
 
 import mpmath
 from mpmath.libmp import fone, fzero, mpc_acosh, mpc_add, mpc_conjugate, mpc_cosh, mpc_div, mpc_exp
@@ -206,7 +213,9 @@ ONE = Num(1)
 def _intern(cls, head, a=None, b=None):
     """The node of class cls, structural head (its class, a Num's value or a
     Call's function) and operands a, b. While a tape is current, it is the
-    tape's node of that key, made and numbered there if the tape has none."""
+    tape's node of that key, made and numbered there if the tape has none; while
+    it builds, a new invariant sum whose value v lies within its error radius r
+    is ``ZERO`` and numbers nothing (see ``Tape``). A dependent sum is always made."""
     tape = Tape.current
     if tape is None:
         return (cls(head) if a is None else cls(a, b) if b is not None else
@@ -224,11 +233,17 @@ def _intern(cls, head, a=None, b=None):
     if k is not None:
         return nodes[k]
     node = cls(head) if i < 0 else cls(a, b) if j >= 0 else cls(a) if head is cls else cls(head, a)
-    tape.keys[key] = index[id(node)] = len(nodes)
+    tape.keys[key] = index[id(node)] = k = len(nodes)
     nodes.append(node)
     tape.ops.append(key)
     dep = tape.dependent  # no Param is made here: the parser makes them, and append numbers them
     dep.append(i >= 0 and (dep[i] or j >= 0 and dep[j]))
+    if (head is Add or head is Sub) and tape.run is not None and not dep[k]:
+        tape.measure(tape.run._lacking([k]))
+        l, r = tape.balls.get(k, (inf, inf))
+        if l <= r < inf:  # |v| <= r: the exact value is within 2r of 0
+            del tape.keys[key], index[id(node)], nodes[k], tape.ops[k], dep[k], tape.run._vals[k], tape.balls[k]
+            return ZERO
     return node
 
 
@@ -337,6 +352,81 @@ def _mul(x: tuple, y: tuple, prec: int, rnd: str) -> tuple:
     return mpc_mul(x, y, prec, rnd)
 
 
+_LOG2E = 1 / math.log(2)
+
+
+def _plus(a: float, b: float, c: float = -inf, d: float = -inf) -> float:
+    """A bound on log2(2^a + 2^b + 2^c + 2^d), as log2(1 + t) <= t log2 e."""
+    top = max(a, b, c, d)
+    if top == inf or top == -inf:
+        return top
+    return top + (2.0 ** (a - top) + 2.0 ** (b - top) + 2.0 ** (c - top) + 2.0 ** (d - top) - 1) * _LOG2E
+
+
+def _slope(func: str, z: complex, rz: float) -> float:
+    """log2 of a bound on |f'| over the disc |w - z| <= r = 2^rz; inf if the disc meets a
+    pole, a branch point or mpmath's cut, (-inf, 0] for sqrt and ln, (-inf, 1] for arccosh."""
+    try:
+        r = 2.0 ** max(rz, -1000)
+        if func in ("sqrt", "ln", "arccosh"):  # |f'| = 1/(2 |w|^(1/2)), 1/|w|, 1/|w^2 - 1|^(1/2)
+            if z.real - r <= (func == "arccosh") and abs(z.imag) <= r:
+                return inf
+            return -log2({"sqrt": 4 * (abs(z) - r), "ln": (abs(z) - r) ** 2,
+                          "arccosh": (abs(z - 1) - r) * (abs(z + 1) - r)}[func]) / 2
+        if func in ("tanh", "sech"):  # |f'| <= cosh Re w / |cosh w|^2, with |cosh w|^2 >= low
+            low = math.sinh(max(abs(z.real) - r, 0)) ** 2 + math.cos(z.imag) ** 2 - r
+            return (abs(z.real) + r) * _LOG2E - log2(low) if low > 0 else inf
+        return ((z.real if func == "exp" else abs(z.real)) + r) * _LOG2E  # |f'| <= e^(Re w or |Re w|)
+    except (ArithmeticError, ValueError):
+        return inf
+
+
+def _log2abs(z: tuple) -> float:
+    """log2 |z| of a raw mpc; -inf for 0, inf for inf or nan."""
+    (_, m, e, _), (_, n, f, _) = z
+    x, y = e + log2(m) if m else inf if e else -inf, f + log2(n) if n else inf if f else -inf
+    if x < y:
+        x, y = y, x
+    return x if y == -inf or x == inf else x + log2(1 + 2.0 ** (2 * (y - x))) / 2
+
+
+def _balls(order: list[int], ops: list, vals: dict, balls: dict, prec: int) -> None:
+    """The ball (l, r) of each instruction of order, invariant and valued at
+    precision prec, from its operands': l is log2 |v| for its value v, and r
+    log2 of a bound on its error (J. van der Hoeven, *Ball arithmetic*, 2010):
+    rx + ry for a sum, |x| ry + |y| rx + rx ry for a product, the quotient
+    rule, or r sup|f'| on the ball for a function, plus v's rounding, below
+    2^(1-prec) |v| as each part rounds once (a quotient's after ten guard
+    bits), which also covers l's rounding in doubles; 2^8 times that for a
+    function, as mpmath states no bound; a Num or pi has its rounding only.
+    Inf, nan, or a divisor's ball within half its magnitude of 0 has r = inf."""
+    exact, plus, ulp = (-inf, -inf), _plus, 1 - prec
+    for i in order:
+        head, a, b = ops[i]
+        lx, rx = balls.get(a, exact)
+        ly, ry = balls.get(b, exact)
+        if head is Mul:
+            l = lx + ly
+            r = inf if rx == inf or ry == inf else plus(lx + ry, ly + rx, rx + ry, l + ulp)
+        elif head is Neg or head is Conj:  # exact on a value of at most prec bits
+            l, r = lx, rx
+        else:
+            l = _log2abs(vals[i])
+            if rx == inf or ry == inf or l == inf:
+                r = inf
+            elif head is Add or head is Sub:
+                r = plus(rx, ry, l + ulp)
+            elif head is Div:  # |y| - ry >= |y| / 2 when ry <= log2 |y| - 1
+                low = _log2abs(vals[b])
+                r = inf if ry > low - 1 else plus(plus(lx + ry, ly + rx) + 1 - 2 * low, l + ulp)
+            elif type(head) is str:  # a Call's function
+                slope = rx + _slope(head, to_complex(vals[a]), rx) if rx > -inf else -inf
+                r = plus(slope, l + ulp + 8, l + ulp)
+            else:  # a Num's value or pi
+                r = l + ulp
+        balls[i] = l, r
+
+
 class Tape:
     """A circuit's coefficient nodes as instructions, operands first: node i,
     its structural key ``ops[i]`` (head: class, ``Num`` value, ``Call``
@@ -349,9 +439,13 @@ class Tape:
     :meth:`append`; one whose key is taken maps to that instruction and
     stays in ``foreign``, so its id is never recycled. ``stored`` keeps, per
     precision, the invariant values later runs read: operands of dependent
-    instructions, and invariant roots."""
+    instructions, and invariant roots. Between :meth:`open` and :meth:`close`
+    it builds: ``run`` values each new invariant node, ``balls`` bounds its
+    error r, and :func:`_intern` folds an invariant sum whose value lies within
+    r (its exact value is then within 2r of 0), never a dependent sum. The
+    build's values become the store at its precision."""
 
-    __slots__ = ("nodes", "ops", "index", "keys", "foreign", "dependent", "stored", "__weakref__")
+    __slots__ = ("nodes", "ops", "index", "keys", "foreign", "dependent", "stored", "run", "balls", "__weakref__")
     current: "Tape | None" = None  # the tape the constructors intern on
 
     def __init__(self):
@@ -362,6 +456,37 @@ class Tape:
         self.foreign: list[CoefExpr] = []  # foreign nodes mapped to another node's instruction
         self.dependent = bytearray()
         self.stored: dict[int, dict[int, tuple]] = {}  # precision -> instruction -> value
+        self.run: Evaluator | None = None  # while it builds, its run and each value's ball (l, r)
+        self.balls: dict[int, tuple] | None = None
+
+    def open(self) -> "Tape | None":
+        """Make this tape current and building at ``MP``'s precision; returns the tape current before."""
+        outer, Tape.current = Tape.current, self
+        self.run, self.balls = Evaluator(ParamEnv({}), self), {}
+        return outer
+
+    def close(self, outer: "Tape | None", roots=()) -> None:
+        """End the build, outer current again; the store at its precision keeps its
+        values of roots (joined if foreign) and of invariant operands of dependent instructions."""
+        Tape.current, index, dep, run = outer, self.index, self.dependent, self.run
+        keep = [k for k in (index[id(c)] if id(c) in index else self.append(c) for c in roots) if not dep[k]]
+        keep += [k for _, a, b in compress(self.ops, dep) for k in (a, b) if k >= 0 and not dep[k]]
+        self.measure(run._lacking(keep), bound=False)  # no fold reads them now
+        self.run = self.balls = None
+        run._stored.update((k, run._vals[k]) for k in keep if k in run._vals)
+
+    def measure(self, order: list[int], bound: bool = True) -> None:
+        """The build's values of order, invariant instructions it lacks, in tape order, and
+        if bound their balls (:func:`_balls`); none of a failing pass, for a run to raise as it did."""
+        run = self.run
+        try:
+            run._eval(order)
+        except (ArithmeticError, ValueError):
+            for i in order:
+                run._vals.pop(i, None)
+            return
+        if bound:
+            _balls(order, self.ops, run._vals, self.balls, run._prec)
 
     def append(self, root: CoefExpr) -> int:
         """Instruction of root, joining each node of root the tape lacks, operands first."""
@@ -444,23 +569,29 @@ class Evaluator:
     def eval_all(self, exprs) -> list[tuple]:
         """The raw value of each of exprs, from one pass."""
         index, append = self.tape.index, self.tape.append
-        return self._run([index.get(id(expr)) or append(expr) for expr in exprs])
+        return self._run([append(expr) if (i := index.get(id(expr))) is None else i for expr in exprs])
+
+    def _lacking(self, roots) -> list[int]:
+        """What instructions roots reach that this run lacks, in tape order."""
+        vals, ops = self._vals, self.tape.ops
+        seen = {i for i in roots if i not in vals}
+        order = list(seen)
+        for i in order:  # grows as it goes
+            _, a, b = ops[i]
+            if a >= 0 and a not in vals and a not in seen:
+                seen.add(a)
+                order.append(a)
+            if b >= 0 and b not in vals and b not in seen:
+                seen.add(b)
+                order.append(b)
+        order.sort()  # operands are numbered before what reads them
+        return order
 
     def _run(self, roots: list[int]) -> list[tuple]:
         """Values of instructions roots, computing first what this run lacks of them."""
         vals, ops, dependent, stored = self._vals, self.tape.ops, self.tape.dependent, self._stored
-        seen = {i for i in roots if i not in vals}
-        if seen:
-            order = list(seen)
-            for i in order:  # grows as it goes: what the roots reach and the run lacks
-                _, a, b = ops[i]
-                if a >= 0 and a not in vals and a not in seen:
-                    seen.add(a)
-                    order.append(a)
-                if b >= 0 and b not in vals and b not in seen:
-                    seen.add(b)
-                    order.append(b)
-            order.sort()  # operands are numbered before what reads them
+        order = self._lacking(roots)
+        if order:
             self._eval(order)
             stored.update((k, vals[k]) for i in order if dependent[i]
                           for k in ops[i][1:] if k >= 0 and not dependent[k] and k not in stored)

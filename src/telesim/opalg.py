@@ -95,16 +95,21 @@ def dagger(expr: ModeExpr) -> ModeExpr:
 
 
 def lin_comb(weighted: list[tuple[object, ModeExpr]]) -> ModeExpr:
-    """Coefficient-wise linear combination of mode expressions."""
+    """Coefficient-wise linear combination of mode expressions, without modes
+    whose pair is (``ZERO``, ``ZERO``). A building tape makes ``ZERO`` of an
+    invariant sum whose value lies within its error radius r of 0 (``ZERO`` is
+    then within 2r of its exact value), never of a sum a Param reaches."""
     out: dict[ModeId, CoefPair] = {}
     for weight, expr in weighted:
         w = as_coef(weight)
         for mode, (c, d) in expr.terms.items():
             prev = out.get(mode)
             if prev is None:
-                out[mode] = (fold_mul(w, c), fold_mul(w, d))
+                pair = out[mode] = (fold_mul(w, c), fold_mul(w, d))
             else:
-                out[mode] = (fold_add(prev[0], fold_mul(w, c)), fold_add(prev[1], fold_mul(w, d)))
+                pair = out[mode] = (fold_add(prev[0], fold_mul(w, c)), fold_add(prev[1], fold_mul(w, d)))
+            if pair[0] is ZERO and pair[1] is ZERO:
+                del out[mode]
     return ModeExpr(out)
 
 

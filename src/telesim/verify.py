@@ -379,9 +379,10 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
 class DependencyReport:
     """Which inputs each output can see, and when it can be emitted.
 
-    dependencies maps output names to (mode, time_bin) pairs with nonzero
-    coefficient. An output violates causality when its emission bin comes
-    before the latest bin it depends on; mandatory_delay is the largest gap
+    dependencies maps output names to the (mode, time_bin) pairs of their
+    entries that are neither folded (``coeff``) nor exactly zero. An output
+    violates causality when its emission bin comes before the latest bin it
+    depends on; mandatory_delay is the largest gap
     between an output's nominal slot and its actual emission.
     """
 

@@ -1,6 +1,6 @@
 """One sha256 over every report the file commands write, for byte-identity checks.
 
-Usage: python tests/report_digest.py ROOT [--each]
+Usage: python tests/report_digest.py ROOT [--each | --fields OTHER_ROOT]
 
 Imports telesim from ROOT/src and calls ``telesim.cli.main`` in-process for
 ``run``, ``verify`` and ``limits``, each in text and machine format, with
@@ -13,7 +13,12 @@ print the same lines. A third line hashes, the same way, ``protocols list``
 and ``protocols build NAME`` of every builder at its defaults. With
 ``--each`` it prints instead one ``label sha256`` line per report and per
 ``protocols`` command, the hash of what the digest reads of it, so a diff of
-two trees' outputs names every report that differs. Takes about 8 s.
+two trees' outputs names every report that differs. With ``--fields
+OTHER_ROOT`` it also imports telesim from OTHER_ROOT/src and prints, for
+each report whose bytes differ between the two trees, its label and the
+JSON paths of the machine report that differ (``causality.dependencies.
+orthogonal``, ``checks[0].detail``), or ``exit code``, ``stdout`` (a text
+report) and ``stderr``. Takes about 8 s per tree.
 pytest does not collect this file; ``tests/test_reports.py`` runs it.
 """
 
@@ -22,6 +27,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
+import json
 import os
 import sys
 import tempfile
@@ -53,12 +60,19 @@ def _report(telesim, label: str, argv: list[str]) -> bytes:
     return f"{label}|{code}\0{out.getvalue()}\0{err.getvalue()}\0".encode()
 
 
+def _from(root: Path, module) -> bool:
+    return Path(module.__file__).resolve().is_relative_to((root / "src").resolve())
+
+
 def _import(root: Path):
+    if "telesim" in sys.modules and not _from(root, sys.modules["telesim"]):
+        for name in [name for name in sys.modules if name.partition(".")[0] == "telesim"]:
+            del sys.modules[name]  # another tree's (--fields)
     sys.path.insert(0, str(root / "src"))
     import telesim
     import telesim.cli
 
-    if not Path(telesim.__file__).resolve().is_relative_to((root / "src").resolve()):
+    if not _from(root, telesim):
         raise SystemExit(f"error: imported telesim from {telesim.__file__}")
     return telesim
 
@@ -103,12 +117,43 @@ def digest(items) -> tuple[int, str]:
     return count, total.hexdigest()
 
 
+def _differing(a, b, path: str) -> list[str]:
+    """The JSON paths below path at which a and b differ, through dicts and lists of one length."""
+    if a == b:
+        return []
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [found for key in {**a, **b}
+                for found in _differing(a.get(key), b.get(key), f"{path}.{key}" if path else key)]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [found for i, (x, y) in enumerate(zip(a, b)) for found in _differing(x, y, f"{path}[{i}]")]
+    return [path or "$"]
+
+
+def fields(ours: bytes, theirs: bytes) -> list[str]:
+    """What differs between two trees' bytes of one report (see :func:`_report`)."""
+    (head, out, err, _), (other_head, other_out, other_err, _) = (d.decode().split("\0") for d in (ours, theirs))
+    found = ["exit code"] if head != other_head else []
+    try:
+        found += _differing(json.loads(out), json.loads(other_out), "")
+    except ValueError:
+        found += ["stdout"] if out != other_out else []
+    return found + (["stderr"] if err != other_err else [])
+
+
 def main(argv: list[str]) -> int:
-    if not argv or argv[1:] not in ([], ["--each"]):
+    if not argv or argv[1:] not in ([], ["--each"]) and (len(argv) != 3 or argv[1] != "--fields"):
         print(__doc__.splitlines()[2], file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
     telesim = _import(root)
+    if argv[1:2] == ["--fields"]:
+        ours = dict(itertools.chain(reports(root, telesim), protocol_reports(telesim)))
+        other = Path(argv[2]).resolve()
+        telesim = _import(other)
+        for label, data in itertools.chain(reports(other, telesim), protocol_reports(telesim)):
+            if ours.get(label) != data:
+                print(label, " ".join(fields(ours[label], data)) if label in ours else "only in OTHER_ROOT")
+        return 0
     if argv[1:]:
         for items in (reports(root, telesim), protocol_reports(telesim)):
             for label, data in items:

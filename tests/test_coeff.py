@@ -1,6 +1,7 @@
 """Coefficient expression trees: construction, folding, evaluation."""
 
 import cmath
+import contextlib
 import math
 
 import pytest
@@ -17,14 +18,19 @@ from telesim.coeff import (
     Num,
     Param,
     ParamEnv,
+    Sub,
+    Tape,
     as_coef,
     cis,
     conj,
     cosh,
     sinh,
+    sqrt,
     to_complex,
 )
 from telesim.opalg import ModeEvaluator, ModeExpr, ModeId
+from telesim import evaluate_circuit, parse_circuit
+from telesim.verify import causality_report
 
 EMPTY = ParamEnv({})
 
@@ -142,3 +148,106 @@ def test_tanh_sech_pythagorean(s):
     t = to_complex(Evaluator(env).eval(Call("tanh", Param("s"))))
     c = to_complex(Evaluator(env).eval(Call("sech", Param("s"))))
     assert abs(t) ** 2 + abs(c) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# invariant sums folded by the building tape
+
+
+@contextlib.contextmanager
+def _building():
+    """A fresh tape, current and building while the block runs."""
+    tape = Tape()
+    outer = tape.open()
+    try:
+        yield tape
+    finally:
+        tape.close(outer)
+
+
+@given(p=st.integers(1, 1000), q=st.integers(1, 1000))
+def test_an_exactly_cancelling_invariant_sum_folds_and_numbers_nothing(p, q):
+    # sqrt(p/q) sqrt(q/p) is 1 exactly, but not at 160 digits, nor in doubles
+    with _building() as tape:
+        product, one = sqrt(as_coef(p) / q) * sqrt(as_coef(q) / p), as_coef(1)
+        size = len(tape.nodes)
+        assert product - one is ZERO and one - product is ZERO
+        assert len(tape.nodes) == size
+
+
+@pytest.mark.parametrize("identity", [
+    lambda x: cosh(x) * cosh(x) - sinh(x) * sinh(x) - 1,
+    lambda x: Call("tanh", x) * Call("tanh", x) + Call("sech", x) * Call("sech", x) - 1,
+    lambda x: Call("exp", Call("ln", x)) - x,
+    lambda x: sqrt(x) * sqrt(x) - x,
+    lambda x: cosh(Call("arccosh", 1 + x)) - (1 + x),
+    lambda x: cis(x) * cis(-x) - 1,
+], ids=["cosh-sinh", "tanh-sech", "exp-ln", "sqrt", "arccosh", "cis"])
+def test_function_identities_fold_on_an_inexact_argument(identity):
+    # each function's bound on |f'| over its argument's ball is finite here
+    with _building():
+        assert identity(sqrt(as_coef(2)) / 4) is ZERO
+
+
+def test_a_small_real_difference_is_kept_with_its_value():
+    with _building() as tape:
+        one = as_coef(1)
+        small = one - (one - 1e-150)  # |v| ~ 2^-498, its radius ~ 2^-534
+    assert type(small) is Sub and id(small) in tape.index
+    assert to_complex(Evaluator(EMPTY, tape).eval(small)) == pytest.approx(1e-150, rel=1e-9)
+
+
+def test_a_deep_invariant_chain_keeps_its_bound_tight():
+    # 3,000 products by an inexact unit: a bound that grew by a bit a level
+    # would pass the chain's magnitude, and fold a difference of 1e-120 at its end
+    with _building() as tape:
+        unit = sqrt(as_coef(3)) * sqrt(as_coef(3)) / 3
+        chain = unit
+        for _ in range(3000):
+            chain = chain * unit
+        small = chain - (chain - 1e-120)
+    assert type(small) is Sub and id(small) in tape.index
+    assert to_complex(Evaluator(EMPTY, tape).eval(small)) == pytest.approx(1e-120, rel=1e-9)
+
+
+def test_sums_without_a_bound_or_reached_by_a_param_never_fold():
+    # a residue near 7e-161 that the parser's nodes keep: its ball holds 0
+    residue = Sub(Mul(Call("sqrt", Num(7)), Call("sqrt", Num(7))), Num(7))
+    ln0 = Call("ln", Num(0))
+    with _building() as tape:
+        root2 = sqrt(2)
+        assert root2 - root2 is ZERO  # exactly 0, within a finite radius
+        kept = {
+            "a Param reaches it": Param("s") - Param("s"),
+            "not finite": ln0 - ln0,
+            "sqrt of a ball holding 0": sqrt(residue) - sqrt(residue),
+            "ln of a ball holding 0": Call("ln", residue) - Call("ln", residue),
+            "a divisor's ball holds 0": 1 / residue - 1 / residue,
+        }
+    assert 0 < to_complex(Evaluator(EMPTY).eval(residue)).real < 1e-160
+    for case, node in kept.items():
+        assert type(node) is Sub and id(node) in tape.index, case
+
+
+TINY_WEIGHT_CIRCUIT = """\
+mode signal a rail=input bin=0
+mode signal late rail=input bin=3
+mode vacuum u rail=receiver bin=0
+mode vacuum w rail=receiver bin=3
+m0 = homodyne(a, u, xphase=0, pphase=pi/2)
+m1 = homodyne(late, w, xphase=0, pphase=pi/2)
+m = combine(1*m0, (1 + 1e-120)*m1, (-1)*m1)
+output record = m
+"""
+
+
+def test_a_tiny_invariant_weight_on_a_late_bin_keeps_its_dependency():
+    # the two weights on m1 cancel to 1e-120, far above their sum's radius
+    protocol = evaluate_circuit(parse_circuit(TINY_WEIGHT_CIRCUIT))
+    record = protocol.classical["record"]
+    (late,) = [mode for mode in record.terms if mode.name == "late"]
+    c, d = protocol.evaluator().table(record)[late]
+    assert 1e-121 < abs(to_complex(c)) + abs(to_complex(d)) < 1e-119
+    report = causality_report(protocol)
+    assert ("late", 3) in {(mode.name, b) for mode, b in report.dependencies["record"]}
+    assert report.emission["record"] == 3

@@ -46,7 +46,7 @@ CASES = [
     ("verify_delayed_telemirror_scale60", "verify", "delayed_telemirror", "60", 1),
     ("protocols_list", "protocols", "list", None, 0),
 ]
-NBIN16_VERIFY_SHA256 = "2c353aca1609ad299e2aa056b82c90f0b4cc65837824a2389adbe839794c6864"
+NBIN16_VERIFY_SHA256 = "8285049c881e4ab04472f229326f1fbd39e293f1eeef48a1e5144e72459001ae"
 
 
 def _fixture(name: str, command: str) -> Path:
@@ -136,6 +136,25 @@ def test_the_digest_tool_hashes_each_report_of_one_golden(tmp_path, monkeypatch,
     items = list(report_digest.reports(HERE.parent, telesim))
     assert second == f"sha256 {hashlib.sha256(b''.join(data for _, data in items)).hexdigest()}"
     assert [hashlib.sha256(data).hexdigest() for _, data in items] == [h for _, h in lines[:18]]
+
+
+def test_the_digest_tool_names_the_report_fields_that_differ():
+    """``--fields``' comparison of one report's bytes from two trees: the JSON
+    paths of a machine report that differ, through dicts and lists of one length."""
+    import report_digest
+
+    def report(code, out, err=""):
+        return f"label|{code}\0{out}\0{err}\0".encode()
+
+    def machine(entries, detail):
+        return json.dumps({"causality": {"dependencies": {"a": entries, "b": [["e1", 0]]}, "verdict": "causal"},
+                           "checks": [{"check": "bogoliubov", "detail": detail}]})
+
+    ours = report(0, machine([["e1", 0]], "max deviation 4.0e-162"))
+    theirs = report(0, machine([["e1", 0], ["j2", 2]], "max deviation 7.1e-162"))
+    assert report_digest.fields(ours, theirs) == ["causality.dependencies.a", "checks[0].detail"]
+    assert report_digest.fields(ours, ours) == []
+    assert report_digest.fields(report(1, "text"), report(2, "text!", "warning")) == ["exit code", "stdout", "stderr"]
 
 
 def _spelled(value):
