@@ -14,9 +14,11 @@ and its numeric sessions (``opalg.ModeEvaluator``) make the runs. While
 on it (hash-consing as nodes are made), so a structure is one node and
 each binding computes its value once.
 
-While a tape builds, an invariant sum within its error radius r of 0
-(:func:`_balls`) folds to ``ZERO``: its exact value is within 2r of 0, so
-a fold moves a coefficient by at most twice its error. No dependent sum folds.
+While a tape builds, an invariant instruction is valued and bounded as it
+is numbered (:meth:`Tape.number`), unless it or an operand fails; a sum
+within its error radius r of 0 (:func:`_ball`) folds to ``ZERO``: its
+exact value is within 2r of 0, so a fold moves a coefficient by at most
+twice its error. No dependent sum folds.
 
 Evaluation runs on a dedicated mpmath context, ``MP``, with 160 decimal
 digits. A session's precision is ``MP``'s when the session is made; its
@@ -213,9 +215,10 @@ ONE = Num(1)
 def _intern(cls, head, a=None, b=None):
     """The node of class cls, structural head (its class, a Num's value or a
     Call's function) and operands a, b. While a tape is current, it is the
-    tape's node of that key, made and numbered there if the tape has none; while
-    it builds, a new invariant sum whose value v lies within its error radius r
-    is ``ZERO`` and numbers nothing (see ``Tape``). A dependent sum is always made."""
+    tape's node of that key, made and numbered there (:meth:`Tape.number`) if
+    the tape has none; while it builds, a new sum with |v| <= r in the ball
+    (l, r) numbering gave it is ``ZERO`` and numbers nothing. A sum without a
+    ball (dependent, or it or an operand failed) is always made."""
     tape = Tape.current
     if tape is None:
         return (cls(head) if a is None else cls(a, b) if b is not None else
@@ -228,21 +231,16 @@ def _intern(cls, head, a=None, b=None):
     if j is None:
         j = tape.append(b)
     key = (head, i, j)
-    nodes = tape.nodes
     k = tape.keys.get(key)
     if k is not None:
-        return nodes[k]
+        return tape.nodes[k]
     node = cls(head) if i < 0 else cls(a, b) if j >= 0 else cls(a) if head is cls else cls(head, a)
-    tape.keys[key] = index[id(node)] = k = len(nodes)
-    nodes.append(node)
-    tape.ops.append(key)
-    dep = tape.dependent  # no Param is made here: the parser makes them, and append numbers them
-    dep.append(i >= 0 and (dep[i] or j >= 0 and dep[j]))
-    if (head is Add or head is Sub) and tape.run is not None and not dep[k]:
-        tape.measure(tape.run._lacking([k]))
+    k = tape.number(node, key)
+    if head is Add or head is Sub:
         l, r = tape.balls.get(k, (inf, inf))
         if l <= r < inf:  # |v| <= r: the exact value is within 2r of 0
-            del tape.keys[key], index[id(node)], nodes[k], tape.ops[k], dep[k], tape.run._vals[k], tape.balls[k]
+            del tape.keys[key], index[id(node)], tape.nodes[k], tape.ops[k], tape.dependent[k]
+            del tape.run._vals[k], tape.balls[k]
             return ZERO
     return node
 
@@ -390,9 +388,9 @@ def _log2abs(z: tuple) -> float:
     return x if y == -inf or x == inf else x + log2(1 + 2.0 ** (2 * (y - x))) / 2
 
 
-def _balls(order: list[int], ops: list, vals: dict, balls: dict, prec: int) -> None:
-    """The ball (l, r) of each instruction of order, invariant and valued at
-    precision prec, from its operands': l is log2 |v| for its value v, and r
+def _ball(i: int, ops: list, vals: dict, balls: dict, prec: int) -> tuple:
+    """The ball (l, r) of instruction i, invariant and valued at precision
+    prec, from its operands' balls: l is log2 |v| for its value v, and r
     log2 of a bound on its error (J. van der Hoeven, *Ball arithmetic*, 2010):
     rx + ry for a sum, |x| ry + |y| rx + rx ry for a product, the quotient
     rule, or r sup|f'| on the ball for a function, plus v's rounding, below
@@ -400,50 +398,45 @@ def _balls(order: list[int], ops: list, vals: dict, balls: dict, prec: int) -> N
     bits), which also covers l's rounding in doubles; 2^8 times that for a
     function, as mpmath states no bound; a Num or pi has its rounding only.
     Inf, nan, or a divisor's ball within half its magnitude of 0 has r = inf."""
-    exact, plus, ulp = (-inf, -inf), _plus, 1 - prec
-    for i in order:
-        head, a, b = ops[i]
-        lx, rx = balls.get(a, exact)
-        ly, ry = balls.get(b, exact)
-        if head is Mul:
-            l = lx + ly
-            r = inf if rx == inf or ry == inf else plus(lx + ry, ly + rx, rx + ry, l + ulp)
-        elif head is Neg or head is Conj:  # exact on a value of at most prec bits
-            l, r = lx, rx
-        else:
-            l = _log2abs(vals[i])
-            if rx == inf or ry == inf or l == inf:
-                r = inf
-            elif head is Add or head is Sub:
-                r = plus(rx, ry, l + ulp)
-            elif head is Div:  # |y| - ry >= |y| / 2 when ry <= log2 |y| - 1
-                low = _log2abs(vals[b])
-                r = inf if ry > low - 1 else plus(plus(lx + ry, ly + rx) + 1 - 2 * low, l + ulp)
-            elif type(head) is str:  # a Call's function
-                slope = rx + _slope(head, to_complex(vals[a]), rx) if rx > -inf else -inf
-                r = plus(slope, l + ulp + 8, l + ulp)
-            else:  # a Num's value or pi
-                r = l + ulp
-        balls[i] = l, r
+    head, a, b = ops[i]
+    (lx, rx), (ly, ry), ulp = balls.get(a, (-inf, -inf)), balls.get(b, (-inf, -inf)), 1 - prec
+    if head is Mul:
+        l = lx + ly
+        return l, inf if rx == inf or ry == inf else _plus(lx + ry, ly + rx, rx + ry, l + ulp)
+    if head is Neg or head is Conj:  # exact on a value of at most prec bits
+        return lx, rx
+    l = _log2abs(vals[i])
+    if rx == inf or ry == inf or l == inf:
+        return l, inf
+    if head is Add or head is Sub:
+        return l, _plus(rx, ry, l + ulp)
+    if head is Div:  # |y| - ry >= |y| / 2 when ry <= log2 |y| - 1
+        low = _log2abs(vals[b])
+        return l, inf if ry > low - 1 else _plus(_plus(lx + ry, ly + rx) + 1 - 2 * low, l + ulp)
+    if type(head) is str:  # a Call's function
+        slope = rx + _slope(head, to_complex(vals[a]), rx) if rx > -inf else -inf
+        return l, _plus(slope, l + ulp + 8, l + ulp)
+    return l, l + ulp  # a Num's value or pi
 
 
 class Tape:
     """A circuit's coefficient nodes as instructions, operands first: node i,
     its structural key ``ops[i]`` (head: class, ``Num`` value, ``Call``
     function or ``Param`` name; then the operands' indices, -1 where it has
-    fewer) and whether a Param reaches it; joining computes nothing. While a
-    tape is ``current`` (``evaluate_circuit`` makes its own so), the
-    constructors above number each node as they make it, and return the
-    tape's node for a key it holds. A foreign node (made by the parser, as a
-    module constant or under no tape) joins when first read, through
-    :meth:`append`; one whose key is taken maps to that instruction and
-    stays in ``foreign``, so its id is never recycled. ``stored`` keeps, per
-    precision, the invariant values later runs read: operands of dependent
-    instructions, and invariant roots. Between :meth:`open` and :meth:`close`
-    it builds: ``run`` values each new invariant node, ``balls`` bounds its
-    error r, and :func:`_intern` folds an invariant sum whose value lies within
-    r (its exact value is then within 2r of 0), never a dependent sum. The
-    build's values become the store at its precision."""
+    fewer) and whether a Param reaches it. While a tape is ``current``
+    (``evaluate_circuit`` makes its own so), the constructors above number
+    each node as they make it, and return the tape's node for a key it
+    holds. A foreign node (made by the parser, as a module constant or under
+    no tape) joins when first read, through :meth:`append`; one whose key is
+    taken maps to that instruction and stays in ``foreign``, so its id is
+    never recycled. ``stored`` keeps, per precision, the invariant values
+    later runs read: operands of dependent instructions, and invariant
+    roots. Between :meth:`open` and :meth:`close` it builds: :meth:`number`,
+    the one place an instruction is numbered, values an invariant one in
+    ``run`` and bounds it in ``balls`` unless it or an operand fails, and
+    :func:`_intern` folds a sum within its error radius r of 0; outside a
+    build, joining computes nothing. The build's values become the store at
+    its precision."""
 
     __slots__ = ("nodes", "ops", "index", "keys", "foreign", "dependent", "stored", "run", "balls", "__weakref__")
     current: "Tape | None" = None  # the tape the constructors intern on
@@ -457,12 +450,12 @@ class Tape:
         self.dependent = bytearray()
         self.stored: dict[int, dict[int, tuple]] = {}  # precision -> instruction -> value
         self.run: Evaluator | None = None  # while it builds, its run and each value's ball (l, r)
-        self.balls: dict[int, tuple] | None = None
+        self.balls: dict[int, tuple] = {}
 
     def open(self) -> "Tape | None":
         """Make this tape current and building at ``MP``'s precision; returns the tape current before."""
         outer, Tape.current = Tape.current, self
-        self.run, self.balls = Evaluator(ParamEnv({}), self), {}
+        self.run = Evaluator(ParamEnv({}), self)
         return outer
 
     def close(self, outer: "Tape | None", roots=()) -> None:
@@ -471,22 +464,26 @@ class Tape:
         Tape.current, index, dep, run = outer, self.index, self.dependent, self.run
         keep = [k for k in (index[id(c)] if id(c) in index else self.append(c) for c in roots) if not dep[k]]
         keep += [k for _, a, b in compress(self.ops, dep) for k in (a, b) if k >= 0 and not dep[k]]
-        self.measure(run._lacking(keep), bound=False)  # no fold reads them now
-        self.run = self.balls = None
+        self.run, self.balls = None, {}
         run._stored.update((k, run._vals[k]) for k in keep if k in run._vals)
 
-    def measure(self, order: list[int], bound: bool = True) -> None:
-        """The build's values of order, invariant instructions it lacks, in tape order, and
-        if bound their balls (:func:`_balls`); none of a failing pass, for a run to raise as it did."""
-        run = self.run
-        try:
-            run._eval(order)
-        except (ArithmeticError, ValueError):
-            for i in order:
-                run._vals.pop(i, None)
-            return
-        if bound:
-            _balls(order, self.ops, run._vals, self.balls, run._prec)
+    def number(self, node: CoefExpr, key: tuple) -> int:
+        """Number node, new, as instruction key; while the tape builds, an invariant
+        one gets its value and ball (:func:`_ball`) unless its kernel raises or an
+        operand has no value, so a run raises at it in tape order."""
+        _, a, b = key
+        dep, run = self.dependent, self.run
+        self.keys[key] = self.index[id(node)] = k = len(self.nodes)
+        self.nodes.append(node)
+        self.ops.append(key)
+        dep.append(type(node) is Param or a >= 0 and (dep[a] or b >= 0 and dep[b]))
+        if run is not None and not dep[k] and (a < 0 or a in run._vals) and (b < 0 or b in run._vals):
+            try:
+                run._eval((k,))
+            except (ArithmeticError, ValueError):
+                return k
+            self.balls[k] = _ball(k, self.ops, run._vals, self.balls, run._prec)
+        return k
 
     def append(self, root: CoefExpr) -> int:
         """Instruction of root, joining each node of root the tape lacks, operands first."""
@@ -517,12 +514,8 @@ class Tape:
             key = (node.value if cls is Num else node.name if cls is Param else
                    node.func if cls is Call else cls, a, b)
             i = self.keys.get(key)
-            if i is None:  # numbered as _intern numbers what it makes; a Param is dependent
-                self.keys[key] = index[id(node)] = len(self.nodes)
-                self.nodes.append(node)
-                self.ops.append(key)
-                dep = self.dependent
-                dep.append(cls is Param or a >= 0 and (dep[a] or b >= 0 and dep[b]))
+            if i is None:
+                self.number(node, key)
             else:
                 index[id(node)] = i
                 self.foreign.append(node)
@@ -544,7 +537,8 @@ class Evaluator:
     distinct invariant product once per run, where unequal structure gives
     it. Values join the store when a pass finishes, never when it raises:
     the invariant operands of the dependent instructions it computed, and
-    its invariant roots.
+    its invariant roots. A building tape's run is valued as
+    :meth:`Tape.number` numbers (see :class:`Tape`).
     """
 
     def __init__(self, env: ParamEnv, tape: Tape | None = None):
@@ -571,12 +565,12 @@ class Evaluator:
         index, append = self.tape.index, self.tape.append
         return self._run([append(expr) if (i := index.get(id(expr))) is None else i for expr in exprs])
 
-    def _lacking(self, roots) -> list[int]:
-        """What instructions roots reach that this run lacks, in tape order."""
-        vals, ops = self._vals, self.tape.ops
+    def _run(self, roots: list[int]) -> list[tuple]:
+        """Values of instructions roots, computing first what this run lacks of them."""
+        vals, ops, dependent, stored = self._vals, self.tape.ops, self.tape.dependent, self._stored
         seen = {i for i in roots if i not in vals}
         order = list(seen)
-        for i in order:  # grows as it goes
+        for i in order:  # grows as it goes: what roots reach that this run lacks
             _, a, b = ops[i]
             if a >= 0 and a not in vals and a not in seen:
                 seen.add(a)
@@ -584,14 +578,8 @@ class Evaluator:
             if b >= 0 and b not in vals and b not in seen:
                 seen.add(b)
                 order.append(b)
-        order.sort()  # operands are numbered before what reads them
-        return order
-
-    def _run(self, roots: list[int]) -> list[tuple]:
-        """Values of instructions roots, computing first what this run lacks of them."""
-        vals, ops, dependent, stored = self._vals, self.tape.ops, self.tape.dependent, self._stored
-        order = self._lacking(roots)
         if order:
+            order.sort()  # operands are numbered before what reads them
             self._eval(order)
             stored.update((k, vals[k]) for i in order if dependent[i]
                           for k in ops[i][1:] if k >= 0 and not dependent[k] and k not in stored)

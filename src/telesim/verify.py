@@ -241,6 +241,11 @@ def _squeezed_rows(c, s, one: _Rows, two: _Rows) -> tuple[_Rows, _Rows]:
     return _mix(c, one, s, dag_two), _mix(c, two, s, dag_one)
 
 
+def _cis(phi: float) -> complex:
+    """e^{i phi}; nan for a non-finite phi, as the operator kernels give."""
+    return complex(math.cos(phi), math.sin(phi)) if math.isfinite(phi) else complex(math.nan, math.nan)
+
+
 def _quadrature_row(rows: _Rows, phase: float):
     if not math.isfinite(phase):  # as the operator kernels: a non-finite phase gives nan
         return [math.nan] * len(rows.x)
@@ -314,15 +319,15 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
             keep = math.sqrt(min(max(alpha, 0.0), 1.0))
             cross = math.sqrt(max(1.0 - alpha, 0.0))
             t, r = quantum(stmt.in_t, loc), quantum(stmt.in_r, loc)
-            down = -1j * complex(math.cos(-phi), math.sin(-phi)) * cross
-            up = -1j * complex(math.cos(phi), math.sin(phi)) * cross
+            down = -1j * _cis(-phi) * cross
+            up = -1j * _cis(phi) * cross
             put(stmt.out_minus, _mix(keep, r, down, t), loc)
             put(stmt.out_plus, _mix(keep, t, up, r), loc)
         elif isinstance(stmt, (SqueezeStmt, UnsqueezeStmt)):
             g = scalar(stmt.gain, loc, "gain").real
             if isinstance(stmt, SqueezeStmt):
                 theta = scalar(stmt.phase, loc, "phase").real
-                c, s = math.cosh(g), complex(math.cos(theta), math.sin(theta)) * math.sinh(g)
+                c, s = math.cosh(g), _cis(theta) * math.sinh(g)
             else:
                 c, s = math.cosh(g), -math.sinh(g)
             one, two = quantum(stmt.in1, loc), quantum(stmt.in2, loc)
@@ -331,7 +336,7 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
             put(stmt.out2, out2, loc)
         elif isinstance(stmt, PhaseStmt):
             phi = scalar(stmt.phi, loc, "phi").real
-            unit = complex(math.cos(phi), math.sin(phi))
+            unit = _cis(phi)
             rows = quantum(stmt.operand, loc)
             put(stmt.out, _Rows(*_accumulate([0.0] * n, [0.0] * n, unit, rows.x, rows.p)), loc)
         elif isinstance(stmt, HomodyneStmt):

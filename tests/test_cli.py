@@ -291,6 +291,23 @@ def test_verify_fails_an_infinite_homodyne_phase(tmp_path, capsys):
     assert run_cli(capsys, "run", str(path))[0] == 0
 
 
+@pytest.mark.parametrize("statement", [
+    "(x, y) = split(a, v, alpha=0.5, phi=ln(0))",
+    "(x, y) = squeeze(a, v, gain=1, phase=ln(0))",
+    "x = phase(a, phi=ln(0))",
+])
+def test_verify_fails_a_non_finite_rotation_phase(tmp_path, capsys, statement):
+    # the oracle's rotation e^{i phi} of an infinite phase is nan, as the
+    # operator kernels give, so the checks fail by name instead of raising
+    path = tmp_path / "infinite_rotation.tls"
+    path.write_text(f"mode signal a rail=in bin=0\nmode vacuum v rail=v bin=0\n{statement}\noutput o = x\n")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert "  [FAIL] bogoliubov canonical output set  max deviation nan" in lines
+    assert "  [FAIL] covariance oracle matches operator variances  max relative gap nan" in lines
+
+
 def test_verify_fails_a_non_finite_declared_limit_gap(capsys):
     # the tap's phase ln(40 - s) is nan at twice the limit scale; taps get no
     # limit suite, so only the declared-form gap reads that coefficient

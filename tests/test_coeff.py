@@ -13,6 +13,7 @@ from telesim.coeff import (
     Add,
     Call,
     CoefficientError,
+    Div,
     Evaluator,
     Mul,
     Num,
@@ -214,6 +215,7 @@ def test_sums_without_a_bound_or_reached_by_a_param_never_fold():
     # a residue near 7e-161 that the parser's nodes keep: its ball holds 0
     residue = Sub(Mul(Call("sqrt", Num(7)), Call("sqrt", Num(7))), Num(7))
     ln0 = Call("ln", Num(0))
+    bad = Div(Num(1), Sub(Num(1), Num(1)))
     with _building() as tape:
         root2 = sqrt(2)
         assert root2 - root2 is ZERO  # exactly 0, within a finite radius
@@ -223,10 +225,13 @@ def test_sums_without_a_bound_or_reached_by_a_param_never_fold():
             "sqrt of a ball holding 0": sqrt(residue) - sqrt(residue),
             "ln of a ball holding 0": Call("ln", residue) - Call("ln", residue),
             "a divisor's ball holds 0": 1 / residue - 1 / residue,
+            "an operand whose build evaluation failed": bad - bad,
         }
     assert 0 < to_complex(Evaluator(EMPTY).eval(residue)).real < 1e-160
     for case, node in kept.items():
         assert type(node) is Sub and id(node) in tape.index, case
+    with pytest.raises(CoefficientError, match="division by zero"):
+        Evaluator(EMPTY, tape).eval(kept["an operand whose build evaluation failed"])
 
 
 TINY_WEIGHT_CIRCUIT = """\

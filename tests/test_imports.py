@@ -8,6 +8,8 @@ only inside a quoted annotation counts as unused: every module postpones
 its annotations, so none needs quoting. A bare ``except``, an ``except
 Exception`` or an ``except BaseException`` fails too: a handler names the
 errors it means to turn into a message, so a fault elsewhere still surfaces.
+Only ``Tape.number`` appends to a coefficient tape's ``nodes``, ``ops`` or
+``dependent``, so an instruction is numbered, valued and bounded one way.
 """
 
 import ast
@@ -75,3 +77,51 @@ def test_a_catch_all_handler_is_found():
     source = ("try:\n    f()\nexcept ValueError:\n    pass\nexcept (KeyError, Exception):\n    pass\n"
               "try:\n    g()\nexcept BaseException:\n    pass\nexcept:\n    raise\n")
     assert _catch_all_handlers(source) == [5, 9, 11]
+
+
+_TAPE_LISTS = {"nodes", "ops", "dependent"}
+
+
+def _numbering_sites(source: str) -> list[tuple[str, int]]:
+    """Each function of source, by qualified name, and line that appends to,
+    extends or adds to an attribute named nodes, ops or dependent, directly
+    or through a local name bound to one."""
+    sites = []
+
+    def listed(node, aliases):
+        return (isinstance(node, ast.Attribute) and node.attr in _TAPE_LISTS
+                or isinstance(node, ast.Name) and node.id in aliases)
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, ast.FunctionDef):
+                aliases = set()
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Assign):
+                        for target in sub.targets:
+                            pairs = (zip(target.elts, sub.value.elts) if isinstance(target, ast.Tuple)
+                                     and isinstance(sub.value, ast.Tuple) else [(target, sub.value)])
+                            aliases.update(t.id for t, v in pairs if isinstance(t, ast.Name) and listed(v, ()))
+                for sub in ast.walk(node):
+                    if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                            and sub.func.attr in ("append", "extend", "insert") and listed(sub.func.value, aliases)
+                            or isinstance(sub, ast.AugAssign) and listed(sub.target, aliases)):
+                        sites.append((prefix + node.name, sub.lineno))
+
+    visit(ast.parse(source).body, "")
+    return sorted(sites)
+
+
+def test_only_tape_number_numbers_an_instruction():
+    sites = {(path.name, name) for path in MODULES for name, _ in _numbering_sites(path.read_text())}
+    assert sites == {("coeff.py", "Tape.number")}
+
+
+def test_a_numbering_site_is_found():
+    source = ("class T:\n    def number(self):\n        self.nodes.append(1)\n"
+              "    def other(self):\n        dep, x = self.dependent, 1\n        dep.append(0)\n"
+              "        self.ops += [1]\n"
+              "def f(tape):\n    nodes = tape.nodes\n    nodes.extend([1])\n    tape.keys.append(1)\n")
+    assert _numbering_sites(source) == [("T.number", 3), ("T.other", 6), ("T.other", 7), ("f", 10)]
