@@ -31,10 +31,10 @@ how deliberately impossible circuits get flagged instead of rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import field
 from typing import Callable
 
-from .coeff import CoefExpr, CoefficientError, Evaluator, ParamEnv, Tape, to_complex
+from .coeff import CoefExpr, CoefficientError, Evaluator, Frozen, ParamEnv, Record, Tape, to_complex
 from .elements import (
     apply_inverse_squeezer,
     apply_phase_shift,
@@ -46,8 +46,7 @@ from .elements import (
 from .opalg import ModeEvaluator, ModeExpr, ModeId, ModeKind, dagger, input_mode, lin_comb
 
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(Frozen):
     """A statement's position in circuit source: 1-based line and column."""
 
     line: int
@@ -67,15 +66,13 @@ class CircuitError(Exception):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Stmt:
+class Stmt(Frozen):
     """Base of every circuit statement: its source position."""
 
     # never part of structural equality
     loc: Loc = field(compare=False)
 
 
-@dataclass(frozen=True)
 class ParamDecl(Stmt):
     """``param name = value``, or ``= infinity`` for a scale parameter."""
 
@@ -84,7 +81,6 @@ class ParamDecl(Stmt):
     infinite: bool = False
 
 
-@dataclass(frozen=True)
 class ModeDecl(Stmt):
     """``mode kind name rail=... bin=...``: one input mode of the circuit."""
 
@@ -98,15 +94,14 @@ class ModeDecl(Stmt):
 MODE, RECORD = "mode wire", "measurement record"
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Frozen):
     """Source form and wiring of one element statement.
 
     outputs and inputs pair each field naming a wire with the wire's kind
     (mode wire or measurement record); coefficients are the keyword fields
     in source order. apply is the element function, called with the inputs
     and then the coefficients. extra holds the fields after the
-    coefficients, as :func:`dataclasses.make_dataclass` takes them: combine's
+    coefficients, each (name, type) or (name, type, default): combine's
     terms, from which it reads its records, and displace's claimed bin.
     """
 
@@ -123,14 +118,13 @@ ELEMENTS: dict[type, Element] = {}
 
 def _statement(element: Element) -> type:
     """The frozen statement class of element, registered in :data:`ELEMENTS`."""
-    cls = make_dataclass(
-        f"{element.keyword.capitalize()}Stmt",
-        [*((name, "str") for name, _ in element.outputs + element.inputs),
-         *((name, "CoefExpr") for name in element.coefficients), *element.extra],
-        bases=(Stmt,),
-        frozen=True,
-        namespace={"__module__": __name__, "__doc__": f"A ``{element.keyword}`` statement."},
-    )
+    fields = [*((name, "str") for name, _ in element.outputs + element.inputs),
+              *((name, "CoefExpr") for name in element.coefficients), *element.extra]
+    cls = type(f"{element.keyword.capitalize()}Stmt", (Stmt,), {
+        "__module__": __name__, "__doc__": f"A ``{element.keyword}`` statement.",
+        "__annotations__": {name: kind for name, kind, *_ in fields},
+        **{spec[0]: spec[2] for spec in fields if len(spec) == 3},  # the defaults
+    })
     ELEMENTS[cls] = element
     return cls
 
@@ -167,7 +161,6 @@ DisplaceStmt = _statement(Element(
 ROLES = ("transmitted", "reflected", "tap")
 
 
-@dataclass(frozen=True)
 class OutputStmt(Stmt):
     """``output name = wire [bin=...] [role=...]``: one declared output."""
 
@@ -177,7 +170,6 @@ class OutputStmt(Stmt):
     role: str | None = None
 
 
-@dataclass(frozen=True)
 class ProtocolDecl(Stmt):
     """``protocol name(args)``: the builder and arguments a circuit came from."""
 
@@ -186,14 +178,12 @@ class ProtocolDecl(Stmt):
 
 
 # mode forms: (weight, declared mode, creation) terms, creation meaning a^dag
-@dataclass(frozen=True)
 class TargetStmt(Stmt):
     """``target = ...``: the signal mode that selectivity is judged against."""
 
     terms: tuple[tuple[CoefExpr, str, bool], ...]
 
 
-@dataclass(frozen=True)
 class ExpectStmt(Stmt):
     """``expect port = ...``: the port's form as the infinite parameters grow."""
 
@@ -201,8 +191,7 @@ class ExpectStmt(Stmt):
     terms: tuple[tuple[CoefExpr, str, bool], ...]
 
 
-@dataclass(frozen=True)
-class CircuitAst:
+class CircuitAst(Frozen):
     """Statements, and the tape their scalars run on (see :func:`evaluate_circuit`)."""
 
     statements: tuple[Stmt, ...]
@@ -220,16 +209,14 @@ class CircuitAst:
         return None
 
 
-@dataclass(frozen=True)
-class PortTiming:
+class PortTiming(Frozen):
     """A port's temporal slot and the bin the device can first emit it in."""
 
     slot_bin: int
     emission_bin: int
 
 
-@dataclass
-class ProtocolOutput:
+class ProtocolOutput(Record):
     """Named results of one evaluated circuit.
 
     transmitted and reflected hold the canonical port set; taps carry
@@ -313,13 +300,13 @@ def merge_env(ast: CircuitAst, env: ParamEnv) -> tuple[ParamEnv, list[str]]:
     return ParamEnv(values, env.limit_scale), infinite
 
 
-@dataclass(slots=True)
 class _Wire:
     """A bound wire name: its mode expression, emission bin and kind."""
 
-    value: ModeExpr
-    bin: int
-    kind: str
+    __slots__ = ("value", "bin", "kind")
+
+    def __init__(self, value: ModeExpr, bin: int, kind: str):
+        self.value, self.bin, self.kind = value, bin, kind
 
 
 class Scalars:

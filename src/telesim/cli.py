@@ -41,12 +41,11 @@ import os
 import sys
 import types
 import typing
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .circuit import CircuitError, ProtocolOutput, evaluate_circuit
-from .coeff import CoefficientError, ParamEnv
+from .coeff import CoefficientError, ParamEnv, Record
 from .dsl import ParseError, parse_circuit
 from .opalg import DISPLAY_THRESHOLD, prune_for_display, quadrature_variance
 from .verify import CheckSuite, limit_suite, run_suite, verify_suite
@@ -88,8 +87,7 @@ def _coefficient_map(table: dict) -> dict[str, list[float]]:
     }
 
 
-@dataclass
-class ReportDocument:
+class ReportDocument(Record):
     """Deterministic account of one evaluated circuit plus analyses."""
 
     payload: dict

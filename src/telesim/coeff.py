@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from itertools import compress
 from math import inf, log2
 
@@ -72,8 +72,82 @@ class CoefficientError(ValueError):
     """Raised for malformed expressions or bad evaluation requests."""
 
 
-@dataclass(frozen=True)
-class ParamEnv:
+_set = object.__setattr__
+
+
+class Record:
+    """Base of every telesim dataclass, mutable and unhashable; see :class:`Frozen`.
+
+    A subclass, unless declared with ``base=True``, is made a dataclass that
+    only records its fields, and takes these methods, written once, so an
+    import compiles none. As the stdlib's, ``__init__`` binds the init fields
+    by position or keyword, applies defaults and factories (also an init=False
+    field's), sets each field in order (instance dicts stay key-shared) and
+    runs ``__post_init__``; ``repr`` is ``Qualname(a=..., b=...)`` over the
+    repr fields, with no guard for a record that contains itself; ``==``
+    compares the compare fields of two instances of one class. ``fields``,
+    ``replace``, ``__match_args__`` and docstrings are the stdlib's. The
+    coefficient nodes, made by the thousand, have an ``__init__`` per shape:
+    the generic one, binding keywords and defaults, takes twice as long.
+    """
+
+    def __init_subclass__(cls, base: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if base:
+            return
+        every = fields(dataclass(cls, init=False, repr=False, eq=False))
+        defaults = {f.name: f.default_factory if f.default is MISSING else lambda value=f.default: value
+                    for f in every if (f.default, f.default_factory) != (MISSING, MISSING)}
+        # the init fields, their defaults, init=False fields with a factory, __post_init__
+        cls._init = (tuple(f.name for f in every if f.init), defaults,
+                     tuple(f.name for f in every if not f.init and f.default_factory is not MISSING),
+                     getattr(cls, "__post_init__", None))
+        # the compared, the hashed and the shown fields
+        cls._plan = (tuple(f.name for f in every if f.compare),
+                     tuple(f.name for f in every if (f.compare if f.hash is None else f.hash)),
+                     tuple(f.name for f in every if f.repr))
+
+    def __init__(self, *args, **kwargs):
+        names, defaults, later, post_init = self._init
+        if kwargs or len(args) != len(names):
+            args = [*args, *(kwargs.pop(name) if name in kwargs else defaults[name]()
+                             for name in names[len(args):] if name in kwargs or name in defaults)]
+            if kwargs or len(args) != len(names):  # a field missing or unknown, or too many
+                raise TypeError(f"{type(self).__qualname__}() takes the fields {names}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in later:
+            _set(self, name, defaults[name]())
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._plan[2])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        compared = self._plan[0]
+        return [getattr(self, name) for name in compared] == [getattr(other, name) for name in compared]
+
+
+class Frozen(Record, base=True):
+    """A :class:`Record` that is hashable, as ``hash`` of the tuple of its
+    ``hash`` fields (its ``compare`` fields unless a field says otherwise),
+    and raises ``FrozenInstanceError`` on setting or deleting an attribute."""
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in self._plan[1]))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class ParamEnv(Frozen):
     """Binding of parameter names to real values.
 
     ``limit_scale`` is the stand-in value for parameters declared to tend to
@@ -89,7 +163,7 @@ class ParamEnv:
         return ParamEnv(merged, self.limit_scale)
 
 
-class CoefExpr:
+class CoefExpr(Frozen, base=True):
     """Base class; subclasses are frozen dataclasses forming the tree.
 
     The operator sugar folds constants so machine-built expressions stay
@@ -127,84 +201,94 @@ class CoefExpr:
         return _fold_neg(self)
 
 
-@dataclass(frozen=True)
+def _binary(self, left: CoefExpr, right: CoefExpr):
+    _set(self, "left", left)
+    _set(self, "right", right)
+
+
+def _unary(self, operand: CoefExpr):
+    _set(self, "operand", operand)
+
+
 class Num(CoefExpr):
     """A complex constant."""
 
     value: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
+    def __init__(self, value: complex):
+        _set(self, "value", complex(value))
 
 
-@dataclass(frozen=True)
 class Param(CoefExpr):
     """The value the binding gives the named real parameter."""
 
     name: str
 
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
-@dataclass(frozen=True)
+
 class PiConst(CoefExpr):
     """The constant pi, at the run's precision."""
 
 
-@dataclass(frozen=True)
 class Add(CoefExpr):
     """The sum left + right."""
 
     left: CoefExpr
     right: CoefExpr
+    __init__ = _binary
 
 
-@dataclass(frozen=True)
 class Sub(CoefExpr):
     """The difference left - right."""
 
     left: CoefExpr
     right: CoefExpr
+    __init__ = _binary
 
 
-@dataclass(frozen=True)
 class Mul(CoefExpr):
     """The product left * right."""
 
     left: CoefExpr
     right: CoefExpr
+    __init__ = _binary
 
 
-@dataclass(frozen=True)
 class Div(CoefExpr):
     """The quotient left / right."""
 
     left: CoefExpr
     right: CoefExpr
+    __init__ = _binary
 
 
-@dataclass(frozen=True)
 class Neg(CoefExpr):
     """The negation -operand."""
 
     operand: CoefExpr
+    __init__ = _unary
 
 
-@dataclass(frozen=True)
 class Conj(CoefExpr):
     """The complex conjugate of operand; made by dagger(), never by the parser."""
 
     operand: CoefExpr
+    __init__ = _unary
 
 
-@dataclass(frozen=True)
 class Call(CoefExpr):
     """The function named func (one of FUNCTION_NAMES) applied to arg."""
 
     func: str
     arg: CoefExpr
 
-    def __post_init__(self):
-        if self.func not in _FUNCTIONS:
-            raise CoefficientError(f"unknown function {self.func!r}")
+    def __init__(self, func: str, arg: CoefExpr):
+        if func not in _FUNCTIONS:
+            raise CoefficientError(f"unknown function {func!r}")
+        _set(self, "func", func)
+        _set(self, "arg", arg)
 
 
 I = Num(1j)

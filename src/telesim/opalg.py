@@ -14,7 +14,6 @@ import cmath
 import contextlib
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
@@ -25,6 +24,7 @@ from .coeff import (
     ONE,
     CoefExpr,
     Evaluator,
+    Frozen,
     ParamEnv,
     Tape,
     ZERO,
@@ -41,8 +41,7 @@ class ModeKind(Enum):
     SIGNAL = "signal"
 
 
-@dataclass(frozen=True)
-class ModeId:
+class ModeId(Frozen):
     """Label of one constituent input mode of a circuit."""
 
     name: str

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from mpmath.libmp import fzero, mpc_sub, mpc_to_complex
 
@@ -47,7 +47,7 @@ from .circuit import (
     TargetStmt,
     UnsqueezeStmt,
 )
-from .coeff import ParamEnv
+from .coeff import Frozen, ParamEnv, Record
 from .opalg import (
     Binding,
     ModeEvaluator,
@@ -72,8 +72,7 @@ _ZERO = (fzero, fzero)  # the raw mpc of an exact zero
 # unitarity
 
 
-@dataclass(frozen=True)
-class BogoliubovReport:
+class BogoliubovReport(Frozen):
     """Pairwise commutator audit of a set of output modes.
 
     A set of outputs is a valid new mode basis exactly when [A_i, A_j] = 0
@@ -136,8 +135,7 @@ def _worst(values: list[float]) -> float:
 # limits
 
 
-@dataclass(frozen=True)
-class LimitResult:
+class LimitResult(Frozen):
     """Verdict on a coefficient table compared at scale L and 2L.
 
     converged means every coefficient moved by at most LIMIT_TOL between the
@@ -253,8 +251,7 @@ def _quadrature_row(rows: _Rows, phase: float):
     return [c * xv + s * pv for xv, pv in zip(rows.x, rows.p)]
 
 
-@dataclass
-class CovarianceRecord:
+class CovarianceRecord(Record):
     """Quadrature rows of every declared quantum output.
 
     All supported inputs are vacuum, so first moments vanish identically
@@ -325,11 +322,12 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
             put(stmt.out_plus, _mix(keep, t, up, r), loc)
         elif isinstance(stmt, (SqueezeStmt, UnsqueezeStmt)):
             g = scalar(stmt.gain, loc, "gain").real
-            if isinstance(stmt, SqueezeStmt):
-                theta = scalar(stmt.phase, loc, "phase").real
-                c, s = math.cosh(g), _cis(theta) * math.sinh(g)
-            else:
-                c, s = math.cosh(g), -math.sinh(g)
+            theta = scalar(stmt.phase, loc, "phase").real if isinstance(stmt, SqueezeStmt) else None
+            try:
+                c, s = math.cosh(g), math.sinh(g)
+            except OverflowError:  # past about 710: a caller binding can pin an infinite gain there
+                raise CircuitError(f"gain {g!r} beyond the float64 oracle's range", loc) from None
+            s = -s if theta is None else _cis(theta) * s
             one, two = quantum(stmt.in1, loc), quantum(stmt.in2, loc)
             out1, out2 = _squeezed_rows(c, s, one, two)
             put(stmt.out1, out1, loc)
@@ -380,8 +378,7 @@ def covariance_oracle(circuit: CircuitAst, env: ParamEnv | None = None) -> Covar
 # causality
 
 
-@dataclass(frozen=True)
-class DependencyReport:
+class DependencyReport(Frozen):
     """Which inputs each output can see, and when it can be emitted.
 
     dependencies maps output names to the (mode, time_bin) pairs of their
@@ -454,8 +451,7 @@ def signaling_test(protocol: ProtocolOutput, causality: DependencyReport) -> flo
 # selectivity
 
 
-@dataclass(frozen=True)
-class SelectivityReport:
+class SelectivityReport(Frozen):
     """Classification of what a device does to the signal subspace.
 
     mode_selective: the target arrives intact and no orthogonal signal
@@ -565,8 +561,7 @@ def selectivity_report(protocol: ProtocolOutput) -> SelectivityReport:
 # check suite
 
 
-@dataclass
-class LimitSuite:
+class LimitSuite(Record):
     """Per-port limit results for one set of scale parameters."""
 
     params: tuple[str, ...]
@@ -613,8 +608,7 @@ def _declared_limit_gap(protocol: ProtocolOutput) -> float:
     return _worst(gaps)
 
 
-@dataclass
-class CheckSuite:
+class CheckSuite(Record):
     """Named pass/fail outcomes and the reports they were judged from.
 
     checks lists (name, passed, detail) in the order the checks ran. The

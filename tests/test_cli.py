@@ -654,8 +654,9 @@ def test_too_deep_circuit_exits_2_with_a_message(capsys, monkeypatch):
         (("verify", str(MIRROR), "--param", "r=1e308"), None),
         (("run", str(MIRROR), "--param", "r=1e6"), None),
         (("verify", str(MIRROR)), "1e6"),
+        (("verify", str(GOLDEN_DIR / "nodelay_telefilter.tls"), "--param", "s=800"), None),
     ],
-    ids=["verify-r-1e308", "run-r-1e6", "verify-scale-1e6"],
+    ids=["verify-r-1e308", "run-r-1e6", "verify-scale-1e6", "verify-oracle-gain-800"],
 )
 def test_out_of_range_bindings_exit_2_with_a_message(capsys, monkeypatch, argv, scale):
     if scale is not None:
@@ -665,6 +666,15 @@ def test_out_of_range_bindings_exit_2_with_a_message(capsys, monkeypatch, argv, 
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_an_oracle_gain_past_float64_names_its_statement(capsys):
+    # a binding pins the infinite s, so the oracle's probe no longer caps it;
+    # cosh(800) overflows a double
+    path = GOLDEN_DIR / "nodelay_telefilter.tls"
+    code, out, err = run_cli(capsys, "verify", str(path), "--param", "s=800")
+    assert (code, out) == (2, "")
+    assert err == "error: gain 800.0 beyond the float64 oracle's range (line 9, column 1)\n"
 
 
 @pytest.mark.parametrize(

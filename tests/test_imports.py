@@ -10,9 +10,15 @@ Exception`` or an ``except BaseException`` fails too: a handler names the
 errors it means to turn into a message, so a fault elsewhere still surfaces.
 Only ``Tape.number`` appends to a coefficient tape's ``nodes``, ``ops`` or
 ``dependent``, so an instruction is numbered, valued and bounded one way.
+No telesim dataclass has a method that ``dataclasses`` compiled from a
+string: each takes its methods from ``coeff.Record``, written once, so
+importing the package compiles none (a namedtuple's are not looked at).
 """
 
 import ast
+import importlib
+import inspect
+from dataclasses import dataclass, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -125,3 +131,33 @@ def test_a_numbering_site_is_found():
               "        self.ops += [1]\n"
               "def f(tape):\n    nodes = tape.nodes\n    nodes.extend([1])\n    tape.keys.append(1)\n")
     assert _numbering_sites(source) == [("T.number", 3), ("T.other", 6), ("T.other", 7), ("f", 10)]
+
+
+def _generated_methods(cls: type) -> list[str]:
+    """The names in cls's own namespace of the functions compiled from a
+    string, as ``dataclasses`` compiles the methods it writes (its ``repr``
+    behind a recursion guard that keeps the original as ``__wrapped__``)."""
+    return sorted(name for name, value in vars(cls).items()
+                  if getattr(getattr(inspect.unwrap(value), "__code__", None), "co_filename", None) == "<string>")
+
+
+def test_no_dataclass_has_generated_methods():
+    generated = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("telesim" if path.stem == "__init__" else f"telesim.{path.stem}")
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__ and is_dataclass(value):
+                if _generated_methods(value):
+                    generated[value.__qualname__] = _generated_methods(value)
+    assert not generated, f"dataclasses with generated methods: {sorted(generated)}"
+
+
+def test_a_generated_method_is_found():
+    @dataclass(frozen=True)
+    class Point:
+        x: int
+
+        def norm(self):
+            return abs(self.x)
+
+    assert _generated_methods(Point) == ["__delattr__", "__eq__", "__hash__", "__init__", "__repr__", "__setattr__"]
