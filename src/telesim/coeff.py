@@ -98,28 +98,39 @@ class Record:
         every = fields(dataclass(cls, init=False, repr=False, eq=False))
         defaults = {f.name: f.default_factory if f.default is MISSING else lambda value=f.default: value
                     for f in every if (f.default, f.default_factory) != (MISSING, MISSING)}
-        # the init fields, their defaults, init=False fields with a factory, __post_init__
+        # the init fields, the defaults, and the init=False fields with a factory
+        # and __post_init__ if the class has either
+        later = tuple(f.name for f in every if not f.init and f.default_factory is not MISSING)
+        post_init = getattr(cls, "__post_init__", None)
         cls._init = (tuple(f.name for f in every if f.init), defaults,
-                     tuple(f.name for f in every if not f.init and f.default_factory is not MISSING),
-                     getattr(cls, "__post_init__", None))
+                     (later, post_init) if later or post_init is not None else ())
         # the compared, the hashed and the shown fields
         cls._plan = (tuple(f.name for f in every if f.compare),
                      tuple(f.name for f in every if (f.compare if f.hash is None else f.hash)),
                      tuple(f.name for f in every if f.repr))
 
     def __init__(self, *args, **kwargs):
-        names, defaults, later, post_init = self._init
-        if kwargs or len(args) != len(names):
-            args = [*args, *(kwargs.pop(name) if name in kwargs else defaults[name]()
-                             for name in names[len(args):] if name in kwargs or name in defaults)]
-            if kwargs or len(args) != len(names):  # a field missing or unknown, or too many
-                raise TypeError(f"{type(self).__qualname__}() takes the fields {names}")
+        names, defaults, finish = self._init
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(names)} fields, not {len(args)}")
         for name, value in zip(names, args):
             _set(self, name, value)
-        for name in later:
-            _set(self, name, defaults[name]())
-        if post_init is not None:
-            post_init(self)
+        if kwargs or len(args) < len(names):
+            for name in names[len(args):]:
+                if name in kwargs:
+                    _set(self, name, kwargs.pop(name))
+                elif name in defaults:
+                    _set(self, name, defaults[name]())
+                else:
+                    raise TypeError(f"{type(self).__qualname__}() missing the field {name!r}")
+            if kwargs:
+                raise TypeError(f"{type(self).__qualname__}() has no field {next(iter(kwargs))!r}")
+        if finish:
+            later, post_init = finish
+            for name in later:
+                _set(self, name, defaults[name]())
+            if post_init is not None:
+                post_init(self)
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._plan[2])
