@@ -98,25 +98,26 @@ class Record:
         every = fields(dataclass(cls, init=False, repr=False, eq=False))
         defaults = {f.name: f.default_factory if f.default is MISSING else lambda value=f.default: value
                     for f in every if (f.default, f.default_factory) != (MISSING, MISSING)}
-        # the init fields, the defaults, and the init=False fields with a factory
-        # and __post_init__ if the class has either
+        # the init fields and their number, the defaults, and the init=False
+        # fields with a factory and __post_init__ if the class has either
+        names = tuple(f.name for f in every if f.init)
         later = tuple(f.name for f in every if not f.init and f.default_factory is not MISSING)
         post_init = getattr(cls, "__post_init__", None)
-        cls._init = (tuple(f.name for f in every if f.init), defaults,
-                     (later, post_init) if later or post_init is not None else ())
+        cls._init = (names, len(names), defaults, (later, post_init) if later or post_init is not None else ())
         # the compared, the hashed and the shown fields
         cls._plan = (tuple(f.name for f in every if f.compare),
                      tuple(f.name for f in every if (f.compare if f.hash is None else f.hash)),
                      tuple(f.name for f in every if f.repr))
 
     def __init__(self, *args, **kwargs):
-        names, defaults, finish = self._init
-        if len(args) > len(names):
-            raise TypeError(f"{type(self).__qualname__}() takes {len(names)} fields, not {len(args)}")
+        names, arity, defaults, finish = self._init
+        given = len(args)
+        if given > arity:
+            raise TypeError(f"{type(self).__qualname__}() takes {arity} fields, not {given}")
         for name, value in zip(names, args):
             _set(self, name, value)
-        if kwargs or len(args) < len(names):
-            for name in names[len(args):]:
+        if kwargs or given < arity:
+            for name in names[given:]:
                 if name in kwargs:
                     _set(self, name, kwargs.pop(name))
                 elif name in defaults:
@@ -181,8 +182,6 @@ class CoefExpr(Frozen, base=True):
     small. The parser bypasses it and calls node constructors directly,
     which preserves the exact shape of user-written source.
     """
-
-    __slots__ = ()
 
     def __add__(self, other):
         return fold_add(self, as_coef(other))

@@ -142,13 +142,12 @@ def _generated_methods(cls: type) -> list[str]:
 
 
 def test_no_dataclass_has_generated_methods():
-    generated = {}
+    generated = []
     for path in sorted(SRC.glob("*.py")):
         module = importlib.import_module("telesim" if path.stem == "__init__" else f"telesim.{path.stem}")
-        for value in vars(module).values():
-            if isinstance(value, type) and value.__module__ == module.__name__ and is_dataclass(value):
-                if _generated_methods(value):
-                    generated[value.__qualname__] = _generated_methods(value)
+        generated += [value.__qualname__ for value in vars(module).values()
+                      if isinstance(value, type) and value.__module__ == module.__name__
+                      and is_dataclass(value) and _generated_methods(value)]
     assert not generated, f"dataclasses with generated methods: {sorted(generated)}"
 
 
