@@ -280,23 +280,27 @@ class ProtocolOutput(Record):
         return ports
 
 
+def require_declared(ast: CircuitAst, names) -> None:
+    """Raise ValueError at the first of names that ast declares no parameter for."""
+    declared = {decl.name for decl in ast.params}
+    for name in names:
+        if name not in declared:
+            raise ValueError(f"circuit declares no parameter {name!r}")
+
+
 def merge_env(ast: CircuitAst, env: ParamEnv) -> tuple[ParamEnv, list[str]]:
     """Declared defaults overlaid with caller bindings.
 
     Parameters declared infinite default to the limit scale; the second
     return value lists them so analyses know what to push further. A caller
     binding pins its parameter to that finite value, removing it from the
-    infinite list.
+    infinite list. Raises ValueError for a binding of a parameter ast does
+    not declare (:func:`require_declared`).
     """
-    values: dict[str, float] = {}
-    infinite: list[str] = []
-    for decl in ast.params:
-        if decl.infinite and decl.name not in env.values:
-            infinite.append(decl.name)
-            values[decl.name] = env.limit_scale
-        else:
-            values[decl.name] = decl.value if not decl.infinite else env.values[decl.name]
+    require_declared(ast, env.values)
+    values = {decl.name: env.limit_scale if decl.infinite else decl.value for decl in ast.params}
     values.update(env.values)
+    infinite = [decl.name for decl in ast.params if decl.infinite and decl.name not in env.values]
     return ParamEnv(values, env.limit_scale), infinite
 
 
@@ -314,7 +318,8 @@ class Scalars:
     (:func:`merge_env`, whose env and infinite it keeps): a call gives the
     double of one run of the circuit's tape, or raises the run's
     ``CoefficientError`` as a ``CircuitError`` at the statement. The
-    interpreter and the covariance oracle both evaluate through it."""
+    interpreter and the covariance oracle both evaluate through it; the
+    interpreter's run is also the one its tape builds in (:meth:`Tape.open`)."""
 
     def __init__(self, ast: CircuitAst, env: ParamEnv):
         self.env, self.infinite = merge_env(ast, env)
@@ -462,16 +467,17 @@ def evaluate_circuit(ast: CircuitAst, env: ParamEnv | None = None) -> ProtocolOu
 
     Mode expressions stay symbolic in the declared parameters; env (over
     declared defaults) is the binding every element parameter is checked
-    under, and is attached to the result for later evaluation. The result's
-    circuit is an equal copy of ast with a new tape, building while the
-    interpreter runs (:meth:`Tape.open`): each coefficient node made meanwhile
-    is numbered on it as it is made, or folded; a foreign one (a parser
-    literal, a module constant) joins when first read. The checks, the output
-    tables and the covariance oracle run on that tape.
+    under, and is attached to the result for later evaluation; binding an
+    undeclared parameter raises ValueError (:func:`merge_env`). The result's
+    circuit is an equal copy of ast with a new tape, building in the
+    interpreter's run (:meth:`Tape.open`): each coefficient node made
+    meanwhile is numbered on it as it is made, or folded; a foreign one (a
+    parser literal, a module constant) joins when first read. The checks,
+    the output tables and the covariance oracle run on that tape.
     """
     evaluation = _Evaluation(ast, env if env is not None else ParamEnv({}))
     tape, roots = evaluation.ast.tape, []
-    outer = tape.open()
+    outer = tape.open(evaluation.scalar._run)
     try:
         result = evaluation.run()
         roots = [c for expr in result.roots() for pair in expr.terms.values() for c in pair]

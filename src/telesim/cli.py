@@ -1,21 +1,24 @@
 """Command line front end and report serialization.
 
-The CLI parses arguments, loads circuit files and renders reports; the
-checks and analyses it reports live in :mod:`telesim.verify`. run, verify
-and limits never consult the protocol registry: a file's ``target`` and
-``expect`` statements are its whole oracle. So :mod:`telesim.protocols`
-loads on first use, inside the two protocols subcommands, and a process
-that runs, verifies or pushes limits never compiles the builders.
+The CLI parses arguments, loads circuit files and renders reports. The
+library owns every rule: the analyses and checks (:mod:`telesim.verify`)
+and the parameter names a circuit takes (:func:`circuit.require_declared`);
+the CLI prints their ``ValueError`` as an error. run, verify and limits
+never consult the protocol registry: a file's ``target`` and ``expect``
+statements are its whole oracle. So :mod:`telesim.protocols` loads on first
+use, inside the two protocols subcommands, and a process that runs,
+verifies or pushes limits never compiles the builders.
 
 Subcommands: run (the :func:`~telesim.verify.run_suite` analyses of a
 circuit file), verify (the :func:`~telesim.verify.verify_suite` checks,
 nonzero exit on any failure), protocols list / protocols build (the
 registry's builders: list reads each signature and docstring summary, build
 types ``--param`` values by the annotations and writes the circuit text
-unevaluated), limits (push declared scale parameters), the first three
-through one handler. Reports come in two formats: text tables for reading
-and a machine form whose bytes are deterministic, with sorted keys, 12
-significant digits and no negative zero, so golden files stay stable.
+unevaluated), limits (the :func:`~telesim.verify.limit_suite` of the named
+or declared scale parameters), the first three through one handler.
+Reports come in two formats: text tables for reading and a machine form
+whose bytes are deterministic, with sorted keys, 12 significant digits and
+no negative zero, so golden files stay stable.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage, parse or
 evaluation errors, including non-finite bindings, unnormalized targets,
@@ -448,16 +451,7 @@ def _load_protocol(path: str, env: ParamEnv) -> ProtocolOutput:
             text = handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
-    ast = parse_circuit(text)
-    _require_declared(ast, env.values)
-    return evaluate_circuit(ast, env)
-
-
-def _require_declared(ast, names) -> None:
-    declared = {p.name for p in ast.params}
-    for name in names:
-        if name not in declared:
-            raise _UsageError(f"circuit declares no parameter {name!r}")
+    return evaluate_circuit(parse_circuit(text), env)
 
 
 def _write_out(text: str, out_path: str | None) -> None:
@@ -471,21 +465,12 @@ def _write_out(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _limits_suite(protocol: ProtocolOutput, names: list[str] | None) -> CheckSuite:
-    """The limits of every quantum port as names grow, by default the
-    parameters the circuit declares infinite."""
-    params = names or protocol.limit_params
-    if not params:
-        raise _UsageError("no scale parameters given and none declared infinite")
-    _require_declared(protocol.circuit, params)
-    return CheckSuite(limits=limit_suite(protocol, params))
-
-
 def _file_command(args) -> int:
     """run, verify and limits: load the file, build the command's suite and
     write its report; 1 if a check of the suite failed."""
     protocol = _load_protocol(args.file, _base_env(args))
-    suite = _limits_suite(protocol, args.name) if args.command == "limits" else args.suite(protocol)
+    suite = (args.suite(protocol) if args.suite else
+             CheckSuite(limits=limit_suite(protocol, args.name or ())))
     _write_out(emit_report(protocol, suite, args.format).render(), args.out)
     return 0 if suite.all_passed else 1
 
@@ -591,7 +576,7 @@ def _make_parser() -> argparse.ArgumentParser:
         help="parameter to send to infinity (repeatable)",
     )
     add_io(p_limits, with_params=False)
-    p_limits.set_defaults(handler=_file_command, param=None)
+    p_limits.set_defaults(handler=_file_command, param=None, suite=None)
 
     p_protocols = sub.add_parser("protocols", help="registry access")
     proto_sub = p_protocols.add_subparsers(dest="subcommand", required=True)

@@ -2,8 +2,8 @@
 
 Expressions are small immutable trees (shared freely, so in practice DAGs)
 built from complex constants, parameter references, pi, arithmetic, and
-the handful of functions the circuits need; no symbolic simplification
-happens beyond cheap constant folding in the constructors.
+the handful of functions the circuits need; the constructors fold only
+exact identities (a zero or unit operand, negation), never a literal sum.
 Nodes hold their fields only. A :class:`Tape` numbers the nodes of one
 evaluated circuit as instructions, operands first, and keeps the
 binding-invariant values its runs read; an :class:`Evaluator` is one run
@@ -15,10 +15,10 @@ on it (hash-consing as nodes are made), so a structure is one node and
 each binding computes its value once.
 
 While a tape builds, an invariant instruction is valued and bounded as it
-is numbered (:meth:`Tape.number`), unless it or an operand fails; a sum
-within its error radius r of 0 (:func:`_ball`) folds to ``ZERO``: its
-exact value is within 2r of 0, so a fold moves a coefficient by at most
-twice its error. No dependent sum folds.
+is numbered (:meth:`Tape.number`) in the build's run, the interpreter's,
+unless it or an operand fails; a sum within its error radius r of 0
+(:func:`_ball`) folds to ``ZERO``: its exact value is within 2r of 0, so a
+fold moves a coefficient by at most twice its error. No dependent sum folds.
 
 Evaluation runs on a dedicated mpmath context, ``MP``, with 160 decimal
 digits. A session's precision is ``MP``'s when the session is made; its
@@ -339,9 +339,9 @@ def _intern(cls, head, a=None, b=None):
     return node
 
 
-# literal arithmetic folds only when it is lossless in doubles; anything
-# that would round must survive as a tree for the extended-precision pass.
-# A zero operand is tested before a unit one.
+# the constructors fold only what is exact at any precision: a zero or unit
+# operand (a zero tested first), a literal's negation and a double negation.
+# A literal sum is a node like any other, which the build values once.
 
 
 def fold_add(a: "CoefExpr", b: "CoefExpr") -> "CoefExpr":
@@ -349,10 +349,6 @@ def fold_add(a: "CoefExpr", b: "CoefExpr") -> "CoefExpr":
         return b
     if type(b) is Num and b.value == 0:
         return a
-    if type(a) is Num and type(b) is Num:
-        total = a.value + b.value
-        if total - a.value == b.value and total - b.value == a.value:
-            return _intern(Num, total)
     return _intern(Add, Add, a, b)
 
 
@@ -361,10 +357,6 @@ def _fold_sub(a: "CoefExpr", b: "CoefExpr") -> "CoefExpr":
         return a
     if type(a) is Num and a.value == 0:
         return _fold_neg(b)
-    if type(a) is Num and type(b) is Num:
-        total = a.value - b.value
-        if a.value - total == b.value and total + b.value == a.value:
-            return _intern(Num, total)
     return _intern(Sub, Sub, a, b)
 
 
@@ -525,12 +517,12 @@ class Tape:
     taken maps to that instruction and stays in ``foreign``, so its id is
     never recycled. ``stored`` keeps, per precision, the invariant values
     later runs read: operands of dependent instructions, and invariant
-    roots. Between :meth:`open` and :meth:`close` it builds: :meth:`number`,
-    the one place an instruction is numbered, values an invariant one in
-    ``run`` and bounds it in ``balls`` unless it or an operand fails, and
-    :func:`_intern` folds a sum within its error radius r of 0; outside a
-    build, joining computes nothing. The build's values become the store at
-    its precision."""
+    roots. Between :meth:`open` and :meth:`close` it builds in one run, the
+    interpreter's: :meth:`number`, the one place an instruction is numbered,
+    values an invariant one in ``run`` and bounds it in ``balls`` unless it
+    or an operand fails, and :func:`_intern` folds a sum within its error
+    radius r of 0; outside a build, joining computes nothing. The values the
+    store keeps come from that run, at its precision."""
 
     __slots__ = ("nodes", "ops", "index", "keys", "foreign", "dependent", "stored", "run", "balls", "__weakref__")
     current: "Tape | None" = None  # the tape the constructors intern on
@@ -546,10 +538,10 @@ class Tape:
         self.run: Evaluator | None = None  # while it builds, its run and each value's ball (l, r)
         self.balls: dict[int, tuple] = {}
 
-    def open(self) -> "Tape | None":
-        """Make this tape current and building at ``MP``'s precision; returns the tape current before."""
+    def open(self, run: "Evaluator") -> "Tape | None":
+        """Make this tape current and building in run, a run of it; returns the tape current before."""
         outer, Tape.current = Tape.current, self
-        self.run = Evaluator(ParamEnv({}), self)
+        self.run = run
         return outer
 
     def close(self, outer: "Tape | None", roots=()) -> None:
@@ -622,17 +614,17 @@ class Evaluator:
     :meth:`eval` and, for many roots at once, :meth:`eval_all` join foreign
     roots to the tape and return their raw ``_mpc_`` tuples. Both go
     through one pass (:meth:`_run`) over only what this run lacks of them:
-    after a circuit's first run at ``MP``'s precision, what a :class:`Param`
-    reaches. :meth:`_eval` runs a pass forward in tape order, applying the
-    ``mpmath.libmp`` kernels of ``MP.mpc`` arithmetic and of ``MP``'s
-    functions, bit for bit, at the precision ``MP`` had when the run was
-    made; a failing pass raises its first failure in tape order. Equal
+    after the run its tape built in (at ``MP``'s precision), what a
+    :class:`Param` reaches. :meth:`_eval` runs a pass forward in tape order,
+    applying the ``mpmath.libmp`` kernels of ``MP.mpc`` arithmetic and of
+    ``MP``'s functions, bit for bit, at the precision ``MP`` had when the run
+    was made; a failing pass raises its first failure in tape order. Equal
     structure is one instruction already; a value memo computes each
     distinct invariant product once per run, where unequal structure gives
     it. Values join the store when a pass finishes, never when it raises:
     the invariant operands of the dependent instructions it computed, and
-    its invariant roots. A building tape's run is valued as
-    :meth:`Tape.number` numbers (see :class:`Tape`).
+    its invariant roots. The run a tape builds in (:meth:`Tape.open`) values
+    each invariant instruction as :meth:`Tape.number` numbers it.
     """
 
     def __init__(self, env: ParamEnv, tape: Tape | None = None):

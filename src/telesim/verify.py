@@ -46,6 +46,7 @@ from .circuit import (
     SqueezeStmt,
     TargetStmt,
     UnsqueezeStmt,
+    require_declared,
 )
 from .coeff import Frozen, ParamEnv, Record
 from .opalg import (
@@ -568,13 +569,18 @@ class LimitSuite(Record):
     results: dict[str, LimitResult]
 
 
-def limit_suite(protocol: ProtocolOutput, params) -> LimitSuite:
-    """Limit of every quantum port as the named parameters grow.
+def limit_suite(protocol: ProtocolOutput, names=()) -> LimitSuite:
+    """Limit of every quantum port as names grow, by default the parameters
+    declared infinite; each name counts once, in first-seen order.
 
-    Each name counts once, in first-seen order. All ports draw their
-    bindings from the protocol's root session.
+    All ports draw their bindings from the protocol's root session. Raises
+    ValueError when no name is given and none is declared infinite, or at
+    a name the circuit does not declare (:func:`circuit.require_declared`).
     """
-    params = tuple(dict.fromkeys(params))
+    params = tuple(dict.fromkeys(names or protocol.limit_params))
+    if not params:
+        raise ValueError("no scale parameters given and none declared infinite")
+    require_declared(protocol.circuit, params)
     session = protocol.evaluator()
     return LimitSuite(
         params,
@@ -586,25 +592,21 @@ def limit_suite(protocol: ProtocolOutput, params) -> LimitSuite:
 
 
 def _declared_limit_gap(protocol: ProtocolOutput) -> float:
-    """Largest coefficient distance from the declared limit forms: each raw
-    difference at the session's precision, converted once (the port's float
-    view where the form lacks the mode). Evaluated at twice the limit scale
-    so the comparison sits well inside convergence; ports the protocol
-    declares no form for (those that legitimately diverge) are skipped.
-    """
+    """Largest coefficient distance from the declared limit forms, at twice
+    the limit scale so the comparison sits well inside convergence: each raw
+    difference over the modes of either table (an exact zero where one lacks
+    the mode) at the session's precision, converted once. Ports with no
+    declared form (those that legitimately diverge) are skipped."""
     evaluator = protocol.evaluator().bind(
         **{p: 2 * protocol.env.limit_scale for p in protocol.limit_params}
     )
-    ports, prec, rnd = protocol.all_ports(), evaluator._prec, evaluator._rnd
+    ports, prec, rnd, zero = protocol.all_ports(), evaluator._prec, evaluator._rnd, (_ZERO, _ZERO)
     gaps = []
     for name, want in protocol.expected_limit.items():
         have, target = evaluator.table(ports[name]), evaluator.table(want)
-        for mode in have.keys() - target.keys():  # a value minus an exact zero is that value
-            gaps += map(_magnitude, evaluator.floats(ports[name])[mode])
-        for mode, pair in target.items():
-            for h, t in zip(have.get(mode, (_ZERO, _ZERO)), pair):
-                gap = mpc_to_complex(mpc_sub(h, t, prec, rnd), False, rnd)
-                gaps.append(_magnitude(gap))
+        for mode in have.keys() | target.keys():
+            for h, t in zip(have.get(mode, zero), target.get(mode, zero)):
+                gaps.append(_magnitude(mpc_to_complex(mpc_sub(h, t, prec, rnd), False, rnd)))
     return _worst(gaps)
 
 
@@ -642,7 +644,7 @@ def run_suite(protocol: ProtocolOutput) -> CheckSuite:
     if protocol.target is not None:
         suite.selectivity = selectivity_report(protocol)
     if protocol.limit_params:
-        suite.limits = limit_suite(protocol, protocol.limit_params)
+        suite.limits = limit_suite(protocol)
     return suite
 
 

@@ -96,6 +96,14 @@ def test_merge_env_prefers_caller_values():
     assert merged.values["t"] == -3.0
 
 
+def test_a_binding_of_an_undeclared_parameter_is_rejected():
+    # the one declared-name check: the interpreter, the oracle and merge_env
+    ast = parse_circuit(MINIMAL)
+    for bind in (evaluate_circuit, covariance_oracle, merge_env):
+        with pytest.raises(ValueError, match=r"^circuit declares no parameter 'q'$"):
+            bind(ast, ParamEnv({"s": 1.0, "q": 1.0}))
+
+
 def test_evaluate_honors_env_override():
     ast = parse_circuit(MINIMAL)
     po = evaluate_circuit(ast, ParamEnv({"s": 0.0}))

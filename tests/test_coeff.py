@@ -157,9 +157,9 @@ def test_tanh_sech_pythagorean(s):
 
 @contextlib.contextmanager
 def _building():
-    """A fresh tape, current and building while the block runs."""
+    """A fresh tape, current and building in a run of its own while the block runs."""
     tape = Tape()
-    outer = tape.open()
+    outer = tape.open(Evaluator(EMPTY, tape))
     try:
         yield tape
     finally:
@@ -188,6 +188,17 @@ def test_function_identities_fold_on_an_inexact_argument(identity):
     # each function's bound on |f'| over its argument's ball is finite here
     with _building():
         assert identity(sqrt(as_coef(2)) / 4) is ZERO
+
+
+def test_a_literal_sum_is_a_node_its_run_values_exactly():
+    # no constructor rule folds Num +- Num: with a current tape or without
+    # one, a literal sum is an Add or a Sub like any other
+    for building in (contextlib.nullcontext(), _building()):
+        with building as tape:
+            total, difference = Num(1) + Num(2), Num(0.5) - Num(0.25)
+        assert type(total) is Add and type(difference) is Sub
+        run = Evaluator(EMPTY, tape)
+        assert to_complex(run.eval(total)) == 3 and to_complex(run.eval(difference)) == 0.25
 
 
 def test_a_small_real_difference_is_kept_with_its_value():

@@ -3,9 +3,11 @@
 Every ``--format machine`` report below, and the ``protocols list`` table,
 must match its fixture under ``fixtures/reports/`` exactly, exit code
 included. The 16-bin ``verify`` report (137 kB) is pinned by its sha256
-instead. A change that means to alter report bytes regenerates the
-fixtures, which also prints the new sha256 for ``NBIN16_VERIFY_SHA256``,
-and says so:
+instead, and every report of ``tests/report_digest.py`` (text and machine,
+stdout, stderr and exit code) by the three lines it prints. A change that
+means to alter report bytes regenerates the fixtures, which also prints the
+new sha256 for ``NBIN16_VERIFY_SHA256`` and the new ``REPORT_DIGEST``
+lines, and says so:
 
     PYTHONPATH=src python tests/test_reports.py --regenerate
 """
@@ -47,6 +49,12 @@ CASES = [
     ("protocols_list", "protocols", "list", None, 0),
 ]
 NBIN16_VERIFY_SHA256 = "8285049c881e4ab04472f229326f1fbd39e293f1eeef48a1e5144e72459001ae"
+# what ``python tests/report_digest.py ROOT`` prints for this tree
+REPORT_DIGEST = [
+    "reports 270",
+    "sha256 6888f55fff9b9da053192ac06644e872090056c6d37551b8a97600bd009cdeed",
+    "protocols 10 sha256 781fcd12ef9a7de9f1ddb03fc7bc7f1a255d688a896820016876c9691d38a080",
+]
 
 
 def _fixture(name: str, command: str) -> Path:
@@ -104,6 +112,21 @@ def _nbin16_verify_sha256(workdir: Path) -> str:
 
 def test_the_16_bin_verify_report_sha256_is_pinned(tmp_path):
     assert _nbin16_verify_sha256(tmp_path) == NBIN16_VERIFY_SHA256
+
+
+def _digest_lines() -> list[str]:
+    """The lines ``tests/report_digest.py ROOT`` prints, run in-process."""
+    import report_digest
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert report_digest.main([str(HERE.parent)]) == 0
+    return out.getvalue().splitlines()
+
+
+def test_every_report_of_the_digest_tool_is_pinned(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts ROOT/src first
+    assert _digest_lines() == REPORT_DIGEST
 
 
 def test_the_digest_tool_hashes_each_report_of_one_golden(tmp_path, monkeypatch, capsys):
@@ -196,6 +219,7 @@ def _regenerate(workdir: Path) -> None:
             raise SystemExit(f"{fixture}: exit code {got_code}, expected {code}")
         _fixture(fixture, command).write_bytes(text.encode("utf-8"))
     print("NBIN16_VERIFY_SHA256 =", _nbin16_verify_sha256(workdir))
+    print("REPORT_DIGEST =", _digest_lines())
 
 
 if __name__ == "__main__":

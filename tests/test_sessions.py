@@ -967,8 +967,9 @@ def test_audit_under_one_bare_env_evaluates_each_node_once_per_binding(monkeypat
 
 def _runs_counted(monkeypatch, counted):
     """Calls counted(run, order) after each pass Evaluator._eval runs, and
-    returns the list whose last item is the run of the pass under way."""
-    current, plain = [], Evaluator._eval
+    returns the list whose last item is the run of the pass under way, and
+    the list of the runs Tape.open is given: each a build's run."""
+    current, builds, plain, plain_open = [], [], Evaluator._eval, Tape.open
 
     def counting_eval(self, order):
         current.append(self)
@@ -979,7 +980,8 @@ def _runs_counted(monkeypatch, counted):
         counted(self, order)
 
     monkeypatch.setattr(Evaluator, "_eval", counting_eval)
-    return current
+    monkeypatch.setattr(Tape, "open", lambda tape, run: builds.append(run) or plain_open(tape, run))
+    return current, builds
 
 
 def test_each_distinct_constant_is_converted_once(monkeypatch):
@@ -993,7 +995,7 @@ def test_each_distinct_constant_is_converted_once(monkeypatch):
         runs.append(run)
         exps[run] += sum(type(run.tape.nodes[i]) is Call and run.tape.nodes[i].func == "exp" for i in order)
 
-    current = _runs_counted(monkeypatch, counted)
+    current, builds = _runs_counted(monkeypatch, counted)
 
     def counting_exp(x, prec, rnd, _plain=coeff._FUNCTIONS["exp"]):
         exp_calls[current[-1]] += 1
@@ -1014,7 +1016,7 @@ def test_each_distinct_constant_is_converted_once(monkeypatch):
 
     monkeypatch.setattr(coeff, "MP", CountingContext())
     protocol = evaluate_circuit(parse_circuit(protocol_text("nmode_delayed_telefilter", n=16)))
-    (build,) = {run for run in runs if run.env.values == {}}
+    (build,) = builds
     built = dict(constants)
     protocol.evaluator()
     root = runs[-1]
@@ -1044,7 +1046,7 @@ def test_an_invariant_product_is_computed_once_per_distinct_operand_pair(monkeyp
                 if not run.tape.dependent[i]:
                     invariant_pairs.setdefault(run, set()).add((run._vals[a], run._vals[b]))
 
-    current, kernel_calls = _runs_counted(monkeypatch, counted), Counter()
+    (current, builds), kernel_calls = _runs_counted(monkeypatch, counted), Counter()
 
     def counting_mul(x, y, prec, rnd, _plain=coeff._mul):
         kernel_calls[current[-1]] += 1
@@ -1052,7 +1054,7 @@ def test_an_invariant_product_is_computed_once_per_distinct_operand_pair(monkeyp
 
     monkeypatch.setattr(coeff, "_mul", counting_mul)
     protocol = evaluate_circuit(parse_circuit(protocol_text("nmode_delayed_telefilter", n=16)))
-    (build,) = [run for run in evaluated if run.env.values == {}]
+    (build,) = builds
     protocol.evaluator()
     root = list(evaluated)[-1]
     tape = protocol.circuit.tape
@@ -1060,6 +1062,28 @@ def test_an_invariant_product_is_computed_once_per_distinct_operand_pair(monkeyp
     assert products[build] == 3_247 and kernel_calls[build] == len(invariant_pairs[build]) == 2_152
     assert len(evaluated[root]) == sum(tape.dependent) == 1_028 and root not in invariant_pairs
     assert products[root] == kernel_calls[root] == 685
+
+
+@pytest.mark.parametrize("name,n", [(name, None) for name in GOLDENS] + [("nmode_delayed_telefilter", 8)])
+def test_a_load_makes_one_run_that_computes_each_instruction_once(monkeypatch, name, n):
+    # the interpreter's statement scalars and the build's invariant values
+    # come from one run, so no instruction is computed twice (counted by
+    # node, held in kept: a folded sum's number is taken by the next node)
+    made, computed, kept, plain_init = [], Counter(), [], Evaluator.__init__
+
+    def counted(run, order):
+        kept.extend(run.tape.nodes[i] for i in order)
+        computed.update(id(run.tape.nodes[i]) for i in order)
+
+    def counting_init(run, *args, **kwargs):
+        made.append(run)
+        plain_init(run, *args, **kwargs)
+
+    monkeypatch.setattr(Evaluator, "__init__", counting_init)
+    _, builds = _runs_counted(monkeypatch, counted)
+    evaluate_circuit(parse_circuit(_source(name, n)))
+    assert made == builds and len(made) == 1
+    assert computed and max(computed.values()) == 1
 
 
 def test_the_tape_holds_one_instruction_per_structural_class():

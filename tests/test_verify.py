@@ -28,6 +28,7 @@ from telesim.verify import (
 )
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "src" / "telesim" / "golden"
+FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 
 A = input_mode(ModeId("a", "left"))
 B = input_mode(ModeId("b", "right"))
@@ -209,6 +210,22 @@ def test_run_suite_holds_the_analyses_of_run_and_no_check(name):
     if suite.limits is not None:
         assert suite.limits.params == tuple(protocol.limit_params)
         assert suite.limits.results.keys() == protocol.quantum_ports().keys()
+
+
+def test_limit_suite_defaults_to_the_declared_infinite_parameters():
+    protocol = build("delayed_telemirror")
+    suite = verify.limit_suite(protocol)
+    assert suite.params == tuple(protocol.limit_params) == ("s", "r")
+    assert suite == verify.limit_suite(protocol, ["s", "r", "s"])
+
+
+def test_limit_suite_rejects_no_scale_parameter_and_an_undeclared_one():
+    finite = evaluate_circuit(parse_circuit((FIXTURE_DIR / "acausal.tls").read_text()))
+    assert not finite.limit_params
+    with pytest.raises(ValueError, match=r"^no scale parameters given and none declared infinite$"):
+        verify.limit_suite(finite)
+    with pytest.raises(ValueError, match=r"^circuit declares no parameter 'q'$"):
+        verify.limit_suite(build("delayed_telemirror"), ["s", "q"])
 
 
 def test_cli_verify_runs_each_analysis_once(monkeypatch):
