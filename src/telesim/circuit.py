@@ -339,6 +339,7 @@ class _Evaluation:
         self.wires: dict[str, _Wire] = {}
         self.registry: dict[str, ModeId] = {}
         self.flags: list[str] = []
+        self.coefficients: list[CoefExpr] = []  # each element statement's, as the oracle reads them
 
     def real_scalar(self, expr: CoefExpr, loc: Loc, what: str) -> float:
         value = self.scalar(expr, loc, what)
@@ -394,12 +395,14 @@ class _Evaluation:
         if element is not None:
             self.check(stmt, loc)
             if isinstance(stmt, CombineStmt):
-                wires = [record for _, record in stmt.terms]
+                wires, coefficients = [record for _, record in stmt.terms], [w for w, _ in stmt.terms]
                 results = lin_comb([(w, self.fetch(r, RECORD, loc)) for w, r in stmt.terms])
             else:
                 wires = [getattr(stmt, name) for name, _ in element.inputs]
+                coefficients = [getattr(stmt, k) for k in element.coefficients]
                 inputs = [self.fetch(getattr(stmt, f), kind, loc) for f, kind in element.inputs]
-                results = element.apply(*inputs, *(getattr(stmt, k) for k in element.coefficients))
+                results = element.apply(*inputs, *coefficients)
+            self.coefficients += coefficients
             time_bin = max(self.wires[name].bin for name in wires)
             if isinstance(stmt, DisplaceStmt) and stmt.claimed_bin is not None:
                 time_bin = stmt.claimed_bin
@@ -481,6 +484,7 @@ def evaluate_circuit(ast: CircuitAst, env: ParamEnv | None = None) -> ProtocolOu
     try:
         result = evaluation.run()
         roots = [c for expr in result.roots() for pair in expr.terms.values() for c in pair]
+        roots += evaluation.coefficients
     finally:
         tape.close(outer, roots)
     result.flags.extend(evaluation.flags)

@@ -26,14 +26,15 @@ runs and derived sessions keep it. Limit checks substitute scales up to
 twice the default 20, which drives intermediate magnitudes past anything
 float64 can cancel correctly. Values stay raw from tape to kernel: each
 run (:class:`Evaluator`) carries and returns ``_mpc_`` tuples ``(re, im)``
-of raw mpfs ``(sign, man, exp, bc)``, never an mpc, and keeps one value
-memo, of its binding-invariant products; :func:`to_complex` makes a double.
+of raw mpfs ``(sign, man, exp, bc)``, never an mpc, keeps two memos and
+takes real kernels on real values; :func:`to_complex` makes a double.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from itertools import compress
 from math import inf, log2
@@ -41,7 +42,7 @@ from math import inf, log2
 import mpmath
 from mpmath.libmp import fone, fzero, mpc_acosh, mpc_add, mpc_conjugate, mpc_cosh, mpc_div, mpc_exp
 from mpmath.libmp import mpc_is_infnan, mpc_log, mpc_mpf_div, mpc_mul, mpc_mul_mpf, mpc_neg
-from mpmath.libmp import mpc_pos, mpc_sinh, mpc_sqrt, mpc_sub, mpc_tanh, mpc_to_complex, mpf_pi
+from mpmath.libmp import mpc_pos, mpc_sinh, mpc_sqrt, mpc_sub, mpc_tanh, mpc_to_complex, mpf_cosh_sinh, mpf_pi
 
 MP = mpmath.mp.clone()
 MP.dps = 160
@@ -66,6 +67,8 @@ _FUNCTIONS = {
 }
 
 FUNCTION_NAMES = frozenset(_FUNCTIONS)
+
+_HYPERBOLIC = {"cosh": 0, "sinh": 1}  # the part of mpf_cosh_sinh each one is
 
 
 class CoefficientError(ValueError):
@@ -428,7 +431,8 @@ def cis(phase) -> CoefExpr:
 
 def _mul(x: tuple, y: tuple, prec: int, rnd: str) -> tuple:
     """mpc_mul(x, y), bit for bit: times a finite real, its cross terms are
-    exact zeros (inf*0 is nan), so each part rounds one product."""
+    exact zeros (inf*0 is nan), so each part rounds one product; of two
+    finite reals, the imaginary part is exactly fzero."""
     if y[1] == fzero and not (mpc_is_infnan(x) or mpc_is_infnan(y)):
         return mpc_mul_mpf(x, y[0], prec, rnd)
     if x[1] == fzero and not (mpc_is_infnan(x) or mpc_is_infnan(y)):
@@ -524,7 +528,8 @@ class Tape:
     radius r of 0; outside a build, joining computes nothing. The values the
     store keeps come from that run, at its precision."""
 
-    __slots__ = ("nodes", "ops", "index", "keys", "foreign", "dependent", "stored", "run", "balls", "__weakref__")
+    __slots__ = ("nodes", "ops", "index", "keys", "foreign", "dependent", "stored", "covered", "run", "balls",
+                 "__weakref__")
     current: "Tape | None" = None  # the tape the constructors intern on
 
     def __init__(self):
@@ -535,6 +540,7 @@ class Tape:
         self.foreign: list[CoefExpr] = []  # foreign nodes mapped to another node's instruction
         self.dependent = bytearray()
         self.stored: dict[int, dict[int, tuple]] = {}  # precision -> instruction -> value
+        self.covered: dict[int, int] = {}  # precision -> instructions numbered when close stored at it
         self.run: Evaluator | None = None  # while it builds, its run and each value's ball (l, r)
         self.balls: dict[int, tuple] = {}
 
@@ -550,7 +556,7 @@ class Tape:
         Tape.current, index, dep, run = outer, self.index, self.dependent, self.run
         keep = [k for k in (index[id(c)] if id(c) in index else self.append(c) for c in roots) if not dep[k]]
         keep += [k for _, a, b in compress(self.ops, dep) for k in (a, b) if k >= 0 and not dep[k]]
-        self.run, self.balls = None, {}
+        self.run, self.balls, self.covered[run._prec] = None, {}, len(self.nodes)
         run._stored.update((k, run._vals[k]) for k in keep if k in run._vals)
 
     def number(self, node: CoefExpr, key: tuple) -> int:
@@ -618,13 +624,18 @@ class Evaluator:
     :class:`Param` reaches. :meth:`_eval` runs a pass forward in tape order,
     applying the ``mpmath.libmp`` kernels of ``MP.mpc`` arithmetic and of
     ``MP``'s functions, bit for bit, at the precision ``MP`` had when the run
-    was made; a failing pass raises its first failure in tape order. Equal
-    structure is one instruction already; a value memo computes each
-    distinct invariant product once per run, where unequal structure gives
-    it. Values join the store when a pass finishes, never when it raises:
-    the invariant operands of the dependent instructions it computed, and
-    its invariant roots. The run a tape builds in (:meth:`Tape.open`) values
-    each invariant instruction as :meth:`Tape.number` numbers it.
+    was made, or on reals the real kernels they reduce to (:func:`_mul`;
+    cosh and sinh of a real x are ``mpf_cosh_sinh(x)``, whose cosh ignores
+    the sign ``mpc_cosh`` gives x); a failing pass raises its first failure
+    in tape order. Its two memos compute each distinct invariant product
+    once, where unequal structure gives it, and one ``mpf_cosh_sinh`` per
+    real operand, by its instruction. Values join the store when a pass
+    finishes, never when it raises: its invariant roots, and the invariant
+    operands of the dependent instructions it computed, which at the
+    build's precision it looks for only past the instructions numbered when
+    :meth:`Tape.close` stored theirs. The run a tape builds in
+    (:meth:`Tape.open`) values each invariant instruction as
+    :meth:`Tape.number` numbers it.
     """
 
     def __init__(self, env: ParamEnv, tape: Tape | None = None):
@@ -634,6 +645,7 @@ class Evaluator:
         self._stored = tape.stored.setdefault(self._prec, {})
         self._vals = dict(self._stored)  # instruction -> raw value in this run
         self._products: dict[tuple, tuple] = {}  # binding-invariant Mul by operand values
+        self._hyperbolic: dict[int, tuple] = {}  # real operand's instruction -> its mpf_cosh_sinh
 
     def eval(self, expr: CoefExpr) -> tuple:
         """The raw ``_mpc_`` tuple (re, im) of expr at the run's precision, unwrapped."""
@@ -667,7 +679,8 @@ class Evaluator:
         if order:
             order.sort()  # operands are numbered before what reads them
             self._eval(order)
-            stored.update((k, vals[k]) for i in order if dependent[i]
+            fresh = order[bisect_left(order, self.tape.covered.get(self._prec, 0)):]
+            stored.update((k, vals[k]) for i in fresh if dependent[i]
                           for k in ops[i][1:] if k >= 0 and not dependent[k] and k not in stored)
         for i in roots:
             if not dependent[i] and i not in stored:
@@ -678,7 +691,7 @@ class Evaluator:
         """The raw value of each instruction of order, in order, into the run's
         values; each one's operands come before it in order or are values already."""
         ops, dependent, vals, env = self.tape.ops, self.tape.dependent, self._vals, self.env.values
-        products, prec, rnd, mul = self._products, self._prec, self._rnd, _mul
+        products, hyperbolic, prec, rnd, mul = self._products, self._hyperbolic, self._prec, self._rnd, _mul
         for i in order:
             head, a, b = ops[i]  # the class, a Num's value, a Param's name or a Call's function
             if head is Mul:
@@ -694,7 +707,13 @@ class Evaluator:
             elif head is Conj or head is Neg:
                 value = (mpc_conjugate if head is Conj else mpc_neg)(vals[a], prec, rnd)
             elif type(head) is str and a >= 0:  # a Call's function
-                value = _FUNCTIONS[head](vals[a], prec, rnd)
+                x, part = vals[a], _HYPERBOLIC.get(head)
+                if part is not None and x[1] == fzero:  # cosh and sinh of a real x share one call
+                    if a not in hyperbolic:
+                        hyperbolic[a] = mpf_cosh_sinh(x[0], prec, rnd)
+                    value = (hyperbolic[a][part], fzero)
+                else:
+                    value = _FUNCTIONS[head](x, prec, rnd)
             elif type(head) is str:  # a Param's name
                 if head not in env:
                     raise CoefficientError(f"unbound parameter {head!r}")

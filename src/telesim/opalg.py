@@ -152,10 +152,10 @@ class ModeEvaluator:
     each root entry of the other modes, with its fixed-point and float
     forms, from those caches; it evaluates the reached ones in its one
     pass, and converts them. A session without roots tables lazily, one
-    pass per table, and keeps its runs, as does the one :func:`session_for`
-    keeps for the last bare :class:`ParamEnv` given.
-    Its precision is ``MP``'s when it is made; its runs and the sessions it
-    binds keep it.
+    pass per table or per tape of a :meth:`tabled` call, and keeps its
+    runs, as does the one :func:`session_for` keeps for the last bare
+    :class:`ParamEnv` given. Its precision is ``MP``'s when it is made; its
+    runs and the sessions it binds keep it.
 
     The kernels below hold each entry x, converted once per session, as
     x~ = trunc(x 2^P), P = working bits + GUARD_BITS, sum exact integer
@@ -179,19 +179,15 @@ class ModeEvaluator:
         self._shared = shared  # in a bound session, the caches of the top session it was bound from
         self._roots = tuple(roots)
         self._derived: dict[tuple, ModeEvaluator] = {}
-        wanted: dict[Tape | None, list] = {}  # per tape: (root, the modes to evaluate)
-        for expr in self._roots:
-            modes = expr.terms if shared is None else shared[3][expr]
-            wanted.setdefault(expr.tape, []).append((expr, modes))
-        for tape, exprs in wanted.items():
-            for (expr, modes), made in zip(exprs, self._evaluated(tape, exprs)):
-                if shared is None:  # the pass joined each entry to its run's tape
-                    index, dep = self._runs[tape].tape.index, self._runs[tape].tape.dependent
-                    self._reached[expr] = [m for m, (c, d) in modes.items()
-                                           if dep[index[id(c)]] or dep[index[id(d)]]]
-                else:
-                    made = {**shared[0][expr], **made} if made else shared[0][expr]
-                self._tables[expr] = made
+        wanted = [(expr, expr.terms if shared is None else shared[3][expr]) for expr in self._roots]
+        for expr, made in self._evaluated(wanted).items():
+            if shared is None:  # the pass joined each entry to its run's tape
+                index, dep = self._runs[expr.tape].tape.index, self._runs[expr.tape].tape.dependent
+                self._reached[expr] = [m for m, (c, d) in expr.terms.items()
+                                       if dep[index[id(c)]] or dep[index[id(d)]]]
+            else:
+                made = {**shared[0][expr], **made} if made else shared[0][expr]
+            self._tables[expr] = made
         self._runs = {}
 
     def bind(self, **overrides: float) -> "ModeEvaluator":
@@ -210,17 +206,26 @@ class ModeEvaluator:
         """Each mode of expr with its raw coefficients (c, d), made once per session."""
         cached = self._tables.get(expr)
         if cached is None:
-            (cached,) = self._evaluated(expr.tape, [(expr, expr.terms)])
-            self._tables[expr] = cached
+            cached = self._tables[expr] = self._evaluated([(expr, expr.terms)])[expr]
         return cached
 
-    def _evaluated(self, tape: Tape | None, wanted: list) -> list[NumericTerms]:
+    def tabled(self, exprs) -> None:
+        """Make the table of each of exprs this session lacks, from one pass per tape."""
+        self._tables.update(self._evaluated([(e, e.terms) for e in exprs if e not in self._tables]))
+
+    def _evaluated(self, wanted: list) -> dict[ModeExpr, NumericTerms]:
         """For each (expr, modes) of wanted, the table of those modes of expr,
-        from one pass of this session's run of tape."""
-        coefs = [coef for expr, modes in wanted for m in modes for coef in expr.terms[m]]
-        values = iter(self._run_of(tape).eval_all(coefs))
-        pairs = zip(values, values)
-        return [dict(zip(modes, islice(pairs, len(modes)))) for _, modes in wanted]
+        from one pass of this session's run of each tape."""
+        tapes: dict[Tape | None, list] = {}
+        for expr, modes in wanted:
+            tapes.setdefault(expr.tape, []).append((expr, modes))
+        made = {}
+        for tape, exprs in tapes.items():
+            coefs = [coef for expr, modes in exprs for m in modes for coef in expr.terms[m]]
+            values = iter(self._run_of(tape).eval_all(coefs))
+            pairs = zip(values, values)
+            made.update((expr, dict(zip(modes, islice(pairs, len(modes))))) for expr, modes in exprs)
+        return made
 
     def _run_of(self, tape: Tape | None) -> Evaluator:
         run = self._runs.get(tape)

@@ -99,13 +99,14 @@ def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovRep
     [A, A^dagger] = 1, from one walk per pair
     (:meth:`ModeEvaluator.commutators`) whose raw parts become doubles at
     the session's rounding, as :meth:`ModeEvaluator.floats` converts; a nan
-    deviation fails its pair and is the maximum.
-    env may be a session, whose tables are then reused, or a bare env,
-    whose session later calls with that same env reuse (see
-    :func:`opalg.session_for`).
+    deviation fails its pair and is the maximum. env may be a session,
+    whose tables are then reused, or a bare env, whose session later calls
+    with that same env reuse (see :func:`opalg.session_for`); either first
+    tables the outputs it lacks in one pass per tape (:meth:`ModeEvaluator.tabled`).
     """
     items = list(outputs.items())
     evaluator = session_for(env)
+    evaluator.tabled(outputs.values())
     rnd = evaluator._rnd
     failures = []
     deviations = []

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import finf, fnan, fninf, from_man_exp, from_rational, fzero, mpc_mul, mpc_sub
-from mpmath.libmp import mpc_is_infnan, mpc_to_complex
+from mpmath.libmp import finf, fnan, fninf, from_float, from_man_exp, from_rational, fzero, mpc_cosh
+from mpmath.libmp import mpc_is_infnan, mpc_mul, mpc_mul_mpf, mpc_sinh, mpc_sub, mpc_to_complex
 
 from telesim import cli, coeff, opalg, verify
 from telesim.circuit import CircuitError, evaluate_circuit
@@ -41,6 +41,7 @@ from telesim.coeff import (
     Tape,
     conj,
     cosh,
+    sinh,
     to_complex,
 )
 from telesim.dsl import format_coef, parse_circuit, serialize_circuit
@@ -485,6 +486,45 @@ def test_the_product_kernel_is_mpc_mul_under_every_rounding(parts, prec, rnd):
     for x, y in (((xr, xi), (yr, yi)), ((xr, fzero), (fzero, yi)), ((fzero, xi), (yr, yi)),
                  ((xr, xi), (fzero, yi))):
         assert coeff._mul(x, y, prec, rnd) == mpc_mul(x, y, prec, rnd), (x, y)
+
+
+def _doubles(seed: int, count: int) -> list[float]:
+    """count seeded doubles of both signs from subnormal to 2^1023, and
+    zero, the smallest subnormal and normal, 1, past 2^10, inf and nan."""
+    rng = random.Random(seed)
+    drawn = [math.ldexp(rng.random(), rng.randint(-1074, 1023)) for _ in range(count)]
+    drawn += [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 1.5, 2000.0, math.inf, math.nan]
+    return drawn + [-x for x in drawn]
+
+
+def test_a_real_operand_pairs_cosh_and_sinh_as_the_complex_kernels(monkeypatch):
+    """cosh and sinh of one real operand come from one mpf_cosh_sinh per
+    run, equal to mpc_cosh's and mpc_sinh's values bit for bit: on doubles
+    of every kind and on reals of the run's full precision."""
+    calls, plain = [], coeff.mpf_cosh_sinh
+    monkeypatch.setattr(coeff, "mpf_cosh_sinh", lambda x, prec, rnd: calls.append(x) or plain(x, prec, rnd))
+    x = Param("x")
+    third = Mul(x, Num(1 / 3))  # a real with a mantissa of the run's precision
+    nodes = [sinh(third), cosh(third), cosh(x), sinh(x)]  # each pair in both orders
+    for value in _doubles(62, 120):
+        run, calls[:] = Evaluator(ParamEnv({"x": value})), []
+        for node, got in zip(nodes, run.eval_all(nodes)):
+            arg = run.eval(node.arg)
+            assert got == (mpc_cosh if node.func == "cosh" else mpc_sinh)(arg, run._prec, run._rnd), value
+        assert len(calls) == sum(run.eval(arg)[1] == fzero for arg in (third, x))  # inf/3 is inf + nan i
+
+
+def test_a_product_of_two_finite_reals_is_mpc_mul_mpf():
+    """coeff._mul of two finite reals is mpc_mul_mpf's, and mpc_mul's, bit
+    for bit, its imaginary part fzero; of a real and an inf or nan it is mpc_mul's."""
+    rng = random.Random(63)
+    reals = [from_float(x) for x in _doubles(63, 200)]
+    reals += [from_man_exp(rng.getrandbits(600) | 1, rng.randint(-900, 900)) for _ in range(200)]
+    for (x, y), (prec, rnd) in zip(zip(reals, reversed(reals)), [(MP.prec, "n"), (53, "f"), (200, "u")] * 300):
+        want = mpc_mul((x, fzero), (y, fzero), prec, rnd)
+        assert coeff._mul((x, fzero), (y, fzero), prec, rnd) == want, (x, y)
+        if not mpc_is_infnan((x, y)):  # both finite
+            assert mpc_mul_mpf((x, fzero), y, prec, rnd) == want and want[1] == fzero
 
 
 def _nodes(roots) -> list:
@@ -1084,6 +1124,54 @@ def test_a_load_makes_one_run_that_computes_each_instruction_once(monkeypatch, n
     evaluate_circuit(parse_circuit(_source(name, n)))
     assert made == builds and len(made) == 1
     assert computed and max(computed.values()) == 1
+
+
+def test_the_oracle_computes_no_invariant_instruction(monkeypatch):
+    """A build stores each element statement's invariant scalars, so over a
+    verify of each golden the covariance oracle's runs compute only what a
+    parameter reaches."""
+    in_oracle, plain_oracle, computed = [], verify.covariance_oracle, Counter()
+
+    def fenced_oracle(*args):
+        in_oracle.append(True)
+        try:
+            return plain_oracle(*args)
+        finally:
+            in_oracle.pop()
+
+    def counted(run, order):
+        if in_oracle:
+            computed.update(bool(run.tape.dependent[i]) for i in order)
+
+    monkeypatch.setattr(verify, "covariance_oracle", fenced_oracle)
+    _runs_counted(monkeypatch, counted)
+    for name in GOLDENS:
+        verify_suite(_golden(name))
+    assert computed[True] and not computed[False]
+
+
+@pytest.mark.parametrize("name", ["delayed_telemirror", "nmode_delayed_telefilter"])
+def test_the_build_stores_what_dependent_instructions_read_only_at_its_precision(monkeypatch, name):
+    """After a verify at 160 digits, the store at 160 digits holds every
+    invariant operand of a dependent instruction, so passes at that
+    precision look for none among the instructions numbered by the build;
+    at 240 digits the first session's passes store them, and a second
+    session computes no invariant instruction."""
+    protocol = _golden(name)
+    verify_suite(protocol)
+    tape = protocol.circuit.tape
+    stored = tape.stored[MP.prec]
+    for i, (_, a, b) in enumerate(tape.ops):
+        if tape.dependent[i]:
+            assert all(k < 0 or tape.dependent[k] or k in stored for k in (a, b)), i
+    computed = Counter()
+    _runs_counted(monkeypatch, lambda run, order: computed.update(bool(run.tape.dependent[i]) for i in order))
+    with MP.workdps(240):
+        ModeEvaluator(protocol.env, protocol.roots())
+        assert computed[False]
+        computed.clear()
+        ModeEvaluator(protocol.env, protocol.roots())
+    assert computed[True] and not computed[False]
 
 
 def test_the_tape_holds_one_instruction_per_structural_class():
