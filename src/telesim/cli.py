@@ -447,7 +447,7 @@ class _UsageError(Exception):
 
 def _load_protocol(path: str, env: ParamEnv) -> ProtocolOutput:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:  # a leading byte-order mark is dropped
             text = handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")

@@ -27,7 +27,8 @@ twice the default 20, which drives intermediate magnitudes past anything
 float64 can cancel correctly. Values stay raw from tape to kernel: each
 run (:class:`Evaluator`) carries and returns ``_mpc_`` tuples ``(re, im)``
 of raw mpfs ``(sign, man, exp, bc)``, never an mpc, keeps two memos and
-takes real kernels on real values; :func:`to_complex` makes a double.
+takes real kernels on real values; :func:`to_complex` makes a double, in
+one correctly rounded step where that is the double ``complex()`` gives.
 """
 
 from __future__ import annotations
@@ -37,22 +38,32 @@ import numbers
 from bisect import bisect_left
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from itertools import compress
-from math import inf, log2
+from math import inf, ldexp, log2
 
 import mpmath
 from mpmath.libmp import fone, fzero, mpc_acosh, mpc_add, mpc_conjugate, mpc_cosh, mpc_div, mpc_exp
 from mpmath.libmp import mpc_is_infnan, mpc_log, mpc_mpf_div, mpc_mul, mpc_mul_mpf, mpc_neg
-from mpmath.libmp import mpc_pos, mpc_sinh, mpc_sqrt, mpc_sub, mpc_tanh, mpc_to_complex, mpf_cosh_sinh, mpf_pi
+from mpmath.libmp import mpc_pos, mpc_sinh, mpc_sqrt, mpc_sub, mpc_tanh, mpf_cosh_sinh, mpf_pi, to_float
 
 MP = mpmath.mp.clone()
 MP.dps = 160
 
 
-def to_complex(value: tuple) -> complex:
-    """The double of a raw ``_mpc_`` value, each part rounded at ``MP``'s
-    rounding, as ``complex()`` of its mpc converts; out-of-range parts
-    saturate to signed inf or underflow to zero."""
-    return mpc_to_complex(value, False, MP._prec_rounding[1])
+def to_complex(value: tuple, rnd: str | None = None) -> complex:
+    """The double of a raw ``_mpc_`` value, each part rounded at rnd (by
+    default ``MP``'s rounding), as ``complex()`` of its mpc converts;
+    out-of-range parts saturate to signed inf or underflow to zero."""
+    rnd = rnd or MP._prec_rounding[1]
+    return complex(_to_double(value[0], rnd), _to_double(value[1], rnd))
+
+
+def _to_double(part: tuple, rnd: str) -> float:
+    """``to_float(part, False, rnd)``: at rounding "n", a normal double is ``float(man)``
+    (rounded to nearest, ties to even) times 2^exp, exact, and an exact zero 0.0."""
+    sign, man, exp, bc = part
+    if 0 < bc < 1024 and -1021 <= exp + bc <= 1023 and rnd == "n":
+        return ldexp(-float(man) if sign else float(man), exp)
+    return 0.0 if part == fzero else to_float(part, False, rnd)
 
 
 def _mpc_sech(z: tuple, prec: int, rnd: str) -> tuple:

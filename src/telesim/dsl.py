@@ -1,11 +1,11 @@
 """Textual circuit language: parser and canonical serializer.
 
-One statement per line, `#` comments, define-before-use wires with
-single assignment: ``protocol``, ``param`` and ``mode`` declarations,
-elements, ``output``s, then ``target = TERMS`` (the mode of interest) and
-``expect PORT = TERMS`` (the form a quantum output reaches as the infinite
-parameters grow). The seven elements read, with ``r`` a measurement
-record and every other wire a mode wire:
+One statement per line (LF or CRLF ends), `#` comments, define-before-use
+wires with single assignment: ``protocol``, ``param`` and ``mode``
+declarations, elements, ``output``s, then ``target = TERMS`` (the mode of
+interest) and ``expect PORT = TERMS`` (the form a quantum output reaches
+as the infinite parameters grow). The seven elements read, with ``r`` a
+measurement record and every other wire a mode wire:
 
     (a, b) = split(t, r, alpha=EXPR, phi=EXPR)
     (a, b) = squeeze(x, y, gain=EXPR, phase=EXPR)
@@ -259,6 +259,7 @@ class _CircuitParser:
 
     def parse(self, text: str) -> CircuitAst:
         for index, raw in enumerate(text.split("\n"), start=1):
+            raw = raw[:-1] if raw.endswith("\r") else raw  # a CRLF line end
             tokens = _tokenize_line(raw, index)
             if not tokens:
                 continue

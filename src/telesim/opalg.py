@@ -17,7 +17,7 @@ import math
 from enum import Enum
 from itertools import islice
 
-from mpmath.libmp import fnan, from_float, from_man_exp, fzero, mpc_exp, mpc_to_complex
+from mpmath.libmp import from_float, from_man_exp, fzero, mpc_exp, to_float
 
 from .coeff import (
     MP,
@@ -32,6 +32,7 @@ from .coeff import (
     conj,
     fold_add,
     fold_mul,
+    to_complex,
 )
 
 
@@ -159,11 +160,12 @@ class ModeEvaluator:
 
     The kernels below hold each entry x, converted once per session, as
     x~ = trunc(x 2^P), P = working bits + GUARD_BITS, sum exact integer
-    products and round once. As |x - x~| < 2^-P and |x~| <= |x|, each part
-    of a product moves by at most 2^-P (|x|_1 + |y|_1), |z|_1 = |Re z| +
-    |Im z|. One walk gives both commutators of a pair; a variance reads
-    three sums per table, each session's own walk of its whole fixed table.
-    An inf or nan entry makes every kernel reading its table give nan.
+    products and return the double each sum has rounded to working bits (:func:`_rounded`).
+    As |x - x~| < 2^-P and |x~| <= |x|, each part of a product moves by at
+    most 2^-P (|x|_1 + |y|_1), |z|_1 = |Re z| + |Im z|. One walk gives both
+    commutators of a pair; a variance reads three sums per table, each
+    session's own walk of its whole fixed table. An inf or nan entry makes
+    every kernel reading its table give nan.
     """
 
     def __init__(self, env: ParamEnv, roots: tuple[ModeExpr, ...] = (), shared: tuple | None = None):
@@ -261,11 +263,11 @@ class ModeEvaluator:
         return made
 
     def commutators(self, left: ModeExpr, right: ModeExpr) -> tuple:
-        """The raw mpfs (re, im, cross re, cross im) of [left, right] and
+        """The doubles (re, im, cross re, cross im) of [left, right] and
         [left, right^dagger], from one walk over the modes in both tables:
         sums of c*f - d*e and of c*conj(e) - d*conj(f).
 
-        Before its one rounding each part lies within 2^-P sum(|c|_1 +
+        Before its rounding each part lies within 2^-P sum(|c|_1 +
         |d|_1 + |e|_1 + |f|_1) of the exact sum; on multiples of 2^-P it is
         it. The cross pair is bit-equal to the first of ``(left,
         dagger(right))``: truncation commutes with conjugation. Every part
@@ -273,7 +275,7 @@ class ModeEvaluator:
         """
         lt, rt = self._fixed(left), self._fixed(right)
         if lt is None or rt is None:
-            return (fnan,) * 4
+            return (math.nan,) * 4
         re = im = cross_re = cross_im = 0
         for mode, (cr, ci, dr, di) in lt.items():
             other = rt.get(mode)
@@ -284,11 +286,12 @@ class ModeEvaluator:
                 cross_re += cr * er + ci * ei - dr * fr - di * fi
                 cross_im += ci * er - cr * ei + dr * fi - di * fr
         exp, prec, rnd = -2 * self._bits, self._prec, self._rnd
-        return (from_man_exp(re, exp, prec, rnd), from_man_exp(im, exp, prec, rnd),
-                from_man_exp(cross_re, exp, prec, rnd), from_man_exp(cross_im, exp, prec, rnd))
+        return (_rounded(re, exp, prec, rnd), _rounded(im, exp, prec, rnd),
+                _rounded(cross_re, exp, prec, rnd), _rounded(cross_im, exp, prec, rnd))
 
-    def variance(self, expr: ModeExpr, phase: float):
-        """Sum over the table of |a|^2, a = e^{-i phase} c + e^{i phase} conj(d).
+    def variance(self, expr: ModeExpr, phase: float) -> float:
+        """The double of the sum over the table of |a|^2, a = e^{-i phase} c
+        + e^{i phase} conj(d), rounded as :meth:`commutators` rounds.
 
         With w = e^{-i phase} truncated too, each part of every a lies within
         delta = 2^-P (2|w|_1 + |c|_1 + |d|_1) of its exact value, and the sum
@@ -297,11 +300,11 @@ class ModeEvaluator:
         """
         sums = self._sums(expr)
         if sums is None or not math.isfinite(phase):
-            return MP.make_mpf(fnan)
+            return math.nan
         wr, wi = _phase_factor(phase, self._prec)
         s1, s2, s3 = sums
         total = wr * wr * s1 + wi * wi * s2 + 2 * wr * wi * s3
-        return MP.make_mpf(from_man_exp(total, -4 * self._bits, self._prec, self._rnd))
+        return _rounded(total, -4 * self._bits, self._prec, self._rnd)
 
     def _sums(self, expr: ModeExpr) -> tuple[int, int, int] | None:
         """sum(A^2 + C^2), sum(B^2 + D^2), sum(CD - AB) of the fixed table, or
@@ -326,10 +329,26 @@ def _sum_parts(entries) -> tuple[int, int, int]:
     return s1, s2, s3
 
 
+def _rounded(total: int, exp: int, prec: int, rnd: str) -> float:
+    """``to_float(from_man_exp(total, exp, prec, rnd), False, rnd)`` in one correctly
+    rounded step where that is the same double: for a nonzero total at rounding "n"
+    whose double is normal, 54 < prec < 1024, ``float`` (to nearest, ties to even) of
+    its leading prec bits, scaled; they round as total does unless their part below
+    the double's last place is within one unit of half of it, the one place the
+    prec-bit rounding can make a tie (S. A. Figueroa, *When is double rounding
+    innocuous?*, 1995)."""
+    n = abs(total).bit_length()
+    shift = n - prec if n > prec else 0
+    top = abs(total) >> shift
+    if total and rnd == "n" and -1021 <= n + exp <= 1023 and 54 < prec < 1024 and (
+            not shift or (top + 1 - (1 << (prec - 54))) & ((1 << (prec - 53)) - 1) > 2):
+        return math.ldexp(-float(top) if total < 0 else float(top), exp + shift)
+    return to_float(from_man_exp(total, exp, prec, rnd), False, rnd)
+
+
 def _float_table(table: NumericTerms, rnd: str) -> dict:
-    """The double of each entry at rounding rnd, as ``complex(mpc)`` converts."""
-    return {m: (mpc_to_complex(c, False, rnd), mpc_to_complex(d, False, rnd))
-            for m, (c, d) in table.items()}
+    """The double of each entry at rounding rnd (:func:`coeff.to_complex`)."""
+    return {m: (to_complex(c, rnd), to_complex(d, rnd)) for m, (c, d) in table.items()}
 
 
 def _fixed_table(table: NumericTerms, bits: int) -> dict | None:
@@ -396,9 +415,9 @@ def quadrature_variance(expr: ModeExpr, phase: float, env: Binding) -> float:
     """Vacuum variance of X(phase) = e^{-i phase} A + e^{i phase} A^dagger.
 
     Every constituent mode is treated as an independent vacuum input, so a
-    single proper passive mode gives exactly 1.
+    single proper passive mode gives exactly 1: :meth:`ModeEvaluator.variance`.
     """
-    return float(session_for(env).variance(expr, phase))
+    return session_for(env).variance(expr, phase)
 
 
 def prune_for_display(expr: ModeExpr, env: Binding):

@@ -26,7 +26,7 @@ import cmath
 import math
 from dataclasses import field
 
-from mpmath.libmp import fzero, mpc_sub, mpc_to_complex
+from mpmath.libmp import fzero, mpc_sub
 
 from .circuit import (
     CircuitAst,
@@ -48,7 +48,7 @@ from .circuit import (
     UnsqueezeStmt,
     require_declared,
 )
-from .coeff import Frozen, ParamEnv, Record
+from .coeff import Frozen, ParamEnv, Record, to_complex
 from .opalg import (
     Binding,
     ModeEvaluator,
@@ -97,8 +97,7 @@ def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovRep
     outputs maps names to mode expressions. Both commutator families are
     checked for every unordered pair, plus self-normalization
     [A, A^dagger] = 1, from one walk per pair
-    (:meth:`ModeEvaluator.commutators`) whose raw parts become doubles at
-    the session's rounding, as :meth:`ModeEvaluator.floats` converts; a nan
+    (:meth:`ModeEvaluator.commutators`, whose parts are doubles); a nan
     deviation fails its pair and is the maximum. env may be a session,
     whose tables are then reused, or a bare env, whose session later calls
     with that same env reuse (see :func:`opalg.session_for`); either first
@@ -107,15 +106,14 @@ def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovRep
     items = list(outputs.items())
     evaluator = session_for(env)
     evaluator.tabled(outputs.values())
-    rnd = evaluator._rnd
     failures = []
     deviations = []
     for i, (name_i, expr_i) in enumerate(items):
         for name_j, expr_j in items[i:]:
             expected = 1.0 if name_i == name_j else 0.0
             re, im, cross_re, cross_im = evaluator.commutators(expr_i, expr_j)
-            plain = _magnitude(mpc_to_complex((re, im), False, rnd))
-            cross = _magnitude(mpc_to_complex((cross_re, cross_im), False, rnd) - expected)
+            plain = _magnitude(complex(re, im))
+            cross = _magnitude(complex(cross_re, cross_im) - expected)
             for check, deviation in (("commutator", plain), ("cross-commutator", cross)):
                 deviations.append(deviation)
                 if not deviation <= tol:
@@ -530,7 +528,7 @@ def selectivity_report(protocol: ProtocolOutput) -> SelectivityReport:
         pvec = _signal_vector(evaluator.floats(expr), signal_ids)
         overlaps[name] = _inner(pvec, tvec)
         leakage[name] = max((abs(_inner(pvec, b)) for b in complement), default=0.0)
-        spread = max(float(evaluator.variance(expr, phase)) for phase in (0.0, math.pi / 2))
+        spread = max(evaluator.variance(expr, phase) for phase in (0.0, math.pi / 2))
         excess[name] = spread - 1.0
 
     clean = max(overlaps, key=lambda name: abs(overlaps[name]))
@@ -607,7 +605,7 @@ def _declared_limit_gap(protocol: ProtocolOutput) -> float:
         have, target = evaluator.table(ports[name]), evaluator.table(want)
         for mode in have.keys() | target.keys():
             for h, t in zip(have.get(mode, zero), target.get(mode, zero)):
-                gaps.append(_magnitude(mpc_to_complex(mpc_sub(h, t, prec, rnd), False, rnd)))
+                gaps.append(_magnitude(to_complex(mpc_sub(h, t, prec, rnd), rnd)))
     return _worst(gaps)
 
 

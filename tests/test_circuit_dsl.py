@@ -78,6 +78,20 @@ def test_golden_byte_round_trip(path):
     assert serialize_circuit(parse_circuit(text)) == text
 
 
+@pytest.mark.parametrize("path", GOLDEN_FILES, ids=lambda p: p.stem)
+def test_crlf_line_ends_parse_as_lf(path):
+    text = path.read_text()
+    assert parse_circuit(text.replace("\n", "\r\n")) == parse_circuit(text)
+
+
+def test_a_carriage_return_inside_a_line_is_a_located_error():
+    with pytest.raises(ParseError, match=r"unexpected character '\\r' \(line 2, column 8\)"):
+        parse_circuit("param r = 1\r\nparam s\r= 2\r\n")
+    # one CR is dropped per line end: the second is still read
+    with pytest.raises(ParseError, match=r"unexpected character '\\r' \(line 1, column 12\)"):
+        parse_circuit("param r = 1\r\r\n")
+
+
 def test_infinity_parameter_becomes_limit_param():
     text = "param s = infinity\nmode vacuum v rail=r bin=0\noutput x = v\n"
     po = evaluate_circuit(parse_circuit(text))

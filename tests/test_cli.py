@@ -132,6 +132,15 @@ def test_protocols_build_spells_a_huge_angle_as_a_float_literal(capsys):
     assert serialize_circuit(parse_circuit(out)) == out
 
 
+def test_a_file_with_a_byte_order_mark_reports_as_the_plain_file(tmp_path, capsys):
+    path = tmp_path / "bom.tls"
+    path.write_bytes(b"\xef\xbb\xbf" + GOLDEN.read_bytes())
+    for command in ("run", "verify"):
+        with_bom = run_cli(capsys, command, str(path), "--format", "machine")
+        assert with_bom == run_cli(capsys, command, str(GOLDEN), "--format", "machine")
+        assert with_bom[0] == 0
+
+
 def test_a_right_angle_past_the_grid_builds_a_circuit_that_verifies(tmp_path, capsys):
     # 5*pi/2 is spelled as its double, so its phase factor stays exp(-i*...)
     # of that double instead of an exact -i the literal does not equal

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from telesim.coeff import ParamEnv, to_complex
+from telesim.coeff import ParamEnv
 from telesim.elements import (
     apply_balanced_bs,
     apply_inverse_squeezer,
@@ -37,9 +37,9 @@ def table(expr, env=EMPTY):
 
 
 def _commutators(ev, left, right) -> tuple[complex, complex]:
-    """[left, right] and [left, right^dagger] from the session's raw parts, as doubles."""
+    """[left, right] and [left, right^dagger] from the session's doubles."""
     re, im, cross_re, cross_im = ev.commutators(left, right)
-    return to_complex((re, im)), to_complex((cross_re, cross_im))
+    return complex(re, im), complex(cross_re, cross_im)
 
 
 def test_split_coefficients():

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from telesim.coeff import ZERO, Call, Mul, Num, ParamEnv, to_complex
+from telesim.coeff import ZERO, Call, Mul, Num, ParamEnv
 from telesim.opalg import (
     ModeEvaluator,
     ModeExpr,
@@ -30,9 +30,9 @@ B = input_mode(B_ID)
 
 
 def _commutators(ev, left, right) -> tuple[complex, complex]:
-    """[left, right] and [left, right^dagger] from the session's raw parts, as doubles."""
+    """[left, right] and [left, right^dagger] from the session's doubles."""
     re, im, cross_re, cross_im = ev.commutators(left, right)
-    return to_complex((re, im)), to_complex((cross_re, cross_im))
+    return complex(re, im), complex(cross_re, cross_im)
 
 
 def test_mode_id_ordering_is_bin_major():
