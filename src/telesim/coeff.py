@@ -42,7 +42,7 @@ from math import inf, ldexp, log2
 
 import mpmath
 from mpmath.libmp import fone, fzero, mpc_acosh, mpc_add, mpc_conjugate, mpc_cosh, mpc_div, mpc_exp
-from mpmath.libmp import mpc_is_infnan, mpc_log, mpc_mpf_div, mpc_mul, mpc_mul_mpf, mpc_neg
+from mpmath.libmp import mpc_log, mpc_mpf_div, mpc_mul, mpc_neg, mpf_mul
 from mpmath.libmp import mpc_pos, mpc_sinh, mpc_sqrt, mpc_sub, mpc_tanh, mpf_cosh_sinh, mpf_pi, to_float
 
 MP = mpmath.mp.clone()
@@ -441,13 +441,17 @@ def cis(phase) -> CoefExpr:
 
 
 def _mul(x: tuple, y: tuple, prec: int, rnd: str) -> tuple:
-    """mpc_mul(x, y), bit for bit: times a finite real, its cross terms are
-    exact zeros (inf*0 is nan), so each part rounds one product; of two
-    finite reals, the imaginary part is exactly fzero."""
-    if y[1] == fzero and not (mpc_is_infnan(x) or mpc_is_infnan(y)):
-        return mpc_mul_mpf(x, y[0], prec, rnd)
-    if x[1] == fzero and not (mpc_is_infnan(x) or mpc_is_infnan(y)):
-        return mpc_mul_mpf(y, x[0], prec, rnd)
+    """mpc_mul(x, y), bit for bit: with one operand real and the other
+    finite, the other's parts times the real one's zero imaginary part are
+    exact zeros (inf*0 would be nan), so each part rounds one product,
+    ``mpf_mul`` in ``mpc_mul_mpf``'s argument order; of two finite reals,
+    the imaginary part is exactly fzero. A raw part is inf or nan exactly
+    when its mantissa is 0 and its exponent is not."""
+    (a, b), (c, d) = x, y
+    if d == fzero and (a[1] or not a[2]) and (b[1] or not b[2]):
+        return mpf_mul(a, c, prec, rnd), mpf_mul(b, c, prec, rnd)
+    if b == fzero and (c[1] or not c[2]) and (d[1] or not d[2]):
+        return mpf_mul(c, a, prec, rnd), mpf_mul(d, a, prec, rnd)
     return mpc_mul(x, y, prec, rnd)
 
 

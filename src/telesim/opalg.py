@@ -162,8 +162,9 @@ class ModeEvaluator:
     x~ = trunc(x 2^P), P = working bits + GUARD_BITS, sum exact integer
     products and return the double each sum has rounded to working bits (:func:`_rounded`).
     As |x - x~| < 2^-P and |x~| <= |x|, each part of a product moves by at
-    most 2^-P (|x|_1 + |y|_1), |z|_1 = |Re z| + |Im z|. One walk gives both
-    commutators of a pair; a variance reads three sums per table, each
+    most 2^-P (|x|_1 + |y|_1), |z|_1 = |Re z| + |Im z|. One walk over the
+    modes of a list of tables gives both commutators of every pair
+    (:meth:`commutator_pairs`); a variance reads three sums per table, each
     session's own walk of its whole fixed table. An inf or nan entry makes
     every kernel reading its table give nan.
     """
@@ -262,36 +263,47 @@ class ModeEvaluator:
         self._caches[slot][expr] = made
         return made
 
-    def commutators(self, left: ModeExpr, right: ModeExpr) -> tuple:
-        """The doubles (re, im, cross re, cross im) of [left, right] and
-        [left, right^dagger], from one walk over the modes in both tables:
-        sums of c*f - d*e and of c*conj(e) - d*conj(f).
+    def commutator_pairs(self, exprs) -> dict[tuple[int, int], tuple]:
+        """For i <= j, the doubles (re, im, cross re, cross im) of [e_i, e_j]
+        and [e_i, e_j^dagger], e = exprs, from one walk over the modes:
+        sums over each mode in both tables of c*f - d*e and of c*conj(e) -
+        d*conj(f), (c, d) from e_i's table, (e, f) from e_j's.
 
-        Before its rounding each part lies within 2^-P sum(|c|_1 +
+        Keyed (i, j) in that order: each diagonal pair, each pair sharing a
+        mode and each pair with a table holding an inf or nan entry, whose
+        parts are all nan. Any other pair is exactly (0.0, 0.0, 0.0, 0.0).
+        Before its one rounding each part lies within 2^-P sum(|c|_1 +
         |d|_1 + |e|_1 + |f|_1) of the exact sum; on multiples of 2^-P it is
-        it. The cross pair is bit-equal to the first of ``(left,
-        dagger(right))``: truncation commutes with conjugation. Every part
-        is nan if a table has an inf or nan entry.
+        it. The cross pair of (i, j) is bit-equal to the first of e_i with
+        dagger(e_j): truncation commutes with conjugation.
         """
-        lt, rt = self._fixed(left), self._fixed(right)
-        if lt is None or rt is None:
-            return (math.nan,) * 4
-        re = im = cross_re = cross_im = 0
-        for mode, (cr, ci, dr, di) in lt.items():
-            other = rt.get(mode)
-            if other is not None:
-                er, ei, fr, fi = other
-                re += cr * fr - ci * fi - dr * er + di * ei
-                im += cr * fi + ci * fr - dr * ei - di * er
-                cross_re += cr * er + ci * ei - dr * fr - di * fi
-                cross_im += ci * er - cr * ei + dr * fi - di * fr
+        tables = [self._fixed(expr) for expr in exprs]
+        by_mode: dict[ModeId, list] = {}
+        for i, table in enumerate(tables):
+            for mode, entry in (table or {}).items():
+                by_mode.setdefault(mode, []).append((i, *entry))
+        sums = {(i, i): [0, 0, 0, 0] for i in range(len(tables))}
+        for entries in by_mode.values():
+            for k, (i, cr, ci, dr, di) in enumerate(entries):
+                for j, er, ei, fr, fi in entries[k:]:
+                    parts = sums.get((i, j))
+                    if parts is None:
+                        parts = sums[i, j] = [0, 0, 0, 0]
+                    parts[0] += cr * fr - ci * fi - dr * er + di * ei
+                    parts[1] += cr * fi + ci * fr - dr * ei - di * er
+                    parts[2] += cr * er + ci * ei - dr * fr - di * fi
+                    parts[3] += ci * er - cr * ei + dr * fi - di * fr
         exp, prec, rnd = -2 * self._bits, self._prec, self._rnd
-        return (_rounded(re, exp, prec, rnd), _rounded(im, exp, prec, rnd),
-                _rounded(cross_re, exp, prec, rnd), _rounded(cross_im, exp, prec, rnd))
+        out = {pair: tuple(_rounded(s, exp, prec, rnd) if s else 0.0 for s in parts)
+               for pair, parts in sums.items()}
+        for i, table in enumerate(tables):
+            if table is None:
+                out.update(((min(i, j), max(i, j)), (math.nan,) * 4) for j in range(len(tables)))
+        return dict(sorted(out.items()))
 
     def variance(self, expr: ModeExpr, phase: float) -> float:
         """The double of the sum over the table of |a|^2, a = e^{-i phase} c
-        + e^{i phase} conj(d), rounded as :meth:`commutators` rounds.
+        + e^{i phase} conj(d), rounded as :meth:`commutator_pairs` rounds.
 
         With w = e^{-i phase} truncated too, each part of every a lies within
         delta = 2^-P (2|w|_1 + |c|_1 + |d|_1) of its exact value, and the sum

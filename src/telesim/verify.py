@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import field
 
-from mpmath.libmp import fzero, mpc_sub
+from mpmath.libmp import fzero, mpc_is_infnan, mpc_sub
 
 from .circuit import (
     CircuitAst,
@@ -95,30 +95,30 @@ def check_bogoliubov(outputs, env: Binding, tol: float = 1e-10) -> BogoliubovRep
 
     outputs maps names to mode expressions. Both commutator families are
     checked for every unordered pair, plus self-normalization
-    [A, A^dagger] = 1, from one walk per pair
-    (:meth:`ModeEvaluator.commutators`, whose parts are doubles); a nan
-    deviation fails its pair and is the maximum. env may be a session,
-    whose tables are then reused, or a bare env, whose session later calls
-    with that same env reuse (see :func:`opalg.session_for`); either first
-    tables the outputs it lacks in one pass per tape (:meth:`ModeEvaluator.tabled`).
+    [A, A^dagger] = 1, from one walk over the modes of all the outputs
+    (:meth:`ModeEvaluator.commutator_pairs`, whose parts are doubles),
+    visiting in pair order only the pairs it keys: any other pair's
+    deviations are exactly 0.0, which for tol >= 0 move neither the maximum
+    nor the failures. A nan deviation fails its pair and is the maximum.
+    env may be a session, whose tables are then reused, or a bare env, whose
+    session later calls with that same env reuse (see :func:`opalg.session_for`);
+    either first tables the outputs it lacks in one pass per tape
+    (:meth:`ModeEvaluator.tabled`).
     """
-    items = list(outputs.items())
+    names = list(outputs)
     evaluator = session_for(env)
     evaluator.tabled(outputs.values())
     failures = []
     deviations = []
-    for i, (name_i, expr_i) in enumerate(items):
-        for name_j, expr_j in items[i:]:
-            expected = 1.0 if name_i == name_j else 0.0
-            re, im, cross_re, cross_im = evaluator.commutators(expr_i, expr_j)
-            plain = _magnitude(complex(re, im))
-            cross = _magnitude(complex(cross_re, cross_im) - expected)
-            for check, deviation in (("commutator", plain), ("cross-commutator", cross)):
-                deviations.append(deviation)
-                if not deviation <= tol:
-                    failures.append((name_i, name_j, check, deviation))
+    for (i, j), (re, im, cross_re, cross_im) in evaluator.commutator_pairs(outputs.values()).items():
+        plain = _magnitude(complex(re, im))
+        cross = _magnitude(complex(cross_re, cross_im) - (1.0 if i == j else 0.0))
+        for check, deviation in (("commutator", plain), ("cross-commutator", cross)):
+            deviations.append(deviation)
+            if not deviation <= tol:
+                failures.append((names[i], names[j], check, deviation))
     return BogoliubovReport(
-        names=tuple(name for name, _ in items),
+        names=tuple(names),
         tol=tol,
         max_deviation=_worst(deviations),
         failures=tuple(failures),
@@ -156,12 +156,15 @@ def _table_gap(one: dict, other: dict, session: ModeEvaluator) -> float:
     """The one rule for the distance between two raw coefficient tables made
     at session's precision: each part's difference over the modes of either
     (an exact zero where one lacks the mode), at that precision and rounding,
-    converted once; the largest magnitude, or nan if one is."""
+    converted once; the largest magnitude, or nan if one is. A part both
+    tables share (bound sessions take the root's invariant entries) is
+    skipped when finite: its difference is an exact zero; inf - inf is nan."""
     prec, rnd, zero = session._prec, session._rnd, (_ZERO, _ZERO)
     return _worst([
         _magnitude(to_complex(mpc_sub(a, b, prec, rnd), rnd))
         for mode in one.keys() | other.keys()
         for a, b in zip(one.get(mode, zero), other.get(mode, zero))
+        if a is not b or mpc_is_infnan(a)
     ])
 
 

@@ -17,6 +17,13 @@ drift of the host's speed reaches both alike.
 Prints, for the change/parent ratios of the reps' pass times, the median,
 the reps the change wins (ratio below 1), and the quartiles
 (``statistics.quantiles``, inclusive), then the same as one JSON line.
+
+The ratio ranks the pieces of a change; it does not size a claim. It
+times only op calls in a warm process, so it leaves out what a fresh
+``perfbench/run.py`` process pays around them and can read a piece
+larger: a prototype of the one-walk Bogoliubov audit read -6.0 % here
+and -2.75 % in ``bench_pairs.py`` pairs on ``sweep`` (as it landed,
+-3.6 % and -3.0 %). Size a claim with those pairs.
 pytest does not collect this file; ``tests/test_ab_inprocess.py`` checks
 :func:`summary` on synthetic times.
 """

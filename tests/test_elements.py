@@ -38,7 +38,7 @@ def table(expr, env=EMPTY):
 
 def _commutators(ev, left, right) -> tuple[complex, complex]:
     """[left, right] and [left, right^dagger] from the session's doubles."""
-    re, im, cross_re, cross_im = ev.commutators(left, right)
+    re, im, cross_re, cross_im = ev.commutator_pairs([left, right]).get((0, 1), (0.0,) * 4)
     return complex(re, im), complex(cross_re, cross_im)
 
 

@@ -31,7 +31,7 @@ B = input_mode(B_ID)
 
 def _commutators(ev, left, right) -> tuple[complex, complex]:
     """[left, right] and [left, right^dagger] from the session's doubles."""
-    re, im, cross_re, cross_im = ev.commutators(left, right)
+    re, im, cross_re, cross_im = ev.commutator_pairs([left, right]).get((0, 1), (0.0,) * 4)
     return complex(re, im), complex(cross_re, cross_im)
 
 

@@ -1,15 +1,19 @@
-"""Each one-step conversion to a double against the mpmath path it replaces, bit for bit.
+"""Each one-step kernel against the mpmath path it replaces, bit for bit.
 
 ``opalg._rounded`` (an exact sum to a double) against ``to_float`` of
-``from_man_exp``, and ``coeff.to_complex`` against ``mpc_to_complex``. The
-inputs are seeded draws plus the edges of each rule.
+``from_man_exp``, ``coeff.to_complex`` against ``mpc_to_complex``, and the
+run's product ``coeff._mul`` against ``mpc_mul`` and the ``mpc_mul_mpf``
+path it took before it tested finiteness inline. The inputs are seeded
+draws plus the edges of each rule.
 """
 
+import itertools
 import random
 
-from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, mpc_to_complex, to_float
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, mpc_is_infnan, mpc_mul, mpc_mul_mpf
+from mpmath.libmp import mpc_to_complex, to_float
 
-from telesim import opalg
+from telesim import coeff, opalg
 from telesim.coeff import MP, to_complex
 
 
@@ -71,3 +75,41 @@ def test_every_one_step_conversion_matches_the_two_step_bit_for_bit():
             got = to_complex((re, im), rnd)
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (re, im, rnd)
 
+
+def _mul_by_mpc_mul_mpf(x: tuple, y: tuple, prec: int, rnd: str) -> tuple:
+    """The product as ``coeff._mul`` made it before its inline finiteness test."""
+    if y[1] == fzero and not (mpc_is_infnan(x) or mpc_is_infnan(y)):
+        return mpc_mul_mpf(x, y[0], prec, rnd)
+    if x[1] == fzero and not (mpc_is_infnan(x) or mpc_is_infnan(y)):
+        return mpc_mul_mpf(y, x[0], prec, rnd)
+    return mpc_mul(x, y, prec, rnd)
+
+
+def _operands(rng: random.Random) -> tuple[list, list]:
+    """Raw mpcs: every pairing of fzero, finf, fninf, fnan and finite parts,
+    so real, imaginary and complex operands with each edge in either slot,
+    and seeded real, imaginary and complex draws of 1- to 535-bit mantissas
+    of both signs, a tenth of their parts inf, nan or zero."""
+    specials = (fzero, finf, fninf, fnan)
+
+    def part():
+        bits = rng.randint(1, 535)
+        man = rng.choice((1, -1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
+        return from_man_exp(man, rng.randint(-700, 700) - bits)
+
+    edges = list(itertools.product(specials + (part(), part()), repeat=2))
+    draws = []
+    for _ in range(3000):
+        re, im = (rng.choice(specials) if rng.random() < 0.1 else part() for _ in "ri")
+        draws.append(rng.choice(((re, fzero), (fzero, im), (re, im))))
+    return edges, draws
+
+
+def test_the_product_kernel_is_mpc_mul_bit_for_bit():
+    rng, prec = random.Random(20261021), MP.prec
+    edges, draws = _operands(rng)
+    pairs = [*itertools.product(edges, repeat=2), *((x, rng.choice(draws)) for x in draws)]
+    for x, y in pairs:
+        for rnd in ("n", "d", "u"):
+            got = coeff._mul(x, y, prec, rnd)
+            assert got == mpc_mul(x, y, prec, rnd) == _mul_by_mpc_mul_mpf(x, y, prec, rnd), (x, y, rnd)

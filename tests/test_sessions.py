@@ -134,12 +134,21 @@ MODE_EXPRS = st.dictionaries(
 ).map(ModeExpr)
 
 
+_NO_SUM = (0.0,) * 4  # the four doubles of a pair commutator_pairs() leaves out
+
+
+def _commutators(session: ModeEvaluator, left: ModeExpr, right: ModeExpr) -> tuple:
+    """The doubles (re, im, cross re, cross im) of [left, right] and [left,
+    right^dagger], from the session's all-pairs kernel."""
+    return session.commutator_pairs([left, right]).get((0, 1), _NO_SUM)
+
+
 @settings(max_examples=150, deadline=None)
 @given(left=MODE_EXPRS, right=MODE_EXPRS)
 def test_cross_commutator_is_exactly_the_dagger_commutator(left, right):
     ev = ModeEvaluator(ParamEnv({"x": 0.7, "y": -1.3}))
     # exact: the same raw parts, not merely close
-    assert ev.commutators(left, right)[2:] == ev.commutators(left, dagger(right))[:2]
+    assert _commutators(ev, left, right)[2:] == _commutators(ev, left, dagger(right))[:2]
 
 
 # the kernels against exact rational sums of the same table entries
@@ -240,7 +249,7 @@ def test_integer_kernels_round_the_exact_sum_once(left, right, shift, poisoned):
         id(table): not any(mpc_is_infnan(z) for entry in table.values() for z in entry)
         for table in (lt, rt)
     }
-    got = ev.commutators(left, right)
+    got = _commutators(ev, left, right)
     if not (finite[id(lt)] and finite[id(rt)]):
         assert all(math.isnan(part) for part in got)
     else:
@@ -313,18 +322,52 @@ def test_the_variance_is_bit_identical_to_the_per_entry_sum(name, n):
                 assert session.variance(expr, phase).hex() == want.hex(), (name, phase)
 
 
-def _commutators(session: ModeEvaluator, left: ModeExpr, right: ModeExpr) -> tuple[complex, complex]:
-    """[left, right] and [left, right^dagger] from the session's doubles."""
-    re, im, cross_re, cross_im = session.commutators(left, right)
-    return complex(re, im), complex(cross_re, cross_im)
+def _reference_commutators(session: ModeEvaluator, left: ModeExpr, right: ModeExpr) -> tuple:
+    """The doubles (re, im, cross re, cross im) of [left, right] and [left,
+    right^dagger] by the per-pair walk: over the modes of left's table that
+    right's holds, exact sums of the fixed-point entries, each rounded to the
+    session's precision, then to a double; nan four times if an entry is inf or nan."""
+    bits, fixed = session._bits, []
+    for expr in (left, right):
+        table = {}
+        for mode, (c, d) in session.table(expr).items():
+            if any(not man and exp for _, man, exp, _ in c + d):
+                return (math.nan,) * 4
+            table[mode] = tuple(opalg._to_fixed(part, bits) for part in c + d)
+        fixed.append(table)
+    re = im = cross_re = cross_im = 0
+    for mode, (cr, ci, dr, di) in fixed[0].items():
+        if mode in fixed[1]:
+            er, ei, fr, fi = fixed[1][mode]
+            re += cr * fr - ci * fi - dr * er + di * ei
+            im += cr * fi + ci * fr - dr * ei - di * er
+            cross_re += cr * er + ci * ei - dr * fr - di * fi
+            cross_im += ci * er - cr * ei + dr * fi - di * fr
+    return tuple(to_float(from_man_exp(total, -2 * bits, session._prec, session._rnd), False, session._rnd)
+                 for total in (re, im, cross_re, cross_im))
+
+
+def _assert_pairs_are_the_reference(session: ModeEvaluator, exprs: list) -> dict:
+    """Every pair's four doubles from commutator_pairs(), a left-out pair's
+    as exact zeros, equal the per-pair walk's by float.hex; the kernel keys
+    each diagonal pair and only pairs in (i, j) order."""
+    got = session.commutator_pairs(exprs)
+    n = len(exprs)
+    assert list(got) == sorted(got) and {(i, i) for i in range(n)} <= set(got)
+    for i in range(n):
+        for j in range(i, n):
+            want = _reference_commutators(session, exprs[i], exprs[j])
+            assert tuple(map(float.hex, got.get((i, j), _NO_SUM))) == tuple(map(float.hex, want)), (i, j)
+    return got
 
 
 def _reference_bogoliubov(outputs, session: ModeEvaluator, tol: float) -> tuple:
-    """(max_deviation, failures) rebuilt from commutators() as doubles."""
+    """(max_deviation, failures) rebuilt from the per-pair walk's doubles, every pair in order."""
     items, worst, failures = list(outputs.items()), 0.0, []
     for i, (name_i, expr_i) in enumerate(items):
         for name_j, expr_j in items[i:]:
-            plain, cross = _commutators(session, expr_i, expr_j)
+            re, im, cross_re, cross_im = _reference_commutators(session, expr_i, expr_j)
+            plain, cross = complex(re, im), complex(cross_re, cross_im)
             expected = 1.0 if name_i == name_j else 0.0
             checks = (("commutator", plain), ("cross-commutator", cross - expected))
             for check, value in checks:
@@ -337,6 +380,7 @@ def _reference_bogoliubov(outputs, session: ModeEvaluator, tol: float) -> tuple:
 
 
 def _assert_bogoliubov_matches(outputs, session: ModeEvaluator, tol: float = 1e-10):
+    _assert_pairs_are_the_reference(session, list(outputs.values()))
     report = check_bogoliubov(outputs, session, tol=tol)
     worst, failures = _reference_bogoliubov(outputs, session, tol)
     assert report.max_deviation.hex() == worst.hex()
@@ -364,6 +408,62 @@ def test_the_bogoliubov_floats_keep_their_failures():
     poisoned = evaluate_circuit(parse_circuit(_source("infinite_gain")))
     report = _assert_bogoliubov_matches(poisoned.quantum_ports(), poisoned.evaluator())
     assert math.isnan(report.max_deviation) and report.failures
+
+
+def _bogoliubov_case(case: str) -> tuple:
+    """(outputs, session, failures as (left, right, check)) of a port set
+    whose pairs the walk keys or leaves out in each way."""
+    a, b = (ModeExpr({mode: (Num(1), Num(0))}) for mode in IDS[:2])
+    cloning = evaluate_circuit(parse_circuit(_source("cloning")))
+    ports = cloning.quantum_ports()
+    poisoned = evaluate_circuit(parse_circuit(_source("infinite_gain")))
+    bad = poisoned.quantum_ports()["out"]
+    both = ("commutator", "cross-commutator")
+    return {
+        "disjoint": ({"a": a, "b": b}, ModeEvaluator(ParamEnv({})), []),
+        "empty": ({"a": a, "empty": ModeExpr()}, ModeEvaluator(ParamEnv({})),
+                  [("empty", "empty", "cross-commutator")]),
+        "one expression, two names": ({"x": a, "y": a, "b": b}, ModeEvaluator(ParamEnv({})),
+                                      [("x", "y", "cross-commutator")]),
+        "inf and nan": ({"a": a, "out": bad, "b": b}, poisoned.evaluator(),
+                        [(left, right, check) for left, right in (("a", "out"), ("out", "out"), ("out", "b"))
+                         for check in both]),
+        "cloning": ({**ports, "again": ports["out_x"]}, cloning.evaluator(),
+                    [("out_x", "out_p", "cross-commutator"), ("out_x", "again", "cross-commutator"),
+                     ("out_p", "again", "cross-commutator")]),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["disjoint", "empty", "one expression, two names", "inf and nan", "cloning"])
+def test_the_bogoliubov_walk_leaves_out_only_exact_zeros(case):
+    """Pairs sharing no mode, with no inf or nan table, are left out of the
+    walk; the report visits the rest in pair order and matches the per-pair
+    walk over every pair: an empty port's diagonal deviation is 1.0, one
+    expression under two names fails its cross pair, and every pair with an
+    inf or nan table fails twice, in order."""
+    outputs, session, want = _bogoliubov_case(case)
+    names = list(outputs)
+    pairs = session.commutator_pairs(list(outputs.values()))
+    shared = {(i, j) for i, left in enumerate(outputs.values()) for j, right in enumerate(outputs.values())
+              if i <= j and session.table(left).keys() & session.table(right).keys()}
+    assert {(i, i) for i in range(len(names))} | shared <= set(pairs)
+    report = _assert_bogoliubov_matches(outputs, session)
+    assert [failure[:3] for failure in report.failures] == want
+    if case in ("empty", "one expression, two names"):
+        assert report.max_deviation == 1.0 and report.failures[0][3] == 1.0
+    if case == "inf and nan":
+        nan_pairs = {(0, 1), (1, 1), (1, 2)}
+        assert {pair for pair, parts in pairs.items() if all(map(math.isnan, parts))} == nan_pairs
+        assert (0, 2) not in pairs and math.isnan(report.max_deviation)
+    if case == "disjoint":
+        assert set(pairs) == {(0, 0), (1, 1)} and report.passed and report.max_deviation == 0.0
+
+
+def test_the_bogoliubov_floats_equal_the_per_pair_walk_at_eight_bins():
+    protocol = evaluate_circuit(parse_circuit(_source("nmode_delayed_telefilter", 8)))
+    root = protocol.evaluator()
+    for session in [root] + [root.bind(**draw) for draw in _sweep_bindings(protocol, "bogoliubov:n8", 4)]:
+        assert _assert_bogoliubov_matches(protocol.quantum_ports(), session).passed
 
 
 # scalar evaluation against plain mpmath object arithmetic
@@ -842,11 +942,12 @@ def test_the_float_view_is_complex_of_each_entry(name, n):
 
 
 @pytest.mark.parametrize("name", ["delayed_telemirror", "infinite_gain"])
-def test_values_stay_raw_from_tape_to_kernel(name, monkeypatch):
+def test_values_stay_raw_from_tape_to_kernel(name):
     """A session's table entries are the raw tuples Evaluator.eval returns
     for their coefficients, floats() is mpc_to_complex of each at the
-    session's rounding, and check_bogoliubov reads the four doubles of the
-    public commutators() (infinite_gain's tables hold inf and nan)."""
+    session's rounding, and every pair's four doubles from the all-pairs
+    kernel, which check_bogoliubov reads, are the per-pair walk's
+    (infinite_gain's tables hold inf and nan)."""
     protocol = evaluate_circuit(parse_circuit(_source(name)))
     session = protocol.evaluator()
     run = Evaluator(protocol.env, protocol.circuit.tape)
@@ -858,22 +959,9 @@ def test_values_stay_raw_from_tape_to_kernel(name, monkeypatch):
             assert [type(z) for z in table[mode]] == [tuple, tuple], mode
             want = [_hex_pair(mpc_to_complex(z, False, session._rnd)) for z in table[mode]]
             assert list(map(_hex_pair, view[mode])) == want, mode
-    given, plain = [], ModeEvaluator.commutators
-
-    def recording(self, left, right):
-        given.append(plain(self, left, right))
-        return given[-1]
-
-    monkeypatch.setattr(ModeEvaluator, "commutators", recording)
-    report = check_bogoliubov(protocol.quantum_ports(), session)
-    monkeypatch.undo()
-    ports = list(protocol.quantum_ports().values())
-    pairs = [(left, right) for i, left in enumerate(ports) for right in ports[i:]]
-    hexes = [tuple(map(float.hex, parts)) for parts in given]
-    assert hexes == [tuple(map(float.hex, session.commutators(left, right))) for left, right in pairs]
-    assert all(len(parts) == 4 and all(type(part) is float for part in parts) for parts in given)
-    worst, failures = _reference_bogoliubov(protocol.quantum_ports(), session, report.tol)
-    assert report.max_deviation.hex() == worst.hex() and len(report.failures) == len(failures)
+    got = session.commutator_pairs(list(protocol.quantum_ports().values()))
+    assert all(len(parts) == 4 and all(type(part) is float for part in parts) for parts in got.values())
+    _assert_bogoliubov_matches(protocol.quantum_ports(), session)
 
 
 def _assert_same_session(got: ModeEvaluator, want: ModeEvaluator, exprs) -> None:
