@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import field
 
-from mpmath.libmp import fzero, mpc_is_infnan, mpc_sub
+from mpmath.libmp import fzero, mpc_sub
 
 from .circuit import (
     CircuitAst,
@@ -156,15 +156,12 @@ def _table_gap(one: dict, other: dict, session: ModeEvaluator) -> float:
     """The one rule for the distance between two raw coefficient tables made
     at session's precision: each part's difference over the modes of either
     (an exact zero where one lacks the mode), at that precision and rounding,
-    converted once; the largest magnitude, or nan if one is. A part both
-    tables share (bound sessions take the root's invariant entries) is
-    skipped when finite: its difference is an exact zero; inf - inf is nan."""
+    converted once; the largest magnitude, or nan if one is."""
     prec, rnd, zero = session._prec, session._rnd, (_ZERO, _ZERO)
     return _worst([
         _magnitude(to_complex(mpc_sub(a, b, prec, rnd), rnd))
         for mode in one.keys() | other.keys()
         for a, b in zip(one.get(mode, zero), other.get(mode, zero))
-        if a is not b or mpc_is_infnan(a)
     ])
 
 
